@@ -1,6 +1,6 @@
 //! Throughput benchmark for `wolves-service`: requests/sec over a grid of
 //! shard counts × worker-thread counts, driven by the concurrent batch
-//! client over a real loopback TCP connection — plus the evented-core
+//! client over a real loopback TCP connection — plus the event-loop
 //! grids: pipelining speedup, idle-connection scaling and WAL group-commit
 //! cost under strict fsync.
 //!
@@ -10,7 +10,7 @@
 //! service_bench                     # full grid, JSON on stdout
 //! service_bench --quick             # smaller grid / fewer requests (CI)
 //! service_bench --out BENCH_service.json
-//! service_bench --conn-smoke 10000  # hold N idle conns through a burst
+//! service_bench --conn-smoke 10000  # hold N conns (1k watching) through a burst
 //! ```
 //!
 //! The output is machine-readable JSON (handwritten — no serde in the
@@ -27,7 +27,7 @@ use std::time::Instant;
 use wolves_repo::{figure1, layered_workflow, topological_block_view, LayeredConfig};
 use wolves_service::{
     serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, MutateOp,
-    PersistConfig, ServerConfig, Verb, WorkflowId, WorkflowStore,
+    PersistConfig, ServerConfig, Verb, WatchMode, WorkflowId, WorkflowStore,
 };
 
 struct Row {
@@ -277,7 +277,7 @@ fn run_read_under_write(quick: bool) -> (ReadUnderWrite, String) {
 }
 
 /// One-write-per-request vs pipelined vs server-side batch verb, same
-/// connection count: the round-trip collapse the evented core exists for.
+/// connection count: the round-trip collapse pipelining exists for.
 struct Pipelining {
     clients: usize,
     depth: usize,
@@ -288,7 +288,7 @@ struct Pipelining {
     speedup: f64,
 }
 
-/// Validate throughput while N idle connections sit on the evented loop —
+/// Validate throughput while N idle connections sit on the event loops —
 /// idle clients must cost file descriptors, not threads or throughput.
 struct ScalingRow {
     idle_target: usize,
@@ -326,16 +326,14 @@ fn temp_root(tag: &str) -> PathBuf {
     ))
 }
 
-/// An evented server (thread-pool fallback off Linux) preloaded with eight
-/// Figure 1 workflows.
-fn evented_fixture_server(
+/// A server preloaded with eight Figure 1 workflows.
+fn fixture_server(
     shards: usize,
     workers: usize,
 ) -> (wolves_service::ServerHandle, Vec<WorkflowId>) {
     let server = serve(&ServerConfig {
         shards,
         workers,
-        evented: true,
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
@@ -351,7 +349,7 @@ fn evented_fixture_server(
 
 fn run_pipelining(quick: bool) -> Pipelining {
     let (clients, requests, depth) = if quick { (4, 400, 32) } else { (4, 2000, 32) };
-    let (server, ids) = evented_fixture_server(4, 4);
+    let (server, ids) = fixture_server(4, 4);
     let addr = server.local_addr();
 
     let baseline = validate_throughput(
@@ -432,7 +430,7 @@ fn run_connection_scaling(quick: bool) -> Vec<ScalingRow> {
     let requests = if quick { 200 } else { 500 };
     let mut rows = Vec::new();
     for &idle_target in &idle_grid {
-        let (server, ids) = evented_fixture_server(2, 4);
+        let (server, ids) = fixture_server(2, 4);
         let addr = server.local_addr();
         let mut idle = Vec::with_capacity(idle_target);
         for _ in 0..idle_target {
@@ -468,7 +466,7 @@ fn run_connection_scaling(quick: bool) -> Vec<ScalingRow> {
 
 /// Per-thread pipelined batch depth of the mutation burst: mutations defer
 /// durability into one [`DurabilityBarrier`] per batch, exactly like the
-/// evented server settles a pipelined connection's frames.
+/// server settles a readiness pass's frames.
 const GC_PIPELINE: usize = 8;
 
 /// One mutation burst against a fresh durable store: `mutators` threads ×
@@ -589,10 +587,18 @@ fn run_group_commit(quick: bool) -> GroupCommit {
     }
 }
 
-/// The CI smoke: hold `target` idle connections on the evented loop while a
-/// mutation burst and a pipelined validate pass run through it, then prove
-/// a sample of the idle connections is still served. Non-zero exit on any
-/// failure.
+/// Watch subscriptions the connection smoke holds among its `target`
+/// connections.
+const SMOKE_WATCHERS: usize = 1000;
+
+/// Mutations each of the smoke's eight burst clients commits.
+const SMOKE_BURST: usize = 100;
+
+/// The CI smoke: hold `target` connections on the event loops — up to
+/// [`SMOKE_WATCHERS`] of them watching, the rest idle — while a mutation
+/// burst and a pipelined validate pass run through them, then prove every
+/// watcher received every event of its workflow in sequence and a sample of
+/// the idle connections is still served. Non-zero exit on any failure.
 fn run_connection_smoke(target: usize) -> i32 {
     // holding idle connections is the point of this smoke, so the idle
     // reclamation sweep is off — opening and probing tens of thousands of
@@ -600,7 +606,6 @@ fn run_connection_smoke(target: usize) -> i32 {
     let server = serve(&ServerConfig {
         shards: 2,
         workers: 4,
-        evented: true,
         read_timeout_ms: 0,
         ..ServerConfig::default()
     })
@@ -625,15 +630,33 @@ fn run_connection_smoke(target: usize) -> i32 {
             }
         }
     }
-    let mut idle = Vec::with_capacity(target.saturating_sub(probe_count));
-    while idle.len() + probe_count < target {
+    // the watchers spread over the burst's workflows; the ack means the
+    // subscription is registered, so each one sees the whole burst
+    let watcher_count = SMOKE_WATCHERS.min(target.saturating_sub(probe_count));
+    let mut watchers = Vec::with_capacity(watcher_count);
+    for index in 0..watcher_count {
+        let id = ids[index % ids.len()];
+        let timeout = Some(std::time::Duration::from_secs(30));
+        let watched = wolves_service::ServiceClient::connect_with(addr, timeout)
+            .and_then(|client| client.watch(id, WatchMode::Tail));
+        match watched {
+            Ok(stream) => watchers.push(stream),
+            Err(e) => {
+                eprintln!("conn-smoke: cannot open watcher {index}: {e}");
+                return 1;
+            }
+        }
+    }
+    let held = probe_count + watcher_count;
+    let mut idle = Vec::with_capacity(target.saturating_sub(held));
+    while idle.len() + held < target {
         match TcpStream::connect(addr) {
             Ok(stream) => idle.push(stream),
             Err(e) => {
                 eprintln!(
                     "conn-smoke: opened only {} of {target} connections: {e} \
                      (raise `ulimit -n`?)",
-                    idle.len() + probe_count
+                    idle.len() + held
                 );
                 return 1;
             }
@@ -649,7 +672,7 @@ fn run_connection_smoke(target: usize) -> i32 {
                 let Ok(mut client) = wolves_service::ServiceClient::connect(addr) else {
                     return false;
                 };
-                for index in 0..100usize {
+                for index in 0..SMOKE_BURST {
                     let op = if index % 2 == 0 {
                         MutateOp::AddEdge {
                             from: "Check additional annotations".to_owned(),
@@ -693,6 +716,28 @@ fn run_connection_smoke(target: usize) -> i32 {
         return 1;
     }
 
+    // every watcher got its workflow's whole burst, gap-free and in order
+    for (index, stream) in watchers.iter_mut().enumerate() {
+        let base = stream.ack().seq;
+        for offset in 1..=SMOKE_BURST as u64 {
+            match stream.next_event() {
+                Ok(event) if event.seq() == base + offset => {}
+                Ok(event) => {
+                    eprintln!(
+                        "conn-smoke: watcher {index} got seq {} where {} was due",
+                        event.seq(),
+                        base + offset
+                    );
+                    return 1;
+                }
+                Err(e) => {
+                    eprintln!("conn-smoke: watcher {index} lost its stream: {e}");
+                    return 1;
+                }
+            }
+        }
+    }
+
     // the probes sat idle through the whole burst; they must still be live
     for (index, probe) in probes.iter_mut().enumerate() {
         if let Err(e) = probe.stats() {
@@ -706,11 +751,22 @@ fn run_connection_smoke(target: usize) -> i32 {
         .find(|l| l.starts_with("wolves_open_connections "))
         .map(str::to_owned)
         .unwrap_or_default();
+    let threads = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find(|l| l.starts_with("Threads:"))
+                .map(str::to_owned)
+        })
+        .unwrap_or_default();
     drop(idle);
+    drop(watchers);
     drop(probes);
     server.shutdown();
     println!(
-        "conn-smoke: held {target} connections through burst + {} validates ({gauge})",
+        "conn-smoke: held {target} connections ({watcher_count} watching, each saw all \
+         {SMOKE_BURST} events) through burst + {} validates ({gauge}; process {threads})",
         report.completed
     );
     0

@@ -240,7 +240,7 @@ fn serve_blocking(args: &[String]) -> Result<String, Failure> {
     let (positionals, flags) = parse_args(
         "serve",
         args,
-        &["addr", "shards", "threads", "data-dir", "fault-plan", "io"],
+        &["addr", "shards", "threads", "data-dir", "fault-plan"],
     )?;
     if !positionals.is_empty() {
         return Err(format!("'serve' takes no positional arguments\n{USAGE}").into());
@@ -287,13 +287,6 @@ fn serve_blocking(args: &[String]) -> Result<String, Failure> {
             )
         }
     };
-    let evented = match flag(&flags, "io") {
-        None | Some("evented") => flag(&flags, "io").is_some(),
-        Some("threads") => false,
-        Some(other) => {
-            return Err(format!("unknown '--io' mode '{other}' (evented|threads)\n{USAGE}").into())
-        }
-    };
     let config = ServerConfig {
         addr: flag(&flags, "addr").unwrap_or("127.0.0.1:7878").to_owned(),
         shards: store.shard_count(),
@@ -301,7 +294,6 @@ fn serve_blocking(args: &[String]) -> Result<String, Failure> {
             .map(|v| parse_number(v, "thread count"))
             .transpose()?
             .unwrap_or(4),
-        evented,
         ..ServerConfig::default()
     };
     let handle = serve_with_store(&config, store).map_err(|e| Failure {
@@ -310,15 +302,10 @@ fn serve_blocking(args: &[String]) -> Result<String, Failure> {
     })?;
     print!("{banner}");
     println!(
-        "wolves-service listening on {} ({} shards, {} worker threads, {} I/O)",
+        "wolves-service listening on {} ({} shards, {} event loops)",
         handle.local_addr(),
         config.shards.max(1),
         config.workers.max(1),
-        if config.evented && wolves_service::readiness_supported() {
-            "evented"
-        } else {
-            "thread-pool"
-        }
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -564,13 +551,12 @@ usage:
 
 serving (wolves-service):
   wolves serve [--addr <host:port>] [--shards N] [--threads N] [--data-dir <dir>]
-               [--fault-plan <plan>] [--io evented|threads]
+               [--fault-plan <plan>]
                                               serve validation/correction requests
-                                              (default 127.0.0.1:7878, 4 shards, 4 threads);
-                                              --io evented runs the epoll readiness
-                                              loop (Linux; idle connections cost no
-                                              threads, pipelined frames batch), --io
-                                              threads the portable thread pool (default);
+                                              (default 127.0.0.1:7878, 4 shards, 4 threads:
+                                              one epoll event loop per thread, Linux;
+                                              idle connections cost no threads and
+                                              pipelined frames share one write);
                                               --data-dir makes the store durable:
                                               snapshot + write-ahead log per shard,
                                               recovered on restart (exit 2: bind

@@ -826,13 +826,11 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn pipelined_throughput_driver_works_against_the_evented_server() {
+    fn pipelined_throughput_driver_counts_every_request() {
         let server = serve(&ServerConfig {
             shards: 2,
             workers: 4,
-            evented: true,
             ..ServerConfig::default()
         })
         .unwrap();

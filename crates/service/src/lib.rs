@@ -17,14 +17,15 @@
 //!   newline-delimited text reusing the native format of
 //!   [`wolves_moml::textfmt`].
 //! * [`server`] — the TCP serving layer (plain `std::net`, no runtime
-//!   dependency): an evented readiness-polling core (epoll event loop,
-//!   non-blocking connections, request pipelining, worker-pool dispatch)
-//!   with a thread-pool fallback mode, graceful shutdown and per-shard
-//!   serving counters; live correction timings feed
+//!   dependency): one epoll event loop per worker thread, each answering
+//!   its non-blocking connections' pipelined requests inline, with watch
+//!   subscriptions as write sources, bounded frames, connection admission
+//!   and graceful shutdown; live correction timings feed
 //!   [`wolves_core::estimate::EstimationRegistry`].
-//! * [`poll`] — the minimal readiness-polling primitive under the evented
-//!   server: raw `epoll`/`eventfd` syscalls behind a safe [`poll::Poller`] /
-//!   [`poll::Waker`] API (Linux), with a portable fallback elsewhere.
+//! * [`poll`] — the minimal readiness-polling primitive under the event
+//!   loops: raw `epoll`/`eventfd` syscalls behind a safe [`poll::Poller`] /
+//!   [`poll::Waker`] API (Linux only; the server reports `Unsupported`
+//!   elsewhere).
 //! * [`client`] — a typed client plus the concurrent batch driver used by
 //!   the `wolves request` CLI and the `service_bench` throughput benchmark.
 //! * [`obs`] — the telemetry layer: lock-free log₂-bucketed latency
@@ -83,7 +84,7 @@ pub use obs::{
     ErrorCounters, Histogram, HistogramSnapshot, ServerGauges, Stage, StorageObservation,
     Telemetry, Verb,
 };
-pub use poll::{readiness_supported, Event, Interest, Poller, Waker};
+pub use poll::{Event, Interest, Poller, Waker};
 pub use proto::{
     MutateOp, Mutated, Request, Response, StatsReport, Verdict, WatchEvent, WatchMode, Watching,
     STATS_SCHEMA_VERSION,

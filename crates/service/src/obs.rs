@@ -751,12 +751,13 @@ impl ServerGauges {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Notes one event-loop wakeup (a completed `epoll_wait`).
+    /// Notes one event-loop wakeup (any loop's `epoll_wait` returning,
+    /// timeouts included).
     pub fn wakeup(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Notes one multi-frame (pipelined) dispatch batch.
+    /// Notes one read that carried more than one pipelined frame.
     pub fn pipelined_batch(&self) {
         self.pipelined_batches.fetch_add(1, Ordering::Relaxed);
     }
@@ -779,7 +780,7 @@ impl ServerGauges {
         self.wakeups.load(Ordering::Relaxed)
     }
 
-    /// Dispatch batches that carried more than one pipelined frame.
+    /// Reads that carried more than one pipelined frame.
     #[must_use]
     pub fn pipelined_batches(&self) -> u64 {
         self.pipelined_batches.load(Ordering::Relaxed)

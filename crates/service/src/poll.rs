@@ -1,25 +1,24 @@
-//! Minimal readiness polling: the primitive under the evented server.
+//! Minimal readiness polling: the primitive under the server's event loops.
 //!
 //! No async runtime or polling crate is available to this workspace, so the
-//! evented serving core sits directly on two Linux kernel interfaces,
-//! declared here as the crate's only FFI:
+//! event loops sit directly on two Linux kernel interfaces, declared here as
+//! the crate's only FFI:
 //!
 //! * **epoll** (`epoll_create1` / `epoll_ctl` / `epoll_wait`) — a
 //!   level-triggered readiness set over any number of file descriptors;
-//!   [`Poller::wait`] parks the event-loop thread until a registered socket
+//!   [`Poller::wait`] parks an event-loop thread until a registered socket
 //!   is readable/writable (or a timeout passes).
-//! * **eventfd** — a 64-bit counter fd used as the loop's [`Waker`]: worker
-//!   threads finishing a response (and shutdown requests) bump the counter,
+//! * **eventfd** — a 64-bit counter fd used as a loop's [`Waker`]: the
+//!   accepting loop dealing it a socket, a watch fan-out queueing an event
+//!   for one of its subscribers, and shutdown requests bump the counter,
 //!   which makes the fd readable and wakes `epoll_wait` without any
 //!   loopback connection.
 //!
 //! Everything `unsafe` in the crate is confined to the small `sys` block at
 //! the bottom of this file; the [`Poller`] / [`Waker`] wrappers expose a
 //! safe, `std::io`-flavoured API. On non-Linux targets the module still
-//! compiles but [`Poller::new`] reports `Unsupported` — the thread-pool
-//! server remains the portable path.
+//! compiles but [`Poller::new`] and [`Waker::new`] report `Unsupported`.
 
-use std::io;
 #[cfg(target_os = "linux")]
 use std::os::fd::{AsRawFd, RawFd};
 
@@ -98,9 +97,9 @@ mod imp {
             )
         }
 
-        /// Removes an fd from the readiness set. Dropping the socket also
-        /// deregisters it implicitly; this keeps the set tidy when the fd
-        /// lives on (watch hand-off).
+        /// Removes an fd from the readiness set while the fd lives on (a
+        /// listener paused on descriptor exhaustion). Closing a socket
+        /// deregisters it implicitly.
         ///
         /// # Errors
         /// Reports `epoll_ctl` failures.
@@ -205,8 +204,8 @@ mod imp {
     use super::{Event, Interest};
     use std::io;
 
-    /// Readiness polling is Linux-only; other platforms get the thread-pool
-    /// server. This stub keeps the API compiling everywhere.
+    /// Readiness polling is Linux-only. This stub keeps the API compiling
+    /// everywhere.
     #[derive(Debug)]
     pub struct Poller {}
 
@@ -293,22 +292,6 @@ mod imp {
 
 pub use imp::{Poller, Waker};
 
-/// `true` when this build can run the evented server (Linux epoll).
-#[must_use]
-pub fn readiness_supported() -> bool {
-    cfg!(target_os = "linux")
-}
-
-/// Puts a socket into non-blocking mode without `std`'s per-type wrappers
-/// (used on raw listener/stream fds the event loop owns).
-///
-/// # Errors
-/// Reports `fcntl` failures.
-#[cfg(target_os = "linux")]
-pub fn set_nonblocking(fd: RawFd, nonblocking: bool) -> io::Result<()> {
-    sys::set_nonblocking(fd, nonblocking)
-}
-
 /// Raw-fd view of any socket type, re-exported so the server does not need
 /// its own platform conditionals.
 #[cfg(target_os = "linux")]
@@ -337,9 +320,6 @@ mod sys {
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EFD_CLOEXEC: c_int = 0o2000000;
     const EFD_NONBLOCK: c_int = 0o4000;
-    const F_GETFL: c_int = 3;
-    const F_SETFL: c_int = 4;
-    const O_NONBLOCK: c_int = 0o4000;
 
     /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs
     /// it (no padding between the 32-bit mask and the 64-bit data word).
@@ -367,7 +347,6 @@ mod sys {
             pub fn close(fd: c_int) -> c_int;
             pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
             pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-            pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         }
     }
 
@@ -428,18 +407,6 @@ mod sys {
         } else {
             0
         }
-    }
-
-    pub fn set_nonblocking(fd: RawFd, nonblocking: bool) -> io::Result<()> {
-        // SAFETY: fcntl with F_GETFL/F_SETFL takes no pointers.
-        let flags = check(unsafe { ffi::fcntl(fd, F_GETFL, 0) })?;
-        let flags = if nonblocking {
-            flags | O_NONBLOCK
-        } else {
-            flags & !O_NONBLOCK
-        };
-        // SAFETY: as above.
-        check(unsafe { ffi::fcntl(fd, F_SETFL, flags) }).map(|_| ())
     }
 
     pub fn close(fd: RawFd) {

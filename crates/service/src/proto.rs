@@ -61,7 +61,7 @@
 //! speaks, so a workflow file can be piped to the server verbatim — no new
 //! dependency, no binary encoding.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use wolves_core::correct::Strategy;
 use wolves_workflow::persist::{delta_from_line, delta_to_line};
@@ -72,6 +72,11 @@ use crate::store::WorkflowId;
 
 /// Terminator line closing every frame.
 pub const FRAME_END: &str = ".";
+
+/// Upper bound on the wire bytes of one frame, enforced by both readers: a
+/// peer streaming one endless line cannot grow the other side's memory past
+/// it.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// A request from client to server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -725,33 +730,59 @@ pub fn encode_frame(out: &mut String, lines: &[String]) {
     out.push('\n');
 }
 
+/// Decodes one wire line (its `\n` already split off) — the single line
+/// policy of both frame readers: one trailing `\r` is trimmed, the bytes
+/// must be UTF-8 (never replaced lossily: a mangled byte could silently
+/// rename a task inside a `register` payload), and a dot-stuffed line is
+/// un-escaped. `Ok(None)` is the frame terminator.
+///
+/// # Errors
+/// Reports bytes that are not UTF-8.
+pub fn decode_line(raw: &[u8]) -> Result<Option<&str>, std::str::Utf8Error> {
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+    let line = std::str::from_utf8(raw)?;
+    if line == FRAME_END {
+        return Ok(None);
+    }
+    Ok(Some(line.strip_prefix('.').unwrap_or(line)))
+}
+
 /// Reads one frame, un-escaping dot-stuffed lines. Returns `None` on a clean
-/// end-of-stream before any line was read.
+/// end-of-stream before any line was read. At most [`MAX_FRAME_BYTES`] are
+/// read for one frame.
 ///
 /// # Errors
 /// Propagates I/O errors; a stream ending mid-frame is reported as
-/// `UnexpectedEof`.
+/// `UnexpectedEof`, a frame past the size bound or a line that is not UTF-8
+/// as `InvalidData`.
 pub fn read_frame<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Vec<String>>> {
     let mut lines = Vec::new();
-    let mut buffer = String::new();
+    let mut raw = Vec::new();
+    let mut budget = MAX_FRAME_BYTES as u64;
     loop {
-        buffer.clear();
-        let n = reader.read_line(&mut buffer)?;
-        if n == 0 {
-            if lines.is_empty() {
+        raw.clear();
+        let n = reader.by_ref().take(budget).read_until(b'\n', &mut raw)?;
+        budget -= n as u64;
+        let Some(line) = raw.strip_suffix(b"\n") else {
+            if budget == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+                ));
+            }
+            if n == 0 && lines.is_empty() {
                 return Ok(None);
             }
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "stream ended mid-frame",
             ));
+        };
+        match decode_line(line) {
+            Ok(None) => return Ok(Some(lines)),
+            Ok(Some(text)) => lines.push(text.to_owned()),
+            Err(e) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
         }
-        let line = buffer.trim_end_matches(['\r', '\n']);
-        if line == FRAME_END {
-            return Ok(Some(lines));
-        }
-        let line = line.strip_prefix('.').unwrap_or(line);
-        lines.push(line.to_owned());
     }
 }
 
@@ -1663,6 +1694,38 @@ mod tests {
         let mut reader = BufReader::new(b"header\n".as_slice());
         let err = read_frame(&mut reader).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn line_decoding_trims_one_cr_unstuffs_and_rejects_bad_utf8() {
+        assert_eq!(decode_line(b"validate\t1\r"), Ok(Some("validate\t1")));
+        assert_eq!(decode_line(b"..hidden"), Ok(Some(".hidden")));
+        assert_eq!(decode_line(b".\r"), Ok(None));
+        assert!(decode_line(b"task\tA\xff").is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_is_invalid_data_not_a_lossy_rename() {
+        let mut reader = BufReader::new(b"register\ntask\tA\xffB\n.\n".as_slice());
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn an_endless_line_stops_at_the_frame_bound() {
+        // one unterminated line a byte past the bound: the reader gives up
+        // after MAX_FRAME_BYTES instead of buffering the whole stream
+        let endless = std::io::repeat(b'x').take(MAX_FRAME_BYTES as u64 + 1);
+        let mut reader = BufReader::new(endless);
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // a frame of many lines is bounded as a whole, not per line
+        let wire = [b"y".repeat(1023), b"\n".to_vec()]
+            .concat()
+            .repeat(MAX_FRAME_BYTES / 1024 + 1);
+        let mut reader = BufReader::new(wire.as_slice());
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,54 +1,49 @@
-//! The TCP serving layer: an evented readiness-polling core with a
-//! thread-pool fallback.
+//! The TCP serving layer: `workers` readiness-polling event loops that
+//! answer every request inline.
 //!
-//! **Evented mode** ([`ServerConfig::evented`], Linux): one event-loop
-//! thread owns the listener, an [`crate::poll::Poller`] and every
-//! connection. Connections are non-blocking with per-connection read/write
-//! buffers, so thousands of idle clients cost no threads. The loop splits
-//! every *complete* frame out of a connection's read buffer and dispatches
-//! the whole batch to a worker pool in one job — pipelined requests are
-//! answered in order and their responses leave in one coalesced `write`.
-//! Workers post finished response bytes to a completion queue and wake the
-//! loop through an `eventfd` [`crate::poll::Waker`] (also how shutdown
-//! interrupts `epoll_wait` — no loopback connection anywhere). A `watch`
-//! frame hands its connection off to a dedicated blocking thread, since a
-//! subscription turns the socket into a server-push channel.
+//! Each loop is one thread owning an epoll [`crate::poll::Poller`], an
+//! eventfd [`Waker`] and its share of the connections. Connections are
+//! non-blocking with per-connection read/write buffers, so idle clients cost
+//! file descriptors, not threads. Loop 0 also owns the listener and deals
+//! accepted sockets round-robin to the loops through a per-loop inbox and
+//! that loop's waker.
 //!
-//! **Thread-pool mode** (default, portable): one acceptor thread hands
-//! accepted connections to a fixed pool of worker threads over a channel
-//! (worker-per-connection: a worker owns a connection until the client
-//! disconnects, answering any number of requests on it). The listener is
-//! non-blocking and the acceptor polls the shutdown flag between accepts.
+//! One readiness pass of a loop reads every readable connection, splits off
+//! its complete frames (each bounded by [`crate::proto::MAX_FRAME_BYTES`])
+//! and answers them in order against the store, on the loop thread — no
+//! hand-off to another thread. Mutations defer their durability wait into
+//! one pass-wide [`DurabilityBarrier`], settled once before any response of
+//! the pass is written: acknowledged-after-durable holds, and concurrent
+//! strict-fsync mutators on one loop share a group commit. Each
+//! connection's responses then leave in one coalesced `write`.
 //!
-//! Shutdown — triggered by a client's `shutdown` request or by
-//! [`ServerHandle::request_shutdown`] — raises a flag, wakes the event loop
-//! (or lets the acceptor's poll see the flag), and closes every tracked
-//! connection, so [`ServerHandle::join`] returns even when clients leave
-//! connections idle.
+//! A `watch` frame turns its connection into a write source. The store's
+//! fan-out wakes the owning loop through the [`Waker`] the subscription
+//! carries, and the loop moves queued events into the connection's write
+//! buffer only while that buffer is flushed — a subscriber that stops
+//! reading fills its bounded queue and is lag-dropped, then told to resync.
+//! Any frame from a watching client (`unwatch`, or a plain request) ends the
+//! subscription; a disconnect is an ordinary readable event.
+//!
+//! Shutdown — a client's `shutdown` request or
+//! [`ServerHandle::request_shutdown`] — raises a flag and wakes every loop;
+//! each flushes what it can and closes its connections, so
+//! [`ServerHandle::join`] returns even when clients leave connections idle.
+//! The loops need Linux epoll: elsewhere [`serve`] reports
+//! [`std::io::ErrorKind::Unsupported`].
 
-use std::io::{BufRead, BufReader, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::error::ServiceError;
-use crate::obs::{duration_ns, ServerGauges, Stage};
 use crate::poll::Waker;
-use crate::proto::{read_frame, write_frame, Request, Response, WatchEvent, Watching};
-use crate::store::{DurabilityBarrier, WatchSubscription, WorkflowStore};
-
-/// How long a watch-serving worker waits on the subscription queue before
-/// probing the connection for client frames (`unwatch`, disconnect) and the
-/// shutdown flag.
-const WATCH_POLL: Duration = Duration::from_millis(25);
-
-/// How long the thread-pool acceptor naps when no connection is pending
-/// before re-checking the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+use crate::proto::{Request, Response};
+use crate::store::{DurabilityBarrier, WorkflowStore};
 
 /// Configuration of a [`serve`] call.
 #[derive(Debug, Clone)]
@@ -58,36 +53,20 @@ pub struct ServerConfig {
     pub addr: String,
     /// Number of store shards.
     pub shards: usize,
-    /// Number of worker threads.
+    /// Number of event loops, one thread each.
     pub workers: usize,
-    /// Socket read timeout in milliseconds (0 disables): a connection
-    /// whose client sends nothing for this long is closed and its worker
-    /// reclaimed — an idle or stalled client can no longer pin a worker
-    /// thread forever. Watch subscriptions are exempt (the server pushes
-    /// to them; they are polled, not blocked on). In evented mode idle
-    /// connections cost no thread, but the same timeout still reclaims
-    /// their descriptors.
+    /// Idle timeout in milliseconds (0 disables): a connection whose client
+    /// sends nothing for this long, with nothing left to write to it, is
+    /// closed. Watch subscriptions are exempt (the server pushes to them).
     pub read_timeout_ms: u64,
-    /// Socket write timeout in milliseconds (0 disables): a client that
-    /// stops reading its responses cannot block a worker indefinitely.
+    /// Write-stall timeout in milliseconds (0 disables): a connection whose
+    /// client accepts none of its pending response or event bytes for this
+    /// long is closed.
     pub write_timeout_ms: u64,
-    /// Per-request admission deadline in milliseconds (0 disables): a
-    /// connection that waited longer than this in the accept queue is shed
-    /// with [`ServiceError::Overloaded`] instead of being served late.
-    /// Thread-pool mode only — the evented loop accepts immediately and
-    /// bounds the *dispatch* queue instead.
-    pub deadline_ms: u64,
-    /// Backlog bound (0 disables). Thread-pool mode: when this many
-    /// accepted connections are already queued for workers, further
-    /// connections are shed immediately with [`ServiceError::Overloaded`].
-    /// Evented mode: when this many dispatched request batches are in
-    /// flight to the worker pool, further batches are answered with
-    /// [`ServiceError::Overloaded`] instead of being queued.
-    pub backlog_limit: usize,
-    /// `true` runs the evented readiness-polling core (Linux). On other
-    /// platforms — where [`crate::poll::readiness_supported`] is `false` —
-    /// the flag is ignored and the portable thread-pool server runs.
-    pub evented: bool,
+    /// Bound on open connections across all loops (0 disables). A
+    /// connection accepted past it gets a best-effort
+    /// [`ServiceError::Overloaded`] frame and is closed.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -98,9 +77,7 @@ impl Default for ServerConfig {
             workers: 4,
             read_timeout_ms: 30_000,
             write_timeout_ms: 30_000,
-            deadline_ms: 10_000,
-            backlog_limit: 1024,
-            evented: false,
+            max_connections: 16_384,
         }
     }
 }
@@ -111,56 +88,30 @@ fn timeout_of(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// State shared between the acceptor/event loop, the workers and the
-/// handle.
+/// One loop's door: the waker that interrupts its `epoll_wait`, and the
+/// inbox loop 0 deals accepted sockets into.
+#[derive(Debug)]
+struct Mailbox {
+    waker: Arc<Waker>,
+    inbox: Mutex<Vec<TcpStream>>,
+}
+
+/// State shared between the event loops and the handle.
 #[derive(Debug)]
 struct Shared {
     addr: SocketAddr,
     shutdown: AtomicBool,
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-    next_connection: AtomicU64,
-    /// Thread-pool mode: accepted connections handed to the worker channel
-    /// but not yet picked up. Evented mode: request batches dispatched to
-    /// the worker pool but not yet completed. Either way, the backlog the
-    /// shedding bound applies to.
-    queued: AtomicUsize,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    deadline: Option<Duration>,
-    backlog_limit: usize,
-    gauges: Arc<ServerGauges>,
-    /// The evented loop's eventfd; `None` in thread-pool mode.
-    waker: Option<Arc<Waker>>,
-    /// Watch connections the evented loop handed off to blocking threads;
-    /// joined by [`ServerHandle::join`].
-    extra_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// One mailbox per loop, indexed by loop number.
+    loops: Vec<Mailbox>,
 }
 
 impl Shared {
-    /// Registers a connection so shutdown can close it; returns its id.
-    fn track(&self, stream: &TcpStream) -> u64 {
-        let id = self.next_connection.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            self.connections.lock().push((id, clone));
-        }
-        id
-    }
-
-    fn untrack(&self, id: u64) {
-        self.connections.lock().retain(|(other, _)| *other != id);
-    }
-
-    /// Raises the shutdown flag, wakes the event loop (evented mode; the
-    /// thread-pool acceptor polls the flag between accepts) and closes
-    /// every tracked connection, unblocking workers stuck reading from
-    /// idle clients.
+    /// Raises the shutdown flag and wakes every loop; each closes its own
+    /// connections on the way out.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        for (_, stream) in self.connections.lock().iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+        for mailbox in &self.loops {
+            mailbox.waker.wake();
         }
     }
 
@@ -169,8 +120,8 @@ impl Shared {
     }
 }
 
-/// A running server: the bound address, the shared store and the threads to
-/// join on shutdown.
+/// A running server: the bound address, the shared store and the loop
+/// threads to join on shutdown.
 #[derive(Debug)]
 pub struct ServerHandle {
     store: Arc<WorkflowStore>,
@@ -185,13 +136,13 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// The store backing the server (shared with the worker threads).
+    /// The store backing the server (shared with the loop threads).
     #[must_use]
     pub fn store(&self) -> Arc<WorkflowStore> {
         Arc::clone(&self.store)
     }
 
-    /// Begins shutdown without waiting for the threads; follow with
+    /// Begins shutdown without waiting for the loops; follow with
     /// [`ServerHandle::join`]. Batched-but-unsynced WAL records are pushed
     /// to stable storage first.
     pub fn request_shutdown(&self) {
@@ -199,16 +150,11 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Waits for the acceptor/event loop, all workers and any watch
-    /// hand-off threads to exit — either after a shutdown was requested,
-    /// or once a client sends a `shutdown` request (this is what
+    /// Waits for every event loop to exit — either after a shutdown was
+    /// requested, or once a client sends a `shutdown` request (this is what
     /// `wolves serve` blocks on).
     pub fn join(mut self) {
         for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-        let handed_off: Vec<_> = self.shared.extra_threads.lock().drain(..).collect();
-        for thread in handed_off {
             let _ = thread.join();
         }
     }
@@ -221,11 +167,10 @@ impl ServerHandle {
     }
 }
 
-/// Binds a listener and starts the serving threads on a fresh in-memory
-/// store.
+/// Binds a listener and starts the event loops on a fresh in-memory store.
 ///
 /// # Errors
-/// Reports bind failures.
+/// Reports bind failures, and `Unsupported` off Linux.
 pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     serve_with_store(config, Arc::new(WorkflowStore::new(config.shards)))
 }
@@ -236,419 +181,25 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 /// separable failures.
 ///
 /// # Errors
-/// Reports bind failures.
+/// Reports bind failures, and `Unsupported` off Linux.
 pub fn serve_with_store(
     config: &ServerConfig,
     store: Arc<WorkflowStore>,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(config.addr.as_str())?;
-    let gauges = Arc::new(ServerGauges::default());
-    store.attach_server_gauges(Arc::clone(&gauges));
-    #[cfg(target_os = "linux")]
-    if config.evented {
-        return evented::serve(config, store, listener, gauges);
-    }
-    serve_threaded(config, store, listener, gauges)
+    engine::spawn(config, store)
 }
 
-/// The portable thread-pool server (and the fallback when the evented core
-/// is unavailable).
-fn serve_threaded(
-    config: &ServerConfig,
-    store: Arc<WorkflowStore>,
-    listener: TcpListener,
-    gauges: Arc<ServerGauges>,
-) -> std::io::Result<ServerHandle> {
-    // a non-blocking listener lets the acceptor poll the shutdown flag
-    // instead of relying on a loopback connection to unblock accept()
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(Shared {
-        addr: listener.local_addr()?,
-        shutdown: AtomicBool::new(false),
-        connections: Mutex::new(Vec::new()),
-        next_connection: AtomicU64::new(0),
-        queued: AtomicUsize::new(0),
-        read_timeout: timeout_of(config.read_timeout_ms),
-        write_timeout: timeout_of(config.write_timeout_ms),
-        deadline: timeout_of(config.deadline_ms),
-        backlog_limit: config.backlog_limit,
-        gauges,
-        waker: None,
-        extra_threads: Mutex::new(Vec::new()),
-    });
-    let (sender, receiver) = mpsc::channel::<(TcpStream, Instant)>();
-    let receiver = Arc::new(Mutex::new(receiver));
-
-    let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-    for _ in 0..config.workers.max(1) {
-        let receiver = Arc::clone(&receiver);
-        let store = Arc::clone(&store);
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&receiver, &store, &shared);
-        }));
-    }
-
-    let acceptor_shared = Arc::clone(&shared);
-    let acceptor_store = Arc::clone(&store);
-    threads.push(std::thread::spawn(move || {
-        loop {
-            if acceptor_shared.is_shutdown() {
-                break;
-            }
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    // the workers use blocking I/O on the accepted socket
-                    let _ = stream.set_nonblocking(false);
-                    if acceptor_shared.backlog_limit > 0
-                        && acceptor_shared.queued.load(Ordering::SeqCst)
-                            >= acceptor_shared.backlog_limit
-                    {
-                        // load-shed at the door: a best-effort typed error
-                        // frame tells the client to back off, then the
-                        // connection drops
-                        shed(&mut stream, &acceptor_store);
-                        continue;
-                    }
-                    acceptor_shared.queued.fetch_add(1, Ordering::SeqCst);
-                    if sender.send((stream, Instant::now())).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-        // dropping the listener and the sender lets idle workers drain
-    }));
-
-    Ok(ServerHandle {
-        store,
-        shared,
-        threads,
-    })
-}
-
-/// Sheds one connection with a best-effort [`ServiceError::Overloaded`]
-/// frame; the drop that follows closes it.
-fn shed(stream: &mut TcpStream, store: &WorkflowStore) {
-    let error = ServiceError::Overloaded;
-    store.record_error(&error);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let _ = write_frame(stream, &Response::Error(error.to_wire()).to_lines());
-}
-
-fn worker_loop(
-    receiver: &Mutex<mpsc::Receiver<(TcpStream, Instant)>>,
+/// Answers one request against the store; the boolean asks the loop to
+/// begin server shutdown after replying. Mutations — also inside a `batch`
+/// — are applied and published, but their group-commit wait is folded into
+/// `barrier`: the caller MUST [`settle`] it before any response leaves the
+/// server, which keeps the acknowledged-after-durable contract while every
+/// mutation of a readiness pass shares one wait.
+fn respond(
     store: &WorkflowStore,
-    shared: &Shared,
-) {
-    loop {
-        // hold the mutex only while waiting for the next connection
-        let next = { receiver.lock().recv() };
-        match next {
-            Ok((mut stream, enqueued)) => {
-                shared.queued.fetch_sub(1, Ordering::SeqCst);
-                if let Some(deadline) = shared.deadline {
-                    // the admission deadline: a connection that aged out in
-                    // the queue is shed, not served late
-                    if enqueued.elapsed() > deadline {
-                        shed(&mut stream, store);
-                        continue;
-                    }
-                }
-                let _ = stream.set_read_timeout(shared.read_timeout);
-                let _ = stream.set_write_timeout(shared.write_timeout);
-                let id = shared.track(&stream);
-                shared.gauges.connection_opened();
-                // re-check AFTER tracking: a begin_shutdown() racing with
-                // this hand-off either set the flag before track() (seen
-                // here) or finds the stream in the tracked list and closes
-                // it — either way the worker cannot block on an idle client
-                if shared.is_shutdown() {
-                    shared.untrack(id);
-                    shared.gauges.connection_closed();
-                    break;
-                }
-                handle_connection(stream, Vec::new(), None, store, shared);
-                shared.untrack(id);
-                shared.gauges.connection_closed();
-            }
-            Err(_) => break, // acceptor gone and channel drained
-        }
-    }
-}
-
-/// A buffered reader that replays bytes the evented loop had already pulled
-/// off the socket before handing the connection to a blocking thread, then
-/// continues from the socket itself. With an empty replay buffer it behaves
-/// exactly like the underlying `BufReader`.
-struct ReplayReader {
-    leftover: Vec<u8>,
-    at: usize,
-    inner: BufReader<TcpStream>,
-}
-
-impl ReplayReader {
-    fn new(leftover: Vec<u8>, stream: TcpStream) -> ReplayReader {
-        ReplayReader {
-            leftover,
-            at: 0,
-            inner: BufReader::new(stream),
-        }
-    }
-
-    /// Unconsumed bytes are already in hand (no socket read needed).
-    fn buffered(&self) -> bool {
-        self.at < self.leftover.len() || !self.inner.buffer().is_empty()
-    }
-
-    fn socket(&self) -> &TcpStream {
-        self.inner.get_ref()
-    }
-}
-
-impl Read for ReplayReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.at < self.leftover.len() {
-            let n = (self.leftover.len() - self.at).min(buf.len());
-            buf[..n].copy_from_slice(&self.leftover[self.at..self.at + n]);
-            self.at += n;
-            return Ok(n);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl BufRead for ReplayReader {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.at < self.leftover.len() {
-            return Ok(&self.leftover[self.at..]);
-        }
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        if self.at < self.leftover.len() {
-            self.at = (self.at + amt).min(self.leftover.len());
-        } else {
-            self.inner.consume(amt);
-        }
-    }
-}
-
-/// Serves one connection with blocking I/O: the worker-pool path from the
-/// first byte, and the landing spot for watch connections the evented loop
-/// hands off (`leftover` replays bytes read ahead of the hand-off;
-/// `initial` is a frame already parsed out of them).
-fn handle_connection(
-    stream: TcpStream,
-    leftover: Vec<u8>,
-    initial: Option<Vec<String>>,
-    store: &WorkflowStore,
-    shared: &Shared,
-) {
-    // without TCP_NODELAY, Nagle + delayed ACKs cost ~40ms per small
-    // request/response exchange on loopback
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = ReplayReader::new(leftover, read_half);
-    let mut writer = stream;
-    // a frame already in hand: the evented loop's hand-off frame, or one
-    // `run_watch` read off the connection while leaving subscription mode
-    let mut pending: Option<Vec<String>> = initial;
-    loop {
-        let frame = match pending.take() {
-            Some(frame) => frame,
-            None => match read_frame(&mut reader) {
-                Ok(Some(frame)) => frame,
-                _ => break,
-            },
-        };
-        let parse_start = std::time::Instant::now();
-        let parsed = Request::from_lines(&frame);
-        store
-            .telemetry()
-            .stage(Stage::Parse, duration_ns(parse_start.elapsed()));
-        let (response, stop) = match parsed {
-            Ok(Request::Watch { workflow, mode }) => match store.watch(workflow, mode) {
-                Ok(subscription) => {
-                    let ack = Response::Watching(Watching {
-                        workflow: subscription.workflow(),
-                        seq: subscription.seq(),
-                        epoch: subscription.epoch(),
-                        payload: subscription.payload().map(str::to_owned),
-                    });
-                    if write_frame(&mut writer, &ack.to_lines()).is_err() {
-                        store.unwatch(&subscription);
-                        break;
-                    }
-                    match run_watch(&mut reader, &mut writer, store, shared, &subscription) {
-                        WatchOutcome::Resume => continue,
-                        WatchOutcome::Frame(frame) => {
-                            pending = Some(frame);
-                            continue;
-                        }
-                        WatchOutcome::Disconnect => break,
-                    }
-                }
-                Err(e) => {
-                    store.record_error(&e);
-                    (Response::Error(e.to_wire()), false)
-                }
-            },
-            Ok(request) => respond(store, request),
-            Err(e) => {
-                store.record_error(&e);
-                (Response::Error(e.to_wire()), false)
-            }
-        };
-        if write_frame(&mut writer, &response.to_lines()).is_err() {
-            break;
-        }
-        if stop {
-            shared.begin_shutdown();
-            break;
-        }
-        if shared.is_shutdown() {
-            break;
-        }
-    }
-}
-
-/// Why [`run_watch`] returned control to the request loop.
-enum WatchOutcome {
-    /// The subscription ended (client `unwatch`, or a lag-drop that was
-    /// answered with an explicit resync event); keep serving requests.
-    Resume,
-    /// The client sent a non-`unwatch` frame while watching: the
-    /// subscription is torn down and the frame should be served normally.
-    Frame(Vec<String>),
-    /// The client disconnected or the server is shutting down.
-    Disconnect,
-}
-
-/// What a momentary non-blocking look at the connection found.
-enum Probe {
-    Idle,
-    Data,
-    Gone,
-}
-
-/// Peeks at the connection without committing to a blocking read: buffered
-/// bytes (or readable socket data) mean the client sent a frame; EOF or a
-/// socket error mean it is gone. `restore` is the connection's configured
-/// read timeout, reinstated after the 1ms probe.
-fn probe_client(reader: &mut ReplayReader, restore: Option<Duration>) -> Probe {
-    if reader.buffered() {
-        return Probe::Data;
-    }
-    if reader
-        .socket()
-        .set_read_timeout(Some(Duration::from_millis(1)))
-        .is_err()
-    {
-        return Probe::Gone;
-    }
-    let probe = match reader.fill_buf() {
-        Ok([]) => Probe::Gone, // clean EOF
-        Ok(_) => Probe::Data,
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Probe::Idle
-        }
-        Err(_) => Probe::Gone,
-    };
-    // back to the configured timeout for the request loop's frame reads
-    if reader.socket().set_read_timeout(restore).is_err() {
-        return Probe::Gone;
-    }
-    probe
-}
-
-/// Serves one subscription: pushes committed events as they arrive,
-/// periodically checking the shutdown flag and the connection. A lag-drop
-/// (the store already removed the subscriber) is surfaced to the client as
-/// an explicit `resync` event before returning to request mode; an
-/// `unwatch` frame is acknowledged with `ok\tunwatched`.
-fn run_watch(
-    reader: &mut ReplayReader,
-    writer: &mut TcpStream,
-    store: &WorkflowStore,
-    shared: &Shared,
-    subscription: &WatchSubscription,
-) -> WatchOutcome {
-    loop {
-        if shared.is_shutdown() {
-            store.unwatch(subscription);
-            return WatchOutcome::Disconnect;
-        }
-        match subscription.recv_timeout(WATCH_POLL) {
-            Ok(Some(event)) => {
-                if write_frame(writer, &event.to_lines()).is_err() {
-                    store.unwatch(subscription);
-                    return WatchOutcome::Disconnect;
-                }
-                // drain the queue before spending a probe on the socket
-                continue;
-            }
-            Ok(None) => {}
-            Err(crate::error::ServiceError::Lagged) => {
-                // the store dropped this slow consumer; hand the client an
-                // explicit resync cursor so it can export and re-subscribe
-                let seq = store
-                    .cursor(subscription.workflow())
-                    .map_or(subscription.seq(), |(seq, _)| seq);
-                let resync = WatchEvent::Resync {
-                    workflow: subscription.workflow(),
-                    seq,
-                };
-                if write_frame(writer, &resync.to_lines()).is_err() {
-                    return WatchOutcome::Disconnect;
-                }
-                return WatchOutcome::Resume;
-            }
-            Err(_) => {
-                // subscription closed without lagging (store dropped)
-                store.unwatch(subscription);
-                return WatchOutcome::Resume;
-            }
-        }
-        match probe_client(reader, shared.read_timeout) {
-            Probe::Idle => {}
-            Probe::Gone => {
-                store.unwatch(subscription);
-                return WatchOutcome::Disconnect;
-            }
-            Probe::Data => {
-                store.unwatch(subscription);
-                let Ok(Some(frame)) = read_frame(reader) else {
-                    return WatchOutcome::Disconnect;
-                };
-                if matches!(Request::from_lines(&frame), Ok(Request::Unwatch)) {
-                    if write_frame(writer, &Response::Unwatched.to_lines()).is_err() {
-                        return WatchOutcome::Disconnect;
-                    }
-                    return WatchOutcome::Resume;
-                }
-                return WatchOutcome::Frame(frame);
-            }
-        }
-    }
-}
-
-/// Dispatches one request against the store; the boolean asks the worker to
-/// begin server shutdown after replying.
-fn respond(store: &WorkflowStore, request: Request) -> (Response, bool) {
+    request: Request,
+    barrier: &mut DurabilityBarrier,
+) -> (Response, bool) {
     let response = match request {
         Request::Register { payload } => store.register_text(&payload).map(Response::Registered),
         Request::Validate { workflow, version } => {
@@ -665,8 +216,11 @@ fn respond(store: &WorkflowStore, request: Request) -> (Response, bool) {
             op,
             expect,
         } => store
-            .mutate_cas(workflow, op, expect)
-            .map(Response::Mutated),
+            .mutate_deferred(workflow, op, expect)
+            .map(|(mutated, ticket)| {
+                barrier.fold(ticket);
+                Response::Mutated(mutated)
+            }),
         Request::Export { workflow } => store.export(workflow).map(Response::Exported),
         Request::Snapshot => store.snapshot_all().map(Response::Snapshotted),
         Request::Epoch { workflow } => store
@@ -685,24 +239,18 @@ fn respond(store: &WorkflowStore, request: Request) -> (Response, bool) {
         } else {
             store.metrics_text()
         })),
-        Request::Batch(requests) => {
-            // sub-request failures land in their slot; the batch goes on
-            // (connection-control verbs were refused at parse, so no
-            // sub-response can ask for shutdown). Sub-mutations defer
-            // their durability wait into one shared barrier — the whole
-            // batch settles with one group-commit wait, not one per slot.
-            let mut barrier = DurabilityBarrier::default();
-            let mut responses = Vec::with_capacity(requests.len());
-            for request in requests {
-                let (response, _) = respond_deferring(store, request, &mut barrier);
-                responses.push(response);
-            }
-            settle(store, &barrier, &mut responses);
-            Ok(Response::Batch(responses))
-        }
-        // subscriptions are connection-scoped and handled by the request
-        // loop itself; this arm is unreachable in practice
-        Request::Watch { .. } => Err(crate::error::ServiceError::Protocol(
+        // sub-request failures land in their slot; the batch goes on
+        // (connection-control verbs were refused at parse, so no
+        // sub-response can ask for shutdown)
+        Request::Batch(requests) => Ok(Response::Batch(
+            requests
+                .into_iter()
+                .map(|request| respond(store, request, barrier).0)
+                .collect(),
+        )),
+        // subscriptions are connection-scoped and opened by the loop
+        // itself; this arm is unreachable in practice
+        Request::Watch { .. } => Err(ServiceError::Protocol(
             "watch is handled by the connection loop".to_owned(),
         )),
         // idempotent outside subscription mode (e.g. after a lag-drop
@@ -724,55 +272,15 @@ fn respond(store: &WorkflowStore, request: Request) -> (Response, bool) {
     )
 }
 
-/// [`respond`] with mutation durability *deferred*: a `mutate` frame (or a
-/// batch sub-mutation) is applied and published, but its group-commit wait
-/// is folded into `barrier` instead of being paid inline. The caller MUST
-/// run [`settle`] over the collected responses before any of them leaves
-/// the server — that is what keeps the acknowledged-after-durable contract
-/// while letting a pipelined batch share one wait (and, in strict-fsync
-/// mode, typically one fsync) across all of its mutations.
-fn respond_deferring(
-    store: &WorkflowStore,
-    request: Request,
-    barrier: &mut DurabilityBarrier,
-) -> (Response, bool) {
-    match request {
-        Request::Mutate {
-            workflow,
-            op,
-            expect,
-        } => (
-            store
-                .mutate_deferred(workflow, op, expect)
-                .map(|(mutated, ticket)| {
-                    barrier.fold(ticket);
-                    Response::Mutated(mutated)
-                })
-                .unwrap_or_else(|e| {
-                    store.record_error(&e);
-                    Response::Error(e.to_wire())
-                }),
-            false,
-        ),
-        Request::Batch(requests) => {
-            let mut responses = Vec::with_capacity(requests.len());
-            for request in requests {
-                let (response, _) = respond_deferring(store, request, barrier);
-                responses.push(response);
-            }
-            (Response::Batch(responses), false)
-        }
-        other => respond(store, other),
-    }
-}
-
-/// Settles a batch's shared durability barrier. On a fsync failure every
-/// mutation outcome in `responses` is replaced with the error: none of
+/// Settles a readiness pass's shared durability barrier. On a fsync failure
+/// every mutation outcome in `responses` is replaced with the error: none of
 /// those records is power-loss durable yet, so none may be acknowledged as
-/// applied — exactly what the inline [`WorkflowStore::mutate`] path reports
-/// for a single request (the records stay staged, so a later group commit
-/// retries them).
-fn settle(store: &WorkflowStore, barrier: &DurabilityBarrier, responses: &mut [Response]) {
+/// applied (the records stay staged, so a later group commit retries them).
+fn settle<'a>(
+    store: &WorkflowStore,
+    barrier: &DurabilityBarrier,
+    responses: impl IntoIterator<Item = &'a mut Response>,
+) {
     if barrier.is_empty() {
         return;
     }
@@ -796,116 +304,117 @@ fn settle(store: &WorkflowStore, barrier: &DurabilityBarrier, responses: &mut [R
     }
 }
 
-/// The evented readiness-polling core (Linux-only; see the module docs).
-#[cfg(target_os = "linux")]
-mod evented {
-    use std::collections::{HashMap, VecDeque};
-    use std::io::{Read as _, Write as _};
+#[cfg(not(target_os = "linux"))]
+mod engine {
+    use super::{ServerConfig, ServerHandle};
+    use crate::store::WorkflowStore;
+    use std::sync::Arc;
 
-    use super::*;
-    use crate::poll::{raw_fd_of, Event, Interest, Poller};
-    use crate::proto::FRAME_END;
+    /// No `poll(2)` backend exists: the loops run on Linux epoll only.
+    pub(super) fn spawn(
+        _config: &ServerConfig,
+        _store: Arc<WorkflowStore>,
+    ) -> std::io::Result<ServerHandle> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the server's event loops need Linux epoll",
+        ))
+    }
+}
+
+/// The event loops (see the module docs).
+#[cfg(target_os = "linux")]
+mod engine {
+    use std::collections::HashMap;
+    use std::io::{self, Read as _, Write as _};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use parking_lot::Mutex;
+
+    use super::{respond, settle, timeout_of, Mailbox, ServerConfig, ServerHandle, Shared};
+    use crate::error::ServiceError;
+    use crate::obs::{duration_ns, ServerGauges, Stage};
+    use crate::poll::{raw_fd_of, Interest, Poller, Waker};
+    use crate::proto::{
+        decode_line, encode_frame, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
+    };
+    use crate::store::{DurabilityBarrier, WatchSubscription, WorkflowStore};
 
     const LISTENER_TOKEN: u64 = 0;
     const WAKER_TOKEN: u64 = 1;
     const FIRST_CONN_TOKEN: u64 = 2;
 
-    /// Ceiling on a connection's buffered unparsed request bytes; a client
-    /// that exceeds it without ever completing a frame is dropped.
-    const READ_BUF_CAP: usize = 16 << 20;
-
-    /// Poll granularity of the loop's housekeeping (idle sweep, shutdown
-    /// re-check as a backstop to the waker).
+    /// How often a loop sweeps for timed-out connections and re-arms a
+    /// listener paused on descriptor exhaustion; also its longest
+    /// `epoll_wait`.
     const SWEEP_EVERY: Duration = Duration::from_millis(500);
 
-    /// One dispatch to the worker pool: every complete frame a connection
-    /// had buffered, answered as a unit so responses stay in order.
-    struct Job {
-        token: u64,
-        frames: Vec<Vec<String>>,
-    }
+    /// A frame decoded off a connection, or the protocol error that stands
+    /// in its slot.
+    type Frame = Result<Vec<String>, ServiceError>;
 
-    /// A worker's finished batch: the concatenated response frames, ready
-    /// to write.
-    struct Completion {
-        token: u64,
-        bytes: Vec<u8>,
-        stop: bool,
-    }
-
-    /// Per-connection state owned by the event loop.
-    struct Conn {
-        stream: TcpStream,
-        read_buf: Vec<u8>,
-        write_buf: Vec<u8>,
-        write_pos: usize,
-        /// A dispatched batch is in flight; no second dispatch until its
-        /// completion lands (this is what keeps responses in order).
-        busy: bool,
-        interest: Interest,
-        last_activity: Instant,
-        /// A parsed `watch` frame waiting for the connection to quiesce
-        /// (in-flight batch answered, responses flushed) before the
-        /// connection is handed to a blocking thread.
-        pending_watch: Option<Vec<String>>,
-    }
-
-    pub(super) fn serve(
+    pub(super) fn spawn(
         config: &ServerConfig,
         store: Arc<WorkflowStore>,
-        listener: TcpListener,
-        gauges: Arc<ServerGauges>,
-    ) -> std::io::Result<ServerHandle> {
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new()?);
+    ) -> io::Result<ServerHandle> {
+        let listener = TcpListener::bind(config.addr.as_str())?;
         listener.set_nonblocking(true)?;
+        let count = config.workers.max(1);
+        let mut pollers = Vec::with_capacity(count);
+        let mut loops = Vec::with_capacity(count);
+        for _ in 0..count {
+            let poller = Poller::new()?;
+            let waker = Arc::new(Waker::new()?);
+            poller.register(waker.raw_fd(), WAKER_TOKEN, Interest::Read)?;
+            pollers.push(poller);
+            loops.push(Mailbox {
+                waker,
+                inbox: Mutex::new(Vec::new()),
+            });
+        }
+        pollers[0].register(raw_fd_of(&listener), LISTENER_TOKEN, Interest::Read)?;
         let shared = Arc::new(Shared {
             addr: listener.local_addr()?,
             shutdown: AtomicBool::new(false),
-            connections: Mutex::new(Vec::new()),
-            next_connection: AtomicU64::new(0),
-            queued: AtomicUsize::new(0),
-            read_timeout: timeout_of(config.read_timeout_ms),
-            write_timeout: timeout_of(config.write_timeout_ms),
-            deadline: timeout_of(config.deadline_ms),
-            backlog_limit: config.backlog_limit,
-            gauges,
-            waker: Some(Arc::clone(&waker)),
-            extra_threads: Mutex::new(Vec::new()),
+            loops,
         });
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let completions = Arc::new(Mutex::new(VecDeque::new()));
-
-        let mut threads = Vec::with_capacity(config.workers.max(1) + 1);
-        for _ in 0..config.workers.max(1) {
-            let receiver = Arc::clone(&receiver);
-            let store = Arc::clone(&store);
-            let shared = Arc::clone(&shared);
-            let completions = Arc::clone(&completions);
-            let waker = Arc::clone(&waker);
-            threads.push(std::thread::spawn(move || {
-                worker(&receiver, &store, &shared, &completions, &waker);
-            }));
+        let gauges = Arc::new(ServerGauges::default());
+        store.attach_server_gauges(Arc::clone(&gauges));
+        let mut listener = Some(listener);
+        let mut threads = Vec::with_capacity(count);
+        for (index, poller) in pollers.into_iter().enumerate() {
+            let event_loop = EventLoop {
+                index,
+                poller,
+                listener: listener.take(),
+                listener_paused: false,
+                next_loop: 0,
+                conns: HashMap::new(),
+                next_token: FIRST_CONN_TOKEN,
+                store: Arc::clone(&store),
+                shared: Arc::clone(&shared),
+                gauges: Arc::clone(&gauges),
+                read_timeout: timeout_of(config.read_timeout_ms),
+                write_timeout: timeout_of(config.write_timeout_ms),
+                max_connections: config.max_connections,
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("wolves-loop-{index}"))
+                .spawn(move || event_loop.run());
+            match spawned {
+                Ok(thread) => threads.push(thread),
+                Err(e) => {
+                    shared.begin_shutdown();
+                    for thread in threads {
+                        let _ = thread.join();
+                    }
+                    return Err(e);
+                }
+            }
         }
-
-        let loop_store = Arc::clone(&store);
-        let loop_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            event_loop(
-                &poller,
-                listener,
-                &loop_store,
-                &loop_shared,
-                &completions,
-                &waker,
-                &sender,
-            );
-            // however the loop exits, flag shutdown so handed-off watch
-            // threads close and join() returns
-            loop_shared.begin_shutdown();
-        }));
-
         Ok(ServerHandle {
             store,
             shared,
@@ -913,433 +422,509 @@ mod evented {
         })
     }
 
-    /// Serves dispatched frame batches; the evented counterpart of
-    /// [`worker_loop`].
-    fn worker(
-        receiver: &Mutex<mpsc::Receiver<Job>>,
-        store: &WorkflowStore,
-        shared: &Shared,
-        completions: &Mutex<VecDeque<Completion>>,
-        waker: &Waker,
-    ) {
-        loop {
-            let job = { receiver.lock().recv() };
-            let Ok(job) = job else { break };
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            if job.frames.len() > 1 {
-                shared.gauges.pipelined_batch();
+    /// Per-connection state, owned by one loop.
+    struct Conn {
+        stream: TcpStream,
+        read_buf: Vec<u8>,
+        write_buf: String,
+        write_pos: usize,
+        interest: Interest,
+        /// When the client last sent bytes: the idle timeout's clock.
+        last_read: Instant,
+        /// When the socket last accepted bytes: the write-stall clock.
+        last_write: Instant,
+        /// A live subscription makes the connection a write source.
+        watch: Option<WatchSubscription>,
+        /// The peer closed its side after its last frame: close once the
+        /// answers had their best-effort flush.
+        hung_up: bool,
+    }
+
+    impl Conn {
+        fn new(stream: TcpStream) -> Conn {
+            let now = Instant::now();
+            Conn {
+                stream,
+                read_buf: Vec::new(),
+                write_buf: String::new(),
+                write_pos: 0,
+                interest: Interest::Read,
+                last_read: now,
+                last_write: now,
+                watch: None,
+                hung_up: false,
             }
-            // answer the whole batch with ONE durability settle: mutations
-            // defer their group-commit wait into a shared barrier, and no
-            // response is serialised until the barrier is down — pipelined
-            // mutators pay one wait (and usually one fsync) per batch
-            let mut responses = Vec::with_capacity(job.frames.len());
-            let mut barrier = DurabilityBarrier::default();
-            let mut stop = false;
-            for frame in &job.frames {
+        }
+
+        fn flushed(&self) -> bool {
+            self.write_pos >= self.write_buf.len()
+        }
+
+        /// Pulls readable bytes into the read buffer, stopping once it
+        /// holds more than a frame's bound (the rest waits in the socket
+        /// for the next readiness event); `true` means the peer is gone.
+        fn fill(&mut self) -> bool {
+            self.last_read = Instant::now();
+            let mut chunk = [0u8; 16384];
+            while self.read_buf.len() <= MAX_FRAME_BYTES {
+                match self.stream.read(&mut chunk) {
+                    Ok(0) => return true,
+                    Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => return true,
+                }
+            }
+            false
+        }
+
+        /// Writes as much of the pending bytes as the socket takes now.
+        ///
+        /// # Errors
+        /// Reports fatal socket errors (`WouldBlock` is not one: the rest
+        /// stays buffered for the next writable event).
+        fn flush(&mut self) -> io::Result<()> {
+            while self.write_pos < self.write_buf.len() {
+                match self
+                    .stream
+                    .write(&self.write_buf.as_bytes()[self.write_pos..])
+                {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => {
+                        self.write_pos += n;
+                        self.last_write = Instant::now();
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            self.write_buf.clear();
+            self.write_pos = 0;
+            Ok(())
+        }
+
+        /// Moves the subscription's queued events into the write buffer;
+        /// `true` when anything was appended. A lag-drop is answered with
+        /// an explicit `resync` event and ends the subscription.
+        fn pump(&mut self, store: &WorkflowStore) -> bool {
+            let Some(subscription) = &self.watch else {
+                return false;
+            };
+            let start = self.write_buf.len();
+            let ended = loop {
+                match subscription.try_recv() {
+                    Ok(Some(event)) => encode_frame(&mut self.write_buf, &event.to_lines()),
+                    Ok(None) => break false,
+                    Err(ServiceError::Lagged) => {
+                        // the store dropped this slow consumer; hand the
+                        // client a resync cursor so it can export and
+                        // re-subscribe
+                        let workflow = subscription.workflow();
+                        let seq = store
+                            .cursor(workflow)
+                            .map_or(subscription.seq(), |(seq, _)| seq);
+                        let resync = WatchEvent::Resync { workflow, seq };
+                        encode_frame(&mut self.write_buf, &resync.to_lines());
+                        break true;
+                    }
+                    // closed without lagging (store dropped)
+                    Err(_) => break true,
+                }
+            };
+            if ended {
+                self.watch = None;
+            }
+            self.write_buf.len() > start
+        }
+
+        /// Polls for writability only while bytes are pending.
+        fn rearm(&mut self, poller: &Poller, token: u64) -> io::Result<()> {
+            let want = if self.flushed() {
+                Interest::Read
+            } else {
+                Interest::ReadWrite
+            };
+            if want != self.interest {
+                poller.rearm(raw_fd_of(&self.stream), token, want)?;
+                self.interest = want;
+            }
+            Ok(())
+        }
+
+        fn expired(
+            &self,
+            now: Instant,
+            read_timeout: Option<Duration>,
+            write_timeout: Option<Duration>,
+        ) -> bool {
+            if self.flushed() {
+                self.watch.is_none()
+                    && read_timeout.is_some_and(|t| now.duration_since(self.last_read) > t)
+            } else {
+                write_timeout.is_some_and(|t| now.duration_since(self.last_write) > t)
+            }
+        }
+    }
+
+    /// One event loop: a thread, its poller and its connections.
+    struct EventLoop {
+        index: usize,
+        poller: Poller,
+        /// Loop 0 only.
+        listener: Option<TcpListener>,
+        /// Out of descriptors: the listener is deregistered until a
+        /// connection closes or the next sweep.
+        listener_paused: bool,
+        /// The loop the next accepted socket is dealt to (loop 0 only).
+        next_loop: usize,
+        conns: HashMap<u64, Conn>,
+        next_token: u64,
+        store: Arc<WorkflowStore>,
+        shared: Arc<Shared>,
+        gauges: Arc<ServerGauges>,
+        read_timeout: Option<Duration>,
+        write_timeout: Option<Duration>,
+        max_connections: usize,
+    }
+
+    impl EventLoop {
+        fn run(mut self) {
+            let mut events = Vec::new();
+            let mut answers: Vec<(u64, Response)> = Vec::new();
+            let mut touched: Vec<u64> = Vec::new();
+            let mut last_sweep = Instant::now();
+            let sweep_ms = SWEEP_EVERY.as_millis() as u64;
+            while self.poller.wait(&mut events, Some(sweep_ms)).is_ok() {
+                self.gauges.wakeup();
+                if self.shared.is_shutdown() {
+                    break;
+                }
+                // one readiness pass: frames are answered inline and every
+                // mutation's durability wait folds into one barrier
+                let mut barrier = DurabilityBarrier::default();
+                let mut stop = false;
+                for event in &events {
+                    match event.token {
+                        WAKER_TOKEN => {
+                            let mailbox = &self.shared.loops[self.index];
+                            mailbox.waker.drain();
+                            let arrived = std::mem::take(&mut *mailbox.inbox.lock());
+                            for stream in arrived {
+                                self.adopt(stream);
+                            }
+                            // a fan-out may have queued watch events
+                            touched.extend(
+                                self.conns
+                                    .iter()
+                                    .filter(|(_, conn)| conn.watch.is_some())
+                                    .map(|(&token, _)| token),
+                            );
+                        }
+                        LISTENER_TOKEN => self.accept_ready(),
+                        token => {
+                            if event.readable || event.hangup {
+                                stop |= self.serve_readable(
+                                    token,
+                                    event.readable,
+                                    &mut barrier,
+                                    &mut answers,
+                                );
+                            }
+                            touched.push(token);
+                        }
+                    }
+                }
+                // settle before any response of the pass is written
+                settle(
+                    &self.store,
+                    &barrier,
+                    answers.iter_mut().map(|(_, response)| response),
+                );
+                for (token, response) in answers.drain(..) {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        encode_frame(&mut conn.write_buf, &response.to_lines());
+                    }
+                }
+                for token in touched.drain(..) {
+                    self.drive(token);
+                }
+                if stop {
+                    self.shared.begin_shutdown();
+                    break;
+                }
+                if last_sweep.elapsed() >= SWEEP_EVERY {
+                    last_sweep = Instant::now();
+                    self.sweep();
+                }
+            }
+            self.close_all();
+        }
+
+        /// Reads one connection and answers its complete frames into
+        /// `answers`; `true` when a frame asked for server shutdown.
+        fn serve_readable(
+            &mut self,
+            token: u64,
+            readable: bool,
+            barrier: &mut DurabilityBarrier,
+            answers: &mut Vec<(u64, Response)>,
+        ) -> bool {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return false;
+            };
+            let seen = conn.read_buf.len();
+            let gone = !readable || conn.fill();
+            if !completes_a_frame(&conn.read_buf, seen) {
+                // a hang-up, or an unterminated frame past the bound
+                if gone || conn.read_buf.len() > MAX_FRAME_BYTES {
+                    self.close(token);
+                }
+                return false;
+            }
+            // a client that half-closes after its last frame still gets
+            // the answers, then the connection closes
+            conn.hung_up = gone;
+            let frames = take_frames(&mut conn.read_buf);
+            if frames.len() > 1 {
+                self.gauges.pipelined_batch();
+            }
+            for frame in frames {
                 let parse_start = Instant::now();
-                let parsed = Request::from_lines(frame);
-                store
+                let parsed = frame.and_then(|lines| Request::from_lines(&lines));
+                self.store
                     .telemetry()
                     .stage(Stage::Parse, duration_ns(parse_start.elapsed()));
-                let (response, wants_stop) = match parsed {
-                    Ok(request) => respond_deferring(store, request, &mut barrier),
+                // any frame from a watching client ends its subscription
+                if let Some(subscription) = conn.watch.take() {
+                    self.store.unwatch(&subscription);
+                }
+                let (response, stop) = match parsed {
+                    Ok(Request::Watch { workflow, mode }) => {
+                        let waker = &self.shared.loops[self.index].waker;
+                        match self.store.watch_waking(workflow, mode, Arc::clone(waker)) {
+                            Ok(subscription) => {
+                                let ack = Response::Watching(Watching {
+                                    workflow: subscription.workflow(),
+                                    seq: subscription.seq(),
+                                    epoch: subscription.epoch(),
+                                    payload: subscription.payload().map(str::to_owned),
+                                });
+                                conn.watch = Some(subscription);
+                                (ack, false)
+                            }
+                            Err(e) => {
+                                self.store.record_error(&e);
+                                (Response::Error(e.to_wire()), false)
+                            }
+                        }
+                    }
+                    Ok(request) => respond(&self.store, request, barrier),
                     Err(e) => {
-                        store.record_error(&e);
+                        self.store.record_error(&e);
                         (Response::Error(e.to_wire()), false)
                     }
                 };
-                responses.push(response);
-                if wants_stop {
-                    stop = true;
-                    break;
+                answers.push((token, response));
+                if stop {
+                    return true;
                 }
             }
-            settle(store, &barrier, &mut responses);
-            let mut bytes = Vec::new();
-            for response in &responses {
-                push_frame(&mut bytes, &response.to_lines());
+            false
+        }
+
+        /// Flushes a connection, tops its write buffer up with queued watch
+        /// events whenever it drained, and re-arms its interest; a fatal
+        /// socket error closes it.
+        fn drive(&mut self, token: u64) {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            let outcome = loop {
+                if let Err(e) = conn.flush() {
+                    break Err(e);
+                }
+                if !conn.flushed() || !conn.pump(&self.store) {
+                    break conn.rearm(&self.poller, token);
+                }
+            };
+            if outcome.is_err() || conn.hung_up {
+                self.close(token);
             }
-            completions.lock().push_back(Completion {
-                token: job.token,
-                bytes,
-                stop,
-            });
-            waker.wake();
+        }
+
+        /// Accepts every pending connection (level-triggered listener).
+        fn accept_ready(&mut self) {
+            let Some(listener) = self.listener.take() else {
+                return;
+            };
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => self.admit(stream),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => {
+                        // typically EMFILE/ENFILE: the level-triggered
+                        // listener would fire again at once, so stop
+                        // polling it until a connection closes or the next
+                        // sweep
+                        self.listener_paused = self.poller.deregister(raw_fd_of(&listener)).is_ok();
+                        break;
+                    }
+                }
+            }
+            self.listener = Some(listener);
+        }
+
+        /// Admits one accepted socket — or sheds it past `max_connections`
+        /// — and deals it to the next loop in round-robin order.
+        fn admit(&mut self, stream: TcpStream) {
+            if stream.set_nonblocking(true).is_err() {
+                return;
+            }
+            if self.max_connections > 0
+                && self.gauges.open_connections() >= self.max_connections as u64
+            {
+                // a best-effort typed error frame tells the client to back
+                // off; the drop that follows closes the connection
+                let error = ServiceError::Overloaded;
+                self.store.record_error(&error);
+                let mut frame = String::new();
+                encode_frame(&mut frame, &Response::Error(error.to_wire()).to_lines());
+                let _ = (&stream).write_all(frame.as_bytes());
+                return;
+            }
+            let _ = stream.set_nodelay(true);
+            self.gauges.connection_opened();
+            let target = self.next_loop;
+            self.next_loop = (target + 1) % self.shared.loops.len();
+            if target == self.index {
+                self.adopt(stream);
+            } else {
+                let mailbox = &self.shared.loops[target];
+                mailbox.inbox.lock().push(stream);
+                mailbox.waker.wake();
+            }
+        }
+
+        /// Registers a dealt socket with this loop.
+        fn adopt(&mut self, stream: TcpStream) {
+            let token = self.next_token;
+            self.next_token += 1;
+            if self
+                .poller
+                .register(raw_fd_of(&stream), token, Interest::Read)
+                .is_ok()
+            {
+                self.conns.insert(token, Conn::new(stream));
+            } else {
+                self.gauges.connection_closed();
+            }
+        }
+
+        /// Drops a connection (closing the socket also removes it from the
+        /// poller) and its subscription.
+        fn close(&mut self, token: u64) {
+            if let Some(conn) = self.conns.remove(&token) {
+                if let Some(subscription) = &conn.watch {
+                    self.store.unwatch(subscription);
+                }
+                self.gauges.connection_closed();
+                self.resume_listener();
+            }
+        }
+
+        fn resume_listener(&mut self) {
+            if let (true, Some(listener)) = (self.listener_paused, &self.listener) {
+                self.listener_paused = self
+                    .poller
+                    .register(raw_fd_of(listener), LISTENER_TOKEN, Interest::Read)
+                    .is_err();
+            }
+        }
+
+        /// Closes idle and write-stalled connections; re-arms a paused
+        /// listener.
+        fn sweep(&mut self) {
+            self.resume_listener();
+            let now = Instant::now();
+            let expired: Vec<u64> = self
+                .conns
+                .iter()
+                .filter(|(_, conn)| conn.expired(now, self.read_timeout, self.write_timeout))
+                .map(|(&token, _)| token)
+                .collect();
+            for token in expired {
+                self.close(token);
+            }
+        }
+
+        /// Exit: one best-effort flush of the goodbye frames, then close
+        /// everything, including sockets dealt here but never adopted.
+        fn close_all(&mut self) {
+            for (_, mut conn) in self.conns.drain() {
+                let _ = conn.flush();
+                if let Some(subscription) = &conn.watch {
+                    self.store.unwatch(subscription);
+                }
+                self.gauges.connection_closed();
+            }
+            for _ in self.shared.loops[self.index].inbox.lock().drain(..) {
+                self.gauges.connection_closed();
+            }
         }
     }
 
-    /// Serialises one frame into `out` exactly like [`write_frame`], minus
-    /// the I/O — responses for a pipelined batch accumulate into one buffer
-    /// and leave in one `write`.
-    fn push_frame(out: &mut Vec<u8>, lines: &[String]) {
-        let mut frame = String::with_capacity(lines.iter().map(|l| l.len() + 2).sum::<usize>() + 2);
-        crate::proto::encode_frame(&mut frame, lines);
-        out.extend_from_slice(frame.as_bytes());
+    /// Whether the bytes from `seen` on end a frame's terminator line — the
+    /// cheap test that spares re-splitting a large, still incomplete frame
+    /// on every readable event.
+    fn completes_a_frame(buf: &[u8], seen: usize) -> bool {
+        buf.iter()
+            .enumerate()
+            .skip(seen)
+            .filter(|&(_, &byte)| byte == b'\n')
+            .any(|(end, _)| {
+                let line = &buf[..end];
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                line.strip_suffix(b".")
+                    .is_some_and(|before| before.is_empty() || before.ends_with(b"\n"))
+            })
     }
 
     /// Splits every complete frame off the front of `buf`, leaving the
-    /// incomplete tail in place. Extraction stops right after a `watch`
-    /// frame — everything behind it stays buffered for the blocking
-    /// hand-off thread to replay. Line handling (CR trimming,
-    /// dot-unstuffing) matches [`read_frame`].
-    fn take_frames(buf: &mut Vec<u8>) -> (Vec<Vec<String>>, Option<Vec<String>>) {
+    /// incomplete tail in place. Lines decode through [`decode_line`]; a
+    /// frame holding a line that is not UTF-8 becomes a protocol error in
+    /// its slot.
+    fn take_frames(buf: &mut Vec<u8>) -> Vec<Frame> {
         let mut frames = Vec::new();
-        let mut watch = None;
-        let mut lines: Vec<String> = Vec::new();
-        let mut consumed = 0usize;
-        let mut at = 0usize;
-        while let Some(nl) = buf[at..].iter().position(|&b| b == b'\n') {
-            let end = at + nl;
-            let raw = buf[at..end].strip_suffix(b"\r").unwrap_or(&buf[at..end]);
-            let text = String::from_utf8_lossy(raw);
-            at = end + 1;
-            if text == FRAME_END {
-                let frame = std::mem::take(&mut lines);
-                consumed = at;
-                let is_watch = frame
-                    .first()
-                    .is_some_and(|header| header == "watch" || header.starts_with("watch\t"));
-                if is_watch {
-                    watch = Some(frame);
-                    break;
+        let mut lines = Vec::new();
+        let mut bad_utf8 = None;
+        let mut consumed = 0;
+        let mut at = 0;
+        while let Some(newline) = buf[at..].iter().position(|&byte| byte == b'\n') {
+            let line = decode_line(&buf[at..at + newline]);
+            at += newline + 1;
+            match line {
+                Ok(Some(text)) => lines.push(text.to_owned()),
+                Ok(None) => {
+                    consumed = at;
+                    let lines = std::mem::take(&mut lines);
+                    frames.push(match bad_utf8.take() {
+                        None => Ok(lines),
+                        Some(e) => Err(ServiceError::Protocol(format!(
+                            "frame is not valid UTF-8: {e}"
+                        ))),
+                    });
                 }
-                frames.push(frame);
-            } else {
-                let line = match text.strip_prefix('.') {
-                    Some(stripped) => stripped.to_owned(),
-                    None => text.into_owned(),
-                };
-                lines.push(line);
+                Err(e) => bad_utf8 = Some(e),
             }
         }
         buf.drain(..consumed);
-        (frames, watch)
-    }
-
-    /// Drains as much of the connection's pending response bytes as the
-    /// socket accepts right now.
-    ///
-    /// # Errors
-    /// Reports fatal socket errors (`WouldBlock` is not one: the remainder
-    /// stays buffered for the next writable event).
-    fn flush_write(conn: &mut Conn) -> std::io::Result<()> {
-        while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => conn.write_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        conn.write_buf.clear();
-        conn.write_pos = 0;
-        Ok(())
-    }
-
-    /// Pulls every readable byte into the connection's read buffer;
-    /// `true` means the connection is finished (EOF, error, or a buffer
-    /// blown past [`READ_BUF_CAP`]).
-    fn fill_read_buf(conn: &mut Conn) -> bool {
-        let mut chunk = [0u8; 16384];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => return true,
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if conn.read_buf.len() > READ_BUF_CAP {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
-        }
-    }
-
-    fn close_conn(poller: &Poller, conns: &mut HashMap<u64, Conn>, token: u64, shared: &Shared) {
-        if let Some(conn) = conns.remove(&token) {
-            let _ = poller.deregister(raw_fd_of(&conn.stream));
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            shared.gauges.connection_closed();
-        }
-    }
-
-    /// Accepts every pending connection (level-triggered listener).
-    fn accept_ready(
-        poller: &Poller,
-        listener: &TcpListener,
-        conns: &mut HashMap<u64, Conn>,
-        next_token: &mut u64,
-        shared: &Shared,
-    ) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = *next_token;
-                    *next_token += 1;
-                    if poller
-                        .register(raw_fd_of(&stream), token, Interest::Read)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    shared.gauges.connection_opened();
-                    conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            read_buf: Vec::new(),
-                            write_buf: Vec::new(),
-                            write_pos: 0,
-                            busy: false,
-                            interest: Interest::Read,
-                            last_activity: Instant::now(),
-                            pending_watch: None,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Advances one connection's state machine: flush pending responses,
-    /// extract and dispatch newly completed frames, hand a quiesced watch
-    /// connection to a blocking thread, and re-arm poller interest.
-    fn service_conn(
-        poller: &Poller,
-        conns: &mut HashMap<u64, Conn>,
-        token: u64,
-        store: &Arc<WorkflowStore>,
-        shared: &Arc<Shared>,
-        sender: &mpsc::Sender<Job>,
-    ) {
-        let mut close = false;
-        let mut handoff = false;
-        {
-            let Some(conn) = conns.get_mut(&token) else {
-                return;
-            };
-            if flush_write(conn).is_err() {
-                close = true;
-            }
-            if !close && !conn.busy && conn.pending_watch.is_none() {
-                let (frames, watch) = take_frames(&mut conn.read_buf);
-                conn.pending_watch = watch;
-                if !frames.is_empty() {
-                    if shared.backlog_limit > 0
-                        && shared.queued.load(Ordering::SeqCst) >= shared.backlog_limit
-                    {
-                        // the dispatch queue is full: shed this batch with
-                        // typed per-frame errors instead of queueing it
-                        let error = ServiceError::Overloaded;
-                        for _ in &frames {
-                            store.record_error(&error);
-                            push_frame(
-                                &mut conn.write_buf,
-                                &Response::Error(error.to_wire()).to_lines(),
-                            );
-                        }
-                        if flush_write(conn).is_err() {
-                            close = true;
-                        }
-                    } else {
-                        shared.queued.fetch_add(1, Ordering::SeqCst);
-                        conn.busy = true;
-                        if sender.send(Job { token, frames }).is_err() {
-                            close = true;
-                        }
-                    }
-                }
-            }
-            if !close
-                && !conn.busy
-                && conn.write_pos >= conn.write_buf.len()
-                && conn.pending_watch.is_some()
-            {
-                handoff = true;
-            }
-            if !close && !handoff {
-                let want = if conn.write_pos < conn.write_buf.len() {
-                    Interest::ReadWrite
-                } else {
-                    Interest::Read
-                };
-                if want != conn.interest {
-                    if poller.rearm(raw_fd_of(&conn.stream), token, want).is_err() {
-                        close = true;
-                    } else {
-                        conn.interest = want;
-                    }
-                }
-            }
-        }
-        if close {
-            close_conn(poller, conns, token, shared);
-            return;
-        }
-        if handoff {
-            let Some(conn) = conns.remove(&token) else {
-                return;
-            };
-            let _ = poller.deregister(raw_fd_of(&conn.stream));
-            let frame = conn
-                .pending_watch
-                .expect("hand-off requires a pending watch frame");
-            hand_off_watch(conn.stream, conn.read_buf, frame, store, shared);
-        }
-    }
-
-    /// Moves a watch connection onto a dedicated blocking thread running
-    /// the same subscription loop as the thread-pool server; bytes read
-    /// ahead of the hand-off are replayed first.
-    fn hand_off_watch(
-        stream: TcpStream,
-        leftover: Vec<u8>,
-        frame: Vec<String>,
-        store: &Arc<WorkflowStore>,
-        shared: &Arc<Shared>,
-    ) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(shared.read_timeout);
-        let _ = stream.set_write_timeout(shared.write_timeout);
-        let store = Arc::clone(store);
-        let thread_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
-            let id = thread_shared.track(&stream);
-            handle_connection(stream, leftover, Some(frame), &store, &thread_shared);
-            thread_shared.untrack(id);
-            thread_shared.gauges.connection_closed();
-        });
-        shared.extra_threads.lock().push(handle);
-    }
-
-    /// The readiness loop: owns the listener, the waker and every
-    /// connection; exits on shutdown (or a poller failure), dropping the
-    /// dispatch sender so idle workers drain.
-    fn event_loop(
-        poller: &Poller,
-        listener: TcpListener,
-        store: &Arc<WorkflowStore>,
-        shared: &Arc<Shared>,
-        completions: &Mutex<VecDeque<Completion>>,
-        waker: &Waker,
-        sender: &mpsc::Sender<Job>,
-    ) {
-        if poller
-            .register(raw_fd_of(&listener), LISTENER_TOKEN, Interest::Read)
-            .is_err()
-        {
-            return;
-        }
-        if poller
-            .register(waker.raw_fd(), WAKER_TOKEN, Interest::Read)
-            .is_err()
-        {
-            return;
-        }
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut events: Vec<Event> = Vec::new();
-        let mut next_token = FIRST_CONN_TOKEN;
-        let mut last_sweep = Instant::now();
-        let mut stopping = false;
-        let sweep_ms = u64::try_from(SWEEP_EVERY.as_millis()).unwrap_or(500);
-        'outer: loop {
-            if poller.wait(&mut events, Some(sweep_ms)).is_err() {
-                break;
-            }
-            for &event in &events {
-                match event.token {
-                    WAKER_TOKEN => {
-                        waker.drain();
-                        shared.gauges.wakeup();
-                        if shared.is_shutdown() {
-                            break 'outer;
-                        }
-                        let finished: Vec<Completion> = { completions.lock().drain(..).collect() };
-                        for completion in finished {
-                            if let Some(conn) = conns.get_mut(&completion.token) {
-                                conn.write_buf.extend_from_slice(&completion.bytes);
-                                conn.busy = false;
-                                conn.last_activity = Instant::now();
-                            }
-                            if completion.stop {
-                                stopping = true;
-                            }
-                            service_conn(
-                                poller,
-                                &mut conns,
-                                completion.token,
-                                store,
-                                shared,
-                                sender,
-                            );
-                        }
-                    }
-                    LISTENER_TOKEN => {
-                        accept_ready(poller, &listener, &mut conns, &mut next_token, shared);
-                    }
-                    token => {
-                        let finished = {
-                            let Some(conn) = conns.get_mut(&token) else {
-                                continue;
-                            };
-                            let mut finished = false;
-                            if event.readable {
-                                finished = fill_read_buf(conn);
-                                conn.last_activity = Instant::now();
-                            } else if event.hangup {
-                                finished = true;
-                            }
-                            finished
-                        };
-                        if finished {
-                            close_conn(poller, &mut conns, token, shared);
-                            continue;
-                        }
-                        service_conn(poller, &mut conns, token, store, shared, sender);
-                    }
-                }
-            }
-            if stopping || shared.is_shutdown() {
-                break;
-            }
-            if let Some(timeout) = shared.read_timeout {
-                if last_sweep.elapsed() >= SWEEP_EVERY {
-                    last_sweep = Instant::now();
-                    let expired: Vec<u64> = conns
-                        .iter()
-                        .filter(|(_, conn)| {
-                            !conn.busy
-                                && conn.write_pos >= conn.write_buf.len()
-                                && conn.pending_watch.is_none()
-                                && conn.last_activity.elapsed() > timeout
-                        })
-                        .map(|(&token, _)| token)
-                        .collect();
-                    for token in expired {
-                        close_conn(poller, &mut conns, token, shared);
-                    }
-                }
-            }
-        }
-        // exit: one best-effort flush of the goodbye frames, then close
-        // everything (the wrapper flags shutdown, which also stops the
-        // handed-off watch threads)
-        for conn in conns.values_mut() {
-            let _ = flush_write(conn);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            shared.gauges.connection_closed();
-        }
+        frames
     }
 
     #[cfg(test)]
@@ -1347,46 +932,51 @@ mod evented {
         use super::*;
 
         #[test]
-        fn frame_splitter_handles_partials_pipelining_and_watch() {
+        fn frame_splitter_handles_partials_pipelining_and_bad_utf8() {
             // a partial frame stays buffered
             let mut buf = b"validate\t1\n".to_vec();
-            let (frames, watch) = take_frames(&mut buf);
-            assert!(frames.is_empty());
-            assert!(watch.is_none());
+            assert!(!completes_a_frame(&buf, 0));
+            assert!(take_frames(&mut buf).is_empty());
             assert_eq!(buf, b"validate\t1\n");
 
             // two complete frames and a partial third
-            let mut buf = b"validate\t1\n.\nstats\n.\nepo".to_vec();
-            let (frames, watch) = take_frames(&mut buf);
-            assert_eq!(
-                frames,
-                vec![vec!["validate\t1".to_owned()], vec!["stats".to_owned()]]
-            );
-            assert!(watch.is_none());
+            let mut buf = b"validate\t1\n.\nstats\r\n.\r\nepo".to_vec();
+            assert!(completes_a_frame(&buf, 0));
+            let frames = take_frames(&mut buf);
+            assert_eq!(frames.len(), 2);
+            assert_eq!(frames[0].as_ref().unwrap(), &["validate\t1".to_owned()]);
+            assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
             assert_eq!(buf, b"epo");
 
-            // dot-stuffed payload lines are un-escaped like read_frame
-            let mut buf = b"register\n..hidden\n.\n".to_vec();
-            let (frames, _) = take_frames(&mut buf);
+            // dot-stuffed payload lines are un-escaped like read_frame, and
+            // do not count as terminators
+            let mut buf = b"register\n..hidden\n".to_vec();
+            assert!(!completes_a_frame(&buf, 0));
+            buf.extend_from_slice(b".\n");
+            assert!(completes_a_frame(&buf, 18));
+            let frames = take_frames(&mut buf);
             assert_eq!(
-                frames,
-                vec![vec!["register".to_owned(), ".hidden".to_owned()]]
+                frames[0].as_ref().unwrap(),
+                &["register".to_owned(), ".hidden".to_owned()]
             );
 
-            // extraction stops after a watch frame; bytes behind it stay
-            let mut buf = b"stats\n.\nwatch\t3\n.\nunwatch\n.\n".to_vec();
-            let (frames, watch) = take_frames(&mut buf);
-            assert_eq!(frames, vec![vec!["stats".to_owned()]]);
-            assert_eq!(watch, Some(vec!["watch\t3".to_owned()]));
-            assert_eq!(buf, b"unwatch\n.\n");
+            // a frame with a non-UTF-8 line is a typed error in its slot,
+            // never a lossy rename; the frame behind it is untouched
+            let mut buf = b"register\ntask\tA\xffB\n.\nstats\n.\n".to_vec();
+            let frames = take_frames(&mut buf);
+            assert!(matches!(frames[0], Err(ServiceError::Protocol(_))));
+            assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
+            assert!(buf.is_empty());
         }
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use std::io::Write as _;
+    use crate::proto::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use std::io::{BufReader, Write as _};
+    use std::net::TcpListener;
 
     fn local_server() -> ServerHandle {
         serve(&ServerConfig {
@@ -1397,16 +987,23 @@ mod tests {
         .expect("bind loopback")
     }
 
+    fn connect(server: &ServerHandle) -> (BufReader<TcpStream>, TcpStream) {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    }
+
     #[test]
     fn malformed_frames_get_an_error_response_and_keep_the_connection() {
         let server = local_server();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let (mut reader, mut writer) = connect(&server);
         writer.write_all(b"frobnicate\n.\n").unwrap();
         let frame = read_frame(&mut reader).unwrap().unwrap();
         assert!(frame[0].starts_with("err\t"));
-        // the connection is still usable after an error
+        // a frame that is not UTF-8 is a typed protocol error, and the
+        // connection survives it too
+        writer.write_all(b"register\ntask\tA\xff\n.\n").unwrap();
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
         write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
         let frame = read_frame(&mut reader).unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));
@@ -1416,39 +1013,9 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_request_stops_the_server() {
+    fn pipelined_frames_are_answered_in_order() {
         let server = local_server();
-        let addr = server.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        write_frame(&mut writer, &Request::Shutdown.to_lines()).unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(frame[0], "ok\tshutdown");
-        server.join();
-        // the port is released: a fresh bind to the same address succeeds
-        let rebound = TcpListener::bind(addr);
-        assert!(rebound.is_ok());
-    }
-
-    #[cfg(target_os = "linux")]
-    fn evented_server() -> ServerHandle {
-        serve(&ServerConfig {
-            shards: 2,
-            workers: 2,
-            evented: true,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback")
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn evented_server_answers_pipelined_frames_in_order() {
-        let server = evented_server();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let (mut reader, mut writer) = connect(&server);
         // one write carrying three frames (one of them malformed) — the
         // responses must come back in request order
         writer
@@ -1463,18 +1030,46 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn evented_shutdown_request_stops_the_server() {
-        let server = evented_server();
+    fn a_half_closed_client_still_gets_its_answers() {
+        let server = local_server();
+        let (mut reader, writer) = connect(&server);
+        (&writer).write_all(b"stats\n.\nheal\n.\n").unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+        let first = read_frame(&mut reader).unwrap().unwrap();
+        assert!(first[0].starts_with("ok\tstats"));
+        let second = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(second[0], "ok\thealed\t0\t0");
+        // then the server closes its side too
+        assert!(read_frame(&mut reader).unwrap().is_none());
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_endless_line_drops_only_its_own_connection() {
+        let server = local_server();
+        let (mut reader, mut writer) = connect(&server);
+        // the server stops reading at the frame bound and hangs up, so the
+        // tail of this write may fail
+        let _ = writer.write_all(&vec![b'x'; MAX_FRAME_BYTES + (1 << 20)]);
+        assert!(!matches!(read_frame(&mut reader), Ok(Some(_))));
+        let (mut reader, mut writer) = connect(&server);
+        write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        assert!(frame[0].starts_with("ok\tstats"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_request_stops_the_server() {
+        let server = local_server();
         let addr = server.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
+        let (mut reader, mut writer) = connect(&server);
         write_frame(&mut writer, &Request::Shutdown.to_lines()).unwrap();
         let frame = read_frame(&mut reader).unwrap().unwrap();
         assert_eq!(frame[0], "ok\tshutdown");
         server.join();
+        // the port is released: a fresh bind to the same address succeeds
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok());
     }

@@ -74,6 +74,7 @@ use crate::obs::{
     duration_ns, seconds, write_sample, HistogramSnapshot, ServerGauges, Stage, Telemetry, Verb,
     VerbTimers, STAGES, VERBS,
 };
+use crate::poll::Waker;
 use crate::proto::{
     Corrected, MutateOp, Mutated, ShardStat, StatsReport, Verdict, WatchEvent, WatchMode,
 };
@@ -282,6 +283,10 @@ struct Watcher {
     /// fan-out, decremented on receive) — the watch-queue depth gauge.
     depth: Arc<AtomicU64>,
     sender: SyncSender<WatchEvent>,
+    /// Woken after every push to (or lag-drop of) this queue — how a
+    /// server event loop learns that a watch connection has events to
+    /// write.
+    waker: Option<Arc<Waker>>,
 }
 
 #[derive(Debug)]
@@ -331,16 +336,18 @@ impl Shard {
     /// Fans one committed event out to the workflow's subscribers. Called
     /// under the mutator mutex, strictly after the WAL append and the state
     /// publish. Slow consumers (full queue) are dropped with their `lagged`
-    /// flag set; disconnected receivers are cleaned up silently.
+    /// flag set; disconnected receivers are cleaned up silently. Each
+    /// distinct waker of a served watcher is woken once, after the pushes.
     fn fan_out(&self, event: &WatchEvent) {
         let workflow = event.workflow().0;
         let seq = event.seq();
+        let mut woken: Vec<Arc<Waker>> = Vec::new();
         let mut watchers = self.watchers.lock();
         watchers.retain(|watcher| {
             if watcher.workflow != workflow || seq <= watcher.base_seq {
                 return true;
             }
-            match watcher.sender.try_send(event.clone()) {
+            let keep = match watcher.sender.try_send(event.clone()) {
                 Ok(()) => {
                     watcher.depth.fetch_add(1, Ordering::Relaxed);
                     true
@@ -352,9 +359,19 @@ impl Shard {
                         .fetch_add(1, Ordering::Relaxed);
                     false
                 }
-                Err(TrySendError::Disconnected(_)) => false,
+                Err(TrySendError::Disconnected(_)) => return false,
+            };
+            if let Some(waker) = &watcher.waker {
+                if !woken.iter().any(|other| Arc::ptr_eq(other, waker)) {
+                    woken.push(Arc::clone(waker));
+                }
             }
+            keep
         });
+        drop(watchers);
+        for waker in woken {
+            waker.wake();
+        }
     }
 }
 
@@ -433,26 +450,41 @@ impl WatchSubscription {
     /// other reason (e.g. an explicit [`WorkflowStore::unwatch`]).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<WatchEvent>, ServiceError> {
         match self.receiver.recv_timeout(timeout) {
-            Ok(event) => {
-                // keep the queue-depth gauge honest; saturate rather than
-                // wrap if a drain ever races a teardown
-                let _ = self
-                    .depth
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
-                        depth.checked_sub(1)
-                    });
-                Ok(Some(event))
-            }
+            Ok(event) => Ok(Some(self.received(event))),
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                if self.lagged.load(Ordering::SeqCst) {
-                    Err(ServiceError::Lagged)
-                } else {
-                    Err(ServiceError::Protocol(
-                        "watch subscription closed".to_owned(),
-                    ))
-                }
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.closed()),
+        }
+    }
+
+    /// [`WatchSubscription::recv_timeout`] without waiting: `Ok(None)` when
+    /// the queue is empty right now.
+    ///
+    /// # Errors
+    /// As [`WatchSubscription::recv_timeout`].
+    pub(crate) fn try_recv(&self) -> Result<Option<WatchEvent>, ServiceError> {
+        match self.receiver.try_recv() {
+            Ok(event) => Ok(Some(self.received(event))),
+            Err(mpsc::TryRecvError::Empty) => Ok(None),
+            Err(mpsc::TryRecvError::Disconnected) => Err(self.closed()),
+        }
+    }
+
+    fn received(&self, event: WatchEvent) -> WatchEvent {
+        // keep the queue-depth gauge honest; saturate rather than wrap if a
+        // drain ever races a teardown
+        let _ = self
+            .depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                depth.checked_sub(1)
+            });
+        event
+    }
+
+    fn closed(&self) -> ServiceError {
+        if self.lagged.load(Ordering::SeqCst) {
+            ServiceError::Lagged
+        } else {
+            ServiceError::Protocol("watch subscription closed".to_owned())
         }
     }
 }
@@ -1964,7 +1996,22 @@ impl WorkflowStore {
         id: WorkflowId,
         mode: WatchMode,
     ) -> Result<WatchSubscription, ServiceError> {
-        self.watch_with_capacity(id, mode, WATCH_QUEUE_CAP)
+        self.subscribe(id, mode, WATCH_QUEUE_CAP, None)
+    }
+
+    /// [`WorkflowStore::watch`] that wakes `waker` after every event pushed
+    /// to the subscription's queue (and when a lag-drop closes it), so an
+    /// event loop can poll the queue instead of blocking on it.
+    ///
+    /// # Errors
+    /// Reports unknown workflows.
+    pub(crate) fn watch_waking(
+        &self,
+        id: WorkflowId,
+        mode: WatchMode,
+        waker: Arc<Waker>,
+    ) -> Result<WatchSubscription, ServiceError> {
+        self.subscribe(id, mode, WATCH_QUEUE_CAP, Some(waker))
     }
 
     /// [`WorkflowStore::watch`] with an explicit queue bound (tests pin the
@@ -1986,6 +2033,16 @@ impl WorkflowStore {
         id: WorkflowId,
         mode: WatchMode,
         capacity: usize,
+    ) -> Result<WatchSubscription, ServiceError> {
+        self.subscribe(id, mode, capacity, None)
+    }
+
+    fn subscribe(
+        &self,
+        id: WorkflowId,
+        mode: WatchMode,
+        capacity: usize,
+        waker: Option<Arc<Waker>>,
     ) -> Result<WatchSubscription, ServiceError> {
         let shard_index = self.shard_index_of(id);
         let shard = &self.shards[shard_index];
@@ -2026,6 +2083,7 @@ impl WorkflowStore {
             lagged: Arc::clone(&lagged),
             depth: Arc::clone(&depth),
             sender,
+            waker,
         });
         Ok(WatchSubscription {
             workflow: id,

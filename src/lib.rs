@@ -18,7 +18,7 @@
 //! * [`provenance`] — execution simulation and view-level provenance
 //!   analysis.
 //! * [`service`] — the concurrent serving layer: sharded workflow store,
-//!   line-framed TCP protocol, thread-pool server and client.
+//!   line-framed TCP protocol, epoll event-loop server and client.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
 //! the system inventory.

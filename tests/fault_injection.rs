@@ -197,9 +197,6 @@ fn pipelined_frames_map_faults_to_the_right_in_flight_request() {
             addr: "127.0.0.1:0".to_owned(),
             shards: 1,
             workers: 2,
-            // evented on Linux (the pipelined batch is one dispatched
-            // job), thread-pool fallback elsewhere
-            evented: cfg!(target_os = "linux"),
             ..ServerConfig::default()
         },
         Arc::new(store),

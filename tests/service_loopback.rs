@@ -1,12 +1,12 @@
 //! Loopback integration test of the serving layer: the full protocol, end to
 //! end, through `service::client` against a running `service::server` —
-//! ≥2 shards, ≥4 worker threads, real TCP.
+//! ≥2 shards, ≥4 event loops, real TCP.
 
 use wolves::core::correct::Strategy;
 use wolves::moml::write_text_format;
 use wolves::service::{
-    serve, validate_throughput, BatchConfig, MutateOp, ServerConfig, ServiceClient, ServiceError,
-    WatchEvent, WatchMode,
+    serve, validate_throughput, BatchConfig, MutateOp, Response, ServerConfig, ServiceClient,
+    ServiceError, WatchEvent, WatchMode,
 };
 
 #[test]
@@ -239,9 +239,8 @@ fn concurrent_clients_share_the_verdict_cache() {
 
 #[test]
 fn idle_clients_cannot_pin_the_worker_pool() {
-    // regression: without read timeouts on accepted sockets, a client that
-    // connected and then sent nothing pinned a worker thread forever — with
-    // a single worker the whole server stopped answering
+    // a client that connects and then sends nothing must neither block the
+    // only event loop nor outlive the idle timeout
     let server = serve(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         shards: 1,
@@ -252,11 +251,11 @@ fn idle_clients_cannot_pin_the_worker_pool() {
     .expect("bind a loopback server");
     let addr = server.local_addr();
 
-    // the silent connection grabs the only worker and never speaks
+    // the silent connection lands on the only loop and never speaks
     let silent = std::net::TcpStream::connect(addr).expect("connect silently");
 
-    // the real client queued behind it is served once the read timeout
-    // reclaims the worker (well inside this client's own 10s budget)
+    // the real client is served beside it (well inside this client's own
+    // 10s budget)
     let fixture = wolves::repo::figure1();
     let payload = write_text_format(&fixture.spec, Some(&fixture.view));
     let mut client = ServiceClient::connect_with(addr, Some(std::time::Duration::from_secs(10)))
@@ -268,5 +267,58 @@ fn idle_clients_cannot_pin_the_worker_pool() {
 
     drop(silent);
     client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
+fn connections_past_the_limit_are_shed_with_a_transient_overload() {
+    let server = serve(&ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        shards: 1,
+        workers: 2,
+        max_connections: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind a loopback server");
+    let addr = server.local_addr();
+    // two admitted clients, each proven live by a round trip
+    let mut first = ServiceClient::connect(addr).expect("first client");
+    let mut second = ServiceClient::connect(addr).expect("second client");
+    first.stats().expect("first is served");
+    second.stats().expect("second is served");
+
+    // the third gets a typed overload frame unprompted, then the hang-up
+    let third = std::net::TcpStream::connect(addr).expect("the kernel still accepts");
+    let mut reader = std::io::BufReader::new(third);
+    let frame = wolves::service::proto::read_frame(&mut reader)
+        .expect("read the refusal")
+        .expect("a frame, not a bare close");
+    let err = match Response::from_lines(&frame).expect("a well-formed frame") {
+        Response::Error(wire) => ServiceError::from_wire(&wire),
+        other => panic!("expected the overload error, got {other:?}"),
+    };
+    assert!(matches!(err, ServiceError::Overloaded), "got {err:?}");
+    assert!(err.is_transient());
+
+    // once a client leaves, a newcomer is admitted (the loop notices the
+    // disconnect asynchronously, so retry briefly)
+    drop(second);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut admitted = loop {
+        let attempt = ServiceClient::connect(addr).and_then(|mut client| {
+            client.stats()?;
+            Ok(client)
+        });
+        match attempt {
+            Ok(client) => break client,
+            Err(e) if e.is_transient() || matches!(e, ServiceError::Io(_)) => {
+                assert!(std::time::Instant::now() < deadline, "never admitted: {e}");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            Err(e) => panic!("unexpected failure: {e}"),
+        }
+    };
+    admitted.stats().expect("the newcomer is served");
+    first.shutdown().expect("shutdown");
     server.join();
 }
