@@ -27,7 +27,9 @@ use std::os::fd::{AsRawFd, RawFd};
 pub enum Interest {
     /// Readable readiness only (idle connections parked for requests).
     Read,
-    /// Writable readiness only (flushing a backed-up response buffer).
+    /// Writable readiness only (flushing a backed-up response buffer). A
+    /// peer's half-close is not reported — it would fire on every wait —
+    /// until read interest resumes; a full close or an error still is.
     Write,
     /// Both directions at once.
     ReadWrite,
@@ -145,11 +147,10 @@ mod imp {
     }
 
     fn events_of(interest: Interest) -> u32 {
-        let base = sys::EPOLLRDHUP;
         match interest {
-            Interest::Read => base | sys::EPOLLIN,
-            Interest::Write => base | sys::EPOLLOUT,
-            Interest::ReadWrite => base | sys::EPOLLIN | sys::EPOLLOUT,
+            Interest::Read => sys::EPOLLRDHUP | sys::EPOLLIN,
+            Interest::Write => sys::EPOLLOUT,
+            Interest::ReadWrite => sys::EPOLLRDHUP | sys::EPOLLIN | sys::EPOLLOUT,
         }
     }
 

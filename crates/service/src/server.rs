@@ -12,10 +12,19 @@
 //! its complete frames (each bounded by [`crate::proto::MAX_FRAME_BYTES`])
 //! and answers them in order against the store, on the loop thread — no
 //! hand-off to another thread. Mutations defer their durability wait into
-//! one pass-wide [`DurabilityBarrier`], settled once before any response of
-//! the pass is written: acknowledged-after-durable holds, and concurrent
-//! strict-fsync mutators on one loop share a group commit. Each
-//! connection's responses then leave in one coalesced `write`.
+//! one pass-wide [`DurabilityBarrier`], settled once per pass: from a
+//! connection's first mutation on, its answers are held until the settle,
+//! so acknowledged-after-durable holds and concurrent strict-fsync mutators
+//! on one loop share a group commit. Answers that owe no wait are written
+//! before the settle. Each connection's answers of a pass leave in one
+//! coalesced `write`.
+//!
+//! Answers push back on their client. A connection with unwritten answers
+//! is not read until they are flushed, so its further requests wait in the
+//! kernel's socket buffer; and one pass answers a connection's frames only
+//! until about a mebibyte of answers is pending — the rest wait in its read
+//! buffer. A client that half-closes after its last frame still gets every
+//! answer before the server closes its side.
 //!
 //! A `watch` frame turns its connection into a write source. The store's
 //! fan-out wakes the owning loop through the [`Waker`] the subscription
@@ -192,9 +201,10 @@ pub fn serve_with_store(
 /// Answers one request against the store; the boolean asks the loop to
 /// begin server shutdown after replying. Mutations — also inside a `batch`
 /// — are applied and published, but their group-commit wait is folded into
-/// `barrier`: the caller MUST [`settle`] it before any response leaves the
-/// server, which keeps the acknowledged-after-durable contract while every
-/// mutation of a readiness pass shares one wait.
+/// `barrier`: the caller MUST [`settle`] it before a response whose request
+/// folded an obligation leaves the server, which keeps the
+/// acknowledged-after-durable contract while every mutation of a readiness
+/// pass shares one wait.
 fn respond(
     store: &WorkflowStore,
     request: Request,
@@ -352,6 +362,10 @@ mod engine {
     /// `epoll_wait`.
     const SWEEP_EVERY: Duration = Duration::from_millis(500);
 
+    /// Answer bytes a connection may have pending — unwritten, or held for
+    /// the pass's settle — before a pass stops taking its frames.
+    const ANSWER_BUDGET: usize = 1 << 20;
+
     /// A frame decoded off a connection, or the protocol error that stands
     /// in its slot.
     type Frame = Result<Vec<String>, ServiceError>;
@@ -394,6 +408,7 @@ mod engine {
                 next_loop: 0,
                 conns: HashMap::new(),
                 next_token: FIRST_CONN_TOKEN,
+                backlog: Vec::new(),
                 store: Arc::clone(&store),
                 shared: Arc::clone(&shared),
                 gauges: Arc::clone(&gauges),
@@ -422,12 +437,67 @@ mod engine {
         })
     }
 
+    /// A connection's unanswered input and how far the frame split got:
+    /// the lines before `scanned` are decoded already (the current frame's
+    /// into `lines`), so each byte passes [`decode_line`] once, however many
+    /// reads a large frame takes to arrive.
+    #[derive(Default)]
+    struct FrameBuf {
+        bytes: Vec<u8>,
+        /// End of the frames already taken.
+        taken: usize,
+        /// End of the lines already decoded.
+        scanned: usize,
+        lines: Vec<String>,
+        bad_utf8: Option<std::str::Utf8Error>,
+    }
+
+    impl FrameBuf {
+        /// Splits off the next complete frame. A frame holding a line that
+        /// is not UTF-8 becomes a protocol error in its slot.
+        fn next_frame(&mut self) -> Option<Frame> {
+            while let Some(newline) = self.bytes[self.scanned..]
+                .iter()
+                .position(|&byte| byte == b'\n')
+            {
+                let line = decode_line(&self.bytes[self.scanned..self.scanned + newline]);
+                self.scanned += newline + 1;
+                match line {
+                    Ok(Some(text)) => self.lines.push(text.to_owned()),
+                    Ok(None) => {
+                        self.taken = self.scanned;
+                        let lines = std::mem::take(&mut self.lines);
+                        return Some(match self.bad_utf8.take() {
+                            None => Ok(lines),
+                            Some(e) => Err(ServiceError::Protocol(format!(
+                                "frame is not valid UTF-8: {e}"
+                            ))),
+                        });
+                    }
+                    Err(e) => self.bad_utf8 = Some(e),
+                }
+            }
+            None
+        }
+
+        /// Drops the bytes of the frames taken so far.
+        fn compact(&mut self) {
+            self.bytes.drain(..self.taken);
+            self.scanned -= self.taken;
+            self.taken = 0;
+        }
+    }
+
     /// Per-connection state, owned by one loop.
     struct Conn {
         stream: TcpStream,
-        read_buf: Vec<u8>,
+        input: FrameBuf,
         write_buf: String,
         write_pos: usize,
+        /// Wire bytes of this pass's answers held for the settle.
+        held: usize,
+        /// A pass stopped at the answer budget with frames left in `input`.
+        backlogged: bool,
         interest: Interest,
         /// When the client last sent bytes: the idle timeout's clock.
         last_read: Instant,
@@ -435,8 +505,8 @@ mod engine {
         last_write: Instant,
         /// A live subscription makes the connection a write source.
         watch: Option<WatchSubscription>,
-        /// The peer closed its side after its last frame: close once the
-        /// answers had their best-effort flush.
+        /// The peer closed its sending side: its frames are answered and
+        /// flushed, then the connection closes.
         hung_up: bool,
     }
 
@@ -445,9 +515,11 @@ mod engine {
             let now = Instant::now();
             Conn {
                 stream,
-                read_buf: Vec::new(),
+                input: FrameBuf::default(),
                 write_buf: String::new(),
                 write_pos: 0,
+                held: 0,
+                backlogged: false,
                 interest: Interest::Read,
                 last_read: now,
                 last_write: now,
@@ -460,16 +532,21 @@ mod engine {
             self.write_pos >= self.write_buf.len()
         }
 
-        /// Pulls readable bytes into the read buffer, stopping once it
-        /// holds more than a frame's bound (the rest waits in the socket
-        /// for the next readiness event); `true` means the peer is gone.
+        /// Answer bytes not yet accepted by the socket, held ones included.
+        fn pending(&self) -> usize {
+            self.write_buf.len() - self.write_pos + self.held
+        }
+
+        /// Pulls readable bytes into the input, stopping once it holds more
+        /// than a frame's bound (the rest waits in the socket for the next
+        /// readiness event); `true` means the peer is gone.
         fn fill(&mut self) -> bool {
             self.last_read = Instant::now();
             let mut chunk = [0u8; 16384];
-            while self.read_buf.len() <= MAX_FRAME_BYTES {
+            while self.input.bytes.len() <= MAX_FRAME_BYTES {
                 match self.stream.read(&mut chunk) {
                     Ok(0) => return true,
-                    Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => self.input.bytes.extend_from_slice(&chunk[..n]),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => return true,
@@ -538,12 +615,14 @@ mod engine {
             self.write_buf.len() > start
         }
 
-        /// Polls for writability only while bytes are pending.
+        /// Polls for requests while flushed, and only for writability while
+        /// bytes are pending — the client is heard again once it has read
+        /// what it was sent.
         fn rearm(&mut self, poller: &Poller, token: u64) -> io::Result<()> {
             let want = if self.flushed() {
                 Interest::Read
             } else {
-                Interest::ReadWrite
+                Interest::Write
             };
             if want != self.interest {
                 poller.rearm(raw_fd_of(&self.stream), token, want)?;
@@ -580,6 +659,9 @@ mod engine {
         next_loop: usize,
         conns: HashMap<u64, Conn>,
         next_token: u64,
+        /// Flushed connections with frames left over the answer budget,
+        /// served in the next pass.
+        backlog: Vec<u64>,
         store: Arc<WorkflowStore>,
         shared: Arc<Shared>,
         gauges: Arc<ServerGauges>,
@@ -591,11 +673,17 @@ mod engine {
     impl EventLoop {
         fn run(mut self) {
             let mut events = Vec::new();
-            let mut answers: Vec<(u64, Response)> = Vec::new();
+            let mut held: Vec<(u64, Response)> = Vec::new();
             let mut touched: Vec<u64> = Vec::new();
+            let mut settled: Vec<u64> = Vec::new();
             let mut last_sweep = Instant::now();
             let sweep_ms = SWEEP_EVERY.as_millis() as u64;
-            while self.poller.wait(&mut events, Some(sweep_ms)).is_ok() {
+            loop {
+                // backlogged connections are served without waiting
+                let timeout = if self.backlog.is_empty() { sweep_ms } else { 0 };
+                if self.poller.wait(&mut events, Some(timeout)).is_err() {
+                    break;
+                }
                 self.gauges.wakeup();
                 if self.shared.is_shutdown() {
                     break;
@@ -604,6 +692,10 @@ mod engine {
                 // mutation's durability wait folds into one barrier
                 let mut barrier = DurabilityBarrier::default();
                 let mut stop = false;
+                for token in std::mem::take(&mut self.backlog) {
+                    stop |= self.serve_readable(token, &mut barrier, &mut held);
+                    touched.push(token);
+                }
                 for event in &events {
                     match event.token {
                         WAKER_TOKEN => {
@@ -624,29 +716,32 @@ mod engine {
                         LISTENER_TOKEN => self.accept_ready(),
                         token => {
                             if event.readable || event.hangup {
-                                stop |= self.serve_readable(
-                                    token,
-                                    event.readable,
-                                    &mut barrier,
-                                    &mut answers,
-                                );
+                                stop |= self.serve_readable(token, &mut barrier, &mut held);
                             }
                             touched.push(token);
                         }
                     }
                 }
-                // settle before any response of the pass is written
+                // answers that owe no durability wait leave before it
+                for token in touched.drain(..) {
+                    if self.conns.get(&token).is_some_and(|conn| conn.held > 0) {
+                        settled.push(token);
+                    } else {
+                        self.drive(token);
+                    }
+                }
                 settle(
                     &self.store,
                     &barrier,
-                    answers.iter_mut().map(|(_, response)| response),
+                    held.iter_mut().map(|(_, response)| response),
                 );
-                for (token, response) in answers.drain(..) {
+                for (token, response) in held.drain(..) {
                     if let Some(conn) = self.conns.get_mut(&token) {
                         encode_frame(&mut conn.write_buf, &response.to_lines());
+                        conn.held = 0;
                     }
                 }
-                for token in touched.drain(..) {
+                for token in settled.drain(..) {
                     self.drive(token);
                 }
                 if stop {
@@ -661,35 +756,42 @@ mod engine {
             self.close_all();
         }
 
-        /// Reads one connection and answers its complete frames into
-        /// `answers`; `true` when a frame asked for server shutdown.
+        /// Reads one flushed connection and answers its complete frames in
+        /// order while its pending answers stay under [`ANSWER_BUDGET`].
+        /// Answers owing no durability wait go straight to the write
+        /// buffer; from the connection's first one that does, they are held
+        /// in `held` for the pass's settle. `true` when a frame asked for
+        /// server shutdown.
         fn serve_readable(
             &mut self,
             token: u64,
-            readable: bool,
             barrier: &mut DurabilityBarrier,
-            answers: &mut Vec<(u64, Response)>,
+            held: &mut Vec<(u64, Response)>,
         ) -> bool {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return false;
             };
-            let seen = conn.read_buf.len();
-            let gone = !readable || conn.fill();
-            if !completes_a_frame(&conn.read_buf, seen) {
-                // a hang-up, or an unterminated frame past the bound
-                if gone || conn.read_buf.len() > MAX_FRAME_BYTES {
-                    self.close(token);
-                }
+            if !conn.flushed() {
+                // the client is heard again once it has read its answers
                 return false;
             }
-            // a client that half-closes after its last frame still gets
-            // the answers, then the connection closes
-            conn.hung_up = gone;
-            let frames = take_frames(&mut conn.read_buf);
-            if frames.len() > 1 {
-                self.gauges.pipelined_batch();
+            if conn.fill() {
+                conn.hung_up = true;
+                if let Some(subscription) = conn.watch.take() {
+                    self.store.unwatch(&subscription);
+                }
             }
-            for frame in frames {
+            conn.backlogged = false;
+            let mut answered = 0;
+            let stop = loop {
+                if conn.pending() >= ANSWER_BUDGET {
+                    conn.backlogged = true;
+                    break false;
+                }
+                let Some(frame) = conn.input.next_frame() else {
+                    break false;
+                };
+                answered += 1;
                 let parse_start = Instant::now();
                 let parsed = frame.and_then(|lines| Request::from_lines(&lines));
                 self.store
@@ -699,6 +801,7 @@ mod engine {
                 if let Some(subscription) = conn.watch.take() {
                     self.store.unwatch(&subscription);
                 }
+                let folds = barrier.folds();
                 let (response, stop) = match parsed {
                     Ok(Request::Watch { workflow, mode }) => {
                         let waker = &self.shared.loops[self.index].waker;
@@ -725,17 +828,35 @@ mod engine {
                         (Response::Error(e.to_wire()), false)
                     }
                 };
-                answers.push((token, response));
-                if stop {
-                    return true;
+                let lines = response.to_lines();
+                if conn.held == 0 && barrier.folds() == folds {
+                    encode_frame(&mut conn.write_buf, &lines);
+                } else {
+                    // counted for the budget; encoded again after the
+                    // settle, which may turn a mutation ack into an error
+                    conn.held += lines.iter().map(|line| line.len() + 2).sum::<usize>() + 2;
+                    held.push((token, response));
                 }
+                if stop {
+                    break true;
+                }
+            };
+            if answered > 1 {
+                self.gauges.pipelined_batch();
             }
-            false
+            conn.input.compact();
+            if !conn.backlogged && conn.input.bytes.len() > MAX_FRAME_BYTES {
+                // an unterminated frame past the bound
+                self.close(token);
+            }
+            stop
         }
 
         /// Flushes a connection, tops its write buffer up with queued watch
-        /// events whenever it drained, and re-arms its interest; a fatal
-        /// socket error closes it.
+        /// events whenever it drained, and re-arms its interest. A fatal
+        /// socket error closes it, and so does a hang-up once every answer
+        /// is out; a flushed connection with frames left over the budget
+        /// joins the backlog.
         fn drive(&mut self, token: u64) {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -748,8 +869,11 @@ mod engine {
                     break conn.rearm(&self.poller, token);
                 }
             };
-            if outcome.is_err() || conn.hung_up {
+            let done = conn.flushed() && !conn.backlogged;
+            if outcome.is_err() || (conn.hung_up && done) {
                 self.close(token);
+            } else if conn.flushed() && conn.backlogged {
+                self.backlog.push(token);
             }
         }
 
@@ -879,94 +1003,58 @@ mod engine {
         }
     }
 
-    /// Whether the bytes from `seen` on end a frame's terminator line — the
-    /// cheap test that spares re-splitting a large, still incomplete frame
-    /// on every readable event.
-    fn completes_a_frame(buf: &[u8], seen: usize) -> bool {
-        buf.iter()
-            .enumerate()
-            .skip(seen)
-            .filter(|&(_, &byte)| byte == b'\n')
-            .any(|(end, _)| {
-                let line = &buf[..end];
-                let line = line.strip_suffix(b"\r").unwrap_or(line);
-                line.strip_suffix(b".")
-                    .is_some_and(|before| before.is_empty() || before.ends_with(b"\n"))
-            })
-    }
-
-    /// Splits every complete frame off the front of `buf`, leaving the
-    /// incomplete tail in place. Lines decode through [`decode_line`]; a
-    /// frame holding a line that is not UTF-8 becomes a protocol error in
-    /// its slot.
-    fn take_frames(buf: &mut Vec<u8>) -> Vec<Frame> {
-        let mut frames = Vec::new();
-        let mut lines = Vec::new();
-        let mut bad_utf8 = None;
-        let mut consumed = 0;
-        let mut at = 0;
-        while let Some(newline) = buf[at..].iter().position(|&byte| byte == b'\n') {
-            let line = decode_line(&buf[at..at + newline]);
-            at += newline + 1;
-            match line {
-                Ok(Some(text)) => lines.push(text.to_owned()),
-                Ok(None) => {
-                    consumed = at;
-                    let lines = std::mem::take(&mut lines);
-                    frames.push(match bad_utf8.take() {
-                        None => Ok(lines),
-                        Some(e) => Err(ServiceError::Protocol(format!(
-                            "frame is not valid UTF-8: {e}"
-                        ))),
-                    });
-                }
-                Err(e) => bad_utf8 = Some(e),
-            }
-        }
-        buf.drain(..consumed);
-        frames
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
 
+        fn frames_of(input: &mut FrameBuf) -> Vec<Frame> {
+            std::iter::from_fn(|| input.next_frame()).collect()
+        }
+
         #[test]
         fn frame_splitter_handles_partials_pipelining_and_bad_utf8() {
             // a partial frame stays buffered
-            let mut buf = b"validate\t1\n".to_vec();
-            assert!(!completes_a_frame(&buf, 0));
-            assert!(take_frames(&mut buf).is_empty());
-            assert_eq!(buf, b"validate\t1\n");
+            let mut input = FrameBuf::default();
+            input.bytes.extend_from_slice(b"validate\t1\n");
+            assert!(frames_of(&mut input).is_empty());
+            input.compact();
+            assert_eq!(input.bytes, b"validate\t1\n");
 
-            // two complete frames and a partial third
-            let mut buf = b"validate\t1\n.\nstats\r\n.\r\nepo".to_vec();
-            assert!(completes_a_frame(&buf, 0));
-            let frames = take_frames(&mut buf);
-            assert_eq!(frames.len(), 2);
+            // it completes across a later read, then two more frames and a
+            // partial fourth follow in one read
+            input
+                .bytes
+                .extend_from_slice(b".\nvalidate\t2\n.\nstats\r\n.\r\nepo");
+            let frames = frames_of(&mut input);
+            assert_eq!(frames.len(), 3);
             assert_eq!(frames[0].as_ref().unwrap(), &["validate\t1".to_owned()]);
-            assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
-            assert_eq!(buf, b"epo");
+            assert_eq!(frames[1].as_ref().unwrap(), &["validate\t2".to_owned()]);
+            assert_eq!(frames[2].as_ref().unwrap(), &["stats".to_owned()]);
+            input.compact();
+            assert_eq!(input.bytes, b"epo");
 
             // dot-stuffed payload lines are un-escaped like read_frame, and
             // do not count as terminators
-            let mut buf = b"register\n..hidden\n".to_vec();
-            assert!(!completes_a_frame(&buf, 0));
-            buf.extend_from_slice(b".\n");
-            assert!(completes_a_frame(&buf, 18));
-            let frames = take_frames(&mut buf);
+            let mut input = FrameBuf::default();
+            input.bytes.extend_from_slice(b"register\n..hidden\n");
+            assert!(input.next_frame().is_none());
+            input.bytes.extend_from_slice(b".\n");
             assert_eq!(
-                frames[0].as_ref().unwrap(),
-                &["register".to_owned(), ".hidden".to_owned()]
+                input.next_frame().unwrap().unwrap(),
+                ["register".to_owned(), ".hidden".to_owned()]
             );
 
             // a frame with a non-UTF-8 line is a typed error in its slot,
             // never a lossy rename; the frame behind it is untouched
-            let mut buf = b"register\ntask\tA\xffB\n.\nstats\n.\n".to_vec();
-            let frames = take_frames(&mut buf);
+            let mut input = FrameBuf::default();
+            input
+                .bytes
+                .extend_from_slice(b"register\ntask\tA\xffB\n.\nstats\n.\n");
+            let frames = frames_of(&mut input);
             assert!(matches!(frames[0], Err(ServiceError::Protocol(_))));
             assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
-            assert!(buf.is_empty());
+            input.compact();
+            assert!(input.bytes.is_empty());
         }
     }
 }
@@ -1033,13 +1121,28 @@ mod tests {
     #[test]
     fn a_half_closed_client_still_gets_its_answers() {
         let server = local_server();
+        let spec = wolves_repo::layered_workflow(&wolves_repo::LayeredConfig::sized(2000), 7);
+        let id = server.store().register(spec, None);
+        let export = server.store().export(id).unwrap();
+        // the exports' answers dwarf the socket buffers, so the server is
+        // still writing them long after it read the end of the stream
+        let copies = (32 << 20) / export.len() + 1;
+        let mut requests = b"stats\n.\nheal\n.\n".to_vec();
+        for _ in 0..copies {
+            write_frame(&mut requests, &Request::Export { workflow: id }.to_lines()).unwrap();
+        }
         let (mut reader, writer) = connect(&server);
-        (&writer).write_all(b"stats\n.\nheal\n.\n").unwrap();
+        (&writer).write_all(&requests).unwrap();
         writer.shutdown(std::net::Shutdown::Write).unwrap();
         let first = read_frame(&mut reader).unwrap().unwrap();
         assert!(first[0].starts_with("ok\tstats"));
         let second = read_frame(&mut reader).unwrap().unwrap();
         assert_eq!(second[0], "ok\thealed\t0\t0");
+        let expected = Response::Exported(export).to_lines();
+        for copy in 0..copies {
+            let frame = read_frame(&mut reader).unwrap().expect("every answer");
+            assert!(frame == expected, "export {copy} of {copies} differs");
+        }
         // then the server closes its side too
         assert!(read_frame(&mut reader).unwrap().is_none());
         server.shutdown();

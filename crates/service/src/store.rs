@@ -113,6 +113,7 @@ pub struct DurabilityTicket {
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityBarrier {
     pending: Vec<(usize, u64)>,
+    folds: usize,
 }
 
 impl DurabilityBarrier {
@@ -121,6 +122,7 @@ impl DurabilityBarrier {
         if ticket.ticket == 0 {
             return;
         }
+        self.folds += 1;
         match self.pending.iter_mut().find(|(s, _)| *s == ticket.shard) {
             Some((_, high)) => *high = (*high).max(ticket.ticket),
             None => self.pending.push((ticket.shard, ticket.ticket)),
@@ -132,6 +134,14 @@ impl DurabilityBarrier {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
+    }
+
+    /// How many owed obligations were folded in so far: comparing the count
+    /// around one request tells whether its answer must wait for the
+    /// barrier.
+    #[must_use]
+    pub fn folds(&self) -> usize {
+        self.folds
     }
 }
 

@@ -2,11 +2,21 @@
 //! end, through `service::client` against a running `service::server` —
 //! ≥2 shards, ≥4 event loops, real TCP.
 
+use std::io::{BufReader, Read as _, Write as _};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
 use wolves::core::correct::Strategy;
 use wolves::moml::write_text_format;
+use wolves::service::proto::{read_frame, write_frame};
+use wolves::service::storage::{
+    AppendOutcome, ShardJournal, SnapshotEntry, StorageBackend, WalRecord,
+};
 use wolves::service::{
-    serve, validate_throughput, BatchConfig, MutateOp, Response, ServerConfig, ServiceClient,
-    ServiceError, WatchEvent, WatchMode,
+    serve, serve_with_store, validate_throughput, BatchConfig, MutateOp, Request, Response,
+    ServerConfig, ServerHandle, ServiceClient, ServiceError, WatchEvent, WatchMode, WorkflowStore,
 };
 
 #[test]
@@ -265,9 +275,126 @@ fn idle_clients_cannot_pin_the_worker_pool() {
         .expect("served despite the idle connection");
     assert!(!client.validate(id, None).expect("validate").sound);
 
-    drop(silent);
-    client.shutdown().expect("shutdown");
-    server.join();
+    // and the silent connection itself is reclaimed by the idle timeout:
+    // it reads the server's close, not its own 2s read timeout
+    silent
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("set a read timeout");
+    let read = (&silent).read(&mut [0u8; 1]);
+    assert_eq!(read.expect("closed by the server, not timed out"), 0);
+
+    // the idle timeout closes the client's connection too by now
+    drop(client);
+    server.shutdown();
+}
+
+/// One sample of the store's metrics exposition (0 when absent).
+fn sample(store: &WorkflowStore, name: &str) -> u64 {
+    store
+        .metrics_text()
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Registers a ~2,000-task workflow and writes `answer_bytes` worth of
+/// pipelined `export` requests for it on a fresh connection that then never
+/// reads. Returns the socket, the export payload and the request count.
+fn pipeline_exports_unread(
+    server: &ServerHandle,
+    answer_bytes: usize,
+) -> (TcpStream, String, usize) {
+    let store = server.store();
+    let spec = wolves::repo::layered_workflow(&wolves::repo::LayeredConfig::sized(2000), 7);
+    let id = store.register(spec, None);
+    let export = store.export(id).expect("export");
+    let copies = answer_bytes / export.len() + 1;
+    let mut requests = Vec::new();
+    for _ in 0..copies {
+        write_frame(&mut requests, &Request::Export { workflow: id }.to_lines()).expect("encode");
+    }
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&requests).expect("send the pipeline");
+    (stream, export, copies)
+}
+
+/// Polls `done` every 20ms until it holds, failing after 10s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn answers_push_back_on_a_client_that_does_not_read() {
+    let server = serve(&ServerConfig {
+        shards: 1,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind a loopback server");
+    let store = server.store();
+    let (stream, export, copies) = pipeline_exports_unread(&server, 64 << 20);
+
+    // the server answers what the socket buffers and one pass's budget
+    // hold, then stops reading the client until it reads
+    let exports = || sample(&store, "wolves_requests_total{verb=\"export\"}");
+    let mut answered = exports();
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = exports();
+        if now == answered {
+            break;
+        }
+        answered = now;
+    }
+    let answered = answered as usize - 1; // less the size probe
+    assert!(
+        answered * export.len() < 24 << 20,
+        "{answered} of {copies} exports answered unread, {} bytes each",
+        export.len()
+    );
+
+    // once the client reads, every answer arrives, in order
+    let expected = Response::Exported(export).to_lines();
+    let mut reader = BufReader::new(stream);
+    for copy in 0..copies {
+        let frame = read_frame(&mut reader)
+            .expect("read an answer")
+            .expect("every answer");
+        assert!(frame == expected, "export {copy} of {copies} differs");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_is_closed_after_the_write_timeout() {
+    let server = serve(&ServerConfig {
+        shards: 1,
+        workers: 1,
+        write_timeout_ms: 200,
+        ..ServerConfig::default()
+    })
+    .expect("bind a loopback server");
+    let store = server.store();
+    let (stream, _, copies) = pipeline_exports_unread(&server, 64 << 20);
+    assert_eq!(sample(&store, "wolves_open_connections"), 1);
+
+    // the stalled connection is dropped although the client never hung up
+    wait_until("the stalled connection to close", || {
+        sample(&store, "wolves_open_connections") == 0
+    });
+    // so the client reads what was buffered, then the end — never every
+    // answer
+    let mut reader = BufReader::new(stream);
+    let mut received = 0;
+    while let Ok(Some(_)) = read_frame(&mut reader) {
+        received += 1;
+    }
+    assert!(received < copies, "all {copies} answers arrived");
+    server.shutdown();
 }
 
 #[test]
@@ -321,4 +448,144 @@ fn connections_past_the_limit_are_shed_with_a_transient_overload() {
     admitted.stats().expect("the newcomer is served");
     first.shutdown().expect("shutdown");
     server.join();
+}
+
+/// A durable-looking one-shard backend whose group-commit waits each take a
+/// permit the test hands out, so a fsync can be held open at will.
+#[derive(Debug, Default)]
+struct GatedBackend {
+    tickets: AtomicU64,
+    permits: Mutex<u64>,
+    granted: Condvar,
+    waiting: AtomicUsize,
+}
+
+impl GatedBackend {
+    fn grant(&self, permits: u64) {
+        *self.permits.lock().unwrap() = permits;
+        self.granted.notify_all();
+    }
+
+    fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
+}
+
+impl StorageBackend for GatedBackend {
+    fn durable(&self) -> bool {
+        true
+    }
+
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    fn append(&self, _shard: usize, _record: &WalRecord) -> Result<AppendOutcome, ServiceError> {
+        Ok(AppendOutcome {
+            ticket: self.tickets.fetch_add(1, Ordering::SeqCst) + 1,
+            ..AppendOutcome::default()
+        })
+    }
+
+    fn wait_durable(&self, _shard: usize, _ticket: u64) -> Result<u64, ServiceError> {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let mut permits = self.permits.lock().unwrap();
+        while *permits == 0 {
+            permits = self.granted.wait(permits).unwrap();
+        }
+        *permits -= 1;
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        Ok(0)
+    }
+
+    fn write_snapshot(
+        &self,
+        _shard: usize,
+        _entries: &[SnapshotEntry],
+    ) -> Result<(), ServiceError> {
+        Ok(())
+    }
+
+    fn take_journal(&self) -> Result<Vec<ShardJournal>, ServiceError> {
+        Ok(vec![ShardJournal::default()])
+    }
+
+    fn sync(&self) -> Result<(), ServiceError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn reads_are_answered_without_waiting_for_another_clients_fsync() {
+    let backend = Arc::new(GatedBackend::default());
+    backend.grant(u64::MAX);
+    let (store, _) = WorkflowStore::open(backend.clone()).expect("open the gated store");
+    let fixture = wolves::repo::figure1();
+    let id = store
+        .try_register(fixture.spec, Some(fixture.view))
+        .expect("register figure 1");
+    let server = serve_with_store(
+        &ServerConfig {
+            shards: 1,
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Arc::new(store),
+    )
+    .expect("bind a loopback server");
+    // three raw clients, each adopted by the only loop before any fsync
+    // stalls (a round trip proves it)
+    let connect = || {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone the socket"));
+        write_frame(&mut &stream, &Request::Stats.to_lines()).expect("send stats");
+        read_frame(&mut reader)
+            .expect("read")
+            .expect("a stats frame");
+        (reader, stream)
+    };
+    let (mut a_reader, a) = connect();
+    let (mut b_reader, b) = connect();
+    let (mut c_reader, c) = connect();
+    let mutate = |op| Request::Mutate {
+        workflow: id,
+        op,
+        expect: None,
+    };
+    let (from, to) = ("Check additional annotations", "Build phylo tree");
+    backend.grant(0);
+
+    // A's mutation holds the loop in its settle
+    let add = MutateOp::AddEdge {
+        from: from.to_owned(),
+        to: to.to_owned(),
+    };
+    write_frame(&mut &a, &mutate(add).to_lines()).expect("send A's mutation");
+    wait_until("A's fsync wait", || backend.waiting() == 1);
+    // B's read and C's mutation queue up behind it, to be read in one pass
+    write_frame(&mut &b, &Request::Stats.to_lines()).expect("send B's read");
+    let remove = MutateOp::RemoveEdge {
+        from: from.to_owned(),
+        to: to.to_owned(),
+    };
+    write_frame(&mut &c, &mutate(remove).to_lines()).expect("send C's mutation");
+    std::thread::sleep(Duration::from_millis(100));
+    backend.grant(1);
+    let ack = read_frame(&mut a_reader).expect("read").expect("A's ack");
+    assert!(ack[0].starts_with("ok\tmutated"), "{ack:?}");
+
+    // C's fsync is held open, yet B's answer is already out
+    wait_until("C's fsync wait", || backend.waiting() == 1);
+    b.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    let answer = read_frame(&mut b_reader)
+        .expect("B answered before C's fsync")
+        .expect("B's stats");
+    assert!(answer[0].starts_with("ok\tstats"), "{answer:?}");
+    assert_eq!(backend.waiting(), 1, "C's fsync is still pending");
+
+    backend.grant(u64::MAX);
+    let ack = read_frame(&mut c_reader).expect("read").expect("C's ack");
+    assert!(ack[0].starts_with("ok\tmutated"), "{ack:?}");
+    server.shutdown();
 }
