@@ -14,11 +14,11 @@
 //!
 //! On top of the primitive sit the store's three registries:
 //!
-//! * per-verb request latency ([`VerbTimers`], one per shard, merged at
+//! * per-verb request latency (one histogram array per shard, merged at
 //!   scrape time) over the [`Verb`] taxonomy;
-//! * per-commit-stage latency ([`StageTimers`], store-global) over the
-//!   [`Stage`] taxonomy — where a mutation spends its time, answerable
-//!   from a running server;
+//! * per-stage latency (store-global) over the [`Stage`] taxonomy — where
+//!   a request spends its time, answerable from a running server — filled
+//!   by each request's stack-allocated [`Trace`];
 //! * the [`SlowRing`] keeping the worst-N requests with their stage
 //!   breakdown (dumped by the `metrics slow` protocol verb).
 //!
@@ -28,9 +28,12 @@
 //! [`crate::storage::StorageBackend::observe`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+use crate::proto::ShardStat;
 
 /// Number of log₂ buckets of a [`Histogram`]: bucket 0 holds exact zeros,
 /// bucket `i ≥ 1` holds `[2^(i-1), 2^i - 1]` nanoseconds, up to bucket 64
@@ -225,35 +228,19 @@ impl HistogramSnapshot {
     /// `out`. `le` bounds and the sum are in seconds, per exposition
     /// convention; empty buckets are elided (the series stays cumulative).
     pub fn write_exposition(&self, out: &mut String, name: &str, labels: &[(&str, &str)]) {
-        use std::fmt::Write as _;
-        let mut cumulative = 0u64;
-        for (index, &bucket) in self.counts.iter().enumerate() {
-            if bucket == 0 {
-                continue;
-            }
-            cumulative += bucket;
-            let _ = writeln!(
-                out,
-                "{name}_bucket{} {cumulative}",
-                label_block(labels, Some(&seconds(bucket_upper(index))))
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {}",
-            label_block(labels, Some("+Inf")),
-            self.count()
-        );
-        let plain = label_block(labels, None);
-        let _ = writeln!(out, "{name}_sum{plain} {}", seconds(self.sum));
-        let _ = writeln!(out, "{name}_count{plain} {}", self.count());
+        self.write_series(out, name, labels, seconds);
     }
 
-    /// [`HistogramSnapshot::write_exposition`] for histograms whose samples
-    /// are plain values, not nanoseconds (e.g. group-commit batch sizes):
-    /// `le` bounds and the sum stay raw integers instead of being scaled to
-    /// seconds.
-    pub fn write_exposition_raw(&self, out: &mut String, name: &str, labels: &[(&str, &str)]) {
+    /// [`HistogramSnapshot::write_exposition`] with `unit` formatting the
+    /// `le` bounds and the sum — raw integers for histograms whose samples
+    /// are plain values, not nanoseconds (e.g. group-commit batch sizes).
+    fn write_series(
+        &self,
+        out: &mut String,
+        name: &str,
+        labels: &[(&str, &str)],
+        unit: fn(u64) -> String,
+    ) {
         use std::fmt::Write as _;
         let mut cumulative = 0u64;
         for (index, &bucket) in self.counts.iter().enumerate() {
@@ -261,21 +248,18 @@ impl HistogramSnapshot {
                 continue;
             }
             cumulative += bucket;
-            let _ = writeln!(
-                out,
-                "{name}_bucket{} {cumulative}",
-                label_block(labels, Some(&bucket_upper(index).to_string()))
-            );
+            let le = label_block(labels, Some(&unit(bucket_upper(index))));
+            let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
         }
+        let count = self.count();
         let _ = writeln!(
             out,
-            "{name}_bucket{} {}",
-            label_block(labels, Some("+Inf")),
-            self.count()
+            "{name}_bucket{} {count}",
+            label_block(labels, Some("+Inf"))
         );
         let plain = label_block(labels, None);
-        let _ = writeln!(out, "{name}_sum{plain} {}", self.sum);
-        let _ = writeln!(out, "{name}_count{plain} {}", self.count());
+        let _ = writeln!(out, "{name}_sum{plain} {}", unit(self.sum));
+        let _ = writeln!(out, "{name}_count{plain} {count}");
     }
 }
 
@@ -328,19 +312,16 @@ pub enum Verb {
     Mutate,
     /// `export` — textfmt export.
     Export,
-    /// watch fan-out of one committed event to a shard's subscribers.
-    WatchFanout,
 }
 
 /// Every [`Verb`], in display order.
-pub const VERBS: [Verb; 7] = [
+pub const VERBS: [Verb; 6] = [
     Verb::Register,
     Verb::Validate,
     Verb::Correct,
     Verb::Provenance,
     Verb::Mutate,
     Verb::Export,
-    Verb::WatchFanout,
 ];
 
 impl Verb {
@@ -354,11 +335,12 @@ impl Verb {
             Verb::Provenance => "provenance",
             Verb::Mutate => "mutate",
             Verb::Export => "export",
-            Verb::WatchFanout => "watch_fanout",
         }
     }
 
-    const fn index(self) -> usize {
+    /// The verb's position in [`VERBS`].
+    #[must_use]
+    pub const fn index(self) -> usize {
         self as usize
     }
 }
@@ -375,16 +357,18 @@ pub enum Stage {
     Compute,
     /// WAL append (excluding any fsync it triggered).
     WalAppend,
-    /// fsync of WAL data, when the policy triggered one.
+    /// fsync of WAL data: inline in an append, or a group-commit wait.
     Fsync,
     /// Atomic snapshot publish (the commit point).
     SnapshotPublish,
     /// Watch fan-out to subscribers after the commit.
     WatchFanout,
+    /// The part of a request no other stage covered (see [`Trace`]).
+    Unattributed,
 }
 
 /// Every [`Stage`], in pipeline order.
-pub const STAGES: [Stage; 7] = [
+pub const STAGES: [Stage; 8] = [
     Stage::Parse,
     Stage::CacheLookup,
     Stage::Compute,
@@ -392,6 +376,7 @@ pub const STAGES: [Stage; 7] = [
     Stage::Fsync,
     Stage::SnapshotPublish,
     Stage::WatchFanout,
+    Stage::Unattributed,
 ];
 
 impl Stage {
@@ -406,6 +391,7 @@ impl Stage {
             Stage::Fsync => "fsync",
             Stage::SnapshotPublish => "snapshot_publish",
             Stage::WatchFanout => "watch_fanout",
+            Stage::Unattributed => "unattributed",
         }
     }
 
@@ -414,43 +400,92 @@ impl Stage {
     }
 }
 
-/// Per-verb latency histograms — one set per shard, merged at scrape time.
-#[derive(Debug, Default)]
-pub struct VerbTimers {
-    timers: [Histogram; VERBS.len()],
+/// One request's stage spans, kept on the stack: a fixed array of
+/// nanoseconds per [`Stage`], never allocated.
+///
+/// [`Trace::enter`] closes the open stage and opens the next with one clock
+/// read; [`Trace::leave`] closes it without opening another. Time spent with
+/// no stage open is booked as [`Stage::Unattributed`] by [`Trace::finish`],
+/// so a finished request's spans always sum to its total.
+#[derive(Debug)]
+pub struct Trace {
+    verb: Verb,
+    start: Instant,
+    mark: Instant,
+    open: Option<Stage>,
+    spans: [u64; STAGES.len()],
 }
 
-impl VerbTimers {
-    /// Records one request duration under its verb.
-    #[inline]
-    pub fn record(&self, verb: Verb, ns: u64) {
-        self.timers[verb.index()].record_ns(ns);
-    }
-
-    /// Snapshot of one verb's histogram.
+impl Trace {
+    /// Begins timing one request of `verb`, with no stage open.
     #[must_use]
-    pub fn snapshot(&self, verb: Verb) -> HistogramSnapshot {
-        self.timers[verb.index()].snapshot()
+    pub fn start(verb: Verb) -> Self {
+        let now = Instant::now();
+        Trace {
+            verb,
+            start: now,
+            mark: now,
+            open: None,
+            spans: [0; STAGES.len()],
+        }
     }
-}
 
-/// Per-commit-stage latency histograms (store-global).
-#[derive(Debug, Default)]
-pub struct StageTimers {
-    timers: [Histogram; STAGES.len()],
-}
-
-impl StageTimers {
-    /// Records one stage duration.
+    /// Closes the open stage and opens `stage`.
     #[inline]
-    pub fn record(&self, stage: Stage, ns: u64) {
-        self.timers[stage.index()].record_ns(ns);
+    pub fn enter(&mut self, stage: Stage) {
+        self.close(Instant::now());
+        self.open = Some(stage);
     }
 
-    /// Snapshot of one stage's histogram.
-    #[must_use]
-    pub fn snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.timers[stage.index()].snapshot()
+    /// Closes the open stage; the time until the next [`Trace::enter`] is
+    /// unattributed.
+    #[inline]
+    pub fn leave(&mut self) {
+        self.close(Instant::now());
+        self.open = None;
+    }
+
+    /// Books `ns` nanoseconds of the open stage's time under `stage`
+    /// instead — for a duration measured inside the open stage, such as the
+    /// fsync a WAL append ran inline. No clock read.
+    pub fn carve(&mut self, stage: Stage, ns: u64) {
+        self.spans[stage.index()] += ns;
+        self.mark += Duration::from_nanos(ns);
+    }
+
+    fn close(&mut self, now: Instant) {
+        if let Some(stage) = self.open {
+            self.spans[stage.index()] += duration_ns(now.saturating_duration_since(self.mark));
+        }
+        self.mark = now;
+    }
+
+    /// Ends the request: closes the open stage and books the time no stage
+    /// covered under [`Stage::Unattributed`]. Records the total in the
+    /// verb's histogram of `verbs` (indexed like [`VERBS`]) and every
+    /// non-zero stage in `telemetry`, then offers the request to the slow
+    /// ring. Returns the total in nanoseconds.
+    pub fn finish(
+        mut self,
+        verbs: &[Histogram; VERBS.len()],
+        telemetry: &Telemetry,
+        workflow: Option<u64>,
+    ) -> u64 {
+        let now = Instant::now();
+        self.close(now);
+        let covered: u64 = self.spans.iter().sum();
+        let total = duration_ns(now.saturating_duration_since(self.start)).max(covered);
+        self.spans[Stage::Unattributed.index()] = total - covered;
+        verbs[self.verb.index()].record_ns(total);
+        for (&stage, &ns) in STAGES.iter().zip(&self.spans) {
+            if ns > 0 {
+                telemetry.stage(stage, ns);
+            }
+        }
+        telemetry
+            .slow
+            .offer(self.verb, workflow, total, &self.spans);
+        total
     }
 }
 
@@ -493,46 +528,44 @@ impl SlowRing {
         }
     }
 
-    /// Offers one finished request; it is retained iff it beats the
-    /// current worst-N floor. `spans` is borrowed — the ring allocates
-    /// only when the request is actually admitted.
-    pub fn offer(&self, verb: Verb, workflow: Option<u64>, total_ns: u64, spans: &[(Stage, u64)]) {
+    /// Offers one finished request with its per-stage spans (indexed like
+    /// [`STAGES`]); it is retained iff it beats the current worst-N floor.
+    /// The ring allocates only when the request is actually admitted, and
+    /// keeps only the non-zero spans.
+    pub fn offer(
+        &self,
+        verb: Verb,
+        workflow: Option<u64>,
+        total_ns: u64,
+        spans: &[u64; STAGES.len()],
+    ) {
         if total_ns <= self.floor.load(Ordering::Relaxed) {
             return;
         }
         let mut entries = self.entries.lock();
-        let request = SlowRequest {
+        entries.push(SlowRequest {
             verb: verb.name(),
             workflow,
             total_ns,
-            spans: spans
+            spans: STAGES
                 .iter()
-                .map(|&(stage, ns)| (stage.name(), ns))
+                .zip(spans)
+                .filter(|(_, &ns)| ns > 0)
+                .map(|(stage, &ns)| (stage.name(), ns))
                 .collect(),
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-        };
-        if entries.len() < self.capacity {
-            entries.push(request);
-        } else if let Some(index) = entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, entry)| (entry.total_ns, entry.seq))
-            .map(|(index, _)| index)
-        {
-            if entries[index].total_ns < total_ns {
-                entries[index] = request;
-            }
+        });
+        if entries.len() > self.capacity {
+            // evict the fastest, the older on ties — the newcomer itself
+            // when a racing offer raised the floor past it
+            let key = |index: usize| (entries[index].total_ns, entries[index].seq);
+            let fastest = (0..entries.len()).min_by_key(|&index| key(index));
+            entries.swap_remove(fastest.unwrap_or(0));
         }
-        let floor = if entries.len() == self.capacity {
-            entries
-                .iter()
-                .map(|entry| entry.total_ns)
-                .min()
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        self.floor.store(floor, Ordering::Relaxed);
+        let full = entries.len() == self.capacity;
+        let floor = entries.iter().map(|entry| entry.total_ns).min();
+        self.floor
+            .store(floor.filter(|_| full).unwrap_or(0), Ordering::Relaxed);
     }
 
     /// The retained requests, worst first (ties broken newest first).
@@ -575,12 +608,6 @@ impl ErrorCounters {
             .map(|(&kind, &count)| (kind, count))
             .collect()
     }
-
-    /// Total errors recorded across all kinds.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.lock().values().sum()
-    }
 }
 
 /// Store-global telemetry: the commit-stage histograms, the slow-request
@@ -588,7 +615,7 @@ impl ErrorCounters {
 /// shard (in the shard metrics) and are merged at scrape time.
 #[derive(Debug)]
 pub struct Telemetry {
-    stages: StageTimers,
+    stages: [Histogram; STAGES.len()],
     slow: SlowRing,
     errors: ErrorCounters,
     recovery_replay_ns: AtomicU64,
@@ -605,7 +632,7 @@ impl Telemetry {
     #[must_use]
     pub fn new() -> Self {
         Telemetry {
-            stages: StageTimers::default(),
+            stages: Default::default(),
             slow: SlowRing::new(SLOW_RING_CAP),
             errors: ErrorCounters::default(),
             recovery_replay_ns: AtomicU64::new(0),
@@ -621,35 +648,13 @@ impl Telemetry {
     /// Records one commit-stage duration.
     #[inline]
     pub fn stage(&self, stage: Stage, ns: u64) {
-        self.stages.record(stage, ns);
-    }
-
-    /// Records a whole stage breakdown (skipping zero spans keeps the
-    /// stage histograms meaningful — a stage that did not run is absent,
-    /// not a zero sample).
-    pub fn record_spans(&self, spans: &[(Stage, u64)]) {
-        for &(stage, ns) in spans {
-            if ns > 0 {
-                self.stages.record(stage, ns);
-            }
-        }
+        self.stages[stage.index()].record_ns(ns);
     }
 
     /// Snapshot of one commit stage's histogram.
     #[must_use]
     pub fn stage_snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages.snapshot(stage)
-    }
-
-    /// Offers one finished request to the slow-request ring.
-    pub fn offer_slow(
-        &self,
-        verb: Verb,
-        workflow: Option<u64>,
-        total_ns: u64,
-        spans: &[(Stage, u64)],
-    ) {
-        self.slow.offer(verb, workflow, total_ns, spans);
+        self.stages[stage.index()].snapshot()
     }
 
     /// The slow-request ring.
@@ -658,9 +663,13 @@ impl Telemetry {
         &self.slow
     }
 
-    /// Records the recovery-replay wall time observed at store open.
-    pub fn set_recovery_replay_ns(&self, ns: u64) {
+    /// Runs a store open's journal `replay`, recording its wall time.
+    pub fn time_recovery<T>(&self, replay: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let replayed = replay();
+        let ns = duration_ns(start.elapsed());
         self.recovery_replay_ns.store(ns, Ordering::Relaxed);
+        replayed
     }
 
     /// Recovery-replay wall time of the last store open, in nanoseconds
@@ -716,8 +725,7 @@ pub struct StorageObservation {
     /// Compaction (snapshot write + rotation) durations.
     pub compaction: HistogramSnapshot,
     /// Group-commit batch sizes: how many appended records each leader
-    /// fsync covered (raw counts, not nanoseconds — expose with
-    /// [`HistogramSnapshot::write_exposition_raw`]). Empty outside strict
+    /// fsync covered (raw counts, not nanoseconds). Empty outside strict
     /// (`fsync_every=1`) mode.
     pub group_commit_batch: HistogramSnapshot,
     /// fsyncs the group-commit protocol absorbed: appends that rode a
@@ -787,6 +795,159 @@ impl ServerGauges {
     }
 }
 
+/// The delta classes applied mutations are counted under, in exposition
+/// order (the `wolves_mutations_total{class}` series).
+pub const MUTATION_CLASSES: [&str; 5] = [
+    "monotone-safe",
+    "local-rebuild",
+    "decremental",
+    "structural",
+    "view-edit",
+];
+
+/// One shard's counters at one instant: `stat` is its `stats` wire line,
+/// and the `metrics` exposition sums all of them. `mutations` counts
+/// applied mutations per delta class, in [`MUTATION_CLASSES`] order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardCounters {
+    pub stat: ShardStat,
+    pub watch_queue_depth: u64,
+    pub mutations: [u64; MUTATION_CLASSES.len()],
+    pub degraded: bool,
+}
+
+/// Everything one `metrics` scrape reads, gathered by the store and
+/// rendered by [`Scrape::render`]. Histograms are in [`VERBS`] and
+/// [`STAGES`] order, per-verb ones merged across shards.
+#[derive(Debug)]
+pub(crate) struct Scrape {
+    pub verbs: [HistogramSnapshot; VERBS.len()],
+    pub stages: [HistogramSnapshot; STAGES.len()],
+    pub shards: Vec<ShardCounters>,
+    pub storage: StorageObservation,
+    /// The serving layer's gauges, when a server is attached.
+    pub server: Option<Arc<ServerGauges>>,
+    pub recovery_replay_ns: u64,
+    pub slow_retained: u64,
+    pub errors: Vec<(&'static str, u64)>,
+}
+
+impl Scrape {
+    /// Renders the Prometheus-style text exposition served by the `metrics`
+    /// protocol verb: per-verb and per-stage latency histograms (cumulative
+    /// buckets, seconds), serving counters summed over shards, watch gauges,
+    /// the storage backend's WAL observation and the server's gauges.
+    #[must_use]
+    pub fn render(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let verbs = VERBS.iter().map(|verb| verb.name()).zip(&self.verbs);
+        let stages = STAGES.iter().map(|stage| stage.name()).zip(&self.stages);
+        for (name, key, series) in [
+            (
+                "request_duration_seconds",
+                "verb",
+                verbs.collect::<Vec<_>>(),
+            ),
+            ("commit_stage_duration_seconds", "stage", stages.collect()),
+        ] {
+            let name = format!("wolves_{name}");
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            for (label, histogram) in series {
+                histogram.write_exposition(&mut out, &name, &[(key, label)]);
+            }
+        }
+        let storage = &self.storage;
+        for (name, histogram) in [
+            ("wal_append_duration_seconds", &storage.append),
+            ("wal_fsync_duration_seconds", &storage.fsync),
+            ("wal_compaction_duration_seconds", &storage.compaction),
+        ] {
+            let _ = writeln!(out, "# TYPE wolves_{name} histogram");
+            histogram.write_exposition(&mut out, &format!("wolves_{name}"), &[]);
+        }
+        let batch = "wolves_wal_group_commit_batch";
+        let _ = writeln!(out, "# TYPE {batch} histogram");
+        let raw = |value: u64| value.to_string();
+        storage
+            .group_commit_batch
+            .write_series(&mut out, batch, &[], raw);
+
+        let _ = writeln!(out, "# TYPE wolves_requests_total counter");
+        for (verb, histogram) in VERBS.iter().zip(&self.verbs) {
+            let labels = [("verb", verb.name())];
+            write_sample(
+                &mut out,
+                "wolves_requests_total",
+                &labels,
+                histogram.count(),
+            );
+        }
+        let _ = writeln!(out, "# TYPE wolves_mutations_total counter");
+        for (index, class) in MUTATION_CLASSES.iter().enumerate() {
+            let count = self.shards.iter().map(|c| c.mutations[index]).sum();
+            write_sample(
+                &mut out,
+                "wolves_mutations_total",
+                &[("class", class)],
+                count,
+            );
+        }
+        let _ = writeln!(out, "# TYPE wolves_shard_degraded gauge");
+        for counters in &self.shards {
+            let shard = counters.stat.shard.to_string();
+            let degraded = u64::from(counters.degraded);
+            write_sample(
+                &mut out,
+                "wolves_shard_degraded",
+                &[("shard", &shard)],
+                degraded,
+            );
+        }
+        let _ = writeln!(out, "# TYPE wolves_errors_total counter");
+        for &(kind, count) in &self.errors {
+            write_sample(&mut out, "wolves_errors_total", &[("kind", kind)], count);
+        }
+
+        let stat = |field: fn(&ShardStat) -> u64| self.shards.iter().map(|c| field(&c.stat)).sum();
+        let queued = self.shards.iter().map(|c| c.watch_queue_depth).sum();
+        let degraded = self.shards.iter().filter(|c| c.degraded).count() as u64;
+        let absorbed = storage.group_commit_absorbed;
+        let mut plain = vec![
+            ("shards", self.shards.len() as u64),
+            ("workflows", stat(|s| s.workflows as u64)),
+            ("validate_cache_hits_total", stat(|s| s.validate_hits)),
+            ("validate_cache_misses_total", stat(|s| s.validate_misses)),
+            ("composite_cache_hits_total", stat(|s| s.composite_hits)),
+            ("composite_cache_misses_total", stat(|s| s.composite_misses)),
+            ("store_requests_total", stat(|s| s.requests)),
+            ("snapshot_publishes_total", stat(|s| s.snapshot_publishes)),
+            ("active_watchers", stat(|s| s.active_watchers)),
+            ("watch_queue_depth", queued),
+            ("dropped_watchers_total", stat(|s| s.dropped_watchers)),
+            ("wal_append_bytes_total", storage.append_bytes),
+            ("wal_rotations_total", storage.rotations),
+            ("wal_group_commit_absorbed_total", absorbed),
+            ("slow_requests_retained", self.slow_retained),
+            ("degraded_shards", degraded),
+        ];
+        if let Some(gauges) = &self.server {
+            plain.extend([
+                ("open_connections", gauges.open_connections()),
+                ("connections_accepted_total", gauges.accepted_total()),
+                ("event_loop_wakeups_total", gauges.wakeups()),
+                ("pipelined_batches_total", gauges.pipelined_batches()),
+            ]);
+        }
+        for (name, value) in plain {
+            let _ = writeln!(out, "wolves_{name} {value}");
+        }
+        let replay = seconds(self.recovery_replay_ns);
+        let _ = writeln!(out, "wolves_recovery_replay_seconds {replay}");
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,48 +970,6 @@ mod tests {
             assert!(ns <= bucket_upper(bucket));
             assert!(bucket == 1 || ns > bucket_upper(bucket - 1));
         }
-    }
-
-    #[test]
-    fn quantiles_bracket_the_exact_reference() {
-        let histogram = Histogram::new();
-        let samples: Vec<u64> = (1..=1000).map(|i| i * 37).collect();
-        for &sample in &samples {
-            histogram.record_ns(sample);
-        }
-        let snapshot = histogram.snapshot();
-        assert_eq!(snapshot.count(), 1000);
-        assert_eq!(snapshot.sum, samples.iter().sum::<u64>());
-        assert_eq!(snapshot.max, 37_000);
-        let mut sorted = samples;
-        sorted.sort_unstable();
-        for q in [0.5, 0.9, 0.99, 1.0] {
-            #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-            #[allow(clippy::cast_possible_truncation)]
-            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            let exact = sorted[rank - 1];
-            let estimate = snapshot.quantile(q);
-            assert!(estimate >= exact, "q={q}: {estimate} < exact {exact}");
-            assert!(
-                estimate < exact * 2,
-                "q={q}: {estimate} not within one bucket of {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshots_merge_by_summation() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record_ns(10);
-        a.record_ns(1000);
-        b.record_ns(100);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum, 1110);
-        assert_eq!(merged.max, 1000);
-        assert_eq!(merged.p50(), bucket_upper(bucket_of(100)));
     }
 
     #[test]
@@ -877,16 +996,25 @@ mod tests {
         assert_eq!(sample, "z_total 7\n");
     }
 
+    /// A span array with the given stages set.
+    fn spans(pairs: &[(Stage, u64)]) -> [u64; STAGES.len()] {
+        let mut spans = [0; STAGES.len()];
+        for &(stage, ns) in pairs {
+            spans[stage.index()] = ns;
+        }
+        spans
+    }
+
     #[test]
     fn slow_ring_retains_the_worst_n() {
         let ring = SlowRing::new(3);
         for ns in [10u64, 50, 20, 40, 30, 60] {
-            ring.offer(Verb::Validate, Some(1), ns, &[(Stage::Compute, ns)]);
+            ring.offer(Verb::Validate, Some(1), ns, &spans(&[(Stage::Compute, ns)]));
         }
         let worst: Vec<u64> = ring.worst().iter().map(|r| r.total_ns).collect();
         assert_eq!(worst, vec![60, 50, 40]);
         // the floor filters anything at or below the retained minimum
-        ring.offer(Verb::Validate, None, 40, &[]);
+        ring.offer(Verb::Validate, None, 40, &spans(&[]));
         assert_eq!(ring.worst().len(), 3);
         assert_eq!(ring.worst()[2].total_ns, 40);
         // spans and verb labels survive into the retained entry
@@ -898,13 +1026,16 @@ mod tests {
     #[test]
     fn slow_text_lists_worst_first_with_stage_breakdown() {
         let telemetry = Telemetry::new();
-        telemetry.offer_slow(
+        telemetry.slow().offer(
             Verb::Mutate,
             Some(3),
             5_000,
-            &[(Stage::Compute, 1_000), (Stage::WalAppend, 4_000)],
+            &spans(&[(Stage::Compute, 1_000), (Stage::WalAppend, 4_000)]),
         );
-        telemetry.offer_slow(Verb::Validate, None, 9_000, &[(Stage::Compute, 9_000)]);
+        let compute = spans(&[(Stage::Compute, 9_000)]);
+        telemetry
+            .slow()
+            .offer(Verb::Validate, None, 9_000, &compute);
         let text = telemetry.slow_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], format!("slow-requests\t2\t{SLOW_RING_CAP}"));
@@ -913,6 +1044,45 @@ mod tests {
             lines[2],
             "slow\tmutate\t5000\t3\tcompute=1000;wal_append=4000"
         );
+    }
+
+    #[test]
+    fn trace_spans_sum_to_the_total_and_reach_every_registry() {
+        let (verbs, telemetry) = (<[Histogram; VERBS.len()]>::default(), Telemetry::new());
+        let mut trace = Trace::start(Verb::Mutate);
+        trace.enter(Stage::Compute);
+        std::thread::sleep(Duration::from_millis(2));
+        trace.enter(Stage::WalAppend);
+        std::thread::sleep(Duration::from_millis(1));
+        // an fsync measured inside the append moves out of its span
+        trace.carve(Stage::Fsync, 500_000);
+        trace.leave();
+        std::thread::sleep(Duration::from_millis(1));
+        trace.enter(Stage::SnapshotPublish);
+        let total = trace.finish(&verbs, &telemetry, Some(9));
+
+        let request = &telemetry.slow().worst()[0];
+        assert_eq!(
+            (request.verb, request.workflow, request.total_ns),
+            ("mutate", Some(9), total)
+        );
+        assert_eq!(request.spans.iter().map(|(_, ns)| ns).sum::<u64>(), total);
+        let span = |name| {
+            request
+                .spans
+                .iter()
+                .find(|(stage, _)| *stage == name)
+                .unwrap()
+                .1
+        };
+        assert!(span("compute") >= 2_000_000 && span("unattributed") >= 1_000_000);
+        assert!(span("wal_append") >= 500_000);
+        assert_eq!(span("fsync"), 500_000);
+        assert_eq!(verbs[Verb::Mutate.index()].snapshot().sum, total);
+        for stage in [Stage::Compute, Stage::WalAppend, Stage::Fsync] {
+            assert_eq!(telemetry.stage_snapshot(stage).count(), 1, "{stage:?}");
+        }
+        assert!(telemetry.stage_snapshot(Stage::Parse).is_empty());
     }
 
     #[test]
@@ -933,7 +1103,6 @@ mod tests {
             counters.snapshot(),
             vec![("degraded", 2), ("overloaded", 1)]
         );
-        assert_eq!(counters.total(), 3);
     }
 
     #[test]

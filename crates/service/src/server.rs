@@ -11,11 +11,12 @@
 //! One readiness pass of a loop reads every readable connection, splits off
 //! its complete frames (each bounded by [`crate::proto::MAX_FRAME_BYTES`])
 //! and answers them in order against the store, on the loop thread — no
-//! hand-off to another thread. Mutations defer their durability wait into
-//! one pass-wide [`DurabilityBarrier`], settled once per pass: from a
-//! connection's first mutation on, its answers are held until the settle,
-//! so acknowledged-after-durable holds and concurrent strict-fsync mutators
-//! on one loop share a group commit. Answers that owe no wait are written
+//! hand-off to another thread. Writes — registrations, mutations and
+//! corrections — defer their durability wait into one pass-wide
+//! [`DurabilityBarrier`], settled once per pass: from a connection's first
+//! write on, its answers are held until the settle, so
+//! acknowledged-after-durable holds and concurrent strict-fsync writers on
+//! one loop share a group commit. Answers that owe no wait are written
 //! before the settle. Each connection's answers of a pass leave in one
 //! coalesced `write`.
 //!
@@ -199,25 +200,27 @@ pub fn serve_with_store(
 }
 
 /// Answers one request against the store; the boolean asks the loop to
-/// begin server shutdown after replying. Mutations — also inside a `batch`
-/// — are applied and published, but their group-commit wait is folded into
-/// `barrier`: the caller MUST [`settle`] it before a response whose request
-/// folded an obligation leaves the server, which keeps the
-/// acknowledged-after-durable contract while every mutation of a readiness
-/// pass shares one wait.
+/// begin server shutdown after replying. Writes — registrations, mutations
+/// and corrections, also inside a `batch` — are committed and published,
+/// but their group-commit wait is folded into `barrier`: the caller MUST
+/// [`settle`] it before a response whose request folded an obligation
+/// leaves the server, which keeps the acknowledged-after-durable contract
+/// while every write of a readiness pass shares one wait.
 fn respond(
     store: &WorkflowStore,
     request: Request,
     barrier: &mut DurabilityBarrier,
 ) -> (Response, bool) {
     let response = match request {
-        Request::Register { payload } => store.register_text(&payload).map(Response::Registered),
+        Request::Register { payload } => store
+            .register_text_deferred(&payload)
+            .map(|written| Response::Registered(barrier.carry(written))),
         Request::Validate { workflow, version } => {
             store.validate(workflow, version).map(Response::Verdict)
         }
-        Request::Correct { workflow, strategy } => {
-            store.correct(workflow, strategy).map(Response::Corrected)
-        }
+        Request::Correct { workflow, strategy } => store
+            .correct_deferred(workflow, strategy)
+            .map(|written| Response::Corrected(barrier.carry(written))),
         Request::Provenance { workflow, subject } => store
             .provenance(workflow, &subject)
             .map(Response::Provenance),
@@ -227,10 +230,7 @@ fn respond(
             expect,
         } => store
             .mutate_deferred(workflow, op, expect)
-            .map(|(mutated, ticket)| {
-                barrier.fold(ticket);
-                Response::Mutated(mutated)
-            }),
+            .map(|written| Response::Mutated(barrier.carry(written))),
         Request::Export { workflow } => store.export(workflow).map(Response::Exported),
         Request::Snapshot => store.snapshot_all().map(Response::Snapshotted),
         Request::Epoch { workflow } => store
@@ -283,9 +283,10 @@ fn respond(
 }
 
 /// Settles a readiness pass's shared durability barrier. On a fsync failure
-/// every mutation outcome in `responses` is replaced with the error: none of
-/// those records is power-loss durable yet, so none may be acknowledged as
-/// applied (the records stay staged, so a later group commit retries them).
+/// every write outcome in `responses` — a registration, mutation or
+/// correction — is replaced with the error: none of those records is
+/// power-loss durable yet, so none may be acknowledged as applied (the
+/// records stay staged, so a later group commit retries them).
 fn settle<'a>(
     store: &WorkflowStore,
     barrier: &DurabilityBarrier,
@@ -299,7 +300,9 @@ fn settle<'a>(
         let wire = e.to_wire();
         fn degrade(response: &mut Response, wire: &str) {
             match response {
-                Response::Mutated(_) => *response = Response::Error(wire.to_owned()),
+                Response::Registered(_) | Response::Corrected(_) | Response::Mutated(_) => {
+                    *response = Response::Error(wire.to_owned());
+                }
                 Response::Batch(subs) => {
                     for sub in subs {
                         degrade(sub, wire);
@@ -689,7 +692,7 @@ mod engine {
                     break;
                 }
                 // one readiness pass: frames are answered inline and every
-                // mutation's durability wait folds into one barrier
+                // write's durability wait folds into one barrier
                 let mut barrier = DurabilityBarrier::default();
                 let mut stop = false;
                 for token in std::mem::take(&mut self.backlog) {
@@ -833,7 +836,7 @@ mod engine {
                     encode_frame(&mut conn.write_buf, &lines);
                 } else {
                     // counted for the budget; encoded again after the
-                    // settle, which may turn a mutation ack into an error
+                    // settle, which may turn a write ack into an error
                     conn.held += lines.iter().map(|line| line.len() + 2).sum::<usize>() + 2;
                     held.push((token, response));
                 }

@@ -50,9 +50,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use wolves_graph::DirtyRows;
 
 use wolves_core::correct::{correct_view, Strategy};
@@ -71,8 +71,8 @@ use wolves_workflow::{
 use crate::epoch::SnapshotCell;
 use crate::error::ServiceError;
 use crate::obs::{
-    duration_ns, seconds, write_sample, HistogramSnapshot, ServerGauges, Stage, Telemetry, Verb,
-    VerbTimers, STAGES, VERBS,
+    Histogram, HistogramSnapshot, Scrape, ServerGauges, ShardCounters, Stage, Telemetry, Trace,
+    Verb, MUTATION_CLASSES, STAGES, VERBS,
 };
 use crate::poll::Waker;
 use crate::proto::{
@@ -97,7 +97,7 @@ impl fmt::Display for WorkflowId {
     }
 }
 
-/// The durability obligation of one deferred mutation: which shard's WAL
+/// The durability obligation of one deferred write: which shard's WAL
 /// holds its record and the group-commit ticket that must be covered by a
 /// fsync before the outcome may be acknowledged. The default (zero) ticket
 /// means nothing is owed — the backend's fsync policy needed no wait.
@@ -117,7 +117,7 @@ pub struct DurabilityBarrier {
 }
 
 impl DurabilityBarrier {
-    /// Folds one deferred mutation's obligation into the barrier.
+    /// Folds one deferred write's obligation into the barrier.
     pub fn fold(&mut self, ticket: DurabilityTicket) {
         if ticket.ticket == 0 {
             return;
@@ -127,6 +127,13 @@ impl DurabilityBarrier {
             Some((_, high)) => *high = (*high).max(ticket.ticket),
             None => self.pending.push((ticket.shard, ticket.ticket)),
         }
+    }
+
+    /// Folds a deferred write's obligation into the barrier and hands back
+    /// its outcome.
+    pub(crate) fn carry<T>(&mut self, (outcome, ticket): (T, DurabilityTicket)) -> T {
+        self.fold(ticket);
+        outcome
     }
 
     /// True when nothing is owed — [`WorkflowStore::await_durability`]
@@ -243,32 +250,22 @@ struct ShardMetrics {
     composite_misses: AtomicU64,
     requests: AtomicU64,
     dropped_watchers: AtomicU64,
-    /// Applied mutations by delta class (the maintenance taxonomy), exposed
-    /// as `wolves_mutations_total{class=...}` — the observable proof that
-    /// removals run decrementally instead of falling back to structural
-    /// rebuilds.
-    mutations_monotone: AtomicU64,
-    mutations_local: AtomicU64,
-    mutations_decremental: AtomicU64,
-    mutations_structural: AtomicU64,
-    mutations_view_edit: AtomicU64,
-    /// Per-verb latency histograms; the `stats` wire field `validate_ns`
-    /// is derived from the validate histogram's sum (the old lossy summed
-    /// counter is gone).
-    verbs: VerbTimers,
+    /// Applied mutations per delta class, in [`MUTATION_CLASSES`] order —
+    /// the observable proof that removals run decrementally instead of
+    /// falling back to structural rebuilds.
+    mutations: [AtomicU64; MUTATION_CLASSES.len()],
+    /// Per-verb latency histograms, indexed like [`VERBS`]; the `stats`
+    /// wire field `validate_ns` is the validate histogram's sum.
+    verbs: [Histogram; VERBS.len()],
 }
 
 impl ShardMetrics {
-    /// Bumps the counter matching one applied mutation's delta-class name.
+    /// Bumps the counter matching one applied mutation's delta-class name;
+    /// an unknown class counts as the conservative structural rebuild.
     fn record_mutation_class(&self, class: &str) {
-        let counter = match class {
-            "monotone-safe" => &self.mutations_monotone,
-            "local-rebuild" => &self.mutations_local,
-            "decremental" => &self.mutations_decremental,
-            "view-edit" => &self.mutations_view_edit,
-            _ => &self.mutations_structural,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        let position = |name: &str| MUTATION_CLASSES.iter().position(|&known| known == name);
+        let index = position(class).or_else(|| position("structural"));
+        self.mutations[index.unwrap_or_default()].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -333,6 +330,32 @@ impl Shard {
                 reason: reason.clone(),
             }),
             None => Ok(()),
+        }
+    }
+
+    /// The shard's counters at this instant — the one place `stats` and
+    /// the `metrics` exposition read them from.
+    fn counters(&self, index: usize) -> ShardCounters {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let metrics = &self.metrics;
+        let watchers = self.watchers.lock();
+        ShardCounters {
+            stat: ShardStat {
+                shard: index,
+                workflows: self.state.load().entries.len(),
+                validate_hits: load(&metrics.validate_hits),
+                validate_misses: load(&metrics.validate_misses),
+                composite_hits: load(&metrics.composite_hits),
+                composite_misses: load(&metrics.composite_misses),
+                validate_ns: metrics.verbs[Verb::Validate.index()].snapshot().sum,
+                requests: load(&metrics.requests),
+                snapshot_publishes: self.state.publish_count(),
+                active_watchers: watchers.len() as u64,
+                dropped_watchers: load(&metrics.dropped_watchers),
+            },
+            watch_queue_depth: watchers.iter().map(|watcher| load(&watcher.depth)).sum(),
+            mutations: std::array::from_fn(|index| load(&metrics.mutations[index])),
+            degraded: self.degraded.lock().is_some(),
         }
     }
 
@@ -565,18 +588,18 @@ impl WorkflowStore {
     /// Reports journal corruption, replay divergence and I/O failures.
     pub fn open(backend: Arc<dyn StorageBackend>) -> Result<(Self, RecoveryReport), ServiceError> {
         let store = Self::with_backend(Arc::clone(&backend));
-        let replay_start = Instant::now();
-        let journal = backend.take_journal()?;
         let mut report = RecoveryReport {
             shards: store.shards.len(),
             ..RecoveryReport::default()
         };
-        for (index, shard) in journal.into_iter().enumerate() {
-            store.replay_shard(index, shard, &mut report)?;
-        }
         store
             .telemetry
-            .set_recovery_replay_ns(duration_ns(replay_start.elapsed()));
+            .time_recovery(|| -> Result<(), ServiceError> {
+                for (index, shard) in backend.take_journal()?.into_iter().enumerate() {
+                    store.replay_shard(index, shard, &mut report)?;
+                }
+                Ok(())
+            })?;
         report.workflows = store
             .shards
             .iter()
@@ -589,15 +612,16 @@ impl WorkflowStore {
         Ok((store, report))
     }
 
-    /// Replays one shard's journal in append order.
+    /// Replays one shard's journal in append order. Replays commit without
+    /// a WAL record (the log already holds them) and without finishing
+    /// their traces (they are not served requests).
     fn replay_shard(
         &self,
         index: usize,
         journal: ShardJournal,
         report: &mut RecoveryReport,
     ) -> Result<(), ServiceError> {
-        let mut note_entries = 0usize;
-        let mut note_records = 0usize;
+        let (note_entries, note_records) = (journal.entries.len(), journal.records.len());
         if journal.torn_bytes > 0 {
             report.torn_tails += 1;
             report.notes.push(format!(
@@ -607,10 +631,8 @@ impl WorkflowStore {
         }
         for entry in journal.entries {
             self.install_entry(entry)?;
-            note_entries += 1;
         }
         for record in journal.records {
-            note_records += 1;
             match record {
                 WalRecord::Register { id, entry } => {
                     if entry.id != id {
@@ -627,15 +649,23 @@ impl WorkflowStore {
                     op,
                     deltas,
                 } => {
-                    let (mutated, replayed_deltas, _) =
-                        self.mutate_inner(WorkflowId(id), op, false, None, false)?;
-                    if mutated.epoch != epoch || replayed_deltas != deltas {
+                    let mut trace = Trace::start(Verb::Mutate);
+                    let Applied {
+                        index: shard,
+                        guard,
+                        next,
+                        mutated,
+                        deltas: replayed,
+                        ..
+                    } = self.apply(WorkflowId(id), &op, None, &mut trace)?;
+                    if mutated.epoch != epoch || replayed != deltas {
                         return Err(ServiceError::Recovery(format!(
                             "replay diverged on workflow {id}: logged epoch {epoch}, \
                              replayed epoch {}",
                             mutated.epoch
                         )));
                     }
+                    self.commit(shard, guard, next, None, None, &mut trace)?;
                 }
                 WalRecord::Correct {
                     id,
@@ -683,9 +713,9 @@ impl WorkflowStore {
             epoch: snapshot.epoch,
             seq: snapshot.seq,
         };
-        let id = WorkflowId(snapshot.id);
-        let shard = self.shard_of(id);
-        let _guard = shard.mutator.lock();
+        let index = self.shard_index_of(WorkflowId(snapshot.id));
+        let shard = &self.shards[index];
+        let guard = shard.mutator.lock();
         let mut next = shard.state.load();
         if Arc::make_mut(&mut next)
             .entries
@@ -698,7 +728,8 @@ impl WorkflowStore {
                 snapshot.id
             )));
         }
-        shard.state.publish(next);
+        let mut trace = Trace::start(Verb::Register);
+        self.commit(index, guard, next, None, None, &mut trace)?;
         self.next_id.fetch_max(snapshot.id, Ordering::Relaxed);
         Ok(())
     }
@@ -715,11 +746,11 @@ impl WorkflowStore {
     ) -> Result<(), ServiceError> {
         let recover = |e: wolves_workflow::WorkflowError| ServiceError::Recovery(e.to_string());
         let view = view_from_lines(view_lines).map_err(recover)?;
-        let shard = self.shard_of(WorkflowId(id));
-        let _guard = shard.mutator.lock();
+        let index = self.shard_index_of(WorkflowId(id));
+        let shard = &self.shards[index];
+        let guard = shard.mutator.lock();
         let mut next = shard.state.load();
-        let state = Arc::make_mut(&mut next);
-        let entry = state
+        let entry = Arc::make_mut(&mut next)
             .entries
             .get_mut(&id)
             .ok_or(ServiceError::UnknownWorkflow(WorkflowId(id)))?;
@@ -734,17 +765,14 @@ impl WorkflowStore {
         entry.views.push(StoredView::new(view));
         entry.current = version;
         entry.seq += 1;
-        let seq = entry.seq;
         let event = shard.has_watcher_for(id).then(|| WatchEvent::Corrected {
             workflow: WorkflowId(id),
-            seq,
+            seq: entry.seq,
             version,
             view_lines: view_lines.to_vec(),
         });
-        shard.state.publish(next);
-        if let Some(event) = event {
-            shard.fan_out(&event);
-        }
+        let mut trace = Trace::start(Verb::Correct);
+        self.commit(index, guard, next, None, event, &mut trace)?;
         Ok(())
     }
 
@@ -800,19 +828,54 @@ impl WorkflowStore {
         spec: WorkflowSpec,
         view: Option<WorkflowView>,
     ) -> Result<WorkflowId, ServiceError> {
-        let start = Instant::now();
-        let persist = |e: wolves_workflow::WorkflowError| ServiceError::Persistence(e.to_string());
-        if self.backend.durable() {
+        self.acknowledge(self.register_traced(spec, view, Trace::start(Verb::Register))?)
+    }
+
+    /// Registers a workflow from a native text-format payload.
+    ///
+    /// # Errors
+    /// Reports payloads that do not parse as the text format, and
+    /// persistence failures on durable backends.
+    pub fn register_text(&self, payload: &str) -> Result<WorkflowId, ServiceError> {
+        self.acknowledge(self.register_text_deferred(payload)?)
+    }
+
+    /// [`WorkflowStore::register_text`] with the durability wait deferred,
+    /// like [`WorkflowStore::mutate_deferred`]: the returned ticket must be
+    /// settled before the id is acknowledged.
+    pub(crate) fn register_text_deferred(
+        &self,
+        payload: &str,
+    ) -> Result<(WorkflowId, DurabilityTicket), ServiceError> {
+        let mut trace = Trace::start(Verb::Register);
+        trace.enter(Stage::Parse);
+        let imported = read_text_format(payload)?;
+        self.register_traced(imported.spec, imported.view, trace)
+    }
+
+    /// Registers and commits one workflow, finishing its trace. The spec's
+    /// reachability matrix is primed here, outside any lock, so every later
+    /// request shares the already-built matrix.
+    fn register_traced(
+        &self,
+        spec: WorkflowSpec,
+        view: Option<WorkflowView>,
+        mut trace: Trace,
+    ) -> Result<(WorkflowId, DurabilityTicket), ServiceError> {
+        let durable = self.backend.durable();
+        if durable {
             // refuse names the line format cannot carry before anything is
             // allocated or written
+            let persist =
+                |e: wolves_workflow::WorkflowError| ServiceError::Persistence(e.to_string());
             check_spec_serialisable(&spec).map_err(persist)?;
             if let Some(view) = &view {
                 check_view_serialisable(view).map_err(persist)?;
             }
         }
-        let compute_start = Instant::now();
+        trace.enter(Stage::Compute);
         let _ = spec.reachability();
-        let compute_ns = duration_ns(compute_start.elapsed());
+        trace.leave();
         let id = WorkflowId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
         let entry = Entry {
             logged_epoch: spec.epoch(),
@@ -824,7 +887,7 @@ impl WorkflowStore {
         };
         // the in-memory backend keeps its zero-cost contract: no snapshot
         // serialisation, no record building
-        let record = self.backend.durable().then(|| WalRecord::Register {
+        let record = durable.then(|| WalRecord::Register {
             id: id.0,
             entry: entry.snapshot(id.0),
         });
@@ -835,24 +898,45 @@ impl WorkflowStore {
         shard.writable(index)?;
         let mut next = shard.state.load();
         Arc::make_mut(&mut next).entries.insert(id.0, entry);
+        let ticket = self.commit(index, guard, next, record, None, &mut trace)?;
+        self.finish(trace, id);
+        Ok((id, ticket))
+    }
+
+    /// The one commit path of every write, recovery and replica installs
+    /// included: under the shard's mutator it appends `record` to the WAL,
+    /// publishes `next`, fans `event` out and compacts the log when the
+    /// backend asks, then releases the mutator. Appending first keeps the
+    /// log order the store order, and no subscriber ever holds an event the
+    /// log misses. A failed append is rescued with a snapshot of `next`; if
+    /// that fails too, nothing is published and the shard degrades to
+    /// read-only. Returns the durability obligation the caller settles,
+    /// with the mutator released, before acknowledging the write.
+    fn commit(
+        &self,
+        index: usize,
+        guard: MutexGuard<'_, ()>,
+        next: Arc<ShardState>,
+        record: Option<WalRecord>,
+        event: Option<WatchEvent>,
+        trace: &mut Trace,
+    ) -> Result<DurabilityTicket, ServiceError> {
+        let shard = &self.shards[index];
+        let mut ticket = DurabilityTicket {
+            shard: index,
+            ticket: 0,
+        };
         let mut wants_snapshot = false;
-        let mut append_ns = 0u64;
-        let mut fsync_ns = 0u64;
-        let mut ticket = 0u64;
         if let Some(record) = record {
-            let append_start = Instant::now();
+            trace.enter(Stage::WalAppend);
             match self.backend.append(index, &record) {
                 Ok(outcome) => {
+                    trace.carve(Stage::Fsync, outcome.fsync_ns);
                     wants_snapshot = outcome.wants_snapshot;
-                    fsync_ns = outcome.fsync_ns;
-                    ticket = outcome.ticket;
-                    append_ns = duration_ns(append_start.elapsed()).saturating_sub(fsync_ns);
+                    ticket.ticket = outcome.ticket;
                 }
-                // self-heal a failed append with a full snapshot of the
-                // *next* state (rotation supersedes the damaged segment);
-                // a double failure rolls back by dropping the unpublished
-                // clone — neither memory nor disk saw the registration —
-                // and degrades the shard to read-only
+                // self-heal: a snapshot of the next state rotates past the
+                // damaged segment; on a double failure nothing is published
                 Err(e) => {
                     if let Err(rescue) = self.snapshot_shard(index, &next.entries) {
                         return Err(self.degrade(index, shard, &e, &rescue));
@@ -860,43 +944,39 @@ impl WorkflowStore {
                 }
             }
         }
-        let publish_start = Instant::now();
+        // the commit point: readers switch to the next state here
+        trace.enter(Stage::SnapshotPublish);
         shard.state.publish(Arc::clone(&next));
-        let publish_ns = duration_ns(publish_start.elapsed());
+        if let Some(event) = event {
+            // after the publish: an event's reader-visible state is never
+            // behind the event
+            trace.enter(Stage::WatchFanout);
+            shard.fan_out(&event);
+        }
+        trace.leave();
         if wants_snapshot {
+            // a compaction failure leaves memory and WAL committed; the
+            // caller learns durable compaction is behind
             self.snapshot_shard(index, &next.entries)?;
         }
-        // group commit: wait for durability with the mutator mutex released
-        // so concurrent writers can publish into the same fsync
         drop(guard);
-        if ticket > 0 {
-            fsync_ns = fsync_ns.max(self.backend.wait_durable(index, ticket)?);
-        }
-        let spans = [
-            (Stage::Compute, compute_ns),
-            (Stage::WalAppend, append_ns),
-            (Stage::Fsync, fsync_ns),
-            (Stage::SnapshotPublish, publish_ns),
-        ];
-        let total_ns = duration_ns(start.elapsed());
-        shard.metrics.verbs.record(Verb::Register, total_ns);
-        self.telemetry.record_spans(&spans);
-        self.telemetry
-            .offer_slow(Verb::Register, Some(id.0), total_ns, &spans);
-        Ok(id)
+        Ok(ticket)
     }
 
-    /// Registers a workflow from a native text-format payload.
-    ///
-    /// # Errors
-    /// Reports payloads that do not parse as the text format, and
-    /// persistence failures on durable backends.
-    pub fn register_text(&self, payload: &str) -> Result<WorkflowId, ServiceError> {
-        let parse_start = Instant::now();
-        let imported = read_text_format(payload)?;
-        self.telemetry
-            .stage(Stage::Parse, duration_ns(parse_start.elapsed()));
-        self.try_register(imported.spec, imported.view)
+    /// The synchronous tail of a write: settles its durability obligation
+    /// through [`WorkflowStore::await_durability`], then hands back its
+    /// outcome.
+    fn acknowledge<T>(&self, (outcome, ticket): (T, DurabilityTicket)) -> Result<T, ServiceError> {
+        let mut barrier = DurabilityBarrier::default();
+        barrier.fold(ticket);
+        self.await_durability(&barrier)?;
+        Ok(outcome)
+    }
+
+    /// Finishes one request's trace under its workflow's shard.
+    fn finish(&self, trace: Trace, id: WorkflowId) {
+        let verbs = &self.shard_of(id).metrics.verbs;
+        trace.finish(verbs, &self.telemetry, Some(id.0));
     }
 
     /// Writes a snapshot of one shard through the backend (the caller holds
@@ -937,12 +1017,8 @@ impl WorkflowStore {
     /// Indices of the shards currently degraded (read-only).
     #[must_use]
     pub fn degraded_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, shard)| shard.degraded.lock().is_some())
-            .map(|(index, _)| index)
-            .collect()
+        let degraded = self.counters().filter(|counters| counters.degraded);
+        degraded.map(|counters| counters.stat.shard).collect()
     }
 
     /// Attempts to re-open writes on every degraded shard: under the
@@ -1005,7 +1081,7 @@ impl WorkflowStore {
     /// # Errors
     /// Reports unknown workflows.
     pub fn export(&self, id: WorkflowId) -> Result<String, ServiceError> {
-        let start = Instant::now();
+        let trace = Trace::start(Verb::Export);
         let shard = self.shard_of(id);
         shard.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let state = shard.state.load();
@@ -1015,10 +1091,7 @@ impl WorkflowStore {
             .ok_or(ServiceError::UnknownWorkflow(id))?;
         let view = entry.views.get(entry.current).map(|stored| &*stored.view);
         let payload = write_text_format(&entry.spec, view);
-        shard
-            .metrics
-            .verbs
-            .record(Verb::Export, duration_ns(start.elapsed()));
+        trace.finish(&shard.metrics.verbs, &self.telemetry, Some(id.0));
         Ok(payload)
     }
 
@@ -1066,12 +1139,12 @@ impl WorkflowStore {
         id: WorkflowId,
         version: Option<usize>,
     ) -> Result<Verdict, ServiceError> {
-        let start = Instant::now();
+        let mut trace = Trace::start(Verb::Validate);
+        trace.enter(Stage::CacheLookup);
         let (spec, stored, index, epoch) = self.snapshot(id, version)?;
         let view = Arc::clone(&stored.view);
         let mut computed = 0u64;
         let mut served = 0u64;
-        let mut compute_ns = 0u64;
         let mut unsound = Vec::new();
         for (composite_id, composite) in view.composites() {
             let cell = {
@@ -1103,9 +1176,9 @@ impl WorkflowStore {
             let mut ran = false;
             let summary = cell.get_or_init(|| {
                 ran = true;
-                let compute_start = Instant::now();
+                trace.enter(Stage::Compute);
                 let sound = soundness_verdict(&spec, composite.members()).is_sound();
-                compute_ns += duration_ns(compute_start.elapsed());
+                trace.enter(Stage::CacheLookup);
                 CompositeSummary {
                     sound,
                     name: composite.name.clone(),
@@ -1120,6 +1193,7 @@ impl WorkflowStore {
                 unsound.push(summary.name.clone());
             }
         }
+        trace.leave();
         let cached = computed == 0;
         let metrics = &self.shard_of(id).metrics;
         if cached {
@@ -1131,17 +1205,7 @@ impl WorkflowStore {
         metrics
             .composite_misses
             .fetch_add(computed, Ordering::Relaxed);
-        let total_ns = duration_ns(start.elapsed());
-        // everything that is not verdict computation is cache traffic:
-        // snapshot load, per-composite cell lookups, re-tag checks
-        let spans = [
-            (Stage::CacheLookup, total_ns.saturating_sub(compute_ns)),
-            (Stage::Compute, compute_ns),
-        ];
-        metrics.verbs.record(Verb::Validate, total_ns);
-        self.telemetry.record_spans(&spans);
-        self.telemetry
-            .offer_slow(Verb::Validate, Some(id.0), total_ns, &spans);
+        trace.finish(&metrics.verbs, &self.telemetry, Some(id.0));
         Ok(Verdict {
             sound: unsound.is_empty(),
             version: index,
@@ -1189,8 +1253,7 @@ impl WorkflowStore {
         op: MutateOp,
         expect: Option<u64>,
     ) -> Result<Mutated, ServiceError> {
-        self.mutate_inner(id, op, true, expect, false)
-            .map(|(mutated, _, _)| mutated)
+        self.acknowledge(self.mutate_deferred(id, op, expect)?)
     }
 
     /// [`WorkflowStore::mutate_cas`] with the durability wait *deferred*:
@@ -1211,60 +1274,96 @@ impl WorkflowStore {
         op: MutateOp,
         expect: Option<u64>,
     ) -> Result<(Mutated, DurabilityTicket), ServiceError> {
-        self.mutate_inner(id, op, true, expect, true)
-            .map(|(mutated, _, ticket)| (mutated, ticket))
+        let (mutated, _, ticket) = self.mutate_inner(id, op, expect)?;
+        Ok((mutated, ticket))
     }
 
     /// Blocks until every obligation folded into `barrier` is on stable
-    /// storage (per the backend's fsync policy). Returns the observed wait
-    /// in nanoseconds. A no-op for empty barriers and non-strict policies.
+    /// storage (per the backend's fsync policy) and records the wait under
+    /// the `fsync` stage. Returns the observed wait in nanoseconds. A no-op
+    /// for empty barriers and non-strict policies.
     ///
     /// # Errors
-    /// Propagates the backend's fsync failure: the covered mutations are
+    /// Propagates the backend's fsync failure: the covered writes are
     /// published in memory but not yet power-loss durable.
     pub fn await_durability(&self, barrier: &DurabilityBarrier) -> Result<u64, ServiceError> {
-        let mut fsync_ns = 0u64;
+        let mut waited = 0u64;
         for &(shard, ticket) in &barrier.pending {
-            fsync_ns = fsync_ns.max(self.backend.wait_durable(shard, ticket)?);
+            waited = waited.max(self.backend.wait_durable(shard, ticket)?);
         }
-        Ok(fsync_ns)
+        if waited > 0 {
+            self.telemetry.stage(Stage::Fsync, waited);
+        }
+        Ok(waited)
     }
 
-    /// [`WorkflowStore::mutate`] with recording control: recovery replays
-    /// logged ops through this path with `record` off (re-appending them
-    /// would duplicate the log). Returns the consumed spec deltas alongside
-    /// the outcome so replay can cross-check them against the record.
+    /// Applies, logs and commits one mutation, finishing its trace.
+    /// Returns the consumed spec deltas alongside the outcome so a replica
+    /// can cross-check them against the event it replays.
     fn mutate_inner(
         &self,
         id: WorkflowId,
         op: MutateOp,
-        record: bool,
         expect: Option<u64>,
-        defer: bool,
     ) -> Result<(Mutated, Vec<SpecDelta>, DurabilityTicket), ServiceError> {
-        let start = Instant::now();
+        let mut trace = Trace::start(Verb::Mutate);
         let durable = self.backend.durable();
-        if durable && record {
+        if durable {
             // refuse names the single-line WAL/wire grammar cannot carry
-            // before anything is applied (replayed ops were checked when
-            // they were first logged)
+            // before anything is applied
             check_op_serialisable(&op)?;
         }
+        let Applied {
+            index,
+            guard,
+            next,
+            mutated,
+            seq,
+            deltas,
+            watched,
+        } = self.apply(id, &op, expect, &mut trace)?;
+        // the bare in-memory path builds neither: no record, no event, no
+        // op clone
+        let event = watched.then(|| WatchEvent::Mutated {
+            workflow: id,
+            seq,
+            op: op.clone(),
+            outcome: mutated.clone(),
+            deltas: deltas.clone(),
+        });
+        let record = durable.then(|| WalRecord::Mutate {
+            id: id.0,
+            epoch: mutated.epoch,
+            op,
+            deltas: deltas.clone(),
+        });
+        let ticket = self.commit(index, guard, next, record, event, &mut trace)?;
+        self.finish(trace, id);
+        Ok((mutated, deltas, ticket))
+    }
+
+    /// Applies one mutation to the next state of the workflow's shard,
+    /// with composite-granular cache invalidation: only the cached verdicts
+    /// whose composites the edit could have changed are dropped; the rest
+    /// are re-tagged to the new epoch and keep serving hits. The next state
+    /// is built copy-on-write, so an error return drops it unpublished and
+    /// readers stay on the untouched current snapshot.
+    fn apply(
+        &self,
+        id: WorkflowId,
+        op: &MutateOp,
+        expect: Option<u64>,
+        trace: &mut Trace,
+    ) -> Result<Applied<'_>, ServiceError> {
         let index = self.shard_index_of(id);
         let shard = &self.shards[index];
         shard.metrics.requests.fetch_add(1, Ordering::Relaxed);
         // serialise mutators; readers keep loading the published snapshot.
         // Watch registration also takes this mutex, so the watcher set
-        // observed here is exactly the set the fan-out below serves.
-        let mutator = shard.mutator.lock();
+        // observed here is exactly the set the commit's fan-out serves.
+        let guard = shard.mutator.lock();
         shard.writable(index)?;
-        let wants_event = record && shard.has_watcher_for(id.0);
-        // only durable recording and watch fan-out need the op after the
-        // apply-match consumes it; the bare in-memory path skips the clone
-        let logged_op = ((durable && record) || wants_event).then(|| op.clone());
-        // copy-on-write: build the next shard state off to the side; every
-        // error return below drops it unpublished, leaving readers on the
-        // untouched current snapshot
+        let watched = shard.has_watcher_for(id.0);
         let mut next = shard.state.load();
         let entry = Arc::make_mut(&mut next)
             .entries
@@ -1295,7 +1394,7 @@ impl WorkflowStore {
         // `truncate`: task-set edits rebase the workflow — older view
         // versions would no longer partition the tasks, so only the updated
         // current view survives.
-        let compute_start = Instant::now();
+        trace.enter(Stage::Compute);
         let (class, affected, provenance_survives, truncate) = match op {
             MutateOp::AddTask { name } => {
                 let spec = Arc::make_mut(&mut entry.spec);
@@ -1305,7 +1404,9 @@ impl WorkflowStore {
                 let task = report.task.expect("AddTask reports the created task");
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
-                let composite = view.add_composite(name, vec![task]).map_err(mutation)?;
+                let composite = view
+                    .add_composite(name.clone(), vec![task])
+                    .map_err(mutation)?;
                 (
                     report.class.name(),
                     Affected::Composites([composite].into_iter().collect()),
@@ -1314,7 +1415,7 @@ impl WorkflowStore {
                 )
             }
             MutateOp::RemoveTask { name } => {
-                let task = resolve_task(&entry.spec, &name)?;
+                let task = resolve_task(&entry.spec, name)?;
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
                 view.remove_member(task).map_err(mutation)?;
@@ -1325,8 +1426,8 @@ impl WorkflowStore {
                 (report.class.name(), Affected::All, false, true)
             }
             MutateOp::AddEdge { from, to } => {
-                let from = resolve_task(&entry.spec, &from)?;
-                let to = resolve_task(&entry.spec, &to)?;
+                let from = resolve_task(&entry.spec, from)?;
+                let to = resolve_task(&entry.spec, to)?;
                 let report = Arc::make_mut(&mut entry.spec)
                     .apply(SpecMutation::AddDependency { from, to })
                     .map_err(mutation)?;
@@ -1334,8 +1435,8 @@ impl WorkflowStore {
                 (report.class.name(), affected, internal, false)
             }
             MutateOp::RemoveEdge { from, to } => {
-                let from = resolve_task(&entry.spec, &from)?;
-                let to = resolve_task(&entry.spec, &to)?;
+                let from = resolve_task(&entry.spec, from)?;
+                let to = resolve_task(&entry.spec, to)?;
                 let report = Arc::make_mut(&mut entry.spec)
                     .apply(SpecMutation::RemoveDependency { from, to })
                     .map_err(mutation)?;
@@ -1350,7 +1451,7 @@ impl WorkflowStore {
             MutateOp::Split { composite, parts } => {
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
-                let target = composite_by_name(view, &composite)?;
+                let target = composite_by_name(view, composite)?;
                 let spec = &entry.spec;
                 let part_ids: Vec<Vec<TaskId>> = parts
                     .iter()
@@ -1375,7 +1476,8 @@ impl WorkflowStore {
                     .iter()
                     .map(|c| composite_by_name(view, c))
                     .collect::<Result<_, _>>()?;
-                view.merge_composites(&ids, name).map_err(mutation)?;
+                view.merge_composites(&ids, name.clone())
+                    .map_err(mutation)?;
                 (
                     "view-edit",
                     Affected::Composites(ids.into_iter().collect()),
@@ -1384,12 +1486,10 @@ impl WorkflowStore {
                 )
             }
         };
-
-        let compute_ns = duration_ns(compute_start.elapsed());
         shard.metrics.record_mutation_class(class);
         // the retag-or-drop pass over the cached verdicts is cache work,
         // not model computation
-        let lookup_start = Instant::now();
+        trace.enter(Stage::CacheLookup);
         let mutated = finish_mutation(
             entry,
             class,
@@ -1398,108 +1498,30 @@ impl WorkflowStore {
             truncate,
             new_epoch,
         );
-        let lookup_ns = duration_ns(lookup_start.elapsed());
-        // every change (mutations here, corrections below) bumps the
+        trace.leave();
+        // every change (mutations here, corrections too) bumps the
         // per-entry sequence number; watch subscribers use its contiguity
         // to prove the event stream is gap-free
         entry.seq += 1;
         let seq = entry.seq;
         // hand the new spec deltas to the write-ahead log and the watch
         // fan-out before the bounded delta log could evict them (the bare
-        // in-memory backend keeps its zero-cost contract: no delta
-        // collection, no record building)
-        let deltas = if durable || wants_event {
+        // in-memory backend collects none)
+        let deltas = if self.backend.durable() || watched {
             consume_deltas(entry)?
         } else {
             Vec::new()
         };
         entry.logged_epoch = entry.spec.epoch();
-        let mut wants_snapshot = false;
-        let mut append_ns = 0u64;
-        let mut fsync_ns = 0u64;
-        let mut ticket = 0u64;
-        if durable && record {
-            let wal_record = WalRecord::Mutate {
-                id: id.0,
-                epoch: mutated.epoch,
-                op: logged_op.clone().expect("cloned for the recording path"),
-                deltas: deltas.clone(),
-            };
-            let append_start = Instant::now();
-            match self.backend.append(index, &wal_record) {
-                Ok(outcome) => {
-                    wants_snapshot = outcome.wants_snapshot;
-                    fsync_ns = outcome.fsync_ns;
-                    ticket = outcome.ticket;
-                    append_ns = duration_ns(append_start.elapsed()).saturating_sub(fsync_ns);
-                }
-                // self-heal a failed append with a full snapshot of the
-                // *next* state (which rotates the log past the gap); if
-                // that fails too, nothing has been published — memory and
-                // durable state both still hold the pre-mutation snapshot
-                // — and the shard degrades to read-only
-                Err(e) => {
-                    if let Err(rescue) = self.snapshot_shard(index, &next.entries) {
-                        return Err(self.degrade(index, shard, &e, &rescue));
-                    }
-                }
-            }
-        }
-        // the commit point: readers switch to the mutated state here
-        let publish_start = Instant::now();
-        shard.state.publish(Arc::clone(&next));
-        let publish_ns = duration_ns(publish_start.elapsed());
-        let mut fanout_ns = 0u64;
-        if wants_event {
-            // after the WAL append (no subscriber ever holds an event the
-            // log misses) and after publish (an event's reader-visible
-            // state is never behind the event)
-            let fanout_start = Instant::now();
-            shard.fan_out(&WatchEvent::Mutated {
-                workflow: id,
-                seq,
-                op: logged_op.expect("cloned for the fan-out path"),
-                outcome: mutated.clone(),
-                deltas: deltas.clone(),
-            });
-            fanout_ns = duration_ns(fanout_start.elapsed());
-            shard.metrics.verbs.record(Verb::WatchFanout, fanout_ns);
-        }
-        if wants_snapshot {
-            // a snapshot failure here leaves memory and WAL committed; the
-            // caller learns durable compaction is behind
-            self.snapshot_shard(index, &next.entries)?;
-        }
-        // group commit: wait for durability with the mutator mutex released
-        // so concurrent writers can publish into the same fsync. A deferred
-        // caller skips the wait and carries the obligation out as a ticket
-        // (one barrier per pipelined batch instead of one wait per record).
-        drop(mutator);
-        let mut pending = DurabilityTicket::default();
-        if ticket > 0 {
-            if defer {
-                pending = DurabilityTicket {
-                    shard: index,
-                    ticket,
-                };
-            } else {
-                fsync_ns = fsync_ns.max(self.backend.wait_durable(index, ticket)?);
-            }
-        }
-        let spans = [
-            (Stage::CacheLookup, lookup_ns),
-            (Stage::Compute, compute_ns),
-            (Stage::WalAppend, append_ns),
-            (Stage::Fsync, fsync_ns),
-            (Stage::SnapshotPublish, publish_ns),
-            (Stage::WatchFanout, fanout_ns),
-        ];
-        let total_ns = duration_ns(start.elapsed());
-        shard.metrics.verbs.record(Verb::Mutate, total_ns);
-        self.telemetry.record_spans(&spans);
-        self.telemetry
-            .offer_slow(Verb::Mutate, Some(id.0), total_ns, &spans);
-        Ok((mutated, deltas, pending))
+        Ok(Applied {
+            index,
+            guard,
+            next,
+            mutated,
+            seq,
+            deltas,
+            watched,
+        })
     }
 
     /// Corrects the current view with `strategy`. When the view was unsound,
@@ -1508,24 +1530,26 @@ impl WorkflowStore {
     /// registry. The expensive correction runs outside the shard lock.
     ///
     /// # Errors
-    /// Reports unknown workflows and corrector failures.
+    /// Reports unknown workflows, corrector failures and, on durable
+    /// backends, persistence failures.
     pub fn correct(&self, id: WorkflowId, strategy: Strategy) -> Result<Corrected, ServiceError> {
-        let start = Instant::now();
-        let record_correct = |spans: &[(Stage, u64)]| {
-            let total_ns = duration_ns(start.elapsed());
-            self.shard_of(id)
-                .metrics
-                .verbs
-                .record(Verb::Correct, total_ns);
-            self.telemetry.record_spans(spans);
-            self.telemetry
-                .offer_slow(Verb::Correct, Some(id.0), total_ns, spans);
-        };
+        self.acknowledge(self.correct_deferred(id, strategy)?)
+    }
+
+    /// [`WorkflowStore::correct`] with the durability wait deferred, like
+    /// [`WorkflowStore::mutate_deferred`]: the returned ticket must be
+    /// settled before the correction is acknowledged.
+    pub(crate) fn correct_deferred(
+        &self,
+        id: WorkflowId,
+        strategy: Strategy,
+    ) -> Result<(Corrected, DurabilityTicket), ServiceError> {
+        let mut trace = Trace::start(Verb::Correct);
         let (spec, stored, index, epoch) = self.snapshot(id, None)?;
         let corrector = strategy.corrector();
-        let compute_start = Instant::now();
+        trace.enter(Stage::Compute);
         let (corrected, report) = correct_view(&spec, &stored.view, corrector.as_ref())?;
-        let compute_ns = duration_ns(compute_start.elapsed());
+        trace.leave();
         for correction in &report.corrections {
             if let Ok(original) = stored.view.composite(correction.original) {
                 let class = WorkloadClass::classify(&spec, original.members());
@@ -1541,112 +1565,64 @@ impl WorkflowStore {
                 );
             }
         }
-        if report.was_already_sound() {
-            record_correct(&[(Stage::Compute, compute_ns)]);
-            return Ok(Corrected {
-                version: index,
-                composites_before: report.composites_before,
-                composites_after: report.composites_after,
-                payload: write_text_format(&spec, Some(&stored.view)),
-            });
-        }
-        let payload = write_text_format(&spec, Some(&corrected));
-        let new_view = StoredView::new(corrected);
-        let shard_index = self.shard_index_of(id);
-        let shard = &self.shards[shard_index];
-        let mutator = shard.mutator.lock();
-        shard.writable(shard_index)?;
-        let wants_event = shard.has_watcher_for(id.0);
-        let mut next = shard.state.load();
-        let entry = Arc::make_mut(&mut next)
-            .entries
-            .get_mut(&id.0)
-            .ok_or(ServiceError::UnknownWorkflow(id))?;
-        if entry.current != index || entry.epoch != epoch {
-            // a concurrent correction or mutation already replaced the
-            // version we corrected; adopt the winner instead of appending
-            let winner = &entry.views[entry.current];
-            let adopted = Corrected {
-                version: entry.current,
-                composites_before: report.composites_before,
-                composites_after: winner.view.composite_count(),
-                payload: write_text_format(&entry.spec, Some(&winner.view)),
-            };
-            record_correct(&[(Stage::Compute, compute_ns)]);
-            return Ok(adopted);
-        }
-        let view_lines =
-            (self.backend.durable() || wants_event).then(|| view_to_lines(&new_view.view));
-        entry.views.push(new_view);
-        entry.current = entry.views.len() - 1;
-        entry.seq += 1;
-        let seq = entry.seq;
-        let version = entry.current;
-        let mut wants_snapshot = false;
-        let mut append_ns = 0u64;
-        let mut fsync_ns = 0u64;
-        let mut ticket = 0u64;
-        if self.backend.durable() {
-            let record = WalRecord::Correct {
-                id: id.0,
-                version,
-                view_lines: view_lines.clone().expect("collected for the durable path"),
-            };
-            let append_start = Instant::now();
-            match self.backend.append(shard_index, &record) {
-                Ok(outcome) => {
-                    wants_snapshot = outcome.wants_snapshot;
-                    fsync_ns = outcome.fsync_ns;
-                    ticket = outcome.ticket;
-                    append_ns = duration_ns(append_start.elapsed()).saturating_sub(fsync_ns);
-                }
-                // self-heal before publish, as in `mutate_inner`: on a
-                // double failure nothing is published, memory rolls back
-                // and the shard degrades to read-only
-                Err(e) => {
-                    if let Err(rescue) = self.snapshot_shard(shard_index, &next.entries) {
-                        return Err(self.degrade(shard_index, shard, &e, &rescue));
-                    }
-                }
+        let answer = |version: usize, view: &WorkflowView, spec: &WorkflowSpec| Corrected {
+            version,
+            composites_before: report.composites_before,
+            composites_after: view.composite_count(),
+            payload: write_text_format(spec, Some(view)),
+        };
+        let written = 'commit: {
+            if report.was_already_sound() {
+                break 'commit (
+                    answer(index, &stored.view, &spec),
+                    DurabilityTicket::default(),
+                );
             }
-        }
-        let publish_start = Instant::now();
-        shard.state.publish(Arc::clone(&next));
-        let publish_ns = duration_ns(publish_start.elapsed());
-        let mut fanout_ns = 0u64;
-        if wants_event {
-            let fanout_start = Instant::now();
-            shard.fan_out(&WatchEvent::Corrected {
+            // rendered outside the shard lock; the version is set below
+            let mut committed = answer(0, &corrected, &spec);
+            let durable = self.backend.durable();
+            let shard_index = self.shard_index_of(id);
+            let shard = &self.shards[shard_index];
+            let guard = shard.mutator.lock();
+            shard.writable(shard_index)?;
+            let watched = shard.has_watcher_for(id.0);
+            let mut next = shard.state.load();
+            let entry = Arc::make_mut(&mut next)
+                .entries
+                .get_mut(&id.0)
+                .ok_or(ServiceError::UnknownWorkflow(id))?;
+            if entry.current != index || entry.epoch != epoch {
+                // a concurrent correction or mutation already replaced the
+                // version we corrected; adopt the winner instead of appending
+                let winner = answer(entry.current, &entry.views[entry.current].view, &entry.spec);
+                break 'commit (winner, DurabilityTicket::default());
+            }
+            let view_lines = if durable || watched {
+                view_to_lines(&corrected)
+            } else {
+                Vec::new()
+            };
+            entry.views.push(StoredView::new(corrected));
+            entry.current = entry.views.len() - 1;
+            entry.seq += 1;
+            let (seq, version) = (entry.seq, entry.current);
+            let event = watched.then(|| WatchEvent::Corrected {
                 workflow: id,
                 seq,
                 version,
-                view_lines: view_lines.expect("collected for the fan-out path"),
+                view_lines: view_lines.clone(),
             });
-            fanout_ns = duration_ns(fanout_start.elapsed());
-            shard.metrics.verbs.record(Verb::WatchFanout, fanout_ns);
-        }
-        if wants_snapshot {
-            self.snapshot_shard(shard_index, &next.entries)?;
-        }
-        // group commit: wait for durability with the mutator mutex released
-        // so concurrent writers can publish into the same fsync
-        drop(mutator);
-        if ticket > 0 {
-            fsync_ns = fsync_ns.max(self.backend.wait_durable(shard_index, ticket)?);
-        }
-        record_correct(&[
-            (Stage::Compute, compute_ns),
-            (Stage::WalAppend, append_ns),
-            (Stage::Fsync, fsync_ns),
-            (Stage::SnapshotPublish, publish_ns),
-            (Stage::WatchFanout, fanout_ns),
-        ]);
-        Ok(Corrected {
-            version,
-            composites_before: report.composites_before,
-            composites_after: report.composites_after,
-            payload,
-        })
+            let record = durable.then_some(WalRecord::Correct {
+                id: id.0,
+                version,
+                view_lines,
+            });
+            committed.version = version;
+            let ticket = self.commit(shard_index, guard, next, record, event, &mut trace)?;
+            (committed, ticket)
+        };
+        self.finish(trace, id);
+        Ok(written)
     }
 
     /// Answers a view-level provenance query for the named task through the
@@ -1662,8 +1638,8 @@ impl WorkflowStore {
     /// # Errors
     /// Reports unknown workflows and task names.
     pub fn provenance(&self, id: WorkflowId, subject: &str) -> Result<Vec<String>, ServiceError> {
-        let start = Instant::now();
-        let mut compute_ns = 0u64;
+        let mut trace = Trace::start(Verb::Provenance);
+        trace.enter(Stage::CacheLookup);
         let (spec, stored, _, epoch) = self.snapshot(id, None)?;
         let task = spec
             .task_by_name(subject)
@@ -1677,9 +1653,9 @@ impl WorkflowStore {
         let index = match cached {
             Some(index) => index,
             None => {
-                let compute_start = Instant::now();
+                trace.enter(Stage::Compute);
                 let built = Arc::new(ViewProvenanceIndex::new(&spec, &stored.view));
-                compute_ns = duration_ns(compute_start.elapsed());
+                trace.enter(Stage::CacheLookup);
                 let mut slot = stored.provenance.write();
                 match slot.as_ref() {
                     // don't clobber an index a fresher epoch already cached
@@ -1689,55 +1665,30 @@ impl WorkflowStore {
                 built
             }
         };
+        trace.enter(Stage::Compute);
         let answer = index.provenance(&stored.view, task);
         let names = answer
             .tasks
             .iter()
             .filter_map(|&t| spec.task(t).ok().map(|task| task.name.clone()))
             .collect();
-        let total_ns = duration_ns(start.elapsed());
-        let spans = [
-            (Stage::CacheLookup, total_ns.saturating_sub(compute_ns)),
-            (Stage::Compute, compute_ns),
-        ];
-        self.shard_of(id)
-            .metrics
-            .verbs
-            .record(Verb::Provenance, total_ns);
-        self.telemetry.record_spans(&spans);
-        self.telemetry
-            .offer_slow(Verb::Provenance, Some(id.0), total_ns, &spans);
+        self.finish(trace, id);
         Ok(names)
     }
 
     /// Snapshot of the per-shard serving counters.
     #[must_use]
     pub fn stats(&self) -> StatsReport {
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| ShardStat {
-                shard: index,
-                workflows: shard.state.load().entries.len(),
-                validate_hits: shard.metrics.validate_hits.load(Ordering::Relaxed),
-                validate_misses: shard.metrics.validate_misses.load(Ordering::Relaxed),
-                composite_hits: shard.metrics.composite_hits.load(Ordering::Relaxed),
-                composite_misses: shard.metrics.composite_misses.load(Ordering::Relaxed),
-                // the wire field survives, but it is now the (lossless)
-                // sum of the validate latency histogram, not a second
-                // separately-maintained counter
-                validate_ns: shard.metrics.verbs.snapshot(Verb::Validate).sum,
-                requests: shard.metrics.requests.load(Ordering::Relaxed),
-                snapshot_publishes: shard.state.publish_count(),
-                active_watchers: shard.watchers.lock().len() as u64,
-                dropped_watchers: shard.metrics.dropped_watchers.load(Ordering::Relaxed),
-            })
-            .collect();
         StatsReport {
-            shards,
+            shards: self.counters().map(|counters| counters.stat).collect(),
             registry_samples: self.registry.len(),
         }
+    }
+
+    /// Every shard's counters, in shard order.
+    fn counters(&self) -> impl Iterator<Item = ShardCounters> + '_ {
+        let shards = self.shards.iter().enumerate();
+        shards.map(|(index, shard)| shard.counters(index))
     }
 
     /// Merged (cross-shard) latency histogram of one request verb.
@@ -1745,7 +1696,7 @@ impl WorkflowStore {
     pub fn verb_histogram(&self, verb: Verb) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for shard in &self.shards {
-            merged.merge(&shard.metrics.verbs.snapshot(verb));
+            merged.merge(&shard.metrics.verbs[verb.index()].snapshot());
         }
         merged
     }
@@ -1771,229 +1722,23 @@ impl WorkflowStore {
     }
 
     /// Renders the Prometheus-style text exposition served by the
-    /// `metrics` protocol verb: per-verb and per-commit-stage latency
-    /// histograms (cumulative buckets, seconds), serving counters, watch
-    /// gauges and the storage backend's WAL observation.
+    /// `metrics` protocol verb: per-verb and per-stage latency histograms,
+    /// serving counters summed over shards, watch gauges, the storage
+    /// backend's WAL observation and the attached server's gauges.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE wolves_request_duration_seconds histogram");
-        for verb in VERBS {
-            self.verb_histogram(verb).write_exposition(
-                &mut out,
-                "wolves_request_duration_seconds",
-                &[("verb", verb.name())],
-            );
+        let telemetry = &self.telemetry;
+        Scrape {
+            verbs: std::array::from_fn(|index| self.verb_histogram(VERBS[index])),
+            stages: std::array::from_fn(|index| telemetry.stage_snapshot(STAGES[index])),
+            shards: self.counters().collect(),
+            storage: self.backend.observe(),
+            server: self.server_gauges.lock().clone(),
+            recovery_replay_ns: telemetry.recovery_replay_ns(),
+            slow_retained: telemetry.slow().worst().len() as u64,
+            errors: telemetry.errors().snapshot(),
         }
-        let _ = writeln!(out, "# TYPE wolves_requests_total counter");
-        for verb in VERBS {
-            write_sample(
-                &mut out,
-                "wolves_requests_total",
-                &[("verb", verb.name())],
-                self.verb_histogram(verb).count(),
-            );
-        }
-        let _ = writeln!(out, "# TYPE wolves_commit_stage_duration_seconds histogram");
-        for stage in STAGES {
-            self.telemetry.stage_snapshot(stage).write_exposition(
-                &mut out,
-                "wolves_commit_stage_duration_seconds",
-                &[("stage", stage.name())],
-            );
-        }
-        let mut workflows = 0u64;
-        let mut validate_hits = 0u64;
-        let mut validate_misses = 0u64;
-        let mut composite_hits = 0u64;
-        let mut composite_misses = 0u64;
-        let mut requests = 0u64;
-        let mut dropped_watchers = 0u64;
-        let mut snapshot_publishes = 0u64;
-        let mut active_watchers = 0u64;
-        let mut queue_depth = 0u64;
-        let mut mutation_classes = [0u64; 5];
-        for shard in &self.shards {
-            workflows += shard.state.load().entries.len() as u64;
-            validate_hits += shard.metrics.validate_hits.load(Ordering::Relaxed);
-            validate_misses += shard.metrics.validate_misses.load(Ordering::Relaxed);
-            composite_hits += shard.metrics.composite_hits.load(Ordering::Relaxed);
-            composite_misses += shard.metrics.composite_misses.load(Ordering::Relaxed);
-            requests += shard.metrics.requests.load(Ordering::Relaxed);
-            dropped_watchers += shard.metrics.dropped_watchers.load(Ordering::Relaxed);
-            mutation_classes[0] += shard.metrics.mutations_monotone.load(Ordering::Relaxed);
-            mutation_classes[1] += shard.metrics.mutations_local.load(Ordering::Relaxed);
-            mutation_classes[2] += shard.metrics.mutations_decremental.load(Ordering::Relaxed);
-            mutation_classes[3] += shard.metrics.mutations_structural.load(Ordering::Relaxed);
-            mutation_classes[4] += shard.metrics.mutations_view_edit.load(Ordering::Relaxed);
-            snapshot_publishes += shard.state.publish_count();
-            let watchers = shard.watchers.lock();
-            active_watchers += watchers.len() as u64;
-            queue_depth += watchers
-                .iter()
-                .map(|watcher| watcher.depth.load(Ordering::Relaxed))
-                .sum::<u64>();
-        }
-        write_sample(&mut out, "wolves_shards", &[], self.shards.len() as u64);
-        write_sample(&mut out, "wolves_workflows", &[], workflows);
-        write_sample(
-            &mut out,
-            "wolves_validate_cache_hits_total",
-            &[],
-            validate_hits,
-        );
-        write_sample(
-            &mut out,
-            "wolves_validate_cache_misses_total",
-            &[],
-            validate_misses,
-        );
-        write_sample(
-            &mut out,
-            "wolves_composite_cache_hits_total",
-            &[],
-            composite_hits,
-        );
-        write_sample(
-            &mut out,
-            "wolves_composite_cache_misses_total",
-            &[],
-            composite_misses,
-        );
-        write_sample(&mut out, "wolves_store_requests_total", &[], requests);
-        let _ = writeln!(out, "# TYPE wolves_mutations_total counter");
-        for (class, count) in [
-            "monotone-safe",
-            "local-rebuild",
-            "decremental",
-            "structural",
-            "view-edit",
-        ]
-        .into_iter()
-        .zip(mutation_classes)
-        {
-            write_sample(
-                &mut out,
-                "wolves_mutations_total",
-                &[("class", class)],
-                count,
-            );
-        }
-        write_sample(
-            &mut out,
-            "wolves_snapshot_publishes_total",
-            &[],
-            snapshot_publishes,
-        );
-        write_sample(&mut out, "wolves_active_watchers", &[], active_watchers);
-        write_sample(&mut out, "wolves_watch_queue_depth", &[], queue_depth);
-        write_sample(
-            &mut out,
-            "wolves_dropped_watchers_total",
-            &[],
-            dropped_watchers,
-        );
-        let observed = self.backend.observe();
-        write_sample(
-            &mut out,
-            "wolves_wal_append_bytes_total",
-            &[],
-            observed.append_bytes,
-        );
-        write_sample(
-            &mut out,
-            "wolves_wal_rotations_total",
-            &[],
-            observed.rotations,
-        );
-        let _ = writeln!(out, "# TYPE wolves_wal_append_duration_seconds histogram");
-        observed
-            .append
-            .write_exposition(&mut out, "wolves_wal_append_duration_seconds", &[]);
-        let _ = writeln!(out, "# TYPE wolves_wal_fsync_duration_seconds histogram");
-        observed
-            .fsync
-            .write_exposition(&mut out, "wolves_wal_fsync_duration_seconds", &[]);
-        let _ = writeln!(
-            out,
-            "# TYPE wolves_wal_compaction_duration_seconds histogram"
-        );
-        observed.compaction.write_exposition(
-            &mut out,
-            "wolves_wal_compaction_duration_seconds",
-            &[],
-        );
-        let _ = writeln!(out, "# TYPE wolves_wal_group_commit_batch histogram");
-        observed.group_commit_batch.write_exposition_raw(
-            &mut out,
-            "wolves_wal_group_commit_batch",
-            &[],
-        );
-        write_sample(
-            &mut out,
-            "wolves_wal_group_commit_absorbed_total",
-            &[],
-            observed.group_commit_absorbed,
-        );
-        if let Some(gauges) = self.server_gauges.lock().as_ref() {
-            write_sample(
-                &mut out,
-                "wolves_open_connections",
-                &[],
-                gauges.open_connections(),
-            );
-            write_sample(
-                &mut out,
-                "wolves_connections_accepted_total",
-                &[],
-                gauges.accepted_total(),
-            );
-            write_sample(
-                &mut out,
-                "wolves_event_loop_wakeups_total",
-                &[],
-                gauges.wakeups(),
-            );
-            write_sample(
-                &mut out,
-                "wolves_pipelined_batches_total",
-                &[],
-                gauges.pipelined_batches(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "wolves_recovery_replay_seconds {}",
-            seconds(self.telemetry.recovery_replay_ns())
-        );
-        write_sample(
-            &mut out,
-            "wolves_slow_requests_retained",
-            &[],
-            self.telemetry.slow().worst().len() as u64,
-        );
-        let _ = writeln!(out, "# TYPE wolves_shard_degraded gauge");
-        for (index, shard) in self.shards.iter().enumerate() {
-            let shard_label = index.to_string();
-            write_sample(
-                &mut out,
-                "wolves_shard_degraded",
-                &[("shard", &shard_label)],
-                u64::from(shard.degraded.lock().is_some()),
-            );
-        }
-        write_sample(
-            &mut out,
-            "wolves_degraded_shards",
-            &[],
-            self.degraded_shards().len() as u64,
-        );
-        let _ = writeln!(out, "# TYPE wolves_errors_total counter");
-        for (kind, count) in self.telemetry.errors().snapshot() {
-            write_sample(&mut out, "wolves_errors_total", &[("kind", kind)], count);
-        }
-        out
+        .render()
     }
 
     /// Subscribes to a workflow's committed changes with the default
@@ -2158,8 +1903,8 @@ impl WorkflowStore {
                 outcome,
                 deltas,
             } => {
-                let (mutated, applied, _) =
-                    self.mutate_inner(*workflow, op.clone(), true, None, false)?;
+                let (mutated, applied, ticket) = self.mutate_inner(*workflow, op.clone(), None)?;
+                self.acknowledge(((), ticket))?;
                 if mutated.epoch != outcome.epoch {
                     return Err(diverged("epoch", mutated.epoch, outcome.epoch));
                 }
@@ -2193,6 +1938,22 @@ impl WorkflowStore {
             WatchEvent::Resync { .. } => Err(ServiceError::Lagged),
         }
     }
+}
+
+/// A mutation applied to a shard's next state but not yet committed: the
+/// shard's mutator stays held until `WorkflowStore::commit` releases it.
+struct Applied<'a> {
+    index: usize,
+    guard: MutexGuard<'a, ()>,
+    next: Arc<ShardState>,
+    mutated: Mutated,
+    /// The entry's change-sequence number after the edit.
+    seq: u64,
+    /// The spec deltas of the edit, collected only when a durable backend
+    /// or a watcher needs them.
+    deltas: Vec<SpecDelta>,
+    /// A watcher of the workflow is owed the edit's event.
+    watched: bool,
 }
 
 /// Shared tail of [`WorkflowStore::mutate`]: version truncation, the
@@ -2527,6 +2288,48 @@ mod tests {
             .mutate_cas(id, add_edge("Display tree", "Format alignment"), Some(1))
             .unwrap();
         assert_eq!(mutated.epoch, 2);
+    }
+
+    #[test]
+    fn slow_ring_spans_sum_to_each_requests_total() {
+        let root = temp_root("spans");
+        let strict = PersistConfig {
+            fsync_every: 1,
+            ..durable_config(&root)
+        };
+        let (store, _) = WorkflowStore::open(Arc::new(FileBackend::open(strict).unwrap())).unwrap();
+        let fixture = figure1();
+        let id = store.register(fixture.spec, Some(fixture.view));
+        // a watcher makes every write fan out
+        let _watch = store.watch(id, WatchMode::Tail).unwrap();
+        store.validate(id, None).unwrap();
+        store.correct(id, Strategy::Strong).unwrap();
+        let edge = add_edge("Check additional annotations", "Build phylo tree");
+        store.mutate(id, edge).unwrap();
+
+        let worst = store.telemetry().slow().worst();
+        for (verb, stages) in [
+            ("validate", &["cache_lookup", "compute"][..]),
+            ("register", &["compute", "wal_append", "snapshot_publish"]),
+            ("correct", &["compute", "wal_append", "watch_fanout"]),
+            (
+                "mutate",
+                &["compute", "cache_lookup", "wal_append", "watch_fanout"],
+            ),
+        ] {
+            let request = worst.iter().find(|request| request.verb == verb).unwrap();
+            let sum: u64 = request.spans.iter().map(|(_, ns)| ns).sum();
+            assert_eq!(sum, request.total_ns, "{verb}: {:?}", request.spans);
+            for stage in stages {
+                assert!(
+                    request.spans.iter().any(|(s, _)| s == stage),
+                    "{verb}: {stage}"
+                );
+            }
+        }
+        // each write's group-commit wait is recorded under fsync
+        assert_eq!(store.stage_histogram(Stage::Fsync).count(), 3);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -278,6 +278,74 @@ fn pipelined_frames_map_faults_to_the_right_in_flight_request() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Under strict fsync (`fsync_every=1`) every served write defers its
+/// durability into the readiness pass's shared settle. A failed group-commit
+/// fsync must turn each write slot of the pipeline — a correction and a
+/// registration — into the typed error, while the read between them answers
+/// normally.
+#[test]
+fn a_failed_group_fsync_refuses_every_pipelined_write_but_not_the_read() {
+    let root = temp_root("strict-sync-err");
+    let inner: Arc<dyn StorageBackend> = Arc::new(
+        FileBackend::open(PersistConfig {
+            fsync_every: 1,
+            ..config(&root)
+        })
+        .expect("open the data dir"),
+    );
+    // sync 1 is the registration below; syncs 2 and 3 fail, covering the
+    // pipeline's writes whether one pass or two settle them
+    let plan = FaultPlan::parse("sync-err=2x2").expect("plan");
+    let injector = FaultInjector::with_root(inner, plan, root.clone());
+    let (store, _) = WorkflowStore::open(Arc::new(injector)).expect("open the strict store");
+    let fixture = wolves::repo::figure1();
+    let payload = wolves::moml::write_text_format(&fixture.spec, Some(&fixture.view));
+    let id = store
+        .try_register(fixture.spec, Some(fixture.view))
+        .expect("the registration's fsync is sync 1");
+    let server = serve_with_store(
+        &ServerConfig {
+            shards: 1,
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Arc::new(store),
+    )
+    .expect("bind the strict server");
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+
+    let outcomes = client
+        .pipeline(&[
+            Request::Correct {
+                workflow: id,
+                strategy: wolves::core::correct::Strategy::Weak,
+            },
+            Request::Validate {
+                workflow: id,
+                version: None,
+            },
+            Request::Register { payload },
+        ])
+        .expect("the pipeline itself survives the failed fsync");
+    assert_eq!(outcomes.len(), 3);
+    for slot in [0, 2] {
+        assert!(
+            matches!(&outcomes[slot], Err(ServiceError::Persistence(reason)) if reason.contains("sync")),
+            "write slot {slot} must carry the fsync error, got {:?}",
+            outcomes[slot]
+        );
+    }
+    assert!(
+        matches!(outcomes[1], Ok(Response::Verdict(_))),
+        "the read answers normally, got {:?}",
+        outcomes[1]
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// Latency spikes are faults too — but delaying an append must only delay
 /// the acknowledgement, never corrupt it.
 #[test]

@@ -380,7 +380,11 @@ fn a_client_that_stops_reading_is_closed_after_the_write_timeout() {
     .expect("bind a loopback server");
     let store = server.store();
     let (stream, _, copies) = pipeline_exports_unread(&server, 64 << 20);
-    assert_eq!(sample(&store, "wolves_open_connections"), 1);
+    // the accept counter is monotone, so this holds however soon the write
+    // timeout closes the connection again
+    wait_until("the loop to accept the connection", || {
+        sample(&store, "wolves_connections_accepted_total") == 1
+    });
 
     // the stalled connection is dropped although the client never hung up
     wait_until("the stalled connection to close", || {
@@ -515,12 +519,23 @@ impl StorageBackend for GatedBackend {
     }
 }
 
-#[test]
-fn reads_are_answered_without_waiting_for_another_clients_fsync() {
+/// The write client C sends while A's fsync holds the loop.
+#[derive(Debug, Clone, Copy)]
+enum Writer {
+    Mutate,
+    Correct,
+    Register,
+}
+
+/// A's mutation holds the only loop in its settle while B's read and C's
+/// write queue up behind it; once A's fsync lands, the next pass must answer
+/// B before C's own fsync does — whichever writer C is.
+fn read_skips_the_fsync_of(writer: Writer) {
     let backend = Arc::new(GatedBackend::default());
     backend.grant(u64::MAX);
     let (store, _) = WorkflowStore::open(backend.clone()).expect("open the gated store");
     let fixture = wolves::repo::figure1();
+    let payload = write_text_format(&fixture.spec, Some(&fixture.view));
     let id = store
         .try_register(fixture.spec, Some(fixture.view))
         .expect("register figure 1");
@@ -562,13 +577,27 @@ fn reads_are_answered_without_waiting_for_another_clients_fsync() {
     };
     write_frame(&mut &a, &mutate(add).to_lines()).expect("send A's mutation");
     wait_until("A's fsync wait", || backend.waiting() == 1);
-    // B's read and C's mutation queue up behind it, to be read in one pass
+    // B's read and C's write queue up behind it, to be read in one pass
     write_frame(&mut &b, &Request::Stats.to_lines()).expect("send B's read");
-    let remove = MutateOp::RemoveEdge {
-        from: from.to_owned(),
-        to: to.to_owned(),
+    let (write, acked) = match writer {
+        Writer::Mutate => (
+            mutate(MutateOp::RemoveEdge {
+                from: from.to_owned(),
+                to: to.to_owned(),
+            }),
+            "ok\tmutated",
+        ),
+        // figure 1's view is still unsound, so the correction commits
+        Writer::Correct => (
+            Request::Correct {
+                workflow: id,
+                strategy: Strategy::Weak,
+            },
+            "ok\tcorrected",
+        ),
+        Writer::Register => (Request::Register { payload }, "ok\tregistered"),
     };
-    write_frame(&mut &c, &mutate(remove).to_lines()).expect("send C's mutation");
+    write_frame(&mut &c, &write.to_lines()).expect("send C's write");
     std::thread::sleep(Duration::from_millis(100));
     backend.grant(1);
     let ack = read_frame(&mut a_reader).expect("read").expect("A's ack");
@@ -586,6 +615,21 @@ fn reads_are_answered_without_waiting_for_another_clients_fsync() {
 
     backend.grant(u64::MAX);
     let ack = read_frame(&mut c_reader).expect("read").expect("C's ack");
-    assert!(ack[0].starts_with("ok\tmutated"), "{ack:?}");
+    assert!(ack[0].starts_with(acked), "{writer:?}: {ack:?}");
     server.shutdown();
+}
+
+#[test]
+fn reads_are_answered_without_waiting_for_another_clients_fsync() {
+    read_skips_the_fsync_of(Writer::Mutate);
+}
+
+#[test]
+fn reads_are_answered_without_waiting_for_another_clients_correction_fsync() {
+    read_skips_the_fsync_of(Writer::Correct);
+}
+
+#[test]
+fn reads_are_answered_without_waiting_for_another_clients_registration_fsync() {
+    read_skips_the_fsync_of(Writer::Register);
 }
