@@ -445,12 +445,19 @@ impl Trace {
         self.open = None;
     }
 
-    /// Books `ns` nanoseconds of the open stage's time under `stage`
-    /// instead — for a duration measured inside the open stage, such as the
-    /// fsync a WAL append ran inline. No clock read.
+    /// Books `ns` nanoseconds of the open stage's time (or of the
+    /// unattributed time, when no stage is open) under `stage` instead — for
+    /// a duration measured by someone else, such as the fsync a WAL append
+    /// ran inline or a group-commit wait. No clock read.
     pub fn carve(&mut self, stage: Stage, ns: u64) {
         self.spans[stage.index()] += ns;
         self.mark += Duration::from_nanos(ns);
+    }
+
+    /// Nanoseconds since [`Trace::start`], without ending the trace.
+    #[must_use]
+    pub fn elapsed_ns(&self) -> u64 {
+        duration_ns(self.start.elapsed())
     }
 
     fn close(&mut self, now: Instant) {
@@ -543,7 +550,7 @@ impl SlowRing {
             return;
         }
         let mut entries = self.entries.lock();
-        entries.push(SlowRequest {
+        let request = SlowRequest {
             verb: verb.name(),
             workflow,
             total_ns,
@@ -554,18 +561,29 @@ impl SlowRing {
                 .map(|(stage, &ns)| (stage.name(), ns))
                 .collect(),
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-        });
-        if entries.len() > self.capacity {
-            // evict the fastest, the older on ties — the newcomer itself
-            // when a racing offer raised the floor past it
-            let key = |index: usize| (entries[index].total_ns, entries[index].seq);
-            let fastest = (0..entries.len()).min_by_key(|&index| key(index));
-            entries.swap_remove(fastest.unwrap_or(0));
+        };
+        if entries.len() < self.capacity {
+            entries.push(request);
+        } else if let Some(index) = entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, entry)| (entry.total_ns, entry.seq))
+            .map(|(index, _)| index)
+        {
+            if entries[index].total_ns < total_ns {
+                entries[index] = request;
+            }
         }
-        let full = entries.len() == self.capacity;
-        let floor = entries.iter().map(|entry| entry.total_ns).min();
-        self.floor
-            .store(floor.filter(|_| full).unwrap_or(0), Ordering::Relaxed);
+        let floor = if entries.len() == self.capacity {
+            entries
+                .iter()
+                .map(|entry| entry.total_ns)
+                .min()
+                .unwrap_or(0)
+        } else {
+            0
+        };
+        self.floor.store(floor, Ordering::Relaxed);
     }
 
     /// The retained requests, worst first (ties broken newest first).
@@ -663,13 +681,9 @@ impl Telemetry {
         &self.slow
     }
 
-    /// Runs a store open's journal `replay`, recording its wall time.
-    pub fn time_recovery<T>(&self, replay: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let replayed = replay();
-        let ns = duration_ns(start.elapsed());
+    /// Records the recovery-replay wall time observed at store open.
+    pub fn set_recovery_replay_ns(&self, ns: u64) {
         self.recovery_replay_ns.store(ns, Ordering::Relaxed);
-        replayed
     }
 
     /// Recovery-replay wall time of the last store open, in nanoseconds
@@ -817,22 +831,20 @@ pub(crate) struct ShardCounters {
 }
 
 /// Everything one `metrics` scrape reads, gathered by the store and
-/// rendered by [`Scrape::render`]. Histograms are in [`VERBS`] and
-/// [`STAGES`] order, per-verb ones merged across shards.
+/// rendered by [`Scrape::render`]: the per-verb histograms (in [`VERBS`]
+/// order, merged across shards), every shard's counters, the store-global
+/// telemetry and the storage backend's observation.
 #[derive(Debug)]
-pub(crate) struct Scrape {
+pub(crate) struct Scrape<'a> {
     pub verbs: [HistogramSnapshot; VERBS.len()],
-    pub stages: [HistogramSnapshot; STAGES.len()],
     pub shards: Vec<ShardCounters>,
+    pub telemetry: &'a Telemetry,
     pub storage: StorageObservation,
     /// The serving layer's gauges, when a server is attached.
     pub server: Option<Arc<ServerGauges>>,
-    pub recovery_replay_ns: u64,
-    pub slow_retained: u64,
-    pub errors: Vec<(&'static str, u64)>,
 }
 
-impl Scrape {
+impl Scrape<'_> {
     /// Renders the Prometheus-style text exposition served by the `metrics`
     /// protocol verb: per-verb and per-stage latency histograms (cumulative
     /// buckets, seconds), serving counters summed over shards, watch gauges,
@@ -840,15 +852,14 @@ impl Scrape {
     #[must_use]
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        use std::iter::zip;
         let mut out = String::new();
-        let verbs = VERBS.iter().map(|verb| verb.name()).zip(&self.verbs);
-        let stages = STAGES.iter().map(|stage| stage.name()).zip(&self.stages);
+        let verbs: Vec<_> = zip(VERBS.map(Verb::name), &self.verbs).collect();
+        let telemetry = self.telemetry;
+        let stages = STAGES.map(|stage| telemetry.stage_snapshot(stage));
+        let stages = zip(STAGES.map(Stage::name), &stages);
         for (name, key, series) in [
-            (
-                "request_duration_seconds",
-                "verb",
-                verbs.collect::<Vec<_>>(),
-            ),
+            ("request_duration_seconds", "verb", verbs),
             ("commit_stage_duration_seconds", "stage", stages.collect()),
         ] {
             let name = format!("wolves_{name}");
@@ -857,62 +868,49 @@ impl Scrape {
                 histogram.write_exposition(&mut out, &name, &[(key, label)]);
             }
         }
-        let storage = &self.storage;
-        for (name, histogram) in [
-            ("wal_append_duration_seconds", &storage.append),
-            ("wal_fsync_duration_seconds", &storage.fsync),
-            ("wal_compaction_duration_seconds", &storage.compaction),
+        let wal = &self.storage;
+        let secs: fn(u64) -> String = seconds;
+        let raw: fn(u64) -> String = |value| value.to_string();
+        for (name, histogram, unit) in [
+            ("wal_append_duration_seconds", &wal.append, secs),
+            ("wal_fsync_duration_seconds", &wal.fsync, secs),
+            ("wal_compaction_duration_seconds", &wal.compaction, secs),
+            ("wal_group_commit_batch", &wal.group_commit_batch, raw),
         ] {
-            let _ = writeln!(out, "# TYPE wolves_{name} histogram");
-            histogram.write_exposition(&mut out, &format!("wolves_{name}"), &[]);
+            let name = format!("wolves_{name}");
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            histogram.write_series(&mut out, &name, &[], unit);
         }
-        let batch = "wolves_wal_group_commit_batch";
-        let _ = writeln!(out, "# TYPE {batch} histogram");
-        let raw = |value: u64| value.to_string();
-        storage
-            .group_commit_batch
-            .write_series(&mut out, batch, &[], raw);
 
-        let _ = writeln!(out, "# TYPE wolves_requests_total counter");
-        for (verb, histogram) in VERBS.iter().zip(&self.verbs) {
-            let labels = [("verb", verb.name())];
-            write_sample(
-                &mut out,
-                "wolves_requests_total",
-                &labels,
-                histogram.count(),
-            );
-        }
-        let _ = writeln!(out, "# TYPE wolves_mutations_total counter");
-        for (index, class) in MUTATION_CLASSES.iter().enumerate() {
+        let requests = zip(VERBS.map(Verb::name), &self.verbs);
+        let requests = requests.map(|(verb, histogram)| (verb.to_owned(), histogram.count()));
+        let mutations = MUTATION_CLASSES.iter().enumerate().map(|(index, class)| {
             let count = self.shards.iter().map(|c| c.mutations[index]).sum();
-            write_sample(
-                &mut out,
-                "wolves_mutations_total",
-                &[("class", class)],
-                count,
-            );
-        }
-        let _ = writeln!(out, "# TYPE wolves_shard_degraded gauge");
-        for counters in &self.shards {
-            let shard = counters.stat.shard.to_string();
-            let degraded = u64::from(counters.degraded);
-            write_sample(
-                &mut out,
-                "wolves_shard_degraded",
-                &[("shard", &shard)],
-                degraded,
-            );
-        }
-        let _ = writeln!(out, "# TYPE wolves_errors_total counter");
-        for &(kind, count) in &self.errors {
-            write_sample(&mut out, "wolves_errors_total", &[("kind", kind)], count);
+            ((*class).to_owned(), count)
+        });
+        let degraded = self.shards.iter();
+        let degraded = degraded.map(|c| (c.stat.shard.to_string(), u64::from(c.degraded)));
+        let errors = telemetry.errors().snapshot().into_iter();
+        let errors = errors.map(|(kind, count)| (kind.to_owned(), count));
+        // (name, type, label key, samples)
+        type Family<'a> = (&'a str, &'a str, &'a str, Vec<(String, u64)>);
+        let families: [Family; 4] = [
+            ("requests_total", "counter", "verb", requests.collect()),
+            ("mutations_total", "counter", "class", mutations.collect()),
+            ("shard_degraded", "gauge", "shard", degraded.collect()),
+            ("errors_total", "counter", "kind", errors.collect()),
+        ];
+        for (name, kind, key, samples) in families {
+            let name = format!("wolves_{name}");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            for (label, value) in samples {
+                write_sample(&mut out, &name, &[(key, &label)], value);
+            }
         }
 
         let stat = |field: fn(&ShardStat) -> u64| self.shards.iter().map(|c| field(&c.stat)).sum();
         let queued = self.shards.iter().map(|c| c.watch_queue_depth).sum();
         let degraded = self.shards.iter().filter(|c| c.degraded).count() as u64;
-        let absorbed = storage.group_commit_absorbed;
         let mut plain = vec![
             ("shards", self.shards.len() as u64),
             ("workflows", stat(|s| s.workflows as u64)),
@@ -925,10 +923,13 @@ impl Scrape {
             ("active_watchers", stat(|s| s.active_watchers)),
             ("watch_queue_depth", queued),
             ("dropped_watchers_total", stat(|s| s.dropped_watchers)),
-            ("wal_append_bytes_total", storage.append_bytes),
-            ("wal_rotations_total", storage.rotations),
-            ("wal_group_commit_absorbed_total", absorbed),
-            ("slow_requests_retained", self.slow_retained),
+            ("wal_append_bytes_total", wal.append_bytes),
+            ("wal_rotations_total", wal.rotations),
+            ("wal_group_commit_absorbed_total", wal.group_commit_absorbed),
+            (
+                "slow_requests_retained",
+                telemetry.slow().worst().len() as u64,
+            ),
             ("degraded_shards", degraded),
         ];
         if let Some(gauges) = &self.server {
@@ -942,7 +943,7 @@ impl Scrape {
         for (name, value) in plain {
             let _ = writeln!(out, "wolves_{name} {value}");
         }
-        let replay = seconds(self.recovery_replay_ns);
+        let replay = seconds(telemetry.recovery_replay_ns());
         let _ = writeln!(out, "wolves_recovery_replay_seconds {replay}");
         out
     }
@@ -970,6 +971,48 @@ mod tests {
             assert!(ns <= bucket_upper(bucket));
             assert!(bucket == 1 || ns > bucket_upper(bucket - 1));
         }
+    }
+
+    #[test]
+    fn quantiles_bracket_the_exact_reference() {
+        let histogram = Histogram::new();
+        let samples: Vec<u64> = (1..=1000).map(|i| i * 37).collect();
+        for &sample in &samples {
+            histogram.record_ns(sample);
+        }
+        let snapshot = histogram.snapshot();
+        assert_eq!(snapshot.count(), 1000);
+        assert_eq!(snapshot.sum, samples.iter().sum::<u64>());
+        assert_eq!(snapshot.max, 37_000);
+        let mut sorted = samples;
+        sorted.sort_unstable();
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
+            #[allow(clippy::cast_possible_truncation)]
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let exact = sorted[rank - 1];
+            let estimate = snapshot.quantile(q);
+            assert!(estimate >= exact, "q={q}: {estimate} < exact {exact}");
+            assert!(
+                estimate < exact * 2,
+                "q={q}: {estimate} not within one bucket of {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshots_merge_by_summation() {
+        let a = Histogram::new();
+        let b = Histogram::new();
+        a.record_ns(10);
+        a.record_ns(1000);
+        b.record_ns(100);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.sum, 1110);
+        assert_eq!(merged.max, 1000);
+        assert_eq!(merged.p50(), bucket_upper(bucket_of(100)));
     }
 
     #[test]

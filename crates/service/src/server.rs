@@ -214,13 +214,13 @@ fn respond(
     let response = match request {
         Request::Register { payload } => store
             .register_text_deferred(&payload)
-            .map(|written| Response::Registered(barrier.carry(written))),
+            .map(|written| Response::Registered(store.defer(written, barrier))),
         Request::Validate { workflow, version } => {
             store.validate(workflow, version).map(Response::Verdict)
         }
         Request::Correct { workflow, strategy } => store
             .correct_deferred(workflow, strategy)
-            .map(|written| Response::Corrected(barrier.carry(written))),
+            .map(|written| Response::Corrected(store.defer(written, barrier))),
         Request::Provenance { workflow, subject } => store
             .provenance(workflow, &subject)
             .map(Response::Provenance),
@@ -229,8 +229,8 @@ fn respond(
             op,
             expect,
         } => store
-            .mutate_deferred(workflow, op, expect)
-            .map(|written| Response::Mutated(barrier.carry(written))),
+            .mutate_inner(workflow, op, expect)
+            .map(|(written, _)| Response::Mutated(store.defer(written, barrier))),
         Request::Export { workflow } => store.export(workflow).map(Response::Exported),
         Request::Snapshot => store.snapshot_all().map(Response::Snapshotted),
         Request::Epoch { workflow } => store

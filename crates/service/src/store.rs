@@ -72,7 +72,7 @@ use crate::epoch::SnapshotCell;
 use crate::error::ServiceError;
 use crate::obs::{
     Histogram, HistogramSnapshot, Scrape, ServerGauges, ShardCounters, Stage, Telemetry, Trace,
-    Verb, MUTATION_CLASSES, STAGES, VERBS,
+    Verb, MUTATION_CLASSES, VERBS,
 };
 use crate::poll::Waker;
 use crate::proto::{
@@ -129,13 +129,6 @@ impl DurabilityBarrier {
         }
     }
 
-    /// Folds a deferred write's obligation into the barrier and hands back
-    /// its outcome.
-    pub(crate) fn carry<T>(&mut self, (outcome, ticket): (T, DurabilityTicket)) -> T {
-        self.fold(ticket);
-        outcome
-    }
-
     /// True when nothing is owed — [`WorkflowStore::await_durability`]
     /// would return immediately.
     #[must_use]
@@ -151,6 +144,12 @@ impl DurabilityBarrier {
         self.folds
     }
 }
+
+/// One committed write before its acknowledgement: the outcome, the
+/// durability obligation it owes, its still-open trace and the workflow it
+/// wrote. The trace stays open so a synchronous writer's durability wait
+/// counts towards its request time.
+pub(crate) type Written<T> = (T, DurabilityTicket, Trace, WorkflowId);
 
 /// The cached soundness verdict of one composite task.
 #[derive(Debug, Clone)]
@@ -588,18 +587,17 @@ impl WorkflowStore {
     /// Reports journal corruption, replay divergence and I/O failures.
     pub fn open(backend: Arc<dyn StorageBackend>) -> Result<(Self, RecoveryReport), ServiceError> {
         let store = Self::with_backend(Arc::clone(&backend));
+        // one trace spans the whole replay; it times recovery and is never
+        // finished, as replays are not served requests
+        let mut replay = Trace::start(Verb::Mutate);
         let mut report = RecoveryReport {
             shards: store.shards.len(),
             ..RecoveryReport::default()
         };
-        store
-            .telemetry
-            .time_recovery(|| -> Result<(), ServiceError> {
-                for (index, shard) in backend.take_journal()?.into_iter().enumerate() {
-                    store.replay_shard(index, shard, &mut report)?;
-                }
-                Ok(())
-            })?;
+        for (index, shard) in backend.take_journal()?.into_iter().enumerate() {
+            store.replay_shard(index, shard, &mut report, &mut replay)?;
+        }
+        store.telemetry.set_recovery_replay_ns(replay.elapsed_ns());
         report.workflows = store
             .shards
             .iter()
@@ -612,14 +610,15 @@ impl WorkflowStore {
         Ok((store, report))
     }
 
-    /// Replays one shard's journal in append order. Replays commit without
-    /// a WAL record (the log already holds them) and without finishing
-    /// their traces (they are not served requests).
+    /// Replays one shard's journal in append order, under the recovery
+    /// `trace`. Replays commit without a WAL record (the log already holds
+    /// them).
     fn replay_shard(
         &self,
         index: usize,
         journal: ShardJournal,
         report: &mut RecoveryReport,
+        trace: &mut Trace,
     ) -> Result<(), ServiceError> {
         let (note_entries, note_records) = (journal.entries.len(), journal.records.len());
         if journal.torn_bytes > 0 {
@@ -630,7 +629,7 @@ impl WorkflowStore {
             ));
         }
         for entry in journal.entries {
-            self.install_entry(entry)?;
+            self.install_entry(entry, trace)?;
         }
         for record in journal.records {
             match record {
@@ -641,7 +640,7 @@ impl WorkflowStore {
                             entry.id
                         )));
                     }
-                    self.install_entry(entry)?;
+                    self.install_entry(entry, trace)?;
                 }
                 WalRecord::Mutate {
                     id,
@@ -649,7 +648,6 @@ impl WorkflowStore {
                     op,
                     deltas,
                 } => {
-                    let mut trace = Trace::start(Verb::Mutate);
                     let Applied {
                         index: shard,
                         guard,
@@ -657,7 +655,7 @@ impl WorkflowStore {
                         mutated,
                         deltas: replayed,
                         ..
-                    } = self.apply(WorkflowId(id), &op, None, &mut trace)?;
+                    } = self.apply(WorkflowId(id), &op, None, trace)?;
                     if mutated.epoch != epoch || replayed != deltas {
                         return Err(ServiceError::Recovery(format!(
                             "replay diverged on workflow {id}: logged epoch {epoch}, \
@@ -665,13 +663,13 @@ impl WorkflowStore {
                             mutated.epoch
                         )));
                     }
-                    self.commit(shard, guard, next, None, None, &mut trace)?;
+                    self.commit(shard, guard, next, None, None, trace)?;
                 }
                 WalRecord::Correct {
                     id,
                     version,
                     view_lines,
-                } => self.install_correction(id, version, &view_lines)?,
+                } => self.install_correction(id, version, &view_lines, trace)?,
             }
         }
         report.snapshot_entries += note_entries;
@@ -686,8 +684,12 @@ impl WorkflowStore {
     }
 
     /// Installs one recovered workflow entry (from a snapshot or a replayed
-    /// `register` record).
-    fn install_entry(&self, snapshot: SnapshotEntry) -> Result<(), ServiceError> {
+    /// `register` record) under the recovery `trace`.
+    fn install_entry(
+        &self,
+        snapshot: SnapshotEntry,
+        trace: &mut Trace,
+    ) -> Result<(), ServiceError> {
         let recover = |e: wolves_workflow::WorkflowError| ServiceError::Recovery(e.to_string());
         let spec = spec_from_lines(&snapshot.spec_lines).map_err(recover)?;
         let mut views = Vec::with_capacity(snapshot.views.len());
@@ -728,21 +730,22 @@ impl WorkflowStore {
                 snapshot.id
             )));
         }
-        let mut trace = Trace::start(Verb::Register);
-        self.commit(index, guard, next, None, None, &mut trace)?;
+        self.commit(index, guard, next, None, None, trace)?;
         self.next_id.fetch_max(snapshot.id, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Replays a logged correction: appends the recorded view version and
-    /// makes it current. Also the replica-side path for `corrected` watch
-    /// events (see [`WorkflowStore::apply_watch_event`]), so it bumps the
-    /// change-sequence number and fans out to any local subscribers.
+    /// Replays a logged correction under `trace`: appends the recorded view
+    /// version and makes it current. Also the replica-side path for
+    /// `corrected` watch events (see [`WorkflowStore::apply_watch_event`]),
+    /// so it bumps the change-sequence number and fans out to any local
+    /// subscribers.
     fn install_correction(
         &self,
         id: u64,
         version: usize,
         view_lines: &[String],
+        trace: &mut Trace,
     ) -> Result<(), ServiceError> {
         let recover = |e: wolves_workflow::WorkflowError| ServiceError::Recovery(e.to_string());
         let view = view_from_lines(view_lines).map_err(recover)?;
@@ -771,8 +774,7 @@ impl WorkflowStore {
             version,
             view_lines: view_lines.to_vec(),
         });
-        let mut trace = Trace::start(Verb::Correct);
-        self.commit(index, guard, next, None, event, &mut trace)?;
+        self.commit(index, guard, next, None, event, trace)?;
         Ok(())
     }
 
@@ -840,20 +842,19 @@ impl WorkflowStore {
         self.acknowledge(self.register_text_deferred(payload)?)
     }
 
-    /// [`WorkflowStore::register_text`] with the durability wait deferred,
-    /// like [`WorkflowStore::mutate_deferred`]: the returned ticket must be
-    /// settled before the id is acknowledged.
+    /// [`WorkflowStore::register_text`] with the durability wait deferred:
+    /// the caller hands the write to [`WorkflowStore::defer`].
     pub(crate) fn register_text_deferred(
         &self,
         payload: &str,
-    ) -> Result<(WorkflowId, DurabilityTicket), ServiceError> {
+    ) -> Result<Written<WorkflowId>, ServiceError> {
         let mut trace = Trace::start(Verb::Register);
         trace.enter(Stage::Parse);
         let imported = read_text_format(payload)?;
         self.register_traced(imported.spec, imported.view, trace)
     }
 
-    /// Registers and commits one workflow, finishing its trace. The spec's
+    /// Registers and commits one workflow under `trace`. The spec's
     /// reachability matrix is primed here, outside any lock, so every later
     /// request shares the already-built matrix.
     fn register_traced(
@@ -861,7 +862,7 @@ impl WorkflowStore {
         spec: WorkflowSpec,
         view: Option<WorkflowView>,
         mut trace: Trace,
-    ) -> Result<(WorkflowId, DurabilityTicket), ServiceError> {
+    ) -> Result<Written<WorkflowId>, ServiceError> {
         let durable = self.backend.durable();
         if durable {
             // refuse names the line format cannot carry before anything is
@@ -899,8 +900,7 @@ impl WorkflowStore {
         let mut next = shard.state.load();
         Arc::make_mut(&mut next).entries.insert(id.0, entry);
         let ticket = self.commit(index, guard, next, record, None, &mut trace)?;
-        self.finish(trace, id);
-        Ok((id, ticket))
+        Ok((id, ticket, trace, id))
     }
 
     /// The one commit path of every write, recovery and replica installs
@@ -963,14 +963,32 @@ impl WorkflowStore {
         Ok(ticket)
     }
 
-    /// The synchronous tail of a write: settles its durability obligation
-    /// through [`WorkflowStore::await_durability`], then hands back its
-    /// outcome.
-    fn acknowledge<T>(&self, (outcome, ticket): (T, DurabilityTicket)) -> Result<T, ServiceError> {
+    /// The synchronous tail of a write: waits for its durability obligation,
+    /// books the wait under its trace's `fsync` stage, then finishes the
+    /// trace and hands back the outcome.
+    fn acknowledge<T>(
+        &self,
+        (outcome, ticket, mut trace, workflow): Written<T>,
+    ) -> Result<T, ServiceError> {
         let mut barrier = DurabilityBarrier::default();
         barrier.fold(ticket);
-        self.await_durability(&barrier)?;
+        trace.carve(Stage::Fsync, self.wait_for(&barrier)?);
+        self.finish(trace, workflow);
         Ok(outcome)
+    }
+
+    /// The deferred tail of a write: finishes its trace and folds its
+    /// durability obligation into `barrier`, which must be settled through
+    /// [`WorkflowStore::await_durability`] before the returned outcome is
+    /// acknowledged to anyone.
+    pub(crate) fn defer<T>(
+        &self,
+        (outcome, ticket, trace, workflow): Written<T>,
+        barrier: &mut DurabilityBarrier,
+    ) -> T {
+        barrier.fold(ticket);
+        self.finish(trace, workflow);
+        outcome
     }
 
     /// Finishes one request's trace under its workflow's shard.
@@ -1017,8 +1035,12 @@ impl WorkflowStore {
     /// Indices of the shards currently degraded (read-only).
     #[must_use]
     pub fn degraded_shards(&self) -> Vec<usize> {
-        let degraded = self.counters().filter(|counters| counters.degraded);
-        degraded.map(|counters| counters.stat.shard).collect()
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(_, shard)| shard.degraded.lock().is_some())
+            .map(|(index, _)| index)
+            .collect()
     }
 
     /// Attempts to re-open writes on every degraded shard: under the
@@ -1253,7 +1275,7 @@ impl WorkflowStore {
         op: MutateOp,
         expect: Option<u64>,
     ) -> Result<Mutated, ServiceError> {
-        self.acknowledge(self.mutate_deferred(id, op, expect)?)
+        self.acknowledge(self.mutate_inner(id, op, expect)?.0)
     }
 
     /// [`WorkflowStore::mutate_cas`] with the durability wait *deferred*:
@@ -1274,7 +1296,8 @@ impl WorkflowStore {
         op: MutateOp,
         expect: Option<u64>,
     ) -> Result<(Mutated, DurabilityTicket), ServiceError> {
-        let (mutated, _, ticket) = self.mutate_inner(id, op, expect)?;
+        let ((mutated, ticket, trace, _), _) = self.mutate_inner(id, op, expect)?;
+        self.finish(trace, id);
         Ok((mutated, ticket))
     }
 
@@ -1287,25 +1310,32 @@ impl WorkflowStore {
     /// Propagates the backend's fsync failure: the covered writes are
     /// published in memory but not yet power-loss durable.
     pub fn await_durability(&self, barrier: &DurabilityBarrier) -> Result<u64, ServiceError> {
-        let mut waited = 0u64;
-        for &(shard, ticket) in &barrier.pending {
-            waited = waited.max(self.backend.wait_durable(shard, ticket)?);
-        }
+        let waited = self.wait_for(barrier)?;
         if waited > 0 {
             self.telemetry.stage(Stage::Fsync, waited);
         }
         Ok(waited)
     }
 
-    /// Applies, logs and commits one mutation, finishing its trace.
-    /// Returns the consumed spec deltas alongside the outcome so a replica
-    /// can cross-check them against the event it replays.
-    fn mutate_inner(
+    /// Blocks until every obligation folded into `barrier` is durable;
+    /// returns the longest wait in nanoseconds.
+    fn wait_for(&self, barrier: &DurabilityBarrier) -> Result<u64, ServiceError> {
+        let mut waited = 0u64;
+        for &(shard, ticket) in &barrier.pending {
+            waited = waited.max(self.backend.wait_durable(shard, ticket)?);
+        }
+        Ok(waited)
+    }
+
+    /// Applies, logs and commits one mutation, deferring its durability
+    /// wait. Returns the consumed spec deltas alongside the write so a
+    /// replica can cross-check them against the event it replays.
+    pub(crate) fn mutate_inner(
         &self,
         id: WorkflowId,
         op: MutateOp,
         expect: Option<u64>,
-    ) -> Result<(Mutated, Vec<SpecDelta>, DurabilityTicket), ServiceError> {
+    ) -> Result<(Written<Mutated>, Vec<SpecDelta>), ServiceError> {
         let mut trace = Trace::start(Verb::Mutate);
         let durable = self.backend.durable();
         if durable {
@@ -1338,8 +1368,7 @@ impl WorkflowStore {
             deltas: deltas.clone(),
         });
         let ticket = self.commit(index, guard, next, record, event, &mut trace)?;
-        self.finish(trace, id);
-        Ok((mutated, deltas, ticket))
+        Ok(((mutated, ticket, trace, id), deltas))
     }
 
     /// Applies one mutation to the next state of the workflow's shard,
@@ -1536,14 +1565,13 @@ impl WorkflowStore {
         self.acknowledge(self.correct_deferred(id, strategy)?)
     }
 
-    /// [`WorkflowStore::correct`] with the durability wait deferred, like
-    /// [`WorkflowStore::mutate_deferred`]: the returned ticket must be
-    /// settled before the correction is acknowledged.
+    /// [`WorkflowStore::correct`] with the durability wait deferred: the
+    /// caller hands the write to [`WorkflowStore::defer`].
     pub(crate) fn correct_deferred(
         &self,
         id: WorkflowId,
         strategy: Strategy,
-    ) -> Result<(Corrected, DurabilityTicket), ServiceError> {
+    ) -> Result<Written<Corrected>, ServiceError> {
         let mut trace = Trace::start(Verb::Correct);
         let (spec, stored, index, epoch) = self.snapshot(id, None)?;
         let corrector = strategy.corrector();
@@ -1571,7 +1599,7 @@ impl WorkflowStore {
             composites_after: view.composite_count(),
             payload: write_text_format(spec, Some(view)),
         };
-        let written = 'commit: {
+        let (outcome, ticket) = 'commit: {
             if report.was_already_sound() {
                 break 'commit (
                     answer(index, &stored.view, &spec),
@@ -1621,8 +1649,7 @@ impl WorkflowStore {
             let ticket = self.commit(shard_index, guard, next, record, event, &mut trace)?;
             (committed, ticket)
         };
-        self.finish(trace, id);
-        Ok(written)
+        Ok((outcome, ticket, trace, id))
     }
 
     /// Answers a view-level provenance query for the named task through the
@@ -1727,16 +1754,12 @@ impl WorkflowStore {
     /// backend's WAL observation and the attached server's gauges.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        let telemetry = &self.telemetry;
         Scrape {
-            verbs: std::array::from_fn(|index| self.verb_histogram(VERBS[index])),
-            stages: std::array::from_fn(|index| telemetry.stage_snapshot(STAGES[index])),
+            verbs: VERBS.map(|verb| self.verb_histogram(verb)),
             shards: self.counters().collect(),
+            telemetry: &self.telemetry,
             storage: self.backend.observe(),
             server: self.server_gauges.lock().clone(),
-            recovery_replay_ns: telemetry.recovery_replay_ns(),
-            slow_retained: telemetry.slow().worst().len() as u64,
-            errors: telemetry.errors().snapshot(),
         }
         .render()
     }
@@ -1903,8 +1926,8 @@ impl WorkflowStore {
                 outcome,
                 deltas,
             } => {
-                let (mutated, applied, ticket) = self.mutate_inner(*workflow, op.clone(), None)?;
-                self.acknowledge(((), ticket))?;
+                let (written, applied) = self.mutate_inner(*workflow, op.clone(), None)?;
+                let mutated = self.acknowledge(written)?;
                 if mutated.epoch != outcome.epoch {
                     return Err(diverged("epoch", mutated.epoch, outcome.epoch));
                 }
@@ -1928,7 +1951,11 @@ impl WorkflowStore {
                 version,
                 view_lines,
             } => {
-                self.install_correction(workflow.0, *version, view_lines)?;
+                // recorded as a correct request, as the mutated arm records
+                // a mutate request
+                let mut trace = Trace::start(Verb::Correct);
+                self.install_correction(workflow.0, *version, view_lines, &mut trace)?;
+                self.finish(trace, *workflow);
                 let (replica_seq, _) = self.cursor(*workflow)?;
                 if replica_seq != *seq {
                     return Err(diverged("seq", replica_seq, *seq));
@@ -2310,12 +2337,9 @@ mod tests {
         let worst = store.telemetry().slow().worst();
         for (verb, stages) in [
             ("validate", &["cache_lookup", "compute"][..]),
-            ("register", &["compute", "wal_append", "snapshot_publish"]),
-            ("correct", &["compute", "wal_append", "watch_fanout"]),
-            (
-                "mutate",
-                &["compute", "cache_lookup", "wal_append", "watch_fanout"],
-            ),
+            ("register", &["compute", "wal_append", "fsync"]),
+            ("correct", &["compute", "watch_fanout", "fsync"]),
+            ("mutate", &["cache_lookup", "watch_fanout", "fsync"]),
         ] {
             let request = worst.iter().find(|request| request.verb == verb).unwrap();
             let sum: u64 = request.spans.iter().map(|(_, ns)| ns).sum();
@@ -2327,7 +2351,8 @@ mod tests {
                 );
             }
         }
-        // each write's group-commit wait is recorded under fsync
+        // a synchronous write's durability wait is part of its request:
+        // one fsync sample per write, and the verb total covers it
         assert_eq!(store.stage_histogram(Stage::Fsync).count(), 3);
         let _ = std::fs::remove_dir_all(&root);
     }
