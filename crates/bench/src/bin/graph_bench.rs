@@ -1,5 +1,6 @@
 //! Micro-benchmark for the reachability engine: matrix build, all-pairs
-//! row queries, the two validator checks and the **mutation workload**
+//! row queries, the two validator checks, the provenance index build and
+//! the **mutation workload**
 //! (incremental single-edge edits vs from-scratch rebuilds) over a grid of
 //! task counts.
 //!
@@ -23,7 +24,10 @@
 //! pay the full pipeline per edit — the speedup between the two is the
 //! headline number of the mutation-epoch engine and is emitted into the
 //! mutation JSON alongside the raw rows. A `guard` object pins the
-//! removal-vs-insert latency ratio at the ~1941-task grid point for CI.
+//! removal-vs-insert latency ratio at the ~1941-task grid point for CI, and
+//! the graph JSON's `guard` pins the provenance index build (induced view
+//! graph plus its closure) against the spec's matrix build at the largest
+//! grid point.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -34,9 +38,16 @@ use rand::{Rng, SeedableRng};
 
 use wolves_core::validate::{validate, validate_by_definition, DefinitionIndex};
 use wolves_graph::reach::ReachMatrix;
+use wolves_provenance::ViewProvenanceIndex;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
 use wolves_repo::views::topological_block_view;
 use wolves_workflow::{DataDependency, SpecMutation, TaskId, WorkflowSpec};
+
+/// Bound of the `provenance/index_build` over `graph/matrix_build` guard.
+/// The dense-table index build measures 0.35–0.65 of a matrix build on the
+/// quick grid's largest point and about 0.2 on the full grid's; the
+/// map-based build it replaced measured 1.8–3.0 and about 0.97.
+const INDEX_OVER_MATRIX_MAX: f64 = 0.85;
 
 struct Row {
     workload: &'static str,
@@ -120,6 +131,19 @@ fn main() {
             edges,
             iters.min(40),
             || usize::from(validate_by_definition(&spec, &view).is_sound()),
+        ));
+        // the served provenance index over the same view: induced view
+        // graph plus its closure, as built after every edit that rewires
+        // the view
+        rows.push(measure(
+            "provenance/index_build",
+            tasks,
+            edges,
+            iters,
+            || {
+                std::hint::black_box(ViewProvenanceIndex::new(&spec, &view));
+                1
+            },
         ));
     }
 
@@ -468,7 +492,7 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"workload\": \"matrix build + row queries + validator checks\","
+        "  \"workload\": \"matrix build + row queries + validator checks + provenance index build\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     out.push_str("  \"rows\": [\n");
@@ -481,6 +505,44 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         );
         out.push_str(if index + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n");
+    // CI perf guard: at the largest grid point, building the provenance
+    // index (induced view graph plus its closure) stays a fraction of
+    // building the spec's own reachability matrix — the view graph is the
+    // smaller graph, so a build that costs more is paying per-edge lookups
+    let median_of = |workload: &str, tasks: usize| {
+        rows.iter()
+            .find(|r| r.workload == workload && r.tasks == tasks)
+            .map(|r| r.median_us)
+    };
+    let guard = rows.iter().map(|r| r.tasks).max().and_then(|tasks| {
+        let index = median_of("provenance/index_build", tasks)?;
+        let matrix = median_of("graph/matrix_build", tasks)?;
+        Some((tasks, index, matrix))
+    });
+    match guard {
+        Some((tasks, index, matrix)) => {
+            let ratio = index / matrix.max(f64::MIN_POSITIVE);
+            let _ = writeln!(out, "  \"guard\": {{");
+            let _ = writeln!(out, "    \"tasks\": {tasks},");
+            let _ = writeln!(out, "    \"index_build_median_us\": {index:.2},");
+            let _ = writeln!(out, "    \"matrix_build_median_us\": {matrix:.2},");
+            let _ = writeln!(out, "    \"index_over_matrix\": {ratio:.3},");
+            let _ = writeln!(
+                out,
+                "    \"max_index_over_matrix\": {INDEX_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"index_build_within_bound\": {}",
+                ratio <= INDEX_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(out, "  }}");
+        }
+        None => {
+            let _ = writeln!(out, "  \"guard\": null");
+        }
+    }
+    out.push_str("}\n");
     out
 }

@@ -392,7 +392,8 @@ impl DefinitionIndex {
         let mut spurious = Vec::new();
         let mut missing = Vec::new();
         // hoist the per-composite induced-node lookups out of the n² pair
-        // loop: node_of is a map lookup, and 2·n² of them dominate the scan
+        // loop: each node_of probes a graph node slot, and 2·n² of them
+        // would dominate the scan
         let induced_nodes: Vec<_> = self
             .composites
             .iter()

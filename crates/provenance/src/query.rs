@@ -8,8 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use wolves_graph::ReachMatrix;
-use wolves_workflow::{CompositeTaskId, TaskId, WorkflowSpec, WorkflowView};
+use wolves_graph::{Csr, FixedBitSet, ReachMatrix};
+use wolves_workflow::{CompositeTaskId, InducedViewGraph, TaskId, WorkflowSpec, WorkflowView};
 
 /// Result of a provenance query.
 #[derive(Debug, Clone)]
@@ -77,13 +77,22 @@ pub fn workflow_level_impact(spec: &WorkflowSpec, subject: TaskId) -> Provenance
 ///
 /// [`view_level_provenance`] rebuilds the induced view graph and walks it on
 /// every call; a server answering many queries against the same `(spec,
-/// view)` pair should build this index once and reuse it — each query is
-/// then O(composites) reachability lookups against the view-level
-/// [`ReachMatrix`] plus the member collection, with no per-request graph
-/// construction.
+/// view)` pair should build this index once and reuse it.
+///
+/// * **Build** — O(V + E + C²/64) for the induced view graph (one pass
+///   over the specification's dependencies through the view's dense task →
+///   composite table, see [`WorkflowView::induced_graph`]) plus the
+///   view-level [`ReachMatrix`] over the C live composites, which is small
+///   because the view graph is.
+/// * **Query** — O(C) row lookups find the composites that strictly reach
+///   the subject's composite; their member lists are OR'd into a task
+///   bitset, read back in ascending id order. O(C + answer + V/64), with no
+///   graph construction and no ordered-set inserts.
 #[derive(Debug, Clone)]
 pub struct ViewProvenanceIndex {
-    induced: wolves_workflow::view::InducedViewGraph,
+    /// The induced view graph: node `i` is composite slot `i`.
+    induced: InducedViewGraph,
+    /// Its closure (tombstoned slots are dead nodes the matrix leaves out).
     view_reach: ReachMatrix,
 }
 
@@ -93,10 +102,7 @@ impl ViewProvenanceIndex {
     #[must_use]
     pub fn new(spec: &WorkflowSpec, view: &WorkflowView) -> Self {
         let induced = view.induced_graph(spec);
-        // CSR-routed build: one frozen adjacency snapshot feeds SCC,
-        // condensation and the blocked-kernel closure propagation
-        let view_reach =
-            ReachMatrix::build_from_csr(&wolves_graph::Csr::from_graph(&induced.graph));
+        let view_reach = ReachMatrix::build_from_csr(&Csr::from_graph(&induced.graph));
         ViewProvenanceIndex {
             induced,
             view_reach,
@@ -110,43 +116,59 @@ impl ViewProvenanceIndex {
     /// is 0 — no edges are walked.
     #[must_use]
     pub fn provenance(&self, view: &WorkflowView, subject: TaskId) -> ProvenanceAnswer {
-        let Some(start_composite) = view.composite_of(subject) else {
-            return ProvenanceAnswer {
-                subject,
-                tasks: BTreeSet::new(),
-                composites: BTreeSet::new(),
-                edges_traversed: 0,
-            };
+        let (composites, tasks) = self.answer(view, subject);
+        ProvenanceAnswer {
+            subject,
+            tasks: tasks.into_iter().collect(),
+            composites: composites.into_iter().collect(),
+            edges_traversed: 0,
+        }
+    }
+
+    /// The task ids of [`ViewProvenanceIndex::provenance`]'s answer, in
+    /// ascending order — what a server renders, without building ordered
+    /// sets.
+    #[must_use]
+    pub fn provenance_tasks(&self, view: &WorkflowView, subject: TaskId) -> Vec<TaskId> {
+        self.answer(view, subject).1
+    }
+
+    /// The composites upstream of `subject` and the ascending task ids of
+    /// the answer.
+    fn answer(&self, view: &WorkflowView, subject: TaskId) -> (Vec<CompositeTaskId>, Vec<TaskId>) {
+        let Some(start) = view.composite_of(subject) else {
+            return (Vec::new(), Vec::new());
         };
-        let mut composites: BTreeSet<CompositeTaskId> = BTreeSet::new();
-        if let Some(start_node) = self.induced.node_of(start_composite) {
-            for (id, _) in view.composites() {
-                let Some(node) = self.induced.node_of(id) else {
+        let mut tasks = FixedBitSet::with_capacity(view.task_bound());
+        // the subject's own composite is an opaque unit to the user: its
+        // other members are presented as provenance too
+        if let Ok(own) = view.composite(start) {
+            for &task in own.members() {
+                tasks.insert(task.index());
+            }
+        }
+        tasks.remove(subject.index());
+        let mut composites = Vec::new();
+        if let Some(target) = self.induced.node_of(start) {
+            for node in self.induced.graph.node_ids() {
+                // strictly_reachable makes the self query come out true
+                // only when the composite sits on a view-level cycle,
+                // matching the backward traversal of `view_level_provenance`
+                if !self.view_reach.strictly_reachable(node, target) {
+                    continue;
+                }
+                let Some(id) = self.induced.composite_of(node) else {
                     continue;
                 };
-                // strictly_reachable makes the self query come out true only
-                // when the composite sits on a view-level cycle, matching
-                // the backward traversal of `view_level_provenance`
-                if self.view_reach.strictly_reachable(node, start_node) {
-                    composites.insert(id);
+                if let Ok(composite) = view.composite(id) {
+                    composites.push(id);
+                    for &task in composite.members() {
+                        tasks.insert(task.index());
+                    }
                 }
             }
         }
-        let mut tasks: BTreeSet<TaskId> = BTreeSet::new();
-        if let Ok(own) = view.composite(start_composite) {
-            tasks.extend(own.members().iter().copied().filter(|&t| t != subject));
-        }
-        for &composite in &composites {
-            if let Ok(c) = view.composite(composite) {
-                tasks.extend(c.members().iter().copied());
-            }
-        }
-        ProvenanceAnswer {
-            subject,
-            tasks,
-            composites,
-            edges_traversed: 0,
-        }
+        (composites, tasks.ones().map(TaskId::from_index).collect())
     }
 }
 

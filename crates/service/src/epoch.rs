@@ -11,11 +11,14 @@
 //!
 //! The crate forbids `unsafe`, so the swap is guarded by a plain `RwLock`
 //! rather than a hand-rolled atomic pointer. The lock is only ever held for
-//! the O(1) clone/store of the `Arc` itself — the cell's contention profile
+//! the O(1) clone/swap of the `Arc` itself — the cell's contention profile
 //! is that of an atomic, not of the data behind it. Memory reclamation is
 //! `Arc`'s reference count: a superseded snapshot stays alive exactly as
-//! long as the last in-flight reader holds it, then drops — no epochs to
-//! advance, no deferred free lists.
+//! long as the last holder keeps it, then drops — no epochs to advance, no
+//! deferred free lists. [`SnapshotCell::publish`] hands the superseded
+//! `Arc` back instead of dropping it under the lock, so a publisher that
+//! holds the last reference frees the old state (possibly a whole
+//! specification and its matrix) where no reader waits on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,11 +47,16 @@ impl<T> SnapshotCell<T> {
         Arc::clone(&self.current.read())
     }
 
-    /// Atomically replaces the current snapshot. O(1): a pointer store
-    /// under a momentary write lock.
-    pub(crate) fn publish(&self, next: Arc<T>) {
-        *self.current.write() = next;
+    /// Atomically replaces the current snapshot and returns the one it
+    /// superseded. O(1): a pointer swap under a momentary write lock. The
+    /// caller drops the returned `Arc` once it holds no lock readers or
+    /// writers wait on — if it is the last reference, that drop frees the
+    /// old state.
+    #[must_use = "dropping the superseded snapshot may free the old state; drop it outside every lock"]
+    pub(crate) fn publish(&self, next: Arc<T>) -> Arc<T> {
+        let previous = std::mem::replace(&mut *self.current.write(), next);
         self.publishes.fetch_add(1, Ordering::Relaxed);
+        previous
     }
 
     /// How many snapshots have been published (the initial state counts as
@@ -61,6 +69,7 @@ impl<T> SnapshotCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{OnceLock, Weak};
 
     #[test]
     fn load_returns_the_published_snapshot() {
@@ -72,7 +81,8 @@ mod tests {
         // copy-on-write mutation: readers holding `before` are unaffected
         let mut next = cell.load();
         Arc::make_mut(&mut next).push(4);
-        cell.publish(next);
+        let previous = cell.publish(next);
+        assert_eq!(*previous, vec![1, 2, 3]);
 
         assert_eq!(*cell.load(), vec![1, 2, 3, 4]);
         assert_eq!(*before, vec![1, 2, 3], "old snapshot stays consistent");
@@ -85,7 +95,54 @@ mod tests {
         let mut next = cell.load();
         // two references exist (cell + next): make_mut clones...
         Arc::make_mut(&mut next).push('!');
-        cell.publish(next);
+        drop(cell.publish(next));
         assert_eq!(*cell.load(), "state!");
+    }
+
+    /// A payload whose drop records whether the cell it was published in
+    /// could be read at that moment.
+    struct Probe {
+        cell: Arc<OnceLock<Weak<SnapshotCell<Probe>>>>,
+        unlocked_drops: Arc<AtomicU64>,
+        locked_drops: Arc<AtomicU64>,
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            // the cell itself is gone once the test tears it down
+            if let Some(cell) = self.cell.get().and_then(Weak::upgrade) {
+                let counter = if cell.current.try_read().is_some() {
+                    &self.unlocked_drops
+                } else {
+                    &self.locked_drops
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn superseded_state_is_dropped_outside_the_cell_lock() {
+        let handle = Arc::new(OnceLock::new());
+        let unlocked = Arc::new(AtomicU64::new(0));
+        let locked = Arc::new(AtomicU64::new(0));
+        let probe = || Probe {
+            cell: Arc::clone(&handle),
+            unlocked_drops: Arc::clone(&unlocked),
+            locked_drops: Arc::clone(&locked),
+        };
+        let cell = Arc::new(SnapshotCell::new(probe()));
+        assert!(handle.set(Arc::downgrade(&cell)).is_ok());
+        // no reader holds the current state, so publish hands back its last
+        // reference and the drop below frees it
+        let previous = cell.publish(Arc::new(probe()));
+        assert_eq!(Arc::strong_count(&previous), 1);
+        drop(previous);
+        assert_eq!(
+            locked.load(Ordering::Relaxed),
+            0,
+            "dropped under the cell's lock"
+        );
+        assert_eq!(unlocked.load(Ordering::Relaxed), 1);
     }
 }

@@ -22,7 +22,12 @@
 //!   the new epoch and keeps serving hits.
 //! * **Provenance index caching** — the per-view [`ViewProvenanceIndex`] is
 //!   epoch-tagged too and survives mutations that cannot change the induced
-//!   view graph (e.g. edges added inside one composite).
+//!   view graph (e.g. edges added inside one composite). Any other edit
+//!   rebuilds it on the next query in O(V + E + C²/64): one pass over the
+//!   dependencies through the view's dense task → composite table, then
+//!   the closure of the small C-composite view graph. A query is O(C) row
+//!   lookups whose member lists come back as task ids in order, mapped
+//!   straight to names.
 //!
 //! Corrections still append the corrected view as a new immutable version.
 //! Mutations clone the entry copy-on-write off the published snapshot, so
@@ -906,7 +911,9 @@ impl WorkflowStore {
     /// The one commit path of every write, recovery and replica installs
     /// included: under the shard's mutator it appends `record` to the WAL,
     /// publishes `next`, fans `event` out and compacts the log when the
-    /// backend asks, then releases the mutator. Appending first keeps the
+    /// backend asks, then releases the mutator and only then drops the
+    /// superseded state, so freeing it blocks neither readers nor the next
+    /// writer. Appending first keeps the
     /// log order the store order, and no subscriber ever holds an event the
     /// log misses. A failed append is rescued with a snapshot of `next`; if
     /// that fails too, nothing is published and the shard degrades to
@@ -946,7 +953,7 @@ impl WorkflowStore {
         }
         // the commit point: readers switch to the next state here
         trace.enter(Stage::SnapshotPublish);
-        shard.state.publish(Arc::clone(&next));
+        let previous = shard.state.publish(Arc::clone(&next));
         if let Some(event) = event {
             // after the publish: an event's reader-visible state is never
             // behind the event
@@ -954,13 +961,18 @@ impl WorkflowStore {
             shard.fan_out(&event);
         }
         trace.leave();
-        if wants_snapshot {
-            // a compaction failure leaves memory and WAL committed; the
-            // caller learns durable compaction is behind
-            self.snapshot_shard(index, &next.entries)?;
-        }
+        // a compaction failure leaves memory and WAL committed; the caller
+        // learns durable compaction is behind
+        let compacted = if wants_snapshot {
+            self.snapshot_shard(index, &next.entries)
+        } else {
+            Ok(())
+        };
         drop(guard);
-        Ok(ticket)
+        // last: with no reader holding it, the superseded state (and the
+        // spec copy-on-write cloned off) is freed here, behind no lock
+        drop(previous);
+        compacted.map(|()| ticket)
     }
 
     /// The synchronous tail of a write: waits for its durability obligation,
@@ -1657,10 +1669,10 @@ impl WorkflowStore {
     /// deterministic (task-id) order.
     ///
     /// Served off the epoch-tagged per-view [`ViewProvenanceIndex`]: the
-    /// induced view graph and its reachability matrix are built once and
-    /// survive both repeated queries and mutations that cannot change the
-    /// induced graph; every query is row lookups, no per-request graph
-    /// construction.
+    /// induced view graph's reachability matrix is built once and survives
+    /// both repeated queries and mutations that cannot change the induced
+    /// graph; every query is row lookups plus a task bitset read back in id
+    /// order, no per-request graph construction.
     ///
     /// # Errors
     /// Reports unknown workflows and task names.
@@ -1693,11 +1705,10 @@ impl WorkflowStore {
             }
         };
         trace.enter(Stage::Compute);
-        let answer = index.provenance(&stored.view, task);
-        let names = answer
-            .tasks
-            .iter()
-            .filter_map(|&t| spec.task(t).ok().map(|task| task.name.clone()))
+        let names = index
+            .provenance_tasks(&stored.view, task)
+            .into_iter()
+            .filter_map(|t| spec.task(t).ok().map(|task| task.name.clone()))
             .collect();
         self.finish(trace, id);
         Ok(names)
@@ -2151,6 +2162,7 @@ mod tests {
     use super::*;
     use crate::wal::{FileBackend, PersistConfig};
     use wolves_repo::figure1;
+    use wolves_workflow::CompositeTask;
 
     fn add_edge(from: &str, to: &str) -> MutateOp {
         MutateOp::AddEdge {
@@ -3036,5 +3048,118 @@ mod tests {
             .unwrap();
         let after = store.provenance(id, "Create alignment").unwrap();
         assert!(after.contains(&"Check additional annotations".to_owned()));
+    }
+
+    /// The provenance index cached for the workflow's current epoch, if any.
+    fn cached_index(store: &WorkflowStore, id: WorkflowId) -> Option<Arc<ViewProvenanceIndex>> {
+        let (_, stored, _, epoch) = store.snapshot(id, None).unwrap();
+        let slot = stored.provenance.read();
+        slot.as_ref()
+            .filter(|(cached, _)| *cached == epoch)
+            .map(|(_, index)| Arc::clone(index))
+    }
+
+    /// Every subject's served answer equals the from-scratch traversal on
+    /// the spec and view parsed back from `export`.
+    fn assert_served_provenance_is_exact(
+        store: &WorkflowStore,
+        id: WorkflowId,
+        subjects: &[String],
+    ) {
+        let imported = read_text_format(&store.export(id).unwrap()).unwrap();
+        let view = imported.view.expect("export carries the current view");
+        for subject in subjects {
+            let Some(task) = imported.spec.task_by_name(subject) else {
+                continue;
+            };
+            let expected: Vec<String> =
+                wolves_provenance::view_level_provenance(&imported.spec, &view, task)
+                    .tasks
+                    .into_iter()
+                    .map(|t| imported.spec.task(t).unwrap().name.clone())
+                    .collect();
+            assert_eq!(
+                store.provenance(id, subject).unwrap(),
+                expected,
+                "{subject}"
+            );
+        }
+    }
+
+    #[test]
+    fn served_provenance_stays_exact_through_an_edit_script() {
+        use wolves_repo::{layered_workflow, topological_block_view, LayeredConfig};
+        let spec = layered_workflow(&LayeredConfig::sized(2000), 14);
+        let view = topological_block_view(&spec, 48, "blocks").unwrap();
+        let name = |t: TaskId| spec.task(t).unwrap().name.clone();
+        let subjects: Vec<String> = spec
+            .task_ids()
+            .step_by(spec.task_count() / 16)
+            .take(16)
+            .map(name)
+            .collect();
+        let (inner, cross) = {
+            let same = |&(a, b): &(TaskId, TaskId)| view.composite_of(a) == view.composite_of(b);
+            let inner = spec.dependencies().find(same).unwrap();
+            let cross = spec.dependencies().find(|d| !same(d)).unwrap();
+            (
+                (name(inner.0), name(inner.1)),
+                (name(cross.0), name(cross.1)),
+            )
+        };
+        // disjoint targets: a task of composite 0 is removed, composites 3
+        // and 4 are merged, composite 6 is split in halves
+        let composites: Vec<&CompositeTask> = view.composites().map(|(_, c)| c).collect();
+        let doomed = composites[0]
+            .members()
+            .iter()
+            .map(|&t| name(t))
+            .find(|t| !subjects.contains(t))
+            .unwrap();
+        let merged = vec![composites[3].name.clone(), composites[4].name.clone()];
+        let split: Vec<String> = composites[6].members().iter().map(|&t| name(t)).collect();
+        let split_name = composites[6].name.clone();
+        let store = WorkflowStore::new(2);
+        let id = store.register(spec.clone(), Some(view.clone()));
+        assert_served_provenance_is_exact(&store, id, &subjects);
+
+        let remove = |(from, to): &(String, String)| MutateOp::RemoveEdge {
+            from: from.clone(),
+            to: to.clone(),
+        };
+        let re_add = |(from, to): &(String, String)| add_edge(from, to);
+        // an edge inside one composite leaves the induced graph alone: the
+        // cached index survives the removal and the re-add
+        for op in [remove(&inner), re_add(&inner)] {
+            let before = cached_index(&store, id).unwrap();
+            store.mutate(id, op).unwrap();
+            assert!(Arc::ptr_eq(&before, &cached_index(&store, id).unwrap()));
+            assert_served_provenance_is_exact(&store, id, &subjects);
+        }
+        let (half_a, half_b) = split.split_at(split.len() / 2);
+        let script = [
+            // across composites the index is dropped and rebuilt
+            remove(&cross),
+            re_add(&cross),
+            MutateOp::AddTask {
+                name: "late arrival".to_owned(),
+            },
+            add_edge(&subjects[3], "late arrival"),
+            MutateOp::RemoveTask { name: doomed },
+            MutateOp::Split {
+                composite: split_name,
+                parts: vec![half_a.to_vec(), half_b.to_vec()],
+            },
+            MutateOp::Merge {
+                name: "merged".to_owned(),
+                composites: merged,
+            },
+        ];
+        for op in script {
+            assert!(cached_index(&store, id).is_some());
+            store.mutate(id, op).unwrap();
+            assert!(cached_index(&store, id).is_none());
+            assert_served_provenance_is_exact(&store, id, &subjects);
+        }
     }
 }

@@ -28,9 +28,9 @@ pub struct WorkflowSpec {
     by_name: BTreeMap<String, TaskId>,
     reach: OnceLock<ReachMatrix>,
     /// Shared CSR snapshot of `graph`, built on first demand and dropped by
-    /// every mutation. All read-side consumers (SCC, closure build,
-    /// provenance induced graphs, decremental reverse-BFS) reuse this one
-    /// snapshot instead of re-walking the adjacency lists each.
+    /// every mutation. The read-side graph algorithms (SCC, closure build,
+    /// decremental reverse-BFS) reuse this one snapshot instead of
+    /// re-walking the adjacency lists each.
     csr: OnceLock<Arc<Csr>>,
     epoch: u64,
     /// Matrix rows dirtied since the last [`WorkflowSpec::take_dirty`].
@@ -506,9 +506,9 @@ impl WorkflowSpec {
     }
 
     /// A shared CSR snapshot of the current dependency graph, built on first
-    /// demand and reused by every read-side consumer (reachability builds,
-    /// SCC, provenance induced graphs, decremental removal maintenance)
-    /// until the next mutation invalidates it.
+    /// demand and reused by the read-side graph algorithms (reachability
+    /// builds, SCC, decremental removal maintenance) until the next
+    /// mutation invalidates it.
     #[must_use]
     pub fn csr_snapshot(&self) -> Arc<Csr> {
         Arc::clone(

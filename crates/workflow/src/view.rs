@@ -1,10 +1,10 @@
 //! Workflow views: partitions of a specification's tasks into composite
 //! tasks, and the induced view-level graph.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use wolves_graph::{DiGraph, NodeId};
+use wolves_graph::{DiGraph, FixedBitSet, NodeId};
 
 use crate::error::WorkflowError;
 use crate::spec::WorkflowSpec;
@@ -102,13 +102,22 @@ impl CompositeTask {
     }
 }
 
+/// Entry of [`WorkflowView`]'s task → composite table for a task that
+/// belongs to no composite.
+const NO_COMPOSITE: u32 = u32::MAX;
+
 /// A workflow view: a partition of the atomic tasks of one specification
 /// into composite tasks (paper Figure 1(b)).
 #[derive(Debug, Clone)]
 pub struct WorkflowView {
     name: String,
     composites: Vec<Option<CompositeTask>>,
-    task_to_composite: BTreeMap<TaskId, CompositeTaskId>,
+    /// Dense task → composite table indexed by `TaskId::index()`: the slot
+    /// of the composite holding each task, or [`NO_COMPOSITE`]. Task ids
+    /// are dense slot indices too, so this is one `u32` per task slot of
+    /// the specification and every [`WorkflowView::composite_of`] is an
+    /// array load.
+    composite_of_task: Vec<u32>,
 }
 
 impl WorkflowView {
@@ -126,7 +135,7 @@ impl WorkflowView {
         let mut view = WorkflowView {
             name: name.into(),
             composites: Vec::with_capacity(groups.len()),
-            task_to_composite: BTreeMap::new(),
+            composite_of_task: vec![NO_COMPOSITE; spec.graph().node_bound()],
         };
         let mut duplicated = Vec::new();
         for (group_name, members) in groups {
@@ -138,7 +147,7 @@ impl WorkflowView {
             let composite = CompositeTask::new(group_name, members)?;
             let id = CompositeTaskId::from_index(view.composites.len());
             for &m in composite.members() {
-                if view.task_to_composite.insert(m, id).is_some() {
+                if view.assign(m, id) {
                     duplicated.push(m);
                 }
             }
@@ -146,7 +155,7 @@ impl WorkflowView {
         }
         let missing: Vec<TaskId> = spec
             .task_ids()
-            .filter(|t| !view.task_to_composite.contains_key(t))
+            .filter(|&t| view.composite_of(t).is_none())
             .collect();
         if !missing.is_empty() || !duplicated.is_empty() {
             return Err(WorkflowError::NotAPartition {
@@ -203,13 +212,17 @@ impl WorkflowView {
         name: impl Into<String>,
         slots: Vec<Option<CompositeTask>>,
     ) -> Result<Self, WorkflowError> {
-        let mut task_to_composite = BTreeMap::new();
+        let mut view = WorkflowView {
+            name: name.into(),
+            composites: Vec::new(),
+            composite_of_task: Vec::new(),
+        };
         let mut duplicated = Vec::new();
         for (index, slot) in slots.iter().enumerate() {
             let Some(composite) = slot else { continue };
             let id = CompositeTaskId::from_index(index);
             for &member in composite.members() {
-                if task_to_composite.insert(member, id).is_some() {
+                if view.assign(member, id) {
                     duplicated.push(member);
                 }
             }
@@ -220,11 +233,8 @@ impl WorkflowView {
                 duplicated,
             });
         }
-        Ok(WorkflowView {
-            name: name.into(),
-            composites: slots,
-            task_to_composite,
-        })
+        view.composites = slots;
+        Ok(view)
     }
 
     /// Iterates over `(id, composite)` pairs in id order.
@@ -251,10 +261,38 @@ impl WorkflowView {
             .ok_or(WorkflowError::UnknownComposite(id))
     }
 
-    /// Returns the composite task containing `task`, if any.
+    /// Returns the composite task containing `task`, if any. O(1): one
+    /// load from the dense task → composite table.
     #[must_use]
+    #[inline]
     pub fn composite_of(&self, task: TaskId) -> Option<CompositeTaskId> {
-        self.task_to_composite.get(&task).copied()
+        match self.composite_of_task.get(task.index()) {
+            Some(&slot) if slot != NO_COMPOSITE => Some(CompositeTaskId(slot)),
+            _ => None,
+        }
+    }
+
+    /// Upper bound (exclusive) on the indices of the tasks the view has
+    /// assigned to composites — the capacity a task bitset over the view's
+    /// members needs.
+    #[must_use]
+    pub fn task_bound(&self) -> usize {
+        self.composite_of_task.len()
+    }
+
+    /// Records `task` as a member of `id` in the task → composite table,
+    /// growing it as needed. Returns `true` if the task already belonged to
+    /// a composite.
+    fn assign(&mut self, task: TaskId, id: CompositeTaskId) -> bool {
+        assert!(
+            id.0 != NO_COMPOSITE,
+            "composite slot {id} is the table's sentinel"
+        );
+        let index = task.index();
+        if index >= self.composite_of_task.len() {
+            self.composite_of_task.resize(index + 1, NO_COMPOSITE);
+        }
+        std::mem::replace(&mut self.composite_of_task[index], id.0) != NO_COMPOSITE
     }
 
     /// Checks that the view is still a partition of `spec`'s tasks (used
@@ -265,13 +303,12 @@ impl WorkflowView {
     pub fn validate_against(&self, spec: &WorkflowSpec) -> Result<(), WorkflowError> {
         let missing: Vec<TaskId> = spec
             .task_ids()
-            .filter(|t| !self.task_to_composite.contains_key(t))
+            .filter(|&t| self.composite_of(t).is_none())
             .collect();
-        let unknown: Vec<TaskId> = self
-            .task_to_composite
-            .keys()
-            .copied()
-            .filter(|t| !spec.contains_task(*t))
+        let unknown: Vec<TaskId> = (0..self.composite_of_task.len())
+            .filter(|&index| self.composite_of_task[index] != NO_COMPOSITE)
+            .map(TaskId::from_index)
+            .filter(|&t| !spec.contains_task(t))
             .collect();
         if missing.is_empty() && unknown.is_empty() {
             Ok(())
@@ -340,7 +377,7 @@ impl WorkflowView {
             let composite = CompositeTask::new(name, part)?;
             let new_id = CompositeTaskId::from_index(self.composites.len());
             for &m in composite.members() {
-                self.task_to_composite.insert(m, new_id);
+                self.assign(m, new_id);
             }
             self.composites.push(Some(composite));
             new_ids.push(new_id);
@@ -373,7 +410,7 @@ impl WorkflowView {
         let composite = CompositeTask::new(name, members)?;
         let new_id = CompositeTaskId::from_index(self.composites.len());
         for &m in composite.members() {
-            self.task_to_composite.insert(m, new_id);
+            self.assign(m, new_id);
         }
         self.composites.push(Some(composite));
         Ok(new_id)
@@ -396,7 +433,7 @@ impl WorkflowView {
             .members()
             .iter()
             .copied()
-            .filter(|m| self.task_to_composite.contains_key(m))
+            .filter(|&m| self.composite_of(m).is_some())
             .collect();
         if !duplicated.is_empty() {
             return Err(WorkflowError::NotAPartition {
@@ -406,7 +443,7 @@ impl WorkflowView {
         }
         let id = CompositeTaskId::from_index(self.composites.len());
         for &m in composite.members() {
-            self.task_to_composite.insert(m, id);
+            self.assign(m, id);
         }
         self.composites.push(Some(composite));
         Ok(id)
@@ -422,7 +459,7 @@ impl WorkflowView {
         let id = self
             .composite_of(task)
             .ok_or(WorkflowError::UnknownTask(task))?;
-        self.task_to_composite.remove(&task);
+        self.composite_of_task[task.index()] = NO_COMPOSITE;
         let slot = self.composites[id.index()]
             .as_mut()
             .expect("composite_of points at a live composite");
@@ -437,40 +474,73 @@ impl WorkflowView {
     /// an edge `A -> B` whenever the specification has a data dependency from
     /// a member of `A` to a member of `B` (A ≠ B). This is the graph users
     /// query for provenance at the view level.
+    ///
+    /// O(V + E + S + C²/64) for C live composites in S slots: one
+    /// branch-free pass over the specification's dependencies marks each
+    /// endpoint pair, read from the dense task → composite table, in a C×C
+    /// bitset over the live composites' ranks (plus one row and column for
+    /// tasks outside the view); reading the bitset back drops the
+    /// duplicates, the diagonal and that extra rank, and yields the edges in
+    /// ascending `(A, B)` order. The bitset is no bigger than the view-level
+    /// closure every consumer builds next. The pass reads the dependency
+    /// slots rather than the CSR snapshot: every mutation drops the
+    /// snapshot, and rebuilding it costs more than this whole pass.
     #[must_use]
     pub fn induced_graph(&self, spec: &WorkflowSpec) -> InducedViewGraph {
-        let mut graph: DiGraph<CompositeTaskId, ()> = DiGraph::new();
-        let mut node_of: BTreeMap<CompositeTaskId, NodeId> = BTreeMap::new();
-        for (id, _) in self.composites() {
-            let node = graph.add_node(id);
-            node_of.insert(id, node);
+        let live: Vec<CompositeTaskId> = self.composite_ids().collect();
+        let mut rank = vec![0; self.composites.len()];
+        for (r, id) in live.iter().enumerate() {
+            rank[id.index()] = r;
         }
+        let outside = live.len();
+        let width = outside + 1;
+        let rank_of = |task: TaskId| {
+            self.composite_of(task)
+                .map_or(outside, |id| rank[id.index()])
+        };
+        let mut pairs = FixedBitSet::with_capacity(width * width);
         for (from, to) in spec.dependencies() {
-            let (Some(cf), Some(ct)) = (self.composite_of(from), self.composite_of(to)) else {
-                continue;
-            };
-            if cf != ct {
-                let _ = graph.add_edge_unique(node_of[&cf], node_of[&ct], ());
-            }
+            pairs.insert(rank_of(from) * width + rank_of(to));
         }
-        InducedViewGraph { graph, node_of }
+        let edges = pairs
+            .ones()
+            .map(|bit| (bit / width, bit % width))
+            .filter(|&(from, to)| from != to && from < outside && to < outside)
+            .map(|(from, to)| {
+                Some((
+                    NodeId::from_index(live[from].index()),
+                    NodeId::from_index(live[to].index()),
+                    (),
+                ))
+            })
+            .collect();
+        let nodes = self
+            .composites
+            .iter()
+            .enumerate()
+            .map(|(slot, c)| c.as_ref().map(|_| CompositeTaskId::from_index(slot)))
+            .collect();
+        let graph = DiGraph::from_slots(nodes, edges)
+            .expect("induced edges join distinct live composite slots");
+        InducedViewGraph { graph }
     }
 }
 
-/// The view-level graph induced by a [`WorkflowView`] over a specification,
-/// plus the mapping between composite ids and graph nodes.
+/// The view-level graph induced by a [`WorkflowView`] over a specification.
+/// Node `i` is composite slot `i` (a tombstoned slot is a tombstoned node),
+/// so composite ids and graph nodes convert without a lookup table.
 #[derive(Debug, Clone)]
 pub struct InducedViewGraph {
     /// The induced graph; node payloads are composite ids.
     pub graph: DiGraph<CompositeTaskId, ()>,
-    node_of: BTreeMap<CompositeTaskId, NodeId>,
 }
 
 impl InducedViewGraph {
-    /// The graph node representing a composite task.
+    /// The graph node representing a composite task, if it is live.
     #[must_use]
     pub fn node_of(&self, composite: CompositeTaskId) -> Option<NodeId> {
-        self.node_of.get(&composite).copied()
+        let node = NodeId::from_index(composite.index());
+        self.graph.contains_node(node).then_some(node)
     }
 
     /// The composite task represented by a graph node.
