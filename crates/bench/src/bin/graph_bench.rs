@@ -18,16 +18,15 @@
 //! trajectory of the graph substrate can be recorded across PRs alongside
 //! `BENCH_service.json`. The mutation workload applies N random edge
 //! inserts to a live spec — and then takes the same edges back out: the
-//! `*_incremental` rows maintain the matrix / definition index in place
-//! (`ReachMatrix::insert_edge` / `ReachMatrix::remove_edge`,
-//! `DefinitionIndex::refresh` over the dirty rows), the `*_rebuild` rows
-//! pay the full pipeline per edit — the speedup between the two is the
-//! headline number of the mutation-epoch engine and is emitted into the
-//! mutation JSON alongside the raw rows. A `guard` object pins the
-//! removal-vs-insert latency ratio at the ~1941-task grid point for CI, and
-//! the graph JSON's `guard` pins the provenance index build (induced view
-//! graph plus its closure) against the spec's matrix build at the largest
-//! grid point.
+//! `*_incremental` rows maintain the matrix in place
+//! (`ReachMatrix::insert_edge` / `ReachMatrix::remove_edge`), the
+//! `*_rebuild` rows pay a full matrix build per edit — the speedup between
+//! the two is the headline number of the mutation-epoch engine and is
+//! emitted into the mutation JSON alongside the raw rows. A `guard` object
+//! pins the removal-vs-insert latency ratio at the ~1941-task grid point for
+//! CI, and the graph JSON's `guard` pins two from-scratch builds against the
+//! spec's matrix build at the largest grid point: the provenance index
+//! (induced view graph plus its closure) and the Definition 2.1 check.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -36,18 +35,25 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use wolves_core::validate::{validate, validate_by_definition, DefinitionIndex};
+use wolves_core::validate::{validate, validate_by_definition};
 use wolves_graph::reach::ReachMatrix;
 use wolves_provenance::ViewProvenanceIndex;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
 use wolves_repo::views::topological_block_view;
-use wolves_workflow::{DataDependency, SpecMutation, TaskId, WorkflowSpec};
+use wolves_workflow::{DataDependency, TaskId, WorkflowSpec};
 
 /// Bound of the `provenance/index_build` over `graph/matrix_build` guard.
 /// The dense-table index build measures 0.35–0.65 of a matrix build on the
 /// quick grid's largest point and about 0.2 on the full grid's; the
 /// map-based build it replaced measured 1.8–3.0 and about 0.97.
 const INDEX_OVER_MATRIX_MAX: f64 = 0.85;
+
+/// Bound of the `validator/definition_closure` over `graph/matrix_build`
+/// guard. The composite-labelled closures measure 1.0–1.7 at the quick
+/// grid's largest point (1,941 tasks) and 0.7–0.8 at the full grid's
+/// (9,991); the composite-pair scan they replaced measured 14–23 and
+/// 62–111.
+const DEFINITION_OVER_MATRIX_MAX: f64 = 4.0;
 
 struct Row {
     workload: &'static str,
@@ -195,14 +201,13 @@ fn candidate_edges(spec: &WorkflowSpec, needed: usize) -> Vec<(TaskId, TaskId)> 
     candidates
 }
 
-/// The mutation workload: N single-edge inserts per task count, incremental
-/// maintenance vs full rebuild, for both the reachability matrix and the
-/// definition-level validator.
+/// The mutation workload: N single-edge inserts and removals per task
+/// count, incremental maintenance vs full rebuild of the reachability
+/// matrix.
 fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &target in targets {
         let spec = layered_workflow(&LayeredConfig::sized(target), 23);
-        let view = topological_block_view(&spec, 4, "blocks").expect("layered spec is a DAG");
         let tasks = spec.task_count();
         let edges = spec.dependency_count();
         let iters = iterations_for(target, quick);
@@ -290,48 +295,6 @@ fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
                 ReachMatrix::build(&rebuild_graph).unwrap().node_bound()
             },
         ));
-
-        // definition-level validation after each edit: dirty-row refresh of
-        // a DefinitionIndex vs a from-scratch validate_by_definition
-        let definition_iters = iters.min(40);
-        let mut inc_spec = spec.clone();
-        let _ = inc_spec.reachability();
-        let _ = inc_spec.take_dirty();
-        let mut index = DefinitionIndex::new(&inc_spec, &view);
-        let mut cursor = 0usize;
-        rows.push(measure(
-            "mutation/definition_refresh",
-            tasks,
-            edges,
-            definition_iters,
-            || {
-                let (from, to) = candidates[cursor];
-                cursor += 1;
-                inc_spec
-                    .apply(SpecMutation::AddDependency { from, to })
-                    .unwrap();
-                let dirty = inc_spec.take_dirty();
-                usize::from(index.refresh(&inc_spec, &view, &dirty).is_sound())
-            },
-        ));
-
-        let mut rebuild_spec = spec.clone();
-        let _ = rebuild_spec.reachability();
-        let mut cursor = 0usize;
-        rows.push(measure(
-            "mutation/definition_rebuild",
-            tasks,
-            edges,
-            definition_iters,
-            || {
-                let (from, to) = candidates[cursor];
-                cursor += 1;
-                rebuild_spec
-                    .apply(SpecMutation::AddDependency { from, to })
-                    .unwrap();
-                usize::from(validate_by_definition(&rebuild_spec, &view).is_sound())
-            },
-        ));
     }
     rows
 }
@@ -374,11 +337,8 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     };
     let mut entries = Vec::new();
     for &tasks in &task_counts {
-        for pair in ["edge_insert", "edge_remove", "definition"] {
-            let incremental = median_of(
-                &format!("mutation/{pair}_{}", incremental_suffix(pair)),
-                tasks,
-            );
+        for pair in ["edge_insert", "edge_remove"] {
+            let incremental = median_of(&format!("mutation/{pair}_incremental"), tasks);
             let rebuild = median_of(&format!("mutation/{pair}_rebuild"), tasks);
             if let (Some(incremental), Some(rebuild)) = (incremental, rebuild) {
                 entries.push(format!(
@@ -419,17 +379,6 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     }
     out.push_str("}\n");
     out
-}
-
-/// The incremental row's suffix for a speedup pair (`edge_insert` /
-/// `edge_remove` rows are named `_incremental`, `definition` rows
-/// `_refresh`).
-fn incremental_suffix(pair: &str) -> &'static str {
-    if pair == "definition" {
-        "refresh"
-    } else {
-        "incremental"
-    }
 }
 
 fn iterations_for(target: usize, quick: bool) -> usize {
@@ -506,10 +455,12 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         out.push_str(if index + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    // CI perf guard: at the largest grid point, building the provenance
-    // index (induced view graph plus its closure) stays a fraction of
-    // building the spec's own reachability matrix — the view graph is the
-    // smaller graph, so a build that costs more is paying per-edge lookups
+    // CI perf guards at the largest grid point, both against the spec's own
+    // reachability matrix build: the provenance index (induced view graph
+    // plus its closure) works on the smaller view graph, so a build that
+    // costs more is paying per-edge lookups; the Definition 2.1 check is
+    // two composite-labelled closures, so a check far above one matrix
+    // build has fallen back to scanning composite pairs
     let median_of = |workload: &str, tasks: usize| {
         rows.iter()
             .find(|r| r.workload == workload && r.tasks == tasks)
@@ -517,25 +468,41 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     };
     let guard = rows.iter().map(|r| r.tasks).max().and_then(|tasks| {
         let index = median_of("provenance/index_build", tasks)?;
+        let definition = median_of("validator/definition_closure", tasks)?;
         let matrix = median_of("graph/matrix_build", tasks)?;
-        Some((tasks, index, matrix))
+        Some((tasks, index, definition, matrix))
     });
     match guard {
-        Some((tasks, index, matrix)) => {
-            let ratio = index / matrix.max(f64::MIN_POSITIVE);
+        Some((tasks, index, definition, matrix)) => {
+            let index_ratio = index / matrix.max(f64::MIN_POSITIVE);
+            let definition_ratio = definition / matrix.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
             let _ = writeln!(out, "    \"index_build_median_us\": {index:.2},");
+            let _ = writeln!(out, "    \"definition_median_us\": {definition:.2},");
             let _ = writeln!(out, "    \"matrix_build_median_us\": {matrix:.2},");
-            let _ = writeln!(out, "    \"index_over_matrix\": {ratio:.3},");
+            let _ = writeln!(out, "    \"index_over_matrix\": {index_ratio:.3},");
             let _ = writeln!(
                 out,
                 "    \"max_index_over_matrix\": {INDEX_OVER_MATRIX_MAX},"
             );
             let _ = writeln!(
                 out,
-                "    \"index_build_within_bound\": {}",
-                ratio <= INDEX_OVER_MATRIX_MAX
+                "    \"index_build_within_bound\": {},",
+                index_ratio <= INDEX_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(
+                out,
+                "    \"definition_over_matrix\": {definition_ratio:.3},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"max_definition_over_matrix\": {DEFINITION_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"definition_within_bound\": {}",
+                definition_ratio <= DEFINITION_OVER_MATRIX_MAX
             );
             let _ = writeln!(out, "  }}");
         }

@@ -68,7 +68,4 @@ pub use correct::{
 };
 pub use error::CoreError;
 pub use soundness::{is_sound, soundness_verdict, UnsoundnessWitness};
-pub use validate::{
-    validate, validate_by_definition, validate_by_definition_incremental, DefinitionIndex,
-    ValidationReport,
-};
+pub use validate::{validate, validate_by_definition, ValidationReport};

@@ -54,16 +54,7 @@ pub fn first_witness(
     spec: &WorkflowSpec,
     members: &BTreeSet<TaskId>,
 ) -> Option<UnsoundnessWitness> {
-    let boundary = Boundary::compute(spec, members);
-    let reach = spec.reachability();
-    for &input in &boundary.inputs {
-        for &output in &boundary.outputs {
-            if !reach.reachable(input, output) {
-                return Some(UnsoundnessWitness { input, output });
-            }
-        }
-    }
-    None
+    witnesses(spec, &Boundary::compute(spec, members)).next()
 }
 
 /// Computes the full soundness verdict for a set of atomic tasks, listing
@@ -73,19 +64,28 @@ pub fn first_witness(
 #[must_use]
 pub fn soundness_verdict(spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> SoundnessVerdict {
     let boundary = Boundary::compute(spec, members);
-    let reach = spec.reachability();
-    let mut witnesses = Vec::new();
-    for &input in &boundary.inputs {
-        for &output in &boundary.outputs {
-            if !reach.reachable(input, output) {
-                witnesses.push(UnsoundnessWitness { input, output });
-            }
-        }
-    }
+    let witnesses = witnesses(spec, &boundary).collect();
     SoundnessVerdict {
         boundary,
         witnesses,
     }
+}
+
+/// The violating `(input, output)` pairs of `boundary`, lazily and in
+/// `T.in × T.out` order: [`first_witness`] takes one, [`soundness_verdict`]
+/// collects them all.
+fn witnesses<'a>(
+    spec: &'a WorkflowSpec,
+    boundary: &'a Boundary,
+) -> impl Iterator<Item = UnsoundnessWitness> + 'a {
+    let reach = spec.reachability();
+    boundary.inputs.iter().flat_map(move |&input| {
+        boundary
+            .outputs
+            .iter()
+            .filter(move |&&output| !reach.reachable(input, output))
+            .map(move |&output| UnsoundnessWitness { input, output })
+    })
 }
 
 /// Checks whether several disjoint task sets are *combinable*

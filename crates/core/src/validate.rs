@@ -7,8 +7,10 @@
 //!   composite's `T.in × T.out` pairs against the workflow reachability
 //!   matrix.
 //! * [`validate_by_definition`] — Definition 2.1 applied with polynomial
-//!   machinery: compare view-level reachability with the existence of
-//!   workflow-level paths between members of composite pairs.
+//!   machinery: two composite-labelled closures, one over the workflow and
+//!   one over the induced view graph, compared word by word. This is the
+//!   reference the experiments, the CLI and the property suites check
+//!   against; it keeps no state between calls.
 //! * [`validate_naive`] — Definition 2.1 applied literally by enumerating
 //!   simple paths (exponential in the worst case); only used by experiment
 //!   E5 to illustrate why the paper's per-composite check matters.
@@ -20,8 +22,8 @@
 //! unsound while every view-level dependency happens to be realised through
 //! other paths); the property-based tests pin down exactly this relationship.
 
-use wolves_graph::{DirtyRows, FixedBitSet, ReachMatrix};
-use wolves_workflow::{CompositeTaskId, InducedViewGraph, TaskId, WorkflowSpec, WorkflowView};
+use wolves_graph::{Csr, LabelledClosure};
+use wolves_workflow::{CompositeTaskId, TaskId, WorkflowSpec, WorkflowView};
 
 use crate::soundness::{soundness_verdict, SoundnessVerdict};
 
@@ -123,357 +125,48 @@ impl DefinitionReport {
 /// computations: there must be a view-level path between two composite tasks
 /// iff some pair of their members is connected in the workflow.
 ///
-/// Workflow-level connectivity between composites is derived with bitset
-/// algebra over the reachability matrix's component rows instead of a
-/// quadratic task-pair loop: each composite gets a *member mask* (the SCC
-/// components its members occupy) and a *reach row* (the OR of its members'
-/// reachability rows), and `connected(a, b)` is one word-level
-/// mask-intersection `reach(a) ∩ mask(b) ≠ ∅`. Since a view partitions the
-/// tasks, any member of `a` whose reachable set touches a component holding
-/// a member of `b ≠ a` witnesses a workflow path between *distinct* tasks,
-/// so this is exactly the pairwise ∃-path check — in
-/// O(members · V/64 + composites² · V/64) word operations (mask building
-/// plus one stride-wide intersection per ordered composite pair).
-///
-/// For repeated checks against a mutating spec, build a [`DefinitionIndex`]
-/// once and [`DefinitionIndex::refresh`] it with the spec's dirty rows — the
-/// index re-derives masks, rows and pair verdicts only for composites an
-/// edit could have changed.
+/// Both connectivities are composite-labelled closures
+/// ([`LabelledClosure`]) over the composite slots: on the specification,
+/// each task is labelled with its composite, so composite `a`'s row holds
+/// every composite some member of `a` reaches; on the induced view graph,
+/// node `i` is composite slot `i` and is labelled with itself, so the row is
+/// view-level reachability. Since a view partitions the tasks, a member of
+/// `a` reaching a task of `b ≠ a` is a workflow path between *distinct*
+/// tasks, so this is exactly the pairwise ∃-path check. With the self bit
+/// cleared, spurious pairs are `view & !workflow` and missing pairs
+/// `workflow & !view`, read word by word in ascending `(a, b)` order — in
+/// O((V + E) · C/64) words for C composite slots.
 #[must_use]
 pub fn validate_by_definition(spec: &WorkflowSpec, view: &WorkflowView) -> DefinitionReport {
-    DefinitionIndex::new(spec, view).report(spec, view)
-}
-
-/// Incremental flavour of [`validate_by_definition`]: refreshes `index`
-/// against the spec's dirty rows and returns the merged report (unchanged
-/// composite pairs keep their previous workflow-connectivity verdict).
-#[must_use]
-pub fn validate_by_definition_incremental(
-    spec: &WorkflowSpec,
-    view: &WorkflowView,
-    dirty: &DirtyRows,
-    index: &mut DefinitionIndex,
-) -> DefinitionReport {
-    index.refresh(spec, view, dirty)
-}
-
-/// Reusable state of the definition-level check: per-composite member masks
-/// and unioned reach rows (flat row-major word buffers over component
-/// indices) plus the derived workflow-level connectivity matrix.
-///
-/// The masks/rows are the expensive part at scale (O(members · V/64) to
-/// build); the index keeps them across spec mutations and re-derives only
-/// the composites whose member components appear in the [`DirtyRows`] set a
-/// mutation reported — including [`wolves_graph::DeltaClass::Decremental`]
-/// deltas, whose splits can move members to *new* component indices, so a
-/// touched slot re-derives its member mask along with its reach row and its
-/// pair verdicts are refreshed in both directions.
-///
-/// The view-level side is incremental too: each composite's member set
-/// carries a fingerprint, and membership-only view edits re-derive exactly
-/// the slots whose fingerprint changed instead of rebuilding the index. The
-/// induced view graph and its reachability matrix are cached under an
-/// induced-edge fingerprint, so a refresh whose edit did not change the
-/// view-level structure skips that rebuild entirely.
-#[derive(Debug, Clone)]
-pub struct DefinitionIndex {
-    /// The view's composites at build time, with a fingerprint of each
-    /// member set — membership-only view edits (e.g. `remove_member`) are
-    /// detected per slot and re-derive just that slot.
-    composites: Vec<(CompositeTaskId, u64)>,
-    stride: usize,
-    masks: Vec<u64>,
-    rows: Vec<u64>,
-    /// `in_workflow[a * n + b]`: some member of composite slot `a` reaches a
-    /// member of slot `b` in the workflow.
-    in_workflow: Vec<bool>,
-    /// Cached view-level structure (induced graph + its closure), keyed by
-    /// [`induced_fingerprint`]. `None` until the first cached report.
-    view_side: Option<ViewSideCache>,
-}
-
-/// Cached view-level structure of a [`DefinitionIndex`]: the induced
-/// composite graph and its reachability closure, keyed by a fingerprint of
-/// the induced edge set so any spec or view edit that changes the view-level
-/// structure invalidates it.
-#[derive(Debug, Clone)]
-struct ViewSideCache {
-    fingerprint: u64,
-    induced: InducedViewGraph,
-    reach: ReachMatrix,
-}
-
-/// SplitMix64 finaliser — used to hash structural fingerprints below.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Order-independent fingerprint of the view-level structure: the composite
-/// id list plus the deduplicated set of induced cross-composite edges
-/// (slot pairs). O(composites + dependencies) with one n²-bit scratch set.
-fn induced_fingerprint(
-    spec: &WorkflowSpec,
-    view: &WorkflowView,
-    composites: &[(CompositeTaskId, u64)],
-) -> u64 {
-    let n = composites.len();
-    let slot_of: std::collections::BTreeMap<CompositeTaskId, usize> = composites
-        .iter()
-        .enumerate()
-        .map(|(slot, &(id, _))| (id, slot))
-        .collect();
-    let mut hash = splitmix64(n as u64);
-    for (slot, &(id, _)) in composites.iter().enumerate() {
-        hash ^= splitmix64(0x5EED ^ ((slot as u64) << 32) ^ id.index() as u64);
-    }
-    let mut seen = FixedBitSet::with_capacity(n * n);
-    for (from, to) in spec.dependencies() {
-        let (Some(cf), Some(ct)) = (view.composite_of(from), view.composite_of(to)) else {
-            continue;
-        };
-        if cf == ct {
-            continue;
-        }
-        let (Some(&sa), Some(&sb)) = (slot_of.get(&cf), slot_of.get(&ct)) else {
-            continue;
-        };
-        if seen.insert(sa * n + sb) {
-            hash ^= splitmix64((sa * n + sb) as u64);
-        }
-    }
-    hash
-}
-
-/// FNV-1a over the member task indices: cheap detection of membership-only
-/// view edits between refreshes.
-fn member_fingerprint(view: &WorkflowView, composite: CompositeTaskId) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    if let Ok(composite) = view.composite(composite) {
-        for &task in composite.members() {
-            hash ^= task.index() as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
-/// The view's live composites with their member fingerprints.
-fn fingerprinted_composites(view: &WorkflowView) -> Vec<(CompositeTaskId, u64)> {
-    view.composite_ids()
-        .map(|id| (id, member_fingerprint(view, id)))
-        .collect()
-}
-
-impl DefinitionIndex {
-    /// Builds the index from scratch for `(spec, view)`.
-    #[must_use]
-    pub fn new(spec: &WorkflowSpec, view: &WorkflowView) -> Self {
-        let workflow_reach = spec.reachability();
-        let composites = fingerprinted_composites(view);
-        let stride = workflow_reach.row_stride();
-        let mut index = DefinitionIndex {
-            composites,
-            stride,
-            masks: Vec::new(),
-            rows: Vec::new(),
-            in_workflow: Vec::new(),
-            view_side: None,
-        };
-        index.masks = vec![0u64; index.composites.len() * stride];
-        index.rows = vec![0u64; index.composites.len() * stride];
-        for slot in 0..index.composites.len() {
-            index.derive_slot(spec, view, slot);
-        }
-        index.in_workflow = vec![false; index.composites.len() * index.composites.len()];
-        for a in 0..index.composites.len() {
-            index.derive_pairs_of(a);
-        }
-        index
-    }
-
-    /// Refreshes the index after spec mutations whose accumulated dirty rows
-    /// are `dirty` (typically `spec.take_dirty()`), then reports. Structural
-    /// dirt, a change to the view's composite *id* set or a changed row
-    /// stride fall back to a full rebuild; otherwise exactly the composites
-    /// holding a member in a dirty component — or whose membership
-    /// fingerprint changed under a view edit — get their mask, row and pair
-    /// verdicts (both directions) re-derived.
-    pub fn refresh(
-        &mut self,
-        spec: &WorkflowSpec,
-        view: &WorkflowView,
-        dirty: &DirtyRows,
-    ) -> DefinitionReport {
-        let workflow_reach = spec.reachability();
-        let fresh = fingerprinted_composites(view);
-        let ids_changed = fresh.len() != self.composites.len()
-            || fresh
-                .iter()
-                .zip(&self.composites)
-                .any(|(new, old)| new.0 != old.0);
-        if dirty.is_all() || ids_changed || workflow_reach.row_stride() != self.stride {
-            *self = DefinitionIndex::new(spec, view);
-        } else {
-            let mut touched_slots = Vec::new();
-            for (slot, fresh_entry) in fresh.iter().enumerate() {
-                let membership_changed = fresh_entry.1 != self.composites[slot].1;
-                let touched = membership_changed
-                    || (!dirty.is_clean()
-                        && view.composite(self.composites[slot].0).is_ok_and(|c| {
-                            c.members().iter().any(|&task| {
-                                workflow_reach
-                                    .component_of(task)
-                                    .map_or(true, |comp| dirty.contains(comp))
-                            })
-                        }));
-                if touched {
-                    // decremental splits can move members to new component
-                    // indices, so the mask is re-derived along with the row
-                    self.masks[slot * self.stride..(slot + 1) * self.stride].fill(0);
-                    self.rows[slot * self.stride..(slot + 1) * self.stride].fill(0);
-                    self.derive_slot(spec, view, slot);
-                    self.composites[slot].1 = fresh_entry.1;
-                    touched_slots.push(slot);
-                }
-            }
-            for &slot in &touched_slots {
-                self.derive_pairs_of(slot);
-            }
-            if !touched_slots.is_empty() {
-                // a changed mask also flips verdicts where the touched slot
-                // is the *target*; untouched sources re-test those pairs
-                let n = self.composites.len();
-                for a in 0..n {
-                    if touched_slots.contains(&a) {
-                        continue;
-                    }
-                    let row_a = &self.rows[a * self.stride..(a + 1) * self.stride];
-                    for &b in &touched_slots {
-                        if a == b {
-                            continue;
-                        }
-                        let mask_b = &self.masks[b * self.stride..(b + 1) * self.stride];
-                        self.in_workflow[a * n + b] = wolves_graph::kernels::and_any(row_a, mask_b);
-                    }
+    let slots = view.composite_slot_count();
+    let in_workflow = LabelledClosure::build(&spec.csr_snapshot(), slots, |task| {
+        view.composite_of(task).map(CompositeTaskId::index)
+    });
+    let induced = view.induced_graph(spec);
+    let in_view = LabelledClosure::build(&Csr::from_graph(&induced.graph), slots, |node| {
+        Some(node.index())
+    });
+    let mut report = DefinitionReport {
+        spurious: Vec::new(),
+        missing: Vec::new(),
+    };
+    for a in 0..slots {
+        let from = CompositeTaskId::from_index(a);
+        for (w, (&v, &f)) in in_view.row(a).iter().zip(in_workflow.row(a)).enumerate() {
+            let self_bit = if w == a / 64 { 1u64 << (a % 64) } else { 0 };
+            for (mut bits, list) in [
+                (v & !f & !self_bit, &mut report.spurious),
+                (f & !v & !self_bit, &mut report.missing),
+            ] {
+                while bits != 0 {
+                    let to = CompositeTaskId::from_index(w * 64 + bits.trailing_zeros() as usize);
+                    list.push(DependencyMismatch { from, to });
+                    bits &= bits - 1;
                 }
             }
         }
-        self.refresh_view_side(spec, view);
-        self.report(spec, view)
     }
-
-    /// Combines the cached workflow-level connectivity with the view-level
-    /// reachability into a [`DefinitionReport`]. The view side (induced
-    /// graph + closure) is taken from the fingerprint-keyed cache when it is
-    /// current and recomputed on the fly otherwise — this method never
-    /// mutates the index, so ad-hoc callers can hold `&self`.
-    #[must_use]
-    pub fn report(&self, spec: &WorkflowSpec, view: &WorkflowView) -> DefinitionReport {
-        let fingerprint = induced_fingerprint(spec, view, &self.composites);
-        let fallback;
-        let (induced, view_reach) = match self
-            .view_side
-            .as_ref()
-            .filter(|cache| cache.fingerprint == fingerprint)
-        {
-            Some(cache) => (&cache.induced, &cache.reach),
-            None => {
-                let induced = view.induced_graph(spec);
-                let reach =
-                    ReachMatrix::build_from_csr(&wolves_graph::Csr::from_graph(&induced.graph));
-                fallback = (induced, reach);
-                (&fallback.0, &fallback.1)
-            }
-        };
-        let n = self.composites.len();
-        let mut spurious = Vec::new();
-        let mut missing = Vec::new();
-        // hoist the per-composite induced-node lookups out of the n² pair
-        // loop: each node_of probes a graph node slot, and 2·n² of them
-        // would dominate the scan
-        let induced_nodes: Vec<_> = self
-            .composites
-            .iter()
-            .map(|&(id, _)| induced.node_of(id))
-            .collect();
-        for (sa, &(a, _)) in self.composites.iter().enumerate() {
-            for (sb, &(b, _)) in self.composites.iter().enumerate() {
-                if sa == sb {
-                    continue;
-                }
-                let in_view = match (induced_nodes[sa], induced_nodes[sb]) {
-                    (Some(na), Some(nb)) => view_reach.reachable(na, nb),
-                    _ => false,
-                };
-                let in_workflow = self.in_workflow[sa * n + sb];
-                match (in_view, in_workflow) {
-                    (true, false) => spurious.push(DependencyMismatch { from: a, to: b }),
-                    (false, true) => missing.push(DependencyMismatch { from: a, to: b }),
-                    _ => {}
-                }
-            }
-        }
-        DefinitionReport { spurious, missing }
-    }
-
-    /// Rebuilds the view-side cache iff the induced-edge fingerprint moved;
-    /// an edit that left the view-level structure alone skips the induced
-    /// graph and closure rebuild entirely.
-    fn refresh_view_side(&mut self, spec: &WorkflowSpec, view: &WorkflowView) {
-        let fingerprint = induced_fingerprint(spec, view, &self.composites);
-        if self
-            .view_side
-            .as_ref()
-            .is_some_and(|cache| cache.fingerprint == fingerprint)
-        {
-            return;
-        }
-        let induced = view.induced_graph(spec);
-        let reach = ReachMatrix::build_from_csr(&wolves_graph::Csr::from_graph(&induced.graph));
-        self.view_side = Some(ViewSideCache {
-            fingerprint,
-            induced,
-            reach,
-        });
-    }
-
-    /// (Re)derives the member mask and unioned reach row of one slot.
-    fn derive_slot(&mut self, spec: &WorkflowSpec, view: &WorkflowView, slot: usize) {
-        let workflow_reach = spec.reachability();
-        let Ok(composite) = view.composite(self.composites[slot].0) else {
-            return;
-        };
-        let mask = &mut self.masks[slot * self.stride..(slot + 1) * self.stride];
-        for &task in composite.members() {
-            if let Some(comp) = workflow_reach.component_of(task) {
-                mask[comp / 64] |= 1u64 << (comp % 64);
-            }
-        }
-        let row = &mut self.rows[slot * self.stride..(slot + 1) * self.stride];
-        for &task in composite.members() {
-            if let Some(reach_row) = workflow_reach.reachable_row(task) {
-                wolves_graph::kernels::or_into(row, reach_row.words());
-            }
-        }
-    }
-
-    /// Recomputes `in_workflow` for every ordered pair with `a` as the
-    /// source. Pairs with `a` as the *target* are handled by the refresh
-    /// loop when `a`'s mask changed.
-    fn derive_pairs_of(&mut self, a: usize) {
-        let n = self.composites.len();
-        let row_a = &self.rows[a * self.stride..(a + 1) * self.stride];
-        for b in 0..n {
-            if a == b {
-                continue;
-            }
-            let mask_b = &self.masks[b * self.stride..(b + 1) * self.stride];
-            self.in_workflow[a * n + b] = wolves_graph::kernels::and_any(row_a, mask_b);
-        }
-    }
+    report
 }
 
 /// Validates a view against Definition 2.1 by literally enumerating simple
@@ -564,6 +257,8 @@ fn path_exists_by_enumeration<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use wolves_graph::traversal::{reachable_set, Direction};
     use wolves_workflow::builder::ViewBuilder;
     use wolves_workflow::WorkflowBuilder;
 
@@ -614,6 +309,63 @@ mod tests {
         (spec, view, t)
     }
 
+    /// Definition 2.1 reimplemented on plain BFS, so the comparison is
+    /// independent of the closures: a quadratic task-pair loop for
+    /// workflow-level connectivity, per-pair BFS for view-level
+    /// connectivity.
+    fn pairwise_reference(spec: &WorkflowSpec, view: &WorkflowView) -> DefinitionReport {
+        let induced = view.induced_graph(spec);
+        let composites: Vec<CompositeTaskId> = view.composite_ids().collect();
+        let tasks: Vec<TaskId> = spec.task_ids().collect();
+        let mut connected: BTreeSet<(CompositeTaskId, CompositeTaskId)> = BTreeSet::new();
+        for &u in &tasks {
+            let reach = reachable_set(spec.graph(), &[u], Direction::Forward);
+            for &v in &tasks {
+                if u == v || !reach.contains(v.index()) {
+                    continue;
+                }
+                let (Some(cu), Some(cv)) = (view.composite_of(u), view.composite_of(v)) else {
+                    continue;
+                };
+                if cu != cv {
+                    connected.insert((cu, cv));
+                }
+            }
+        }
+        let mut spurious = Vec::new();
+        let mut missing = Vec::new();
+        for &a in &composites {
+            for &b in &composites {
+                if a == b {
+                    continue;
+                }
+                let in_view = match (induced.node_of(a), induced.node_of(b)) {
+                    (Some(na), Some(nb)) => {
+                        reachable_set(&induced.graph, &[na], Direction::Forward)
+                            .contains(nb.index())
+                    }
+                    _ => false,
+                };
+                let in_workflow = connected.contains(&(a, b));
+                match (in_view, in_workflow) {
+                    (true, false) => spurious.push(DependencyMismatch { from: a, to: b }),
+                    (false, true) => missing.push(DependencyMismatch { from: a, to: b }),
+                    _ => {}
+                }
+            }
+        }
+        DefinitionReport { spurious, missing }
+    }
+
+    /// Asserts that [`validate_by_definition`] returns exactly the
+    /// [`pairwise_reference`] report, lists and order included.
+    fn assert_matches_reference(spec: &WorkflowSpec, view: &WorkflowView) {
+        let fast = validate_by_definition(spec, view);
+        let reference = pairwise_reference(spec, view);
+        assert_eq!(fast.spurious, reference.spurious);
+        assert_eq!(fast.missing, reference.missing);
+    }
+
     #[test]
     fn figure1_view_is_unsound_because_of_composite_16() {
         let (spec, view, _) = figure1();
@@ -644,58 +396,45 @@ mod tests {
     }
 
     #[test]
-    fn incremental_definition_check_tracks_an_edit_loop() {
+    fn definition_check_tracks_an_edit_loop() {
         use wolves_workflow::SpecMutation;
         let (mut spec, view, t) = figure1();
-        let _ = spec.reachability();
-        let _ = spec.take_dirty();
-        let mut index = DefinitionIndex::new(&spec, &view);
-        let baseline = index.report(&spec, &view);
-        assert_eq!(baseline.spurious.len(), 2);
-
         let c14 = view.composite_of(t[2]).unwrap();
         let c18 = view.composite_of(t[7]).unwrap();
+        let has_14_to_18 = |report: &DefinitionReport| {
+            report.spurious.iter().any(|m| m.from == c14 && m.to == c18)
+        };
+        let baseline = validate_by_definition(&spec, &view);
+        assert_eq!(baseline.spurious.len(), 2);
+        assert!(has_14_to_18(&baseline));
 
         // the user repairs the workflow instead of the view: connecting
         // Curate annotations -> Create alignment realises the 14 -> 18 path
-        let report = spec
-            .apply(SpecMutation::AddDependency {
-                from: t[3],
-                to: t[6],
-            })
-            .unwrap();
-        assert_eq!(report.class, wolves_graph::DeltaClass::MonotoneSafe);
-        let dirty = spec.take_dirty();
-        let refreshed = validate_by_definition_incremental(&spec, &view, &dirty, &mut index);
-        assert!(!refreshed
-            .spurious
-            .iter()
-            .any(|m| m.from == c14 && m.to == c18));
+        spec.apply(SpecMutation::AddDependency {
+            from: t[3],
+            to: t[6],
+        })
+        .unwrap();
+        let repaired = validate_by_definition(&spec, &view);
+        assert!(!has_14_to_18(&repaired));
         // the unrelated 15 -> 17 spurious dependency is still reported
-        assert_eq!(refreshed.spurious.len(), 1);
-        let fresh = validate_by_definition(&spec, &view);
-        assert_eq!(refreshed.spurious, fresh.spurious);
-        assert_eq!(refreshed.missing, fresh.missing);
+        assert_eq!(repaired.spurious.len(), 1);
+        assert_matches_reference(&spec, &view);
 
-        // undoing the edit runs the decremental path: the refresh re-derives
-        // only the touched slots and the spurious dependency reappears
-        let report = spec
-            .apply(SpecMutation::RemoveDependency {
-                from: t[3],
-                to: t[6],
-            })
-            .unwrap();
-        assert_eq!(report.class, wolves_graph::DeltaClass::Decremental);
-        let dirty = spec.take_dirty();
-        assert!(!dirty.is_all());
-        let reverted = index.refresh(&spec, &view, &dirty);
-        assert_eq!(reverted.spurious.len(), 2);
-        let fresh = validate_by_definition(&spec, &view);
-        assert_eq!(reverted.spurious, fresh.spurious);
+        // undoing the edit brings the spurious dependency back
+        spec.apply(SpecMutation::RemoveDependency {
+            from: t[3],
+            to: t[6],
+        })
+        .unwrap();
+        let reverted = validate_by_definition(&spec, &view);
+        assert_eq!(reverted.spurious, baseline.spurious);
+        assert!(has_14_to_18(&reverted));
+        assert_matches_reference(&spec, &view);
     }
 
     #[test]
-    fn refresh_detects_membership_only_view_edits() {
+    fn definition_check_follows_membership_only_view_edits() {
         use wolves_workflow::{AtomicTask, DataDependency};
         // t0, t1, t2 with the single edge t1 -> t2; view {t0, t1} | {t2}
         let mut spec = WorkflowSpec::new("membership");
@@ -710,18 +449,14 @@ mod tests {
             vec![("ab".into(), vec![t[0], t[1]]), ("c".into(), vec![t[2]])],
         )
         .unwrap();
-        let _ = spec.reachability();
-        let _ = spec.take_dirty();
-        let mut index = DefinitionIndex::new(&spec, &view);
+        assert!(validate_by_definition(&spec, &view).is_sound());
         // dropping t1 from 'ab' keeps the composite-id set identical but
-        // changes the membership: the cached rows would still claim
-        // ab -> c workflow connectivity through the departed t1
+        // changes the membership: ab -> c is gone from both the view and
+        // the workflow, and no path through the departed t1 may count
         view.remove_member(t[1]).unwrap();
-        let refreshed = index.refresh(&spec, &view, &spec.dirty_rows().clone());
-        let fresh = validate_by_definition(&spec, &view);
-        assert_eq!(refreshed.spurious, fresh.spurious);
-        assert_eq!(refreshed.missing, fresh.missing);
-        assert!(refreshed.missing.is_empty());
+        let report = validate_by_definition(&spec, &view);
+        assert!(report.is_sound());
+        assert_matches_reference(&spec, &view);
     }
 
     #[test]
@@ -764,57 +499,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeSet;
-        use wolves_graph::traversal::{reachable_set, Direction};
         use wolves_workflow::{AtomicTask, DataDependency};
-
-        /// The pre-bitset-algebra semantics of `validate_by_definition`,
-        /// reimplemented on plain BFS so the comparison is independent of
-        /// `ReachMatrix`: a quadratic task-pair loop for workflow-level
-        /// connectivity, per-pair BFS for view-level connectivity.
-        fn pairwise_reference(spec: &WorkflowSpec, view: &WorkflowView) -> DefinitionReport {
-            let induced = view.induced_graph(spec);
-            let composites: Vec<CompositeTaskId> = view.composite_ids().collect();
-            let tasks: Vec<TaskId> = spec.task_ids().collect();
-            let mut connected: BTreeSet<(CompositeTaskId, CompositeTaskId)> = BTreeSet::new();
-            for &u in &tasks {
-                let reach = reachable_set(spec.graph(), &[u], Direction::Forward);
-                for &v in &tasks {
-                    if u == v || !reach.contains(v.index()) {
-                        continue;
-                    }
-                    let (Some(cu), Some(cv)) = (view.composite_of(u), view.composite_of(v)) else {
-                        continue;
-                    };
-                    if cu != cv {
-                        connected.insert((cu, cv));
-                    }
-                }
-            }
-            let mut spurious = Vec::new();
-            let mut missing = Vec::new();
-            for &a in &composites {
-                for &b in &composites {
-                    if a == b {
-                        continue;
-                    }
-                    let in_view = match (induced.node_of(a), induced.node_of(b)) {
-                        (Some(na), Some(nb)) => {
-                            reachable_set(&induced.graph, &[na], Direction::Forward)
-                                .contains(nb.index())
-                        }
-                        _ => false,
-                    };
-                    let in_workflow = connected.contains(&(a, b));
-                    match (in_view, in_workflow) {
-                        (true, false) => spurious.push(DependencyMismatch { from: a, to: b }),
-                        (false, true) => missing.push(DependencyMismatch { from: a, to: b }),
-                        _ => {}
-                    }
-                }
-            }
-            DefinitionReport { spurious, missing }
-        }
 
         /// Arbitrary specs (DAG when `cyclic` is false, back edges permitted
         /// when true) with an arbitrary partition into composite tasks.
@@ -866,28 +551,17 @@ mod tests {
                 })
         }
 
-        fn assert_reports_agree(spec: &WorkflowSpec, view: &WorkflowView) {
-            let fast = validate_by_definition(spec, view);
-            let reference = pairwise_reference(spec, view);
-            assert_eq!(fast.spurious, reference.spurious);
-            assert_eq!(fast.missing, reference.missing);
-        }
-
-        /// Drives a random mutation sequence through `spec.apply`, refreshing
-        /// a [`DefinitionIndex`] with the accumulated dirty rows after every
-        /// step and asserting the incremental report is identical to a
-        /// from-scratch [`validate_by_definition`] — the epoch-incremental
-        /// pipeline end to end, over all three delta classes.
-        fn assert_incremental_matches_rebuild(
+        /// Drives a random mutation sequence through `spec.apply` and
+        /// asserts the from-scratch report equals [`pairwise_reference`]
+        /// after every step — edge inserts and removals in raw orientation,
+        /// so SCC merges and splits through later removals are common.
+        fn assert_matches_reference_through_spec_edits(
             spec: &mut WorkflowSpec,
             view: &WorkflowView,
             ops: Vec<(usize, usize, usize)>,
         ) {
             use wolves_workflow::SpecMutation;
             let tasks: Vec<TaskId> = spec.task_ids().collect();
-            let _ = spec.reachability();
-            let _ = spec.take_dirty();
-            let mut index = DefinitionIndex::new(spec, view);
             for (op, raw_a, raw_b) in ops {
                 let from = tasks[raw_a % tasks.len()];
                 let to = tasks[raw_b % tasks.len()];
@@ -897,35 +571,25 @@ mod tests {
                 let mutation = if op % 3 == 0 {
                     SpecMutation::RemoveDependency { from, to }
                 } else {
-                    // raw orientation: back edges (SCC merges and splits
-                    // through later removals) are common
                     SpecMutation::AddDependency { from, to }
                 };
                 if spec.apply(mutation).is_err() {
                     continue; // duplicate insert or missing edge to remove
                 }
-                let dirty = spec.take_dirty();
-                let incremental = index.refresh(spec, view, &dirty);
-                let fresh = validate_by_definition(spec, view);
-                assert_eq!(incremental.spurious, fresh.spurious);
-                assert_eq!(incremental.missing, fresh.missing);
+                assert_matches_reference(spec, view);
             }
         }
 
-        /// Like [`assert_incremental_matches_rebuild`], but the script also
-        /// mutates the *view*: spec-level task removals tracked by
-        /// `remove_member`, and membership-only view edits. Exercises the
-        /// decremental spec path (SCC splits, cycle un-closing) interleaved
-        /// with per-slot view-side re-derivation.
-        fn assert_incremental_tracks_spec_and_view_edits(
+        /// Like [`assert_matches_reference_through_spec_edits`], but the
+        /// script also mutates the *view*: spec-level task removals tracked
+        /// by `remove_member` (tombstoned task slots) and membership-only
+        /// view edits (tasks dropped from the view, emptied composites).
+        fn assert_matches_reference_through_spec_and_view_edits(
             spec: &mut WorkflowSpec,
             view: &mut WorkflowView,
             ops: Vec<(usize, usize, usize)>,
         ) {
             use wolves_workflow::SpecMutation;
-            let _ = spec.reachability();
-            let _ = spec.take_dirty();
-            let mut index = DefinitionIndex::new(spec, view);
             for (op, raw_a, raw_b) in ops {
                 let tasks: Vec<TaskId> = spec.task_ids().collect();
                 if tasks.len() < 4 {
@@ -965,63 +629,83 @@ mod tests {
                         }
                     }
                 }
-                let dirty = spec.take_dirty();
-                let incremental = index.refresh(spec, view, &dirty);
-                let fresh = validate_by_definition(spec, view);
-                assert_eq!(incremental.spurious, fresh.spurious);
-                assert_eq!(incremental.missing, fresh.missing);
+                assert_matches_reference(spec, view);
             }
+        }
+
+        /// The literal path-enumeration check is a second oracle,
+        /// independent of both closures and of BFS: it must return the same
+        /// lists in the same order.
+        fn assert_naive_agrees(spec: &WorkflowSpec, view: &WorkflowView) {
+            let fast = validate_by_definition(spec, view);
+            let naive = validate_naive(spec, view, 16).expect("at most 9 tasks");
+            assert_eq!(fast.spurious, naive.spurious);
+            assert_eq!(fast.missing, naive.missing);
         }
 
         proptest! {
             #[test]
-            fn prop_bitset_algebra_matches_pairwise_on_dags(
+            fn prop_definition_check_matches_pairwise_on_dags(
                 (spec, view) in arbitrary_spec_and_view(14, false)
             ) {
-                assert_reports_agree(&spec, &view);
+                assert_matches_reference(&spec, &view);
             }
 
             #[test]
-            fn prop_incremental_definition_check_matches_rebuild_on_dags(
-                (spec, view) in arbitrary_spec_and_view(12, false),
-                ops in proptest::collection::vec((0usize..3, 0usize..32, 0usize..32), 1..16)
-            ) {
-                let mut spec = spec;
-                assert_incremental_matches_rebuild(&mut spec, &view, ops);
-            }
-
-            #[test]
-            fn prop_incremental_definition_check_matches_rebuild_on_cyclic_specs(
-                (spec, view) in arbitrary_spec_and_view(10, true),
-                ops in proptest::collection::vec((0usize..3, 0usize..32, 0usize..32), 1..16)
-            ) {
-                let mut spec = spec;
-                assert_incremental_matches_rebuild(&mut spec, &view, ops);
-            }
-
-            #[test]
-            fn prop_bitset_algebra_matches_pairwise_on_cyclic_specs(
+            fn prop_definition_check_matches_pairwise_on_cyclic_specs(
                 (spec, view) in arbitrary_spec_and_view(12, true)
             ) {
-                assert_reports_agree(&spec, &view);
+                assert_matches_reference(&spec, &view);
             }
 
             #[test]
-            fn prop_incremental_tracks_spec_and_view_edits_on_dags(
+            fn prop_definition_check_tracks_spec_edits_on_dags(
+                (spec, view) in arbitrary_spec_and_view(12, false),
+                ops in proptest::collection::vec((0usize..3, 0usize..32, 0usize..32), 1..16)
+            ) {
+                let mut spec = spec;
+                assert_matches_reference_through_spec_edits(&mut spec, &view, ops);
+            }
+
+            #[test]
+            fn prop_definition_check_tracks_spec_edits_on_cyclic_specs(
+                (spec, view) in arbitrary_spec_and_view(10, true),
+                ops in proptest::collection::vec((0usize..3, 0usize..32, 0usize..32), 1..16)
+            ) {
+                let mut spec = spec;
+                assert_matches_reference_through_spec_edits(&mut spec, &view, ops);
+            }
+
+            #[test]
+            fn prop_definition_check_tracks_spec_and_view_edits_on_dags(
                 (spec, view) in arbitrary_spec_and_view(12, false),
                 ops in proptest::collection::vec((0usize..6, 0usize..32, 0usize..32), 1..20)
             ) {
                 let (mut spec, mut view) = (spec, view);
-                assert_incremental_tracks_spec_and_view_edits(&mut spec, &mut view, ops);
+                assert_matches_reference_through_spec_and_view_edits(&mut spec, &mut view, ops);
             }
 
             #[test]
-            fn prop_incremental_tracks_spec_and_view_edits_on_cyclic_specs(
+            fn prop_definition_check_tracks_spec_and_view_edits_on_cyclic_specs(
                 (spec, view) in arbitrary_spec_and_view(10, true),
                 ops in proptest::collection::vec((0usize..6, 0usize..32, 0usize..32), 1..20)
             ) {
                 let (mut spec, mut view) = (spec, view);
-                assert_incremental_tracks_spec_and_view_edits(&mut spec, &mut view, ops);
+                assert_matches_reference_through_spec_and_view_edits(&mut spec, &mut view, ops);
+            }
+
+            #[test]
+            fn prop_naive_check_lists_the_same_mismatches_on_dags(
+                (spec, view) in arbitrary_spec_and_view(10, false)
+            ) {
+                assert_naive_agrees(&spec, &view);
+            }
+
+            #[test]
+            fn prop_naive_check_lists_the_same_mismatches_on_cyclic_specs(
+                (spec, view) in arbitrary_spec_and_view(10, true)
+            ) {
+                assert_naive_agrees(&spec, &view);
             }
 
             #[test]

@@ -5,8 +5,8 @@
 //! delta is classified into one of four maintenance classes
 //! ([`DeltaClass`]), and the maintenance routine reports exactly which
 //! matrix rows it touched as a [`DirtyRows`] bitset. Downstream consumers
-//! (the definition-level validator, the serving layer's verdict caches) use
-//! the dirty set to re-check only what the edit could have changed.
+//! (the serving layer's verdict caches) use the dirty set to re-check only
+//! what the edit could have changed.
 
 use crate::bitset::FixedBitSet;
 

@@ -1,8 +1,8 @@
 //! Blocked (SIMD-width) word kernels for bitset rows.
 //!
 //! Every hot loop in the reachability pipeline — row unions during closure
-//! propagation, mask intersections in the definition-level validator,
-//! popcounts for descendant counting — walks flat `&[u64]` slices. The
+//! propagation, mask intersections, popcounts for descendant counting —
+//! walks flat `&[u64]` slices. The
 //! kernels here process those slices in explicitly unrolled 4-word blocks
 //! (`u64x4`-style, 256 bits per step): the blocks have no loop-carried
 //! dependency chains, so the compiler autovectorises them to SSE2/AVX2 (or
@@ -97,8 +97,8 @@ pub fn andnot_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Returns `true` iff `a & b` has any set bit over the common prefix.
-/// This is the mask-intersect test at the heart of `validate_by_definition`.
+/// Returns `true` iff `a & b` has any set bit over the common prefix: the
+/// early-exit intersect test behind `FixedBitSet::intersects`.
 #[must_use]
 pub fn and_any(a: &[u64], b: &[u64]) -> bool {
     let n = a.len().min(b.len());

@@ -21,7 +21,8 @@
 //!   bit matrix over the condensation, built by in-place row unions over a
 //!   topological order, with row-level ops ([`reach::ReachRow`]) for
 //!   bitset-algebra consumers and in-place delta maintenance for node and
-//!   edge inserts.
+//!   edge inserts; [`LabelledClosure`] runs the same propagation over node
+//!   labels (e.g. composite tasks) instead of components.
 //! * [`delta`] — the delta taxonomy for incremental maintenance
 //!   ([`DeltaClass`]) and the [`DirtyRows`] change sets the maintenance
 //!   routines report to downstream caches.
@@ -72,4 +73,4 @@ pub use delta::{DeltaClass, DeltaOutcome, DirtyRows};
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::{EdgeId, NodeId};
-pub use reach::{ReachMatrix, ReachRow};
+pub use reach::{LabelledClosure, ReachMatrix, ReachRow};

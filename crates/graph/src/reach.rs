@@ -17,8 +17,13 @@
 //! Building the matrix unions successor rows *in place* through disjoint
 //! row slices — no per-edge row clone, no per-row allocation — and
 //! consumers can borrow whole rows ([`ReachMatrix::reachable_row`]) to run
-//! word-level bitset algebra (mask intersections, popcounts) instead of
+//! word-level bitset algebra (popcounts, component scans) instead of
 //! per-node `reachable()` loops.
+//!
+//! [`LabelledClosure`] runs the same propagation with rows over node
+//! *labels* instead of components: a label's row holds every label one of
+//! its nodes reaches, which is how composite-level connectivity is computed
+//! without a row per task.
 //!
 //! ## Incremental maintenance
 //!
@@ -53,7 +58,7 @@ use crate::delta::{DeltaClass, DeltaOutcome, DirtyRows};
 use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use crate::id::NodeId;
-use crate::scc::{condense_to_csr, strongly_connected_components_csr};
+use crate::scc::{condense_to_csr, strongly_connected_components_csr, SccDecomposition};
 use crate::topo::topological_sort_csr;
 use crate::traversal::{shortest_path, Direction};
 
@@ -111,20 +116,11 @@ impl ReachMatrix {
     #[must_use]
     pub fn build_from_csr(csr: &Csr) -> Self {
         let scc = strongly_connected_components_csr(csr);
-        let condensed = condense_to_csr(csr, &scc);
-        let order = topological_sort_csr(&condensed).expect("condensation is always acyclic");
         let comp_count = scc.len();
         let stride = crate::kernels::pad_words(comp_count.div_ceil(64));
-        let mut words = vec![0u64; comp_count * stride];
-        // Process in reverse topological order so successor rows are complete
-        // before they are unioned into their predecessors.
-        for &comp in order.iter().rev() {
-            let i = comp.index();
-            words[i * stride + i / 64] |= 1u64 << (i % 64);
-            for &succ in condensed.successors(comp) {
-                union_rows(&mut words, stride, i, succ.index());
-            }
-        }
+        let words = propagate_closure(csr, &scc, stride, |comp, row| {
+            row[comp / 64] |= 1u64 << (comp % 64);
+        });
         let comp_size: Vec<u32> = scc
             .iter()
             .map(|members| u32::try_from(members.len()).expect("component size exceeds u32"))
@@ -227,8 +223,7 @@ impl ReachMatrix {
     }
 
     /// The raw reachability words of one component's row; bit `j` is set iff
-    /// component `j` is reachable. This is the substrate for bitset-algebra
-    /// consumers (e.g. the definition-level validator's mask intersections).
+    /// component `j` is reachable.
     ///
     /// # Panics
     /// Panics if `comp >= comp_count()`.
@@ -826,26 +821,94 @@ impl ReachRow<'_> {
             crate::bitset::OnesInWord { word }.map(move |bit| wi * 64 + bit)
         })
     }
+}
 
-    /// The raw row words (bit `j` ⇔ component `j` reachable).
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        self.words
-    }
+/// Reachability between node *labels*: row `a` has bit `b` set iff some
+/// node labelled `a` reaches some node labelled `b` by a path of length
+/// zero or more. With `label = composite_of(task)` over a workflow this is
+/// composite-level workflow connectivity; with every node labelled by its
+/// own index it is plain reachability between the labelled nodes.
+///
+/// The build is [`ReachMatrix::build_from_csr`]'s propagation with a
+/// different seed: each strongly connected component's row starts as the
+/// labels of its members instead of the component's own bit, so rows are
+/// `label_count` bits wide whatever the graph size. A label's row is then
+/// the OR of its nodes' component rows — O((V + E) · L/64) words for L
+/// labels.
+#[derive(Debug, Clone)]
+pub struct LabelledClosure {
+    /// Row-major label rows: row `a` is `words[a*stride..(a+1)*stride]`.
+    words: Vec<u64>,
+    /// `label_count.div_ceil(64)` padded to a multiple of
+    /// [`crate::kernels::LANES`]; pad words are always zero.
+    stride: usize,
+}
 
-    /// Returns `true` iff the row shares a component with `mask`, given as
-    /// raw words over component indices (same stride as the row).
+impl LabelledClosure {
+    /// Builds the label rows of `csr`, where `label_of` names the label of
+    /// each live node (`None` for an unlabelled node, which still carries
+    /// paths between labelled ones).
     ///
     /// # Panics
-    /// Panics if `mask` is shorter than the row.
+    /// Panics if `label_of` returns a label `>= label_count`.
     #[must_use]
-    pub fn intersects_words(&self, mask: &[u64]) -> bool {
-        assert!(
-            mask.len() >= self.words.len(),
-            "mask shorter than reachability row"
-        );
-        crate::kernels::and_any(self.words, mask)
+    pub fn build(
+        csr: &Csr,
+        label_count: usize,
+        label_of: impl Fn(NodeId) -> Option<usize>,
+    ) -> Self {
+        let scc = strongly_connected_components_csr(csr);
+        let stride = crate::kernels::pad_words(label_count.div_ceil(64));
+        let comp_rows = propagate_closure(csr, &scc, stride, |comp, row| {
+            for label in scc.members_of(comp).iter().filter_map(|&n| label_of(n)) {
+                row[label / 64] |= 1u64 << (label % 64);
+            }
+        });
+        let mut words = vec![0u64; label_count * stride];
+        for comp in 0..scc.len() {
+            for label in scc.members_of(comp).iter().filter_map(|&n| label_of(n)) {
+                crate::kernels::or_into(
+                    &mut words[label * stride..(label + 1) * stride],
+                    &comp_rows[comp * stride..(comp + 1) * stride],
+                );
+            }
+        }
+        LabelledClosure { words, stride }
     }
+
+    /// The row of `label`: bit `b` is set iff `label` reaches label `b`.
+    /// Every label with a node reaches itself.
+    ///
+    /// # Panics
+    /// Panics if `label >= label_count`.
+    #[must_use]
+    pub fn row(&self, label: usize) -> &[u64] {
+        &self.words[label * self.stride..(label + 1) * self.stride]
+    }
+}
+
+/// The closure propagation shared by [`ReachMatrix::build_from_csr`] and
+/// [`LabelledClosure::build`]: over the condensation of `csr`, in reverse
+/// topological order so successor rows are complete before they are
+/// unioned into their predecessors, each component's `stride`-word row is
+/// seeded by `seed` and then ORed with its successors' rows in place.
+fn propagate_closure(
+    csr: &Csr,
+    scc: &SccDecomposition,
+    stride: usize,
+    mut seed: impl FnMut(usize, &mut [u64]),
+) -> Vec<u64> {
+    let condensed = condense_to_csr(csr, scc);
+    let order = topological_sort_csr(&condensed).expect("condensation is always acyclic");
+    let mut words = vec![0u64; scc.len() * stride];
+    for &comp in order.iter().rev() {
+        let i = comp.index();
+        seed(i, &mut words[i * stride..(i + 1) * stride]);
+        for &succ in condensed.successors(comp) {
+            union_rows(&mut words, stride, i, succ.index());
+        }
+    }
+    words
 }
 
 /// ORs row `src` into row `dst` in place. The rows are disjoint because the
@@ -999,18 +1062,12 @@ mod tests {
         assert_eq!(row.node_count(), 4);
         assert_eq!(row.component_count(), 4);
         assert_eq!(row.components().count(), 4);
-        assert_eq!(row.words().len(), r.row_stride());
-        // a mask holding only n[3]'s component intersects the row
-        let mut mask = vec![0u64; r.row_stride()];
-        let c3 = r.component_of(n[3]).unwrap();
-        mask[c3 / 64] |= 1 << (c3 % 64);
-        assert!(row.intersects_words(&mask));
-        // the row of the sink intersects nothing but itself
+        // the row of the sink holds nothing but itself
         let sink_row = r.reachable_row(n[3]).unwrap();
-        let mut other = vec![0u64; r.row_stride()];
-        let c0 = r.component_of(n[0]).unwrap();
-        other[c0 / 64] |= 1 << (c0 % 64);
-        assert!(!sink_row.intersects_words(&other));
+        assert_eq!(
+            sink_row.components().collect::<Vec<_>>(),
+            [r.component_of(n[3]).unwrap()]
+        );
     }
 
     #[test]
@@ -1047,6 +1104,24 @@ mod tests {
         assert!(!r.reachable(nodes[199], nodes[0]));
         assert_eq!(r.descendant_count(nodes[0]), 200);
         assert_eq!(r.descendant_count(nodes[120]), 80);
+    }
+
+    #[test]
+    fn labelled_closure_unions_members_and_paths_through_unlabelled_nodes() {
+        // a -> x -> b -> c <-> d; labels a: 0, b and d: 1, c: 2, x: none
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let [a, x, b, c, d] = [(); 5].map(|()| g.add_node(()));
+        for (from, to) in [(a, x), (x, b), (b, c), (c, d), (d, c)] {
+            g.add_edge(from, to, ()).unwrap();
+        }
+        let label = |n: NodeId| [Some(0), None, Some(1), Some(2), Some(1)][n.index()];
+        let closure = LabelledClosure::build(&Csr::from_graph(&g), 4, label);
+        let labels_of = |row: &[u64]| (0..4).filter(|&l| row[0] >> l & 1 == 1).collect::<Vec<_>>();
+        assert_eq!(labels_of(closure.row(0)), [0, 1, 2]);
+        assert_eq!(labels_of(closure.row(1)), [1, 2]);
+        assert_eq!(labels_of(closure.row(2)), [1, 2]);
+        // a label no node carries reaches nothing, not even itself
+        assert_eq!(labels_of(closure.row(3)), [] as [usize; 0]);
     }
 
     fn arbitrary_dag(max_nodes: usize) -> impl Strategy<Value = DiGraph<(), ()>> {
@@ -1605,6 +1680,22 @@ mod tests {
         #[test]
         fn prop_matrix_agrees_with_bfs_on_cyclic_graphs(g in arbitrary_digraph(20)) {
             assert_matrix_matches_bfs(&g);
+        }
+
+        #[test]
+        fn prop_identity_labelled_closure_is_the_matrix(g in arbitrary_digraph(20)) {
+            // every node labelled by its own index: label rows are node rows
+            let r = ReachMatrix::build(&g).unwrap();
+            let closure = LabelledClosure::build(&Csr::from_graph(&g), g.node_bound(), |n| {
+                Some(n.index())
+            });
+            for u in g.node_ids() {
+                let row = closure.row(u.index());
+                for v in g.node_ids() {
+                    let bit = row[v.index() / 64] >> (v.index() % 64) & 1 == 1;
+                    prop_assert_eq!(bit, r.reachable(u, v));
+                }
+            }
         }
 
         #[test]

@@ -62,7 +62,7 @@ use wolves_graph::DirtyRows;
 
 use wolves_core::correct::{correct_view, Strategy};
 use wolves_core::estimate::{CorrectionSample, EstimationRegistry, WorkloadClass};
-use wolves_core::soundness::soundness_verdict;
+use wolves_core::soundness::is_sound;
 use wolves_moml::{read_text_format, write_text_format};
 use wolves_provenance::ViewProvenanceIndex;
 use wolves_workflow::persist::{
@@ -1211,7 +1211,7 @@ impl WorkflowStore {
             let summary = cell.get_or_init(|| {
                 ran = true;
                 trace.enter(Stage::Compute);
-                let sound = soundness_verdict(&spec, composite.members()).is_sound();
+                let sound = is_sound(&spec, composite.members());
                 trace.enter(Stage::CacheLookup);
                 CompositeSummary {
                     sound,

@@ -13,8 +13,7 @@
 //!   class allows, reporting exactly which matrix rows changed
 //!   ([`MutationReport`]).
 //!
-//! Downstream caches (the definition-level validator's
-//! `DefinitionIndex`, the serving layer's per-composite verdict caches) key
+//! Downstream caches (the serving layer's per-composite verdict caches) key
 //! their entries on the epoch and consume the dirty rows to invalidate only
 //! what an edit could have changed.
 

@@ -40,7 +40,7 @@ pub mod prelude {
         correct_view, Corrector, OptimalCorrector, Split, Strategy, StrongCorrector, WeakCorrector,
     };
     pub use wolves_core::feedback::FeedbackSession;
-    pub use wolves_core::validate::{validate, validate_by_definition, DefinitionIndex};
+    pub use wolves_core::validate::{validate, validate_by_definition};
     pub use wolves_provenance::{
         compare_to_ground_truth, view_level_provenance, workflow_level_provenance,
     };
