@@ -24,9 +24,11 @@
 //! the two is the headline number of the mutation-epoch engine and is
 //! emitted into the mutation JSON alongside the raw rows. A `guard` object
 //! pins the removal-vs-insert latency ratio at the ~1941-task grid point for
-//! CI, and the graph JSON's `guard` pins two from-scratch builds against the
-//! spec's matrix build at the largest grid point: the provenance index
-//! (induced view graph plus its closure) and the Definition 2.1 check.
+//! CI, and the graph JSON's `guard` pins three costs against the spec's
+//! matrix build at the largest grid point: the provenance index (induced
+//! view graph plus its closure), the Definition 2.1 check, and the
+//! copy-on-write clone of the whole spec (`mutation/spec_clone`) that every
+//! served edit pays.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -54,6 +56,12 @@ const INDEX_OVER_MATRIX_MAX: f64 = 0.85;
 /// (9,991); the composite-pair scan they replaced measured 14–23 and
 /// 62–111.
 const DEFINITION_OVER_MATRIX_MAX: f64 = 4.0;
+
+/// Bound of the `mutation/spec_clone` over `graph/matrix_build` guard. A
+/// clone that shares the graph's slot blocks and the matrix's row blocks
+/// copies handles, the per-component vectors and the bounded delta log;
+/// the deep copy it replaced cost more than a matrix build.
+const SPEC_CLONE_OVER_MATRIX_MAX: f64 = 0.1;
 
 struct Row {
     workload: &'static str,
@@ -151,6 +159,16 @@ fn main() {
                 1
             },
         ));
+        // what the serving layer's copy-on-write commit pays per edit
+        // before it applies the edit: clone the published spec (built
+        // matrix, construction edits in the delta log) and later drop it
+        assert!(
+            !spec.delta_log().is_empty(),
+            "the generated spec carries its construction edits"
+        );
+        rows.push(measure("mutation/spec_clone", tasks, edges, iters, || {
+            std::hint::black_box(spec.clone()).task_count()
+        }));
     }
 
     // the mutation workload pays a full matrix rebuild per edit for its
@@ -460,7 +478,8 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     // plus its closure) works on the smaller view graph, so a build that
     // costs more is paying per-edge lookups; the Definition 2.1 check is
     // two composite-labelled closures, so a check far above one matrix
-    // build has fallen back to scanning composite pairs
+    // build has fallen back to scanning composite pairs; the spec clone is
+    // bounded far below one build, or the commit path is deep-copying again
     let median_of = |workload: &str, tasks: usize| {
         rows.iter()
             .find(|r| r.workload == workload && r.tasks == tasks)
@@ -470,16 +489,19 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         let index = median_of("provenance/index_build", tasks)?;
         let definition = median_of("validator/definition_closure", tasks)?;
         let matrix = median_of("graph/matrix_build", tasks)?;
-        Some((tasks, index, definition, matrix))
+        let clone = median_of("mutation/spec_clone", tasks)?;
+        Some((tasks, index, definition, matrix, clone))
     });
     match guard {
-        Some((tasks, index, definition, matrix)) => {
+        Some((tasks, index, definition, matrix, clone)) => {
             let index_ratio = index / matrix.max(f64::MIN_POSITIVE);
             let definition_ratio = definition / matrix.max(f64::MIN_POSITIVE);
+            let clone_ratio = clone / matrix.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
             let _ = writeln!(out, "    \"index_build_median_us\": {index:.2},");
             let _ = writeln!(out, "    \"definition_median_us\": {definition:.2},");
+            let _ = writeln!(out, "    \"spec_clone_median_us\": {clone:.2},");
             let _ = writeln!(out, "    \"matrix_build_median_us\": {matrix:.2},");
             let _ = writeln!(out, "    \"index_over_matrix\": {index_ratio:.3},");
             let _ = writeln!(
@@ -501,8 +523,18 @@ fn render_json(rows: &[Row], quick: bool) -> String {
             );
             let _ = writeln!(
                 out,
-                "    \"definition_within_bound\": {}",
+                "    \"definition_within_bound\": {},",
                 definition_ratio <= DEFINITION_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(out, "    \"spec_clone_over_matrix\": {clone_ratio:.3},");
+            let _ = writeln!(
+                out,
+                "    \"max_spec_clone_over_matrix\": {SPEC_CLONE_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"spec_clone_within_bound\": {}",
+                clone_ratio <= SPEC_CLONE_OVER_MATRIX_MAX
             );
             let _ = writeln!(out, "  }}");
         }

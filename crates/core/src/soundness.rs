@@ -80,10 +80,12 @@ fn witnesses<'a>(
 ) -> impl Iterator<Item = UnsoundnessWitness> + 'a {
     let reach = spec.reachability();
     boundary.inputs.iter().flat_map(move |&input| {
+        // one row borrow per input; an unknown input reaches nothing
+        let row = reach.reachable_row(input);
         boundary
             .outputs
             .iter()
-            .filter(move |&&output| !reach.reachable(input, output))
+            .filter(move |&&output| !row.is_some_and(|row| row.contains(output)))
             .map(move |&output| UnsoundnessWitness { input, output })
     })
 }

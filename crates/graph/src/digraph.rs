@@ -1,14 +1,27 @@
 //! Adjacency-list directed graph with stable typed indices.
+//!
+//! Node and edge slots live in [`BlockVec`]s, so a clone copies one handle
+//! per 64 slots and an edge edit afterwards copies only the two node blocks
+//! and the one edge block it writes.
 
+use std::sync::Arc;
+
+use crate::blockvec::{BlockVec, BLOCK_LEN};
 use crate::error::GraphError;
 use crate::id::{EdgeId, NodeId};
 
-/// Internal node storage.
+/// Internal node storage. The payload sits behind an `Arc`, so copying a
+/// block of slots out of a shared base never clones payloads: a task's
+/// name stays where it was first allocated, next to its neighbours', and
+/// is not scattered over the heap by repeated edits. The adjacency lists
+/// hold only live edges (edge removal prunes them eagerly), each with its
+/// far endpoint, so walking a node's neighbours never touches the edge
+/// slots.
 #[derive(Debug, Clone)]
 struct NodeSlot<N> {
-    weight: Option<N>,
-    outgoing: Vec<EdgeId>,
-    incoming: Vec<EdgeId>,
+    weight: Option<Arc<N>>,
+    outgoing: Vec<(EdgeId, NodeId)>,
+    incoming: Vec<(EdgeId, NodeId)>,
 }
 
 /// Internal edge storage.
@@ -28,10 +41,14 @@ struct EdgeSlot<E> {
 ///   workflow layer uses (a data dependency either exists or it does not).
 /// * Self loops are rejected by both insertion methods, since workflow
 ///   specifications and provenance graphs never contain them.
+/// * Cloning is cheap and structurally shared: the slots are stored in
+///   `Arc`'d blocks of 64 ([`BlockVec`]), a clone copies the block handles
+///   and each later edit copies only the blocks it writes. Edits therefore
+///   need `N: Clone` and `E: Clone`.
 #[derive(Debug, Clone)]
 pub struct DiGraph<N, E> {
-    nodes: Vec<NodeSlot<N>>,
-    edges: Vec<EdgeSlot<E>>,
+    nodes: BlockVec<NodeSlot<N>>,
+    edges: BlockVec<EdgeSlot<E>>,
     live_nodes: usize,
     live_edges: usize,
 }
@@ -47,8 +64,8 @@ impl<N, E> DiGraph<N, E> {
     #[must_use]
     pub fn new() -> Self {
         DiGraph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
+            nodes: BlockVec::new(),
+            edges: BlockVec::new(),
             live_nodes: 0,
             live_edges: 0,
         }
@@ -58,8 +75,8 @@ impl<N, E> DiGraph<N, E> {
     #[must_use]
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         DiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
+            nodes: BlockVec::from_vec(BLOCK_LEN, Vec::with_capacity(nodes)),
+            edges: BlockVec::from_vec(BLOCK_LEN, Vec::with_capacity(edges)),
             live_nodes: 0,
             live_edges: 0,
         }
@@ -106,24 +123,25 @@ impl<N, E> DiGraph<N, E> {
         nodes: Vec<Option<N>>,
         edges: Vec<Option<(NodeId, NodeId, E)>>,
     ) -> Result<Self, GraphError> {
-        let mut graph = DiGraph {
-            nodes: nodes
-                .into_iter()
-                .map(|weight| NodeSlot {
-                    weight,
-                    outgoing: Vec::new(),
-                    incoming: Vec::new(),
-                })
-                .collect::<Vec<_>>(),
-            edges: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
-        };
-        graph.live_nodes = graph
-            .nodes
+        let mut node_slots: Vec<NodeSlot<N>> = nodes
+            .into_iter()
+            .map(|weight| NodeSlot {
+                weight: weight.map(Arc::new),
+                outgoing: Vec::new(),
+                incoming: Vec::new(),
+            })
+            .collect();
+        let mut edge_slots: Vec<EdgeSlot<E>> = Vec::with_capacity(edges.len());
+        let live_nodes = node_slots
             .iter()
             .filter(|slot| slot.weight.is_some())
             .count();
+        let mut live_edges = 0;
+        let live = |slots: &[NodeSlot<N>], node: NodeId| {
+            slots
+                .get(node.index())
+                .is_some_and(|slot| slot.weight.is_some())
+        };
         for (index, slot) in edges.into_iter().enumerate() {
             let id = EdgeId::from_index(index);
             match slot {
@@ -131,26 +149,26 @@ impl<N, E> DiGraph<N, E> {
                     if source == target {
                         return Err(GraphError::SelfLoop(source));
                     }
-                    if !graph.contains_node(source) {
+                    if !live(&node_slots, source) {
                         return Err(GraphError::InvalidNode(source));
                     }
-                    if !graph.contains_node(target) {
+                    if !live(&node_slots, target) {
                         return Err(GraphError::InvalidNode(target));
                     }
-                    graph.edges.push(EdgeSlot {
+                    edge_slots.push(EdgeSlot {
                         weight: Some(weight),
                         source,
                         target,
                     });
-                    graph.nodes[source.index()].outgoing.push(id);
-                    graph.nodes[target.index()].incoming.push(id);
-                    graph.live_edges += 1;
+                    node_slots[source.index()].outgoing.push((id, target));
+                    node_slots[target.index()].incoming.push((id, source));
+                    live_edges += 1;
                 }
                 None => {
                     // the endpoints of a tombstoned edge are never read
                     // (every accessor checks the weight first); any valid
                     // NodeId works as a placeholder
-                    graph.edges.push(EdgeSlot {
+                    edge_slots.push(EdgeSlot {
                         weight: None,
                         source: NodeId::from_index(0),
                         target: NodeId::from_index(0),
@@ -158,25 +176,18 @@ impl<N, E> DiGraph<N, E> {
                 }
             }
         }
-        Ok(graph)
+        Ok(DiGraph {
+            nodes: node_slots.into_iter().collect(),
+            edges: edge_slots.into_iter().collect(),
+            live_nodes,
+            live_edges,
+        })
     }
 
     /// Returns `true` if the graph contains no live nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.live_nodes == 0
-    }
-
-    /// Adds a node with the given payload and returns its id.
-    pub fn add_node(&mut self, weight: N) -> NodeId {
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeSlot {
-            weight: Some(weight),
-            outgoing: Vec::new(),
-            incoming: Vec::new(),
-        });
-        self.live_nodes += 1;
-        id
     }
 
     /// Returns `true` if `node` refers to a live node of this graph.
@@ -199,15 +210,7 @@ impl<N, E> DiGraph<N, E> {
     pub fn node_weight(&self, node: NodeId) -> Result<&N, GraphError> {
         self.nodes
             .get(node.index())
-            .and_then(|slot| slot.weight.as_ref())
-            .ok_or(GraphError::InvalidNode(node))
-    }
-
-    /// Returns a mutable reference to a node's payload.
-    pub fn node_weight_mut(&mut self, node: NodeId) -> Result<&mut N, GraphError> {
-        self.nodes
-            .get_mut(node.index())
-            .and_then(|slot| slot.weight.as_mut())
+            .and_then(|slot| slot.weight.as_deref())
             .ok_or(GraphError::InvalidNode(node))
     }
 
@@ -229,55 +232,6 @@ impl<N, E> DiGraph<N, E> {
         Ok((slot.source, slot.target))
     }
 
-    /// Adds a directed edge `source -> target`, allowing parallel edges.
-    ///
-    /// # Errors
-    /// Returns an error if either endpoint is invalid or if the edge would be
-    /// a self loop.
-    pub fn add_edge(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        weight: E,
-    ) -> Result<EdgeId, GraphError> {
-        if source == target {
-            return Err(GraphError::SelfLoop(source));
-        }
-        if !self.contains_node(source) {
-            return Err(GraphError::InvalidNode(source));
-        }
-        if !self.contains_node(target) {
-            return Err(GraphError::InvalidNode(target));
-        }
-        let id = EdgeId::from_index(self.edges.len());
-        self.edges.push(EdgeSlot {
-            weight: Some(weight),
-            source,
-            target,
-        });
-        self.nodes[source.index()].outgoing.push(id);
-        self.nodes[target.index()].incoming.push(id);
-        self.live_edges += 1;
-        Ok(id)
-    }
-
-    /// Adds a directed edge, rejecting duplicates between the same endpoints.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::DuplicateEdge`] if an edge `source -> target`
-    /// already exists, plus the errors of [`DiGraph::add_edge`].
-    pub fn add_edge_unique(
-        &mut self,
-        source: NodeId,
-        target: NodeId,
-        weight: E,
-    ) -> Result<EdgeId, GraphError> {
-        if self.find_edge(source, target).is_some() {
-            return Err(GraphError::DuplicateEdge(source, target));
-        }
-        self.add_edge(source, target, weight)
-    }
-
     /// Finds an edge between `source` and `target`, if one exists.
     #[must_use]
     pub fn find_edge(&self, source: NodeId, target: NodeId) -> Option<EdgeId> {
@@ -287,50 +241,8 @@ impl<N, E> DiGraph<N, E> {
         self.nodes[source.index()]
             .outgoing
             .iter()
-            .copied()
-            .find(|&e| {
-                let slot = &self.edges[e.index()];
-                slot.weight.is_some() && slot.target == target
-            })
-    }
-
-    /// Removes an edge, returning its payload.
-    pub fn remove_edge(&mut self, edge: EdgeId) -> Result<E, GraphError> {
-        let slot = self
-            .edges
-            .get_mut(edge.index())
-            .ok_or(GraphError::InvalidEdge(edge))?;
-        let weight = slot.weight.take().ok_or(GraphError::InvalidEdge(edge))?;
-        let source = slot.source;
-        let target = slot.target;
-        self.nodes[source.index()].outgoing.retain(|&e| e != edge);
-        self.nodes[target.index()].incoming.retain(|&e| e != edge);
-        self.live_edges -= 1;
-        Ok(weight)
-    }
-
-    /// Removes a node and all incident edges, returning its payload.
-    pub fn remove_node(&mut self, node: NodeId) -> Result<N, GraphError> {
-        if !self.contains_node(node) {
-            return Err(GraphError::InvalidNode(node));
-        }
-        let incident: Vec<EdgeId> = self.nodes[node.index()]
-            .outgoing
-            .iter()
-            .chain(self.nodes[node.index()].incoming.iter())
-            .copied()
-            .collect();
-        for edge in incident {
-            if self.contains_edge(edge) {
-                self.remove_edge(edge)?;
-            }
-        }
-        let weight = self.nodes[node.index()]
-            .weight
-            .take()
-            .ok_or(GraphError::InvalidNode(node))?;
-        self.live_nodes -= 1;
-        Ok(weight)
+            .find(|&&(_, to)| to == target)
+            .map(|&(edge, _)| edge)
     }
 
     /// Iterates over the ids of all live nodes in ascending id order.
@@ -346,7 +258,7 @@ impl<N, E> DiGraph<N, E> {
         self.nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.weight.as_ref().map(|w| (NodeId::from_index(i), w)))
+            .filter_map(|(i, slot)| slot.weight.as_deref().map(|w| (NodeId::from_index(i), w)))
     }
 
     /// Iterates over the ids of all live edges in ascending id order.
@@ -375,10 +287,7 @@ impl<N, E> DiGraph<N, E> {
             .map(|slot| slot.outgoing.as_slice())
             .unwrap_or(&[])
             .iter()
-            .filter_map(move |&e| {
-                let slot = &self.edges[e.index()];
-                slot.weight.as_ref().map(|_| slot.target)
-            })
+            .map(|&(_, target)| target)
     }
 
     /// Iterates over the direct predecessors of `node`.
@@ -388,10 +297,7 @@ impl<N, E> DiGraph<N, E> {
             .map(|slot| slot.incoming.as_slice())
             .unwrap_or(&[])
             .iter()
-            .filter_map(move |&e| {
-                let slot = &self.edges[e.index()];
-                slot.weight.as_ref().map(|_| slot.source)
-            })
+            .map(|&(_, source)| source)
     }
 
     /// Out-degree of a node (0 for unknown nodes).
@@ -413,8 +319,7 @@ impl<N, E> DiGraph<N, E> {
             .map(|slot| slot.outgoing.as_slice())
             .unwrap_or(&[])
             .iter()
-            .copied()
-            .filter(move |&e| self.edges[e.index()].weight.is_some())
+            .map(|&(edge, _)| edge)
     }
 
     /// Iterates over incoming edge ids of `node`.
@@ -424,8 +329,7 @@ impl<N, E> DiGraph<N, E> {
             .map(|slot| slot.incoming.as_slice())
             .unwrap_or(&[])
             .iter()
-            .copied()
-            .filter(move |&e| self.edges[e.index()].weight.is_some())
+            .map(|&(edge, _)| edge)
     }
 
     /// Maps the graph into a structurally identical graph with different
@@ -442,8 +346,8 @@ impl<N, E> DiGraph<N, E> {
             .map(|(i, slot)| NodeSlot {
                 weight: slot
                     .weight
-                    .as_ref()
-                    .map(|w| node_map(NodeId::from_index(i), w)),
+                    .as_deref()
+                    .map(|w| Arc::new(node_map(NodeId::from_index(i), w))),
                 outgoing: slot.outgoing.clone(),
                 incoming: slot.incoming.clone(),
             })
@@ -467,6 +371,127 @@ impl<N, E> DiGraph<N, E> {
             live_nodes: self.live_nodes,
             live_edges: self.live_edges,
         }
+    }
+}
+
+/// Edits write through [`BlockVec`]'s copy-on-write accessors, so they need
+/// clonable payloads: a block another clone still shares is copied first.
+impl<N: Clone, E: Clone> DiGraph<N, E> {
+    /// Adds a node with the given payload and returns its id.
+    pub fn add_node(&mut self, weight: N) -> NodeId {
+        let id = NodeId::from_index(self.nodes.len());
+        self.nodes.push(NodeSlot {
+            weight: Some(Arc::new(weight)),
+            outgoing: Vec::new(),
+            incoming: Vec::new(),
+        });
+        self.live_nodes += 1;
+        id
+    }
+
+    /// Returns a mutable reference to a node's payload.
+    pub fn node_weight_mut(&mut self, node: NodeId) -> Result<&mut N, GraphError> {
+        if !self.contains_node(node) {
+            return Err(GraphError::InvalidNode(node));
+        }
+        self.nodes[node.index()]
+            .weight
+            .as_mut()
+            .map(Arc::make_mut)
+            .ok_or(GraphError::InvalidNode(node))
+    }
+
+    /// Adds a directed edge `source -> target`, allowing parallel edges.
+    ///
+    /// # Errors
+    /// Returns an error if either endpoint is invalid or if the edge would be
+    /// a self loop.
+    pub fn add_edge(
+        &mut self,
+        source: NodeId,
+        target: NodeId,
+        weight: E,
+    ) -> Result<EdgeId, GraphError> {
+        if source == target {
+            return Err(GraphError::SelfLoop(source));
+        }
+        if !self.contains_node(source) {
+            return Err(GraphError::InvalidNode(source));
+        }
+        if !self.contains_node(target) {
+            return Err(GraphError::InvalidNode(target));
+        }
+        let id = EdgeId::from_index(self.edges.len());
+        self.edges.push(EdgeSlot {
+            weight: Some(weight),
+            source,
+            target,
+        });
+        self.nodes[source.index()].outgoing.push((id, target));
+        self.nodes[target.index()].incoming.push((id, source));
+        self.live_edges += 1;
+        Ok(id)
+    }
+
+    /// Adds a directed edge, rejecting duplicates between the same endpoints.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::DuplicateEdge`] if an edge `source -> target`
+    /// already exists, plus the errors of [`DiGraph::add_edge`].
+    pub fn add_edge_unique(
+        &mut self,
+        source: NodeId,
+        target: NodeId,
+        weight: E,
+    ) -> Result<EdgeId, GraphError> {
+        if self.find_edge(source, target).is_some() {
+            return Err(GraphError::DuplicateEdge(source, target));
+        }
+        self.add_edge(source, target, weight)
+    }
+
+    /// Removes an edge, returning its payload.
+    pub fn remove_edge(&mut self, edge: EdgeId) -> Result<E, GraphError> {
+        // check before writing: a failed removal copies no shared block
+        if !self.contains_edge(edge) {
+            return Err(GraphError::InvalidEdge(edge));
+        }
+        let slot = &mut self.edges[edge.index()];
+        let weight = slot.weight.take().ok_or(GraphError::InvalidEdge(edge))?;
+        let source = slot.source;
+        let target = slot.target;
+        self.nodes[source.index()]
+            .outgoing
+            .retain(|&(e, _)| e != edge);
+        self.nodes[target.index()]
+            .incoming
+            .retain(|&(e, _)| e != edge);
+        self.live_edges -= 1;
+        Ok(weight)
+    }
+
+    /// Removes a node and all incident edges, returning its payload.
+    pub fn remove_node(&mut self, node: NodeId) -> Result<N, GraphError> {
+        if !self.contains_node(node) {
+            return Err(GraphError::InvalidNode(node));
+        }
+        let incident: Vec<EdgeId> = self.nodes[node.index()]
+            .outgoing
+            .iter()
+            .chain(self.nodes[node.index()].incoming.iter())
+            .map(|&(edge, _)| edge)
+            .collect();
+        for edge in incident {
+            if self.contains_edge(edge) {
+                self.remove_edge(edge)?;
+            }
+        }
+        let weight = self.nodes[node.index()]
+            .weight
+            .take()
+            .ok_or(GraphError::InvalidNode(node))?;
+        self.live_nodes -= 1;
+        Ok(Arc::try_unwrap(weight).unwrap_or_else(|shared| N::clone(&shared)))
     }
 }
 

@@ -8,6 +8,11 @@
 //! * [`DiGraph`] — an adjacency-list directed graph with stable, typed
 //!   [`NodeId`]/[`EdgeId`] indices, optional node/edge payloads and tombstone
 //!   based removal.
+//! * [`BlockVec`] — a block-shared vector: elements live in `Arc`'d
+//!   blocks, a clone copies only the block handles and a write copies only
+//!   the block it touches. `DiGraph`'s slots and `ReachMatrix`'s rows are
+//!   stored in it, so a copy-on-write commit shares every block an edit
+//!   leaves alone.
 //! * [`FixedBitSet`] — a compact bit set used for partition masks and
 //!   subset bookkeeping (the workspace deliberately avoids external graph or
 //!   bitset crates; this substrate is part of the reproduction).
@@ -55,6 +60,7 @@
 
 pub mod algo;
 pub mod bitset;
+pub mod blockvec;
 pub mod csr;
 pub mod delta;
 pub mod digraph;
@@ -68,6 +74,7 @@ pub mod topo;
 pub mod traversal;
 
 pub use bitset::FixedBitSet;
+pub use blockvec::BlockVec;
 pub use csr::Csr;
 pub use delta::{DeltaClass, DeltaOutcome, DirtyRows};
 pub use digraph::DiGraph;

@@ -8,17 +8,19 @@
 //!
 //! ## Storage layout
 //!
-//! The matrix is one flat row-major `Vec<u64>`: row `i` (the set of
-//! components reachable from component `i`) occupies words
-//! `i·stride .. (i+1)·stride` with
-//! `stride = pad_words(comp_count.div_ceil(64))` — the stride is padded to
-//! a multiple of [`crate::kernels::LANES`] so every row op runs in whole
-//! 4-word SIMD blocks (see [`crate::kernels`]) with no remainder loop.
-//! Building the matrix unions successor rows *in place* through disjoint
-//! row slices — no per-edge row clone, no per-row allocation — and
-//! consumers can borrow whole rows ([`ReachMatrix::reachable_row`]) to run
-//! word-level bitset algebra (popcounts, component scans) instead of
-//! per-node `reachable()` loops.
+//! Row `i` (the set of components reachable from component `i`) is
+//! `stride = pad_words(comp_count.div_ceil(64))` contiguous words — the
+//! stride is padded to a multiple of [`crate::kernels::LANES`] so every row
+//! op runs in whole 4-word SIMD blocks (see [`crate::kernels`]) with no
+//! remainder loop. Rows are stored row-major in a [`BlockVec`] whose blocks
+//! hold 64 whole rows each, so [`ReachMatrix::row_words`] still returns one
+//! contiguous slice while a clone of the matrix copies only the block
+//! handles: a copy-on-write holder that then edits the clone copies just
+//! the blocks whose rows the edit changed. Building the matrix unions
+//! successor rows *in place* through disjoint row slices — no per-edge row
+//! clone, no per-row allocation — and consumers can borrow whole rows
+//! ([`ReachMatrix::reachable_row`]) to run word-level bitset algebra
+//! (popcounts, component scans) instead of per-node `reachable()` loops.
 //!
 //! [`LabelledClosure`] runs the same propagation with rows over node
 //! *labels* instead of components: a label's row holds every label one of
@@ -53,6 +55,7 @@
 //! cached spec-level CSR can serve removals without an O(V+E) re-snapshot.
 
 use crate::bitset::FixedBitSet;
+use crate::blockvec::BlockVec;
 use crate::csr::Csr;
 use crate::delta::{DeltaClass, DeltaOutcome, DirtyRows};
 use crate::digraph::DiGraph;
@@ -68,6 +71,17 @@ use crate::traversal::{shortest_path, Direction};
 /// snapshot with skip logic.
 type SuccFn<'a> = dyn Fn(usize, &mut dyn FnMut(usize)) + 'a;
 
+/// Matrix rows per shared block: a block of [`ReachMatrix`]'s storage is
+/// `ROWS_PER_BLOCK × stride` words, so no row straddles two blocks.
+const ROWS_PER_BLOCK: usize = 64;
+
+/// Row storage of `words` flat row-major words with row stride `stride`
+/// (a matrix without components has stride 0 and no words; any positive
+/// block length works for it).
+fn row_blocks(stride: usize, words: Vec<u64>) -> BlockVec<u64> {
+    BlockVec::from_vec(ROWS_PER_BLOCK * stride.max(1), words)
+}
+
 /// Dense all-pairs reachability over a directed graph.
 ///
 /// `reachable(u, v)` is `true` iff there is a directed path from `u` to `v`
@@ -76,9 +90,10 @@ type SuccFn<'a> = dyn Fn(usize, &mut dyn FnMut(usize)) + 'a;
 /// task containing a single boundary node is always sound.
 #[derive(Debug, Clone)]
 pub struct ReachMatrix {
-    /// Row-major reachability words: row `i` is `words[i*stride..(i+1)*stride]`,
-    /// bit `j` of row `i` set iff component `j` is reachable from component `i`.
-    words: Vec<u64>,
+    /// Row-major reachability words in shared blocks of [`ROWS_PER_BLOCK`]
+    /// rows: bit `j` of row `i` is set iff component `j` is reachable from
+    /// component `i`.
+    words: BlockVec<u64>,
     /// Words per row: `comp_count.div_ceil(64)` padded to a multiple of
     /// [`crate::kernels::LANES`]; pad words are always zero.
     stride: usize,
@@ -132,7 +147,7 @@ impl ReachMatrix {
             }
         }
         ReachMatrix {
-            words,
+            words: row_blocks(stride, words),
             stride,
             comp_count,
             component_of: scc.component_of,
@@ -146,12 +161,13 @@ impl ReachMatrix {
     /// `from` to `to`.
     ///
     /// Unknown nodes are never reachable and reach nothing.
+    #[inline]
     #[must_use]
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
         let (Some(cf), Some(ct)) = (self.component_index(from), self.component_index(to)) else {
             return false;
         };
-        self.words[cf * self.stride + ct / 64] & (1u64 << (ct % 64)) != 0
+        self.row_has_bit(cf, ct)
     }
 
     /// Returns `true` iff there is a path of length **one or more** from
@@ -227,9 +243,21 @@ impl ReachMatrix {
     ///
     /// # Panics
     /// Panics if `comp >= comp_count()`.
+    #[inline]
     #[must_use]
     pub fn row_words(&self, comp: usize) -> &[u64] {
-        &self.words[comp * self.stride..(comp + 1) * self.stride]
+        self.words.block_slice(
+            comp / ROWS_PER_BLOCK,
+            (comp % ROWS_PER_BLOCK) * self.stride,
+            self.stride,
+        )
+    }
+
+    /// One component's row, writable: copies the row's block first if a
+    /// clone of the matrix still shares it.
+    fn row_mut(&mut self, comp: usize) -> &mut [u64] {
+        let start = (comp % ROWS_PER_BLOCK) * self.stride;
+        &mut self.words.block_mut(comp / ROWS_PER_BLOCK)[start..start + self.stride]
     }
 
     /// Upper bound on node indices this matrix was built for.
@@ -254,7 +282,7 @@ impl ReachMatrix {
         }
         let comp = self.comp_count;
         self.reserve_components(comp + 1);
-        self.words[comp * self.stride + comp / 64] |= 1u64 << (comp % 64);
+        self.row_mut(comp)[comp / 64] |= 1u64 << (comp % 64);
         if index >= self.component_of.len() {
             self.component_of.resize(index + 1, usize::MAX);
         }
@@ -283,7 +311,10 @@ impl ReachMatrix {
     ///   (local rebuild of exactly the touched condensation rows).
     ///
     /// The dirty set lists every component row whose contents or cyclicity
-    /// changed.
+    /// changed. A row that already holds the target's bit already holds the
+    /// target's whole row (the matrix is transitively closed), so it is
+    /// skipped after one bit test — neither ORed nor copied out of a block
+    /// a clone still shares.
     ///
     /// # Errors
     /// Both endpoints must already be known to the matrix (add nodes through
@@ -313,8 +344,8 @@ impl ReachMatrix {
             // pre-update membership test: u joins the new cycle iff it
             // reaches the source and the target reaches it
             let on_new_cycle = creates_cycle && target_row[u / 64] & (1u64 << (u % 64)) != 0;
-            let row = &mut self.words[u * self.stride..(u + 1) * self.stride];
-            let mut changed = crate::kernels::or_into(row, &target_row);
+            let mut changed =
+                !self.row_has_bit(u, ct) && crate::kernels::or_into(self.row_mut(u), &target_row);
             if on_new_cycle && self.cyclic.insert(u) {
                 changed = true;
             }
@@ -548,7 +579,9 @@ impl ReachMatrix {
     ///    because they hold no bit of any region component.
     /// 4. Rows are rebuilt sinks-first (Tarjan emission order is reverse
     ///    topological), unioning successor rows — successors outside the
-    ///    region contribute their final, untouched rows.
+    ///    region contribute their final, untouched rows. Each row is derived
+    ///    in a scratch buffer and written back only if it differs, so a
+    ///    block a clone still shares is copied only for rows that changed.
     ///
     /// Every region row (and dead slot) is marked dirty.
     fn rederive_region(&mut self, pivot: usize, succ_of: &SuccFn) -> DirtyRows {
@@ -610,7 +643,9 @@ impl ReachMatrix {
             if !consumed[c] {
                 self.comp_size[c] = 0;
                 self.cyclic.remove(c);
-                self.words[c * self.stride..(c + 1) * self.stride].fill(0);
+                if self.row_words(c).iter().any(|&w| w != 0) {
+                    self.row_mut(c).fill(0);
+                }
                 dirty.mark(c);
             }
         }
@@ -630,13 +665,14 @@ impl ReachMatrix {
         }
         // --- row recomputation, sinks first ---
         let mut stamp = vec![usize::MAX; self.comp_count];
+        let mut scratch = vec![0u64; self.stride];
+        let mut succ_comps: Vec<usize> = Vec::new();
         for (k, part) in parts.iter().enumerate() {
             let c = assignment[k];
-            let row_start = c * self.stride;
-            self.words[row_start..row_start + self.stride].fill(0);
-            self.words[row_start + c / 64] |= 1u64 << (c % 64);
+            scratch.fill(0);
+            scratch[c / 64] |= 1u64 << (c % 64);
             for &m in part {
-                let mut succ_comps: Vec<usize> = Vec::new();
+                succ_comps.clear();
                 succ_of(m, &mut |s| {
                     let Some(&cs) = self.component_of.get(s) else {
                         return;
@@ -647,9 +683,12 @@ impl ReachMatrix {
                     stamp[cs] = k;
                     succ_comps.push(cs);
                 });
-                for cs in succ_comps {
-                    union_rows(&mut self.words, self.stride, c, cs);
+                for &cs in &succ_comps {
+                    crate::kernels::or_into(&mut scratch, self.row_words(cs));
                 }
+            }
+            if self.row_words(c) != scratch.as_slice() {
+                self.row_mut(c).copy_from_slice(&scratch);
             }
             dirty.mark(c);
         }
@@ -662,7 +701,7 @@ impl ReachMatrix {
         let word = comp / 64;
         let mask = 1u64 << (comp % 64);
         (0..self.comp_count)
-            .filter(|&u| self.words[u * self.stride + word] & mask != 0)
+            .filter(|&u| self.row_words(u)[word] & mask != 0)
             .collect()
     }
 
@@ -687,20 +726,26 @@ impl ReachMatrix {
             let mut widened = vec![0u64; target * new_stride];
             for row in 0..self.comp_count {
                 widened[row * new_stride..row * new_stride + self.stride]
-                    .copy_from_slice(&self.words[row * self.stride..(row + 1) * self.stride]);
+                    .copy_from_slice(self.row_words(row));
             }
-            self.words = widened;
+            self.words = row_blocks(new_stride, widened);
             self.stride = new_stride;
         } else {
-            self.words.resize(target * self.stride, 0);
+            self.words.extend_to(target * self.stride, 0);
         }
         self.cyclic.grow(target);
     }
 
+    #[inline]
     fn row_has_bit(&self, row: usize, comp: usize) -> bool {
-        self.words[row * self.stride + comp / 64] & (1u64 << (comp % 64)) != 0
+        let word = self.words.block_get(
+            row / ROWS_PER_BLOCK,
+            (row % ROWS_PER_BLOCK) * self.stride + comp / 64,
+        );
+        word & (1u64 << (comp % 64)) != 0
     }
 
+    #[inline]
     fn component_index(&self, node: NodeId) -> Option<usize> {
         self.component_of
             .get(node.index())
@@ -1726,6 +1771,98 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Everything a reader of `(g, m)` can observe: each component's row
+    /// words, each node slot's component and each node's adjacency.
+    type Observed = (
+        Vec<Vec<u64>>,
+        Vec<Option<usize>>,
+        Vec<(Vec<NodeId>, Vec<NodeId>)>,
+    );
+
+    fn observe(g: &DiGraph<(), ()>, m: &ReachMatrix) -> Observed {
+        let rows = (0..m.comp_count())
+            .map(|c| m.row_words(c).to_vec())
+            .collect();
+        let slots = (0..g.node_bound()).map(NodeId::from_index);
+        let comps = slots.clone().map(|n| m.component_of(n)).collect();
+        let adjacency = slots
+            .map(|n| (g.successors(n).collect(), g.predecessors(n).collect()))
+            .collect();
+        (rows, comps, adjacency)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A clone of a graph and its matrix is independent of the
+        /// original: random insert/remove scripts on the clone — DAG-biased
+        /// and cycle-forming, over more nodes and components than one
+        /// 64-slot block holds — keep the clone equal to a from-scratch
+        /// build after every step, and leave every row, component and
+        /// adjacency list of the original exactly as it was.
+        #[test]
+        fn prop_a_clone_evolves_independently_of_its_original(
+            start in 65usize..130,
+            raw_edges in proptest::collection::vec((0usize..130, 0usize..130), 60..260),
+            cyclic in 0usize..2,
+            ops in proptest::collection::vec((0usize..5, 0usize..4096, 0usize..4096), 1..16)
+        ) {
+            let mut g: DiGraph<(), ()> = DiGraph::new();
+            let nodes: Vec<NodeId> = (0..start).map(|_| g.add_node(())).collect();
+            for (a, b) in raw_edges {
+                let (a, b) = (a % start, b % start);
+                // acyclic originals orient every edge low → high
+                let (from, to) = if cyclic == 0 && a > b { (b, a) } else { (a, b) };
+                if from != to {
+                    let _ = g.add_edge_unique(nodes[from], nodes[to], ());
+                }
+            }
+            let m = ReachMatrix::build(&g).unwrap();
+            let before = observe(&g, &m);
+            let (mut g2, mut m2) = (g.clone(), m.clone());
+            let mut live = nodes.clone();
+            for (op, raw_a, raw_b) in ops {
+                match op {
+                    0 => {
+                        let fresh = g2.add_node(());
+                        m2.insert_node(fresh);
+                        live.push(fresh);
+                    }
+                    1 | 2 => {
+                        let a = raw_a % live.len();
+                        let b = raw_b % live.len();
+                        let (from, to) = if op == 1 && a > b { (b, a) } else { (a, b) };
+                        if from == to || g2.find_edge(live[from], live[to]).is_some() {
+                            continue;
+                        }
+                        g2.add_edge(live[from], live[to], ()).unwrap();
+                        m2.insert_edge(live[from], live[to]).unwrap();
+                    }
+                    3 => {
+                        let edges: Vec<_> = g2.edge_ids().collect();
+                        if edges.is_empty() {
+                            continue;
+                        }
+                        let edge = edges[raw_a % edges.len()];
+                        let (from, to) = g2.edge_endpoints(edge).unwrap();
+                        g2.remove_edge(edge).unwrap();
+                        m2.remove_edge(&g2, from, to).unwrap();
+                    }
+                    _ => {
+                        if live.len() <= 2 {
+                            continue;
+                        }
+                        let victim = live.remove(raw_a % live.len());
+                        g2.remove_node(victim).unwrap();
+                        m2.remove_node(&g2, victim).unwrap();
+                    }
+                }
+                assert_matches_fresh_build(&m2, &g2);
+                prop_assert!(observe(&g, &m) == before, "the original changed");
             }
         }
     }

@@ -35,19 +35,18 @@ pub fn from_moml(input: &str) -> Result<ImportedWorkflow, MomlError> {
 /// Same as [`from_moml`].
 pub fn import_document(document: &MomlDocument) -> Result<ImportedWorkflow, MomlError> {
     let mut spec = WorkflowSpec::new(document.name.clone());
-    let mut ids: Vec<(String, TaskId)> = Vec::with_capacity(document.atomics.len());
     for atomic in &document.atomics {
         let task = AtomicTask::new(atomic.name.clone()).with_param("class", atomic.class.clone());
-        let id = spec.add_task(task)?;
-        ids.push((atomic.name.clone(), id));
+        spec.add_task(task)?;
     }
-    let id_of =
-        |name: &str| -> Option<TaskId> { ids.iter().find(|(n, _)| n == name).map(|(_, id)| *id) };
+    // names resolve through the spec's own index: one lookup per reference
+    let id_of = |spec: &WorkflowSpec, name: &str| -> Result<TaskId, MomlError> {
+        spec.task_by_name(name)
+            .ok_or_else(|| MomlError::DanglingReference(name.to_owned()))
+    };
     for connection in &document.connections {
-        let from = id_of(&connection.from)
-            .ok_or_else(|| MomlError::DanglingReference(connection.from.clone()))?;
-        let to = id_of(&connection.to)
-            .ok_or_else(|| MomlError::DanglingReference(connection.to.clone()))?;
+        let from = id_of(&spec, &connection.from)?;
+        let to = id_of(&spec, &connection.to)?;
         // MOML models occasionally repeat links; treat duplicates as one
         // dependency instead of failing the import.
         match spec.add_dependency(from, to, DataDependency::unnamed()) {
@@ -66,13 +65,13 @@ pub fn import_document(document: &MomlDocument) -> Result<ImportedWorkflow, Moml
             let members = composite
                 .members
                 .iter()
-                .map(|m| id_of(m).ok_or_else(|| MomlError::DanglingReference(m.clone())))
+                .map(|m| id_of(&spec, m))
                 .collect::<Result<Vec<_>, _>>()?;
             groups.push((composite.name.clone(), members));
         }
         for atomic in &document.atomics {
             if atomic.parent_composite.is_none() {
-                let id = id_of(&atomic.name).expect("atomic was just inserted");
+                let id = id_of(&spec, &atomic.name).expect("atomic was just inserted");
                 groups.push((atomic.name.clone(), vec![id]));
             }
         }
@@ -159,6 +158,24 @@ mod tests {
 </entity>"#;
         let err = from_moml(doc).unwrap_err();
         assert!(matches!(err, MomlError::Workflow(_)));
+    }
+
+    #[test]
+    fn unknown_names_are_dangling_references() {
+        let sample = MomlDocument::from_xml(&xml::parse(SAMPLE).unwrap()).unwrap();
+        // an unknown connection endpoint
+        let mut document = sample.clone();
+        document.connections.push(crate::model::MomlConnection {
+            from: "Curate".to_owned(),
+            to: "ghost".to_owned(),
+        });
+        let err = import_document(&document).unwrap_err();
+        assert!(matches!(err, MomlError::DanglingReference(name) if name == "ghost"));
+        // an unknown composite member
+        let mut document = sample;
+        document.composites[0].members.push("phantom".to_owned());
+        let err = import_document(&document).unwrap_err();
+        assert!(matches!(err, MomlError::DanglingReference(name) if name == "phantom"));
     }
 
     #[test]

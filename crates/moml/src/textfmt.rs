@@ -56,11 +56,12 @@ pub fn write_text_format(spec: &WorkflowSpec, view: Option<&WorkflowView>) -> St
 /// Reports the line number and reason for every malformed line, unknown task
 /// reference, duplicate declaration or partition violation.
 pub fn read_text_format(input: &str) -> Result<ImportedWorkflow, MomlError> {
-    let mut spec_name = "imported-workflow".to_owned();
-    let mut view_name: Option<String> = None;
-    let mut tasks: Vec<String> = Vec::new();
-    let mut edges: Vec<(String, String)> = Vec::new();
-    let mut composites: Vec<(String, Vec<String>)> = Vec::new();
+    // the scan borrows every name from `input`; only the spec owns copies
+    let mut spec_name = "imported-workflow";
+    let mut view_name: Option<&str> = None;
+    let mut tasks: Vec<&str> = Vec::new();
+    let mut edges: Vec<(&str, &str)> = Vec::new();
+    let mut composites: Vec<(&str, Vec<&str>)> = Vec::new();
 
     for (index, raw_line) in input.lines().enumerate() {
         let line_no = index + 1;
@@ -77,27 +78,20 @@ pub fn read_text_format(input: &str) -> Result<ImportedWorkflow, MomlError> {
         };
         match directive {
             "workflow" => {
-                spec_name = rest
-                    .first()
-                    .ok_or_else(|| error("workflow needs a name"))?
-                    .to_string();
+                spec_name = rest.first().ok_or_else(|| error("workflow needs a name"))?;
             }
             "task" => {
                 let name = rest.first().ok_or_else(|| error("task needs a name"))?;
-                tasks.push((*name).to_owned());
+                tasks.push(name);
             }
             "edge" => {
                 if rest.len() != 2 {
                     return Err(error("edge needs exactly two task names"));
                 }
-                edges.push((rest[0].to_owned(), rest[1].to_owned()));
+                edges.push((rest[0], rest[1]));
             }
             "view" => {
-                view_name = Some(
-                    rest.first()
-                        .ok_or_else(|| error("view needs a name"))?
-                        .to_string(),
-                );
+                view_name = Some(rest.first().ok_or_else(|| error("view needs a name"))?);
             }
             "composite" => {
                 if rest.len() != 2 {
@@ -107,27 +101,28 @@ pub fn read_text_format(input: &str) -> Result<ImportedWorkflow, MomlError> {
                     .split('|')
                     .map(str::trim)
                     .filter(|m| !m.is_empty())
-                    .map(str::to_owned)
                     .collect::<Vec<_>>();
                 if members.is_empty() {
                     return Err(error("composite has no members"));
                 }
-                composites.push((rest[0].to_owned(), members));
+                composites.push((rest[0], members));
             }
             other => return Err(error(&format!("unknown directive '{other}'"))),
         }
     }
 
     let mut spec = WorkflowSpec::new(spec_name);
-    let mut ids: Vec<(String, TaskId)> = Vec::new();
-    for name in &tasks {
-        let id = spec.add_task(AtomicTask::new(name.clone()))?;
-        ids.push((name.clone(), id));
+    for name in tasks {
+        spec.add_task(AtomicTask::new(name))?;
     }
-    let id_of = |name: &str| ids.iter().find(|(n, _)| n == name).map(|(_, id)| *id);
-    for (from, to) in &edges {
-        let from_id = id_of(from).ok_or_else(|| MomlError::DanglingReference(from.clone()))?;
-        let to_id = id_of(to).ok_or_else(|| MomlError::DanglingReference(to.clone()))?;
+    // names resolve through the spec's own index: one lookup per reference
+    let id_of = |spec: &WorkflowSpec, name: &str| {
+        spec.task_by_name(name)
+            .ok_or_else(|| MomlError::DanglingReference(name.to_owned()))
+    };
+    for &(from, to) in &edges {
+        let from_id = id_of(&spec, from)?;
+        let to_id = id_of(&spec, to)?;
         spec.add_dependency(from_id, to_id, DataDependency::unnamed())?;
     }
     spec.ensure_acyclic()?;
@@ -140,20 +135,20 @@ pub fn read_text_format(input: &str) -> Result<ImportedWorkflow, MomlError> {
         for (name, members) in &composites {
             let member_ids = members
                 .iter()
-                .map(|m| id_of(m).ok_or_else(|| MomlError::DanglingReference(m.clone())))
+                .map(|m| id_of(&spec, m))
                 .collect::<Result<Vec<_>, _>>()?;
             covered.extend(member_ids.iter().copied());
-            groups.push((name.clone(), member_ids));
+            groups.push(((*name).to_owned(), member_ids));
         }
         // uncovered tasks become singleton composites, like the MOML importer
-        for (name, id) in &ids {
-            if !covered.contains(id) {
-                groups.push((name.clone(), vec![*id]));
+        for (id, task) in spec.tasks() {
+            if !covered.contains(&id) {
+                groups.push((task.name.clone(), vec![id]));
             }
         }
         Some(WorkflowView::from_groups(
             &spec,
-            view_name.unwrap_or_else(|| "imported-view".to_owned()),
+            view_name.unwrap_or("imported-view").to_owned(),
             groups,
         )?)
     };
@@ -205,6 +200,15 @@ mod tests {
         let text = "workflow\tdemo\ntask\ta\ncomposite\tc\ta|ghost\n";
         let err = read_text_format(text).unwrap_err();
         assert!(matches!(err, MomlError::DanglingReference(name) if name == "ghost"));
+    }
+
+    #[test]
+    fn an_unknown_edge_source_is_a_dangling_reference() {
+        // the source side resolves first; a name that only differs by case
+        // is not the same task
+        let text = "workflow\tdemo\ntask\ta\ntask\tb\nedge\tA\tb\n";
+        let err = read_text_format(text).unwrap_err();
+        assert!(matches!(err, MomlError::DanglingReference(name) if name == "A"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::collections::BTreeSet;
 
+use wolves_graph::FixedBitSet;
+
 use crate::spec::WorkflowSpec;
 use crate::task::TaskId;
 
@@ -31,11 +33,26 @@ impl Boundary {
     pub fn compute(spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> Self {
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
+        // membership as a bitmap over the members' id span: one bit test
+        // per neighbour instead of a tree search
+        let (Some(first), Some(last)) = (members.first(), members.last()) else {
+            return Boundary { inputs, outputs };
+        };
+        let (low, span) = (first.index(), last.index() - first.index() + 1);
+        let mut inside = FixedBitSet::with_capacity(span);
+        for task in members {
+            inside.insert(task.index() - low);
+        }
+        let outside = |task: TaskId| {
+            task.index()
+                .checked_sub(low)
+                .map_or(true, |i| i >= span || !inside.contains(i))
+        };
         for &task in members {
-            if spec.predecessors(task).any(|p| !members.contains(&p)) {
+            if spec.predecessors(task).any(outside) {
                 inputs.push(task);
             }
-            if spec.successors(task).any(|s| !members.contains(&s)) {
+            if spec.successors(task).any(outside) {
                 outputs.push(task);
             }
         }
