@@ -1,27 +1,15 @@
 //! A block-shared vector: copy-on-write storage whose clone costs one
 //! handle per block.
 //!
-//! [`BlockVec`] divides its elements into fixed-size blocks. Cloning copies
-//! only the block handles, and a mutable access copies only the one block
-//! it touches, and only if another clone still shares it. Two versions of
-//! a structure therefore share every block an edit did not write, and
+//! [`BlockVec`] divides its elements into fixed-size blocks, each behind
+//! its own `Arc`. Cloning copies only the block handles, and a mutable
+//! access runs `Arc::make_mut` on the one block it touches, so it copies
+//! that block only if another clone still shares it. Two versions of a
+//! structure therefore share every block an edit did not write, and
 //! dropping the older version frees only the blocks the edit replaced. The
 //! serving layer's copy-on-write commit clones a whole [`crate::DiGraph`]
 //! and [`crate::ReachMatrix`] per edit; with block sharing that clone is a
 //! few hundred handle copies instead of a deep copy of every slot and row.
-//!
-//! ## Layout
-//!
-//! Elements start out in one `Arc`'d *base* vector at their own indices,
-//! so a vector built in one go (a matrix build, a graph load) is a single
-//! allocation — no per-block allocation, and nothing for the allocator to
-//! churn when it is dropped. Each block carries an optional `Arc`'d copy
-//! of its own: it is made the first time the block is written while
-//! another clone shares the base, and from then on the block reads and
-//! writes its copy (through `Arc::make_mut`, so a copy a later clone
-//! shares is copied again on write). While no clone shares the base,
-//! writes go straight to it. Once every block has its own copy the base is
-//! released.
 //!
 //! Blocks are contiguous `[T]` slices, so a consumer that aligns its own
 //! records to the block length (the matrix stores a whole number of rows
@@ -29,60 +17,74 @@
 //! [`BlockVec::block_slice`].
 
 use std::fmt;
-use std::ops::{Index, IndexMut, Range};
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-/// Elements per block of a [`BlockVec`] built by [`BlockVec::new`] or
-/// `collect()`.
+/// Minimum elements per block of a [`BlockVec`] built by
+/// [`BlockVec::new`] or `collect()`.
 pub const BLOCK_LEN: usize = 64;
+
+/// Bytes a block of a [`BlockVec`] built by [`BlockVec::new`] or
+/// `collect()` fills when its elements are small: a scan then follows one
+/// block handle per 4 KiB, not per 64 elements.
+const BLOCK_BYTES: usize = 4096;
+
+/// Elements per block of a [`BlockVec`] built by [`BlockVec::new`] or
+/// `collect()`: [`BLOCK_LEN`], or as many as fill 4 KiB if that is more.
+#[must_use]
+pub const fn default_block_len<T>() -> usize {
+    let by_size = BLOCK_BYTES
+        / if size_of::<T>() == 0 {
+            1
+        } else {
+            size_of::<T>()
+        };
+    if by_size > BLOCK_LEN {
+        by_size
+    } else {
+        BLOCK_LEN
+    }
+}
 
 /// A vector of `T` stored in copy-on-write blocks of `block_len` elements.
 ///
-/// Element `i` belongs to block `i / block_len`; every block but the last
-/// is full.
+/// Element `i` is element `i % block_len` of block `i / block_len`; every
+/// block but the last is full.
 pub struct BlockVec<T> {
-    /// Elements of the blocks without a copy of their own, at their own
-    /// indices. Never downgraded to a `Weak`, so a strong count of one
-    /// means no clone shares it.
-    base: Arc<Vec<T>>,
-    /// Per block: its own copy once it was written while `base` was
-    /// shared, `None` while it still reads `base`.
-    copies: Vec<Option<Arc<Vec<T>>>>,
-    /// Number of `Some` entries in `copies`: while it is zero every element
-    /// is read straight from `base`.
-    copied: usize,
+    blocks: Vec<Arc<Vec<T>>>,
     block_len: usize,
-    /// `log2(block_len)` when the block length is a power of two.
-    shift: Option<u32>,
     len: usize,
 }
 
 impl<T> BlockVec<T> {
-    /// An empty vector with [`BLOCK_LEN`] elements per block.
+    /// An empty vector with [`default_block_len`] elements per block.
     #[must_use]
     pub fn new() -> Self {
-        Self::from_vec(BLOCK_LEN, Vec::new())
+        Self::from_blocks(default_block_len::<T>(), Vec::new())
     }
 
-    /// Adopts `elements` as the base of a vector with `block_len` elements
-    /// per block, without copying them.
+    /// Adopts `blocks` as the blocks of a vector with `block_len` elements
+    /// per block, without copying their elements.
     ///
     /// # Panics
-    /// Panics if `block_len` is zero.
+    /// Panics if `block_len` is zero, or if a block other than the last
+    /// does not hold exactly `block_len` elements (or the last more).
     #[must_use]
-    pub fn from_vec(block_len: usize, elements: Vec<T>) -> Self {
+    pub fn from_blocks(block_len: usize, blocks: Vec<Vec<T>>) -> Self {
         assert!(block_len > 0, "a block holds at least one element");
-        let len = elements.len();
-        let mut copies = Vec::new();
-        copies.resize_with(len.div_ceil(block_len), || None);
+        let last = blocks.len().saturating_sub(1);
+        let mut len = 0;
+        for (b, block) in blocks.iter().enumerate() {
+            assert!(
+                block.len() == block_len || (b == last && block.len() <= block_len),
+                "block {b} holds {} of {block_len} elements",
+                block.len()
+            );
+            len += block.len();
+        }
         BlockVec {
-            base: Arc::new(elements),
-            copies,
-            copied: 0,
+            blocks: blocks.into_iter().map(Arc::new).collect(),
             block_len,
-            shift: block_len
-                .is_power_of_two()
-                .then(|| block_len.trailing_zeros()),
             len,
         }
     }
@@ -99,14 +101,6 @@ impl<T> BlockVec<T> {
         self.len == 0
     }
 
-    /// The elements of block `b`.
-    fn block(&self, b: usize) -> &[T] {
-        match self.copy_of(b) {
-            Some(copy) => copy,
-            None => &self.base[self.block_range(b)],
-        }
-    }
-
     /// `len` elements of block `b` from `offset` on, as one slice: the
     /// record accessor for consumers that lay whole records out inside
     /// blocks.
@@ -116,131 +110,42 @@ impl<T> BlockVec<T> {
     #[inline]
     #[must_use]
     pub fn block_slice(&self, b: usize, offset: usize, len: usize) -> &[T] {
-        assert!(offset + len <= self.block_len, "a record straddles a block");
-        match self.copy_of(b) {
-            Some(copy) => &copy[offset..offset + len],
-            None => {
-                let start = b * self.block_len + offset;
-                &self.base[start..start + len]
-            }
-        }
-    }
-
-    /// Element `offset` of block `b`: [`BlockVec::get`] for a caller that
-    /// already knows the block.
-    ///
-    /// # Panics
-    /// Panics if `offset` leaves block `b` or the vector.
-    #[inline]
-    #[must_use]
-    pub fn block_get(&self, b: usize, offset: usize) -> &T {
-        assert!(offset < self.block_len, "offset {offset} leaves its block");
-        match self.copy_of(b) {
-            Some(copy) => &copy[offset],
-            None => &self.base[b * self.block_len + offset],
-        }
+        &self.blocks[b][offset..offset + len]
     }
 
     /// A reference to element `index`, or `None` past the end.
     #[inline]
     #[must_use]
     pub fn get(&self, index: usize) -> Option<&T> {
-        if index >= self.len {
-            return None;
-        }
-        if self.copied == 0 {
-            return Some(&self.base[index]);
-        }
-        let b = self.block_of(index);
-        Some(match self.copy_of(b) {
-            Some(copy) => &copy[index - b * self.block_len],
-            None => &self.base[index],
-        })
+        let b = index / self.block_len;
+        self.blocks.get(b)?.get(index - b * self.block_len)
     }
 
     /// Iterates over the elements in index order.
-    pub fn iter(&self) -> Iter<'_, T> {
-        if self.copied == 0 {
-            // one run over the base, no per-block step
-            return Iter {
-                vec: self,
-                current: self.base[..self.len].iter(),
-                next_block: self.copies.len(),
-                remaining: self.len,
-            };
-        }
-        Iter {
-            vec: self,
-            current: [].iter(),
-            next_block: 0,
-            remaining: self.len,
-        }
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.blocks.iter().flat_map(|block| block.iter())
     }
 
     /// Number of blocks whose storage `self` and `other` share: the blocks
     /// neither side has written since one was cloned from the other.
     #[cfg(test)]
     fn shared_blocks(&self, other: &Self) -> usize {
-        self.copies
+        self.blocks
             .iter()
-            .zip(&other.copies)
-            .filter(|(a, b)| match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => Arc::ptr_eq(&self.base, &other.base),
-                _ => false,
-            })
+            .zip(&other.blocks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
-    }
-
-    /// Block `b`'s own copy, if it has one; `None` means it reads `base`
-    /// (whose own bounds check then catches a block past the end).
-    #[inline]
-    fn copy_of(&self, b: usize) -> Option<&Vec<T>> {
-        if self.copied == 0 {
-            return None;
-        }
-        self.copies[b].as_deref()
-    }
-
-    fn block_of(&self, index: usize) -> usize {
-        match self.shift {
-            Some(shift) => index >> shift,
-            None => index / self.block_len,
-        }
-    }
-
-    fn block_range(&self, b: usize) -> Range<usize> {
-        b * self.block_len..((b + 1) * self.block_len).min(self.len)
-    }
-
-    fn base_is_unique(&self) -> bool {
-        Arc::strong_count(&self.base) == 1
     }
 }
 
 impl<T: Clone> BlockVec<T> {
-    /// The elements of block `b`, writable. A block that still reads a
-    /// base another clone shares gets its own copy first; a copy another
-    /// clone shares is copied again.
+    /// The elements of block `b`, writable; the block is copied first if
+    /// another clone still shares it.
     ///
     /// # Panics
     /// Panics if `b` is past the last block.
     pub fn block_mut(&mut self, b: usize) -> &mut [T] {
-        let range = self.block_range(b);
-        if self.copies[b].is_none() {
-            if self.base_is_unique() {
-                let base = Arc::get_mut(&mut self.base).expect("an unshared base");
-                return &mut base[range];
-            }
-            self.copies[b] = Some(Arc::new(self.base[range].to_vec()));
-            self.copied += 1;
-            if self.copied == self.copies.len() {
-                // no block reads the base any more
-                self.base = Arc::new(Vec::new());
-            }
-        }
-        let copy = self.copies[b].as_mut().expect("the block has a copy");
-        Arc::make_mut(copy).as_mut_slice()
+        Arc::make_mut(&mut self.blocks[b]).as_mut_slice()
     }
 
     /// A mutable reference to element `index` (copying its block if
@@ -249,36 +154,21 @@ impl<T: Clone> BlockVec<T> {
         if index >= self.len {
             return None;
         }
-        let b = self.block_of(index);
+        let b = index / self.block_len;
         let offset = index - b * self.block_len;
         Some(&mut self.block_mut(b)[offset])
     }
 
-    /// Appends an element. It goes to the base while the base is unshared
-    /// and ends at the last element; otherwise to the last block's copy,
+    /// Appends an element to the last block (copying it first if shared),
     /// or to a fresh block when the last one is full.
     pub fn push(&mut self, value: T) {
-        let b = self.block_of(self.len);
-        let reads_base = self.copies.get(b).map_or(true, Option::is_none);
-        if reads_base && self.len == self.base.len() && self.base_is_unique() {
-            Arc::get_mut(&mut self.base)
-                .expect("an unshared base")
-                .push(value);
-            if b == self.copies.len() {
-                self.copies.push(None);
+        match self.blocks.last_mut() {
+            Some(last) if last.len() < self.block_len => Arc::make_mut(last).push(value),
+            _ => {
+                let mut block = Vec::with_capacity(self.block_len);
+                block.push(value);
+                self.blocks.push(Arc::new(block));
             }
-        } else if b == self.copies.len() {
-            // the last block is full: start a block of its own
-            let mut block = Vec::with_capacity(self.block_len);
-            block.push(value);
-            self.copies.push(Some(Arc::new(block)));
-            self.copied += 1;
-        } else {
-            // the last block has room: it has a copy, or reads a base
-            // another clone shares and is copied out here
-            let _ = self.block_mut(b);
-            let copy = self.copies[b].as_mut().expect("the block has a copy");
-            Arc::make_mut(copy).push(value);
         }
         self.len += 1;
     }
@@ -296,50 +186,13 @@ impl<T: Clone> BlockVec<T> {
     }
 }
 
-/// Iterator over a [`BlockVec`]'s elements in index order: a slice
-/// iterator per block.
-pub struct Iter<'a, T> {
-    vec: &'a BlockVec<T>,
-    current: std::slice::Iter<'a, T>,
-    next_block: usize,
-    remaining: usize,
-}
-
-impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = &'a T;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            if let Some(value) = self.current.next() {
-                self.remaining -= 1;
-                return Some(value);
-            }
-            if self.next_block == self.vec.copies.len() {
-                return None;
-            }
-            self.current = self.vec.block(self.next_block).iter();
-            self.next_block += 1;
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<T> ExactSizeIterator for Iter<'_, T> {}
-
 impl<T> Clone for BlockVec<T> {
     /// Copies the block handles only; the elements stay shared until one
     /// side writes them.
     fn clone(&self) -> Self {
         BlockVec {
-            base: Arc::clone(&self.base),
-            copies: self.copies.clone(),
-            copied: self.copied,
+            blocks: self.blocks.clone(),
             block_len: self.block_len,
-            shift: self.shift,
             len: self.len,
         }
     }
@@ -379,10 +232,19 @@ impl<T: Clone> IndexMut<usize> for BlockVec<T> {
 }
 
 impl<T> FromIterator<T> for BlockVec<T> {
-    /// Collects into the base of a vector with [`BLOCK_LEN`] elements per
-    /// block.
+    /// Collects into blocks of [`default_block_len`] elements.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        Self::from_vec(BLOCK_LEN, iter.into_iter().collect())
+        let block_len = default_block_len::<T>();
+        let mut iter = iter.into_iter();
+        let mut blocks = Vec::new();
+        loop {
+            let block: Vec<T> = iter.by_ref().take(block_len).collect();
+            if block.is_empty() {
+                break;
+            }
+            blocks.push(block);
+        }
+        Self::from_blocks(block_len, blocks)
     }
 }
 
@@ -391,15 +253,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `0..n` in blocks of 64 elements.
+    fn sixty_four(n: u32) -> BlockVec<u32> {
+        let elements: Vec<u32> = (0..n).collect();
+        BlockVec::from_blocks(64, elements.chunks(64).map(<[u32]>::to_vec).collect())
+    }
+
     #[test]
     fn push_and_index_across_blocks() {
-        let mut v: BlockVec<usize> = BlockVec::from_vec(4, Vec::new());
+        let mut v: BlockVec<usize> = BlockVec::from_blocks(4, Vec::new());
         for i in 0..10 {
             v.push(i);
         }
         assert_eq!(v.len(), 10);
-        assert_eq!(v.copies.len(), 3);
-        assert_eq!(v.block(2), &[8, 9]);
+        assert_eq!(v.blocks.len(), 3);
+        assert_eq!(v.block_slice(2, 0, 2), &[8, 9]);
         assert_eq!(v[7], 7);
         assert_eq!(v.get(10), None);
         assert_eq!(
@@ -410,8 +278,8 @@ mod tests {
 
     #[test]
     fn a_clone_shares_every_block_until_one_is_written() {
-        let original: BlockVec<u32> = (0..200).collect();
-        assert_eq!(original.copies.len(), 4);
+        let original = sixty_four(200);
+        assert_eq!(original.blocks.len(), 4);
         let mut copy = original.clone();
         assert_eq!(copy.shared_blocks(&original), 4);
         copy[70] = 7;
@@ -425,7 +293,7 @@ mod tests {
         assert_eq!(original.len(), 200);
         assert_eq!(copy.len(), 201);
         assert_eq!(copy[200], 200);
-        // a copy shared by a later clone is copied again on write
+        // a block shared by a later clone is copied again on write
         let mut third = copy.clone();
         third[71] = 9;
         assert_eq!(copy[71], 71);
@@ -434,42 +302,45 @@ mod tests {
 
     #[test]
     fn an_unshared_vector_writes_in_place() {
-        let mut v: BlockVec<u32> = (0..100).collect();
-        v[5] = 50;
+        let mut v = sixty_four(100);
+        let block = Arc::as_ptr(&v.blocks[1]);
+        v[70] = 50;
         v.push(100);
-        // every block still reads the base: no block was copied
-        let clone = v.clone();
-        assert_eq!(clone.shared_blocks(&v), 2);
-        drop(clone);
-        v.block_mut(1)[0] = 7;
-        assert_eq!(v[64], 7);
-        assert_eq!(v[5], 50);
-    }
-
-    #[test]
-    fn the_base_is_released_once_every_block_has_a_copy() {
-        let original: BlockVec<u32> = (0..10).collect();
-        let mut copy = original.clone();
-        copy[0] = 1;
-        assert!(copy.base.is_empty());
-        assert_eq!(copy[9], 9);
-        assert_eq!(original[0], 0);
+        assert_eq!(Arc::as_ptr(&v.blocks[1]), block);
+        assert_eq!(v[70], 50);
+        assert_eq!(v[100], 100);
     }
 
     #[test]
     fn non_power_of_two_blocks_keep_records_contiguous() {
         // three 5-word records per block
-        let mut v: BlockVec<u64> = BlockVec::from_vec(15, Vec::new());
+        let mut v: BlockVec<u64> = BlockVec::from_blocks(15, Vec::new());
         v.extend_to(35, 0);
-        assert_eq!(v.copies.len(), 3);
-        assert_eq!(v.block(2).len(), 5);
+        assert_eq!(v.blocks.len(), 3);
+        assert_eq!(v.block_slice(2, 0, 5), &[0; 5]);
         v.block_mut(1)[5..10].fill(9);
         assert_eq!(v[20], 9);
         assert_eq!(v[19], 0);
         let shared = v.clone();
         v.extend_to(47, 1);
-        assert_eq!(v.block(3), &[1, 1]);
+        assert_eq!(v.block_slice(3, 0, 2), &[1, 1]);
         assert_eq!(shared.len(), 35);
+    }
+
+    #[test]
+    fn small_elements_fill_a_four_kib_block() {
+        assert_eq!(default_block_len::<u8>(), 4096);
+        assert_eq!(default_block_len::<[u32; 3]>(), 341);
+        assert_eq!(default_block_len::<[u8; 100]>(), BLOCK_LEN);
+        let v: BlockVec<u32> = (0..2000).collect();
+        assert_eq!(v.blocks.len(), 2);
+        assert_eq!(v[1500], 1500);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0 holds 3 of 4 elements")]
+    fn from_blocks_rejects_a_short_inner_block() {
+        let _ = BlockVec::from_blocks(4, vec![vec![1, 2, 3], vec![4]]);
     }
 
     proptest! {
@@ -481,7 +352,7 @@ mod tests {
             start in 0usize..150,
             ops in proptest::collection::vec((0usize..4, 0usize..200, 0u32..100), 1..60)
         ) {
-            let original: BlockVec<u32> = (0..start as u32).collect();
+            let original = sixty_four(start as u32);
             let frozen: Vec<u32> = original.iter().copied().collect();
             let mut copy = original.clone();
             let mut reference = frozen.clone();

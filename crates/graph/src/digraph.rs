@@ -1,25 +1,19 @@
 //! Adjacency-list directed graph with stable typed indices.
 //!
 //! Node and edge slots live in [`BlockVec`]s, so a clone copies one handle
-//! per 64 slots and an edge edit afterwards copies only the two node blocks
-//! and the one edge block it writes.
+//! per block of slots and an edge edit afterwards copies only the two node
+//! blocks and the one edge block it writes.
 
-use std::sync::Arc;
-
-use crate::blockvec::{BlockVec, BLOCK_LEN};
+use crate::blockvec::BlockVec;
 use crate::error::GraphError;
 use crate::id::{EdgeId, NodeId};
 
-/// Internal node storage. The payload sits behind an `Arc`, so copying a
-/// block of slots out of a shared base never clones payloads: a task's
-/// name stays where it was first allocated, next to its neighbours', and
-/// is not scattered over the heap by repeated edits. The adjacency lists
-/// hold only live edges (edge removal prunes them eagerly), each with its
-/// far endpoint, so walking a node's neighbours never touches the edge
-/// slots.
+/// Internal node storage. The adjacency lists hold only live edges (edge
+/// removal prunes them eagerly), each with its far endpoint, so walking a
+/// node's neighbours never touches the edge slots.
 #[derive(Debug, Clone)]
 struct NodeSlot<N> {
-    weight: Option<Arc<N>>,
+    weight: Option<N>,
     outgoing: Vec<(EdgeId, NodeId)>,
     incoming: Vec<(EdgeId, NodeId)>,
 }
@@ -42,15 +36,29 @@ struct EdgeSlot<E> {
 /// * Self loops are rejected by both insertion methods, since workflow
 ///   specifications and provenance graphs never contain them.
 /// * Cloning is cheap and structurally shared: the slots are stored in
-///   `Arc`'d blocks of 64 ([`BlockVec`]), a clone copies the block handles
-///   and each later edit copies only the blocks it writes. Edits therefore
-///   need `N: Clone` and `E: Clone`.
-#[derive(Debug, Clone)]
+///   `Arc`'d blocks ([`BlockVec`]), a clone copies the block handles
+///   and each later edit copies only the blocks it writes. Cloning needs no
+///   `Clone` payloads; edits need `N: Clone` and `E: Clone`, since they may
+///   copy a shared block.
+#[derive(Debug)]
 pub struct DiGraph<N, E> {
     nodes: BlockVec<NodeSlot<N>>,
     edges: BlockVec<EdgeSlot<E>>,
     live_nodes: usize,
     live_edges: usize,
+}
+
+impl<N, E> Clone for DiGraph<N, E> {
+    /// Copies the block handles; the slots stay shared until one side
+    /// writes them.
+    fn clone(&self) -> Self {
+        DiGraph {
+            nodes: self.nodes.clone(),
+            edges: self.edges.clone(),
+            live_nodes: self.live_nodes,
+            live_edges: self.live_edges,
+        }
+    }
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -71,15 +79,12 @@ impl<N, E> DiGraph<N, E> {
         }
     }
 
-    /// Creates an empty graph with pre-allocated capacity.
+    /// Creates an empty graph. The capacities are accepted for
+    /// compatibility only: block storage allocates one block as it fills,
+    /// so there is nothing to pre-allocate.
     #[must_use]
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            nodes: BlockVec::from_vec(BLOCK_LEN, Vec::with_capacity(nodes)),
-            edges: BlockVec::from_vec(BLOCK_LEN, Vec::with_capacity(edges)),
-            live_nodes: 0,
-            live_edges: 0,
-        }
+    pub fn with_capacity(_nodes: usize, _edges: usize) -> Self {
+        Self::new()
     }
 
     /// Number of live (non-removed) nodes.
@@ -126,7 +131,7 @@ impl<N, E> DiGraph<N, E> {
         let mut node_slots: Vec<NodeSlot<N>> = nodes
             .into_iter()
             .map(|weight| NodeSlot {
-                weight: weight.map(Arc::new),
+                weight,
                 outgoing: Vec::new(),
                 incoming: Vec::new(),
             })
@@ -210,7 +215,7 @@ impl<N, E> DiGraph<N, E> {
     pub fn node_weight(&self, node: NodeId) -> Result<&N, GraphError> {
         self.nodes
             .get(node.index())
-            .and_then(|slot| slot.weight.as_deref())
+            .and_then(|slot| slot.weight.as_ref())
             .ok_or(GraphError::InvalidNode(node))
     }
 
@@ -258,7 +263,7 @@ impl<N, E> DiGraph<N, E> {
         self.nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.weight.as_deref().map(|w| (NodeId::from_index(i), w)))
+            .filter_map(|(i, slot)| slot.weight.as_ref().map(|w| (NodeId::from_index(i), w)))
     }
 
     /// Iterates over the ids of all live edges in ascending id order.
@@ -346,8 +351,8 @@ impl<N, E> DiGraph<N, E> {
             .map(|(i, slot)| NodeSlot {
                 weight: slot
                     .weight
-                    .as_deref()
-                    .map(|w| Arc::new(node_map(NodeId::from_index(i), w))),
+                    .as_ref()
+                    .map(|w| node_map(NodeId::from_index(i), w)),
                 outgoing: slot.outgoing.clone(),
                 incoming: slot.incoming.clone(),
             })
@@ -381,7 +386,7 @@ impl<N: Clone, E: Clone> DiGraph<N, E> {
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeSlot {
-            weight: Some(Arc::new(weight)),
+            weight: Some(weight),
             outgoing: Vec::new(),
             incoming: Vec::new(),
         });
@@ -391,13 +396,13 @@ impl<N: Clone, E: Clone> DiGraph<N, E> {
 
     /// Returns a mutable reference to a node's payload.
     pub fn node_weight_mut(&mut self, node: NodeId) -> Result<&mut N, GraphError> {
+        // check before writing: a failed lookup copies no shared block
         if !self.contains_node(node) {
             return Err(GraphError::InvalidNode(node));
         }
         self.nodes[node.index()]
             .weight
             .as_mut()
-            .map(Arc::make_mut)
             .ok_or(GraphError::InvalidNode(node))
     }
 
@@ -491,7 +496,7 @@ impl<N: Clone, E: Clone> DiGraph<N, E> {
             .take()
             .ok_or(GraphError::InvalidNode(node))?;
         self.live_nodes -= 1;
-        Ok(Arc::try_unwrap(weight).unwrap_or_else(|shared| N::clone(&shared)))
+        Ok(weight)
     }
 }
 

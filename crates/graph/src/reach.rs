@@ -75,11 +75,20 @@ type SuccFn<'a> = dyn Fn(usize, &mut dyn FnMut(usize)) + 'a;
 /// `ROWS_PER_BLOCK × stride` words, so no row straddles two blocks.
 const ROWS_PER_BLOCK: usize = 64;
 
-/// Row storage of `words` flat row-major words with row stride `stride`
-/// (a matrix without components has stride 0 and no words; any positive
-/// block length works for it).
-fn row_blocks(stride: usize, words: Vec<u64>) -> BlockVec<u64> {
-    BlockVec::from_vec(ROWS_PER_BLOCK * stride.max(1), words)
+/// Row storage adopting `blocks` of [`ROWS_PER_BLOCK`] rows with row
+/// stride `stride` (a matrix without components has stride 0 and no
+/// blocks; any positive block length works for it).
+fn row_blocks(stride: usize, blocks: Vec<Vec<u64>>) -> BlockVec<u64> {
+    BlockVec::from_blocks(ROWS_PER_BLOCK * stride.max(1), blocks)
+}
+
+/// Zeroed row blocks for `rows` rows of `stride` words, `rows_per_block`
+/// rows to a block (the last block holds the remainder).
+fn zeroed_blocks(rows: usize, stride: usize, rows_per_block: usize) -> Vec<Vec<u64>> {
+    (0..rows)
+        .step_by(rows_per_block.max(1))
+        .map(|first| vec![0u64; (rows - first).min(rows_per_block) * stride])
+        .collect()
 }
 
 /// Dense all-pairs reachability over a directed graph.
@@ -133,7 +142,7 @@ impl ReachMatrix {
         let scc = strongly_connected_components_csr(csr);
         let comp_count = scc.len();
         let stride = crate::kernels::pad_words(comp_count.div_ceil(64));
-        let words = propagate_closure(csr, &scc, stride, |comp, row| {
+        let blocks = propagate_closure(csr, &scc, stride, ROWS_PER_BLOCK, |comp, row| {
             row[comp / 64] |= 1u64 << (comp % 64);
         });
         let comp_size: Vec<u32> = scc
@@ -147,7 +156,7 @@ impl ReachMatrix {
             }
         }
         ReachMatrix {
-            words: row_blocks(stride, words),
+            words: row_blocks(stride, blocks),
             stride,
             comp_count,
             component_of: scc.component_of,
@@ -723,9 +732,10 @@ impl ReachMatrix {
         let new_stride = crate::kernels::pad_words(target.div_ceil(64));
         if new_stride != self.stride {
             // widen every row; component indices and row order are preserved
-            let mut widened = vec![0u64; target * new_stride];
+            let mut widened = zeroed_blocks(target, new_stride, ROWS_PER_BLOCK);
             for row in 0..self.comp_count {
-                widened[row * new_stride..row * new_stride + self.stride]
+                let start = (row % ROWS_PER_BLOCK) * new_stride;
+                widened[row / ROWS_PER_BLOCK][start..start + self.stride]
                     .copy_from_slice(self.row_words(row));
             }
             self.words = row_blocks(new_stride, widened);
@@ -738,11 +748,7 @@ impl ReachMatrix {
 
     #[inline]
     fn row_has_bit(&self, row: usize, comp: usize) -> bool {
-        let word = self.words.block_get(
-            row / ROWS_PER_BLOCK,
-            (row % ROWS_PER_BLOCK) * self.stride + comp / 64,
-        );
-        word & (1u64 << (comp % 64)) != 0
+        self.row_words(row)[comp / 64] & (1u64 << (comp % 64)) != 0
     }
 
     #[inline]
@@ -904,11 +910,14 @@ impl LabelledClosure {
     ) -> Self {
         let scc = strongly_connected_components_csr(csr);
         let stride = crate::kernels::pad_words(label_count.div_ceil(64));
-        let comp_rows = propagate_closure(csr, &scc, stride, |comp, row| {
+        // every component row in one block
+        let comp_rows = propagate_closure(csr, &scc, stride, scc.len(), |comp, row| {
             for label in scc.members_of(comp).iter().filter_map(|&n| label_of(n)) {
                 row[label / 64] |= 1u64 << (label % 64);
             }
-        });
+        })
+        .pop()
+        .unwrap_or_default();
         let mut words = vec![0u64; label_count * stride];
         for comp in 0..scc.len() {
             for label in scc.members_of(comp).iter().filter_map(|&n| label_of(n)) {
@@ -936,42 +945,65 @@ impl LabelledClosure {
 /// [`LabelledClosure::build`]: over the condensation of `csr`, in reverse
 /// topological order so successor rows are complete before they are
 /// unioned into their predecessors, each component's `stride`-word row is
-/// seeded by `seed` and then ORed with its successors' rows in place.
+/// seeded by `seed` and then ORed with its successors' rows in place. Rows
+/// are returned in blocks of `rows_per_block` rows, row-major within each.
 fn propagate_closure(
     csr: &Csr,
     scc: &SccDecomposition,
     stride: usize,
+    rows_per_block: usize,
     mut seed: impl FnMut(usize, &mut [u64]),
-) -> Vec<u64> {
+) -> Vec<Vec<u64>> {
     let condensed = condense_to_csr(csr, scc);
     let order = topological_sort_csr(&condensed).expect("condensation is always acyclic");
-    let mut words = vec![0u64; scc.len() * stride];
+    let mut blocks = zeroed_blocks(scc.len(), stride, rows_per_block);
+    let place = |row: usize| (row / rows_per_block, (row % rows_per_block) * stride);
     for &comp in order.iter().rev() {
-        let i = comp.index();
-        seed(i, &mut words[i * stride..(i + 1) * stride]);
+        let (b, start) = place(comp.index());
+        seed(comp.index(), &mut blocks[b][start..start + stride]);
         for &succ in condensed.successors(comp) {
-            union_rows(&mut words, stride, i, succ.index());
+            union_rows(
+                &mut blocks,
+                stride,
+                place(comp.index()),
+                place(succ.index()),
+            );
         }
     }
-    words
+    blocks
 }
 
-/// ORs row `src` into row `dst` in place. The rows are disjoint because the
-/// condensation is acyclic and self-loop free, so `split_at_mut` yields one
-/// mutable and one shared slice without copying either row.
-fn union_rows(words: &mut [u64], stride: usize, dst: usize, src: usize) {
-    debug_assert_ne!(dst, src, "condensation rows cannot self-union");
-    if dst < src {
-        let (head, tail) = words.split_at_mut(src * stride);
-        let dst_row = &mut head[dst * stride..dst * stride + stride];
-        let src_row = &tail[..stride];
-        crate::kernels::or_into(dst_row, src_row);
+/// ORs the row at `src` into the row at `dst` in place, each given as
+/// (block, word offset). The rows are disjoint because the condensation is
+/// acyclic and self-loop free, so `split_at_mut` yields one mutable and one
+/// shared slice without copying either row.
+fn union_rows(
+    blocks: &mut [Vec<u64>],
+    stride: usize,
+    (dst_block, dst): (usize, usize),
+    (src_block, src): (usize, usize),
+) {
+    let (dst_row, src_row) = if dst_block != src_block {
+        let (low, high) = (dst_block.min(src_block), dst_block.max(src_block));
+        let (head, tail) = blocks.split_at_mut(high);
+        let (low, high) = (&mut head[low], &mut tail[0]);
+        if dst_block < src_block {
+            (&mut low[dst..dst + stride], &high[src..src + stride])
+        } else {
+            (&mut high[dst..dst + stride], &low[src..src + stride])
+        }
     } else {
-        let (head, tail) = words.split_at_mut(dst * stride);
-        let src_row = &head[src * stride..src * stride + stride];
-        let dst_row = &mut tail[..stride];
-        crate::kernels::or_into(dst_row, src_row);
-    }
+        debug_assert_ne!(dst, src, "condensation rows cannot self-union");
+        let block = &mut blocks[dst_block];
+        if dst < src {
+            let (head, tail) = block.split_at_mut(src);
+            (&mut head[dst..dst + stride], &tail[..stride])
+        } else {
+            let (head, tail) = block.split_at_mut(dst);
+            (&mut tail[..stride], &head[src..src + stride])
+        }
+    };
+    crate::kernels::or_into(dst_row, src_row);
 }
 
 /// Computes the set of ancestors of `node` (nodes that can reach it),
@@ -1796,18 +1828,18 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// A clone of a graph and its matrix is independent of the
         /// original: random insert/remove scripts on the clone — DAG-biased
-        /// and cycle-forming, over more nodes and components than one
-        /// 64-slot block holds — keep the clone equal to a from-scratch
-        /// build after every step, and leave every row, component and
-        /// adjacency list of the original exactly as it was.
+        /// and cycle-forming, over more nodes, edges and components than
+        /// one block of slots or rows holds — keep the clone equal to a
+        /// from-scratch build after every step, and leave every row,
+        /// component and adjacency list of the original exactly as it was.
         #[test]
         fn prop_a_clone_evolves_independently_of_its_original(
-            start in 65usize..130,
-            raw_edges in proptest::collection::vec((0usize..130, 0usize..130), 60..260),
+            start in 150usize..260,
+            raw_edges in proptest::collection::vec((0usize..260, 0usize..260), 400..800),
             cyclic in 0usize..2,
             ops in proptest::collection::vec((0usize..5, 0usize..4096, 0usize..4096), 1..16)
         ) {

@@ -36,7 +36,7 @@
 //! they hold it. The spec clone is structurally shared: the graph's slots
 //! and the matrix's rows live in `Arc`'d blocks (`wolves_graph::BlockVec`)
 //! and the name index behind an `Arc`, so `Arc::make_mut` on the spec
-//! copies block handles (≈10 µs at 10k tasks, not a 9 ms deep copy), the
+//! copies block handles (≈15 µs at 10k tasks, not a 9 ms deep copy), the
 //! edit then copies only the blocks it writes, and dropping the superseded
 //! snapshot frees only those. Task additions/removals rebase the workflow:
 //! older view versions would no longer partition the task set, so the

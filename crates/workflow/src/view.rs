@@ -477,7 +477,7 @@ impl WorkflowView {
     ///
     /// O(V + E + S + C²/64) for C live composites in S slots: one
     /// branch-free pass over the specification's dependencies marks each
-    /// endpoint pair, read from the dense task → composite table, in a C×C
+    /// endpoint pair, read from a dense task → composite-rank table, in a C×C
     /// bitset over the live composites' ranks (plus one row and column for
     /// tasks outside the view); reading the bitset back drops the
     /// duplicates, the diagonal and that extra rank, and yields the edges in
@@ -494,10 +494,19 @@ impl WorkflowView {
         }
         let outside = live.len();
         let width = outside + 1;
-        let rank_of = |task: TaskId| {
-            self.composite_of(task)
-                .map_or(outside, |id| rank[id.index()])
-        };
+        // each task's composite rank, so an endpoint is one table read
+        let task_rank: Vec<usize> = self
+            .composite_of_task
+            .iter()
+            .map(|&slot| {
+                if slot == NO_COMPOSITE {
+                    outside
+                } else {
+                    rank[slot as usize]
+                }
+            })
+            .collect();
+        let rank_of = |task: TaskId| task_rank.get(task.index()).copied().unwrap_or(outside);
         let mut pairs = FixedBitSet::with_capacity(width * width);
         for (from, to) in spec.dependencies() {
             pairs.insert(rank_of(from) * width + rank_of(to));
