@@ -1,6 +1,7 @@
 //! Micro-benchmark for the reachability engine: matrix build, all-pairs
-//! row queries, the two validator checks, the provenance index build and
-//! the **mutation workload**
+//! row queries, the two validator checks, the provenance index build, the
+//! correctors (weak and strong on random partitions up to ~500 tasks, the
+//! exact corrector on Figure 3) and the **mutation workload**
 //! (incremental single-edge edits vs from-scratch rebuilds) over a grid of
 //! task counts.
 //!
@@ -37,11 +38,14 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use wolves_core::correct::{correct_view, Strategy};
 use wolves_core::validate::{validate, validate_by_definition};
 use wolves_graph::reach::ReachMatrix;
 use wolves_provenance::ViewProvenanceIndex;
+use wolves_repo::figure3;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
-use wolves_repo::views::topological_block_view;
+use wolves_repo::views::{random_partition_view, topological_block_view};
+use wolves_workflow::WorkflowView;
 use wolves_workflow::{DataDependency, TaskId, WorkflowSpec};
 
 /// Bound of the `provenance/index_build` over `graph/matrix_build` guard.
@@ -169,7 +173,31 @@ fn main() {
         rows.push(measure("mutation/spec_clone", tasks, edges, iters, || {
             std::hint::black_box(spec.clone()).task_count()
         }));
+        // the polynomial correctors on the shape perfbench's correct-audit
+        // serves: random partitions into composites of ~5 tasks, almost
+        // all of them unsound
+        if target <= 500 {
+            let partition =
+                random_partition_view(&spec, tasks / 5, 23, "random").expect("a partition");
+            for (workload, strategy) in [
+                ("correct/weak_view", Strategy::Weak),
+                ("correct/strong_view", Strategy::Strong),
+            ] {
+                rows.push(measure_correction(
+                    workload, &spec, &partition, strategy, iters,
+                ));
+            }
+        }
     }
+    // the exact corrector is exponential; Figure 3 is the paper's instance
+    let fixture = figure3();
+    rows.push(measure_correction(
+        "correct/optimal_figure3",
+        &fixture.spec,
+        &fixture.view,
+        Strategy::Optimal,
+        iterations_for(0, quick),
+    ));
 
     // the mutation workload pays a full matrix rebuild per edit for its
     // *_rebuild rows; only run it when its JSON is actually requested
@@ -399,6 +427,24 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     out
 }
 
+/// Times [`correct_view`] with `strategy` over every unsound composite of
+/// `view`.
+fn measure_correction(
+    workload: &'static str,
+    spec: &WorkflowSpec,
+    view: &WorkflowView,
+    strategy: Strategy,
+    iterations: usize,
+) -> Row {
+    let corrector = strategy.corrector();
+    let (tasks, edges) = (spec.task_count(), spec.dependency_count());
+    measure(workload, tasks, edges, iterations, || {
+        let (_, report) = correct_view(spec, view, corrector.as_ref()).expect("view corrects");
+        assert!(!report.corrections.is_empty(), "the view was unsound");
+        report.composites_after
+    })
+}
+
 fn iterations_for(target: usize, quick: bool) -> usize {
     let base = match target {
         0..=200 => 200,
@@ -459,7 +505,7 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"workload\": \"matrix build + row queries + validator checks + provenance index build\","
+        "  \"workload\": \"matrix build + row queries + validator checks + provenance index build + correctors\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     out.push_str("  \"rows\": [\n");

@@ -1,8 +1,9 @@
-//! Throughput benchmark for `wolves-service`: requests/sec over a grid of
-//! shard counts × worker-thread counts, driven by the concurrent batch
-//! client over a real loopback TCP connection — plus the event-loop
-//! grids: pipelining speedup, idle-connection scaling and WAL group-commit
-//! cost under strict fsync.
+//! Service benchmark for `wolves-service`: requests/sec over a grid of
+//! shard counts × event-loop counts, driven by the concurrent batch client
+//! over a real loopback TCP connection — plus pipelining speedup,
+//! read-under-write, idle-connection scaling and a durability grid (a
+//! concurrent mutation burst under each fsync policy, then cold and
+//! compacted recovery of its data directory).
 //!
 //! Usage:
 //!
@@ -10,25 +11,51 @@
 //! service_bench                     # full grid, JSON on stdout
 //! service_bench --quick             # smaller grid / fewer requests (CI)
 //! service_bench --out BENCH_service.json
+//! service_bench --metrics-out METRICS_service.txt
 //! service_bench --conn-smoke 10000  # hold N conns (1k watching) through a burst
 //! ```
 //!
 //! The output is machine-readable JSON (handwritten — no serde in the
 //! workspace), one row per grid point, so perf trajectories can be recorded
-//! across PRs.
+//! across PRs. A `guard` object holds the four ratio claims CI checks; each
+//! is the median of [`REPEATS`] repeats that alternate which side runs
+//! first, so neither side always pays the cold start.
 
 use std::fmt::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use wolves_repo::{figure1, layered_workflow, topological_block_view, LayeredConfig};
 use wolves_service::{
-    serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, MutateOp,
-    PersistConfig, ServerConfig, Verb, WatchMode, WorkflowId, WorkflowStore,
+    serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, HistogramSnapshot,
+    MutateOp, PersistConfig, RecoveryReport, ServerConfig, Stage, Verb, WatchMode, WorkflowId,
+    WorkflowStore,
 };
+
+const USAGE: &str = "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
+                     [--conn-smoke <conns>]";
+
+/// Repeats of every guarded comparison; odd, so each guard is a true median.
+const REPEATS: usize = 5;
+
+/// Pipelined throughput must be at least this multiple of one request per
+/// round trip.
+const MIN_PIPELINING_SPEEDUP: f64 = 3.0;
+
+/// Strict group commit (`fsync_every=1`) may cost at most this factor of
+/// the OS-flush rate.
+const MAX_GROUP_COMMIT_RATIO: f64 = 1.2;
+
+/// Reads under a concurrent mutator may cost at most this factor of idle
+/// reads.
+const MAX_READ_UNDER_WRITE_RATIO: f64 = 1.3;
+
+/// The default WAL policy (OS flush) may cost at most this factor of the
+/// in-memory store.
+const MAX_WAL_OVER_MEMORY: f64 = 2.0;
 
 struct Row {
     shards: usize,
@@ -54,10 +81,11 @@ struct Row {
 struct ReadUnderWrite {
     idle_rps: f64,
     contended_rps: f64,
+    /// Median of the per-repeat `idle_rps / contended_rps`.
     ratio: f64,
     mutations: u64,
     snapshot_publishes: u64,
-    /// Server-side percentiles from the contended pass, in microseconds.
+    /// Server-side percentiles over every pass, in microseconds.
     validate_p50_us: f64,
     validate_p99_us: f64,
     mutate_p50_us: f64,
@@ -65,36 +93,104 @@ struct ReadUnderWrite {
 }
 
 /// Log2-bucket upper bound for quantile `q`, converted to microseconds.
-fn percentile_us(snapshot: &wolves_service::HistogramSnapshot, q: f64) -> f64 {
+fn percentile_us(snapshot: &HistogramSnapshot, q: f64) -> f64 {
     snapshot.quantile(q) as f64 / 1e3
 }
 
+/// Runs `sides` passes [`REPEATS`] times, forwards on even repeats and
+/// backwards on odd ones, and returns each side's samples in repeat order.
+fn alternate<T>(sides: usize, mut pass: impl FnMut(usize) -> T) -> Vec<Vec<T>> {
+    let mut samples: Vec<Vec<T>> = (0..sides).map(|_| Vec::with_capacity(REPEATS)).collect();
+    for repeat in 0..REPEATS {
+        for step in 0..sides {
+            let side = if repeat % 2 == 0 {
+                step
+            } else {
+                sides - 1 - step
+            };
+            samples[side].push(pass(side));
+        }
+    }
+    samples
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Median of the per-repeat ratios `numerator[r] / denominator[r]`.
+fn median_ratio(numerator: &[f64], denominator: &[f64]) -> f64 {
+    median(
+        numerator
+            .iter()
+            .zip(denominator)
+            .map(|(n, d)| n / d.max(1e-9))
+            .collect(),
+    )
+}
+
+#[derive(Default)]
+struct Args {
+    quick: bool,
+    out: Option<String>,
+    metrics_out: Option<String>,
+    conn_smoke: Option<usize>,
+}
+
+/// Parses the command line; a missing value, a non-numeric connection
+/// count or an unknown argument is an error, never a silent default.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--out" | "--metrics-out" => {
+                let file = args
+                    .next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a file name"))?;
+                let slot = if arg == "--out" {
+                    &mut parsed.out
+                } else {
+                    &mut parsed.metrics_out
+                };
+                *slot = Some(file);
+            }
+            "--conn-smoke" => {
+                let value = args.next().unwrap_or_default();
+                let count = value
+                    .parse()
+                    .map_err(|_| format!("--conn-smoke needs a connection count, got '{value}'"))?;
+                parsed.conn_smoke = Some(count);
+            }
+            _ => return Err(format!("unknown argument '{arg}'")),
+        }
+    }
+    Ok(parsed)
+}
+
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write '{path}': {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
-             [--conn-smoke <idle-conns>]"
-        );
+    if std::env::args().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
         return;
     }
-    if let Some(target) = args
-        .iter()
-        .position(|a| a == "--conn-smoke")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("service_bench: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(target) = args.conn_smoke {
         std::process::exit(run_connection_smoke(target));
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path: Option<String> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
-    let metrics_out: Option<String> = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1).cloned());
+    let quick = args.quick;
 
     let (shard_grid, worker_grid, clients, requests_per_client): (Vec<usize>, Vec<usize>, _, _) =
         if quick {
@@ -116,30 +212,22 @@ fn main() {
     }
 
     let (read_under_write, exposition) = run_read_under_write(quick);
-    if let Some(path) = metrics_out {
-        if let Err(e) = std::fs::write(&path, &exposition) {
-            eprintln!("cannot write '{path}': {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}");
+    if let Some(path) = &args.metrics_out {
+        write_or_exit(path, &exposition);
     }
     let pipelining = run_pipelining(quick);
     let scaling = run_connection_scaling(quick);
-    let group_commit = run_group_commit(quick);
+    let durability = run_durability(quick);
     let json = render_json(
         &rows,
         &read_under_write,
         &pipelining,
         &scaling,
-        &group_commit,
+        &durability,
         quick,
     );
-    if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("cannot write '{path}': {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}");
+    if let Some(path) = &args.out {
+        write_or_exit(path, &json);
     }
     println!("{json}");
 }
@@ -193,10 +281,10 @@ fn run_grid_point(shards: usize, workers: usize, clients: usize, requests: usize
     }
 }
 
-/// The read-under-write grid point: the same validate workload twice over
-/// one server — once idle, once with a mutator thread toggling an edge of
-/// the first workflow (~2k mutations/sec, every one published as a fresh
-/// snapshot and invalidating a cached verdict).
+/// The read-under-write grid point: the same validate workload over one
+/// server, idle and with a mutator thread toggling an edge of the first
+/// workflow (~2k mutations/sec, every one published as a fresh snapshot and
+/// invalidating a cached verdict), alternated over [`REPEATS`].
 fn run_read_under_write(quick: bool) -> (ReadUnderWrite, String) {
     let (clients, requests) = if quick { (4, 50) } else { (8, 200) };
     let server = serve(&ServerConfig {
@@ -221,50 +309,51 @@ fn run_read_under_write(quick: bool) -> (ReadUnderWrite, String) {
         pipeline: 1,
     };
 
-    let idle = validate_throughput(server.local_addr(), &ids, batch).expect("idle pass");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mutator = {
-        let store = Arc::clone(&store);
-        let stop = Arc::clone(&stop);
-        let target = ids[0];
-        std::thread::spawn(move || {
-            let mut mutations = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let op = if mutations % 2 == 0 {
-                    MutateOp::AddEdge {
-                        from: "Check additional annotations".to_owned(),
-                        to: "Build phylo tree".to_owned(),
-                    }
-                } else {
-                    MutateOp::RemoveEdge {
-                        from: "Check additional annotations".to_owned(),
-                        to: "Build phylo tree".to_owned(),
-                    }
-                };
-                store.mutate(target, op).expect("toggle edge");
-                mutations += 1;
-                std::thread::sleep(std::time::Duration::from_micros(500));
-            }
-            mutations
-        })
-    };
-    let contended = validate_throughput(server.local_addr(), &ids, batch).expect("contended pass");
-    stop.store(true, Ordering::Relaxed);
-    let mutations = mutator.join().expect("mutator thread");
+    let mut mutations = 0u64;
+    let samples = alternate(2, |side| {
+        if side == 0 {
+            let idle = validate_throughput(server.local_addr(), &ids, batch).expect("idle pass");
+            return idle.requests_per_sec();
+        }
+        let stop = AtomicBool::new(false);
+        let (contended, toggled) = std::thread::scope(|scope| {
+            let mutator = scope.spawn(|| {
+                let mut toggled = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let (from, to) = (
+                        "Check additional annotations".to_owned(),
+                        "Build phylo tree".to_owned(),
+                    );
+                    let op = if (mutations + toggled) % 2 == 0 {
+                        MutateOp::AddEdge { from, to }
+                    } else {
+                        MutateOp::RemoveEdge { from, to }
+                    };
+                    store.mutate(ids[0], op).expect("toggle edge");
+                    toggled += 1;
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                }
+                toggled
+            });
+            let contended =
+                validate_throughput(server.local_addr(), &ids, batch).expect("contended pass");
+            stop.store(true, Ordering::Relaxed);
+            (contended, mutator.join().expect("mutator thread"))
+        });
+        mutations += toggled;
+        contended.requests_per_sec()
+    });
     let snapshot_publishes = store.stats().snapshot_publishes();
     let validate = store.verb_histogram(Verb::Validate);
     let mutate = store.verb_histogram(Verb::Mutate);
     let exposition = store.metrics_text();
     server.shutdown();
 
-    let idle_rps = idle.requests_per_sec();
-    let contended_rps = contended.requests_per_sec();
     (
         ReadUnderWrite {
-            idle_rps,
-            contended_rps,
-            ratio: idle_rps / contended_rps.max(1e-9),
+            idle_rps: median(samples[0].clone()),
+            contended_rps: median(samples[1].clone()),
+            ratio: median_ratio(&samples[0], &samples[1]),
             mutations,
             snapshot_publishes,
             validate_p50_us: percentile_us(&validate, 0.50),
@@ -284,7 +373,7 @@ struct Pipelining {
     baseline_rps: f64,
     pipelined_rps: f64,
     batched_rps: f64,
-    /// `pipelined_rps / baseline_rps` — the acceptance bar is ≥ 3.
+    /// Median of the per-repeat `pipelined_rps / baseline_rps`.
     speedup: f64,
 }
 
@@ -298,30 +387,30 @@ struct ScalingRow {
     requests_per_sec: f64,
 }
 
-/// Concurrent-mutator throughput on a real [`FileBackend`], OS-flush
-/// (`fsync_every=0`) vs strict (`fsync_every=1`): group commit should keep
-/// the strict ratio close to 1 because concurrent appends share one leader
-/// fsync.
-struct GroupCommit {
-    mutators: usize,
-    mutations_per_thread: usize,
-    os_flush_rps: f64,
-    strict_rps: f64,
-    /// `os_flush_rps / strict_rps` — the acceptance bar is ≤ 1.2.
-    ratio: f64,
-    /// Leader fsyncs recorded by the strict run.
-    batches: u64,
-    /// Appends that rode another mutator's fsync in the strict run.
-    absorbed: u64,
-    mean_batch: f64,
+/// One fsync policy of the durability grid.
+struct PolicyRow {
+    policy: &'static str,
+    /// Median of the per-repeat `memory rate / this rate`.
+    over_memory: f64,
+    /// The repeats summarised: median rate and restart times, merged
+    /// histograms, summed group-commit counts.
+    summary: Burst,
 }
 
-fn temp_root(tag: &str) -> PathBuf {
+struct Durability {
+    mutators: usize,
+    mutations_per_thread: usize,
+    rows: Vec<PolicyRow>,
+    /// Median of the per-repeat `os-flush rate / strict rate`.
+    group_commit_ratio: f64,
+}
+
+fn temp_root() -> PathBuf {
     use std::sync::atomic::AtomicU64;
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "wolves-service-bench-{tag}-{}-{unique}",
+        "wolves-service-bench-{}-{unique}",
         std::process::id()
     ))
 }
@@ -352,26 +441,16 @@ fn run_pipelining(quick: bool) -> Pipelining {
     let (server, ids) = fixture_server(4, 4);
     let addr = server.local_addr();
 
-    let baseline = validate_throughput(
-        addr,
-        &ids,
-        BatchConfig {
+    let samples = alternate(2, |side| {
+        let batch = BatchConfig {
             clients,
             requests_per_client: requests,
-            pipeline: 1,
-        },
-    )
-    .expect("baseline pass");
-    let pipelined = validate_throughput(
-        addr,
-        &ids,
-        BatchConfig {
-            clients,
-            requests_per_client: requests,
-            pipeline: depth,
-        },
-    )
-    .expect("pipelined pass");
+            pipeline: [1, depth][side],
+        };
+        validate_throughput(addr, &ids, batch)
+            .expect("validate pass")
+            .requests_per_sec()
+    });
 
     // the batch verb: same requests, one nested frame per `depth` window
     let start = Instant::now();
@@ -409,15 +488,13 @@ fn run_pipelining(quick: bool) -> Pipelining {
     let batched_rps = batched_completed as f64 / start.elapsed().as_secs_f64().max(1e-9);
     server.shutdown();
 
-    let baseline_rps = baseline.requests_per_sec();
-    let pipelined_rps = pipelined.requests_per_sec();
     Pipelining {
         clients,
         depth,
-        baseline_rps,
-        pipelined_rps,
+        baseline_rps: median(samples[0].clone()),
+        pipelined_rps: median(samples[1].clone()),
         batched_rps,
-        speedup: pipelined_rps / baseline_rps.max(1e-9),
+        speedup: median_ratio(&samples[1], &samples[0]),
     }
 }
 
@@ -469,25 +546,54 @@ fn run_connection_scaling(quick: bool) -> Vec<ScalingRow> {
 /// server settles a readiness pass's frames.
 const GC_PIPELINE: usize = 8;
 
-/// One mutation burst against a fresh durable store: `mutators` threads ×
-/// `per_thread` mutate+validate rounds, each thread on its own workflow,
-/// settled in pipelined batches of [`GC_PIPELINE`]. Returns the rate plus
-/// the backend's group-commit observation.
-fn mutation_burst(
-    fsync_every: usize,
-    mutators: usize,
-    per_thread: usize,
-) -> (f64, wolves_service::StorageObservation) {
-    let root = temp_root(&format!("gc{fsync_every}"));
-    // one shard: every mutator funnels into the same segment, which is the
-    // worst case for per-append fsyncs and exactly what group commit is for
+/// The durability grid's policies: the in-memory store, then the WAL's
+/// `fsync_every` settings — 0 is the default OS flush (process-crash
+/// durable), 16 bounds the power-loss window, 1 is strict group commit.
+const POLICIES: [(&str, Option<usize>); 4] = [
+    ("memory", None),
+    ("wal-os-flush", Some(0)),
+    ("wal-fsync-16", Some(16)),
+    ("wal-fsync-every-record", Some(1)),
+];
+
+/// One repeat of one policy.
+#[derive(Default)]
+struct Burst {
+    rps: f64,
+    mutate: HistogramSnapshot,
+    wal_append: HistogramSnapshot,
+    fsync: HistogramSnapshot,
+    batches: u64,
+    absorbed: u64,
+    recovery_ms: f64,
+    compacted_recovery_ms: f64,
+    replayed_records: usize,
+}
+
+/// Opens (and recovers) a one-shard durable store on `root`. One shard:
+/// every mutator funnels into the same segment, which is the worst case for
+/// per-append fsyncs and exactly what group commit is for.
+fn open_durable(root: &Path, fsync_every: usize) -> (WorkflowStore, RecoveryReport) {
     let backend = FileBackend::open(PersistConfig {
         shards: 1,
         fsync_every,
-        ..PersistConfig::new(&root)
+        ..PersistConfig::new(root)
     })
     .expect("open file backend");
-    let (store, _report) = WorkflowStore::open(Arc::new(backend)).expect("recover empty dir");
+    WorkflowStore::open(Arc::new(backend)).expect("recover data dir")
+}
+
+/// One mutation burst against a fresh store (in memory, or durable with
+/// `fsync_every`): `mutators` threads × `per_thread` mutate+validate
+/// rounds, each thread on its own workflow, settled in pipelined batches of
+/// [`GC_PIPELINE`]. A durable store is then reopened twice: once replaying
+/// the log (cold recovery), once from the snapshot that recovery compacted.
+fn mutation_burst(fsync_every: Option<usize>, mutators: usize, per_thread: usize) -> Burst {
+    let root = temp_root();
+    let store = match fsync_every {
+        None => WorkflowStore::new(1),
+        Some(fsync_every) => open_durable(&root, fsync_every).0,
+    };
     // realistic op weight: each mutator owns a ~500-task layered workflow
     // and toggles a long forward edge (first layer → last layer; the
     // generator never connects layers that far apart, so the add is always
@@ -527,16 +633,11 @@ fn mutation_burst(
                     let batch_end = (index + GC_PIPELINE).min(per_thread);
                     let mut barrier = DurabilityBarrier::default();
                     for i in index..batch_end {
+                        let (from, to) = (from.clone(), to.clone());
                         let op = if i % 2 == 0 {
-                            MutateOp::AddEdge {
-                                from: from.clone(),
-                                to: to.clone(),
-                            }
+                            MutateOp::AddEdge { from, to }
                         } else {
-                            MutateOp::RemoveEdge {
-                                from: from.clone(),
-                                to: to.clone(),
-                            }
+                            MutateOp::RemoveEdge { from, to }
                         };
                         let (_, ticket) = store
                             .mutate_deferred(*target, op, None)
@@ -559,31 +660,88 @@ fn mutation_burst(
     });
     let elapsed = start.elapsed();
     let observed = store.backend().observe();
+    let mut burst = Burst {
+        rps: (mutators * per_thread) as f64 / elapsed.as_secs_f64().max(1e-9),
+        mutate: store.verb_histogram(Verb::Mutate),
+        wal_append: store.stage_histogram(Stage::WalAppend),
+        fsync: store.stage_histogram(Stage::Fsync),
+        batches: observed.group_commit_batch.count(),
+        absorbed: observed.group_commit_absorbed,
+        ..Burst::default()
+    };
     drop(store);
-    let _ = std::fs::remove_dir_all(&root);
-    let total = (mutators * per_thread) as f64;
-    (total / elapsed.as_secs_f64().max(1e-9), observed)
+    if let Some(fsync_every) = fsync_every {
+        let check = targets[0].0;
+        let start = Instant::now();
+        let (store, report) = open_durable(&root, fsync_every);
+        burst.recovery_ms = start.elapsed().as_secs_f64() * 1e3;
+        burst.replayed_records = report.replayed_records;
+        assert!(
+            store.validate(check, None).is_ok(),
+            "recovered store answers"
+        );
+        drop(store);
+        let start = Instant::now();
+        let (store, _) = open_durable(&root, fsync_every);
+        burst.compacted_recovery_ms = start.elapsed().as_secs_f64() * 1e3;
+        assert!(
+            store.validate(check, None).is_ok(),
+            "compacted store answers"
+        );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    burst
 }
 
-fn run_group_commit(quick: bool) -> GroupCommit {
+/// Every policy's burst, alternated over [`REPEATS`] so the in-memory
+/// baseline is not always the cold first pass.
+fn run_durability(quick: bool) -> Durability {
     // enough concurrent mutators that a leader's fsync has a full group
     // stacked behind it — the acceptance floor is 8, the amortisation story
     // needs more
     let mutators = if quick { 32 } else { 64 };
     let per_thread = if quick { 50 } else { 200 };
-    let (os_flush_rps, _) = mutation_burst(0, mutators, per_thread);
-    let (strict_rps, observed) = mutation_burst(1, mutators, per_thread);
-    let batches = observed.group_commit_batch.count();
-    let absorbed = observed.group_commit_absorbed;
-    GroupCommit {
+    let samples = alternate(POLICIES.len(), |side| {
+        mutation_burst(POLICIES[side].1, mutators, per_thread)
+    });
+    let rates: Vec<Vec<f64>> = samples
+        .iter()
+        .map(|bursts| bursts.iter().map(|b| b.rps).collect())
+        .collect();
+    let rows = POLICIES
+        .iter()
+        .zip(&samples)
+        .zip(&rates)
+        .map(|((&(policy, _), bursts), policy_rates)| {
+            let mut summary = Burst {
+                rps: median(policy_rates.clone()),
+                recovery_ms: median(bursts.iter().map(|b| b.recovery_ms).collect()),
+                compacted_recovery_ms: median(
+                    bursts.iter().map(|b| b.compacted_recovery_ms).collect(),
+                ),
+                replayed_records: bursts[0].replayed_records,
+                ..Burst::default()
+            };
+            for burst in bursts {
+                summary.mutate.merge(&burst.mutate);
+                summary.wal_append.merge(&burst.wal_append);
+                summary.fsync.merge(&burst.fsync);
+                summary.batches += burst.batches;
+                summary.absorbed += burst.absorbed;
+            }
+            PolicyRow {
+                policy,
+                over_memory: median_ratio(&rates[0], policy_rates),
+                summary,
+            }
+        })
+        .collect();
+    Durability {
         mutators,
         mutations_per_thread: per_thread,
-        os_flush_rps,
-        strict_rps,
-        ratio: os_flush_rps / strict_rps.max(1e-9),
-        batches,
-        absorbed,
-        mean_batch: (absorbed + batches) as f64 / batches.max(1) as f64,
+        rows,
+        group_commit_ratio: median_ratio(&rates[1], &rates[3]),
     }
 }
 
@@ -777,7 +935,7 @@ fn render_json(
     read_under_write: &ReadUnderWrite,
     pipelining: &Pipelining,
     scaling: &[ScalingRow],
-    group_commit: &GroupCommit,
+    durability: &Durability,
     quick: bool,
 ) -> String {
     let mut out = String::new();
@@ -852,18 +1010,91 @@ fn render_json(
     out.push_str("  ],\n");
     let _ = writeln!(
         out,
-        "  \"group_commit\": {{\"mutators\": {}, \"mutations_per_thread\": {}, \
-         \"os_flush_rps\": {:.1}, \"strict_rps\": {:.1}, \"ratio\": {:.3}, \
-         \"batches\": {}, \"absorbed\": {}, \"mean_batch\": {:.3}}}",
-        group_commit.mutators,
-        group_commit.mutations_per_thread,
-        group_commit.os_flush_rps,
-        group_commit.strict_rps,
-        group_commit.ratio,
-        group_commit.batches,
-        group_commit.absorbed,
-        group_commit.mean_batch
+        "  \"durability\": {{\"mutators\": {}, \"mutations_per_thread\": {}, \
+         \"repeats\": {REPEATS}, \"rows\": [",
+        durability.mutators, durability.mutations_per_thread
     );
+    for (index, row) in durability.rows.iter().enumerate() {
+        let burst = &row.summary;
+        let _ = write!(
+            out,
+            "    {{\"policy\": \"{}\", \"mutations_per_sec\": {:.1}, \
+             \"over_memory\": {:.3}, \"recovery_ms\": {:.2}, \
+             \"compacted_recovery_ms\": {:.2}, \"replayed_records\": {}, \
+             \"mutate_p50_us\": {:.3}, \"mutate_p99_us\": {:.3}, \
+             \"wal_append_p50_us\": {:.3}, \"wal_append_p99_us\": {:.3}, \
+             \"fsync_p50_us\": {:.3}, \"fsync_p99_us\": {:.3}, \
+             \"group_commit_batches\": {}, \"group_commit_absorbed\": {}, \
+             \"mean_batch\": {:.3}}}",
+            row.policy,
+            burst.rps,
+            row.over_memory,
+            burst.recovery_ms,
+            burst.compacted_recovery_ms,
+            burst.replayed_records,
+            percentile_us(&burst.mutate, 0.50),
+            percentile_us(&burst.mutate, 0.99),
+            percentile_us(&burst.wal_append, 0.50),
+            percentile_us(&burst.wal_append, 0.99),
+            percentile_us(&burst.fsync, 0.50),
+            percentile_us(&burst.fsync, 0.99),
+            burst.batches,
+            burst.absorbed,
+            (burst.absorbed + burst.batches) as f64 / burst.batches.max(1) as f64
+        );
+        out.push_str(if index + 1 < durability.rows.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
+    out.push_str("  ]},\n");
+    // CI perf guards: each value is a median over the alternated repeats;
+    // `min_*`/`max_*` is the bound and `*_within_bound` what CI greps
+    let guards = [
+        (
+            "pipelining_speedup",
+            pipelining.speedup,
+            "min",
+            MIN_PIPELINING_SPEEDUP,
+        ),
+        (
+            "group_commit_ratio",
+            durability.group_commit_ratio,
+            "max",
+            MAX_GROUP_COMMIT_RATIO,
+        ),
+        (
+            "read_under_write_ratio",
+            read_under_write.ratio,
+            "max",
+            MAX_READ_UNDER_WRITE_RATIO,
+        ),
+        (
+            "wal_os_flush_over_memory",
+            durability.rows[1].over_memory,
+            "max",
+            MAX_WAL_OVER_MEMORY,
+        ),
+    ];
+    let _ = writeln!(out, "  \"guard\": {{");
+    let _ = writeln!(out, "    \"repeats\": {REPEATS},");
+    for (index, (name, value, kind, bound)) in guards.iter().enumerate() {
+        let within = if *kind == "min" {
+            value >= bound
+        } else {
+            value <= bound
+        };
+        let _ = writeln!(out, "    \"{name}\": {value:.3},");
+        let _ = writeln!(out, "    \"{kind}_{name}\": {bound},");
+        let _ = write!(out, "    \"{name}_within_bound\": {within}");
+        out.push_str(if index + 1 < guards.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
+    out.push_str("  }\n");
     out.push_str("}\n");
     out
 }
