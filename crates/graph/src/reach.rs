@@ -49,10 +49,8 @@
 //! (found by scanning its reachability column — the transposed form of a
 //! reverse BFS) are re-derived in topological order. Cross-component
 //! removals with a surviving alternate path are recognised as closure
-//! no-ops without touching any row. The `_csr` variants
-//! ([`ReachMatrix::remove_edge_csr`], [`ReachMatrix::remove_node_csr`])
-//! walk a pre-removal [`Csr`] snapshot minus the deleted element, so a
-//! cached spec-level CSR can serve removals without an O(V+E) re-snapshot.
+//! no-ops without touching any row. Both walk the post-removal graph's
+//! adjacency, and only over the affected region.
 
 use crate::bitset::FixedBitSet;
 use crate::blockvec::BlockVec;
@@ -64,12 +62,6 @@ use crate::id::NodeId;
 use crate::scc::{condense_to_csr, strongly_connected_components_csr, SccDecomposition};
 use crate::topo::topological_sort_csr;
 use crate::traversal::{shortest_path, Direction};
-
-/// Successor enumerator shared by the decremental re-derivation paths: calls
-/// the sink with each out-neighbour of the given node, letting one Tarjan /
-/// rebuild implementation walk either a live graph or a pre-removal CSR
-/// snapshot with skip logic.
-type SuccFn<'a> = dyn Fn(usize, &mut dyn FnMut(usize)) + 'a;
 
 /// Matrix rows per shared block: a block of [`ReachMatrix`]'s storage is
 /// `ROWS_PER_BLOCK × stride` words, so no row straddles two blocks.
@@ -398,94 +390,6 @@ impl ReachMatrix {
         from: NodeId,
         to: NodeId,
     ) -> Result<DeltaOutcome, GraphError> {
-        let succ = |n: usize, f: &mut dyn FnMut(usize)| {
-            for s in graph.successors(NodeId::from_index(n)) {
-                f(s.index());
-            }
-        };
-        self.remove_edge_inner(&succ, from, to)
-    }
-
-    /// [`ReachMatrix::remove_edge`] over a **pre-removal** [`Csr`] snapshot:
-    /// one `from -> to` instance is skipped while walking successor slices,
-    /// so a cached spec-level CSR can serve the removal without an O(V+E)
-    /// re-snapshot.
-    ///
-    /// # Errors
-    /// Both endpoints must be known to the matrix.
-    pub fn remove_edge_csr(
-        &mut self,
-        csr: &Csr,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<DeltaOutcome, GraphError> {
-        let (fi, ti) = (from.index(), to.index());
-        let succ = |n: usize, f: &mut dyn FnMut(usize)| {
-            let mut skipped = false;
-            for s in csr.successors(NodeId::from_index(n)) {
-                let si = s.index();
-                if !skipped && n == fi && si == ti {
-                    skipped = true;
-                    continue;
-                }
-                f(si);
-            }
-        };
-        self.remove_edge_inner(&succ, from, to)
-    }
-
-    /// Maintains the matrix across the removal of `node` (and implicitly all
-    /// its incident edges). Call *after* the node has been removed from
-    /// `graph`.
-    ///
-    /// A singleton component becomes a dead slot: its row is zeroed, its
-    /// index is never reused, and `comp_count` is unchanged — so surviving
-    /// component indices stay stable. A multi-member (cyclic) component is
-    /// re-decomposed over its surviving members exactly like an
-    /// intra-component edge removal.
-    ///
-    /// # Errors
-    /// The node must be known to the matrix.
-    pub fn remove_node<N, E>(
-        &mut self,
-        graph: &DiGraph<N, E>,
-        node: NodeId,
-    ) -> Result<DeltaOutcome, GraphError> {
-        let succ = |n: usize, f: &mut dyn FnMut(usize)| {
-            for s in graph.successors(NodeId::from_index(n)) {
-                f(s.index());
-            }
-        };
-        self.remove_node_inner(&succ, node)
-    }
-
-    /// [`ReachMatrix::remove_node`] over a **pre-removal** [`Csr`] snapshot:
-    /// the removed node is skipped as both source and target.
-    ///
-    /// # Errors
-    /// The node must be known to the matrix.
-    pub fn remove_node_csr(&mut self, csr: &Csr, node: NodeId) -> Result<DeltaOutcome, GraphError> {
-        let dead = node.index();
-        let succ = |n: usize, f: &mut dyn FnMut(usize)| {
-            if n == dead {
-                return;
-            }
-            for s in csr.successors(NodeId::from_index(n)) {
-                let si = s.index();
-                if si != dead {
-                    f(si);
-                }
-            }
-        };
-        self.remove_node_inner(&succ, node)
-    }
-
-    fn remove_edge_inner(
-        &mut self,
-        succ_of: &SuccFn,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<DeltaOutcome, GraphError> {
         let cf = self
             .component_index(from)
             .ok_or(GraphError::InvalidNode(from))?;
@@ -505,21 +409,9 @@ impl ReachMatrix {
             // such a row cannot owe its ct bit to the removed edge (the
             // witness path would have to re-enter `from` after `to`, i.e.
             // ct reaches cf, contradicting the cross-SCC case).
-            let mut still_reachable = false;
-            succ_of(from.index(), &mut |s| {
-                if still_reachable {
-                    return;
-                }
-                if let Some(cs) = self
-                    .component_of
-                    .get(s)
-                    .copied()
-                    .filter(|&c| c != usize::MAX)
-                {
-                    if self.row_has_bit(cs, ct) && !self.row_has_bit(cs, cf) {
-                        still_reachable = true;
-                    }
-                }
+            let still_reachable = graph.successors(from).any(|s| {
+                self.component_index(s)
+                    .is_some_and(|cs| self.row_has_bit(cs, ct) && !self.row_has_bit(cs, cf))
             });
             if still_reachable {
                 return Ok(DeltaOutcome {
@@ -539,31 +431,42 @@ impl ReachMatrix {
                 }
             }
             let members = self.members_of_comps(&in_scc);
-            let parts = scc_of_subset(&members, succ_of);
-            if parts.len() == 1 {
+            if scc_of_subset(&members, graph).len() == 1 {
                 return Ok(DeltaOutcome {
                     class: DeltaClass::Decremental,
                     dirty: DirtyRows::clean(self.comp_count),
                 });
             }
         }
-        let dirty = self.rederive_region(cf, succ_of);
+        let dirty = self.rederive_region(cf, graph);
         Ok(DeltaOutcome {
             class: DeltaClass::Decremental,
             dirty,
         })
     }
 
-    fn remove_node_inner(
+    /// Maintains the matrix across the removal of `node` (and implicitly all
+    /// its incident edges). Call *after* the node has been removed from
+    /// `graph`.
+    ///
+    /// A singleton component becomes a dead slot: its row is zeroed, its
+    /// index is never reused, and `comp_count` is unchanged — so surviving
+    /// component indices stay stable. A multi-member (cyclic) component is
+    /// re-decomposed over its surviving members exactly like an
+    /// intra-component edge removal.
+    ///
+    /// # Errors
+    /// The node must be known to the matrix.
+    pub fn remove_node<N, E>(
         &mut self,
-        succ_of: &SuccFn,
+        graph: &DiGraph<N, E>,
         node: NodeId,
     ) -> Result<DeltaOutcome, GraphError> {
         let c = self
             .component_index(node)
             .ok_or(GraphError::InvalidNode(node))?;
         self.component_of[node.index()] = usize::MAX;
-        let dirty = self.rederive_region(c, succ_of);
+        let dirty = self.rederive_region(c, graph);
         Ok(DeltaOutcome {
             class: DeltaClass::Decremental,
             dirty,
@@ -593,14 +496,14 @@ impl ReachMatrix {
     ///    block a clone still shares is copied only for rows that changed.
     ///
     /// Every region row (and dead slot) is marked dirty.
-    fn rederive_region(&mut self, pivot: usize, succ_of: &SuccFn) -> DirtyRows {
+    fn rederive_region<N, E>(&mut self, pivot: usize, graph: &DiGraph<N, E>) -> DirtyRows {
         let affected = self.rows_reaching(pivot);
         let mut in_region = vec![false; self.comp_count];
         for &c in &affected {
             in_region[c] = true;
         }
         let members = self.members_of_comps(&in_region);
-        let parts = scc_of_subset(&members, succ_of);
+        let parts = scc_of_subset(&members, graph);
         // --- index assignment ---
         let mut consumed = vec![false; self.comp_count];
         let mut assignment: Vec<usize> = vec![usize::MAX; parts.len()];
@@ -675,24 +578,19 @@ impl ReachMatrix {
         // --- row recomputation, sinks first ---
         let mut stamp = vec![usize::MAX; self.comp_count];
         let mut scratch = vec![0u64; self.stride];
-        let mut succ_comps: Vec<usize> = Vec::new();
         for (k, part) in parts.iter().enumerate() {
             let c = assignment[k];
             scratch.fill(0);
             scratch[c / 64] |= 1u64 << (c % 64);
             for &m in part {
-                succ_comps.clear();
-                succ_of(m, &mut |s| {
-                    let Some(&cs) = self.component_of.get(s) else {
-                        return;
+                for s in graph.successors(NodeId::from_index(m)) {
+                    let Some(cs) = self.component_index(s) else {
+                        continue;
                     };
-                    if cs == usize::MAX || cs == c || stamp[cs] == k {
-                        return;
+                    if cs == c || stamp[cs] == k {
+                        continue;
                     }
                     stamp[cs] = k;
-                    succ_comps.push(cs);
-                });
-                for &cs in &succ_comps {
                     crate::kernels::or_into(&mut scratch, self.row_words(cs));
                 }
             }
@@ -765,21 +663,22 @@ impl ReachMatrix {
 /// subgraph as lists of node indices. This is the split detector for
 /// intra-component removals — O(|members| + induced edges), independent of
 /// the full graph size.
-fn scc_of_subset(members: &[usize], succ_of: &SuccFn) -> Vec<Vec<usize>> {
+fn scc_of_subset<N, E>(members: &[usize], graph: &DiGraph<N, E>) -> Vec<Vec<usize>> {
     use std::collections::HashMap;
     const UNVISITED: usize = usize::MAX;
     let local: HashMap<usize, usize> = members.iter().enumerate().map(|(i, &n)| (n, i)).collect();
     let n = members.len();
-    // local successor lists materialised once (the callback shape does not
-    // support cursor-style re-entry into a borrowed slice)
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &m) in members.iter().enumerate() {
-        succ_of(m, &mut |s| {
-            if let Some(&j) = local.get(&s) {
-                succs[i].push(j);
-            }
-        });
-    }
+    // local successor lists materialised once, so the iterative DFS below
+    // resumes each node's scan by a plain cursor
+    let succs: Vec<Vec<usize>> = members
+        .iter()
+        .map(|&m| {
+            graph
+                .successors(NodeId::from_index(m))
+                .filter_map(|s| local.get(&s.index()).copied())
+                .collect()
+        })
+        .collect();
     let mut index_of = vec![UNVISITED; n];
     let mut low_link = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -1515,44 +1414,6 @@ mod tests {
         assert!(!m.reachable(n[1], n[3]));
         assert!(m.reachable(n[3], n[1]));
         assert_eq!(m.descendant_count(n[0]), 2);
-    }
-
-    #[test]
-    fn remove_edge_csr_variant_matches_the_graph_variant() {
-        // pre-removal CSR snapshot serves the removal: same behaviour as
-        // consulting the post-removal DiGraph
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ()).unwrap();
-        g.add_edge(n[1], n[2], ()).unwrap();
-        g.add_edge(n[2], n[3], ()).unwrap();
-        g.add_edge(n[3], n[1], ()).unwrap();
-        g.add_edge(n[3], n[4], ()).unwrap();
-        let pre_csr = Csr::from_graph(&g);
-        let mut via_csr = ReachMatrix::build(&g).unwrap();
-        let mut via_graph = via_csr.clone();
-        let back = g.find_edge(n[3], n[1]).unwrap();
-        g.remove_edge(back).unwrap();
-        via_csr.remove_edge_csr(&pre_csr, n[3], n[1]).unwrap();
-        via_graph.remove_edge(&g, n[3], n[1]).unwrap();
-        assert_matches_fresh_build(&via_csr, &g);
-        assert_matches_fresh_build(&via_graph, &g);
-    }
-
-    #[test]
-    fn remove_node_csr_variant_matches_the_graph_variant() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ()).unwrap();
-        g.add_edge(n[1], n[2], ()).unwrap();
-        g.add_edge(n[2], n[3], ()).unwrap();
-        g.add_edge(n[3], n[1], ()).unwrap();
-        g.add_edge(n[3], n[4], ()).unwrap();
-        let pre_csr = Csr::from_graph(&g);
-        let mut via_csr = ReachMatrix::build(&g).unwrap();
-        g.remove_node(n[3]).unwrap();
-        via_csr.remove_node_csr(&pre_csr, n[3]).unwrap();
-        assert_matches_fresh_build(&via_csr, &g);
     }
 
     #[test]

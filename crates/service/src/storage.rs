@@ -120,14 +120,16 @@ impl SnapshotEntry {
         let view_count = number(6, "view count")? as usize;
         *pos += 1;
         let take = |pos: &mut usize, count: usize| -> Result<Vec<String>, ServiceError> {
-            let slice = lines
-                .get(*pos..*pos + count)
+            let slice = pos
+                .checked_add(count)
+                .and_then(|end| lines.get(*pos..end))
                 .ok_or_else(|| corrupt("entry block truncated"))?;
             *pos += count;
             Ok(slice.to_vec())
         };
         let spec_lines = take(pos, spec_count)?;
-        let mut views = Vec::with_capacity(view_count);
+        // header counts are untrusted: every view takes at least one line
+        let mut views = Vec::with_capacity(view_count.min(lines.len().saturating_sub(*pos)));
         for _ in 0..view_count {
             let header = lines
                 .get(*pos)
@@ -173,8 +175,8 @@ pub enum WalRecord {
         /// The applied op (serialised through the wire grammar of
         /// [`crate::proto`]).
         op: MutateOp,
-        /// The typed spec deltas the op produced, consumed from the spec's
-        /// bounded delta log before eviction could drop them.
+        /// The typed spec deltas the op produced: one for a task or
+        /// dependency edit, none for a view edit.
         deltas: Vec<SpecDelta>,
     },
     /// A correction appended a new view version and made it current.
@@ -264,17 +266,20 @@ impl WalRecord {
         let count: usize = fields[fields.len() - 1]
             .parse()
             .map_err(|_| corrupt(format!("invalid line count in '{header}'")))?;
+        let end_index = count
+            .checked_add(start + 1)
+            .ok_or_else(|| corrupt("record payload truncated"))?;
         let payload = lines
-            .get(start + 1..start + 1 + count)
+            .get(start + 1..end_index)
             .ok_or_else(|| corrupt("record payload truncated"))?;
         let end = lines
-            .get(start + 1 + count)
+            .get(end_index)
             .ok_or_else(|| corrupt("record missing its end line"))?;
         let recorded = end
             .strip_prefix("end\t")
             .and_then(|sum| u64::from_str_radix(sum, 16).ok())
             .ok_or_else(|| corrupt(format!("malformed end line '{end}'")))?;
-        let framed = lines[start..start + 1 + count].join("\n");
+        let framed = lines[start..end_index].join("\n");
         if fnv64(&framed) != recorded {
             return Err(corrupt("record checksum mismatch"));
         }
@@ -340,7 +345,7 @@ impl WalRecord {
             }
             other => return Err(corrupt(format!("unknown record kind '{other}'"))),
         };
-        *pos = start + 2 + count;
+        *pos = end_index + 1;
         Ok(record)
     }
 }
@@ -910,6 +915,36 @@ mod tests {
         // truncation is detected
         let mut pos = 0;
         assert!(SnapshotEntry::from_lines(&lines[..lines.len() - 2], &mut pos).is_err());
+    }
+
+    #[test]
+    fn snapshot_entry_headers_with_huge_counts_are_rejected_not_trusted() {
+        let lines =
+            |block: &[&str]| -> Vec<String> { block.iter().map(|&line| line.to_owned()).collect() };
+        for block in [
+            // a spec line count whose block end overflows
+            lines(&["entry\t1\t0\t0\t0\t18446744073709551615\t0"]),
+            // a view count no allocator can reserve
+            lines(&["entry\t1\t0\t0\t0\t0\t4611686018427387904"]),
+            // a view block whose end overflows
+            lines(&[
+                "entry\t1\t0\t0\t0\t0\t1",
+                "view-block\t18446744073709551615",
+            ]),
+        ] {
+            let mut pos = 0;
+            let err = SnapshotEntry::from_lines(&block, &mut pos).unwrap_err();
+            assert!(matches!(err, ServiceError::Recovery(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn wal_record_headers_with_huge_counts_are_rejected_not_trusted() {
+        let lines = vec!["rec\tcorrect\t1\t0\t18446744073709551615".to_owned()];
+        let mut pos = 0;
+        let err = WalRecord::from_lines(&lines, &mut pos).unwrap_err();
+        assert!(matches!(err, ServiceError::Recovery(_)), "{err}");
+        assert_eq!(pos, 0, "a rejected record leaves the cursor in place");
     }
 
     #[test]

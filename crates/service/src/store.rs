@@ -224,11 +224,6 @@ struct Entry {
     /// mutations). Watch events are tagged with it, so a gap-free event
     /// stream is exactly a contiguous `seq` run.
     seq: u64,
-    /// Spec epoch up to which the storage backend has consumed the typed
-    /// delta log. Every mutation hands the deltas in
-    /// `(logged_epoch, spec.epoch()]` to the write-ahead log *before* the
-    /// bounded log could evict them (and errors loudly if it ever did).
-    logged_epoch: u64,
 }
 
 impl Entry {
@@ -719,7 +714,6 @@ impl WorkflowStore {
         }
         let _ = spec.reachability();
         let entry = Entry {
-            logged_epoch: spec.epoch(),
             spec: Arc::new(spec),
             views,
             current: snapshot.current,
@@ -890,7 +884,6 @@ impl WorkflowStore {
         trace.leave();
         let id = WorkflowId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
         let entry = Entry {
-            logged_epoch: spec.epoch(),
             spec: Arc::new(spec),
             views: view.map(StoredView::new).into_iter().collect(),
             current: 0,
@@ -1264,7 +1257,7 @@ impl WorkflowStore {
     /// snapshot and never block.
     ///
     /// On a durable backend the edit is appended to the shard's write-ahead
-    /// log (op + consumed spec deltas) *before* the new state is published
+    /// log (op + the edit's spec deltas) *before* the new state is published
     /// and before any watch event is fanned out, so the log order is the
     /// store order and no subscriber ever holds an event the log misses.
     ///
@@ -1346,7 +1339,7 @@ impl WorkflowStore {
     }
 
     /// Applies, logs and commits one mutation, deferring its durability
-    /// wait. Returns the consumed spec deltas alongside the write so a
+    /// wait. Returns the edit's spec deltas alongside the write so a
     /// replica can cross-check them against the event it replays.
     pub(crate) fn mutate_inner(
         &self,
@@ -1442,6 +1435,8 @@ impl WorkflowStore {
         // versions would no longer partition the tasks, so only the updated
         // current view survives.
         trace.enter(Stage::Compute);
+        // the edit's spec delta (view edits have none)
+        let mut delta = None;
         let (class, affected, provenance_survives, truncate) = match op {
             MutateOp::AddTask { name } => {
                 let spec = Arc::make_mut(&mut entry.spec);
@@ -1454,6 +1449,7 @@ impl WorkflowStore {
                 let composite = view
                     .add_composite(name.clone(), vec![task])
                     .map_err(mutation)?;
+                delta = Some(report.delta);
                 (
                     report.class.name(),
                     Affected::Composites([composite].into_iter().collect()),
@@ -1470,6 +1466,7 @@ impl WorkflowStore {
                 let report = spec
                     .apply(SpecMutation::RemoveTask { task })
                     .map_err(mutation)?;
+                delta = Some(report.delta);
                 (report.class.name(), Affected::All, false, true)
             }
             MutateOp::AddEdge { from, to } => {
@@ -1480,6 +1477,7 @@ impl WorkflowStore {
                     .map_err(mutation)?;
                 let (affected, induced_unchanged) =
                     edge_affected_composites(entry, from, to, &report.dirty);
+                delta = Some(report.delta);
                 (report.class.name(), affected, induced_unchanged, false)
             }
             MutateOp::RemoveEdge { from, to } => {
@@ -1495,6 +1493,7 @@ impl WorkflowStore {
                 // keeps the provenance index
                 let (affected, induced_unchanged) =
                     edge_affected_composites(entry, from, to, &report.dirty);
+                delta = Some(report.delta);
                 (report.class.name(), affected, induced_unchanged, false)
             }
             MutateOp::Split { composite, parts } => {
@@ -1553,15 +1552,12 @@ impl WorkflowStore {
         // to prove the event stream is gap-free
         entry.seq += 1;
         let seq = entry.seq;
-        // hand the new spec deltas to the write-ahead log and the watch
-        // fan-out before the bounded delta log could evict them (the bare
-        // in-memory backend collects none)
-        let deltas = if self.backend.durable() || watched {
-            consume_deltas(entry)?
-        } else {
-            Vec::new()
+        // the edit's spec delta goes to the write-ahead log and the watch
+        // fan-out (the bare in-memory backend collects none)
+        let deltas = match delta {
+            Some(delta) if self.backend.durable() || watched => vec![delta],
+            _ => Vec::new(),
         };
-        entry.logged_epoch = entry.spec.epoch();
         Ok(Applied {
             index,
             guard,
@@ -2099,24 +2095,6 @@ fn check_op_serialisable(op: &MutateOp) -> Result<(), ServiceError> {
     }
 }
 
-/// Collects the spec deltas produced since the write-ahead log last
-/// consumed the entry's delta log ([`Entry::logged_epoch`]). The delta log
-/// is bounded ([`WorkflowSpec::set_delta_log_cap`]); because every mutation
-/// consumes its deltas synchronously under the shard write lock the bound
-/// can never evict an unconsumed delta — but if it ever did (a bug, or a
-/// cap set to less than one mutation's worth of deltas), this errors loudly
-/// instead of silently persisting a log with holes.
-fn consume_deltas(entry: &Entry) -> Result<Vec<SpecDelta>, ServiceError> {
-    entry.spec.deltas_since(entry.logged_epoch).ok_or_else(|| {
-        ServiceError::Persistence(format!(
-            "the spec delta log evicted epochs {}..={} before the write-ahead log consumed \
-             them; raise the bound with WorkflowSpec::set_delta_log_cap",
-            entry.logged_epoch + 1,
-            entry.spec.epoch()
-        ))
-    })
-}
-
 /// Computes which composites of the current view an edge mutation affects:
 /// the composites holding the endpoints (their boundary sets can move even
 /// when the reachability closure is unchanged) plus every composite with a
@@ -2461,42 +2439,6 @@ mod tests {
         assert_eq!(report.workflows, 1);
         assert_eq!(recovered.cursor(id).unwrap(), (1, 1));
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn consume_deltas_errors_loudly_on_eviction() {
-        let mut spec = figure1().spec;
-        spec.set_delta_log_cap(2);
-        let epoch_before = spec.epoch();
-        for i in 0..4 {
-            spec.apply(SpecMutation::AddTask {
-                name: format!("extra-{i}"),
-            })
-            .unwrap();
-        }
-        let entry = Entry {
-            // pretend the WAL last consumed up to `epoch_before`: the four
-            // deltas since were already evicted down to the cap of 2
-            logged_epoch: epoch_before,
-            epoch: 4,
-            seq: 4,
-            current: 0,
-            views: Vec::new(),
-            spec: Arc::new(spec),
-        };
-        let err = consume_deltas(&entry).unwrap_err();
-        assert!(matches!(err, ServiceError::Persistence(_)));
-        assert!(err.to_string().contains("set_delta_log_cap"), "{err}");
-        // a caught-up entry consumes nothing
-        let caught_up = Entry {
-            logged_epoch: entry.spec.epoch(),
-            spec: Arc::clone(&entry.spec),
-            views: Vec::new(),
-            current: 0,
-            epoch: 4,
-            seq: 4,
-        };
-        assert!(consume_deltas(&caught_up).unwrap().is_empty());
     }
 
     #[test]

@@ -519,7 +519,8 @@ fn read_snapshot(path: &Path) -> Result<Vec<SnapshotEntry>, ServiceError> {
         )));
     }
     let mut pos = 1usize;
-    let mut entries = Vec::with_capacity(count);
+    // the header count is untrusted: every entry takes at least one line
+    let mut entries = Vec::with_capacity(count.min(body.len()));
     for _ in 0..count {
         entries.push(SnapshotEntry::from_lines(body, &mut pos)?);
     }
@@ -1046,6 +1047,157 @@ mod tests {
             FileBackend::open(config).unwrap_err(),
             ServiceError::Recovery(_)
         ));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn snapshot_entry_counts_beyond_the_file_are_rejected_not_trusted() {
+        let root = temp_root("huge-count");
+        fs::create_dir_all(&root).unwrap();
+        // the checksum is no defence: whoever writes the file computes it
+        let header = "wolves-snapshot\t1\t4611686018427387904";
+        let path = root.join("snapshot-1.txt");
+        fs::write(
+            &path,
+            format!("{header}\nsnapshot-end\t{:016x}\n", fnv64(header)),
+        )
+        .unwrap();
+        assert!(matches!(
+            read_snapshot(&path).unwrap_err(),
+            ServiceError::Recovery(_)
+        ));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Rewrites every spec block of a shard directory's snapshots and
+    /// `register` records the way writers did before the in-memory delta
+    /// log was removed: with a `log-cap` line after the epoch.
+    fn add_log_cap_lines(shard_dir: &Path) {
+        fn legacy(spec_lines: &mut Vec<String>) {
+            let at = spec_lines
+                .iter()
+                .position(|line| line.starts_with("epoch\t"))
+                .unwrap();
+            spec_lines.insert(at + 1, "log-cap\t1024".to_owned());
+        }
+        for file in fs::read_dir(shard_dir).unwrap() {
+            let path = file.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+            let rewritten = if let Some(rest) = name.strip_prefix("snapshot-") {
+                let generation: u64 = rest.trim_end_matches(".txt").parse().unwrap();
+                let mut entries = read_snapshot(&path).unwrap();
+                for entry in &mut entries {
+                    legacy(&mut entry.spec_lines);
+                }
+                render_snapshot(generation, &entries)
+            } else if name.starts_with("wal-") {
+                let content = fs::read_to_string(&path).unwrap();
+                let lines: Vec<String> = content.lines().map(str::to_owned).collect();
+                let mut pos = 0;
+                let mut out = String::new();
+                while pos < lines.len() {
+                    let mut record = WalRecord::from_lines(&lines, &mut pos).unwrap();
+                    if let WalRecord::Register { entry, .. } = &mut record {
+                        legacy(&mut entry.spec_lines);
+                    }
+                    out.push_str(&record.to_lines().join("\n"));
+                    out.push('\n');
+                }
+                out
+            } else {
+                continue;
+            };
+            fs::write(&path, rewritten).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_data_dir_with_log_cap_lines_recovers_to_the_same_answers() {
+        use crate::store::{WorkflowId, WorkflowStore};
+        let root = temp_root("log-cap");
+        let config = PersistConfig {
+            shards: 1,
+            ..PersistConfig::new(&root)
+        };
+        let open = || {
+            let backend = std::sync::Arc::new(FileBackend::open(config.clone()).unwrap());
+            WorkflowStore::open(backend).unwrap().0
+        };
+        let answers = |store: &WorkflowStore, id: WorkflowId| -> Vec<String> {
+            let export = store.export(id).unwrap();
+            let verdict = store.validate(id, None).unwrap();
+            let mut out = vec![format!(
+                "epoch={} sound={} unsound={:?}",
+                verdict.epoch, verdict.sound, verdict.unsound
+            )];
+            for task in export
+                .lines()
+                .filter_map(|line| line.strip_prefix("task\t"))
+            {
+                out.push(format!("{task}: {:?}", store.provenance(id, task).unwrap()));
+            }
+            out.push(export);
+            out
+        };
+        let edge = |from: &str, to: &str, remove: bool| {
+            let (from, to) = (from.to_owned(), to.to_owned());
+            if remove {
+                MutateOp::RemoveEdge { from, to }
+            } else {
+                MutateOp::AddEdge { from, to }
+            }
+        };
+        let script = [
+            edge("Check additional annotations", "Build phylo tree", false),
+            MutateOp::AddTask {
+                name: "scratch".to_owned(),
+            },
+            edge("Display tree", "scratch", false),
+            edge("Check additional annotations", "Build phylo tree", true),
+            MutateOp::RemoveTask {
+                name: "scratch".to_owned(),
+            },
+        ];
+        let store = open();
+        let mut ids = Vec::new();
+        for round in 0..2 {
+            let fixture = wolves_repo::figure1();
+            let id = store.register(fixture.spec, Some(fixture.view));
+            for op in &script {
+                store.mutate(id, op.clone()).unwrap();
+            }
+            ids.push(id);
+            if round == 0 {
+                // the first workflow lives in a snapshot, the second in
+                // `register` and `mutate` records of the log
+                store.snapshot_all().unwrap();
+            }
+        }
+        let before: Vec<Vec<String>> = ids.iter().map(|&id| answers(&store, id)).collect();
+        drop(store);
+
+        let shard_dir = root.join("shard-0");
+        add_log_cap_lines(&shard_dir);
+        let with_log_cap = |prefix: &str| {
+            fs::read_dir(&shard_dir).unwrap().any(|file| {
+                let path = file.unwrap().path();
+                path.file_name()
+                    .unwrap()
+                    .to_str()
+                    .unwrap()
+                    .starts_with(prefix)
+                    && fs::read_to_string(&path).unwrap().contains("\nlog-cap\t")
+            })
+        };
+        assert!(with_log_cap("snapshot-") && with_log_cap("wal-"));
+
+        let recovered = open();
+        let after: Vec<Vec<String>> = ids.iter().map(|&id| answers(&recovered, id)).collect();
+        assert_eq!(after, before);
+        // the snapshot taken after recovery is in the current format
+        drop(recovered);
+        assert!(shard_dir.join("snapshot-2.txt").exists());
+        assert!(!with_log_cap("snapshot-"));
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Typed spec mutations, the delta log and mutation epochs.
+//! Typed spec mutations, their deltas and mutation epochs.
 //!
 //! The paper's correction loop is interactive: users iteratively refine a
 //! workflow and its views. Each edit to a [`crate::WorkflowSpec`] is a small
@@ -7,15 +7,17 @@
 //!
 //! * applies each [`SpecMutation`] through one entry point
 //!   ([`crate::WorkflowSpec::apply`]),
-//! * bumps a monotone **epoch** counter and appends a [`SpecDelta`] to its
-//!   log, and
+//! * bumps a monotone **epoch** counter,
 //! * maintains its cached reachability matrix *in place* where the delta
-//!   class allows, reporting exactly which matrix rows changed
-//!   ([`MutationReport`]).
+//!   class allows, and
+//! * returns one [`MutationReport`] per edit: the edit's own [`SpecDelta`]
+//!   and exactly which matrix rows changed.
 //!
-//! Downstream caches (the serving layer's per-composite verdict caches) key
-//! their entries on the epoch and consume the dirty rows to invalidate only
-//! what an edit could have changed.
+//! The spec keeps no history. Downstream caches (the serving layer's
+//! per-composite verdict caches) key their entries on the epoch and consume
+//! the report's dirty rows to invalidate only what an edit could have
+//! changed; the serving layer's write-ahead log and watch fan-out take the
+//! report's delta.
 
 use wolves_graph::{DeltaClass, DirtyRows};
 
@@ -51,10 +53,10 @@ pub enum SpecMutation {
     },
 }
 
-/// One entry of a specification's delta log: what changed, at which epoch.
+/// What one mutation changed, and the epoch it produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecDelta {
-    /// The epoch this delta produced (the log is strictly increasing).
+    /// The epoch this delta produced.
     pub epoch: u64,
     /// What changed.
     pub kind: SpecDeltaKind,
@@ -78,6 +80,8 @@ pub enum SpecDeltaKind {
 pub struct MutationReport {
     /// The specification's epoch after the mutation.
     pub epoch: u64,
+    /// What the mutation changed; `delta.epoch == epoch`.
+    pub delta: SpecDelta,
     /// How the cached reachability matrix absorbed the delta: inserts are
     /// monotone-safe or local rebuilds, removals run the decremental path.
     /// [`DeltaClass::Structural`] means the matrix was discarded and will be

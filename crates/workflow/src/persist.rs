@@ -14,6 +14,12 @@
 //! (names, labels, descriptions, parameter values) are always the *last*
 //! field of their line and parsed with `splitn`, so embedded TABs round-trip;
 //! embedded newlines are rejected on write (they would break the framing).
+//!
+//! A spec carries no edit history, so none is serialised: the serving
+//! layer's write-ahead log records each edit's delta, and a snapshot marks
+//! the point where all of them have been absorbed. Specs written before the
+//! in-memory delta log was removed carry a `log-cap` line; the reader
+//! accepts and ignores it, so older data directories still recover.
 
 use std::collections::BTreeMap;
 
@@ -46,16 +52,13 @@ fn parse_task_id(field: &str, what: &str) -> Result<TaskId, WorkflowError> {
     parse_index(field, what).map(TaskId::from_index)
 }
 
-/// Serialises a specification, slot layout included. The delta log is *not*
-/// serialised: persistence consumes deltas into its own write-ahead log and
-/// a snapshot marks the point where all of them have been absorbed.
+/// Serialises a specification, slot layout included.
 #[must_use]
 pub fn spec_to_lines(spec: &WorkflowSpec) -> Vec<String> {
     let graph = spec.graph();
     let mut lines = Vec::with_capacity(4 + graph.node_count() + graph.edge_count());
     lines.push(format!("spec\t{}", spec.name()));
     lines.push(format!("epoch\t{}", spec.epoch()));
-    lines.push(format!("log-cap\t{}", spec.delta_log_cap()));
     lines.push(format!("tasks\t{}", graph.node_bound()));
     for (id, task) in spec.tasks() {
         lines.push(format!("task\t{}\t{}", id.index(), task.name));
@@ -122,7 +125,6 @@ pub fn check_spec_serialisable(spec: &WorkflowSpec) -> Result<(), WorkflowError>
 pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> {
     let mut name: Option<String> = None;
     let mut epoch = 0u64;
-    let mut log_cap = WorkflowSpec::DELTA_LOG_CAP;
     let mut nodes: Option<Vec<Option<AtomicTask>>> = None;
     let mut edges: Option<Vec<Option<(TaskId, TaskId, DataDependency)>>> = None;
     for line in lines {
@@ -142,12 +144,8 @@ pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> 
                     .parse::<u64>()
                     .map_err(|_| err(format!("invalid epoch '{rest}'")))?;
             }
-            "log-cap" => {
-                let (_, rest) = line
-                    .split_once('\t')
-                    .ok_or_else(|| err("log-cap needs a value"))?;
-                log_cap = parse_index(rest, "log cap")?;
-            }
+            // the retired delta-log cap of older writers
+            "log-cap" => {}
             "tasks" => {
                 let (_, rest) = line
                     .split_once('\t')
@@ -264,7 +262,7 @@ pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> 
         }
     }
     let graph = DiGraph::from_slots(nodes, edges).map_err(|e| err(e.to_string()))?;
-    Ok(WorkflowSpec::restore(name, graph, by_name, epoch, log_cap))
+    Ok(WorkflowSpec::restore(name, graph, by_name, epoch))
 }
 
 /// Serialises a view, slot layout included (tombstones left by splits,
@@ -501,7 +499,6 @@ mod tests {
     fn assert_specs_equivalent(left: &WorkflowSpec, right: &WorkflowSpec) {
         assert_eq!(left.name(), right.name());
         assert_eq!(left.epoch(), right.epoch());
-        assert_eq!(left.delta_log_cap(), right.delta_log_cap());
         assert_eq!(left.graph().node_bound(), right.graph().node_bound());
         assert_eq!(left.graph().edge_bound(), right.graph().edge_bound());
         let tasks = |s: &WorkflowSpec| -> Vec<(usize, AtomicTask)> {
@@ -518,8 +515,7 @@ mod tests {
 
     #[test]
     fn spec_round_trips_with_tombstones_and_metadata() {
-        let mut spec = sample_spec();
-        spec.set_delta_log_cap(64);
+        let spec = sample_spec();
         let lines = spec_to_lines(&spec);
         check_spec_serialisable(&spec).unwrap();
         let restored = spec_from_lines(&lines).unwrap();
@@ -541,6 +537,34 @@ mod tests {
             live.graph().find_edge(a, next),
             back.graph().find_edge(a, next)
         );
+    }
+
+    #[test]
+    fn spec_lines_with_a_log_cap_line_restore_to_the_same_spec() {
+        let spec = sample_spec();
+        // the line format of writers that still persisted a delta-log cap
+        let legacy: Vec<String> = [
+            "spec\tsample",
+            "epoch\t9",
+            "log-cap\t1024",
+            "tasks\t4",
+            "task\t0\ta",
+            "task\t1\tb",
+            "task\t2\tc",
+            "edges\t3",
+            "edge\t0\t0\t1",
+            "edge\t1\t1\t2",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        assert_specs_equivalent(&spec, &spec_from_lines(&legacy).unwrap());
+        // today's writer emits the same lines minus the cap
+        let current: Vec<String> = legacy
+            .iter()
+            .filter(|line| !line.starts_with("log-cap\t"))
+            .cloned()
+            .collect();
+        assert_eq!(spec_to_lines(&spec), current);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use wolves_graph::{Csr, DeltaClass, DiGraph, DirtyRows, ReachMatrix};
+use wolves_graph::{Csr, DeltaClass, DeltaOutcome, DiGraph, DirtyRows, GraphError, ReachMatrix};
 
 use crate::error::WorkflowError;
 use crate::mutation::{MutationReport, SpecDelta, SpecDeltaKind, SpecMutation};
@@ -15,24 +15,26 @@ use crate::task::{AtomicTask, DataDependency, TaskId};
 /// The specification owns a lazily computed all-pairs reachability matrix;
 /// every soundness question ultimately reduces to `reach(t1, t2)` queries
 /// against it. Mutations run through the epoch machinery (see
-/// [`crate::mutation`]): each edit bumps the epoch, appends to the delta
-/// log, and maintains the cached matrix *in place* where the delta class
-/// allows — additive edits (task/dependency inserts) propagate rows
-/// forward, removals run the decremental path (SCC split detection plus
-/// bounded ancestor re-derivation over the cached CSR snapshot). No single
-/// edit pays a full rebuild once the matrix exists.
+/// [`crate::mutation`]): each edit bumps the epoch, reports its own
+/// [`SpecDelta`], and maintains the cached matrix *in place* where the
+/// delta class allows — additive edits (task/dependency inserts) propagate
+/// rows forward, removals run the decremental path (SCC split detection
+/// plus bounded ancestor re-derivation over the post-removal graph). No
+/// single edit pays a full rebuild once the matrix exists. The spec keeps
+/// no history of its edits: consumers take each delta from the
+/// [`MutationReport`] of the edit that produced it.
 ///
-/// Cloning preserves the epoch, the delta log **and** the cached
-/// reachability matrix, so copy-on-write holders (e.g. the serving layer's
-/// `Arc::make_mut`) stay incremental across clones. The clone is also
-/// cheap: the graph's slots and the matrix's rows live in `Arc`'d blocks
-/// ([`wolves_graph::BlockVec`]) and the name index and CSR snapshot behind
-/// `Arc`s, so a clone copies block handles plus the small per-component
-/// vectors and the bounded delta log — about 15 µs at 10k tasks instead of
-/// a 9 ms deep copy. An edit after the clone copies only the blocks it
-/// writes: an edge edit copies two node blocks, one edge block and the
-/// matrix blocks whose rows changed; only task adds and removes copy the
-/// name index. Dropping the superseded version frees just those blocks.
+/// Cloning preserves the epoch **and** the cached reachability matrix, so
+/// copy-on-write holders (e.g. the serving layer's `Arc::make_mut`) stay
+/// incremental across clones. The clone is also cheap: the graph's slots
+/// and the matrix's rows live in `Arc`'d blocks
+/// ([`wolves_graph::BlockVec`]) and the name index behind an `Arc`, so a
+/// clone copies block handles plus the small per-component vectors — about
+/// 15 µs at 10k tasks instead of a 9 ms deep copy. An edit after the clone
+/// copies only the blocks it writes: an edge edit copies two node blocks,
+/// one edge block and the matrix blocks whose rows changed; only task adds
+/// and removes copy the name index. Dropping the superseded version frees
+/// just those blocks.
 #[derive(Debug, Clone)]
 pub struct WorkflowSpec {
     name: String,
@@ -41,18 +43,7 @@ pub struct WorkflowSpec {
     /// writes it.
     by_name: Arc<BTreeMap<String, TaskId>>,
     reach: OnceLock<ReachMatrix>,
-    /// Shared CSR snapshot of `graph`, built on first demand and dropped by
-    /// every mutation. The read-side graph algorithms (SCC, closure build,
-    /// decremental reverse-BFS) reuse this one snapshot instead of
-    /// re-walking the adjacency lists each.
-    csr: OnceLock<Arc<Csr>>,
     epoch: u64,
-    /// Matrix rows dirtied since the last [`WorkflowSpec::take_dirty`].
-    dirty: DirtyRows,
-    log: Vec<SpecDelta>,
-    /// Upper bound on retained delta-log entries (see
-    /// [`WorkflowSpec::set_delta_log_cap`]).
-    log_cap: usize,
 }
 
 impl WorkflowSpec {
@@ -64,39 +55,26 @@ impl WorkflowSpec {
             graph: DiGraph::new(),
             by_name: Arc::new(BTreeMap::new()),
             reach: OnceLock::new(),
-            csr: OnceLock::new(),
             epoch: 0,
-            dirty: DirtyRows::clean(0),
-            log: Vec::new(),
-            log_cap: Self::DELTA_LOG_CAP,
         }
     }
 
     /// Rebuilds a specification from restored parts — the storage layer's
     /// recovery path. The graph must carry the exact slot layout (including
     /// tombstones) of the serialised spec so future task/dependency ids are
-    /// assigned identically; `epoch` resumes the mutation counter and the
-    /// delta log restarts empty (every retained delta was consumed by the
-    /// write-ahead log before the snapshot was taken).
+    /// assigned identically; `epoch` resumes the mutation counter.
     pub(crate) fn restore(
         name: String,
         graph: DiGraph<AtomicTask, DataDependency>,
         by_name: BTreeMap<String, TaskId>,
         epoch: u64,
-        log_cap: usize,
     ) -> Self {
         WorkflowSpec {
             name,
             graph,
             by_name: Arc::new(by_name),
             reach: OnceLock::new(),
-            csr: OnceLock::new(),
             epoch,
-            // a restored spec has no incremental history: consumers must
-            // treat every derived row as dirty until they rebuild
-            dirty: DirtyRows::all(),
-            log: Vec::new(),
-            log_cap,
         }
     }
 
@@ -165,43 +143,20 @@ impl WorkflowSpec {
         &mut self,
         id: TaskId,
     ) -> Result<(AtomicTask, MutationReport), WorkflowError> {
-        // take the CSR snapshot *before* editing the graph: the decremental
-        // path walks the pre-removal adjacency and skips the dead node
-        let snapshot = std::mem::take(&mut self.csr).into_inner();
-        let task = match self.graph.remove_node(id) {
-            Ok(task) => task,
-            Err(_) => {
-                if let Some(csr) = snapshot {
-                    let _ = self.csr.set(csr);
-                }
-                return Err(WorkflowError::UnknownTask(id));
-            }
-        };
+        let task = self
+            .graph
+            .remove_node(id)
+            .map_err(|_| WorkflowError::UnknownTask(id))?;
         Arc::make_mut(&mut self.by_name).remove(&task.name);
-        let (class, dirty) = match self.reach.get_mut() {
-            Some(matrix) => {
-                let outcome = match snapshot {
-                    Some(csr) => matrix.remove_node_csr(&csr, id),
-                    None => matrix.remove_node(&self.graph, id),
-                };
-                match outcome {
-                    Ok(outcome) => (outcome.class, outcome.dirty),
-                    // defensive: a node the matrix never saw forces a
-                    // rebuild (cannot happen when tasks enter via add_task)
-                    Err(_) => {
-                        self.reach = OnceLock::new();
-                        (DeltaClass::Structural, DirtyRows::all())
-                    }
-                }
-            }
-            None => (DeltaClass::Structural, DirtyRows::all()),
-        };
+        let (class, dirty) = maintain(&mut self.reach, |matrix| {
+            matrix.remove_node(&self.graph, id)
+        });
         let report = self.record(SpecDeltaKind::TaskRemoved(id), class, dirty, None);
         Ok((task, report))
     }
 
-    /// Applies one typed mutation, returning the epoch, delta class and
-    /// dirty rows the edit produced. This is the entry point the serving
+    /// Applies one typed mutation, returning the epoch, delta, delta class
+    /// and dirty rows the edit produced. This is the entry point the serving
     /// layer's `mutate` requests go through; the granular methods
     /// ([`WorkflowSpec::add_task`] etc.) share the same machinery.
     ///
@@ -231,86 +186,6 @@ impl WorkflowSpec {
         self.epoch
     }
 
-    /// The typed delta log, in epoch order. The log is bounded: once it
-    /// reaches the configured cap ([`WorkflowSpec::delta_log_cap`],
-    /// default [`WorkflowSpec::DELTA_LOG_CAP`]) the oldest half is dropped,
-    /// so long-lived specs (e.g. in the serving layer, where every
-    /// copy-on-write clone copies the log) hold the most recent edits only —
-    /// each entry still carries its epoch, so gaps are detectable. The log
-    /// is a plain vector of small `Copy` entries: at the default cap a clone
-    /// copies at most 1,024 of them (tens of KB, a few µs), which is why it
-    /// is not block-shared like the graph and the matrix.
-    #[must_use]
-    pub fn delta_log(&self) -> &[SpecDelta] {
-        &self.log
-    }
-
-    /// The contiguous slice of deltas newer than `epoch`, in epoch order —
-    /// the fan-out hook for consumers that tail the bounded log (the serving
-    /// layer's write-ahead log and its change-data-capture subscribers).
-    /// Returns `None` when the bound already evicted part of the requested
-    /// range, so a consumer that fell behind sees the gap instead of a
-    /// silently holed stream.
-    #[must_use]
-    pub fn deltas_since(&self, epoch: u64) -> Option<Vec<SpecDelta>> {
-        if self.epoch == epoch {
-            return Some(Vec::new());
-        }
-        if self.epoch < epoch {
-            return None;
-        }
-        let fresh: Vec<SpecDelta> = self
-            .log
-            .iter()
-            .filter(|delta| delta.epoch > epoch)
-            .cloned()
-            .collect();
-        let contiguous = fresh.first().map(|delta| delta.epoch) == Some(epoch + 1)
-            && fresh.len() as u64 == self.epoch - epoch;
-        contiguous.then_some(fresh)
-    }
-
-    /// Default upper bound on retained delta-log entries.
-    pub const DELTA_LOG_CAP: usize = 1024;
-
-    /// The configured upper bound on retained delta-log entries.
-    #[must_use]
-    pub fn delta_log_cap(&self) -> usize {
-        self.log_cap
-    }
-
-    /// Reconfigures the delta-log bound (clamped to at least 2 so the
-    /// drop-oldest-half eviction always retains the newest entry).
-    ///
-    /// Consumers that tail the log — the serving layer's write-ahead log
-    /// consumes each delta synchronously under the shard write lock — can
-    /// lower the cap to bound clone cost, or raise it when deltas are
-    /// drained in larger batches. Eviction only ever drops entries that are
-    /// older than the cap allows; a consumer that falls behind detects the
-    /// gap through the per-entry epochs.
-    pub fn set_delta_log_cap(&mut self, cap: usize) {
-        self.log_cap = cap.max(2);
-        if self.log.len() >= self.log_cap {
-            let drop = self.log.len() - self.log_cap / 2;
-            self.log.drain(..drop);
-        }
-    }
-
-    /// The matrix rows dirtied since the last [`WorkflowSpec::take_dirty`]
-    /// (union over all mutations in between).
-    #[must_use]
-    pub fn dirty_rows(&self) -> &DirtyRows {
-        &self.dirty
-    }
-
-    /// Takes and resets the accumulated dirty-row set. Incremental
-    /// consumers call this once per refresh; the returned set covers every
-    /// mutation since the previous take.
-    pub fn take_dirty(&mut self) -> DirtyRows {
-        let comp_count = self.reach.get().map_or(0, ReachMatrix::comp_count);
-        std::mem::replace(&mut self.dirty, DirtyRows::clean(comp_count))
-    }
-
     fn add_task_mutation(&mut self, task: AtomicTask) -> Result<MutationReport, WorkflowError> {
         if self.by_name.contains_key(&task.name) {
             return Err(WorkflowError::DuplicateTaskName(task.name));
@@ -318,14 +193,7 @@ impl WorkflowSpec {
         let name = task.name.clone();
         let id = self.graph.add_node(task);
         Arc::make_mut(&mut self.by_name).insert(name, id);
-        self.csr = OnceLock::new();
-        let (class, dirty) = match self.reach.get_mut() {
-            Some(matrix) => {
-                let outcome = matrix.insert_node(id);
-                (outcome.class, outcome.dirty)
-            }
-            None => (DeltaClass::Structural, DirtyRows::all()),
-        };
+        let (class, dirty) = maintain(&mut self.reach, |matrix| Ok(matrix.insert_node(id)));
         Ok(self.record(SpecDeltaKind::TaskAdded(id), class, dirty, Some(id)))
     }
 
@@ -336,19 +204,7 @@ impl WorkflowSpec {
         dependency: DataDependency,
     ) -> Result<MutationReport, WorkflowError> {
         self.graph.add_edge_unique(from, to, dependency)?;
-        self.csr = OnceLock::new();
-        let (class, dirty) = match self.reach.get_mut() {
-            Some(matrix) => match matrix.insert_edge(from, to) {
-                Ok(outcome) => (outcome.class, outcome.dirty),
-                // defensive: an endpoint the matrix never saw forces a
-                // rebuild (cannot happen when tasks enter via add_task)
-                Err(_) => {
-                    self.reach = OnceLock::new();
-                    (DeltaClass::Structural, DirtyRows::all())
-                }
-            },
-            None => (DeltaClass::Structural, DirtyRows::all()),
-        };
+        let (class, dirty) = maintain(&mut self.reach, |matrix| matrix.insert_edge(from, to));
         Ok(self.record(SpecDeltaKind::DependencyAdded(from, to), class, dirty, None))
     }
 
@@ -361,26 +217,10 @@ impl WorkflowSpec {
             .graph
             .find_edge(from, to)
             .ok_or(WorkflowError::UnknownDependency(from, to))?;
-        // the pre-removal CSR snapshot (if warm) drives the decremental
-        // maintenance below; the removal invalidates it either way
-        let snapshot = std::mem::take(&mut self.csr).into_inner();
         self.graph.remove_edge(edge)?;
-        let (class, dirty) = match self.reach.get_mut() {
-            Some(matrix) => {
-                let outcome = match snapshot {
-                    Some(csr) => matrix.remove_edge_csr(&csr, from, to),
-                    None => matrix.remove_edge(&self.graph, from, to),
-                };
-                match outcome {
-                    Ok(outcome) => (outcome.class, outcome.dirty),
-                    Err(_) => {
-                        self.reach = OnceLock::new();
-                        (DeltaClass::Structural, DirtyRows::all())
-                    }
-                }
-            }
-            None => (DeltaClass::Structural, DirtyRows::all()),
-        };
+        let (class, dirty) = maintain(&mut self.reach, |matrix| {
+            matrix.remove_edge(&self.graph, from, to)
+        });
         Ok(self.record(
             SpecDeltaKind::DependencyRemoved(from, to),
             class,
@@ -397,17 +237,12 @@ impl WorkflowSpec {
         task: Option<TaskId>,
     ) -> MutationReport {
         self.epoch += 1;
-        if self.log.len() >= self.log_cap {
-            // drop the oldest half in one move; amortised O(1) per mutation
-            self.log.drain(..self.log_cap.div_ceil(2));
-        }
-        self.log.push(SpecDelta {
-            epoch: self.epoch,
-            kind,
-        });
-        self.dirty.union(&dirty);
         MutationReport {
             epoch: self.epoch,
+            delta: SpecDelta {
+                epoch: self.epoch,
+                kind,
+            },
             class,
             dirty,
             task,
@@ -492,19 +327,15 @@ impl WorkflowSpec {
     #[must_use]
     pub fn reachability(&self) -> &ReachMatrix {
         self.reach
-            .get_or_init(|| ReachMatrix::build_from_csr(&self.csr_snapshot()))
+            .get_or_init(|| ReachMatrix::build_from_csr(&Csr::from_graph(&self.graph)))
     }
 
-    /// A shared CSR snapshot of the current dependency graph, built on first
-    /// demand and reused by the read-side graph algorithms (reachability
-    /// builds, SCC, decremental removal maintenance) until the next
-    /// mutation invalidates it.
+    /// A CSR snapshot of the current dependency graph, built fresh on each
+    /// call: one O(V+E) pass for callers that run several whole-graph
+    /// algorithms over the same spec.
     #[must_use]
     pub fn csr_snapshot(&self) -> Arc<Csr> {
-        Arc::clone(
-            self.csr
-                .get_or_init(|| Arc::new(Csr::from_graph(&self.graph))),
-        )
+        Arc::new(Csr::from_graph(&self.graph))
     }
 
     /// Convenience wrapper for a single reachability query.
@@ -519,6 +350,24 @@ impl WorkflowSpec {
     /// Fails if the specification is cyclic.
     pub fn topological_order(&self) -> Result<Vec<TaskId>, WorkflowError> {
         wolves_graph::topo::topological_sort(&self.graph).map_err(Into::into)
+    }
+}
+
+/// Runs one in-place maintenance step on the cached matrix, if one is
+/// built. Without a matrix, or on a defensive failure (an endpoint the
+/// matrix never saw, which cannot happen when tasks enter via `add_task`),
+/// the edit is structural: the matrix is dropped and rebuilt on next use.
+fn maintain(
+    reach: &mut OnceLock<ReachMatrix>,
+    step: impl FnOnce(&mut ReachMatrix) -> Result<DeltaOutcome, GraphError>,
+) -> (DeltaClass, DirtyRows) {
+    match reach.get_mut().map(step) {
+        Some(Ok(outcome)) => (outcome.class, outcome.dirty),
+        Some(Err(_)) => {
+            *reach = OnceLock::new();
+            (DeltaClass::Structural, DirtyRows::all())
+        }
+        None => (DeltaClass::Structural, DirtyRows::all()),
     }
 }
 
@@ -628,12 +477,18 @@ mod tests {
         spec.add_dependency(ids[0], ids[2], DataDependency::unnamed())
             .unwrap();
         let epoch = spec.epoch();
-        let cloned = spec.clone();
+        let mut cloned = spec.clone();
         assert_eq!(cloned.epoch(), epoch);
-        assert_eq!(cloned.delta_log().len(), spec.delta_log().len());
         // the clone answers from the carried-over matrix without a rebuild
         assert!(cloned.reaches(ids[0], ids[3]));
-        assert!(!cloned.dirty_rows().is_clean());
+        // and keeps maintaining it in place: no structural edit
+        let report = cloned
+            .apply(SpecMutation::AddDependency {
+                from: ids[1],
+                to: ids[3],
+            })
+            .unwrap();
+        assert_eq!(report.class, DeltaClass::MonotoneSafe);
     }
 
     #[test]
@@ -641,13 +496,20 @@ mod tests {
         let (mut spec, ids) = linear_spec();
         // 4 task adds + 3 dependency adds
         assert_eq!(spec.epoch(), 7);
-        assert_eq!(spec.delta_log().len(), 7);
-        spec.remove_dependency(ids[0], ids[1]).unwrap();
+        let report = spec
+            .apply(SpecMutation::RemoveDependency {
+                from: ids[0],
+                to: ids[1],
+            })
+            .unwrap();
         assert_eq!(spec.epoch(), 8);
-        assert!(matches!(
-            spec.delta_log().last().unwrap().kind,
-            SpecDeltaKind::DependencyRemoved(_, _)
-        ));
+        assert_eq!(
+            report.delta,
+            SpecDelta {
+                epoch: 8,
+                kind: SpecDeltaKind::DependencyRemoved(ids[0], ids[1]),
+            }
+        );
         // failed mutations bump nothing
         assert!(spec.remove_dependency(ids[0], ids[1]).is_err());
         assert_eq!(spec.epoch(), 8);
@@ -692,9 +554,6 @@ mod tests {
     fn removals_maintain_the_matrix_in_place() {
         let (mut spec, ids) = linear_spec();
         let _ = spec.reachability();
-        let _ = spec.take_dirty();
-        // warm CSR snapshot: the removal must reuse it (and invalidate it)
-        let snapshot = spec.csr_snapshot();
         let report = spec
             .apply(SpecMutation::RemoveDependency {
                 from: ids[1],
@@ -708,14 +567,18 @@ mod tests {
         // the ancestors of the cut point are dirty, the downstream rows not
         assert!(!report.dirty.is_all());
         assert!(report.dirty.count().unwrap_or(0) >= 1);
-        // a fresh snapshot reflects the removal
-        let fresh = spec.csr_snapshot();
-        assert!(!Arc::ptr_eq(&snapshot, &fresh));
+        assert_eq!(
+            report.delta.kind,
+            SpecDeltaKind::DependencyRemoved(ids[1], ids[2])
+        );
         // removing a task decrementally keeps answering queries in place
         let report = spec
             .apply(SpecMutation::RemoveTask { task: ids[0] })
             .unwrap();
         assert_eq!(report.class, DeltaClass::Decremental);
+        assert!(!report.dirty.is_all());
+        assert_eq!(report.delta.kind, SpecDeltaKind::TaskRemoved(ids[0]));
+        assert_eq!(report.delta.epoch, spec.epoch());
         assert!(spec.reaches(ids[2], ids[3]));
         assert!(!spec.reaches(ids[1], ids[2]));
     }
@@ -724,7 +587,6 @@ mod tests {
     fn incremental_edge_inserts_keep_the_matrix_live() {
         let (mut spec, ids) = linear_spec();
         let _ = spec.reachability();
-        let _ = spec.take_dirty();
         // a cross edge that changes nothing: t0 already reaches t2
         let report = spec
             .apply(SpecMutation::AddDependency {
@@ -745,62 +607,6 @@ mod tests {
         assert!(!report.dirty.is_clean());
         assert!(spec.reaches(ids[3], ids[1]));
         assert!(spec.reachability().strictly_reachable(ids[2], ids[2]));
-        // accumulated dirt covers both mutations and resets on take
-        assert!(!spec.dirty_rows().is_clean());
-        let taken = spec.take_dirty();
-        assert!(!taken.is_clean());
-        assert!(spec.dirty_rows().is_clean());
-    }
-
-    #[test]
-    fn delta_log_is_bounded_but_epochs_keep_counting() {
-        let mut spec = WorkflowSpec::new("bounded");
-        let a = spec.add_task(AtomicTask::new("a")).unwrap();
-        let b = spec.add_task(AtomicTask::new("b")).unwrap();
-        for _ in 0..WorkflowSpec::DELTA_LOG_CAP {
-            spec.add_dependency(a, b, DataDependency::unnamed())
-                .unwrap();
-            spec.remove_dependency(a, b).unwrap();
-        }
-        assert!(spec.delta_log().len() <= WorkflowSpec::DELTA_LOG_CAP);
-        let expected_epoch = 2 + 2 * WorkflowSpec::DELTA_LOG_CAP as u64;
-        assert_eq!(spec.epoch(), expected_epoch);
-        // the retained tail is the newest contiguous run
-        let log = spec.delta_log();
-        assert_eq!(log.last().unwrap().epoch, expected_epoch);
-        for window in log.windows(2) {
-            assert_eq!(window[1].epoch, window[0].epoch + 1);
-        }
-    }
-
-    #[test]
-    fn delta_log_cap_is_configurable() {
-        let mut spec = WorkflowSpec::new("capped");
-        let a = spec.add_task(AtomicTask::new("a")).unwrap();
-        let b = spec.add_task(AtomicTask::new("b")).unwrap();
-        assert_eq!(spec.delta_log_cap(), WorkflowSpec::DELTA_LOG_CAP);
-        spec.set_delta_log_cap(8);
-        assert_eq!(spec.delta_log_cap(), 8);
-        for _ in 0..16 {
-            spec.add_dependency(a, b, DataDependency::unnamed())
-                .unwrap();
-            spec.remove_dependency(a, b).unwrap();
-        }
-        assert!(spec.delta_log().len() <= 8);
-        // the retained tail stays contiguous and newest-first
-        let log = spec.delta_log();
-        assert_eq!(log.last().unwrap().epoch, spec.epoch());
-        for window in log.windows(2) {
-            assert_eq!(window[1].epoch, window[0].epoch + 1);
-        }
-        // shrinking below the current length trims immediately; the floor
-        // of 2 keeps the newest entry alive
-        spec.set_delta_log_cap(0);
-        assert_eq!(spec.delta_log_cap(), 2);
-        assert!(spec.delta_log().len() <= 2);
-        assert_eq!(spec.delta_log().last().unwrap().epoch, spec.epoch());
-        // the clone carries the configured cap
-        assert_eq!(spec.clone().delta_log_cap(), 2);
     }
 
     #[test]
@@ -808,27 +614,34 @@ mod tests {
         let mut spec = WorkflowSpec::new("fresh");
         let a = spec.add_task(AtomicTask::new("a")).unwrap();
         let b = spec.add_task(AtomicTask::new("b")).unwrap();
-        spec.add_dependency(a, b, DataDependency::unnamed())
+        let report = spec
+            .apply(SpecMutation::AddDependency { from: a, to: b })
             .unwrap();
-        assert!(spec.dirty_rows().is_all());
+        assert_eq!(report.class, DeltaClass::Structural);
+        assert!(report.dirty.is_all());
         // first query builds the matrix; later additive edits are tracked
         assert!(spec.reaches(a, b));
-        let _ = spec.take_dirty();
-        let c = spec.add_task(AtomicTask::new("c")).unwrap();
-        spec.add_dependency(b, c, DataDependency::unnamed())
+        let report = spec
+            .apply(SpecMutation::AddTask {
+                name: "c".to_owned(),
+            })
             .unwrap();
-        assert!(!spec.dirty_rows().is_all());
+        assert!(!report.dirty.is_all());
+        let c = report.task.unwrap();
+        let report = spec
+            .apply(SpecMutation::AddDependency { from: b, to: c })
+            .unwrap();
+        assert_eq!(report.class, DeltaClass::MonotoneSafe);
+        assert!(!report.dirty.is_all());
         assert!(spec.reaches(a, c));
     }
 
     /// Everything a reader of a spec can observe: the name index, the
-    /// dependencies, the epoch and delta log, and every task's
-    /// reachability.
+    /// dependencies, the epoch and every task's reachability.
     type Observed = (
         Vec<(String, TaskId)>,
         Vec<(TaskId, TaskId)>,
         u64,
-        Vec<SpecDelta>,
         Vec<Vec<bool>>,
     );
 
@@ -842,13 +655,7 @@ mod tests {
             .iter()
             .map(|&u| ids.iter().map(|&v| spec.reaches(u, v)).collect())
             .collect();
-        (
-            names,
-            spec.dependencies().collect(),
-            spec.epoch(),
-            spec.delta_log().to_vec(),
-            rows,
-        )
+        (names, spec.dependencies().collect(), spec.epoch(), rows)
     }
 
     proptest::proptest! {
@@ -857,9 +664,9 @@ mod tests {
         /// A clone of a spec with a built matrix is independent of the
         /// original: random task and dependency edits on the clone keep its
         /// matrix equal to a from-scratch build and its name index in step
-        /// with its tasks after every step, and leave everything the
-        /// original answers — names, dependencies, epoch, delta log and
-        /// reachability — unchanged. The specs span more than one block of
+        /// with its tasks after every step, report their own delta, and
+        /// leave everything the original answers — names, dependencies,
+        /// epoch and reachability — unchanged. The specs span more than one block of
         /// task slots, and most span more than one block of dependency
         /// slots.
         #[test]
@@ -907,7 +714,25 @@ mod tests {
                         SpecMutation::RemoveDependency { from, to }
                     }
                 };
-                copy.apply(mutation).unwrap();
+                let expected = mutation.clone();
+                let report = copy.apply(mutation).unwrap();
+                proptest::prop_assert_eq!(report.delta.epoch, copy.epoch());
+                let names_the_op = match (expected, report.delta.kind) {
+                    (SpecMutation::AddTask { .. }, SpecDeltaKind::TaskAdded(t)) => {
+                        report.task == Some(t)
+                    }
+                    (SpecMutation::RemoveTask { task }, SpecDeltaKind::TaskRemoved(t)) => task == t,
+                    (
+                        SpecMutation::AddDependency { from, to },
+                        SpecDeltaKind::DependencyAdded(f, t),
+                    )
+                    | (
+                        SpecMutation::RemoveDependency { from, to },
+                        SpecDeltaKind::DependencyRemoved(f, t),
+                    ) => (from, to) == (f, t),
+                    _ => false,
+                };
+                proptest::prop_assert!(names_the_op, "the delta does not name the op");
                 let rebuilt = ReachMatrix::build(copy.graph()).unwrap();
                 let live: Vec<TaskId> = copy.task_ids().collect();
                 for &u in &live {
@@ -917,7 +742,6 @@ mod tests {
                         proptest::prop_assert_eq!(copy.reaches(u, v), rebuilt.reachable(u, v));
                     }
                 }
-                proptest::prop_assert_eq!(copy.delta_log().last().map(|d| d.epoch), Some(copy.epoch()));
                 proptest::prop_assert!(observe(&spec) == before, "the original changed");
             }
             // the original still resolves every name it had, and none the clone added

@@ -483,8 +483,8 @@ impl WorkflowView {
     /// duplicates, the diagonal and that extra rank, and yields the edges in
     /// ascending `(A, B)` order. The bitset is no bigger than the view-level
     /// closure every consumer builds next. The pass reads the dependency
-    /// slots rather than the CSR snapshot: every mutation drops the
-    /// snapshot, and rebuilding it costs more than this whole pass.
+    /// slots rather than a CSR snapshot of the spec: taking one costs more
+    /// than this whole pass.
     #[must_use]
     pub fn induced_graph(&self, spec: &WorkflowSpec) -> InducedViewGraph {
         let live: Vec<CompositeTaskId> = self.composite_ids().collect();
