@@ -365,14 +365,13 @@ fn run_read_under_write(quick: bool) -> (ReadUnderWrite, String) {
     )
 }
 
-/// One-write-per-request vs pipelined vs server-side batch verb, same
-/// connection count: the round-trip collapse pipelining exists for.
+/// One-write-per-request vs pipelined, same connection count: the
+/// round-trip collapse pipelining exists for.
 struct Pipelining {
     clients: usize,
     depth: usize,
     baseline_rps: f64,
     pipelined_rps: f64,
-    batched_rps: f64,
     /// Median of the per-repeat `pipelined_rps / baseline_rps`.
     speedup: f64,
 }
@@ -452,40 +451,6 @@ fn run_pipelining(quick: bool) -> Pipelining {
             .requests_per_sec()
     });
 
-    // the batch verb: same requests, one nested frame per `depth` window
-    let start = Instant::now();
-    let batched_completed: usize = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for client_index in 0..clients {
-            let ids = &ids;
-            handles.push(scope.spawn(move || {
-                let Ok(mut client) = wolves_service::ServiceClient::connect(addr) else {
-                    return 0usize;
-                };
-                let mut completed = 0usize;
-                let mut sent = 0usize;
-                while sent < requests {
-                    let window = depth.min(requests - sent);
-                    let batch: Vec<wolves_service::Request> = (0..window)
-                        .map(|offset| wolves_service::Request::Validate {
-                            workflow: ids[(client_index + sent + offset) % ids.len()],
-                            version: None,
-                        })
-                        .collect();
-                    match client.batch(batch) {
-                        Ok(outcomes) => {
-                            completed += outcomes.iter().filter(|o| o.is_ok()).count();
-                        }
-                        Err(_) => break,
-                    }
-                    sent += window;
-                }
-                completed
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap_or(0)).sum()
-    });
-    let batched_rps = batched_completed as f64 / start.elapsed().as_secs_f64().max(1e-9);
     server.shutdown();
 
     Pipelining {
@@ -493,7 +458,6 @@ fn run_pipelining(quick: bool) -> Pipelining {
         depth,
         baseline_rps: median(samples[0].clone()),
         pipelined_rps: median(samples[1].clone()),
-        batched_rps,
         speedup: median_ratio(&samples[1], &samples[0]),
     }
 }
@@ -985,12 +949,11 @@ fn render_json(
     let _ = writeln!(
         out,
         "  \"pipelining\": {{\"clients\": {}, \"depth\": {}, \"baseline_rps\": {:.1}, \
-         \"pipelined_rps\": {:.1}, \"batched_rps\": {:.1}, \"speedup\": {:.3}}},",
+         \"pipelined_rps\": {:.1}, \"speedup\": {:.3}}},",
         pipelining.clients,
         pipelining.depth,
         pipelining.baseline_rps,
         pipelining.pipelined_rps,
-        pipelining.batched_rps,
         pipelining.speedup
     );
     out.push_str("  \"connection_scaling\": [\n");

@@ -41,7 +41,6 @@
 use std::fmt::Write as _;
 
 use wolves_core::correct::{correct_view, Strategy};
-use wolves_core::estimate::{EstimationRegistry, WorkloadClass};
 use wolves_core::validate::{validate, validate_by_definition, validate_naive};
 use wolves_graph::dot::{to_dot, DotOptions};
 use wolves_moml::{from_moml, read_text_format, to_moml, write_text_format, ImportedWorkflow};
@@ -201,8 +200,7 @@ pub fn naive_check_command(spec: &WorkflowSpec, view: &WorkflowView, max_nodes: 
 }
 
 /// The *Corrector* module: corrects every unsound composite task with the
-/// requested strategy and reports what changed, together with the estimated
-/// cost the demo GUI would show (when an estimation registry is supplied).
+/// requested strategy and reports what changed.
 ///
 /// # Errors
 /// Reports unknown strategies and corrector failures.
@@ -210,29 +208,10 @@ pub fn correct_command(
     spec: &WorkflowSpec,
     view: &WorkflowView,
     strategy_name: &str,
-    registry: Option<&EstimationRegistry>,
 ) -> Result<(WorkflowView, String), CliError> {
     let strategy = Strategy::parse(strategy_name)
         .ok_or_else(|| CliError::Operation(format!("unknown corrector '{strategy_name}'")))?;
     let mut out = String::new();
-    if let Some(registry) = registry {
-        let report = validate(spec, view);
-        for composite_id in report.unsound_composites() {
-            if let Ok(composite) = view.composite(composite_id) {
-                let class = WorkloadClass::classify(spec, composite.members());
-                if let Some(estimate) = registry.estimate(class, strategy) {
-                    let _ = writeln!(
-                        out,
-                        "estimate for '{}': {:.1?} (quality {:.2}, {} past corrections)",
-                        composite.name,
-                        estimate.avg_elapsed,
-                        estimate.avg_quality,
-                        estimate.samples
-                    );
-                }
-            }
-        }
-    }
     let corrector = strategy.corrector();
     let (corrected, report) = correct_view(spec, view, corrector.as_ref())
         .map_err(|e| CliError::Operation(e.to_string()))?;
@@ -749,13 +728,12 @@ pub fn remote_stats(addr: &str, policy: Option<&RequestPolicy>) -> Result<String
     let _ = writeln!(
         out,
         "total: {} workflows, {} requests, {} snapshot publishes, {} active / {} dropped \
-         watchers; estimation registry holds {} correction samples",
+         watchers",
         stats.workflows(),
         stats.requests(),
         stats.snapshot_publishes(),
         stats.active_watchers(),
-        stats.dropped_watchers(),
-        stats.registry_samples
+        stats.dropped_watchers()
     );
     Ok(out)
 }
@@ -913,12 +891,11 @@ mod tests {
     #[test]
     fn correct_command_reports_the_split() {
         let fixture = figure1();
-        let (corrected, output) =
-            correct_command(&fixture.spec, &fixture.view, "strong", None).unwrap();
+        let (corrected, output) = correct_command(&fixture.spec, &fixture.view, "strong").unwrap();
         assert!(output.contains("split 'Curate & align (16)'"));
         assert!(output.contains("7 -> 8"));
         assert!(validate(&fixture.spec, &corrected).is_sound());
-        assert!(correct_command(&fixture.spec, &fixture.view, "bogus", None).is_err());
+        assert!(correct_command(&fixture.spec, &fixture.view, "bogus").is_err());
     }
 
     #[test]
@@ -1040,7 +1017,7 @@ mod tests {
         assert!(mutated.contains("epoch 2"), "got: {mutated}");
 
         let stats = remote_stats(&addr, None).unwrap();
-        assert!(stats.contains("estimation registry holds 1 correction samples"));
+        assert!(stats.contains("total: 1 workflows"), "got: {stats}");
 
         // no shard is degraded, so heal is a no-op that still answers
         let healed = remote_heal(&addr, None).unwrap();

@@ -225,8 +225,8 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_no_samples() {
-        // the registry is the shared sink of the serving layer: many worker
-        // threads record correction outcomes while others ask for estimates.
+        // the registry is shared behind a lock: many threads record
+        // correction outcomes while others ask for estimates.
         // No sample may be lost, and the observable sample count must only
         // ever grow.
         const WRITERS: usize = 8;

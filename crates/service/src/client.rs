@@ -111,38 +111,6 @@ impl ServiceClient {
         Ok(responses)
     }
 
-    /// Issues `requests` as one server-side `batch` frame: one request
-    /// frame, one response frame, one round trip — the server answers the
-    /// sub-requests in order and per-request failures land in their slot.
-    /// Unlike [`ServiceClient::pipeline`] the coalescing survives proxies
-    /// that serialise on frame boundaries, at the cost of buffering the
-    /// whole batch response server-side.
-    ///
-    /// # Errors
-    /// Reports I/O failures and protocol violations (including a response
-    /// batch of the wrong length).
-    #[allow(clippy::type_complexity)]
-    pub fn batch(
-        &mut self,
-        requests: Vec<Request>,
-    ) -> Result<Vec<Result<Response, ServiceError>>, ServiceError> {
-        let expected = requests.len();
-        match self.call(&Request::Batch(requests))? {
-            Response::Batch(responses) if responses.len() == expected => Ok(responses
-                .into_iter()
-                .map(|response| match response {
-                    Response::Error(message) => Err(ServiceError::from_wire(&message)),
-                    other => Ok(other),
-                })
-                .collect()),
-            Response::Batch(responses) => Err(ServiceError::Protocol(format!(
-                "batch of {expected} answered with {} responses",
-                responses.len()
-            ))),
-            other => Err(unexpected("batch", &other)),
-        }
-    }
-
     /// Registers a workflow from a native text-format payload.
     ///
     /// # Errors
@@ -452,10 +420,18 @@ pub enum MutateOutcome {
     },
 }
 
-/// Client-side deadline/retry discipline: per-attempt socket timeouts, a
+/// Base of the retry backoff: the sleep before retry `n` is
+/// `min(BACKOFF << n, BACKOFF_CAP)` plus jitter in `[0, sleep/2]`.
+const BACKOFF: Duration = Duration::from_millis(50);
+/// Upper bound of the exponential backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Client-side timeout/retry discipline: per-attempt socket timeouts, a
 /// bounded number of retries on transient errors with capped exponential
-/// backoff + deterministic jitter, an overall deadline budget, and
-/// idempotent mutate retries via an expected-epoch CAS.
+/// backoff + deterministic jitter, and idempotent mutate retries via an
+/// expected-epoch CAS.
 ///
 /// Every attempt opens a fresh connection — after a timeout the old
 /// connection's request/response pairing is unknowable, so it is never
@@ -468,16 +444,6 @@ pub struct RequestPolicy {
     pub timeout: Option<Duration>,
     /// Retries after the first attempt (0 = try exactly once).
     pub retries: u32,
-    /// Base backoff: the sleep before retry `n` is
-    /// `min(backoff << n, backoff_cap)` plus jitter in `[0, sleep/2]`.
-    pub backoff: Duration,
-    /// Upper bound of the exponential backoff.
-    pub backoff_cap: Duration,
-    /// Overall budget across attempts and backoff sleeps (`None` =
-    /// unbounded): once exceeded, the last error is returned.
-    pub deadline: Option<Duration>,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for RequestPolicy {
@@ -485,10 +451,6 @@ impl Default for RequestPolicy {
         RequestPolicy {
             timeout: None,
             retries: 2,
-            backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            deadline: None,
-            seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
@@ -496,8 +458,8 @@ impl Default for RequestPolicy {
 impl RequestPolicy {
     /// The default policy with a per-attempt timeout of `ms` milliseconds
     /// (0 = no timeout) — what the CLI's `--timeout-ms` flag builds. The
-    /// timeout also bounds the whole call: the deadline is set to
-    /// `ms × (retries + 1)` plus the worst-case backoff.
+    /// timeout bounds each attempt, not the whole call: a call makes at
+    /// most `retries + 1` attempts, with a backoff sleep between them.
     #[must_use]
     pub fn with_timeout_ms(ms: u64) -> Self {
         RequestPolicy {
@@ -515,28 +477,23 @@ impl RequestPolicy {
 
     /// The backoff before retry `attempt` (0-based): capped exponential
     /// plus deterministic jitter.
-    fn backoff_before(&self, attempt: u32) -> Duration {
-        let base = self
-            .backoff
+    fn backoff_before(attempt: u32) -> Duration {
+        let base = BACKOFF
             .saturating_mul(1u32 << attempt.min(16))
-            .min(self.backoff_cap);
+            .min(BACKOFF_CAP);
         let base_ms = u64::try_from(base.as_millis()).unwrap_or(u64::MAX);
-        let jitter = crate::storage::mix64(self.seed ^ u64::from(attempt)) % (base_ms / 2 + 1);
+        let jitter = crate::storage::mix64(JITTER_SEED ^ u64::from(attempt)) % (base_ms / 2 + 1);
         base + Duration::from_millis(jitter)
     }
 
-    /// `true` when a retry for `error` fits the policy: attempts remain,
-    /// the error is transient, and the deadline budget is not exhausted.
-    fn may_retry(&self, attempt: u32, error: &ServiceError, started: Instant) -> bool {
-        attempt < self.retries
-            && error.is_transient()
-            && self.deadline.map_or(true, |deadline| {
-                started.elapsed() + self.backoff_before(attempt) < deadline
-            })
+    /// `true` when a retry for `error` fits the policy: attempts remain
+    /// and the error is transient.
+    fn may_retry(&self, attempt: u32, error: &ServiceError) -> bool {
+        attempt < self.retries && error.is_transient()
     }
 
     /// Runs `operation` against a fresh connection per attempt, retrying
-    /// transient failures under the policy's backoff/deadline discipline.
+    /// transient failures under the policy's retry budget and backoff.
     ///
     /// # Errors
     /// The last error once the policy gives up.
@@ -545,15 +502,14 @@ impl RequestPolicy {
         addr: impl ToSocketAddrs,
         mut operation: impl FnMut(&mut ServiceClient) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             let result = ServiceClient::connect_with(&addr, self.timeout)
                 .and_then(|mut c| operation(&mut c));
             match result {
                 Ok(value) => return Ok(value),
-                Err(e) if self.may_retry(attempt, &e, started) => {
-                    std::thread::sleep(self.backoff_before(attempt));
+                Err(e) if self.may_retry(attempt, &e) => {
+                    std::thread::sleep(Self::backoff_before(attempt));
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -597,7 +553,6 @@ impl RequestPolicy {
         base: u64,
         mut ambiguous: bool,
     ) -> Result<MutateOutcome, ServiceError> {
-        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             let result = ServiceClient::connect_with(&addr, self.timeout)
@@ -611,11 +566,11 @@ impl RequestPolicy {
                     // whose ack we never saw: it was ours
                     return Ok(MutateOutcome::AppliedEarlier { epoch: actual });
                 }
-                Err(e) if self.may_retry(attempt, &e, started) => {
+                Err(e) if self.may_retry(attempt, &e) => {
                     // once a send's fate is unknown, later conflicts on our
                     // epoch mean it applied
                     ambiguous = true;
-                    std::thread::sleep(self.backoff_before(attempt));
+                    std::thread::sleep(Self::backoff_before(attempt));
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -781,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_batch_answer_in_order_with_slotted_errors() {
+    fn pipeline_answers_in_order_with_slotted_errors() {
         let server = serve(&ServerConfig {
             shards: 2,
             workers: 2,
@@ -791,7 +746,7 @@ mod tests {
         let mut client = ServiceClient::connect(server.local_addr()).unwrap();
         let fixture = figure1();
         let id = client.register(&fixture.spec, Some(&fixture.view)).unwrap();
-        let requests = vec![
+        let requests = [
             Request::Validate {
                 workflow: id,
                 version: None,
@@ -805,15 +760,6 @@ mod tests {
         // pipelined: one write, three responses in order, the bad
         // workflow's error in its slot
         let outcomes = client.pipeline(&requests).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        assert!(matches!(outcomes[0], Ok(Response::Verdict(_))));
-        assert!(matches!(
-            outcomes[1],
-            Err(ServiceError::UnknownWorkflow(WorkflowId(999)))
-        ));
-        assert!(matches!(outcomes[2], Ok(Response::Epoch { .. })));
-        // batched: same shape through the server-side batch verb
-        let outcomes = client.batch(requests).unwrap();
         assert_eq!(outcomes.len(), 3);
         assert!(matches!(outcomes[0], Ok(Response::Verdict(_))));
         assert!(matches!(
@@ -915,12 +861,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         drop(listener);
-        let policy = RequestPolicy {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..RequestPolicy::default()
-        };
+        let policy = RequestPolicy::default().retries(1);
         let err = policy.call(addr, |c| c.stats()).unwrap_err();
         assert!(matches!(err, ServiceError::Io(_)), "{err}");
     }

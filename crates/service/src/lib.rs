@@ -20,8 +20,7 @@
 //!   dependency): one epoll event loop per worker thread, each answering
 //!   its non-blocking connections' pipelined requests inline, with watch
 //!   subscriptions as write sources, bounded frames, connection admission
-//!   and graceful shutdown; live correction timings feed
-//!   [`wolves_core::estimate::EstimationRegistry`].
+//!   and graceful shutdown.
 //! * [`poll`] — the minimal readiness-polling primitive under the event
 //!   loops: raw `epoll`/`eventfd` syscalls behind a safe [`poll::Poller`] /
 //!   [`poll::Waker`] API (Linux only; the server reports `Unsupported`

@@ -162,12 +162,6 @@ pub enum Request {
     Unwatch,
     /// Ask the server to stop accepting connections and exit.
     Shutdown,
-    /// Several requests in one frame, answered by one [`Response::Batch`]
-    /// frame with the outcomes in request order. A sub-request failure is
-    /// carried as its slot's [`Response::Error`]; it never aborts the rest
-    /// of the batch. Connection-control verbs (`watch`, `unwatch`,
-    /// `shutdown`) and nested batches are refused at parse time.
-    Batch(Vec<Request>),
 }
 
 /// How a [`Request::Watch`] subscription starts.
@@ -396,8 +390,6 @@ pub struct ShardStat {
 pub struct StatsReport {
     /// Per-shard counters.
     pub shards: Vec<ShardStat>,
-    /// Correction samples accumulated in the estimation registry.
-    pub registry_samples: usize,
 }
 
 impl StatsReport {
@@ -693,8 +685,6 @@ pub enum Response {
     Unwatched,
     /// The server acknowledged a shutdown request.
     ShuttingDown,
-    /// The outcomes of a [`Request::Batch`], in request order.
-    Batch(Vec<Response>),
     /// The request failed server-side. The payload is the typed
     /// [`ServiceError::to_wire`] tail; [`ServiceError::from_wire`] decodes
     /// it back into the variant the server raised (free-form text decodes
@@ -716,7 +706,7 @@ pub fn write_frame<W: Write>(writer: &mut W, lines: &[String]) -> std::io::Resul
 }
 
 /// Appends one frame's wire bytes (dot-stuffed lines plus the terminator) to
-/// `out` without touching a socket — how pipelined requests and batched
+/// `out` without touching a socket — how pipelined requests and their
 /// responses coalesce many frames into a single `write`.
 pub fn encode_frame(out: &mut String, lines: &[String]) {
     for line in lines {
@@ -847,15 +837,6 @@ impl Request {
             },
             Request::Unwatch => vec!["unwatch".to_owned()],
             Request::Shutdown => vec!["shutdown".to_owned()],
-            Request::Batch(requests) => {
-                let mut lines = vec![format!("batch\t{}", requests.len())];
-                for request in requests {
-                    let sub = request.to_lines();
-                    lines.push(format!("req\t{}", sub.len()));
-                    lines.extend(sub);
-                }
-                lines
-            }
         }
     }
 
@@ -939,49 +920,6 @@ impl Request {
             }
             "unwatch" => Ok(Request::Unwatch),
             "shutdown" => Ok(Request::Shutdown),
-            "batch" => {
-                let count = parse_usize(fields.get(1).copied().unwrap_or_default(), "batch size")?;
-                let truncated =
-                    || ServiceError::Protocol("batch frame ended mid-sub-request".to_owned());
-                let mut requests = Vec::with_capacity(count.min(1024));
-                let mut at = 1usize;
-                for _ in 0..count {
-                    let marker = lines.get(at).ok_or_else(truncated)?;
-                    let len = marker
-                        .strip_prefix("req\t")
-                        .ok_or_else(|| {
-                            ServiceError::Protocol(format!(
-                                "expected a 'req' marker, got '{marker}'"
-                            ))
-                        })
-                        .and_then(|n| parse_usize(n, "sub-request length"))?;
-                    at += 1;
-                    let end = at
-                        .checked_add(len)
-                        .filter(|&end| end <= lines.len())
-                        .ok_or_else(truncated)?;
-                    let sub = Request::from_lines(&lines[at..end])?;
-                    if matches!(
-                        sub,
-                        Request::Watch { .. }
-                            | Request::Unwatch
-                            | Request::Shutdown
-                            | Request::Batch(_)
-                    ) {
-                        return Err(ServiceError::Protocol(
-                            "watch, unwatch, shutdown and batch cannot be batched".to_owned(),
-                        ));
-                    }
-                    requests.push(sub);
-                    at = end;
-                }
-                if at != lines.len() {
-                    return Err(ServiceError::Protocol(
-                        "trailing lines after the last batch sub-request".to_owned(),
-                    ));
-                }
-                Ok(Request::Batch(requests))
-            }
             other => Err(ServiceError::Protocol(format!("unknown verb '{other}'"))),
         }
     }
@@ -1036,7 +974,7 @@ impl Response {
                 still_degraded,
             } => vec![format!("ok\thealed\t{healed}\t{still_degraded}")],
             Response::Stats(stats) => {
-                let mut lines = vec![format!("ok\tstats\t{}", stats.registry_samples)];
+                let mut lines = vec!["ok\tstats".to_owned()];
                 for s in &stats.shards {
                     lines.push(format!(
                         "shard\t{STATS_SCHEMA_VERSION}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -1079,15 +1017,6 @@ impl Response {
             }
             Response::Unwatched => vec!["ok\tunwatched".to_owned()],
             Response::ShuttingDown => vec!["ok\tshutdown".to_owned()],
-            Response::Batch(responses) => {
-                let mut lines = vec![format!("ok\tbatch\t{}", responses.len())];
-                for response in responses {
-                    let sub = response.to_lines();
-                    lines.push(format!("resp\t{}", sub.len()));
-                    lines.extend(sub);
-                }
-                lines
-            }
             Response::Error(message) => {
                 // the typed wire tail is TAB-structured — only newlines
                 // (which would break the framing) are flattened
@@ -1181,10 +1110,6 @@ impl Response {
                 )?,
             }),
             ("ok", Some("stats")) => {
-                let registry_samples = parse_usize(
-                    fields.get(2).copied().unwrap_or_default(),
-                    "registry sample count",
-                )?;
                 let mut shards = Vec::new();
                 for line in &lines[1..] {
                     let f: Vec<&str> = line.split('\t').collect();
@@ -1218,10 +1143,7 @@ impl Response {
                         dropped_watchers: parse_u64(f[12], "dropped watcher count")?,
                     });
                 }
-                Ok(Response::Stats(StatsReport {
-                    shards,
-                    registry_samples,
-                }))
+                Ok(Response::Stats(StatsReport { shards }))
             }
             ("ok", Some("metrics")) => Ok(Response::Metrics(lines[1..].join("\n"))),
             ("ok", Some("watching")) => {
@@ -1243,37 +1165,6 @@ impl Response {
             }
             ("ok", Some("unwatched")) => Ok(Response::Unwatched),
             ("ok", Some("shutdown")) => Ok(Response::ShuttingDown),
-            ("ok", Some("batch")) => {
-                let count = parse_usize(fields.get(2).copied().unwrap_or_default(), "batch size")?;
-                let truncated =
-                    || ServiceError::Protocol("batch frame ended mid-sub-response".to_owned());
-                let mut responses = Vec::with_capacity(count.min(1024));
-                let mut at = 1usize;
-                for _ in 0..count {
-                    let marker = lines.get(at).ok_or_else(truncated)?;
-                    let len = marker
-                        .strip_prefix("resp\t")
-                        .ok_or_else(|| {
-                            ServiceError::Protocol(format!(
-                                "expected a 'resp' marker, got '{marker}'"
-                            ))
-                        })
-                        .and_then(|n| parse_usize(n, "sub-response length"))?;
-                    at += 1;
-                    let end = at
-                        .checked_add(len)
-                        .filter(|&end| end <= lines.len())
-                        .ok_or_else(truncated)?;
-                    responses.push(Response::from_lines(&lines[at..end])?);
-                    at = end;
-                }
-                if at != lines.len() {
-                    return Err(ServiceError::Protocol(
-                        "trailing lines after the last batch sub-response".to_owned(),
-                    ));
-                }
-                Ok(Response::Batch(responses))
-            }
             _ => Err(ServiceError::Protocol(format!(
                 "unknown response header '{header}'"
             ))),
@@ -1348,53 +1239,6 @@ mod tests {
         });
         round_trip_request(&Request::Unwatch);
         round_trip_request(&Request::Shutdown);
-    }
-
-    #[test]
-    fn batch_frames_round_trip_and_refuse_control_verbs() {
-        // sub-requests with multi-line payloads keep their boundaries
-        round_trip_request(&Request::Batch(vec![
-            Request::Register {
-                payload: "workflow\tdemo\ntask\ta".to_owned(),
-            },
-            Request::Validate {
-                workflow: WorkflowId(7),
-                version: None,
-            },
-            Request::Provenance {
-                workflow: WorkflowId(7),
-                subject: "a".to_owned(),
-            },
-        ]));
-        round_trip_request(&Request::Batch(Vec::new()));
-        round_trip_response(&Response::Batch(vec![
-            Response::Registered(WorkflowId(1)),
-            Response::Error("err\tunknown-workflow\t9".to_owned()),
-            Response::Provenance(vec!["a".to_owned(), "b".to_owned()]),
-        ]));
-        // connection-control verbs and nested batches are refused at parse
-        for nested in [
-            Request::Watch {
-                workflow: WorkflowId(1),
-                mode: WatchMode::Tail,
-            },
-            Request::Unwatch,
-            Request::Shutdown,
-            Request::Batch(vec![Request::Stats]),
-        ] {
-            let lines = Request::Batch(vec![nested]).to_lines();
-            assert!(matches!(
-                Request::from_lines(&lines).unwrap_err(),
-                ServiceError::Protocol(_)
-            ));
-        }
-        // a truncated batch tail is a protocol error, not a panic
-        let mut lines = Request::Batch(vec![Request::Stats, Request::Heal]).to_lines();
-        lines.truncate(lines.len() - 1);
-        assert!(matches!(
-            Request::from_lines(&lines).unwrap_err(),
-            ServiceError::Protocol(_)
-        ));
     }
 
     #[test]
@@ -1522,7 +1366,6 @@ mod tests {
                 active_watchers: 2,
                 dropped_watchers: 1,
             }],
-            registry_samples: 4,
         }));
         round_trip_response(&Response::Exported(
             "workflow\tdemo\ntask\ta\ntask\tb\nedge\ta\tb".to_owned(),
@@ -1586,7 +1429,6 @@ mod tests {
                 active_watchers: 10,
                 dropped_watchers: 11,
             }],
-            registry_samples: 0,
         };
         let lines = Response::Stats(report.clone()).to_lines();
         assert_eq!(lines[1], "shard\tv2\t1\t2\t3\t4\t5\t6\t7\t8\t9\t10\t11");

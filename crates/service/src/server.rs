@@ -201,11 +201,11 @@ pub fn serve_with_store(
 
 /// Answers one request against the store; the boolean asks the loop to
 /// begin server shutdown after replying. Writes — registrations, mutations
-/// and corrections, also inside a `batch` — are committed and published,
-/// but their group-commit wait is folded into `barrier`: the caller MUST
-/// [`settle`] it before a response whose request folded an obligation
-/// leaves the server, which keeps the acknowledged-after-durable contract
-/// while every write of a readiness pass shares one wait.
+/// and corrections — are committed and published, but their group-commit
+/// wait is folded into `barrier`: the caller MUST [`settle`] it before a
+/// response whose request folded an obligation leaves the server, which
+/// keeps the acknowledged-after-durable contract while every write of a
+/// readiness pass shares one wait.
 fn respond(
     store: &WorkflowStore,
     request: Request,
@@ -249,15 +249,6 @@ fn respond(
         } else {
             store.metrics_text()
         })),
-        // sub-request failures land in their slot; the batch goes on
-        // (connection-control verbs were refused at parse, so no
-        // sub-response can ask for shutdown)
-        Request::Batch(requests) => Ok(Response::Batch(
-            requests
-                .into_iter()
-                .map(|request| respond(store, request, barrier).0)
-                .collect(),
-        )),
         // subscriptions are connection-scoped and opened by the loop
         // itself; this arm is unreachable in practice
         Request::Watch { .. } => Err(ServiceError::Protocol(
@@ -298,21 +289,13 @@ fn settle<'a>(
     if let Err(e) = store.await_durability(barrier) {
         store.record_error(&e);
         let wire = e.to_wire();
-        fn degrade(response: &mut Response, wire: &str) {
-            match response {
-                Response::Registered(_) | Response::Corrected(_) | Response::Mutated(_) => {
-                    *response = Response::Error(wire.to_owned());
-                }
-                Response::Batch(subs) => {
-                    for sub in subs {
-                        degrade(sub, wire);
-                    }
-                }
-                _ => {}
-            }
-        }
         for response in responses {
-            degrade(response, &wire);
+            if matches!(
+                response,
+                Response::Registered(_) | Response::Corrected(_) | Response::Mutated(_)
+            ) {
+                *response = Response::Error(wire.clone());
+            }
         }
     }
 }
@@ -1095,6 +1078,12 @@ mod tests {
         writer.write_all(b"register\ntask\tA\xff\n.\n").unwrap();
         let frame = read_frame(&mut reader).unwrap().unwrap();
         assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
+        // there is no `batch` verb: pipelining is the one way to send many
+        // requests, so a batch frame is an unknown verb like any other
+        writer.write_all(b"batch\t1\nreq\t1\nstats\n.\n").unwrap();
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
+        assert!(frame[0].contains("unknown verb 'batch'"), "{frame:?}");
         write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
         let frame = read_frame(&mut reader).unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));

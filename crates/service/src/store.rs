@@ -67,7 +67,6 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use wolves_graph::DirtyRows;
 
 use wolves_core::correct::{correct_view, Strategy};
-use wolves_core::estimate::{CorrectionSample, EstimationRegistry, WorkloadClass};
 use wolves_core::soundness::is_sound;
 use wolves_moml::{read_text_format, write_text_format};
 use wolves_provenance::ViewProvenanceIndex;
@@ -533,7 +532,6 @@ pub struct WorkflowStore {
     shards: Vec<Shard>,
     next_id: AtomicU64,
     next_watch_token: AtomicU64,
-    registry: EstimationRegistry,
     backend: Arc<dyn StorageBackend>,
     telemetry: Telemetry,
     server_gauges: Mutex<Option<Arc<ServerGauges>>>,
@@ -562,7 +560,6 @@ impl WorkflowStore {
             shards,
             next_id: AtomicU64::new(0),
             next_watch_token: AtomicU64::new(0),
-            registry: EstimationRegistry::new(),
             backend,
             telemetry: Telemetry::new(),
             server_gauges: Mutex::new(None),
@@ -793,12 +790,6 @@ impl WorkflowStore {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The estimation registry fed by correction requests.
-    #[must_use]
-    pub fn registry(&self) -> &EstimationRegistry {
-        &self.registry
     }
 
     fn shard_index_of(&self, id: WorkflowId) -> usize {
@@ -1570,9 +1561,8 @@ impl WorkflowStore {
     }
 
     /// Corrects the current view with `strategy`. When the view was unsound,
-    /// the corrected view is appended as a new version and becomes current;
-    /// observed per-composite timings are recorded in the estimation
-    /// registry. The expensive correction runs outside the shard lock.
+    /// the corrected view is appended as a new version and becomes current.
+    /// The expensive correction runs outside the shard lock.
     ///
     /// # Errors
     /// Reports unknown workflows, corrector failures and, on durable
@@ -1594,21 +1584,6 @@ impl WorkflowStore {
         trace.enter(Stage::Compute);
         let (corrected, report) = correct_view(&spec, &stored.view, corrector.as_ref())?;
         trace.leave();
-        for correction in &report.corrections {
-            if let Ok(original) = stored.view.composite(correction.original) {
-                let class = WorkloadClass::classify(&spec, original.members());
-                self.registry.record(
-                    class,
-                    CorrectionSample {
-                        strategy,
-                        elapsed: correction.elapsed,
-                        // observed quality is unknown without running the
-                        // exact corrector; record the neutral 1.0
-                        quality: 1.0,
-                    },
-                );
-            }
-        }
         let answer = |version: usize, view: &WorkflowView, spec: &WorkflowSpec| Corrected {
             version,
             composites_before: report.composites_before,
@@ -1723,7 +1698,6 @@ impl WorkflowStore {
     pub fn stats(&self) -> StatsReport {
         StatsReport {
             shards: self.counters().map(|counters| counters.stat).collect(),
-            registry_samples: self.registry.len(),
         }
     }
 
@@ -2558,8 +2532,6 @@ mod tests {
         // ...while the original version is still queryable and unsound
         let original = store.validate(id, Some(0)).unwrap();
         assert!(!original.sound);
-        // the correction fed the estimation registry
-        assert_eq!(store.registry().len(), 1);
         // correcting a sound view is a no-op that keeps the version
         let again = store.correct(id, Strategy::Strong).unwrap();
         assert_eq!(again.version, 1);

@@ -1,5 +1,5 @@
-//! Canonical line-based (de)serialisation of specs, views, mutations and
-//! deltas — the storage format of the durable serving layer.
+//! Canonical line-based (de)serialisation of specs, views and deltas — the
+//! storage format of the durable serving layer.
 //!
 //! Unlike the human-facing text format of `wolves-moml` (which addresses
 //! tasks by name and renumbers composites on import), this format is
@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use wolves_graph::DiGraph;
 
 use crate::error::WorkflowError;
-use crate::mutation::{SpecDelta, SpecDeltaKind, SpecMutation};
+use crate::mutation::{SpecDelta, SpecDeltaKind};
 use crate::spec::WorkflowSpec;
 use crate::task::{AtomicTask, DataDependency, TaskId};
 use crate::view::{CompositeTask, WorkflowView};
@@ -357,61 +357,6 @@ pub fn view_from_lines(lines: &[String]) -> Result<WorkflowView, WorkflowError> 
     WorkflowView::from_slots(name, slots)
 }
 
-/// Serialises one [`SpecMutation`] as a single line.
-#[must_use]
-pub fn mutation_to_line(mutation: &SpecMutation) -> String {
-    match mutation {
-        SpecMutation::AddTask { name } => format!("add-task\t{name}"),
-        SpecMutation::RemoveTask { task } => format!("remove-task\t{}", task.index()),
-        SpecMutation::AddDependency { from, to } => {
-            format!("add-dep\t{}\t{}", from.index(), to.index())
-        }
-        SpecMutation::RemoveDependency { from, to } => {
-            format!("remove-dep\t{}\t{}", from.index(), to.index())
-        }
-    }
-}
-
-/// Parses one line written by [`mutation_to_line`].
-///
-/// # Errors
-/// Reports unknown kinds and malformed fields.
-pub fn mutation_from_line(line: &str) -> Result<SpecMutation, WorkflowError> {
-    let directive = line.split('\t').next().unwrap_or_default();
-    match directive {
-        "add-task" => {
-            let (_, name) = line
-                .split_once('\t')
-                .ok_or_else(|| err("add-task needs a name"))?;
-            Ok(SpecMutation::AddTask {
-                name: name.to_owned(),
-            })
-        }
-        "remove-task" => {
-            let (_, index) = line
-                .split_once('\t')
-                .ok_or_else(|| err("remove-task needs a task id"))?;
-            Ok(SpecMutation::RemoveTask {
-                task: parse_task_id(index, "task id")?,
-            })
-        }
-        "add-dep" | "remove-dep" => {
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 3 {
-                return Err(err(format!("{directive} needs two task ids")));
-            }
-            let from = parse_task_id(fields[1], "dependency source")?;
-            let to = parse_task_id(fields[2], "dependency target")?;
-            Ok(if directive == "add-dep" {
-                SpecMutation::AddDependency { from, to }
-            } else {
-                SpecMutation::RemoveDependency { from, to }
-            })
-        }
-        other => Err(err(format!("unknown mutation '{other}'"))),
-    }
-}
-
 /// Serialises one [`SpecDelta`] as a single line.
 #[must_use]
 pub fn delta_to_line(delta: &SpecDelta) -> String {
@@ -627,27 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn mutations_and_deltas_round_trip() {
-        let mutations = [
-            SpecMutation::AddTask {
-                name: "name with\ttab".to_owned(),
-            },
-            SpecMutation::RemoveTask {
-                task: TaskId::from_index(7),
-            },
-            SpecMutation::AddDependency {
-                from: TaskId::from_index(1),
-                to: TaskId::from_index(2),
-            },
-            SpecMutation::RemoveDependency {
-                from: TaskId::from_index(3),
-                to: TaskId::from_index(4),
-            },
-        ];
-        for mutation in &mutations {
-            let line = mutation_to_line(mutation);
-            assert_eq!(&mutation_from_line(&line).unwrap(), mutation);
-        }
+    fn deltas_round_trip_through_lines() {
         let deltas = [
             SpecDelta {
                 epoch: 1,
@@ -730,8 +655,6 @@ mod tests {
             let owned: Vec<String> = lines.iter().map(|s| (*s).to_string()).collect();
             assert!(view_from_lines(&owned).is_err(), "accepted {lines:?}");
         }
-        assert!(mutation_from_line("frobnicate\tx").is_err());
-        assert!(mutation_from_line("add-dep\t1").is_err());
         assert!(delta_from_line("delta\tnope\ttask-added\t0").is_err());
         assert!(delta_from_line("delta\t1\tdep-added\t0").is_err());
     }

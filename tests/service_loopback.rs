@@ -73,10 +73,10 @@ fn full_protocol_round_trip_over_loopback() {
     assert!(provenance.contains(&"Select entries from DB".to_owned()));
     assert!(!provenance.contains(&"Curate annotations".to_owned()));
 
-    // the correction fed the estimation registry (visible in stats)
+    // stats over the wire: one line per shard, one workflow in total
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.registry_samples, 1);
     assert_eq!(stats.shards.len(), 2);
+    assert_eq!(stats.workflows(), 1);
 
     // mutation epochs over the wire: an edit inside one composite keeps the
     // other cached verdicts alive (visible through `retained` and the
