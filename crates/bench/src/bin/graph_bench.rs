@@ -23,9 +23,14 @@
 //! (`ReachMatrix::insert_edge` / `ReachMatrix::remove_edge`), the
 //! `*_rebuild` rows pay a full matrix build per edit — the speedup between
 //! the two is the headline number of the mutation-epoch engine and is
-//! emitted into the mutation JSON alongside the raw rows. A `guard` object
-//! pins the removal-vs-insert latency ratio at the ~1941-task grid point for
-//! CI, and the graph JSON's `guard` pins three costs against the spec's
+//! emitted into the mutation JSON alongside the raw rows. The
+//! `mutation/edge_remove_region` row times removals on the
+//! `edit-revalidate` lattice that miss the still-reachable short-circuit,
+//! and reports the rows each one marked dirty next to the rows it really
+//! changed. A `guard` object pins the removal-vs-insert latency ratio at the
+//! ~1941-task grid point and the region removal against the matrix build
+//! at the largest grid point for CI, and the graph JSON's `guard` pins
+//! three costs against the spec's
 //! matrix build at the largest grid point: the provenance index (induced
 //! view graph plus its closure), the Definition 2.1 check, and the
 //! copy-on-write clone of the whole spec (`mutation/spec_clone`) that every
@@ -67,6 +72,16 @@ const DEFINITION_OVER_MATRIX_MAX: f64 = 4.0;
 /// copies handles and the per-component vectors; the deep copy it
 /// replaced cost more than a matrix build.
 const SPEC_CLONE_OVER_MATRIX_MAX: f64 = 0.1;
+
+/// Bound of the `mutation/edge_remove_region` over `graph/matrix_build`
+/// guard, at the largest grid point. A removal that misses the
+/// still-reachable short-circuit rewrites only the rows it changes;
+/// rederiving every row that reaches the source, as such removals did
+/// before, cost 0.1–1× a build.
+const REGION_REMOVE_OVER_MATRIX_MAX: f64 = 0.1;
+
+/// Removals the `mutation/edge_remove_region` row samples.
+const REGION_SAMPLES: usize = 24;
 
 struct Row {
     workload: &'static str,
@@ -214,8 +229,16 @@ fn main() {
     // the mutation workload pays a full matrix rebuild per edit for its
     // *_rebuild rows; only run it when its JSON is actually requested
     if let Some(path) = mutation_out_path {
-        let mutation_rows = mutation_workload(&targets, quick);
-        let mutation_json = render_mutation_json(&mutation_rows, quick);
+        let mut mutation_rows = mutation_workload(&targets, quick);
+        let (region_row, region_counts) = region_removals(quick);
+        mutation_rows.push(region_row);
+        let largest_build = rows
+            .iter()
+            .filter(|r| r.workload == "graph/matrix_build")
+            .max_by_key(|r| r.tasks)
+            .map(|r| (r.tasks, r.median_us));
+        let mutation_json =
+            render_mutation_json(&mutation_rows, &region_counts, largest_build, quick);
         if let Err(e) = std::fs::write(&path, &mutation_json) {
             eprintln!("cannot write '{path}': {e}");
             std::process::exit(1);
@@ -357,8 +380,105 @@ fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
     rows
 }
 
-/// Renders the mutation rows plus derived incremental-vs-rebuild speedups.
-fn render_mutation_json(rows: &[Row], quick: bool) -> String {
+/// The (median, max) of the rows each `mutation/edge_remove_region`
+/// removal marked dirty and of the rows it changed.
+struct RegionCounts {
+    dirtied: (usize, usize),
+    changed: (usize, usize),
+}
+
+/// Removals on the `edit-revalidate` lattice (25 tasks a layer, edge
+/// probability 0.08, skip probability 0.02; 400 layers, or 80 on the quick
+/// grid to match its largest point) whose source reaches the target through
+/// no other successor, so the still-reachable short-circuit does not apply.
+/// [`REGION_SAMPLES`] of them are spread evenly over the dependencies,
+/// which the generator emits layer by layer. Each is removed, timed, and
+/// re-inserted, so every sample starts from the same matrix.
+fn region_removals(quick: bool) -> (Row, RegionCounts) {
+    let config = LayeredConfig {
+        layers: if quick { 80 } else { 400 },
+        min_width: 25,
+        max_width: 25,
+        edge_probability: 0.08,
+        skip_probability: 0.02,
+    };
+    let spec = layered_workflow(&config, 2303);
+    let mut graph = spec.graph().clone();
+    let mut matrix = ReachMatrix::build(&graph).unwrap();
+    let misses: Vec<(TaskId, TaskId)> = spec
+        .dependencies()
+        .filter(|&(from, to)| {
+            !spec
+                .successors(from)
+                .any(|s| s != to && matrix.reachable(s, to))
+        })
+        .collect();
+    let picks: Vec<(TaskId, TaskId)> = (0..REGION_SAMPLES)
+        .map(|k| misses[k * misses.len() / REGION_SAMPLES])
+        .collect();
+    let (mut samples_us, mut dirtied, mut changed) = (Vec::new(), Vec::new(), Vec::new());
+    // two warm-ups, then every pick
+    for (k, &(from, to)) in picks[..2].iter().chain(&picks).enumerate() {
+        // the rows that can change are the ones reaching the source
+        let cf = matrix.component_of(from).expect("a live task");
+        let before: Vec<(usize, Vec<u64>)> = (0..matrix.comp_count())
+            .filter(|&c| matrix.row_words(c)[cf / 64] >> (cf % 64) & 1 == 1)
+            .map(|c| (c, matrix.row_words(c).to_vec()))
+            .collect();
+        let edge = graph.find_edge(from, to).expect("a dependency");
+        graph.remove_edge(edge).unwrap();
+        let start = Instant::now();
+        let outcome = matrix.remove_edge(&graph, from, to).unwrap();
+        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
+        if k >= 2 {
+            samples_us.push(elapsed_us);
+            dirtied.push(
+                outcome
+                    .dirty
+                    .count()
+                    .expect("a removal keeps row identities"),
+            );
+            changed.push(
+                before
+                    .iter()
+                    .filter(|(c, row)| matrix.row_words(*c) != row.as_slice())
+                    .count(),
+            );
+        }
+        graph.add_edge(from, to, DataDependency::unnamed()).unwrap();
+        matrix.insert_edge(from, to).unwrap();
+    }
+    let median_max = |mut values: Vec<usize>| {
+        values.sort_unstable();
+        (values[values.len() / 2], values[values.len() - 1])
+    };
+    samples_us.sort_by(|a, b| a.total_cmp(b));
+    let row = Row {
+        workload: "mutation/edge_remove_region",
+        tasks: spec.task_count(),
+        edges: spec.dependency_count(),
+        iterations: REGION_SAMPLES,
+        median_us: samples_us[samples_us.len() / 2],
+        min_us: samples_us[0],
+    };
+    let (dirtied, changed) = (median_max(dirtied), median_max(changed));
+    eprintln!(
+        "{:>32} @ {:>5} tasks: median {:>10.1} µs (min {:.1}); rows dirtied {dirtied:?}, \
+         changed {changed:?} (median, max)",
+        row.workload, row.tasks, row.median_us, row.min_us
+    );
+    (row, RegionCounts { dirtied, changed })
+}
+
+/// Renders the mutation rows plus derived incremental-vs-rebuild speedups,
+/// the region removals' row counts and the guard; `largest_build` is the
+/// task count and median of the largest `graph/matrix_build` point.
+fn render_mutation_json(
+    rows: &[Row],
+    region_counts: &RegionCounts,
+    largest_build: Option<(usize, f64)>,
+    quick: bool,
+) -> String {
     let median_of = |workload: &str, tasks: usize| -> Option<f64> {
         rows.iter()
             .find(|r| r.workload == workload && r.tasks == tasks)
@@ -369,7 +489,8 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     let _ = writeln!(out, "  \"benchmark\": \"wolves mutation epochs\",");
     let _ = writeln!(
         out,
-        "  \"workload\": \"single-edge inserts: incremental maintenance vs full rebuild\","
+        "  \"workload\": \"single-edge inserts and removals: incremental maintenance vs full rebuild; \
+         region removals on the edit-revalidate lattice\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
     out.push_str("  \"rows\": [\n");
@@ -384,9 +505,13 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     }
     out.push_str("  ],\n");
     out.push_str("  \"speedups\": [\n");
+    // the grid points (the region row runs on its own lattice)
     let task_counts: Vec<usize> = {
         let mut seen = Vec::new();
-        for row in rows {
+        for row in rows
+            .iter()
+            .filter(|r| r.workload != "mutation/edge_remove_region")
+        {
             if !seen.contains(&row.tasks) {
                 seen.push(row.tasks);
             }
@@ -411,24 +536,57 @@ fn render_mutation_json(rows: &[Row], quick: bool) -> String {
     out.push_str(&entries.join(",\n"));
     out.push('\n');
     out.push_str("  ],\n");
-    // CI perf guard: single-edge removal must stay within 10x of insert at
+    let RegionCounts {
+        dirtied: (dirtied_median, dirtied_max),
+        changed: (changed_median, changed_max),
+    } = region_counts;
+    let _ = writeln!(
+        out,
+        "  \"edge_remove_region\": {{\"rows_dirtied_median\": {dirtied_median}, \
+         \"rows_dirtied_max\": {dirtied_max}, \"rows_changed_median\": {changed_median}, \
+         \"rows_changed_max\": {changed_max}}},"
+    );
+    // CI perf guards: single-edge removal must stay within 10x of insert at
     // the ~1941-task point (the largest grid point at or below 2048 tasks,
-    // present in both quick and full grids)
+    // present in both quick and full grids), and a removal that misses the
+    // short-circuit must stay far below a matrix build at the largest point
     let guard_tasks = task_counts.iter().copied().filter(|&t| t <= 2048).max();
     let guard = guard_tasks.and_then(|tasks| {
         let insert = median_of("mutation/edge_insert_incremental", tasks)?;
         let remove = median_of("mutation/edge_remove_incremental", tasks)?;
-        Some((tasks, insert, remove))
+        let region = rows
+            .iter()
+            .find(|r| r.workload == "mutation/edge_remove_region")?
+            .median_us;
+        let (build_tasks, build) = largest_build?;
+        Some((tasks, insert, remove, region, build_tasks, build))
     });
     match guard {
-        Some((tasks, insert, remove)) => {
+        Some((tasks, insert, remove, region, build_tasks, build)) => {
             let ratio = remove / insert.max(f64::MIN_POSITIVE);
+            let region_ratio = region / build.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
             let _ = writeln!(out, "    \"insert_median_us\": {insert:.2},");
             let _ = writeln!(out, "    \"remove_median_us\": {remove:.2},");
             let _ = writeln!(out, "    \"remove_over_insert\": {ratio:.2},");
-            let _ = writeln!(out, "    \"within_10x\": {}", ratio <= 10.0);
+            let _ = writeln!(out, "    \"within_10x\": {},", ratio <= 10.0);
+            let _ = writeln!(out, "    \"matrix_build_tasks\": {build_tasks},");
+            let _ = writeln!(out, "    \"matrix_build_median_us\": {build:.2},");
+            let _ = writeln!(out, "    \"edge_remove_region_median_us\": {region:.2},");
+            let _ = writeln!(
+                out,
+                "    \"edge_remove_region_over_matrix\": {region_ratio:.3},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"max_edge_remove_region_over_matrix\": {REGION_REMOVE_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"edge_remove_region_within_bound\": {}",
+                region_ratio <= REGION_REMOVE_OVER_MATRIX_MAX
+            );
             let _ = writeln!(out, "  }}");
         }
         None => {

@@ -25,11 +25,14 @@ pub enum DeltaClass {
     /// re-run over the full graph. O(components × row words).
     LocalRebuild,
     /// The delta shrinks reachability (edge/node removal) but was absorbed
-    /// in place: SCC splits are detected on the deleted edge's component
-    /// only, and exactly the rows that could reach the deleted edge's source
-    /// component are re-derived in topological order. Component indices stay
-    /// stable (splits append fresh indices; emptied components become dead
-    /// slots). O(affected × (deg + row words)).
+    /// in place. An acyclic cross-component edge removal propagates the
+    /// change from the source row upwards and rewrites only the rows that
+    /// change, O(changed × (deg + row words)). Otherwise SCC splits are
+    /// detected on the deleted edge's component only, and the rows that
+    /// could reach the deleted edge's source component are re-derived in
+    /// topological order, O(affected × (deg + row words)). Component
+    /// indices stay stable (splits append fresh indices; emptied components
+    /// become dead slots).
     Decremental,
     /// The delta could not be applied in place: the matrix is discarded and
     /// rebuilt from scratch on next use. O(V + E + V·E/64).
@@ -57,6 +60,11 @@ impl std::fmt::Display for DeltaClass {
 
 /// The set of reachability-matrix rows (component indices) whose contents
 /// changed under one or more deltas.
+///
+/// Inserts and acyclic cross-component edge removals mark exactly the rows
+/// that changed. A removal that re-derives a region (a cyclic region, an
+/// intra-SCC edge, a node) marks every region row, a superset: a marked row
+/// may have kept its value, but an unmarked row never changed.
 ///
 /// Component indices are stable across [`DeltaClass::MonotoneSafe`],
 /// [`DeltaClass::LocalRebuild`] and [`DeltaClass::Decremental`] maintenance
@@ -163,7 +171,9 @@ impl DirtyRows {
 pub struct DeltaOutcome {
     /// How the delta was applied.
     pub class: DeltaClass,
-    /// The rows whose contents (or cyclicity) changed.
+    /// The rows whose contents (or cyclicity) changed: exactly those on
+    /// the insert and change-propagation paths, a superset of them when a
+    /// removal re-derived a region (see [`DirtyRows`]).
     pub dirty: DirtyRows,
 }
 

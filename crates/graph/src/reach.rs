@@ -42,15 +42,25 @@
 //!   merged components simply carry identical rows and are flagged cyclic.
 //!
 //! Removals are maintained *decrementally* ([`ReachMatrix::remove_edge`],
-//! [`ReachMatrix::remove_node`]): SCC splits are detected by re-running
-//! Tarjan on the deleted edge's component only, split parts keep the old
-//! component index for one part and append fresh indices for the rest, and
-//! exactly the rows that could reach the deleted edge's source component
-//! (found by scanning its reachability column — the transposed form of a
-//! reverse BFS) are re-derived in topological order. Cross-component
-//! removals with a surviving alternate path are recognised as closure
-//! no-ops without touching any row. Both walk the post-removal graph's
-//! adjacency, and only over the affected region.
+//! [`ReachMatrix::remove_node`]):
+//!
+//! * a cross-component edge removal with a surviving alternate path is
+//!   recognised as a closure no-op without touching any row;
+//! * any other cross-component edge removal over an acyclic region is a
+//!   change propagation: the edge lies on no cycle, so component indices
+//!   stay put, and rows are recomputed sinks-first from the source only
+//!   while they keep changing — the dirty set is exactly the changed rows;
+//! * a removal whose propagation meets a cyclic component, an intra-SCC
+//!   edge removal and a node removal re-derive the region: SCC splits are
+//!   detected by re-running Tarjan on the rows that could reach the deleted
+//!   edge's source component (found by scanning its reachability column —
+//!   the transposed form of a reverse BFS), split parts keep the old
+//!   component index for one part and append fresh indices for the rest,
+//!   and every region row is re-derived in topological order and marked
+//!   dirty, so the dirty set is a superset of the changed rows.
+//!
+//! All of them walk the post-removal graph's adjacency, and only over the
+//! affected rows.
 
 use crate::bitset::FixedBitSet;
 use crate::blockvec::BlockVec;
@@ -373,14 +383,19 @@ impl ReachMatrix {
     ///
     /// * a cross-component removal whose source still reaches the target
     ///   through another edge is a closure no-op (clean dirty set);
-    /// * otherwise only the rows that could reach the edge's source
-    ///   component — found by scanning its reachability column, which is
-    ///   exactly the reverse-reachable set over the condensation — are
-    ///   re-derived in topological order;
+    /// * any other cross-component removal propagates the change from the
+    ///   source row to the rows above it, sinks first, rewriting only rows
+    ///   whose bits change; the dirty set is exactly those rows;
+    /// * when that walk meets a cyclic component, the rows that could reach
+    ///   the edge's source component — found by scanning its reachability
+    ///   column, which is exactly the reverse-reachable set over the
+    ///   condensation — are re-derived in topological order, and all of
+    ///   them are marked dirty;
     /// * an intra-component removal re-runs Tarjan on that component's
     ///   members only; if the cycle survives nothing changes, and on a split
-    ///   one part keeps the old component index while the rest get fresh
-    ///   appended indices, so untouched rows stay valid verbatim.
+    ///   the region is re-derived: one part keeps the old component index
+    ///   while the rest get fresh appended indices, so untouched rows stay
+    ///   valid verbatim.
     ///
     /// # Errors
     /// Both endpoints must be known to the matrix.
@@ -417,6 +432,12 @@ impl ReachMatrix {
                 return Ok(DeltaOutcome {
                     class: DeltaClass::Decremental,
                     dirty: DirtyRows::clean(self.comp_count),
+                });
+            }
+            if let Some(dirty) = self.propagate_removal(graph, from, cf, ct) {
+                return Ok(DeltaOutcome {
+                    class: DeltaClass::Decremental,
+                    dirty,
                 });
             }
         } else {
@@ -473,7 +494,88 @@ impl ReachMatrix {
         })
     }
 
-    /// The removal slow path: re-derives the *region* that can reach
+    /// The cross-SCC removal of `from -> to` (components `cf` and `ct`) as a
+    /// change propagation. The edge lies on no cycle, so the SCC structure,
+    /// the component indices and `component_of` stay as they are; only row
+    /// bits change, and only bits of the target's old row can be lost.
+    ///
+    /// A worklist ordered by each row's pre-edit popcount starts at the
+    /// source. In an acyclic region a strict ancestor's closed row is
+    /// strictly larger than its descendant's, so the order is sinks-first:
+    /// every successor row is final when a row is recomputed. A row is
+    /// recomputed from its successors' rows over the nonzero words of
+    /// `row(ct)` only, written back and marked dirty only when it differs,
+    /// and then its node's predecessors are queued — a row none of whose
+    /// successors changed keeps its value, so the walk stops where the
+    /// change does. The dirty set is exactly the rows that changed.
+    ///
+    /// Returns `None` as soon as the walk meets a cyclic component (a
+    /// multi-member SCC needs its members' successors, which the walk does
+    /// not collect); the caller then runs [`ReachMatrix::rederive_region`]
+    /// on `cf`. That recomputes every row of the region, and the walk only
+    /// wrote region rows with their exact values, so the partial writes are
+    /// safe.
+    fn propagate_removal<N, E>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        from: NodeId,
+        cf: usize,
+        ct: usize,
+    ) -> Option<DirtyRows> {
+        use std::cmp::Reverse;
+        if self.cyclic.contains(cf) {
+            return None;
+        }
+        let words: Vec<usize> = (0..self.stride)
+            .filter(|&w| self.row_words(ct)[w] != 0)
+            .collect();
+        let mut scratch = vec![0u64; words.len()];
+        let mut dirty = DirtyRows::clean(self.comp_count);
+        let mut queued = FixedBitSet::with_capacity(self.comp_count);
+        queued.insert(cf);
+        let popcount = |m: &Self, c: usize| crate::kernels::popcount(m.row_words(c));
+        let mut worklist =
+            std::collections::BinaryHeap::from([Reverse((popcount(self, cf), from))]);
+        while let Some(Reverse((_, node))) = worklist.pop() {
+            let c = self.component_of[node.index()];
+            for (slot, &w) in scratch.iter_mut().zip(&words) {
+                *slot = if w == c / 64 { 1u64 << (c % 64) } else { 0 };
+            }
+            for s in graph.successors(node) {
+                let Some(cs) = self.component_index(s) else {
+                    continue;
+                };
+                let row = self.row_words(cs);
+                for (slot, &w) in scratch.iter_mut().zip(&words) {
+                    *slot |= row[w];
+                }
+            }
+            let row = self.row_words(c);
+            if words.iter().zip(&scratch).all(|(&w, &v)| row[w] == v) {
+                continue;
+            }
+            let row = self.row_mut(c);
+            for (&w, &v) in words.iter().zip(&scratch) {
+                row[w] = v;
+            }
+            dirty.mark(c);
+            for p in graph.predecessors(node) {
+                let Some(cp) = self.component_index(p) else {
+                    continue;
+                };
+                if self.cyclic.contains(cp) {
+                    return None;
+                }
+                if queued.insert(cp) {
+                    worklist.push(Reverse((popcount(self, cp), p)));
+                }
+            }
+        }
+        Some(dirty)
+    }
+
+    /// The removal slow path, for cyclic regions, intra-SCC edge removals
+    /// and node removals: re-derives the *region* that can reach
     /// component `pivot` (everything else keeps its row verbatim — a row
     /// that never reached the pivot cannot lose any path through it).
     ///
@@ -1374,6 +1476,31 @@ mod tests {
     }
 
     #[test]
+    fn remove_edge_propagation_falls_back_at_a_cyclic_ancestor() {
+        // c1 <-> c2 -> x -> {y, z}: removing x -> y changes x's row, and
+        // the walk then meets the cycle, which the region rederive takes over
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let [c1, c2, x, y, z] = [(); 5].map(|()| g.add_node(()));
+        for (from, to) in [(c1, c2), (c2, c1), (c2, x), (x, y), (x, z)] {
+            g.add_edge(from, to, ()).unwrap();
+        }
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let comp_count_before = m.comp_count();
+        let edge = g.find_edge(x, y).unwrap();
+        g.remove_edge(edge).unwrap();
+        let out = m.remove_edge(&g, x, y).unwrap();
+        assert_eq!(out.class, DeltaClass::Decremental);
+        assert_matches_fresh_build(&m, &g);
+        assert_eq!(m.comp_count(), comp_count_before);
+        for lost in [c1, c2, x] {
+            assert!(out.dirty.contains(m.component_of(lost).unwrap()));
+            assert!(!m.reachable(lost, y));
+            assert!(m.reachable(lost, z));
+        }
+        assert!(m.strictly_reachable(c1, c1));
+    }
+
+    #[test]
     fn remove_node_leaves_a_dead_slot() {
         let (mut g, n) = diamond();
         let mut m = ReachMatrix::build(&g).unwrap();
@@ -1612,6 +1739,44 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// On a DAG every edge removal is cross-SCC: the component indices
+        /// stay where they were, and the dirty set is exactly the rows
+        /// whose words changed — no row is marked that kept its value.
+        #[test]
+        fn prop_cross_scc_removal_dirties_exactly_the_changed_rows(
+            g in arbitrary_dag(24),
+            removals in proptest::collection::vec(0usize..64, 1..8)
+        ) {
+            let mut g = g;
+            let mut m = ReachMatrix::build(&g).unwrap();
+            for pick in removals {
+                let edges: Vec<_> = g.edge_ids().collect();
+                if edges.is_empty() {
+                    break;
+                }
+                let edge = edges[pick % edges.len()];
+                let (from, to) = g.edge_endpoints(edge).unwrap();
+                let before = m.clone();
+                g.remove_edge(edge).unwrap();
+                let out = m.remove_edge(&g, from, to).unwrap();
+                prop_assert_eq!(m.comp_count(), before.comp_count());
+                for n in g.node_ids() {
+                    prop_assert_eq!(m.component_of(n), before.component_of(n));
+                }
+                for c in 0..m.comp_count() {
+                    prop_assert_eq!(
+                        out.dirty.contains(c),
+                        m.row_words(c) != before.row_words(c),
+                        "row {} removing {:?} -> {:?}",
+                        c,
+                        from,
+                        to
+                    );
+                }
+                assert_matches_fresh_build(&m, &g);
             }
         }
 

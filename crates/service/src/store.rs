@@ -414,7 +414,8 @@ impl Shard {
 
 /// Which cached composite verdicts a mutation invalidates.
 enum Affected {
-    /// Every cached verdict (structural deltas, task add/remove).
+    /// Every cached verdict (an edit that rebuilt the reachability matrix
+    /// wholesale, so no dirty rows say what moved).
     All,
     /// Only the listed composites; everything else survives re-tagged.
     Composites(BTreeSet<CompositeTaskId>),
@@ -1450,15 +1451,27 @@ impl WorkflowStore {
             }
             MutateOp::RemoveTask { name } => {
                 let task = resolve_task(&entry.spec, name)?;
+                // the neighbours' composites lose a dependency, so their
+                // boundary sets can move even where no reachability row does
+                let mut touched: BTreeSet<CompositeTaskId> = {
+                    let view = &entry.views[entry.current].view;
+                    entry
+                        .spec
+                        .predecessors(task)
+                        .chain(entry.spec.successors(task))
+                        .filter_map(|t| view.composite_of(t))
+                        .collect()
+                };
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
-                view.remove_member(task).map_err(mutation)?;
+                touched.insert(view.remove_member(task).map_err(mutation)?);
                 let spec = Arc::make_mut(&mut entry.spec);
                 let report = spec
                     .apply(SpecMutation::RemoveTask { task })
                     .map_err(mutation)?;
+                let affected = dirty_composites(entry, &report.dirty, touched);
                 delta = Some(report.delta);
-                (report.class.name(), Affected::All, false, true)
+                (report.class.name(), affected, false, true)
             }
             MutateOp::AddEdge { from, to } => {
                 let from = resolve_task(&entry.spec, from)?;
@@ -2087,28 +2100,39 @@ fn edge_affected_composites(
     let to_composite = view.composite_of(to);
     let internal = from_composite.is_some() && from_composite == to_composite;
     let induced_unchanged = internal || parallel_link(entry, from, to);
+    let endpoints = from_composite.into_iter().chain(to_composite).collect();
+    (dirty_composites(entry, dirty, endpoints), induced_unchanged)
+}
+
+/// The composites a spec edit invalidates: `touched` (the ones whose
+/// members or boundary edges the edit changed) plus every composite of the
+/// current view with a member in a dirty reachability row — or all of them
+/// when the matrix was rebuilt.
+fn dirty_composites(
+    entry: &Entry,
+    dirty: &DirtyRows,
+    mut touched: BTreeSet<CompositeTaskId>,
+) -> Affected {
     if dirty.is_all() {
-        return (Affected::All, induced_unchanged);
+        return Affected::All;
     }
-    let mut affected: BTreeSet<CompositeTaskId> =
-        from_composite.into_iter().chain(to_composite).collect();
     if !dirty.is_clean() {
         let reach = entry.spec.reachability();
-        for (id, composite) in view.composites() {
-            if affected.contains(&id) {
+        for (id, composite) in entry.views[entry.current].view.composites() {
+            if touched.contains(&id) {
                 continue;
             }
-            let touched = composite.members().iter().any(|&task| {
+            let moved = composite.members().iter().any(|&task| {
                 reach
                     .component_of(task)
                     .map_or(true, |comp| dirty.contains(comp))
             });
-            if touched {
-                affected.insert(id);
+            if moved {
+                touched.insert(id);
             }
         }
     }
-    (Affected::Composites(affected), induced_unchanged)
+    Affected::Composites(touched)
 }
 
 /// Whether a dependency other than `from -> to` joins `from`'s composite to
@@ -2803,6 +2827,60 @@ mod tests {
             store.provenance(id, "Archive results"),
             Err(ServiceError::UnknownTask(_))
         ));
+    }
+
+    #[test]
+    fn removing_an_isolated_task_drops_at_most_its_own_verdict() {
+        let store = WorkflowStore::new(1);
+        let fixture = figure1();
+        let id = store.register(fixture.spec, Some(fixture.view));
+        let add = MutateOp::AddTask {
+            name: "Archive results".to_owned(),
+        };
+        store.mutate(id, add).unwrap();
+        let warm = store.validate(id, None).unwrap();
+        let outcome = store
+            .mutate(
+                id,
+                MutateOp::RemoveTask {
+                    name: "Archive results".to_owned(),
+                },
+            )
+            .unwrap();
+        assert!(outcome.invalidated <= 1, "{outcome:?}");
+        assert!(outcome.retained > 0, "{outcome:?}");
+        let after = store.validate(id, None).unwrap();
+        assert!(after.cached, "every surviving verdict was retained");
+        assert_eq!(after.unsound, warm.unsound);
+    }
+
+    #[test]
+    fn removing_a_connected_task_validates_like_a_fresh_check() {
+        let store = WorkflowStore::new(1);
+        let fixture = figure1();
+        let id = store.register(fixture.spec, Some(fixture.view));
+        store.validate(id, None).unwrap();
+        let outcome = store
+            .mutate(
+                id,
+                MutateOp::RemoveTask {
+                    name: "Split entries".to_owned(),
+                },
+            )
+            .unwrap();
+        assert!(outcome.retained > 0, "{outcome:?}");
+        let imported = read_text_format(&store.export(id).unwrap()).unwrap();
+        let view = imported.view.expect("export carries the view");
+        let expected = wolves_core::validate(&imported.spec, &view);
+        let served = store.validate(id, None).unwrap();
+        assert_eq!(served.sound, expected.is_sound());
+        let unsound: Vec<String> = expected
+            .reports()
+            .iter()
+            .filter(|report| !report.verdict.is_sound())
+            .map(|report| report.name.clone())
+            .collect();
+        assert_eq!(served.unsound, unsound);
     }
 
     #[test]
