@@ -1,7 +1,8 @@
 //! Service benchmark for `wolves-service`: requests/sec over a grid of
 //! shard counts × event-loop counts, driven by the concurrent batch client
 //! over a real loopback TCP connection — plus pipelining speedup,
-//! read-under-write, idle-connection scaling and a durability grid (a
+//! read-under-write, a ≈5k-name provenance answer over loopback against the
+//! same query in process, idle-connection scaling and a durability grid (a
 //! concurrent mutation burst under each fsync policy, then cold and
 //! compacted recovery of its data directory).
 //!
@@ -17,7 +18,7 @@
 //!
 //! The output is machine-readable JSON (handwritten — no serde in the
 //! workspace), one row per grid point, so perf trajectories can be recorded
-//! across PRs. A `guard` object holds the four ratio claims CI checks; each
+//! across PRs. A `guard` object holds the five ratio claims CI checks; each
 //! is the median of [`REPEATS`] repeats that alternate which side runs
 //! first, so neither side always pays the cold start.
 
@@ -31,8 +32,8 @@ use std::time::Instant;
 use wolves_repo::{figure1, layered_workflow, topological_block_view, LayeredConfig};
 use wolves_service::{
     serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, HistogramSnapshot,
-    MutateOp, PersistConfig, RecoveryReport, ServerConfig, Stage, Verb, WatchMode, WorkflowId,
-    WorkflowStore,
+    MutateOp, PersistConfig, RecoveryReport, ServerConfig, ServiceClient, Stage, Verb, WatchMode,
+    WorkflowId, WorkflowStore,
 };
 
 const USAGE: &str = "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
@@ -56,6 +57,24 @@ const MAX_READ_UNDER_WRITE_RATIO: f64 = 1.3;
 /// The default WAL policy (OS flush) may cost at most this factor of the
 /// in-memory store.
 const MAX_WAL_OVER_MEMORY: f64 = 2.0;
+
+/// A loopback provenance round trip may cost at most this factor of the
+/// in-process query it serves.
+const MAX_PROVENANCE_ROUND_TRIP: f64 = 3.0;
+
+/// One provenance answer of about 5k names on the `edit-revalidate`
+/// lattice, fetched over loopback and from the store in process. Both hit
+/// the cached index, so the gap is what serving costs on top of the query:
+/// codec, socket and the client's decode.
+struct ProvenanceRoundTrip {
+    tasks: usize,
+    answer_names: usize,
+    /// Median over every repeat's median call, in microseconds.
+    round_trip_us: f64,
+    in_process_us: f64,
+    /// Median of the per-repeat `round_trip_us / in_process_us`.
+    ratio: f64,
+}
 
 struct Row {
     shards: usize,
@@ -216,12 +235,14 @@ fn main() {
         write_or_exit(path, &exposition);
     }
     let pipelining = run_pipelining(quick);
+    let provenance = run_provenance_round_trip(quick);
     let scaling = run_connection_scaling(quick);
     let durability = run_durability(quick);
     let json = render_json(
         &rows,
         &read_under_write,
         &pipelining,
+        &provenance,
         &scaling,
         &durability,
         quick,
@@ -459,6 +480,72 @@ fn run_pipelining(quick: bool) -> Pipelining {
         baseline_rps: median(samples[0].clone()),
         pipelined_rps: median(samples[1].clone()),
         speedup: median_ratio(&samples[1], &samples[0]),
+    }
+}
+
+fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
+    let calls = if quick { 40 } else { 200 };
+    let lattice = LayeredConfig {
+        layers: 400,
+        min_width: 25,
+        max_width: 25,
+        edge_probability: 0.08,
+        skip_probability: 0.02,
+    };
+    let spec = layered_workflow(&lattice, 2303);
+    let view = topological_block_view(&spec, 48, "blocks").expect("a layered spec is a DAG");
+    let tasks = spec.task_count();
+    // the first task of the middle layer: about half the lattice is upstream
+    let subject = spec
+        .tasks()
+        .map(|(_, task)| task.name.clone())
+        .find(|name| name.starts_with("L200-"))
+        .expect("the lattice has 400 layers");
+    let server = serve(&ServerConfig {
+        shards: 1,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let store = server.store();
+    let id = store.register(spec, Some(view));
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    // the first query builds the view's index; every timed one hits it
+    let answer = store
+        .provenance(id, &subject)
+        .expect("a registered subject");
+    let mut call = |side: usize| {
+        let start = Instant::now();
+        let names = if side == 0 {
+            client.provenance(id, &subject).expect("round trip")
+        } else {
+            store.provenance(id, &subject).expect("in-process query")
+        };
+        let elapsed = start.elapsed().as_secs_f64() * 1e6;
+        assert_eq!(names.len(), answer.len(), "both sides serve the answer");
+        elapsed
+    };
+    // the sides take turns call by call, so a noisy stretch of the host
+    // lands on both; each repeat contributes one median per side
+    let mut samples = [Vec::with_capacity(REPEATS), Vec::with_capacity(REPEATS)];
+    for repeat in 0..REPEATS {
+        let mut times = [Vec::with_capacity(calls), Vec::with_capacity(calls)];
+        for turn in 0..2 * calls {
+            let side = (turn + repeat) % 2;
+            times[side].push(call(side));
+        }
+        for (side, times) in times.into_iter().enumerate() {
+            samples[side].push(median(times));
+        }
+    }
+    drop(client);
+    server.shutdown();
+    ProvenanceRoundTrip {
+        tasks,
+        answer_names: answer.len(),
+        round_trip_us: median(samples[0].clone()),
+        in_process_us: median(samples[1].clone()),
+        ratio: median_ratio(&samples[0], &samples[1]),
     }
 }
 
@@ -898,6 +985,7 @@ fn render_json(
     rows: &[Row],
     read_under_write: &ReadUnderWrite,
     pipelining: &Pipelining,
+    provenance: &ProvenanceRoundTrip,
     scaling: &[ScalingRow],
     durability: &Durability,
     quick: bool,
@@ -955,6 +1043,16 @@ fn render_json(
         pipelining.baseline_rps,
         pipelining.pipelined_rps,
         pipelining.speedup
+    );
+    let _ = writeln!(
+        out,
+        "  \"provenance_round_trip\": {{\"tasks\": {}, \"answer_names\": {}, \
+         \"round_trip_us\": {:.1}, \"in_process_us\": {:.1}, \"ratio\": {:.3}}},",
+        provenance.tasks,
+        provenance.answer_names,
+        provenance.round_trip_us,
+        provenance.in_process_us,
+        provenance.ratio
     );
     out.push_str("  \"connection_scaling\": [\n");
     for (index, row) in scaling.iter().enumerate() {
@@ -1038,6 +1136,12 @@ fn render_json(
             durability.rows[1].over_memory,
             "max",
             MAX_WAL_OVER_MEMORY,
+        ),
+        (
+            "provenance_round_trip",
+            provenance.ratio,
+            "max",
+            MAX_PROVENANCE_ROUND_TRIP,
         ),
     ];
     let _ = writeln!(out, "  \"guard\": {{");

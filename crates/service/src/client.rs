@@ -68,7 +68,7 @@ impl ServiceClient {
         write_frame(&mut self.writer, &request.to_lines())?;
         let frame = read_frame(&mut self.reader)?
             .ok_or_else(|| ServiceError::Protocol("server closed the connection".to_owned()))?;
-        let response = Response::from_lines(&frame)?;
+        let response = Response::from_frame(frame)?;
         if let Response::Error(message) = response {
             return Err(ServiceError::from_wire(&message));
         }
@@ -103,7 +103,7 @@ impl ServiceClient {
             let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
                 ServiceError::Protocol("server closed the connection mid-pipeline".to_owned())
             })?;
-            responses.push(match Response::from_lines(&frame)? {
+            responses.push(match Response::from_frame(frame)? {
                 Response::Error(message) => Err(ServiceError::from_wire(&message)),
                 other => Ok(other),
             });
@@ -388,7 +388,7 @@ impl WatchStream {
             {
                 continue; // in-flight event racing the unwatch
             }
-            return match Response::from_lines(&frame)? {
+            return match Response::from_frame(frame)? {
                 Response::Unwatched => Ok(ServiceClient {
                     reader: self.reader,
                     writer: self.writer,

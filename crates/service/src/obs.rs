@@ -825,6 +825,8 @@ pub const MUTATION_CLASSES: [&str; 5] = [
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardCounters {
     pub stat: ShardStat,
+    pub provenance_index_builds: u64,
+    pub provenance_index_hits: u64,
     pub watch_queue_depth: u64,
     pub mutations: [u64; MUTATION_CLASSES.len()],
     pub degraded: bool,
@@ -909,6 +911,8 @@ impl Scrape<'_> {
         }
 
         let stat = |field: fn(&ShardStat) -> u64| self.shards.iter().map(|c| field(&c.stat)).sum();
+        let index_builds = self.shards.iter().map(|c| c.provenance_index_builds).sum();
+        let index_hits = self.shards.iter().map(|c| c.provenance_index_hits).sum();
         let queued = self.shards.iter().map(|c| c.watch_queue_depth).sum();
         let degraded = self.shards.iter().filter(|c| c.degraded).count() as u64;
         let mut plain = vec![
@@ -918,6 +922,8 @@ impl Scrape<'_> {
             ("validate_cache_misses_total", stat(|s| s.validate_misses)),
             ("composite_cache_hits_total", stat(|s| s.composite_hits)),
             ("composite_cache_misses_total", stat(|s| s.composite_misses)),
+            ("provenance_index_builds_total", index_builds),
+            ("provenance_index_hits_total", index_hits),
             ("store_requests_total", stat(|s| s.requests)),
             ("snapshot_publishes_total", stat(|s| s.snapshot_publishes)),
             ("active_watchers", stat(|s| s.active_watchers)),

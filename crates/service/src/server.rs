@@ -53,7 +53,11 @@ use parking_lot::Mutex;
 use crate::error::ServiceError;
 use crate::poll::Waker;
 use crate::proto::{Request, Response};
-use crate::store::{DurabilityBarrier, WorkflowStore};
+use crate::store::{DurabilityBarrier, ProvenanceAnswer, WorkflowStore};
+
+/// A response as the server encodes it: a provenance answer keeps its task
+/// ids and spec, and [`Response::encode`] borrows each name from the spec.
+type Reply = Response<ProvenanceAnswer>;
 
 /// Configuration of a [`serve`] call.
 #[derive(Debug, Clone)]
@@ -210,7 +214,7 @@ fn respond(
     store: &WorkflowStore,
     request: Request,
     barrier: &mut DurabilityBarrier,
-) -> (Response, bool) {
+) -> (Reply, bool) {
     let response = match request {
         Request::Register { payload } => store
             .register_text_deferred(&payload)
@@ -222,7 +226,7 @@ fn respond(
             .correct_deferred(workflow, strategy)
             .map(|written| Response::Corrected(store.defer(written, barrier))),
         Request::Provenance { workflow, subject } => store
-            .provenance(workflow, &subject)
+            .provenance_answer(workflow, &subject)
             .map(Response::Provenance),
         Request::Mutate {
             workflow,
@@ -274,30 +278,19 @@ fn respond(
 }
 
 /// Settles a readiness pass's shared durability barrier. On a fsync failure
-/// every write outcome in `responses` — a registration, mutation or
-/// correction — is replaced with the error: none of those records is
-/// power-loss durable yet, so none may be acknowledged as applied (the
-/// records stay staged, so a later group commit retries them).
-fn settle<'a>(
-    store: &WorkflowStore,
-    barrier: &DurabilityBarrier,
-    responses: impl IntoIterator<Item = &'a mut Response>,
-) {
+/// it returns the error frame that replaces every write acknowledgement held
+/// for the barrier — a registration, mutation or correction: none of those
+/// records is power-loss durable yet, so none may be acknowledged as applied
+/// (the records stay staged, so a later group commit retries them).
+fn settle(store: &WorkflowStore, barrier: &DurabilityBarrier) -> Option<String> {
     if barrier.is_empty() {
-        return;
+        return None;
     }
-    if let Err(e) = store.await_durability(barrier) {
-        store.record_error(&e);
-        let wire = e.to_wire();
-        for response in responses {
-            if matches!(
-                response,
-                Response::Registered(_) | Response::Corrected(_) | Response::Mutated(_)
-            ) {
-                *response = Response::Error(wire.clone());
-            }
-        }
-    }
+    let e = store.await_durability(barrier).err()?;
+    store.record_error(&e);
+    let mut frame = String::new();
+    Reply::Error(e.to_wire()).encode(&mut frame);
+    Some(frame)
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -330,7 +323,7 @@ mod engine {
 
     use parking_lot::Mutex;
 
-    use super::{respond, settle, timeout_of, Mailbox, ServerConfig, ServerHandle, Shared};
+    use super::{respond, settle, timeout_of, Mailbox, Reply, ServerConfig, ServerHandle, Shared};
     use crate::error::ServiceError;
     use crate::obs::{duration_ns, ServerGauges, Stage};
     use crate::poll::{raw_fd_of, Interest, Poller, Waker};
@@ -355,6 +348,15 @@ mod engine {
     /// A frame decoded off a connection, or the protocol error that stands
     /// in its slot.
     type Frame = Result<Vec<String>, ServiceError>;
+
+    /// An answer held for the pass's settle, already encoded.
+    struct Held {
+        token: u64,
+        frame: String,
+        /// A write acknowledgement, which a failed settle turns into its
+        /// error.
+        write: bool,
+    }
 
     pub(super) fn spawn(
         config: &ServerConfig,
@@ -659,7 +661,7 @@ mod engine {
     impl EventLoop {
         fn run(mut self) {
             let mut events = Vec::new();
-            let mut held: Vec<(u64, Response)> = Vec::new();
+            let mut held: Vec<Held> = Vec::new();
             let mut touched: Vec<u64> = Vec::new();
             let mut settled: Vec<u64> = Vec::new();
             let mut last_sweep = Instant::now();
@@ -716,14 +718,14 @@ mod engine {
                         self.drive(token);
                     }
                 }
-                settle(
-                    &self.store,
-                    &barrier,
-                    held.iter_mut().map(|(_, response)| response),
-                );
-                for (token, response) in held.drain(..) {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        encode_frame(&mut conn.write_buf, &response.to_lines());
+                let refused = settle(&self.store, &barrier);
+                for answer in held.drain(..) {
+                    if let Some(conn) = self.conns.get_mut(&answer.token) {
+                        let frame = match &refused {
+                            Some(error) if answer.write => error,
+                            _ => &answer.frame,
+                        };
+                        conn.write_buf.push_str(frame);
                         conn.held = 0;
                     }
                 }
@@ -752,7 +754,7 @@ mod engine {
             &mut self,
             token: u64,
             barrier: &mut DurabilityBarrier,
-            held: &mut Vec<(u64, Response)>,
+            held: &mut Vec<Held>,
         ) -> bool {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return false;
@@ -788,7 +790,7 @@ mod engine {
                     self.store.unwatch(&subscription);
                 }
                 let folds = barrier.folds();
-                let (response, stop) = match parsed {
+                let (reply, stop) = match parsed {
                     Ok(Request::Watch { workflow, mode }) => {
                         let waker = &self.shared.loops[self.index].waker;
                         match self.store.watch_waking(workflow, mode, Arc::clone(waker)) {
@@ -814,14 +816,21 @@ mod engine {
                         (Response::Error(e.to_wire()), false)
                     }
                 };
-                let lines = response.to_lines();
                 if conn.held == 0 && barrier.folds() == folds {
-                    encode_frame(&mut conn.write_buf, &lines);
+                    reply.encode(&mut conn.write_buf);
                 } else {
-                    // counted for the budget; encoded again after the
-                    // settle, which may turn a write ack into an error
-                    conn.held += lines.iter().map(|line| line.len() + 2).sum::<usize>() + 2;
-                    held.push((token, response));
+                    let mut frame = String::new();
+                    reply.encode(&mut frame);
+                    conn.held += frame.len();
+                    let write = matches!(
+                        reply,
+                        Response::Registered(_) | Response::Corrected(_) | Response::Mutated(_)
+                    );
+                    held.push(Held {
+                        token,
+                        frame,
+                        write,
+                    });
                 }
                 if stop {
                     break true;
@@ -904,7 +913,7 @@ mod engine {
                 let error = ServiceError::Overloaded;
                 self.store.record_error(&error);
                 let mut frame = String::new();
-                encode_frame(&mut frame, &Response::Error(error.to_wire()).to_lines());
+                Reply::Error(error.to_wire()).encode(&mut frame);
                 let _ = (&stream).write_all(frame.as_bytes());
                 return;
             }

@@ -86,7 +86,7 @@ use crate::obs::{
 };
 use crate::poll::Waker;
 use crate::proto::{
-    Corrected, MutateOp, Mutated, ShardStat, StatsReport, Verdict, WatchEvent, WatchMode,
+    Corrected, MutateOp, Mutated, NameList, ShardStat, StatsReport, Verdict, WatchEvent, WatchMode,
 };
 use crate::storage::{
     MemoryBackend, RecoveryReport, ShardJournal, SnapshotEntry, StorageBackend, WalRecord,
@@ -160,6 +160,24 @@ impl DurabilityBarrier {
 /// wrote. The trace stays open so a synchronous writer's durability wait
 /// counts towards its request time.
 pub(crate) type Written<T> = (T, DurabilityTicket, Trace, WorkflowId);
+
+/// A provenance answer as the server encodes it: the query's task ids and
+/// the snapshot spec they index. [`NameList::names`] borrows each name from
+/// the spec, so the response frame is the first place a name is copied to.
+#[derive(Debug)]
+pub(crate) struct ProvenanceAnswer {
+    spec: Arc<WorkflowSpec>,
+    /// Live tasks of `spec`, ascending.
+    tasks: Vec<TaskId>,
+}
+
+impl NameList for ProvenanceAnswer {
+    fn names(&self) -> impl ExactSizeIterator<Item = &str> {
+        // every id was checked live when the answer was built
+        let name = |&task| self.spec.task(task).map_or("", |task| task.name.as_str());
+        self.tasks.iter().map(name)
+    }
+}
 
 /// The cached soundness verdict of one composite task.
 #[derive(Debug, Clone)]
@@ -252,6 +270,10 @@ struct ShardMetrics {
     validate_misses: AtomicU64,
     composite_hits: AtomicU64,
     composite_misses: AtomicU64,
+    /// Provenance queries that built the view's index, and those that
+    /// found it cached for the current epoch.
+    provenance_index_builds: AtomicU64,
+    provenance_index_hits: AtomicU64,
     requests: AtomicU64,
     dropped_watchers: AtomicU64,
     /// Applied mutations per delta class, in [`MUTATION_CLASSES`] order —
@@ -357,6 +379,8 @@ impl Shard {
                 active_watchers: watchers.len() as u64,
                 dropped_watchers: load(&metrics.dropped_watchers),
             },
+            provenance_index_builds: load(&metrics.provenance_index_builds),
+            provenance_index_hits: load(&metrics.provenance_index_hits),
             watch_queue_depth: watchers.iter().map(|watcher| load(&watcher.depth)).sum(),
             mutations: std::array::from_fn(|index| load(&metrics.mutations[index])),
             degraded: self.degraded.lock().is_some(),
@@ -1664,17 +1688,30 @@ impl WorkflowStore {
     /// induced view graph's reachability matrix is built once and survives
     /// both repeated queries and mutations that cannot change the induced
     /// graph; every query is row lookups plus a task bitset read back in id
-    /// order, no per-request graph construction.
+    /// order, no per-request graph construction. The server encodes the
+    /// same answer with each name borrowed from the spec, not copied.
     ///
     /// # Errors
     /// Reports unknown workflows and task names.
     pub fn provenance(&self, id: WorkflowId, subject: &str) -> Result<Vec<String>, ServiceError> {
+        let answer = self.provenance_answer(id, subject)?;
+        Ok(answer.names().map(str::to_owned).collect())
+    }
+
+    /// The provenance query behind [`WorkflowStore::provenance`], answered
+    /// as task ids over the snapshot's spec.
+    pub(crate) fn provenance_answer(
+        &self,
+        id: WorkflowId,
+        subject: &str,
+    ) -> Result<ProvenanceAnswer, ServiceError> {
         let mut trace = Trace::start(Verb::Provenance);
         trace.enter(Stage::CacheLookup);
         let (spec, stored, _, epoch) = self.snapshot(id, None)?;
         let task = spec
             .task_by_name(subject)
             .ok_or_else(|| ServiceError::UnknownTask(subject.to_owned()))?;
+        let metrics = &self.shard_of(id).metrics;
         let cached = stored
             .provenance
             .read()
@@ -1682,8 +1719,16 @@ impl WorkflowStore {
             .filter(|(cached_epoch, _)| *cached_epoch == epoch)
             .map(|(_, index)| Arc::clone(index));
         let index = match cached {
-            Some(index) => index,
+            Some(index) => {
+                metrics
+                    .provenance_index_hits
+                    .fetch_add(1, Ordering::Relaxed);
+                index
+            }
             None => {
+                metrics
+                    .provenance_index_builds
+                    .fetch_add(1, Ordering::Relaxed);
                 trace.enter(Stage::Compute);
                 let built = Arc::new(ViewProvenanceIndex::new(&spec, &stored.view));
                 trace.enter(Stage::CacheLookup);
@@ -1697,13 +1742,10 @@ impl WorkflowStore {
             }
         };
         trace.enter(Stage::Compute);
-        let names = index
-            .provenance_tasks(&stored.view, task)
-            .into_iter()
-            .filter_map(|t| spec.task(t).ok().map(|task| task.name.clone()))
-            .collect();
+        let mut tasks = index.provenance_tasks(&stored.view, task);
+        tasks.retain(|&task| spec.contains_task(task));
         self.finish(trace, id);
-        Ok(names)
+        Ok(ProvenanceAnswer { spec, tasks })
     }
 
     /// Snapshot of the per-shard serving counters.
@@ -3069,6 +3111,58 @@ mod tests {
             .unwrap();
         let after = store.provenance(id, "Create alignment").unwrap();
         assert!(after.contains(&"Check additional annotations".to_owned()));
+    }
+
+    #[test]
+    fn provenance_index_builds_only_when_the_induced_graph_can_change() {
+        let store = WorkflowStore::new(2);
+        // a1 -> b and a2 -> b both link composite A to B
+        let id = store
+            .register_text(
+                "workflow\tw\ntask\ta1\ntask\ta2\ntask\tb\n\
+                 edge\ta1\tb\nedge\ta2\tb\n\
+                 view\tv\ncomposite\tA\ta1|a2\ncomposite\tB\tb\n",
+            )
+            .unwrap();
+        let index_counts = || {
+            store.counters().fold((0, 0), |(builds, hits), c| {
+                (
+                    builds + c.provenance_index_builds,
+                    hits + c.provenance_index_hits,
+                )
+            })
+        };
+        let names = |v: &[&str]| v.iter().map(|&n| n.to_owned()).collect::<Vec<_>>();
+        assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
+        assert_eq!(index_counts(), (1, 0));
+
+        // the parallel link keeps A -> B in the induced graph either way
+        let remove = MutateOp::RemoveEdge {
+            from: "a1".to_owned(),
+            to: "b".to_owned(),
+        };
+        store.mutate(id, remove).unwrap();
+        assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
+        store.mutate(id, add_edge("a1", "b")).unwrap();
+        assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
+        assert_eq!(index_counts(), (1, 2), "edge edits kept the index");
+
+        // a new task is a new composite: exactly one rebuild, then hits
+        store
+            .mutate(
+                id,
+                MutateOp::AddTask {
+                    name: "c".to_owned(),
+                },
+            )
+            .unwrap();
+        assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
+        assert_eq!(store.provenance(id, "c").unwrap(), Vec::<String>::new());
+        assert_eq!(index_counts(), (2, 3));
+
+        let exposition = store.metrics_text();
+        assert!(exposition.contains("wolves_provenance_index_builds_total 2\n"));
+        assert!(exposition.contains("wolves_provenance_index_hits_total 3\n"));
     }
 
     /// The provenance index cached for the workflow's current epoch, if any.

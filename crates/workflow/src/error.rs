@@ -35,6 +35,16 @@ pub enum WorkflowError {
     /// A persisted spec/view/mutation line could not be parsed (see
     /// [`crate::persist`]).
     Persist(String),
+    /// A slot bound would exceed [`crate::persist::MAX_SLOT_BOUND`]: a
+    /// persisted slot-count header (`tasks`, `edges` or `slots`), refused
+    /// before any slot is allocated, or an edit that would create a slot
+    /// past the limit, refused before it changes anything.
+    SlotBoundTooLarge {
+        /// Which bound: `task`, `edge` or `slot` (composite slots).
+        what: &'static str,
+        /// The bound the header asked for, or the edit would have left.
+        bound: usize,
+    },
     /// Error bubbled up from the graph substrate.
     Graph(wolves_graph::GraphError),
 }
@@ -67,6 +77,11 @@ impl fmt::Display for WorkflowError {
                 write!(f, "workflow specification has a cycle through {t}")
             }
             WorkflowError::Persist(message) => write!(f, "persist error: {message}"),
+            WorkflowError::SlotBoundTooLarge { what, bound } => write!(
+                f,
+                "{what} slot bound {bound} exceeds the limit of {} slots",
+                crate::persist::MAX_SLOT_BOUND
+            ),
             WorkflowError::Graph(e) => write!(f, "graph error: {e}"),
         }
     }

@@ -48,6 +48,40 @@ fn parse_index(field: &str, what: &str) -> Result<usize, WorkflowError> {
         .map_err(|_| err(format!("invalid {what} '{field}'")))
 }
 
+/// Upper bound on the task slots and dependency slots of a spec and the
+/// composite slots of a view, tombstones included. A reader allocates every
+/// slot of a `tasks` / `edges` / `slots` header before it reads a record,
+/// so it refuses a larger header first; tombstones let slots outnumber
+/// records, so the limit is a constant rather than the line count.
+///
+/// The edits that create slots ([`WorkflowSpec::add_task`],
+/// [`WorkflowSpec::add_dependency`], [`WorkflowSpec::apply`] and the view's
+/// split, merge and add-composite) refuse to go past the same limit, so
+/// every spec and view that exists in memory can be written and read back.
+/// Slots are never reused: a workflow whose edits have used up a limit
+/// refuses further slot-creating edits of that kind, and registering its
+/// export starts again from dense slots.
+///
+/// Unit tests of this crate run with a small limit, so that a spec at the
+/// limit is cheap to build; the checks are the same code.
+pub const MAX_SLOT_BOUND: usize = if cfg!(test) { 1 << 12 } else { 1 << 24 };
+
+/// Refuses a slot bound past [`MAX_SLOT_BOUND`]: a header being read, or
+/// the bound an edit would leave behind.
+pub(crate) fn check_slot_bound(what: &'static str, bound: usize) -> Result<(), WorkflowError> {
+    if bound > MAX_SLOT_BOUND {
+        return Err(WorkflowError::SlotBoundTooLarge { what, bound });
+    }
+    Ok(())
+}
+
+/// Parses a slot-count header, refusing one past [`MAX_SLOT_BOUND`].
+fn parse_slot_bound(field: &str, what: &'static str) -> Result<usize, WorkflowError> {
+    let bound = parse_index(field, &format!("{what} bound"))?;
+    check_slot_bound(what, bound)?;
+    Ok(bound)
+}
+
 fn parse_task_id(field: &str, what: &str) -> Result<TaskId, WorkflowError> {
     parse_index(field, what).map(TaskId::from_index)
 }
@@ -150,7 +184,7 @@ pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> 
                 let (_, rest) = line
                     .split_once('\t')
                     .ok_or_else(|| err("tasks needs a bound"))?;
-                nodes = Some(vec![None; parse_index(rest, "task bound")?]);
+                nodes = Some(vec![None; parse_slot_bound(rest, "task")?]);
             }
             "task" => {
                 let mut fields = line.splitn(3, '\t');
@@ -212,7 +246,7 @@ pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> 
                 let (_, rest) = line
                     .split_once('\t')
                     .ok_or_else(|| err("edges needs a bound"))?;
-                edges = Some(vec![None; parse_index(rest, "edge bound")?]);
+                edges = Some(vec![None; parse_slot_bound(rest, "edge")?]);
             }
             "edge" | "edge-labelled" => {
                 let labelled = directive == "edge-labelled";
@@ -322,7 +356,7 @@ pub fn view_from_lines(lines: &[String]) -> Result<WorkflowView, WorkflowError> 
                 let (_, rest) = line
                     .split_once('\t')
                     .ok_or_else(|| err("slots needs a bound"))?;
-                slots = Some(vec![None; parse_index(rest, "slot bound")?]);
+                slots = Some(vec![None; parse_slot_bound(rest, "slot")?]);
             }
             "composite" => {
                 let mut fields = line.splitn(4, '\t');
@@ -424,6 +458,7 @@ pub fn delta_from_line(line: &str) -> Result<SpecDelta, WorkflowError> {
 mod tests {
     use super::*;
     use crate::builder::WorkflowBuilder;
+    use crate::mutation::SpecMutation;
 
     fn sample_spec() -> WorkflowSpec {
         let mut builder = WorkflowBuilder::new("sample");
@@ -510,6 +545,156 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(spec_to_lines(&spec), current);
+    }
+
+    fn lines(lines: &[&str]) -> Vec<String> {
+        lines.iter().map(|&line| line.to_owned()).collect()
+    }
+
+    #[test]
+    fn a_task_bound_past_the_limit_is_refused_before_allocating() {
+        let refused = spec_from_lines(&lines(&["spec\tx", "tasks\t1000000000000", "edges\t0"]));
+        assert_eq!(
+            refused.unwrap_err(),
+            WorkflowError::SlotBoundTooLarge {
+                what: "task",
+                bound: 1_000_000_000_000
+            }
+        );
+    }
+
+    #[test]
+    fn an_edge_bound_past_the_limit_is_refused_before_allocating() {
+        let refused = spec_from_lines(&lines(&["spec\tx", "tasks\t0", "edges\t1000000000000"]));
+        assert_eq!(
+            refused.unwrap_err(),
+            WorkflowError::SlotBoundTooLarge {
+                what: "edge",
+                bound: 1_000_000_000_000
+            }
+        );
+    }
+
+    #[test]
+    fn a_view_slot_bound_past_the_limit_is_refused_before_allocating() {
+        let refused = view_from_lines(&lines(&["view\tv", "slots\t1000000000000"]));
+        assert_eq!(
+            refused.unwrap_err(),
+            WorkflowError::SlotBoundTooLarge {
+                what: "slot",
+                bound: 1_000_000_000_000
+            }
+        );
+        // bounds over the record count stay legal: tombstones
+        let view = view_from_lines(&lines(&["view\tv", "slots\t64"])).unwrap();
+        assert_eq!(view.composite_slot_count(), 64);
+    }
+
+    #[test]
+    fn a_spec_at_the_slot_limit_round_trips_and_refuses_one_more_slot() {
+        let mut spec = WorkflowSpec::new("full");
+        let a = spec.add_task(AtomicTask::new("a")).unwrap();
+        let b = spec.add_task(AtomicTask::new("b")).unwrap();
+        // every re-add of a removed dependency takes a fresh slot
+        spec.add_dependency(a, b, DataDependency::unnamed())
+            .unwrap();
+        while spec.graph().edge_bound() < MAX_SLOT_BOUND {
+            spec.remove_dependency(a, b).unwrap();
+            spec.add_dependency(a, b, DataDependency::unnamed())
+                .unwrap();
+        }
+        for i in spec.graph().node_bound()..MAX_SLOT_BOUND {
+            spec.add_task(AtomicTask::new(format!("t{i}"))).unwrap();
+        }
+        let restored = spec_from_lines(&spec_to_lines(&spec)).unwrap();
+        assert_specs_equivalent(&spec, &restored);
+        assert_eq!(restored.graph().node_bound(), MAX_SLOT_BOUND);
+        assert_eq!(restored.graph().edge_bound(), MAX_SLOT_BOUND);
+
+        // one slot more of either kind is refused and changes nothing
+        spec.remove_dependency(a, b).unwrap();
+        let before = spec.clone();
+        assert_eq!(
+            spec.add_task(AtomicTask::new("one more")).unwrap_err(),
+            WorkflowError::SlotBoundTooLarge {
+                what: "task",
+                bound: MAX_SLOT_BOUND + 1
+            }
+        );
+        assert_eq!(
+            spec.apply(SpecMutation::AddDependency { from: a, to: b })
+                .unwrap_err(),
+            WorkflowError::SlotBoundTooLarge {
+                what: "edge",
+                bound: MAX_SLOT_BOUND + 1
+            }
+        );
+        assert_specs_equivalent(&before, &spec);
+        assert_eq!(spec.task_by_name("one more"), None);
+        // what is still stored keeps round-tripping
+        assert_specs_equivalent(&spec, &spec_from_lines(&spec_to_lines(&spec)).unwrap());
+    }
+
+    #[test]
+    fn a_view_at_the_slot_limit_round_trips_and_refuses_one_more_composite() {
+        let mut spec = WorkflowSpec::new("s");
+        let tasks: Vec<TaskId> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| spec.add_task(AtomicTask::new(name)).unwrap())
+            .collect();
+        let mut view = WorkflowView::from_groups(
+            &spec,
+            "v",
+            vec![
+                ("pair".into(), vec![tasks[0], tasks[1]]),
+                ("single".into(), vec![tasks[2]]),
+            ],
+        )
+        .unwrap();
+        let composite = |view: &WorkflowView, name: &str| {
+            view.composites()
+                .find(|(_, c)| c.name == name)
+                .map(|(id, _)| id)
+                .unwrap()
+        };
+        // a one-part split moves the composite to a fresh slot
+        while view.composite_slot_count() < MAX_SLOT_BOUND {
+            let pair = composite(&view, "pair");
+            view.split_composite(pair, vec![vec![tasks[0], tasks[1]]])
+                .unwrap();
+        }
+        let restored = view_from_lines(&view_to_lines(&view)).unwrap();
+        assert_eq!(restored.composite_slot_count(), MAX_SLOT_BOUND);
+        assert_eq!(view_to_lines(&restored), view_to_lines(&view));
+
+        let refused = |bound| WorkflowError::SlotBoundTooLarge {
+            what: "slot",
+            bound,
+        };
+        let pair = composite(&view, "pair");
+        let single = composite(&view, "single");
+        let before = view_to_lines(&view);
+        assert_eq!(
+            view.split_composite(pair, vec![vec![tasks[0]], vec![tasks[1]]])
+                .unwrap_err(),
+            refused(MAX_SLOT_BOUND + 2)
+        );
+        assert_eq!(
+            view.merge_composites(&[pair, single], "all").unwrap_err(),
+            refused(MAX_SLOT_BOUND + 1)
+        );
+        let d = spec.add_task(AtomicTask::new("d")).unwrap();
+        assert_eq!(
+            view.add_composite("d", vec![d]).unwrap_err(),
+            refused(MAX_SLOT_BOUND + 1)
+        );
+        assert_eq!(view_to_lines(&view), before);
+        assert_eq!(view.composite_of(tasks[0]), Some(pair));
+        assert_eq!(view.composite_of(d), None);
+        assert_eq!(
+            WorkflowView::from_slots("v", vec![None; MAX_SLOT_BOUND + 1]).unwrap_err(),
+            refused(MAX_SLOT_BOUND + 1)
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use wolves_graph::{Csr, DeltaClass, DeltaOutcome, DiGraph, DirtyRows, GraphError
 
 use crate::error::WorkflowError;
 use crate::mutation::{MutationReport, SpecDelta, SpecDeltaKind, SpecMutation};
+use crate::persist::check_slot_bound;
 use crate::task::{AtomicTask, DataDependency, TaskId};
 
 /// A workflow specification: a DAG of atomic tasks connected by data
@@ -99,7 +100,8 @@ impl WorkflowSpec {
     /// Adds an atomic task.
     ///
     /// # Errors
-    /// Fails if a task with the same name already exists.
+    /// Fails if a task with the same name already exists, or if the task
+    /// slots would pass [`crate::persist::MAX_SLOT_BOUND`].
     pub fn add_task(&mut self, task: AtomicTask) -> Result<TaskId, WorkflowError> {
         self.add_task_mutation(task)
             .map(|report| report.task.expect("AddTask reports the created task"))
@@ -111,7 +113,8 @@ impl WorkflowSpec {
     /// dependency either exists or it does not.
     ///
     /// # Errors
-    /// Fails on unknown endpoints, self-loops and duplicates.
+    /// Fails on unknown endpoints, self-loops and duplicates, and if the
+    /// dependency slots would pass [`crate::persist::MAX_SLOT_BOUND`].
     pub fn add_dependency(
         &mut self,
         from: TaskId,
@@ -162,7 +165,7 @@ impl WorkflowSpec {
     ///
     /// # Errors
     /// Propagates the underlying edit's failure (duplicate names, unknown
-    /// endpoints, missing dependencies).
+    /// endpoints, missing dependencies, a slot limit reached).
     pub fn apply(&mut self, mutation: SpecMutation) -> Result<MutationReport, WorkflowError> {
         match mutation {
             SpecMutation::AddTask { name } => self.add_task_mutation(AtomicTask::new(name)),
@@ -190,6 +193,7 @@ impl WorkflowSpec {
         if self.by_name.contains_key(&task.name) {
             return Err(WorkflowError::DuplicateTaskName(task.name));
         }
+        check_slot_bound("task", self.graph.node_bound() + 1)?;
         let name = task.name.clone();
         let id = self.graph.add_node(task);
         Arc::make_mut(&mut self.by_name).insert(name, id);
@@ -203,6 +207,7 @@ impl WorkflowSpec {
         to: TaskId,
         dependency: DataDependency,
     ) -> Result<MutationReport, WorkflowError> {
+        check_slot_bound("edge", self.graph.edge_bound() + 1)?;
         self.graph.add_edge_unique(from, to, dependency)?;
         let (class, dirty) = maintain(&mut self.reach, |matrix| matrix.insert_edge(from, to));
         Ok(self.record(SpecDeltaKind::DependencyAdded(from, to), class, dirty, None))

@@ -7,6 +7,7 @@ use std::fmt;
 use wolves_graph::{DiGraph, FixedBitSet, NodeId};
 
 use crate::error::WorkflowError;
+use crate::persist::check_slot_bound;
 use crate::spec::WorkflowSpec;
 use crate::task::TaskId;
 
@@ -207,11 +208,13 @@ impl WorkflowView {
     /// [`WorkflowView::validate_against`].
     ///
     /// # Errors
-    /// Fails if a task belongs to more than one slot.
+    /// Fails if a task belongs to more than one slot, or if there are more
+    /// slots than [`crate::persist::MAX_SLOT_BOUND`].
     pub fn from_slots(
         name: impl Into<String>,
         slots: Vec<Option<CompositeTask>>,
     ) -> Result<Self, WorkflowError> {
+        check_slot_bound("slot", slots.len())?;
         let mut view = WorkflowView {
             name: name.into(),
             composites: Vec::new(),
@@ -328,8 +331,9 @@ impl WorkflowView {
     /// …) unless only one part is supplied, which keeps the original name.
     ///
     /// # Errors
-    /// Fails if the id is unknown, any part is empty, or the parts do not
-    /// partition the original member set.
+    /// Fails if the id is unknown, any part is empty, the parts do not
+    /// partition the original member set, or the new composites would take
+    /// the slots past [`crate::persist::MAX_SLOT_BOUND`].
     pub fn split_composite(
         &mut self,
         id: CompositeTaskId,
@@ -364,6 +368,7 @@ impl WorkflowView {
                 duplicated,
             });
         }
+        check_slot_bound("slot", self.composites.len() + parts.len())?;
         // perform the replacement
         self.composites[id.index()] = None;
         let single = parts.len() == 1;
@@ -389,7 +394,9 @@ impl WorkflowView {
     /// feedback operation of the demo (paper §3.2).
     ///
     /// # Errors
-    /// Fails if fewer than one id is given or any id is unknown.
+    /// Fails if fewer than one id is given, any id is unknown, or the new
+    /// composite would take the slots past
+    /// [`crate::persist::MAX_SLOT_BOUND`].
     pub fn merge_composites(
         &mut self,
         ids: &[CompositeTaskId],
@@ -404,6 +411,7 @@ impl WorkflowView {
             let composite = self.composite(id)?;
             members.extend(composite.members().iter().copied());
         }
+        check_slot_bound("slot", self.composites.len() + 1)?;
         for &id in ids {
             self.composites[id.index()] = None;
         }
@@ -422,7 +430,9 @@ impl WorkflowView {
     /// singleton composite so the view stays a partition.
     ///
     /// # Errors
-    /// Fails on empty member sets and on members already assigned.
+    /// Fails on empty member sets, on members already assigned, and if the
+    /// new composite would take the slots past
+    /// [`crate::persist::MAX_SLOT_BOUND`].
     pub fn add_composite(
         &mut self,
         name: impl Into<String>,
@@ -441,6 +451,7 @@ impl WorkflowView {
                 duplicated,
             });
         }
+        check_slot_bound("slot", self.composites.len() + 1)?;
         let id = CompositeTaskId::from_index(self.composites.len());
         for &m in composite.members() {
             self.assign(m, id);

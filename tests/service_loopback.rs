@@ -125,6 +125,40 @@ fn full_protocol_round_trip_over_loopback() {
 }
 
 #[test]
+fn served_provenance_names_that_start_with_a_dot_are_stuffed() {
+    let server = serve(&ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        shards: 2,
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind a loopback server");
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect to the server");
+    // `.` would end the frame unstuffed, and `.x` would arrive as `x`
+    let payload = "workflow\tdots\n\
+                   task\t.\ntask\t.x\ntask\t..\ntask\tmid\ntask\tsubject\n\
+                   edge\t.\tmid\nedge\t.x\tmid\nedge\t..\tmid\nedge\tmid\tsubject\n\
+                   view\tv\n\
+                   composite\tdot\t.\ncomposite\tdots\t.x|..\n\
+                   composite\tmiddle\tmid\ncomposite\tend\tsubject\n";
+    let id = client.register_text(payload).expect("register");
+
+    let in_process = server.store().provenance(id, "subject").expect("query");
+    for name in [".", ".x", "..", "mid"] {
+        assert!(in_process.contains(&name.to_owned()), "{name} upstream");
+    }
+    let served = client.provenance(id, "subject").expect("provenance");
+    assert_eq!(served, in_process);
+    // the frame ended where it should: the next answer on the connection
+    // is its own
+    let verdict = client.validate(id, None).expect("validate after");
+    assert_eq!(verdict.version, 0);
+
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+#[test]
 fn watch_streams_cdc_events_over_the_wire() {
     let server = serve(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
