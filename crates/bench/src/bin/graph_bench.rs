@@ -1,7 +1,8 @@
 //! Micro-benchmark for the reachability engine: matrix build, all-pairs
 //! row queries, the two validator checks, the provenance index build, the
-//! correctors (weak and strong on random partitions up to ~500 tasks, the
-//! exact corrector on Figure 3) and the **mutation workload**
+//! correctors (weak and strong on random partitions up to ~500 tasks, weak
+//! on the `edit-revalidate` lattice's 48-task blocks, the exact corrector on
+//! Figure 3) and the **mutation workload**
 //! (incremental single-edge edits vs from-scratch rebuilds) over a grid of
 //! task counts.
 //!
@@ -30,11 +31,12 @@
 //! changed. A `guard` object pins the removal-vs-insert latency ratio at the
 //! ~1941-task grid point and the region removal against the matrix build
 //! at the largest grid point for CI, and the graph JSON's `guard` pins
-//! three costs against the spec's
+//! four costs against the spec's
 //! matrix build at the largest grid point: the provenance index (induced
-//! view graph plus its closure), the Definition 2.1 check, and the
+//! view graph plus its closure), the Definition 2.1 check, the
 //! copy-on-write clone of the whole spec (`mutation/spec_clone`) that every
-//! served edit pays.
+//! served edit pays, and weak correction of the lattice
+//! (`correct/weak_lattice`).
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -79,6 +81,13 @@ const SPEC_CLONE_OVER_MATRIX_MAX: f64 = 0.1;
 /// rederiving every row that reaches the source, as such removals did
 /// before, cost 0.1–1× a build.
 const REGION_REMOVE_OVER_MATRIX_MAX: f64 = 0.1;
+
+/// Bound of the `correct/weak_lattice` over `graph/matrix_build` guard, at
+/// the largest grid point. On the quick grid (2,000-task lattice against
+/// the 1,941-task build) weak correction over the shared member-mask
+/// oracle measures 8–20 and the set-based correctors it replaced 27–50;
+/// on the full grid the two measure about 3 and 10, both under the bound.
+const WEAK_LATTICE_OVER_MATRIX_MAX: f64 = 24.0;
 
 /// Removals the `mutation/edge_remove_region` row samples.
 const REGION_SAMPLES: usize = 24;
@@ -216,6 +225,18 @@ fn main() {
             }
         }
     }
+    // the weak corrector on the lattice's 48-task blocks (207 of them
+    // unsound on the full lattice); 15 runs on either grid, as the row is
+    // a guard's numerator
+    let spec = lattice(quick);
+    let blocks = topological_block_view(&spec, 48, "lattice-blocks").expect("a DAG");
+    rows.push(measure_correction(
+        "correct/weak_lattice",
+        &spec,
+        &blocks,
+        Strategy::Weak,
+        15,
+    ));
     // the exact corrector is exponential; Figure 3 is the paper's instance
     let fixture = figure3();
     rows.push(measure_correction(
@@ -387,14 +408,10 @@ struct RegionCounts {
     changed: (usize, usize),
 }
 
-/// Removals on the `edit-revalidate` lattice (25 tasks a layer, edge
-/// probability 0.08, skip probability 0.02; 400 layers, or 80 on the quick
-/// grid to match its largest point) whose source reaches the target through
-/// no other successor, so the still-reachable short-circuit does not apply.
-/// [`REGION_SAMPLES`] of them are spread evenly over the dependencies,
-/// which the generator emits layer by layer. Each is removed, timed, and
-/// re-inserted, so every sample starts from the same matrix.
-fn region_removals(quick: bool) -> (Row, RegionCounts) {
+/// The `edit-revalidate` lattice: 25 tasks a layer, edge probability 0.08,
+/// skip probability 0.02, seed 2303; 400 layers, or 80 on the quick grid to
+/// match its largest point.
+fn lattice(quick: bool) -> WorkflowSpec {
     let config = LayeredConfig {
         layers: if quick { 80 } else { 400 },
         min_width: 25,
@@ -402,7 +419,16 @@ fn region_removals(quick: bool) -> (Row, RegionCounts) {
         edge_probability: 0.08,
         skip_probability: 0.02,
     };
-    let spec = layered_workflow(&config, 2303);
+    layered_workflow(&config, 2303)
+}
+
+/// Removals on the [`lattice`] whose source reaches the target through
+/// no other successor, so the still-reachable short-circuit does not apply.
+/// [`REGION_SAMPLES`] of them are spread evenly over the dependencies,
+/// which the generator emits layer by layer. Each is removed, timed, and
+/// re-inserted, so every sample starts from the same matrix.
+fn region_removals(quick: bool) -> (Row, RegionCounts) {
+    let spec = lattice(quick);
     let mut graph = spec.graph().clone();
     let mut matrix = ReachMatrix::build(&graph).unwrap();
     let misses: Vec<(TaskId, TaskId)> = spec
@@ -689,30 +715,42 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         out.push_str(if index + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    // CI perf guards at the largest grid point, both against the spec's own
+    // CI perf guards at the largest grid point, all against the spec's own
     // reachability matrix build: the provenance index (induced view graph
     // plus its closure) works on the smaller view graph, so a build that
     // costs more is paying per-edge lookups; the Definition 2.1 check is
     // two composite-labelled closures, so a check far above one matrix
     // build has fallen back to scanning composite pairs; the spec clone is
-    // bounded far below one build, or the commit path is deep-copying again
+    // bounded far below one build, or the commit path is deep-copying
+    // again; weak correction of the similar-sized lattice far above the
+    // bound is testing subsets as sets again
     let median_of = |workload: &str, tasks: usize| {
         rows.iter()
             .find(|r| r.workload == workload && r.tasks == tasks)
             .map(|r| r.median_us)
     };
-    let guard = rows.iter().map(|r| r.tasks).max().and_then(|tasks| {
+    let largest = rows
+        .iter()
+        .filter(|r| r.workload == "graph/matrix_build")
+        .map(|r| r.tasks)
+        .max();
+    let guard = largest.and_then(|tasks| {
         let index = median_of("provenance/index_build", tasks)?;
         let definition = median_of("validator/definition_closure", tasks)?;
         let matrix = median_of("graph/matrix_build", tasks)?;
         let clone = median_of("mutation/spec_clone", tasks)?;
-        Some((tasks, index, definition, matrix, clone))
+        let weak = rows
+            .iter()
+            .find(|r| r.workload == "correct/weak_lattice")?
+            .median_us;
+        Some((tasks, index, definition, matrix, clone, weak))
     });
     match guard {
-        Some((tasks, index, definition, matrix, clone)) => {
+        Some((tasks, index, definition, matrix, clone, weak)) => {
             let index_ratio = index / matrix.max(f64::MIN_POSITIVE);
             let definition_ratio = definition / matrix.max(f64::MIN_POSITIVE);
             let clone_ratio = clone / matrix.max(f64::MIN_POSITIVE);
+            let weak_ratio = weak / matrix.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
             let _ = writeln!(out, "    \"index_build_median_us\": {index:.2},");
@@ -749,8 +787,19 @@ fn render_json(rows: &[Row], quick: bool) -> String {
             );
             let _ = writeln!(
                 out,
-                "    \"spec_clone_within_bound\": {}",
+                "    \"spec_clone_within_bound\": {},",
                 clone_ratio <= SPEC_CLONE_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(out, "    \"weak_lattice_median_us\": {weak:.2},");
+            let _ = writeln!(out, "    \"weak_lattice_over_matrix\": {weak_ratio:.3},");
+            let _ = writeln!(
+                out,
+                "    \"max_weak_lattice_over_matrix\": {WEAK_LATTICE_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"weak_lattice_within_bound\": {}",
+                weak_ratio <= WEAK_LATTICE_OVER_MATRIX_MAX
             );
             let _ = writeln!(out, "  }}");
         }

@@ -398,7 +398,9 @@ struct Pipelining {
 }
 
 /// Validate throughput while N idle connections sit on the event loops —
-/// idle clients must cost file descriptors, not threads or throughput.
+/// idle clients must cost file descriptors, not threads or throughput. The
+/// rate is the median of [`REPEATS`] timed passes after an untimed one;
+/// `completed` and `errors` sum the timed passes.
 struct ScalingRow {
     idle_target: usize,
     idle_open: usize,
@@ -569,22 +571,23 @@ fn run_connection_scaling(quick: bool) -> Vec<ScalingRow> {
             };
             idle.push(stream);
         }
-        let report = validate_throughput(
-            addr,
-            &ids,
-            BatchConfig {
-                clients: 4,
-                requests_per_client: requests,
-                pipeline: 8,
-            },
-        )
-        .expect("scaling pass");
+        let config = BatchConfig {
+            clients: 4,
+            requests_per_client: requests,
+            pipeline: 8,
+        };
+        // one untimed pass first: a cold pass right after the idle
+        // connections open swings several-fold on the same code
+        validate_throughput(addr, &ids, config).expect("warm-up pass");
+        let passes: Vec<_> = (0..REPEATS)
+            .map(|_| validate_throughput(addr, &ids, config).expect("scaling pass"))
+            .collect();
         rows.push(ScalingRow {
             idle_target,
             idle_open: idle.len(),
-            completed: report.completed,
-            errors: report.errors,
-            requests_per_sec: report.requests_per_sec(),
+            completed: passes.iter().map(|p| p.completed).sum(),
+            errors: passes.iter().map(|p| p.errors).sum(),
+            requests_per_sec: median(passes.iter().map(|p| p.requests_per_sec()).collect()),
         });
         drop(idle);
         server.shutdown();

@@ -1,215 +1,221 @@
-//! Pre-computed context for splitting one composite task.
+//! The subset-soundness oracle shared by the three correctors.
 //!
-//! All three correctors repeatedly ask the same questions about subsets of
-//! the composite's members: what is the boundary of this subset, is it sound,
-//! which external predecessors/successors does a member have. [`SplitContext`]
-//! answers these from dense per-member tables built once per composite.
+//! Weak, strong and optimal correction all ask one question many times over:
+//! is this subset of the composite's members sound (Definition 2.3)?
+//! [`SplitContext`] answers it from per-member bit rows built once per
+//! composite: the member's direct predecessors and successors inside the
+//! composite, the members it reaches in the whole workflow, and whether it
+//! has a predecessor or successor outside the composite.
+//!
+//! Members are numbered `0..len()` in ascending [`TaskId`] order. A subset
+//! is a mask of [`SplitContext::words`] `u64` words, bit `i` standing for
+//! member `i`; composites of more than 64 members run the same code over
+//! more words. Member `i` of a subset `U` is in `U.in` iff it has a
+//! predecessor outside the composite or a predecessor row bit outside `U`
+//! (likewise `U.out`), and `U` is sound iff every input's reach row covers
+//! the output mask.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wolves_workflow::{TaskId, WorkflowSpec};
 
-/// Dense, index-based view of one composite task, ready for the correctors.
-///
-/// Members are numbered `0..len()` in ascending [`TaskId`] order; all
-/// corrector-internal sets are sets of these indices.
+/// Masks of up to this many words (256 members) are checked without
+/// allocating.
+const INLINE_WORDS: usize = 4;
+
+/// Per-member mask rows of one composite task.
 #[derive(Debug)]
-pub struct SplitContext<'a> {
-    spec: &'a WorkflowSpec,
+pub(crate) struct SplitContext {
     members: Vec<TaskId>,
-    index_of: BTreeMap<TaskId, usize>,
-    /// `true` if the member has a predecessor outside the composite.
+    /// Words per mask and per row: `len().div_ceil(64)`.
+    words: usize,
+    /// Row `i` (`words` words from `i * words`): member `i`'s direct
+    /// predecessors inside the composite.
+    preds: Vec<u64>,
+    /// Row `i`: member `i`'s direct successors inside the composite.
+    succs: Vec<u64>,
+    /// Row `i`: the members member `i` reaches in the workflow (paths may
+    /// leave the composite), itself included.
+    reach: Vec<u64>,
+    /// Member has a predecessor outside the composite.
     ext_in: Vec<bool>,
-    /// `true` if the member has a successor outside the composite.
+    /// Member has a successor outside the composite.
     ext_out: Vec<bool>,
-    /// Direct predecessors of each member that lie inside the composite.
-    preds_within: Vec<Vec<usize>>,
-    /// Direct successors of each member that lie inside the composite.
-    succs_within: Vec<Vec<usize>>,
 }
 
-impl<'a> SplitContext<'a> {
-    /// Builds the context for the composite task with the given members.
-    #[must_use]
-    pub fn new(spec: &'a WorkflowSpec, members: &BTreeSet<TaskId>) -> Self {
-        let member_vec: Vec<TaskId> = members.iter().copied().collect();
-        let index_of: BTreeMap<TaskId, usize> = member_vec
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
-        let n = member_vec.len();
+impl SplitContext {
+    /// Builds the rows for the composite task with the given members.
+    pub(crate) fn new(spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> Self {
+        let members: Vec<TaskId> = members.iter().copied().collect();
+        let n = members.len();
+        let words = n.div_ceil(64);
+        let mut preds = vec![0; n * words];
+        let mut succs = vec![0; n * words];
+        let mut reach = vec![0; n * words];
         let mut ext_in = vec![false; n];
         let mut ext_out = vec![false; n];
-        let mut preds_within = vec![Vec::new(); n];
-        let mut succs_within = vec![Vec::new(); n];
-        for (i, &task) in member_vec.iter().enumerate() {
+        let reachability = spec.reachability();
+        for (i, &task) in members.iter().enumerate() {
+            let row = i * words..(i + 1) * words;
             for pred in spec.predecessors(task) {
-                match index_of.get(&pred) {
-                    Some(&p) => preds_within[i].push(p),
-                    None => ext_in[i] = true,
+                match members.binary_search(&pred) {
+                    Ok(p) => set_bit(&mut preds[row.clone()], p),
+                    Err(_) => ext_in[i] = true,
                 }
             }
             for succ in spec.successors(task) {
-                match index_of.get(&succ) {
-                    Some(&s) => succs_within[i].push(s),
-                    None => ext_out[i] = true,
+                match members.binary_search(&succ) {
+                    Ok(s) => set_bit(&mut succs[row.clone()], s),
+                    Err(_) => ext_out[i] = true,
                 }
             }
-            preds_within[i].sort_unstable();
-            preds_within[i].dedup();
-            succs_within[i].sort_unstable();
-            succs_within[i].dedup();
+            // an unknown task reaches nothing, as in `soundness::first_witness`
+            if let Some(reached) = reachability.reachable_row(task) {
+                for (j, &other) in members.iter().enumerate() {
+                    if reached.contains(other) {
+                        set_bit(&mut reach[row.clone()], j);
+                    }
+                }
+            }
         }
         SplitContext {
-            spec,
-            members: member_vec,
-            index_of,
+            members,
+            words,
+            preds,
+            succs,
+            reach,
             ext_in,
             ext_out,
-            preds_within,
-            succs_within,
         }
     }
 
     /// Number of member tasks.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
-    /// `true` if the composite has no members (never the case for composites
-    /// coming from a [`wolves_workflow::WorkflowView`]).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+    /// Words per subset mask.
+    pub(crate) fn words(&self) -> usize {
+        self.words
     }
 
-    /// The member task ids in index order.
-    #[must_use]
-    pub fn members(&self) -> &[TaskId] {
-        &self.members
+    fn row<'t>(&self, table: &'t [u64], i: usize) -> &'t [u64] {
+        &table[i * self.words..(i + 1) * self.words]
     }
 
-    /// The workflow specification this context was built from.
-    #[must_use]
-    pub fn spec(&self) -> &WorkflowSpec {
-        self.spec
-    }
-
-    /// Task id of member index `i`.
-    #[must_use]
-    pub fn task(&self, i: usize) -> TaskId {
-        self.members[i]
-    }
-
-    /// Member index of a task id, if it belongs to the composite.
-    #[must_use]
-    pub fn index(&self, task: TaskId) -> Option<usize> {
-        self.index_of.get(&task).copied()
-    }
-
-    /// `reach(i, j)` in the workflow specification (paths may leave the
-    /// composite).
-    #[must_use]
-    pub fn reaches(&self, i: usize, j: usize) -> bool {
-        self.spec
-            .reachability()
-            .reachable(self.members[i], self.members[j])
-    }
-
-    /// `true` iff member `i` belongs to `U.in` for the subset `set`.
-    #[must_use]
-    pub fn is_input(&self, i: usize, set: &BTreeSet<usize>) -> bool {
-        self.ext_in[i] || self.preds_within[i].iter().any(|p| !set.contains(p))
-    }
-
-    /// `true` iff member `i` belongs to `U.out` for the subset `set`.
-    #[must_use]
-    pub fn is_output(&self, i: usize, set: &BTreeSet<usize>) -> bool {
-        self.ext_out[i] || self.succs_within[i].iter().any(|s| !set.contains(s))
-    }
-
-    /// The boundary `(U.in, U.out)` of a subset, as member indices.
-    #[must_use]
-    pub fn boundary_of(&self, set: &BTreeSet<usize>) -> (Vec<usize>, Vec<usize>) {
-        let inputs = set
-            .iter()
-            .copied()
-            .filter(|&i| self.is_input(i, set))
-            .collect();
-        let outputs = set
-            .iter()
-            .copied()
-            .filter(|&i| self.is_output(i, set))
-            .collect();
-        (inputs, outputs)
-    }
-
-    /// Returns the first `(input, output)` pair violating soundness of the
-    /// subset, or `None` if the subset is sound.
-    #[must_use]
-    pub fn first_violation(&self, set: &BTreeSet<usize>) -> Option<(usize, usize)> {
-        let (inputs, outputs) = self.boundary_of(set);
-        for &i in &inputs {
-            for &o in &outputs {
-                if !self.reaches(i, o) {
-                    return Some((i, o));
-                }
+    /// The first `(input, output)` pair of `set` in `U.in × U.out` order
+    /// (ascending member index, so ascending task id) whose input does not
+    /// reach its output, or `None` if `set` is sound.
+    pub(crate) fn first_violation(&self, set: &[u64]) -> Option<(usize, usize)> {
+        debug_assert_eq!(set.len(), self.words);
+        let mut inline = [0; INLINE_WORDS];
+        let mut spilled = Vec::new();
+        let outputs = if self.words <= INLINE_WORDS {
+            &mut inline[..self.words]
+        } else {
+            spilled.resize(self.words, 0);
+            &mut spilled[..]
+        };
+        for o in ones(set) {
+            if self.ext_out[o] || escapes(self.row(&self.succs, o), set) {
+                set_bit(outputs, o);
             }
         }
-        None
+        let outputs = &*outputs;
+        ones(set)
+            .filter(|&i| self.ext_in[i] || escapes(self.row(&self.preds, i), set))
+            .find_map(|i| {
+                let reached = self.row(&self.reach, i);
+                outputs
+                    .iter()
+                    .zip(reached)
+                    .enumerate()
+                    .find_map(|(w, (&out, &r))| {
+                        let missed = out & !r;
+                        (missed != 0).then(|| (i, w * 64 + missed.trailing_zeros() as usize))
+                    })
+            })
     }
 
-    /// Soundness of a subset of member indices (Definition 2.3 restricted to
-    /// the composite being split).
-    #[must_use]
-    pub fn is_sound_subset(&self, set: &BTreeSet<usize>) -> bool {
+    /// Soundness of a subset (Definition 2.3 restricted to the composite).
+    pub(crate) fn is_sound(&self, set: &[u64]) -> bool {
         self.first_violation(set).is_none()
     }
 
-    /// Direct predecessors of member `i` that lie inside the composite but
-    /// outside `set`, plus a flag saying whether `i` also has a predecessor
-    /// outside the composite (in which case `i` can never leave `U.in`).
-    #[must_use]
-    pub fn missing_preds(&self, i: usize, set: &BTreeSet<usize>) -> (Vec<usize>, bool) {
-        let missing = self.preds_within[i]
-            .iter()
-            .copied()
-            .filter(|p| !set.contains(p))
-            .collect();
-        (missing, self.ext_in[i])
+    /// Member `i`'s direct predecessors inside the composite but outside
+    /// `set`, or `None` if `i` also has a predecessor outside the composite
+    /// (then no growth of `set` takes it out of `U.in`).
+    pub(crate) fn missing_preds(&self, i: usize, set: &[u64]) -> Option<Vec<u64>> {
+        (!self.ext_in[i]).then(|| and_not(self.row(&self.preds, i), set))
     }
 
-    /// Direct successors of member `i` inside the composite but outside
-    /// `set`, plus a flag for successors outside the composite.
-    #[must_use]
-    pub fn missing_succs(&self, i: usize, set: &BTreeSet<usize>) -> (Vec<usize>, bool) {
-        let missing = self.succs_within[i]
-            .iter()
-            .copied()
-            .filter(|s| !set.contains(s))
-            .collect();
-        (missing, self.ext_out[i])
+    /// Member `i`'s direct successors inside the composite but outside
+    /// `set`, or `None` if `i` also has a successor outside the composite.
+    pub(crate) fn missing_succs(&self, i: usize, set: &[u64]) -> Option<Vec<u64>> {
+        (!self.ext_out[i]).then(|| and_not(self.row(&self.succs, i), set))
     }
 
-    /// Converts a partition expressed in member indices back into task ids.
-    #[must_use]
-    pub fn to_task_sets(&self, parts: &[BTreeSet<usize>]) -> Vec<BTreeSet<TaskId>> {
-        parts
-            .iter()
-            .map(|part| part.iter().map(|&i| self.members[i]).collect())
+    /// The finest split: one single-member mask per member.
+    pub(crate) fn singletons(&self) -> Vec<Vec<u64>> {
+        (0..self.len())
+            .map(|i| {
+                let mut mask = vec![0; self.words];
+                set_bit(&mut mask, i);
+                mask
+            })
             .collect()
     }
+
+    /// The task ids of a subset mask.
+    pub(crate) fn tasks(&self, set: &[u64]) -> BTreeSet<TaskId> {
+        ones(set).map(|i| self.members[i]).collect()
+    }
+}
+
+/// The set bits of a mask, ascending.
+pub(crate) fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// `into |= from`, word by word.
+pub(crate) fn or_into(into: &mut [u64], from: &[u64]) {
+    for (a, &b) in into.iter_mut().zip(from) {
+        *a |= b;
+    }
+}
+
+fn set_bit(mask: &mut [u64], bit: usize) {
+    mask[bit / 64] |= 1 << (bit % 64);
+}
+
+/// `true` iff `row` has a bit outside `set`.
+fn escapes(row: &[u64], set: &[u64]) -> bool {
+    row.iter().zip(set).any(|(&r, &s)| r & !s != 0)
+}
+
+fn and_not(row: &[u64], set: &[u64]) -> Vec<u64> {
+    row.iter().zip(set).map(|(&r, &s)| r & !s).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wolves_workflow::WorkflowBuilder;
+    use crate::soundness::first_witness;
+    use proptest::prelude::*;
+    use wolves_workflow::{AtomicTask, DataDependency, WorkflowBuilder};
 
-    /// s -> a -> b -> t,  s -> c -> t  (composite = {a, b, c})
-    fn setup() -> (WorkflowSpec, BTreeSet<TaskId>, Vec<TaskId>) {
+    /// s -> a -> b -> t,  s -> c -> t  (composite = {a, b, c}, members
+    /// 0 = a, 1 = b, 2 = c)
+    fn setup() -> (WorkflowSpec, BTreeSet<TaskId>) {
         let mut builder = WorkflowBuilder::new("ctx");
         let s = builder.task("s");
         let a = builder.task("a");
@@ -222,92 +228,100 @@ mod tests {
         builder.edge(s, c).unwrap();
         builder.edge(c, t).unwrap();
         let spec = builder.build().unwrap();
-        let members: BTreeSet<TaskId> = [a, b, c].into_iter().collect();
-        (spec, members, vec![s, a, b, c, t])
-    }
-
-    #[test]
-    fn indices_and_members_round_trip() {
-        let (spec, members, ids) = setup();
-        let ctx = SplitContext::new(&spec, &members);
-        assert_eq!(ctx.len(), 3);
-        for &task in &[ids[1], ids[2], ids[3]] {
-            let idx = ctx.index(task).unwrap();
-            assert_eq!(ctx.task(idx), task);
-        }
-        assert!(ctx.index(ids[0]).is_none());
-    }
-
-    #[test]
-    fn boundary_of_subsets() {
-        let (spec, members, ids) = setup();
-        let ctx = SplitContext::new(&spec, &members);
-        let ia = ctx.index(ids[1]).unwrap();
-        let ib = ctx.index(ids[2]).unwrap();
-        let ic = ctx.index(ids[3]).unwrap();
-        // whole composite: in = {a, c} (from s), out = {b, c} (to t)
-        let all: BTreeSet<usize> = [ia, ib, ic].into_iter().collect();
-        let (inputs, outputs) = ctx.boundary_of(&all);
-        assert_eq!(inputs, vec![ia, ic]);
-        assert_eq!(outputs, vec![ib, ic]);
-        // {a}: both boundaries
-        let only_a: BTreeSet<usize> = [ia].into_iter().collect();
-        assert!(ctx.is_input(ia, &only_a));
-        assert!(ctx.is_output(ia, &only_a));
+        (spec, [a, b, c].into_iter().collect())
     }
 
     #[test]
     fn soundness_of_subsets() {
-        let (spec, members, ids) = setup();
+        let (spec, members) = setup();
         let ctx = SplitContext::new(&spec, &members);
-        let ia = ctx.index(ids[1]).unwrap();
-        let ib = ctx.index(ids[2]).unwrap();
-        let ic = ctx.index(ids[3]).unwrap();
+        assert_eq!((ctx.len(), ctx.words()), (3, 1));
         // {a, b} is sound (a -> b), {a, c} and the whole set are not
-        let ab: BTreeSet<usize> = [ia, ib].into_iter().collect();
-        assert!(ctx.is_sound_subset(&ab));
-        let ac: BTreeSet<usize> = [ia, ic].into_iter().collect();
-        assert!(!ctx.is_sound_subset(&ac));
-        let all: BTreeSet<usize> = [ia, ib, ic].into_iter().collect();
-        assert!(!ctx.is_sound_subset(&all));
-        let violation = ctx.first_violation(&all).unwrap();
-        // a cannot reach c (or c cannot reach b) — either witness is fine,
-        // but it must be a genuine violation
-        assert!(!ctx.reaches(violation.0, violation.1));
+        assert!(ctx.is_sound(&[0b011]));
+        assert!(!ctx.is_sound(&[0b101]));
+        // whole composite: in = {a, c}, out = {b, c}; a misses c first
+        assert_eq!(ctx.first_violation(&[0b111]), Some((0, 2)));
+        assert_eq!(ctx.tasks(&[0b101]).len(), 2);
     }
 
     #[test]
     fn missing_preds_and_succs() {
-        let (spec, members, ids) = setup();
+        let (spec, members) = setup();
         let ctx = SplitContext::new(&spec, &members);
-        let ia = ctx.index(ids[1]).unwrap();
-        let ib = ctx.index(ids[2]).unwrap();
-        let only_b: BTreeSet<usize> = [ib].into_iter().collect();
-        let (missing, blocked) = ctx.missing_preds(ib, &only_b);
-        assert_eq!(missing, vec![ia]);
-        assert!(!blocked, "b has no predecessors outside the composite");
-        let (missing, blocked) = ctx.missing_preds(ia, &only_b);
-        assert!(missing.is_empty());
-        assert!(blocked, "a's predecessor s is outside the composite");
-        let (_, out_blocked) = ctx.missing_succs(ib, &only_b);
-        assert!(out_blocked, "b feeds t outside the composite");
+        let only_b = [0b010];
+        assert_eq!(ctx.missing_preds(1, &only_b), Some(vec![0b001]));
+        assert_eq!(
+            ctx.missing_preds(0, &only_b),
+            None,
+            "a's predecessor s is outside the composite"
+        );
+        assert_eq!(ctx.missing_succs(1, &only_b), None, "b feeds t");
     }
 
-    #[test]
-    fn to_task_sets_converts_back() {
-        let (spec, members, ids) = setup();
-        let ctx = SplitContext::new(&spec, &members);
-        let ia = ctx.index(ids[1]).unwrap();
-        let ib = ctx.index(ids[2]).unwrap();
-        let ic = ctx.index(ids[3]).unwrap();
-        let parts = vec![
-            [ia, ib].into_iter().collect::<BTreeSet<usize>>(),
-            [ic].into_iter().collect(),
-        ];
-        let task_parts = ctx.to_task_sets(&parts);
-        assert_eq!(task_parts.len(), 2);
-        assert!(task_parts[0].contains(&ids[1]));
-        assert!(task_parts[0].contains(&ids[2]));
-        assert!(task_parts[1].contains(&ids[3]));
+    /// A random spec over `tasks` tasks with forward edges, plus back edges
+    /// when `cyclic`, and a random composite of `size` of its tasks.
+    fn random_composite(
+        tasks: usize,
+        size: usize,
+        cyclic: bool,
+        seed: u64,
+    ) -> (WorkflowSpec, BTreeSet<TaskId>) {
+        let mut state = seed | 1;
+        let mut next = move |bound: usize| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut spec = WorkflowSpec::new("oracle");
+        let ids: Vec<TaskId> = (0..tasks)
+            .map(|i| spec.add_task(AtomicTask::new(format!("t{i}"))).unwrap())
+            .collect();
+        for _ in 0..tasks * 2 {
+            let (a, b) = (next(tasks), next(tasks));
+            let (from, to) = if cyclic || a < b { (a, b) } else { (b, a) };
+            if from != to {
+                let _ = spec.add_dependency(ids[from], ids[to], DataDependency::unnamed());
+            }
+        }
+        let mut pool = ids;
+        let mut members = BTreeSet::new();
+        while members.len() < size {
+            members.insert(pool.swap_remove(next(pool.len())));
+        }
+        (spec, members)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The mask oracle names the same witness as the reference
+        /// `soundness::first_witness`, on one- and multi-word composites.
+        #[test]
+        fn first_violation_matches_the_reference_witness(
+            size in 1usize..=130,
+            extra in 0usize..40,
+            cyclic in 0u8..2,
+            seed in 1u64..u64::MAX,
+            subsets in proptest::collection::vec(
+                proptest::collection::vec(0u64..u64::MAX, 3..4),
+                8..9,
+            ),
+        ) {
+            let (spec, members) = random_composite(size + extra, size, cyclic == 1, seed);
+            let ctx = SplitContext::new(&spec, &members);
+            let tail = if size % 64 == 0 { u64::MAX } else { (1 << (size % 64)) - 1 };
+            for raw in subsets {
+                let mut set = raw[..ctx.words()].to_vec();
+                *set.last_mut().unwrap() &= tail;
+                let tasks = ctx.tasks(&set);
+                let expected = first_witness(&spec, &tasks).map(|w| (w.input, w.output));
+                let got = ctx
+                    .first_violation(&set)
+                    .map(|(i, o)| (ctx.members[i], ctx.members[o]));
+                prop_assert_eq!(got, expected);
+            }
+        }
     }
 }

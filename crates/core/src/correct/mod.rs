@@ -13,7 +13,7 @@
 //! view and produces a corrected view plus a [`CorrectionReport`].
 
 pub mod check;
-pub mod context;
+mod context;
 pub mod optimal;
 pub mod split;
 pub mod strong;
@@ -27,7 +27,6 @@ use wolves_workflow::{CompositeTaskId, TaskId, WorkflowSpec, WorkflowView};
 use crate::error::CoreError;
 use crate::validate::validate;
 
-pub use context::SplitContext;
 pub use optimal::OptimalCorrector;
 pub use split::Split;
 pub use strong::StrongCorrector;

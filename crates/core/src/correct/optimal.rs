@@ -13,15 +13,19 @@ use wolves_workflow::{TaskId, WorkflowSpec};
 
 use crate::correct::context::SplitContext;
 use crate::correct::split::Split;
-use crate::correct::strong::StrongCorrector;
+use crate::correct::strong::strong_parts;
 use crate::correct::Corrector;
 use crate::error::CoreError;
+
+/// Largest composite the one-word search keys admit, whatever `max_tasks`
+/// says.
+const MASK_LIMIT: usize = 60;
 
 /// Exact minimum-split corrector (exponential time, NP-hard problem).
 #[derive(Debug, Clone, Copy)]
 pub struct OptimalCorrector {
-    /// Largest composite (in atomic tasks) the corrector will attempt.
-    /// Larger inputs return [`CoreError::TooLargeForOptimal`].
+    /// Largest composite (in atomic tasks) the corrector will attempt, up to
+    /// 60. Larger inputs return [`CoreError::TooLargeForOptimal`].
     pub max_tasks: usize,
 }
 
@@ -43,7 +47,7 @@ impl OptimalCorrector {
     #[must_use]
     pub fn with_limit(max_tasks: usize) -> Self {
         OptimalCorrector {
-            max_tasks: max_tasks.min(60),
+            max_tasks: max_tasks.min(MASK_LIMIT),
         }
     }
 }
@@ -54,124 +58,29 @@ impl Corrector for OptimalCorrector {
     }
 
     fn split(&self, spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> Result<Split, CoreError> {
-        if members.len() > self.max_tasks {
+        let limit = self.max_tasks.min(MASK_LIMIT);
+        if members.len() > limit {
             return Err(CoreError::TooLargeForOptimal {
                 tasks: members.len(),
-                limit: self.max_tasks,
+                limit,
             });
         }
         let ctx = SplitContext::new(spec, members);
-        let n = ctx.len();
-        if n == 0 {
-            return Ok(Split::new(Vec::new()));
-        }
-        let tables = MaskTables::new(&ctx);
-        // An upper bound from the polynomial strong corrector prunes the
-        // search considerably on easy instances.
-        let upper_bound = StrongCorrector::new()
-            .split(spec, members)
-            .map(|s| s.part_count())
-            .unwrap_or(n);
-        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        // An upper bound from the polynomial strong corrector, on the same
+        // rows, prunes the search considerably on easy instances.
+        let upper_bound = strong_parts(&ctx).len();
         let mut solver = Solver {
-            tables: &tables,
+            ctx: &ctx,
             memo: HashMap::new(),
             sound_cache: HashMap::new(),
         };
-        let (_, parts) = solver.solve(full, upper_bound);
-        let parts_sets: Vec<BTreeSet<usize>> = parts.into_iter().map(mask_to_set).collect();
-        Ok(Split::new(ctx.to_task_sets(&parts_sets)))
-    }
-}
-
-/// Dense bit-mask tables describing one composite task.
-struct MaskTables {
-    n: usize,
-    /// Member has a predecessor outside the composite.
-    ext_in: Vec<bool>,
-    /// Member has a successor outside the composite.
-    ext_out: Vec<bool>,
-    /// Mask of within-composite direct predecessors per member.
-    pred_mask: Vec<u64>,
-    /// Mask of within-composite direct successors per member.
-    succ_mask: Vec<u64>,
-    /// Mask of members reachable (in the full workflow) from each member.
-    reach_mask: Vec<u64>,
-}
-
-impl MaskTables {
-    fn new(ctx: &SplitContext<'_>) -> Self {
-        let n = ctx.len();
-        assert!(n <= 64, "mask tables limited to 64 members");
-        let mut ext_in = vec![false; n];
-        let mut ext_out = vec![false; n];
-        let mut pred_mask = vec![0u64; n];
-        let mut succ_mask = vec![0u64; n];
-        let mut reach_mask = vec![0u64; n];
-        let all: BTreeSet<usize> = (0..n).collect();
-        for i in 0..n {
-            let singleton: BTreeSet<usize> = BTreeSet::from([i]);
-            // ext flags: member is a boundary node even when the whole
-            // composite is taken
-            ext_in[i] = ctx.is_input(i, &all);
-            ext_out[i] = ctx.is_output(i, &all);
-            let (preds, _) = ctx.missing_preds(i, &singleton);
-            for p in preds {
-                if p != i {
-                    pred_mask[i] |= 1 << p;
-                }
-            }
-            let (succs, _) = ctx.missing_succs(i, &singleton);
-            for s in succs {
-                if s != i {
-                    succ_mask[i] |= 1 << s;
-                }
-            }
-            for j in 0..n {
-                if ctx.reaches(i, j) {
-                    reach_mask[i] |= 1 << j;
-                }
-            }
-        }
-        MaskTables {
-            n,
-            ext_in,
-            ext_out,
-            pred_mask,
-            succ_mask,
-            reach_mask,
-        }
-    }
-
-    /// Soundness of the subset encoded by `mask`.
-    fn is_sound(&self, mask: u64) -> bool {
-        let outside = !mask;
-        let mut out_set: u64 = 0;
-        for i in 0..self.n {
-            let bit = 1u64 << i;
-            if mask & bit == 0 {
-                continue;
-            }
-            if self.ext_out[i] || self.succ_mask[i] & outside != 0 {
-                out_set |= bit;
-            }
-        }
-        for i in 0..self.n {
-            let bit = 1u64 << i;
-            if mask & bit == 0 {
-                continue;
-            }
-            let is_in = self.ext_in[i] || self.pred_mask[i] & outside != 0;
-            if is_in && out_set & !self.reach_mask[i] != 0 {
-                return false;
-            }
-        }
-        true
+        let (_, parts) = solver.solve((1 << ctx.len()) - 1, upper_bound);
+        Ok(Split::new(parts.iter().map(|&p| ctx.tasks(&[p])).collect()))
     }
 }
 
 struct Solver<'a> {
-    tables: &'a MaskTables,
+    ctx: &'a SplitContext,
     memo: HashMap<u64, (usize, Vec<u64>)>,
     sound_cache: HashMap<u64, bool>,
 }
@@ -181,7 +90,7 @@ impl Solver<'_> {
         if let Some(&s) = self.sound_cache.get(&mask) {
             return s;
         }
-        let s = self.tables.is_sound(mask);
+        let s = self.ctx.is_sound(&[mask]);
         self.sound_cache.insert(mask, s);
         s
     }
@@ -244,10 +153,6 @@ impl Solver<'_> {
     }
 }
 
-fn mask_to_set(mask: u64) -> BTreeSet<usize> {
-    (0..64).filter(|&i| mask & (1 << i) != 0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +213,29 @@ mod tests {
             CoreError::TooLargeForOptimal {
                 tasks: 25,
                 limit: 10
+            }
+        ));
+    }
+
+    #[test]
+    fn the_public_limit_field_cannot_pass_the_mask_width() {
+        let mut b = WorkflowBuilder::new("wide");
+        let source = b.task("source");
+        let mut members = BTreeSet::new();
+        for i in 0..65 {
+            let t = b.task(format!("t{i}"));
+            b.edge(source, t).unwrap();
+            members.insert(t);
+        }
+        let spec = b.build().unwrap();
+        let err = OptimalCorrector { max_tasks: 100 }
+            .split(&spec, &members)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::TooLargeForOptimal {
+                tasks: 65,
+                limit: 60
             }
         ));
     }

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 
 use wolves_workflow::{TaskId, WorkflowSpec};
 
-use crate::correct::context::SplitContext;
+use crate::correct::context::{ones, or_into, SplitContext};
 use crate::correct::split::Split;
 use crate::correct::weak::merge_pairs_until_fixpoint;
 use crate::correct::Corrector;
@@ -64,32 +64,50 @@ impl Corrector for StrongCorrector {
 
     fn split(&self, spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> Result<Split, CoreError> {
         let ctx = SplitContext::new(spec, members);
-        let mut parts: Vec<BTreeSet<usize>> = (0..ctx.len()).map(|i| BTreeSet::from([i])).collect();
-        loop {
-            merge_pairs_until_fixpoint(&ctx, &mut parts);
-            if !closure_merge_once(&ctx, &mut parts) {
-                break;
-            }
+        let parts = strong_parts(&ctx);
+        Ok(Split::new(parts.iter().map(|p| ctx.tasks(p)).collect()))
+    }
+}
+
+/// The strong corrector's parts of the composite behind `ctx`, as member
+/// masks: pair merges to a fixpoint, then one closure merge, until no
+/// closure merges. The optimal corrector bounds its search with the count.
+pub(crate) fn strong_parts(ctx: &SplitContext) -> Vec<Vec<u64>> {
+    let mut parts = ctx.singletons();
+    loop {
+        merge_pairs_until_fixpoint(ctx, &mut parts);
+        if !closure_merge_once(ctx, &mut parts) {
+            return parts;
         }
-        Ok(Split::new(ctx.to_task_sets(&parts)))
     }
 }
 
 /// Attempts one multi-part merge via boundary closures. Returns `true` if a
 /// merge happened (in which case the caller should re-run the pair fixpoint).
-fn closure_merge_once(ctx: &SplitContext<'_>, parts: &mut Vec<BTreeSet<usize>>) -> bool {
-    let part_count = parts.len();
-    for i in 0..part_count {
-        for j in (i + 1)..part_count {
+fn closure_merge_once(ctx: &SplitContext, parts: &mut Vec<Vec<u64>>) -> bool {
+    // member -> part, for "which part do we pull in"; parts only change
+    // when a closure merges, which ends the pass
+    let mut part_of = vec![0; ctx.len()];
+    for (pi, part) in parts.iter().enumerate() {
+        for m in ones(part) {
+            part_of[m] = pi;
+        }
+    }
+    for i in 0..parts.len() {
+        for j in (i + 1)..parts.len() {
             for policy in [
                 ClosurePolicy::PreferPredecessors,
                 ClosurePolicy::PreferSuccessors,
             ] {
-                if let Some(group) = closure(ctx, parts, &[i, j], policy) {
-                    if group.len() >= 2 {
-                        merge_parts(parts, &group);
-                        return true;
-                    }
+                if let Some((included, union)) = closure(ctx, parts, &part_of, [i, j], policy) {
+                    // the included parts give way to their union, appended last
+                    let mut pi = 0;
+                    parts.retain(|_| {
+                        pi += 1;
+                        !included[pi - 1]
+                    });
+                    parts.push(union);
+                    return true;
                 }
             }
         }
@@ -98,68 +116,49 @@ fn closure_merge_once(ctx: &SplitContext<'_>, parts: &mut Vec<BTreeSet<usize>>) 
 }
 
 /// Grows the union of the seed parts until it is sound or provably cannot be
-/// made sound by adding more parts. Returns the indices of the included
-/// parts on success.
+/// made sound by adding more parts. On success returns which parts it
+/// includes and their union.
 fn closure(
-    ctx: &SplitContext<'_>,
-    parts: &[BTreeSet<usize>],
-    seed: &[usize],
+    ctx: &SplitContext,
+    parts: &[Vec<u64>],
+    part_of: &[usize],
+    seed: [usize; 2],
     policy: ClosurePolicy,
-) -> Option<BTreeSet<usize>> {
-    // map from member index to its part, for quick "which part do we pull in"
-    let mut part_of = vec![usize::MAX; ctx.len()];
-    for (pi, part) in parts.iter().enumerate() {
-        for &m in part {
-            part_of[m] = pi;
-        }
+) -> Option<(Vec<bool>, Vec<u64>)> {
+    let mut included = vec![false; parts.len()];
+    let mut union = vec![0; ctx.words()];
+    for pi in seed {
+        included[pi] = true;
+        or_into(&mut union, &parts[pi]);
     }
-
-    let mut included: BTreeSet<usize> = seed.iter().copied().collect();
-    let mut union: BTreeSet<usize> = included
-        .iter()
-        .flat_map(|&pi| parts[pi].iter().copied())
-        .collect();
-
     loop {
         let Some((input, output)) = ctx.first_violation(&union) else {
-            return Some(included);
+            return Some((included, union));
         };
-        let (missing_preds, input_blocked) = ctx.missing_preds(input, &union);
-        let (missing_succs, output_blocked) = ctx.missing_succs(output, &union);
-        let can_fix_input = !input_blocked;
-        let can_fix_output = !output_blocked;
-        let absorb = match (can_fix_input, can_fix_output, policy) {
-            (true, true, ClosurePolicy::PreferPredecessors) | (true, false, _) => missing_preds,
-            (true, true, ClosurePolicy::PreferSuccessors) | (false, true, _) => missing_succs,
-            (false, false, _) => return None,
-        };
+        let absorb =
+            match (
+                ctx.missing_preds(input, &union),
+                ctx.missing_succs(output, &union),
+                policy,
+            ) {
+                (Some(preds), Some(_), ClosurePolicy::PreferPredecessors)
+                | (Some(preds), None, _) => preds,
+                (Some(_), Some(succs), ClosurePolicy::PreferSuccessors)
+                | (None, Some(succs), _) => succs,
+                (None, None, _) => return None,
+            };
         debug_assert!(
-            !absorb.is_empty(),
+            absorb.iter().any(|&w| w != 0),
             "a boundary member always has at least one missing neighbour on its violating side"
         );
-        for member in absorb {
+        for member in ones(&absorb) {
             let pi = part_of[member];
-            if included.insert(pi) {
-                union.extend(parts[pi].iter().copied());
+            if !included[pi] {
+                included[pi] = true;
+                or_into(&mut union, &parts[pi]);
             }
         }
     }
-}
-
-/// Replaces the parts listed in `group` by their union.
-fn merge_parts(parts: &mut Vec<BTreeSet<usize>>, group: &BTreeSet<usize>) {
-    let mut union: BTreeSet<usize> = BTreeSet::new();
-    for &pi in group {
-        union.extend(parts[pi].iter().copied());
-    }
-    let keep: Vec<BTreeSet<usize>> = parts
-        .iter()
-        .enumerate()
-        .filter(|(pi, _)| !group.contains(pi))
-        .map(|(_, p)| p.clone())
-        .collect();
-    *parts = keep;
-    parts.push(union);
 }
 
 #[cfg(test)]

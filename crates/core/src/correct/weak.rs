@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use wolves_workflow::{TaskId, WorkflowSpec};
 
-use crate::correct::context::SplitContext;
+use crate::correct::context::{or_into, SplitContext};
 use crate::correct::split::Split;
 use crate::correct::Corrector;
 use crate::error::CoreError;
@@ -33,39 +33,32 @@ impl Corrector for WeakCorrector {
 
     fn split(&self, spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> Result<Split, CoreError> {
         let ctx = SplitContext::new(spec, members);
-        let mut parts: Vec<BTreeSet<usize>> = (0..ctx.len()).map(|i| BTreeSet::from([i])).collect();
+        let mut parts = ctx.singletons();
         merge_pairs_until_fixpoint(&ctx, &mut parts);
-        Ok(Split::new(ctx.to_task_sets(&parts)))
+        Ok(Split::new(parts.iter().map(|p| ctx.tasks(p)).collect()))
     }
 }
 
-/// Repeatedly merges any combinable pair of parts until no pair is
-/// combinable. Returns `true` if at least one merge happened.
+/// Repeatedly merges the first combinable pair of parts (member masks) until
+/// no pair is combinable. Each candidate union is OR'd into one reused
+/// buffer.
 ///
 /// Shared by the weak and strong correctors.
-pub(crate) fn merge_pairs_until_fixpoint(
-    ctx: &SplitContext<'_>,
-    parts: &mut Vec<BTreeSet<usize>>,
-) -> bool {
-    let mut merged_any = false;
-    loop {
-        let mut merged_this_round = false;
-        'scan: for i in 0..parts.len() {
+pub(crate) fn merge_pairs_until_fixpoint(ctx: &SplitContext, parts: &mut Vec<Vec<u64>>) {
+    let mut union = vec![0; ctx.words()];
+    'rescan: loop {
+        for i in 0..parts.len() {
             for j in (i + 1)..parts.len() {
-                let mut union = parts[i].clone();
-                union.extend(parts[j].iter().copied());
-                if ctx.is_sound_subset(&union) {
-                    parts[i] = union;
+                union.copy_from_slice(&parts[i]);
+                or_into(&mut union, &parts[j]);
+                if ctx.is_sound(&union) {
+                    parts[i].copy_from_slice(&union);
                     parts.swap_remove(j);
-                    merged_this_round = true;
-                    merged_any = true;
-                    break 'scan;
+                    continue 'rescan;
                 }
             }
         }
-        if !merged_this_round {
-            return merged_any;
-        }
+        return;
     }
 }
 

@@ -47,8 +47,9 @@ pub fn is_sound(spec: &WorkflowSpec, members: &BTreeSet<TaskId>) -> bool {
 
 /// Returns the first (in deterministic order) unsoundness witness, or `None`
 /// if the set is sound. Cheaper than [`soundness_verdict`] when only a
-/// yes/no answer plus one explanation is needed — this is what the
-/// correctors call in their inner loops.
+/// yes/no answer plus one explanation is needed. The correctors do not call
+/// it: they test many subsets of one composite against member masks built
+/// once, which name the same witness as this reference.
 #[must_use]
 pub fn first_witness(
     spec: &WorkflowSpec,
