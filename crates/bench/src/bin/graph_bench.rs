@@ -31,12 +31,13 @@
 //! changed. A `guard` object pins the removal-vs-insert latency ratio at the
 //! ~1941-task grid point and the region removal against the matrix build
 //! at the largest grid point for CI, and the graph JSON's `guard` pins
-//! four costs against the spec's
+//! five costs against the spec's
 //! matrix build at the largest grid point: the provenance index (induced
 //! view graph plus its closure), the Definition 2.1 check, the
 //! copy-on-write clone of the whole spec (`mutation/spec_clone`) that every
-//! served edit pays, and weak correction of the lattice
-//! (`correct/weak_lattice`).
+//! served edit pays, a served task add and remove on shared copies of the
+//! spec and view (`mutation/task_add_remove`), and weak correction of the
+//! lattice (`correct/weak_lattice`).
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -74,6 +75,14 @@ const DEFINITION_OVER_MATRIX_MAX: f64 = 4.0;
 /// copies handles and the per-component vectors; the deep copy it
 /// replaced cost more than a matrix build.
 const SPEC_CLONE_OVER_MATRIX_MAX: f64 = 0.1;
+
+/// Bound of the `mutation/task_add_remove` over `graph/matrix_build` guard,
+/// at the largest grid point. A task add and remove on block-shared copies
+/// copy a block of the name index, of the view's task → composite table
+/// and of the matrix rows; deep-copying the name index and the view's
+/// tables per task edit, as the commit path did before, measured about
+/// 0.64 at 1,941 tasks, the block-shared path about 0.1.
+const TASK_EDIT_OVER_MATRIX_MAX: f64 = 0.25;
 
 /// Bound of the `mutation/edge_remove_region` over `graph/matrix_build`
 /// guard, at the largest grid point. A removal that misses the
@@ -209,6 +218,17 @@ fn main() {
         rows.push(measure("mutation/spec_clone", tasks, edges, iters, || {
             std::hint::black_box(spec.clone()).task_count()
         }));
+        // a served task add and remove: each edit clones the published spec
+        // and view, adds the task in a singleton composite (or removes it
+        // from the view and the spec), and the superseded copies are
+        // dropped
+        rows.push(measure(
+            "mutation/task_add_remove",
+            tasks,
+            edges,
+            iters,
+            || task_add_remove(&spec, &view),
+        ));
         // the polynomial correctors on the shape perfbench's correct-audit
         // serves: random partitions into composites of ~5 tasks, almost
         // all of them unsound
@@ -276,6 +296,29 @@ fn main() {
         eprintln!("wrote {path}");
     }
     println!("{json}");
+}
+
+/// One served task add and remove on copy-on-write clones of `spec` and
+/// `view`, the superseded clones dropped; returns the final task count.
+fn task_add_remove(spec: &WorkflowSpec, view: &WorkflowView) -> usize {
+    let (mut added_spec, mut added_view) = (spec.clone(), view.clone());
+    let task = added_spec
+        .apply(SpecMutation::AddTask {
+            name: "probe".to_owned(),
+        })
+        .expect("a fresh task name")
+        .task
+        .expect("AddTask reports the created task");
+    added_view
+        .add_composite("probe", vec![task])
+        .expect("a task outside the view");
+    let (mut removed_spec, mut removed_view) = (added_spec.clone(), added_view.clone());
+    drop((added_spec, added_view));
+    removed_view.remove_member(task).expect("a member");
+    removed_spec
+        .apply(SpecMutation::RemoveTask { task })
+        .expect("a live task");
+    removed_spec.task_count() + removed_view.composite_count()
 }
 
 /// Deterministic low→high candidate edges absent from `spec` — enough for
@@ -722,8 +765,9 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     // two composite-labelled closures, so a check far above one matrix
     // build has fallen back to scanning composite pairs; the spec clone is
     // bounded far below one build, or the commit path is deep-copying
-    // again; weak correction of the similar-sized lattice far above the
-    // bound is testing subsets as sets again
+    // again, and so is a task add and remove on shared copies; weak
+    // correction of the similar-sized lattice far above the bound is
+    // testing subsets as sets again
     let median_of = |workload: &str, tasks: usize| {
         rows.iter()
             .find(|r| r.workload == workload && r.tasks == tasks)
@@ -739,17 +783,19 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         let definition = median_of("validator/definition_closure", tasks)?;
         let matrix = median_of("graph/matrix_build", tasks)?;
         let clone = median_of("mutation/spec_clone", tasks)?;
+        let task_edit = median_of("mutation/task_add_remove", tasks)?;
         let weak = rows
             .iter()
             .find(|r| r.workload == "correct/weak_lattice")?
             .median_us;
-        Some((tasks, index, definition, matrix, clone, weak))
+        Some((tasks, index, definition, matrix, clone, task_edit, weak))
     });
     match guard {
-        Some((tasks, index, definition, matrix, clone, weak)) => {
+        Some((tasks, index, definition, matrix, clone, task_edit, weak)) => {
             let index_ratio = index / matrix.max(f64::MIN_POSITIVE);
             let definition_ratio = definition / matrix.max(f64::MIN_POSITIVE);
             let clone_ratio = clone / matrix.max(f64::MIN_POSITIVE);
+            let task_edit_ratio = task_edit / matrix.max(f64::MIN_POSITIVE);
             let weak_ratio = weak / matrix.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
@@ -789,6 +835,17 @@ fn render_json(rows: &[Row], quick: bool) -> String {
                 out,
                 "    \"spec_clone_within_bound\": {},",
                 clone_ratio <= SPEC_CLONE_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(out, "    \"task_edit_median_us\": {task_edit:.2},");
+            let _ = writeln!(out, "    \"task_edit_over_matrix\": {task_edit_ratio:.3},");
+            let _ = writeln!(
+                out,
+                "    \"max_task_edit_over_matrix\": {TASK_EDIT_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"task_edit_within_bound\": {},",
+                task_edit_ratio <= TASK_EDIT_OVER_MATRIX_MAX
             );
             let _ = writeln!(out, "    \"weak_lattice_median_us\": {weak:.2},");
             let _ = writeln!(out, "    \"weak_lattice_over_matrix\": {weak_ratio:.3},");

@@ -34,7 +34,8 @@
 //! Each delta is classified (see [`crate::delta::DeltaClass`]) and returns
 //! the set of rows it changed as [`crate::delta::DirtyRows`]:
 //!
-//! * a node append adds one singleton component row;
+//! * a node append takes a singleton component row: the lowest dead slot
+//!   a removal left behind, or a fresh row past the last;
 //! * an edge insert that creates no cycle ORs the target's row into every
 //!   row that reaches the source (monotone-safe propagation);
 //! * an edge insert that closes a cycle additionally merges the condensation
@@ -278,9 +279,14 @@ impl ReachMatrix {
     }
 
     /// Absorbs a freshly added, isolated node into the matrix in place: the
-    /// node becomes a new singleton component with a self-only row. Existing
-    /// component indices are untouched (the row buffer is re-laid-out only
-    /// when the word stride has to grow).
+    /// node becomes a singleton component with a self-only row. Existing
+    /// component indices are untouched.
+    ///
+    /// The component is the lowest dead slot a removal left behind, if any:
+    /// its row is zeroed, its cyclic flag cleared and no row holds its bit,
+    /// so it is as good as a fresh row. Only without one does the matrix
+    /// grow by a row — and re-lay out every row when the word stride has to
+    /// widen — so a task add after a task remove costs one row write.
     ///
     /// Nodes the matrix already knows are a no-op with an empty dirty set.
     pub fn insert_node(&mut self, node: NodeId) -> DeltaOutcome {
@@ -291,15 +297,22 @@ impl ReachMatrix {
                 dirty: DirtyRows::clean(self.comp_count),
             };
         }
-        let comp = self.comp_count;
-        self.reserve_components(comp + 1);
+        let comp = match self.comp_size.iter().position(|&size| size == 0) {
+            Some(dead) => dead,
+            None => {
+                let comp = self.comp_count;
+                self.reserve_components(comp + 1);
+                self.comp_size.push(0);
+                self.comp_count = comp + 1;
+                comp
+            }
+        };
         self.row_mut(comp)[comp / 64] |= 1u64 << (comp % 64);
         if index >= self.component_of.len() {
             self.component_of.resize(index + 1, usize::MAX);
         }
         self.component_of[index] = comp;
-        self.comp_size.push(1);
-        self.comp_count = comp + 1;
+        self.comp_size[comp] = 1;
         self.node_bound = self.node_bound.max(index + 1);
         let mut dirty = DirtyRows::clean(self.comp_count);
         dirty.mark(comp);
@@ -470,9 +483,9 @@ impl ReachMatrix {
     /// its incident edges). Call *after* the node has been removed from
     /// `graph`.
     ///
-    /// A singleton component becomes a dead slot: its row is zeroed, its
-    /// index is never reused, and `comp_count` is unchanged — so surviving
-    /// component indices stay stable. A multi-member (cyclic) component is
+    /// A singleton component becomes a dead slot: its row is zeroed and
+    /// `comp_count` is unchanged — so surviving component indices stay
+    /// stable — until [`ReachMatrix::insert_node`] reuses the slot. A multi-member (cyclic) component is
     /// re-decomposed over its surviving members exactly like an
     /// intra-component edge removal.
     ///
@@ -652,7 +665,8 @@ impl ReachMatrix {
         }
         let mut dirty = DirtyRows::clean(self.comp_count);
         // dead slots: affected indices whose members all moved elsewhere (or
-        // whose only member was just removed) — zeroed, never reused
+        // whose only member was just removed) — zeroed until insert_node
+        // reuses them
         for &c in &affected {
             if !consumed[c] {
                 self.comp_size[c] = 0;
@@ -1520,6 +1534,43 @@ mod tests {
     }
 
     #[test]
+    fn task_add_remove_pairs_reuse_one_dead_row() {
+        // a chain of 300 nodes spans several row blocks and a stride of
+        // more than one SIMD block
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let chain: Vec<NodeId> = (0..300).map(|_| g.add_node(())).collect();
+        for w in chain.windows(2) {
+            g.add_edge(w[0], w[1], ()).unwrap();
+        }
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let (count, stride) = (m.comp_count(), m.row_stride());
+        for round in 0..1000 {
+            let fresh = g.add_node(());
+            let out = m.insert_node(fresh);
+            assert_eq!(out.dirty.count(), Some(1));
+            if round % 3 == 0 {
+                // a wired task leaves a dead row inside the region above it
+                g.add_edge(chain[round % 300], fresh, ()).unwrap();
+                m.insert_edge(chain[round % 300], fresh).unwrap();
+            }
+            g.remove_node(fresh).unwrap();
+            m.remove_node(&g, fresh).unwrap();
+            // the first pair appends one row; every later one reuses it
+            assert_eq!(m.comp_count(), count + 1, "round {round}");
+            assert_eq!(m.row_stride(), stride, "round {round}");
+        }
+        assert_matches_fresh_build(&m, &g);
+        // a reused slot carries no stale bit: the new node reaches nothing
+        // and nothing reaches it
+        let late = g.add_node(());
+        m.insert_node(late);
+        assert_eq!(m.comp_count(), count + 1);
+        assert_eq!(m.descendant_count(late), 1);
+        assert!(!m.reachable(chain[0], late));
+        assert!(!m.strictly_reachable(late, late));
+    }
+
+    #[test]
     fn remove_node_from_a_cycle_redecomposes_the_survivors() {
         // a -> b, cycle b -> c -> d -> b, d -> e; removing c splits the
         // cycle into singletons and breaks a's path to d and e... except
@@ -1657,7 +1708,11 @@ mod tests {
                 match op {
                     0 => {
                         let fresh = g.add_node(());
+                        let rows = m.comp_count();
+                        let dead = (0..rows).any(|c| m.component_size(c) == 0);
                         m.insert_node(fresh);
+                        // a dead slot is reused before the matrix grows
+                        prop_assert_eq!(m.comp_count(), if dead { rows } else { rows + 1 });
                         nodes.push(fresh);
                     }
                     1 | 2 => {

@@ -7,8 +7,9 @@
 //! can be measured directly (experiment E6).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use wolves_graph::{Csr, FixedBitSet, ReachMatrix};
+use wolves_graph::{Csr, FixedBitSet, GraphError, NodeId, ReachMatrix};
 use wolves_workflow::{CompositeTaskId, InducedViewGraph, TaskId, WorkflowSpec, WorkflowView};
 
 /// Result of a provenance query.
@@ -88,6 +89,12 @@ pub fn workflow_level_impact(spec: &WorkflowSpec, subject: TaskId) -> Provenance
 ///   the subject's composite; their member lists are OR'd into a task
 ///   bitset, read back in ascending id order. O(C + answer + V/64), with no
 ///   graph construction and no ordered-set inserts.
+/// * **Spec edits** — the index is kept, not rebuilt: after a task or
+///   dependency edit, [`ViewProvenanceIndex::carry`] finds what the edit
+///   did to the induced view graph and absorbs it through the matrix's
+///   incremental maintenance. Cloning is cheap (both parts are
+///   block-shared), so a copy-on-write holder clones the index and edits
+///   the clone.
 #[derive(Debug, Clone)]
 pub struct ViewProvenanceIndex {
     /// The induced view graph: node `i` is composite slot `i`.
@@ -107,6 +114,116 @@ impl ViewProvenanceIndex {
             induced,
             view_reach,
         }
+    }
+
+    /// Carries an index that was current before a spec edit to the spec
+    /// and view after it. Returns `false` when it cannot, and the index
+    /// must then be dropped and rebuilt.
+    ///
+    /// The edit may only have added or emptied the composites in
+    /// `composites`, and made or broken the links between the ordered
+    /// composite pairs in `pairs` (a link is one or more dependencies from
+    /// a member of the first composite to a member of the second). The
+    /// rule, per item, each absorbed in place by the matrix's incremental
+    /// maintenance:
+    ///
+    /// * a live composite the index does not hold is new: a node insert;
+    /// * a composite the index holds that the view no longer has was
+    ///   emptied: a node removal (its links go with it);
+    /// * two distinct live composites the index does not link, now joined
+    ///   by a dependency: an edge insert;
+    /// * two composites the index links with no dependency left between
+    ///   them: an edge removal.
+    ///
+    /// A link check walks the dependencies of the smaller composite's
+    /// members only. An edit that leaves the induced graph as it was (an
+    /// edge inside one composite, or beside a parallel one) keeps the very
+    /// same `Arc`; any other copies the index off other holders first.
+    pub fn carry(
+        index: &mut Arc<Self>,
+        spec: &WorkflowSpec,
+        view: &WorkflowView,
+        composites: &[CompositeTaskId],
+        pairs: &[(CompositeTaskId, CompositeTaskId)],
+    ) -> bool {
+        let changes = index.changes(spec, view, composites, pairs);
+        changes.is_empty() || Arc::make_mut(index).apply(&changes).is_ok()
+    }
+
+    /// What the edit did to the induced view graph, by the rule of
+    /// [`ViewProvenanceIndex::carry`].
+    fn changes(
+        &self,
+        spec: &WorkflowSpec,
+        view: &WorkflowView,
+        composites: &[CompositeTaskId],
+        pairs: &[(CompositeTaskId, CompositeTaskId)],
+    ) -> Vec<InducedChange> {
+        let mut changes = Vec::new();
+        for &composite in composites {
+            let live = view.composite(composite).is_ok();
+            match (live, self.induced.node_of(composite).is_some()) {
+                (true, false) => changes.push(InducedChange::AddComposite(composite)),
+                (false, true) => changes.push(InducedChange::RemoveComposite(composite)),
+                _ => {}
+            }
+        }
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable();
+        pairs.dedup();
+        for (from, to) in pairs {
+            if from == to || view.composite(from).is_err() || view.composite(to).is_err() {
+                continue;
+            }
+            match (
+                linked(spec, view, from, to),
+                self.induced.has_edge(from, to),
+            ) {
+                (true, false) => changes.push(InducedChange::AddLink(from, to)),
+                (false, true) => changes.push(InducedChange::RemoveLink(from, to)),
+                _ => {}
+            }
+        }
+        changes
+    }
+
+    /// Applies `changes` in order, to the induced graph and its matrix
+    /// alike.
+    ///
+    /// # Errors
+    /// Fails on a change the index cannot take: a new composite whose slot
+    /// is not the next graph node, or a link or composite the induced graph
+    /// does not hold. The index is then partly updated.
+    fn apply(&mut self, changes: &[InducedChange]) -> Result<(), GraphError> {
+        let node = |composite: CompositeTaskId| NodeId::from_index(composite.index());
+        let graph = &mut self.induced.graph;
+        for &change in changes {
+            match change {
+                InducedChange::AddComposite(composite) => {
+                    if graph.node_bound() != composite.index() {
+                        return Err(GraphError::InvalidNode(node(composite)));
+                    }
+                    let added = graph.add_node(composite);
+                    self.view_reach.insert_node(added);
+                }
+                InducedChange::RemoveComposite(composite) => {
+                    graph.remove_node(node(composite))?;
+                    self.view_reach.remove_node(graph, node(composite))?;
+                }
+                InducedChange::AddLink(from, to) => {
+                    graph.add_edge_unique(node(from), node(to), ())?;
+                    self.view_reach.insert_edge(node(from), node(to))?;
+                }
+                InducedChange::RemoveLink(from, to) => {
+                    let edge = graph
+                        .find_edge(node(from), node(to))
+                        .ok_or(GraphError::InvalidNode(node(from)))?;
+                    graph.remove_edge(edge)?;
+                    self.view_reach.remove_edge(graph, node(from), node(to))?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Answers the same question as [`view_level_provenance`], from the
@@ -169,6 +286,43 @@ impl ViewProvenanceIndex {
             }
         }
         (composites, tasks.ones().map(TaskId::from_index).collect())
+    }
+}
+
+/// One change a spec edit made to the induced view graph.
+#[derive(Debug, Clone, Copy)]
+enum InducedChange {
+    /// A composite the index does not hold yet: a new node.
+    AddComposite(CompositeTaskId),
+    /// A composite the edit emptied: its node goes, and its links with it.
+    RemoveComposite(CompositeTaskId),
+    /// A dependency now joins two composites no dependency joined before.
+    AddLink(CompositeTaskId, CompositeTaskId),
+    /// The last dependency joining two composites went away.
+    RemoveLink(CompositeTaskId, CompositeTaskId),
+}
+
+/// Whether a dependency of `spec` joins a member of `from` to a member of
+/// `to`, found from the side with fewer members.
+fn linked(
+    spec: &WorkflowSpec,
+    view: &WorkflowView,
+    from: CompositeTaskId,
+    to: CompositeTaskId,
+) -> bool {
+    let (Ok(source), Ok(target)) = (view.composite(from), view.composite(to)) else {
+        return false;
+    };
+    if source.len() <= target.len() {
+        source.members().iter().any(|&task| {
+            spec.successors(task)
+                .any(|next| view.composite_of(next) == Some(to))
+        })
+    } else {
+        target.members().iter().any(|&task| {
+            spec.predecessors(task)
+                .any(|prev| view.composite_of(prev) == Some(from))
+        })
     }
 }
 

@@ -15,6 +15,7 @@
 //!   composite — no false positives at the view's granularity.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -268,5 +269,118 @@ fn view_level_cycles_put_the_subject_in_its_own_answer() {
     let index = ViewProvenanceIndex::new(&spec, &view);
     for &subject in &t {
         assert!(index.provenance_tasks(&view, subject).contains(&subject));
+    }
+}
+
+/// Applies one random task or dependency edit that keeps the view a
+/// partition — new tasks enter as singleton composites, as the serving
+/// layer adds them — and returns what the edit can have changed in the
+/// induced graph: the composites it may have added or emptied and the
+/// ordered composite pairs whose link it may have made or broken.
+fn spec_edit(
+    rng: &mut StdRng,
+    spec: &mut WorkflowSpec,
+    view: &mut WorkflowView,
+    step: usize,
+) -> (
+    Vec<CompositeTaskId>,
+    Vec<(CompositeTaskId, CompositeTaskId)>,
+) {
+    let live: Vec<TaskId> = spec.task_ids().collect();
+    let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+    let of = |view: &WorkflowView, task| view.composite_of(task).unwrap();
+    match rng.gen_range(0..4u8) {
+        0 => {
+            // any orientation: back edges make the spec itself cyclic
+            let (from, to) = (pick(rng), pick(rng));
+            if from == to || spec.graph().find_edge(from, to).is_some() {
+                return (Vec::new(), Vec::new());
+            }
+            spec.apply(SpecMutation::AddDependency { from, to })
+                .unwrap();
+            (Vec::new(), vec![(of(view, from), of(view, to))])
+        }
+        1 => {
+            let deps: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
+            if deps.is_empty() {
+                return (Vec::new(), Vec::new());
+            }
+            let (from, to) = deps[rng.gen_range(0..deps.len())];
+            spec.apply(SpecMutation::RemoveDependency { from, to })
+                .unwrap();
+            (Vec::new(), vec![(of(view, from), of(view, to))])
+        }
+        2 if live.len() >= 2 => {
+            let task = pick(rng);
+            let own = of(view, task);
+            let pairs = spec
+                .predecessors(task)
+                .map(|prev| (of(view, prev), own))
+                .chain(spec.successors(task).map(|next| (own, of(view, next))))
+                .collect();
+            view.remove_member(task).unwrap();
+            spec.apply(SpecMutation::RemoveTask { task }).unwrap();
+            (vec![own], pairs)
+        }
+        _ => {
+            let name = format!("late{step}");
+            let task = spec
+                .apply(SpecMutation::AddTask { name: name.clone() })
+                .unwrap()
+                .task
+                .unwrap();
+            (
+                vec![view.add_composite(name, vec![task]).unwrap()],
+                Vec::new(),
+            )
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An index carried through random task and dependency edits by
+    /// `carry` answers every subject exactly like an index
+    /// built from scratch after each edit, on DAGs and on cyclic specs
+    /// alike; the index it was cloned from keeps answering for the spec
+    /// and view it was built on.
+    #[test]
+    fn an_updated_index_matches_a_fresh_build(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut spec, mut view) = random_spec_and_view(&mut rng);
+        if rng.gen_bool(0.5) {
+            // a few back edges close spec-level cycles
+            let live: Vec<TaskId> = spec.task_ids().collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let (a, b) = (rng.gen_range(0..live.len()), rng.gen_range(0..live.len()));
+                if a > b && spec.graph().find_edge(live[a], live[b]).is_none() {
+                    spec.add_dependency(live[a], live[b], DataDependency::unnamed())
+                        .unwrap();
+                }
+            }
+        }
+        let original = (spec.clone(), view.clone());
+        let first = Arc::new(ViewProvenanceIndex::new(&spec, &view));
+        let mut index = Arc::clone(&first);
+        for step in 0..rng.gen_range(1..24usize) {
+            let (composites, pairs) = spec_edit(&mut rng, &mut spec, &mut view, step);
+            prop_assert!(
+                ViewProvenanceIndex::carry(&mut index, &spec, &view, &composites, &pairs),
+                "step {}", step
+            );
+            let fresh = ViewProvenanceIndex::new(&spec, &view);
+            for subject in spec.task_ids() {
+                let updated = index.provenance(&view, subject);
+                let rebuilt = fresh.provenance(&view, subject);
+                prop_assert_eq!(&updated.tasks, &rebuilt.tasks, "step {}", step);
+                prop_assert_eq!(&updated.composites, &rebuilt.composites, "step {}", step);
+            }
+        }
+        let (spec, view) = original;
+        let fresh = ViewProvenanceIndex::new(&spec, &view);
+        for subject in spec.task_ids() {
+            prop_assert_eq!(first.provenance(&view, subject).tasks, fresh.provenance(&view, subject).tasks);
+        }
     }
 }

@@ -21,26 +21,32 @@
 //!   boundaries may have moved); every other cached verdict is re-tagged to
 //!   the new epoch and keeps serving hits.
 //! * **Provenance index caching** — the per-view [`ViewProvenanceIndex`] is
-//!   epoch-tagged too and survives mutations that cannot change the induced
-//!   view graph: an edge edit inside one composite, or one that leaves
-//!   another dependency joining the same two composites. Any other edit
-//!   rebuilds it on the next query in O(V + E + C²/64): one pass over the
-//!   dependencies through the view's dense task → composite table, then
-//!   the closure of the small C-composite view graph. A query is O(C) row
-//!   lookups whose member lists come back as task ids in order, mapped
-//!   straight to names.
+//!   epoch-tagged too and is carried to the new epoch by every task and
+//!   dependency edit: the edit's composite (added or emptied) and the
+//!   composite pairs its dependencies join are re-checked, and only a
+//!   composite that came or went, or a link between two composites that
+//!   appeared or vanished, is written — as a node or edge edit of the
+//!   induced graph that its matrix absorbs incrementally. An edit that
+//!   leaves the induced graph alone keeps the very same index. Splits and
+//!   merges drop it, and the next query rebuilds it in O(V + E + C²/64):
+//!   one pass over the dependencies through the view's dense task →
+//!   composite table, then the closure of the small C-composite view
+//!   graph. A query is O(C) row lookups whose member lists come back as
+//!   task ids in order, mapped straight to names.
 //!
 //! Corrections still append the corrected view as a new immutable version.
 //! Mutations clone the entry copy-on-write off the published snapshot, so
 //! in-flight readers keep a consistent pre-mutation state for as long as
-//! they hold it. The spec clone is structurally shared: the graph's slots
-//! and the matrix's rows live in `Arc`'d blocks (`wolves_graph::BlockVec`)
-//! and the name index behind an `Arc`, so `Arc::make_mut` on the spec
-//! copies block handles (≈15 µs at 10k tasks, not a 9 ms deep copy), the
-//! edit then copies only the blocks it writes, and dropping the superseded
-//! snapshot frees only those. Task additions/removals rebase the workflow:
-//! older view versions would no longer partition the task set, so the
-//! version history is truncated to the (updated) current view.
+//! they hold it. The spec and view clones are structurally shared: the
+//! graph's slots, the matrix's rows, the name index and the view's task →
+//! composite table live in `Arc`'d blocks (`wolves_graph::BlockVec`) and
+//! each composite behind its own `Arc`, so `Arc::make_mut` on the spec or
+//! view copies handles (≈15 µs for a 10k-task spec, not a 9 ms deep copy),
+//! the edit then copies only the blocks and composites it writes, and
+//! dropping the superseded snapshot frees only those. Task
+//! additions/removals rebase the workflow: older view versions would no
+//! longer partition the task set, so the version history is truncated to
+//! the (updated) current view.
 //!
 //! **Durability** is layered behind [`StorageBackend`]: the default
 //! [`MemoryBackend`] keeps today's in-memory behaviour at zero cost, while
@@ -201,8 +207,9 @@ struct CachedVerdict {
 struct StoredView {
     view: Arc<WorkflowView>,
     verdicts: RwLock<HashMap<CompositeTaskId, CachedVerdict>>,
-    /// Matrix-backed provenance index, built on first provenance query and
-    /// reused until a mutation that can change the induced view graph.
+    /// Matrix-backed provenance index, built on first provenance query,
+    /// carried through task and dependency edits, and dropped by view edits
+    /// (split, merge) for the next query to rebuild.
     provenance: RwLock<Option<(u64, Arc<ViewProvenanceIndex>)>>,
 }
 
@@ -1453,7 +1460,7 @@ impl WorkflowStore {
         trace.enter(Stage::Compute);
         // the edit's spec delta (view edits have none)
         let mut delta = None;
-        let (class, affected, provenance_survives, truncate) = match op {
+        let (class, affected, scope, truncate) = match op {
             MutateOp::AddTask { name } => {
                 let spec = Arc::make_mut(&mut entry.spec);
                 let report = spec
@@ -1469,33 +1476,45 @@ impl WorkflowStore {
                 (
                     report.class.name(),
                     Affected::Composites([composite].into_iter().collect()),
-                    false,
+                    Some(IndexScope {
+                        composites: vec![composite],
+                        pairs: Vec::new(),
+                    }),
                     true,
                 )
             }
             MutateOp::RemoveTask { name } => {
                 let task = resolve_task(&entry.spec, name)?;
-                // the neighbours' composites lose a dependency, so their
-                // boundary sets can move even where no reachability row does
-                let mut touched: BTreeSet<CompositeTaskId> = {
-                    let view = &entry.views[entry.current].view;
-                    entry
-                        .spec
-                        .predecessors(task)
-                        .chain(entry.spec.successors(task))
-                        .filter_map(|t| view.composite_of(t))
-                        .collect()
-                };
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
                 let view = Arc::make_mut(&mut stored.view);
-                touched.insert(view.remove_member(task).map_err(mutation)?);
-                let spec = Arc::make_mut(&mut entry.spec);
-                let report = spec
+                let own = view.remove_member(task).map_err(mutation)?;
+                // the links the task's dependencies make between its
+                // composite and its neighbours'
+                let of = |t: TaskId| view.composite_of(t);
+                let spec = &entry.spec;
+                let pairs: Vec<(CompositeTaskId, CompositeTaskId)> = spec
+                    .predecessors(task)
+                    .filter_map(of)
+                    .map(|p| (p, own))
+                    .chain(spec.successors(task).filter_map(of).map(|s| (own, s)))
+                    .collect();
+                let report = Arc::make_mut(&mut entry.spec)
                     .apply(SpecMutation::RemoveTask { task })
                     .map_err(mutation)?;
-                let affected = dirty_composites(entry, &report.dirty, touched);
+                // the neighbours' composites lose a dependency, so their
+                // boundary sets can move even where no reachability row does
+                let touched = pairs.iter().flat_map(|&(a, b)| [a, b]).chain([own]);
+                let affected = dirty_composites(entry, &report.dirty, touched.collect());
                 delta = Some(report.delta);
-                (report.class.name(), affected, false, true)
+                (
+                    report.class.name(),
+                    affected,
+                    Some(IndexScope {
+                        composites: vec![own],
+                        pairs,
+                    }),
+                    true,
+                )
             }
             MutateOp::AddEdge { from, to } => {
                 let from = resolve_task(&entry.spec, from)?;
@@ -1503,10 +1522,9 @@ impl WorkflowStore {
                 let report = Arc::make_mut(&mut entry.spec)
                     .apply(SpecMutation::AddDependency { from, to })
                     .map_err(mutation)?;
-                let (affected, induced_unchanged) =
-                    edge_affected_composites(entry, from, to, &report.dirty);
+                let (affected, scope) = edge_affected_composites(entry, from, to, &report.dirty);
                 delta = Some(report.delta);
-                (report.class.name(), affected, induced_unchanged, false)
+                (report.class.name(), affected, Some(scope), false)
             }
             MutateOp::RemoveEdge { from, to } => {
                 let from = resolve_task(&entry.spec, from)?;
@@ -1516,13 +1534,10 @@ impl WorkflowStore {
                     .map_err(mutation)?;
                 // the decremental maintenance reports exactly which
                 // reachability rows shrank, so survivor composites keep
-                // their cached verdicts just like on the insert path; an
-                // edge that leaves the induced view graph alone additionally
-                // keeps the provenance index
-                let (affected, induced_unchanged) =
-                    edge_affected_composites(entry, from, to, &report.dirty);
+                // their cached verdicts just like on the insert path
+                let (affected, scope) = edge_affected_composites(entry, from, to, &report.dirty);
                 delta = Some(report.delta);
-                (report.class.name(), affected, induced_unchanged, false)
+                (report.class.name(), affected, Some(scope), false)
             }
             MutateOp::Split { composite, parts } => {
                 let stored = Arc::make_mut(&mut entry.views[entry.current]);
@@ -1541,7 +1556,7 @@ impl WorkflowStore {
                 (
                     "view-edit",
                     Affected::Composites([target].into_iter().collect()),
-                    false,
+                    None,
                     false,
                 )
             }
@@ -1557,7 +1572,7 @@ impl WorkflowStore {
                 (
                     "view-edit",
                     Affected::Composites(ids.into_iter().collect()),
-                    false,
+                    None,
                     false,
                 )
             }
@@ -1566,14 +1581,7 @@ impl WorkflowStore {
         // the retag-or-drop pass over the cached verdicts is cache work,
         // not model computation
         trace.enter(Stage::CacheLookup);
-        let mutated = finish_mutation(
-            entry,
-            class,
-            &affected,
-            provenance_survives,
-            truncate,
-            new_epoch,
-        );
+        let mutated = finish_mutation(entry, class, &affected, scope, truncate, new_epoch);
         trace.leave();
         // every change (mutations here, corrections too) bumps the
         // per-entry sequence number; watch subscribers use its contiguity
@@ -2027,14 +2035,24 @@ struct Applied<'a> {
     watched: bool,
 }
 
+/// What a task or dependency edit can have changed in the induced view
+/// graph, for [`ViewProvenanceIndex::carry`]: the composites it may have
+/// added or emptied, and the ordered composite pairs whose link it may
+/// have made or broken.
+struct IndexScope {
+    composites: Vec<CompositeTaskId>,
+    pairs: Vec<(CompositeTaskId, CompositeTaskId)>,
+}
+
 /// Shared tail of [`WorkflowStore::mutate`]: version truncation, the
-/// retag-or-drop pass over the cached verdicts, the provenance cache and the
-/// epoch bump.
+/// retag-or-drop pass over the cached verdicts, the provenance index and
+/// the epoch bump. A spec edit (`scope` set) carries a current index to
+/// the new epoch; a view edit drops it for the next query to rebuild.
 fn finish_mutation(
     entry: &mut Entry,
     class: &str,
     affected: &Affected,
-    provenance_survives: bool,
+    scope: Option<IndexScope>,
     truncate: bool,
     new_epoch: u64,
 ) -> Mutated {
@@ -2065,12 +2083,19 @@ fn finish_mutation(
     }
     {
         let mut slot = stored.provenance.write();
-        match slot.as_mut() {
-            Some((epoch, _)) if provenance_survives && *epoch == old_epoch => {
-                *epoch = new_epoch;
+        *slot = match (slot.take(), scope) {
+            (Some((epoch, mut index)), Some(scope)) if epoch == old_epoch => {
+                ViewProvenanceIndex::carry(
+                    &mut index,
+                    &entry.spec,
+                    &stored.view,
+                    &scope.composites,
+                    &scope.pairs,
+                )
+                .then_some((new_epoch, index))
             }
-            _ => *slot = None,
-        }
+            _ => None,
+        };
     }
     entry.epoch = new_epoch;
     Mutated {
@@ -2127,23 +2152,23 @@ fn check_op_serialisable(op: &MutateOp) -> Result<(), ServiceError> {
 /// Computes which composites of the current view an edge mutation affects:
 /// the composites holding the endpoints (their boundary sets can move even
 /// when the reachability closure is unchanged) plus every composite with a
-/// member in a dirty reachability row. The boolean reports whether the
-/// induced view graph is unchanged, so the provenance index survives the
-/// edit: the edge is internal to one composite, or another dependency
-/// still joins the same two composites.
+/// member in a dirty reachability row. The scope is the one composite pair
+/// the edge can link or unlink.
 fn edge_affected_composites(
     entry: &Entry,
     from: TaskId,
     to: TaskId,
     dirty: &DirtyRows,
-) -> (Affected, bool) {
+) -> (Affected, IndexScope) {
     let view = &entry.views[entry.current].view;
     let from_composite = view.composite_of(from);
     let to_composite = view.composite_of(to);
-    let internal = from_composite.is_some() && from_composite == to_composite;
-    let induced_unchanged = internal || parallel_link(entry, from, to);
+    let scope = IndexScope {
+        composites: Vec::new(),
+        pairs: from_composite.zip(to_composite).into_iter().collect(),
+    };
     let endpoints = from_composite.into_iter().chain(to_composite).collect();
-    (dirty_composites(entry, dirty, endpoints), induced_unchanged)
+    (dirty_composites(entry, dirty, endpoints), scope)
 }
 
 /// The composites a spec edit invalidates: `touched` (the ones whose
@@ -2175,25 +2200,6 @@ fn dirty_composites(
         }
     }
     Affected::Composites(touched)
-}
-
-/// Whether a dependency other than `from -> to` joins `from`'s composite to
-/// `to`'s in the (already edited) spec: adding or removing `from -> to`
-/// then leaves the induced view graph's edge set as it was.
-fn parallel_link(entry: &Entry, from: TaskId, to: TaskId) -> bool {
-    let view = &entry.views[entry.current].view;
-    let (Some(source), Some(target)) = (view.composite_of(from), view.composite_of(to)) else {
-        return false;
-    };
-    let Ok(composite) = view.composite(source) else {
-        return false;
-    };
-    composite.members().iter().any(|&task| {
-        entry
-            .spec
-            .successors(task)
-            .any(|next| (task, next) != (from, to) && view.composite_of(next) == Some(target))
-    })
 }
 
 /// Resolves a composite task of `view` by display name.
@@ -3113,8 +3119,18 @@ mod tests {
         assert!(after.contains(&"Check additional annotations".to_owned()));
     }
 
+    /// Provenance index builds and hits summed over the shards.
+    fn index_counts(store: &WorkflowStore) -> (u64, u64) {
+        store.counters().fold((0, 0), |(builds, hits), c| {
+            (
+                builds + c.provenance_index_builds,
+                hits + c.provenance_index_hits,
+            )
+        })
+    }
+
     #[test]
-    fn provenance_index_builds_only_when_the_induced_graph_can_change() {
+    fn provenance_index_builds_only_on_view_edits() {
         let store = WorkflowStore::new(2);
         // a1 -> b and a2 -> b both link composite A to B
         let id = store
@@ -3124,14 +3140,7 @@ mod tests {
                  view\tv\ncomposite\tA\ta1|a2\ncomposite\tB\tb\n",
             )
             .unwrap();
-        let index_counts = || {
-            store.counters().fold((0, 0), |(builds, hits), c| {
-                (
-                    builds + c.provenance_index_builds,
-                    hits + c.provenance_index_hits,
-                )
-            })
-        };
+        let index_counts = || index_counts(&store);
         let names = |v: &[&str]| v.iter().map(|&n| n.to_owned()).collect::<Vec<_>>();
         assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
         assert_eq!(index_counts(), (1, 0));
@@ -3147,22 +3156,91 @@ mod tests {
         assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
         assert_eq!(index_counts(), (1, 2), "edge edits kept the index");
 
-        // a new task is a new composite: exactly one rebuild, then hits
-        store
-            .mutate(
-                id,
-                MutateOp::AddTask {
-                    name: "c".to_owned(),
-                },
-            )
-            .unwrap();
+        // a new task is a new composite, linked in by a new edge; removing
+        // a member of A and then the task itself unlinks them again: the
+        // index absorbs each edit, so every query is a hit
+        let add_task = |name: &str| MutateOp::AddTask {
+            name: name.to_owned(),
+        };
+        let remove_task = |name: &str| MutateOp::RemoveTask {
+            name: name.to_owned(),
+        };
+        store.mutate(id, add_task("c")).unwrap();
         assert_eq!(store.provenance(id, "b").unwrap(), names(&["a1", "a2"]));
         assert_eq!(store.provenance(id, "c").unwrap(), Vec::<String>::new());
-        assert_eq!(index_counts(), (2, 3));
+        store.mutate(id, add_edge("b", "c")).unwrap();
+        assert_eq!(
+            store.provenance(id, "c").unwrap(),
+            names(&["a1", "a2", "b"])
+        );
+        store.mutate(id, remove_task("a1")).unwrap();
+        assert_eq!(store.provenance(id, "c").unwrap(), names(&["a2", "b"]));
+        store.mutate(id, remove_task("b")).unwrap();
+        assert_eq!(store.provenance(id, "c").unwrap(), Vec::<String>::new());
+        assert_eq!(index_counts(), (1, 7), "spec edits carried the index");
+
+        // a merge is a view edit: one rebuild
+        let merge = MutateOp::Merge {
+            name: "AC".to_owned(),
+            composites: vec!["A".to_owned(), "c".to_owned()],
+        };
+        store.mutate(id, merge).unwrap();
+        assert_eq!(store.provenance(id, "c").unwrap(), names(&["a2"]));
+        assert_eq!(index_counts(), (2, 7));
 
         let exposition = store.metrics_text();
         assert!(exposition.contains("wolves_provenance_index_builds_total 2\n"));
-        assert!(exposition.contains("wolves_provenance_index_hits_total 3\n"));
+        assert!(exposition.contains("wolves_provenance_index_hits_total 7\n"));
+    }
+
+    #[test]
+    fn a_script_of_spec_edits_builds_the_provenance_index_once() {
+        use wolves_repo::{layered_workflow, topological_block_view, LayeredConfig};
+        let spec = layered_workflow(&LayeredConfig::sized(600), 5);
+        let view = topological_block_view(&spec, 16, "blocks").unwrap();
+        let names: Vec<String> = spec.tasks().map(|(_, t)| t.name.clone()).collect();
+        let edges: Vec<(String, String)> = spec
+            .dependencies()
+            .map(|(f, t)| {
+                let name = |t: TaskId| spec.task(t).unwrap().name.clone();
+                (name(f), name(t))
+            })
+            .collect();
+        let store = WorkflowStore::new(2);
+        let id = store.register(spec, Some(view));
+        store.provenance(id, &names[names.len() - 1]).unwrap();
+        // 64 edits in blocks of eight, like an editing session: an edge
+        // removed and re-added three times, then a task added, wired in and
+        // removed again (its composite emptied)
+        let mut edits = 0;
+        for block in 0..8 {
+            for pair in 0..3 {
+                let (from, to) = &edges[(block * 37 + pair * 11) % edges.len()];
+                let remove = MutateOp::RemoveEdge {
+                    from: from.clone(),
+                    to: to.clone(),
+                };
+                store.mutate(id, remove).unwrap();
+                store.mutate(id, add_edge(from, to)).unwrap();
+            }
+            let task = format!("late {block}");
+            store
+                .mutate(id, MutateOp::AddTask { name: task.clone() })
+                .unwrap();
+            store
+                .mutate(id, add_edge(&names[block * 50], &task))
+                .unwrap();
+            edits += 8;
+            assert_served_provenance_is_exact(&store, id, &[task.clone(), names[block].clone()]);
+            store
+                .mutate(id, MutateOp::RemoveTask { name: task })
+                .unwrap();
+        }
+        assert_eq!(edits, 64);
+        assert_served_provenance_is_exact(&store, id, &names[..40]);
+        assert!(store
+            .metrics_text()
+            .contains("wolves_provenance_index_builds_total 1\n"));
     }
 
     /// The provenance index cached for the workflow's current epoch, if any.
@@ -3274,9 +3352,11 @@ mod tests {
             assert_served_provenance_is_exact(&store, id, &subjects);
         }
         let (half_a, half_b) = split.split_at(split.len() / 2);
-        let script = [
-            // the only link between two composites: the index is dropped
-            // and rebuilt
+        // task and dependency edits, most of which change the induced
+        // graph: the index is carried to the new epoch, never rebuilt
+        let (builds, _) = index_counts(&store);
+        let spec_edits = [
+            // the only link between two composites comes and goes
             re_add(&sole),
             remove(&sole),
             MutateOp::AddTask {
@@ -3284,6 +3364,18 @@ mod tests {
             },
             add_edge(&subjects[3], "late arrival"),
             MutateOp::RemoveTask { name: doomed },
+            MutateOp::RemoveTask {
+                name: "late arrival".to_owned(),
+            },
+        ];
+        for op in spec_edits {
+            store.mutate(id, op).unwrap();
+            assert!(cached_index(&store, id).is_some(), "the index is carried");
+            assert_served_provenance_is_exact(&store, id, &subjects);
+        }
+        assert_eq!(index_counts(&store).0, builds);
+        // view edits drop it for the next query to rebuild
+        let view_edits = [
             MutateOp::Split {
                 composite: split_name,
                 parts: vec![half_a.to_vec(), half_b.to_vec()],
@@ -3293,7 +3385,7 @@ mod tests {
                 composites: merged,
             },
         ];
-        for op in script {
+        for op in view_edits {
             assert!(cached_index(&store, id).is_some());
             store.mutate(id, op).unwrap();
             assert!(cached_index(&store, id).is_none());

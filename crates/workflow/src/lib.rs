@@ -39,6 +39,7 @@ pub mod boundary;
 pub mod builder;
 pub mod error;
 pub mod mutation;
+mod names;
 pub mod persist;
 pub mod render;
 pub mod spec;

@@ -21,8 +21,6 @@
 //! in-memory delta log was removed carry a `log-cap` line; the reader
 //! accepts and ignores it, so older data directories still recover.
 
-use std::collections::BTreeMap;
-
 use wolves_graph::DiGraph;
 
 use crate::error::WorkflowError;
@@ -284,19 +282,8 @@ pub fn spec_from_lines(lines: &[String]) -> Result<WorkflowSpec, WorkflowError> 
     let name = name.ok_or_else(|| err("missing spec header"))?;
     let nodes = nodes.ok_or_else(|| err("missing tasks bound"))?;
     let edges = edges.ok_or_else(|| err("missing edges bound"))?;
-    let mut by_name: BTreeMap<String, TaskId> = BTreeMap::new();
-    for (index, slot) in nodes.iter().enumerate() {
-        if let Some(task) = slot {
-            if by_name
-                .insert(task.name.clone(), TaskId::from_index(index))
-                .is_some()
-            {
-                return Err(err(format!("duplicate task name '{}'", task.name)));
-            }
-        }
-    }
     let graph = DiGraph::from_slots(nodes, edges).map_err(|e| err(e.to_string()))?;
-    Ok(WorkflowSpec::restore(name, graph, by_name, epoch))
+    WorkflowSpec::restore(name, graph, epoch).map_err(|e| err(e.to_string()))
 }
 
 /// Serialises a view, slot layout included (tombstones left by splits,

@@ -1,12 +1,12 @@
 //! Workflow specifications.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use wolves_graph::{Csr, DeltaClass, DeltaOutcome, DiGraph, DirtyRows, GraphError, ReachMatrix};
 
 use crate::error::WorkflowError;
 use crate::mutation::{MutationReport, SpecDelta, SpecDeltaKind, SpecMutation};
+use crate::names::NameIndex;
 use crate::persist::check_slot_bound;
 use crate::task::{AtomicTask, DataDependency, TaskId};
 
@@ -27,22 +27,22 @@ use crate::task::{AtomicTask, DataDependency, TaskId};
 ///
 /// Cloning preserves the epoch **and** the cached reachability matrix, so
 /// copy-on-write holders (e.g. the serving layer's `Arc::make_mut`) stay
-/// incremental across clones. The clone is also cheap: the graph's slots
-/// and the matrix's rows live in `Arc`'d blocks
-/// ([`wolves_graph::BlockVec`]) and the name index behind an `Arc`, so a
-/// clone copies block handles plus the small per-component vectors — about
-/// 15 µs at 10k tasks instead of a 9 ms deep copy. An edit after the clone
-/// copies only the blocks it writes: an edge edit copies two node blocks,
-/// one edge block and the matrix blocks whose rows changed; only task adds
-/// and removes copy the name index. Dropping the superseded version frees
-/// just those blocks.
+/// incremental across clones. The clone is also cheap: the graph's slots,
+/// the matrix's rows and the name index's hash table all live in `Arc`'d
+/// blocks ([`wolves_graph::BlockVec`]), so a clone copies block handles
+/// plus the small per-component vectors — about 15 µs at 10k tasks instead
+/// of a 9 ms deep copy. An edit after the clone copies only the blocks it
+/// writes: an edge edit copies two node blocks, one edge block and the
+/// matrix blocks whose rows changed; a task add or remove also copies the
+/// one 4 KiB block of the name index it writes. Dropping the superseded
+/// version frees just those blocks.
 #[derive(Debug, Clone)]
 pub struct WorkflowSpec {
     name: String,
     graph: DiGraph<AtomicTask, DataDependency>,
-    /// Task name → id, shared between clones until a task add or remove
-    /// writes it.
-    by_name: Arc<BTreeMap<String, TaskId>>,
+    /// Task name → id, over the names the graph holds; clones share its
+    /// blocks until a task add or remove writes one.
+    names: NameIndex,
     reach: OnceLock<ReachMatrix>,
     epoch: u64,
 }
@@ -54,7 +54,7 @@ impl WorkflowSpec {
         WorkflowSpec {
             name: name.into(),
             graph: DiGraph::new(),
-            by_name: Arc::new(BTreeMap::new()),
+            names: NameIndex::new(),
             reach: OnceLock::new(),
             epoch: 0,
         }
@@ -64,19 +64,22 @@ impl WorkflowSpec {
     /// recovery path. The graph must carry the exact slot layout (including
     /// tombstones) of the serialised spec so future task/dependency ids are
     /// assigned identically; `epoch` resumes the mutation counter.
+    ///
+    /// # Errors
+    /// Fails if two live tasks share a name.
     pub(crate) fn restore(
         name: String,
         graph: DiGraph<AtomicTask, DataDependency>,
-        by_name: BTreeMap<String, TaskId>,
         epoch: u64,
-    ) -> Self {
-        WorkflowSpec {
+    ) -> Result<Self, WorkflowError> {
+        let names = NameIndex::from_graph(&graph).map_err(WorkflowError::DuplicateTaskName)?;
+        Ok(WorkflowSpec {
             name,
             graph,
-            by_name: Arc::new(by_name),
+            names,
             reach: OnceLock::new(),
             epoch,
-        }
+        })
     }
 
     /// The specification's name.
@@ -150,7 +153,7 @@ impl WorkflowSpec {
             .graph
             .remove_node(id)
             .map_err(|_| WorkflowError::UnknownTask(id))?;
-        Arc::make_mut(&mut self.by_name).remove(&task.name);
+        self.names.remove(&self.graph, &task.name, id);
         let (class, dirty) = maintain(&mut self.reach, |matrix| {
             matrix.remove_node(&self.graph, id)
         });
@@ -190,13 +193,12 @@ impl WorkflowSpec {
     }
 
     fn add_task_mutation(&mut self, task: AtomicTask) -> Result<MutationReport, WorkflowError> {
-        if self.by_name.contains_key(&task.name) {
+        if self.task_by_name(&task.name).is_some() {
             return Err(WorkflowError::DuplicateTaskName(task.name));
         }
         check_slot_bound("task", self.graph.node_bound() + 1)?;
-        let name = task.name.clone();
         let id = self.graph.add_node(task);
-        Arc::make_mut(&mut self.by_name).insert(name, id);
+        self.names.insert(&self.graph, id);
         let (class, dirty) = maintain(&mut self.reach, |matrix| Ok(matrix.insert_node(id)));
         Ok(self.record(SpecDeltaKind::TaskAdded(id), class, dirty, Some(id)))
     }
@@ -257,7 +259,7 @@ impl WorkflowSpec {
     /// Looks up a task id by name.
     #[must_use]
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
-        self.by_name.get(name).copied()
+        self.names.get(&self.graph, name)
     }
 
     /// Returns the task payload for an id.
@@ -665,6 +667,48 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Interleaved task adds, task removes and clones: every spec —
+        /// the clones taken along the way, which share the name index's
+        /// blocks with it, included — resolves every name exactly like a
+        /// `BTreeMap` kept beside it, and refuses a name it already holds.
+        #[test]
+        fn prop_name_lookups_match_a_map_model_across_clones(
+            ops in proptest::collection::vec((0usize..4, 0usize..48), 1..200)
+        ) {
+            use std::collections::BTreeMap;
+            let mut spec = WorkflowSpec::new("names");
+            let mut model: BTreeMap<String, TaskId> = BTreeMap::new();
+            let mut frozen: Vec<(WorkflowSpec, BTreeMap<String, TaskId>)> = Vec::new();
+            for (op, raw) in ops {
+                let name = format!("n{raw}");
+                match op {
+                    0 | 1 => {
+                        let added = spec.apply(SpecMutation::AddTask { name: name.clone() });
+                        match model.get(&name) {
+                            Some(_) => proptest::prop_assert!(added.is_err()),
+                            None => {
+                                model.insert(name, added.unwrap().task.unwrap());
+                            }
+                        }
+                    }
+                    2 => {
+                        if let Some(task) = model.remove(&name) {
+                            spec.apply(SpecMutation::RemoveTask { task }).unwrap();
+                        }
+                    }
+                    _ => frozen.push((spec.clone(), model.clone())),
+                }
+                let snapshots = frozen.iter().map(|(s, m)| (s, m));
+                for (s, m) in snapshots.chain(std::iter::once((&spec, &model))) {
+                    proptest::prop_assert_eq!(s.task_count(), m.len());
+                    for raw in 0..48 {
+                        let name = format!("n{raw}");
+                        proptest::prop_assert_eq!(s.task_by_name(&name), m.get(&name).copied());
+                    }
+                }
+            }
+        }
 
         /// A clone of a spec with a built matrix is independent of the
         /// original: random task and dependency edits on the clone keep its

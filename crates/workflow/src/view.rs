@@ -3,8 +3,9 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
-use wolves_graph::{DiGraph, FixedBitSet, NodeId};
+use wolves_graph::{BlockVec, DiGraph, FixedBitSet, NodeId};
 
 use crate::error::WorkflowError;
 use crate::persist::check_slot_bound;
@@ -109,16 +110,24 @@ const NO_COMPOSITE: u32 = u32::MAX;
 
 /// A workflow view: a partition of the atomic tasks of one specification
 /// into composite tasks (paper Figure 1(b)).
+///
+/// Cloning is cheap and structurally shared, for the serving layer's
+/// copy-on-write commit: each composite sits behind its own `Arc` and the
+/// task → composite table in `Arc`'d 4 KiB blocks ([`BlockVec`]), so a
+/// clone copies one handle per composite slot and per table block. An edit
+/// after the clone copies only what it writes: a task add or remove copies
+/// one table block and at most the one composite whose members it changes;
+/// a split or merge copies the table blocks of the members it moves.
 #[derive(Debug, Clone)]
 pub struct WorkflowView {
     name: String,
-    composites: Vec<Option<CompositeTask>>,
+    composites: Vec<Option<Arc<CompositeTask>>>,
     /// Dense task → composite table indexed by `TaskId::index()`: the slot
     /// of the composite holding each task, or [`NO_COMPOSITE`]. Task ids
     /// are dense slot indices too, so this is one `u32` per task slot of
-    /// the specification and every [`WorkflowView::composite_of`] is an
-    /// array load.
-    composite_of_task: Vec<u32>,
+    /// the specification and every [`WorkflowView::composite_of`] is a
+    /// block-and-offset load.
+    composite_of_task: BlockVec<u32>,
 }
 
 impl WorkflowView {
@@ -136,7 +145,9 @@ impl WorkflowView {
         let mut view = WorkflowView {
             name: name.into(),
             composites: Vec::with_capacity(groups.len()),
-            composite_of_task: vec![NO_COMPOSITE; spec.graph().node_bound()],
+            composite_of_task: std::iter::repeat(NO_COMPOSITE)
+                .take(spec.graph().node_bound())
+                .collect(),
         };
         let mut duplicated = Vec::new();
         for (group_name, members) in groups {
@@ -152,7 +163,7 @@ impl WorkflowView {
                     duplicated.push(m);
                 }
             }
-            view.composites.push(Some(composite));
+            view.composites.push(Some(Arc::new(composite)));
         }
         let missing: Vec<TaskId> = spec
             .task_ids()
@@ -218,7 +229,7 @@ impl WorkflowView {
         let mut view = WorkflowView {
             name: name.into(),
             composites: Vec::new(),
-            composite_of_task: Vec::new(),
+            composite_of_task: BlockVec::new(),
         };
         let mut duplicated = Vec::new();
         for (index, slot) in slots.iter().enumerate() {
@@ -236,7 +247,7 @@ impl WorkflowView {
                 duplicated,
             });
         }
-        view.composites = slots;
+        view.composites = slots.into_iter().map(|slot| slot.map(Arc::new)).collect();
         Ok(view)
     }
 
@@ -245,7 +256,7 @@ impl WorkflowView {
         self.composites
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|c| (CompositeTaskId::from_index(i), c)))
+            .filter_map(|(i, c)| c.as_deref().map(|c| (CompositeTaskId::from_index(i), c)))
     }
 
     /// Iterates over live composite ids.
@@ -260,7 +271,7 @@ impl WorkflowView {
     pub fn composite(&self, id: CompositeTaskId) -> Result<&CompositeTask, WorkflowError> {
         self.composites
             .get(id.index())
-            .and_then(|c| c.as_ref())
+            .and_then(|c| c.as_deref())
             .ok_or(WorkflowError::UnknownComposite(id))
     }
 
@@ -293,7 +304,7 @@ impl WorkflowView {
         );
         let index = task.index();
         if index >= self.composite_of_task.len() {
-            self.composite_of_task.resize(index + 1, NO_COMPOSITE);
+            self.composite_of_task.extend_to(index + 1, NO_COMPOSITE);
         }
         std::mem::replace(&mut self.composite_of_task[index], id.0) != NO_COMPOSITE
     }
@@ -308,9 +319,12 @@ impl WorkflowView {
             .task_ids()
             .filter(|&t| self.composite_of(t).is_none())
             .collect();
-        let unknown: Vec<TaskId> = (0..self.composite_of_task.len())
-            .filter(|&index| self.composite_of_task[index] != NO_COMPOSITE)
-            .map(TaskId::from_index)
+        let unknown: Vec<TaskId> = self
+            .composite_of_task
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != NO_COMPOSITE)
+            .map(|(index, _)| TaskId::from_index(index))
             .filter(|&t| !spec.contains_task(t))
             .collect();
         if missing.is_empty() && unknown.is_empty() {
@@ -339,7 +353,11 @@ impl WorkflowView {
         id: CompositeTaskId,
         parts: Vec<Vec<TaskId>>,
     ) -> Result<Vec<CompositeTaskId>, WorkflowError> {
-        let original = self.composite(id)?.clone();
+        let original = self
+            .composites
+            .get(id.index())
+            .and_then(Clone::clone)
+            .ok_or(WorkflowError::UnknownComposite(id))?;
         // verify the parts partition the original members
         let mut seen: BTreeSet<TaskId> = BTreeSet::new();
         let mut duplicated = Vec::new();
@@ -384,7 +402,7 @@ impl WorkflowView {
             for &m in composite.members() {
                 self.assign(m, new_id);
             }
-            self.composites.push(Some(composite));
+            self.composites.push(Some(Arc::new(composite)));
             new_ids.push(new_id);
         }
         Ok(new_ids)
@@ -420,7 +438,7 @@ impl WorkflowView {
         for &m in composite.members() {
             self.assign(m, new_id);
         }
-        self.composites.push(Some(composite));
+        self.composites.push(Some(Arc::new(composite)));
         Ok(new_id)
     }
 
@@ -456,7 +474,7 @@ impl WorkflowView {
         for &m in composite.members() {
             self.assign(m, id);
         }
-        self.composites.push(Some(composite));
+        self.composites.push(Some(Arc::new(composite)));
         Ok(id)
     }
 
@@ -471,12 +489,14 @@ impl WorkflowView {
             .composite_of(task)
             .ok_or(WorkflowError::UnknownTask(task))?;
         self.composite_of_task[task.index()] = NO_COMPOSITE;
-        let slot = self.composites[id.index()]
-            .as_mut()
-            .expect("composite_of points at a live composite");
-        slot.members.remove(&task);
-        if slot.members.is_empty() {
-            self.composites[id.index()] = None;
+        let slot = &mut self.composites[id.index()];
+        match slot {
+            Some(composite) if composite.len() > 1 => {
+                Arc::make_mut(composite).members.remove(&task);
+            }
+            // the task was the last member: the composite goes without
+            // being copied out of a clone that still shares it
+            _ => *slot = None,
         }
         Ok(id)
     }
@@ -760,6 +780,82 @@ mod tests {
         view.remove_member(ids[1]).unwrap();
         assert_eq!(view.composite(all).unwrap().len(), 2);
         assert_eq!(view.composite_of(ids[1]), None);
+    }
+
+    /// What a reader of a view observes: every composite with its name and
+    /// members, and the composite of every task slot.
+    type ObservedView = (
+        Vec<(CompositeTaskId, String, Vec<TaskId>)>,
+        Vec<Option<CompositeTaskId>>,
+    );
+
+    fn observe(view: &WorkflowView, slots: usize) -> ObservedView {
+        let composites = view
+            .composites()
+            .map(|(id, c)| (id, c.name.clone(), c.members().iter().copied().collect()))
+            .collect();
+        let owners = (0..slots)
+            .map(|t| view.composite_of(TaskId::from_index(t)))
+            .collect();
+        (composites, owners)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Task adds and removes, splits and merges on a clone of a view
+        /// over several blocks of task slots keep the clone a partition of
+        /// its spec and leave the original's composites and task →
+        /// composite table exactly as they were.
+        #[test]
+        fn prop_view_edits_on_a_clone_leave_the_original_alone(
+            n in 1100usize..1300,
+            group in 1usize..6,
+            ops in proptest::collection::vec((0usize..4, 0usize..4096), 1..24)
+        ) {
+            let (mut spec, ids) = spec_chain(n);
+            let groups = ids
+                .chunks(group)
+                .enumerate()
+                .map(|(i, chunk)| (format!("g{i}"), chunk.to_vec()))
+                .collect();
+            let original = WorkflowView::from_groups(&spec, "v", groups).unwrap();
+            let slots = n + ops.len() + 1;
+            let before = observe(&original, slots);
+            let mut copy = original.clone();
+            for (step, (op, raw)) in ops.into_iter().enumerate() {
+                let live: Vec<CompositeTaskId> = copy.composite_ids().collect();
+                let target = live[raw % live.len()];
+                match op {
+                    0 => {
+                        let task = spec.add_task(AtomicTask::new(format!("new{step}"))).unwrap();
+                        copy.add_composite(format!("new{step}"), vec![task]).unwrap();
+                    }
+                    1 if spec.task_count() > 1 => {
+                        let tasks: Vec<TaskId> = spec.task_ids().collect();
+                        let task = tasks[raw % tasks.len()];
+                        copy.remove_member(task).unwrap();
+                        spec.remove_task(task).unwrap();
+                    }
+                    2 => {
+                        let members: Vec<TaskId> =
+                            copy.composite(target).unwrap().members().iter().copied().collect();
+                        if members.len() > 1 {
+                            let (a, b) = members.split_at(members.len() / 2);
+                            copy.split_composite(target, vec![a.to_vec(), b.to_vec()]).unwrap();
+                        }
+                    }
+                    _ => {
+                        let other = live[(raw / 7) % live.len()];
+                        if other != target {
+                            copy.merge_composites(&[target, other], format!("m{step}")).unwrap();
+                        }
+                    }
+                }
+                proptest::prop_assert!(copy.validate_against(&spec).is_ok());
+                proptest::prop_assert!(observe(&original, slots) == before, "the original changed");
+            }
+        }
     }
 
     #[test]
