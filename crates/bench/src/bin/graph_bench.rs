@@ -27,10 +27,12 @@
 //! emitted into the mutation JSON alongside the raw rows. The
 //! `mutation/edge_remove_region` row times removals on the
 //! `edit-revalidate` lattice that miss the still-reachable short-circuit,
-//! and reports the rows each one marked dirty next to the rows it really
-//! changed. A `guard` object pins the removal-vs-insert latency ratio at the
-//! ~1941-task grid point and the region removal against the matrix build
-//! at the largest grid point for CI, and the graph JSON's `guard` pins
+//! the `mutation/edge_insert_region` row the graph-aware re-insert of each
+//! (`ReachMatrix::insert_edge_in`), and both report the rows each edit
+//! marked dirty next to the rows it really changed. A `guard` object pins
+//! the removal-vs-insert latency ratio at the ~1941-task grid point and the
+//! region removal and re-insert against the matrix build at the largest
+//! grid point for CI, and the graph JSON's `guard` pins
 //! five costs against the spec's
 //! matrix build at the largest grid point: the provenance index (induced
 //! view graph plus its closure), the Definition 2.1 check, the
@@ -81,8 +83,11 @@ const SPEC_CLONE_OVER_MATRIX_MAX: f64 = 0.1;
 /// copy a block of the name index, of the view's task → composite table
 /// and of the matrix rows; deep-copying the name index and the view's
 /// tables per task edit, as the commit path did before, measured about
-/// 0.64 at 1,941 tasks, the block-shared path about 0.1.
-const TASK_EDIT_OVER_MATRIX_MAX: f64 = 0.25;
+/// 0.64 at 1,941 tasks. With the removal scanning the task's matrix column
+/// the block-shared path read 0.06–0.09 (bound 0.25); freeing the isolated
+/// task's row alone, it reads 0.04–0.074 over 19 quick runs, and the bound
+/// is twice the worst of them.
+const TASK_EDIT_OVER_MATRIX_MAX: f64 = 0.15;
 
 /// Bound of the `mutation/edge_remove_region` over `graph/matrix_build`
 /// guard, at the largest grid point. A removal that misses the
@@ -91,6 +96,13 @@ const TASK_EDIT_OVER_MATRIX_MAX: f64 = 0.25;
 /// before, cost 0.1–1× a build.
 const REGION_REMOVE_OVER_MATRIX_MAX: f64 = 0.1;
 
+/// Bound of the `mutation/edge_insert_region` over `graph/matrix_build`
+/// guard, at the largest grid point — the removal's bound. The re-insert
+/// of a region removal walks up from the source and reads only the rows
+/// that gain the target; testing the source's bit in every row, as every
+/// insert did before, reads one word of each of the matrix's rows.
+const REGION_INSERT_OVER_MATRIX_MAX: f64 = 0.1;
+
 /// Bound of the `correct/weak_lattice` over `graph/matrix_build` guard, at
 /// the largest grid point. On the quick grid (2,000-task lattice against
 /// the 1,941-task build) weak correction over the shared member-mask
@@ -98,7 +110,8 @@ const REGION_REMOVE_OVER_MATRIX_MAX: f64 = 0.1;
 /// on the full grid the two measure about 3 and 10, both under the bound.
 const WEAK_LATTICE_OVER_MATRIX_MAX: f64 = 24.0;
 
-/// Removals the `mutation/edge_remove_region` row samples.
+/// Removals (and re-inserts) the `mutation/edge_remove_region` and
+/// `mutation/edge_insert_region` rows sample.
 const REGION_SAMPLES: usize = 24;
 
 struct Row {
@@ -271,15 +284,20 @@ fn main() {
     // *_rebuild rows; only run it when its JSON is actually requested
     if let Some(path) = mutation_out_path {
         let mut mutation_rows = mutation_workload(&targets, quick);
-        let (region_row, region_counts) = region_removals(quick);
-        mutation_rows.push(region_row);
+        let [(remove_row, remove_counts), (insert_row, insert_counts)] = region_edits(quick);
+        mutation_rows.push(remove_row);
+        mutation_rows.push(insert_row);
         let largest_build = rows
             .iter()
             .filter(|r| r.workload == "graph/matrix_build")
             .max_by_key(|r| r.tasks)
             .map(|r| (r.tasks, r.median_us));
-        let mutation_json =
-            render_mutation_json(&mutation_rows, &region_counts, largest_build, quick);
+        let mutation_json = render_mutation_json(
+            &mutation_rows,
+            [&remove_counts, &insert_counts],
+            largest_build,
+            quick,
+        );
         if let Err(e) = std::fs::write(&path, &mutation_json) {
             eprintln!("cannot write '{path}': {e}");
             std::process::exit(1);
@@ -445,7 +463,8 @@ fn mutation_workload(targets: &[usize], quick: bool) -> Vec<Row> {
 }
 
 /// The (median, max) of the rows each `mutation/edge_remove_region`
-/// removal marked dirty and of the rows it changed.
+/// removal or `mutation/edge_insert_region` re-insert marked dirty and of
+/// the rows it changed.
 struct RegionCounts {
     dirtied: (usize, usize),
     changed: (usize, usize),
@@ -469,8 +488,10 @@ fn lattice(quick: bool) -> WorkflowSpec {
 /// no other successor, so the still-reachable short-circuit does not apply.
 /// [`REGION_SAMPLES`] of them are spread evenly over the dependencies,
 /// which the generator emits layer by layer. Each is removed, timed, and
-/// re-inserted, so every sample starts from the same matrix.
-fn region_removals(quick: bool) -> (Row, RegionCounts) {
+/// re-inserted through the graph-aware insert, timed too, so every sample
+/// starts from the same matrix. Returns the `mutation/edge_remove_region`
+/// and `mutation/edge_insert_region` rows with their row counts.
+fn region_edits(quick: bool) -> [(Row, RegionCounts); 2] {
     let spec = lattice(quick);
     let mut graph = spec.graph().clone();
     let mut matrix = ReachMatrix::build(&graph).unwrap();
@@ -485,58 +506,97 @@ fn region_removals(quick: bool) -> (Row, RegionCounts) {
     let picks: Vec<(TaskId, TaskId)> = (0..REGION_SAMPLES)
         .map(|k| misses[k * misses.len() / REGION_SAMPLES])
         .collect();
-    let (mut samples_us, mut dirtied, mut changed) = (Vec::new(), Vec::new(), Vec::new());
+    let mut removals = RegionSamples::default();
+    let mut inserts = RegionSamples::default();
     // two warm-ups, then every pick
     for (k, &(from, to)) in picks[..2].iter().chain(&picks).enumerate() {
-        // the rows that can change are the ones reaching the source
-        let cf = matrix.component_of(from).expect("a live task");
-        let before: Vec<(usize, Vec<u64>)> = (0..matrix.comp_count())
-            .filter(|&c| matrix.row_words(c)[cf / 64] >> (cf % 64) & 1 == 1)
-            .map(|c| (c, matrix.row_words(c).to_vec()))
-            .collect();
+        let measured = k >= 2;
         let edge = graph.find_edge(from, to).expect("a dependency");
+        let before = rows_reaching(&matrix, from);
         graph.remove_edge(edge).unwrap();
         let start = Instant::now();
         let outcome = matrix.remove_edge(&graph, from, to).unwrap();
-        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-        if k >= 2 {
-            samples_us.push(elapsed_us);
-            dirtied.push(
-                outcome
-                    .dirty
-                    .count()
-                    .expect("a removal keeps row identities"),
-            );
-            changed.push(
-                before
-                    .iter()
-                    .filter(|(c, row)| matrix.row_words(*c) != row.as_slice())
-                    .count(),
-            );
+        let elapsed = start.elapsed();
+        if measured {
+            removals.record(elapsed, &outcome.dirty, &before, &matrix);
         }
+        let before = rows_reaching(&matrix, from);
         graph.add_edge(from, to, DataDependency::unnamed()).unwrap();
-        matrix.insert_edge(from, to).unwrap();
+        let start = Instant::now();
+        let outcome = matrix.insert_edge_in(&graph, from, to).unwrap();
+        let elapsed = start.elapsed();
+        if measured {
+            inserts.record(elapsed, &outcome.dirty, &before, &matrix);
+        }
     }
-    let median_max = |mut values: Vec<usize>| {
-        values.sort_unstable();
-        (values[values.len() / 2], values[values.len() - 1])
-    };
-    samples_us.sort_by(|a, b| a.total_cmp(b));
-    let row = Row {
-        workload: "mutation/edge_remove_region",
-        tasks: spec.task_count(),
-        edges: spec.dependency_count(),
-        iterations: REGION_SAMPLES,
-        median_us: samples_us[samples_us.len() / 2],
-        min_us: samples_us[0],
-    };
-    let (dirtied, changed) = (median_max(dirtied), median_max(changed));
-    eprintln!(
-        "{:>32} @ {:>5} tasks: median {:>10.1} µs (min {:.1}); rows dirtied {dirtied:?}, \
-         changed {changed:?} (median, max)",
-        row.workload, row.tasks, row.median_us, row.min_us
-    );
-    (row, RegionCounts { dirtied, changed })
+    [
+        removals.finish("mutation/edge_remove_region", &spec),
+        inserts.finish("mutation/edge_insert_region", &spec),
+    ]
+}
+
+/// The rows that can change when an edge leaving `from` is removed or
+/// inserted — the ones reaching its component — with their words.
+fn rows_reaching(matrix: &ReachMatrix, from: TaskId) -> Vec<(usize, Vec<u64>)> {
+    let cf = matrix.component_of(from).expect("a live task");
+    (0..matrix.comp_count())
+        .filter(|&c| matrix.row_words(c)[cf / 64] >> (cf % 64) & 1 == 1)
+        .map(|c| (c, matrix.row_words(c).to_vec()))
+        .collect()
+}
+
+/// Timings and row counts of one kind of region edit.
+#[derive(Default)]
+struct RegionSamples {
+    samples_us: Vec<f64>,
+    dirtied: Vec<usize>,
+    changed: Vec<usize>,
+}
+
+impl RegionSamples {
+    /// Records one edit: its time, its dirty set and how many of the
+    /// `before` rows it really changed.
+    fn record(
+        &mut self,
+        elapsed: std::time::Duration,
+        dirty: &wolves_graph::DirtyRows,
+        before: &[(usize, Vec<u64>)],
+        matrix: &ReachMatrix,
+    ) {
+        self.samples_us.push(elapsed.as_secs_f64() * 1e6);
+        self.dirtied
+            .push(dirty.count().expect("an edge edit keeps row identities"));
+        self.changed.push(
+            before
+                .iter()
+                .filter(|(c, row)| matrix.row_words(*c) != row.as_slice())
+                .count(),
+        );
+    }
+
+    /// The row for `workload` and the (median, max) row counts.
+    fn finish(mut self, workload: &'static str, spec: &WorkflowSpec) -> (Row, RegionCounts) {
+        let median_max = |mut values: Vec<usize>| {
+            values.sort_unstable();
+            (values[values.len() / 2], values[values.len() - 1])
+        };
+        self.samples_us.sort_by(|a, b| a.total_cmp(b));
+        let row = Row {
+            workload,
+            tasks: spec.task_count(),
+            edges: spec.dependency_count(),
+            iterations: REGION_SAMPLES,
+            median_us: self.samples_us[self.samples_us.len() / 2],
+            min_us: self.samples_us[0],
+        };
+        let (dirtied, changed) = (median_max(self.dirtied), median_max(self.changed));
+        eprintln!(
+            "{:>32} @ {:>5} tasks: median {:>10.1} µs (min {:.1}); rows dirtied {dirtied:?}, \
+             changed {changed:?} (median, max)",
+            row.workload, row.tasks, row.median_us, row.min_us
+        );
+        (row, RegionCounts { dirtied, changed })
+    }
 }
 
 /// Renders the mutation rows plus derived incremental-vs-rebuild speedups,
@@ -544,7 +604,7 @@ fn region_removals(quick: bool) -> (Row, RegionCounts) {
 /// task count and median of the largest `graph/matrix_build` point.
 fn render_mutation_json(
     rows: &[Row],
-    region_counts: &RegionCounts,
+    [remove_counts, insert_counts]: [&RegionCounts; 2],
     largest_build: Option<(usize, f64)>,
     quick: bool,
 ) -> String {
@@ -574,13 +634,10 @@ fn render_mutation_json(
     }
     out.push_str("  ],\n");
     out.push_str("  \"speedups\": [\n");
-    // the grid points (the region row runs on its own lattice)
+    // the grid points (the region rows run on their own lattice)
     let task_counts: Vec<usize> = {
         let mut seen = Vec::new();
-        for row in rows
-            .iter()
-            .filter(|r| r.workload != "mutation/edge_remove_region")
-        {
+        for row in rows.iter().filter(|r| !r.workload.ends_with("_region")) {
             if !seen.contains(&row.tasks) {
                 seen.push(row.tasks);
             }
@@ -605,35 +662,50 @@ fn render_mutation_json(
     out.push_str(&entries.join(",\n"));
     out.push('\n');
     out.push_str("  ],\n");
-    let RegionCounts {
-        dirtied: (dirtied_median, dirtied_max),
-        changed: (changed_median, changed_max),
-    } = region_counts;
-    let _ = writeln!(
-        out,
-        "  \"edge_remove_region\": {{\"rows_dirtied_median\": {dirtied_median}, \
-         \"rows_dirtied_max\": {dirtied_max}, \"rows_changed_median\": {changed_median}, \
-         \"rows_changed_max\": {changed_max}}},"
-    );
+    for (key, counts) in [
+        ("edge_remove_region", remove_counts),
+        ("edge_insert_region", insert_counts),
+    ] {
+        let RegionCounts {
+            dirtied: (dirtied_median, dirtied_max),
+            changed: (changed_median, changed_max),
+        } = counts;
+        let _ = writeln!(
+            out,
+            "  \"{key}\": {{\"rows_dirtied_median\": {dirtied_median}, \
+             \"rows_dirtied_max\": {dirtied_max}, \"rows_changed_median\": {changed_median}, \
+             \"rows_changed_max\": {changed_max}}},"
+        );
+    }
     // CI perf guards: single-edge removal must stay within 10x of insert at
     // the ~1941-task point (the largest grid point at or below 2048 tasks,
     // present in both quick and full grids), and a removal that misses the
-    // short-circuit must stay far below a matrix build at the largest point
+    // short-circuit, and its re-insert, must stay far below a matrix build
+    // at the largest point
+    let region_median =
+        |workload: &str| Some(rows.iter().find(|r| r.workload == workload)?.median_us);
     let guard_tasks = task_counts.iter().copied().filter(|&t| t <= 2048).max();
     let guard = guard_tasks.and_then(|tasks| {
         let insert = median_of("mutation/edge_insert_incremental", tasks)?;
         let remove = median_of("mutation/edge_remove_incremental", tasks)?;
-        let region = rows
-            .iter()
-            .find(|r| r.workload == "mutation/edge_remove_region")?
-            .median_us;
+        let region = region_median("mutation/edge_remove_region")?;
+        let region_insert = region_median("mutation/edge_insert_region")?;
         let (build_tasks, build) = largest_build?;
-        Some((tasks, insert, remove, region, build_tasks, build))
+        Some((
+            tasks,
+            insert,
+            remove,
+            region,
+            region_insert,
+            build_tasks,
+            build,
+        ))
     });
     match guard {
-        Some((tasks, insert, remove, region, build_tasks, build)) => {
+        Some((tasks, insert, remove, region, region_insert, build_tasks, build)) => {
             let ratio = remove / insert.max(f64::MIN_POSITIVE);
             let region_ratio = region / build.max(f64::MIN_POSITIVE);
+            let region_insert_ratio = region_insert / build.max(f64::MIN_POSITIVE);
             let _ = writeln!(out, "  \"guard\": {{");
             let _ = writeln!(out, "    \"tasks\": {tasks},");
             let _ = writeln!(out, "    \"insert_median_us\": {insert:.2},");
@@ -653,8 +725,25 @@ fn render_mutation_json(
             );
             let _ = writeln!(
                 out,
-                "    \"edge_remove_region_within_bound\": {}",
+                "    \"edge_remove_region_within_bound\": {},",
                 region_ratio <= REGION_REMOVE_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(
+                out,
+                "    \"edge_insert_region_median_us\": {region_insert:.2},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"edge_insert_region_over_matrix\": {region_insert_ratio:.3},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"max_edge_insert_region_over_matrix\": {REGION_INSERT_OVER_MATRIX_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"edge_insert_region_within_bound\": {}",
+                region_insert_ratio <= REGION_INSERT_OVER_MATRIX_MAX
             );
             let _ = writeln!(out, "  }}");
         }

@@ -30,21 +30,28 @@
 //! ## Incremental maintenance
 //!
 //! A built matrix can absorb *additive* deltas in place instead of being
-//! rebuilt ([`ReachMatrix::insert_node`], [`ReachMatrix::insert_edge`]).
-//! Each delta is classified (see [`crate::delta::DeltaClass`]) and returns
-//! the set of rows it changed as [`crate::delta::DirtyRows`]:
+//! rebuilt ([`ReachMatrix::insert_node`], [`ReachMatrix::insert_edge_in`],
+//! [`ReachMatrix::insert_edge`]). Each delta is classified (see
+//! [`crate::delta::DeltaClass`]) and returns the set of rows it changed as
+//! [`crate::delta::DirtyRows`]:
 //!
 //! * a node append takes a singleton component row: the lowest dead slot
 //!   a removal left behind, or a fresh row past the last;
 //! * an edge insert that creates no cycle ORs the target's row into every
-//!   row that reaches the source (monotone-safe propagation);
-//! * an edge insert that closes a cycle additionally merges the condensation
-//!   rows on the new cycle in place — the component indices stay stable, the
-//!   merged components simply carry identical rows and are flagged cyclic.
+//!   row that reaches the source but not yet the target (monotone-safe
+//!   propagation). Given the graph, those rows are found by walking
+//!   predecessors up from the source and stopping at rows that already
+//!   hold the target, so only the rows that change are read; without it,
+//!   by testing the source's bit in every row (a column scan);
+//! * an edge insert that closes a cycle, or whose walk meets a cyclic
+//!   component, runs the column scan; a new cycle's condensation rows are
+//!   merged in place — the component indices stay stable, the merged
+//!   components simply carry identical rows and are flagged cyclic.
 //!
 //! Removals are maintained *decrementally* ([`ReachMatrix::remove_edge`],
-//! [`ReachMatrix::remove_node`]):
+//! [`ReachMatrix::remove_isolated_node`], [`ReachMatrix::remove_node`]):
 //!
+//! * a node without dependencies frees its own row and nothing else;
 //! * a cross-component edge removal with a surviving alternate path is
 //!   recognised as a closure no-op without touching any row;
 //! * any other cross-component edge removal over an acyclic region is a
@@ -52,7 +59,7 @@
 //!   stay put, and rows are recomputed sinks-first from the source only
 //!   while they keep changing — the dirty set is exactly the changed rows;
 //! * a removal whose propagation meets a cyclic component, an intra-SCC
-//!   edge removal and a node removal re-derive the region: SCC splits are
+//!   edge removal and any other node removal re-derive the region: SCC splits are
 //!   detected by re-running Tarjan on the rows that could reach the deleted
 //!   edge's source component (found by scanning its reachability column —
 //!   the transposed form of a reverse BFS), split parts keep the old
@@ -61,7 +68,9 @@
 //!   dirty, so the dirty set is a superset of the changed rows.
 //!
 //! All of them walk the post-removal graph's adjacency, and only over the
-//! affected rows.
+//! affected rows. Only the graph-free insert, cycle-closing inserts, the
+//! intra-SCC removals and the region re-derivation scan a column, reading
+//! one word of every row.
 
 use crate::bitset::FixedBitSet;
 use crate::blockvec::BlockVec;
@@ -340,6 +349,12 @@ impl ReachMatrix {
     /// skipped after one bit test — neither ORed nor copied out of a block
     /// a clone still shares.
     ///
+    /// This is the graph-free form: it finds the rows that reach the source
+    /// by testing the source's bit in every row, one word of each row. A
+    /// holder of the graph should call [`ReachMatrix::insert_edge_in`],
+    /// which reads only the rows that change and falls back to this scan
+    /// where it cannot.
+    ///
     /// # Errors
     /// Both endpoints must already be known to the matrix (add nodes through
     /// [`ReachMatrix::insert_node`] first).
@@ -385,6 +400,106 @@ impl ReachMatrix {
             },
             dirty,
         })
+    }
+
+    /// [`ReachMatrix::insert_edge`] for a holder of the graph: the same
+    /// class, the same dirty set and the same rows, reading only the rows
+    /// the insert changes. Call *after* the edge has been added to `graph`
+    /// (the walk reads only predecessors above `from`, which an edge that
+    /// closes no cycle does not change).
+    ///
+    /// An insert that closes no cycle changes exactly the rows that reach
+    /// the source's component but not the target's. Every path between two
+    /// such rows runs only through such rows — a row on it that held the
+    /// target would hand the target to the row above — so a walk up the
+    /// source's predecessors that stops at rows already holding the target
+    /// finds all of them and nothing else. The rows found are sorted, and
+    /// only the nonzero words of the target's row are ORed into them.
+    ///
+    /// An insert that closes a cycle, or whose walk meets a cyclic
+    /// component (whose other members' predecessors the walk cannot see),
+    /// falls back to [`ReachMatrix::insert_edge`].
+    ///
+    /// # Errors
+    /// Both endpoints must already be known to the matrix.
+    pub fn insert_edge_in<N, E>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<DeltaOutcome, GraphError> {
+        let cf = self
+            .component_index(from)
+            .ok_or(GraphError::InvalidNode(from))?;
+        let ct = self
+            .component_index(to)
+            .ok_or(GraphError::InvalidNode(to))?;
+        if cf == ct || self.row_has_bit(cf, ct) {
+            return Ok(DeltaOutcome {
+                class: DeltaClass::MonotoneSafe,
+                dirty: DirtyRows::clean(self.comp_count),
+            });
+        }
+        let Some(mut rows) = self.rows_gaining(graph, from, cf, ct) else {
+            return self.insert_edge(from, to);
+        };
+        rows.sort_unstable();
+        let target: Vec<(usize, u64)> = self
+            .row_words(ct)
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, bits)| bits != 0)
+            .collect();
+        let mut dirty = DirtyRows::clean(self.comp_count);
+        for u in rows {
+            let row = self.row_mut(u);
+            for &(w, bits) in &target {
+                row[w] |= bits;
+            }
+            dirty.mark(u);
+        }
+        Ok(DeltaOutcome {
+            class: DeltaClass::MonotoneSafe,
+            dirty,
+        })
+    }
+
+    /// The rows an insert of `from -> to` (components `cf` and `ct`, `cf`'s
+    /// row without `ct`) changes: `cf` and every ancestor row without `ct`,
+    /// found by a predecessor walk from `from` that stops at rows holding
+    /// `ct`. `None` when the edge closes a cycle or the walk meets a cyclic
+    /// component.
+    fn rows_gaining<N, E>(
+        &self,
+        graph: &DiGraph<N, E>,
+        from: NodeId,
+        cf: usize,
+        ct: usize,
+    ) -> Option<Vec<usize>> {
+        if self.cyclic.contains(cf) || self.row_has_bit(ct, cf) {
+            return None;
+        }
+        let mut seen = FixedBitSet::with_capacity(self.comp_count);
+        seen.insert(cf);
+        let mut rows = vec![cf];
+        let mut stack = vec![from];
+        while let Some(node) = stack.pop() {
+            for p in graph.predecessors(node) {
+                let Some(cp) = self.component_index(p) else {
+                    continue;
+                };
+                if !seen.insert(cp) || self.row_has_bit(cp, ct) {
+                    continue;
+                }
+                if self.cyclic.contains(cp) {
+                    return None;
+                }
+                rows.push(cp);
+                stack.push(p);
+            }
+        }
+        Some(rows)
     }
 
     /// Maintains the matrix across the removal of edge `from -> to`:
@@ -485,9 +600,12 @@ impl ReachMatrix {
     ///
     /// A singleton component becomes a dead slot: its row is zeroed and
     /// `comp_count` is unchanged — so surviving component indices stay
-    /// stable — until [`ReachMatrix::insert_node`] reuses the slot. A multi-member (cyclic) component is
-    /// re-decomposed over its surviving members exactly like an
-    /// intra-component edge removal.
+    /// stable — until [`ReachMatrix::insert_node`] reuses the slot. A
+    /// multi-member (cyclic) component is re-decomposed over its surviving
+    /// members exactly like an intra-component edge removal. Either way the
+    /// rows that reached the node are found by scanning its column; a
+    /// caller that knows the node had no edge can skip the scan through
+    /// [`ReachMatrix::remove_isolated_node`].
     ///
     /// # Errors
     /// The node must be known to the matrix.
@@ -501,6 +619,43 @@ impl ReachMatrix {
             .ok_or(GraphError::InvalidNode(node))?;
         self.component_of[node.index()] = usize::MAX;
         let dirty = self.rederive_region(c, graph);
+        Ok(DeltaOutcome {
+            class: DeltaClass::Decremental,
+            dirty,
+        })
+    }
+
+    /// [`ReachMatrix::remove_node`] for a node that had no incident edge:
+    /// the same outcome — [`DeltaClass::Decremental`], its row the only
+    /// dirty one, and a dead slot [`ReachMatrix::insert_node`] reuses —
+    /// without reading any other row. Such a node is a singleton,
+    /// non-cyclic component that reaches only itself, and no other row
+    /// holds its bit, so freeing the row is the whole edit.
+    ///
+    /// The caller vouches that the node had no predecessor: no other row is
+    /// read to check it. Check the graph before removing the node from it.
+    ///
+    /// # Errors
+    /// [`GraphError::InvalidNode`], with the matrix untouched, when the
+    /// node is unknown or its component is not a singleton, non-cyclic
+    /// row that reaches only itself.
+    pub fn remove_isolated_node(&mut self, node: NodeId) -> Result<DeltaOutcome, GraphError> {
+        let c = self
+            .component_index(node)
+            .ok_or(GraphError::InvalidNode(node))?;
+        let self_only = self
+            .row_words(c)
+            .iter()
+            .enumerate()
+            .all(|(w, &bits)| bits == if w == c / 64 { 1u64 << (c % 64) } else { 0 });
+        if self.comp_size[c] != 1 || self.cyclic.contains(c) || !self_only {
+            return Err(GraphError::InvalidNode(node));
+        }
+        self.component_of[node.index()] = usize::MAX;
+        self.comp_size[c] = 0;
+        self.row_mut(c).fill(0);
+        let mut dirty = DirtyRows::clean(self.comp_count);
+        dirty.mark(c);
         Ok(DeltaOutcome {
             class: DeltaClass::Decremental,
             dirty,
@@ -1304,6 +1459,58 @@ mod tests {
         }
     }
 
+    /// Removes `victim` from `g` and `m` the way a workflow spec does: a
+    /// node without edges through [`ReachMatrix::remove_isolated_node`]
+    /// (isolation checked while it is still in the graph), any other
+    /// through [`ReachMatrix::remove_node`].
+    fn remove_node_as_a_spec_does(
+        g: &mut DiGraph<(), ()>,
+        m: &mut ReachMatrix,
+        victim: NodeId,
+    ) -> DeltaOutcome {
+        let isolated =
+            g.predecessors(victim).next().is_none() && g.successors(victim).next().is_none();
+        g.remove_node(victim).unwrap();
+        if isolated {
+            m.remove_isolated_node(victim).unwrap()
+        } else {
+            m.remove_node(g, victim).unwrap()
+        }
+    }
+
+    /// A graph over `n` nodes from raw index pairs: every edge oriented
+    /// low → high when `acyclic`, raw (back edges, cycles) otherwise.
+    fn graph_from(
+        n: usize,
+        raw_edges: impl IntoIterator<Item = (usize, usize)>,
+        acyclic: bool,
+    ) -> DiGraph<(), ()> {
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        for (a, b) in raw_edges {
+            let (a, b) = (a % n, b % n);
+            let (from, to) = if acyclic && a > b { (b, a) } else { (a, b) };
+            if from != to {
+                let _ = g.add_edge_unique(nodes[from], nodes[to], ());
+            }
+        }
+        g
+    }
+
+    /// Asserts two matrices are identical: the same rows, component of
+    /// every node slot up to `node_bound`, and component sizes.
+    fn assert_same_matrix(a: &ReachMatrix, b: &ReachMatrix, node_bound: usize) {
+        assert_eq!(a.comp_count(), b.comp_count());
+        for c in 0..a.comp_count() {
+            assert_eq!(a.row_words(c), b.row_words(c), "row {c}");
+            assert_eq!(a.component_size(c), b.component_size(c), "size {c}");
+        }
+        for n in (0..node_bound).map(NodeId::from_index) {
+            assert_eq!(a.component_of(n), b.component_of(n), "{n:?}");
+            assert_eq!(a.strictly_reachable(n, n), b.strictly_reachable(n, n));
+        }
+    }
+
     #[test]
     fn insert_edge_propagates_to_ancestors() {
         // chain a -> b -> c, then insert c -> d (d appended after build)
@@ -1611,6 +1818,77 @@ mod tests {
         let ghost = NodeId::from_index(77);
         assert!(m.insert_edge(n[0], ghost).is_err());
         assert!(m.insert_edge(ghost, n[0]).is_err());
+        assert!(m.insert_edge_in(&g, n[0], ghost).is_err());
+        assert!(m.insert_edge_in(&g, ghost, n[0]).is_err());
+    }
+
+    #[test]
+    fn insert_edge_in_stops_at_rows_that_hold_the_target() {
+        // r -> a -> s, r -> t: inserting s -> t changes s and a only, as r
+        // already reaches t; x -> s sits beside the walk and gains t too
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let [r, a, s, t, x] = [(); 5].map(|()| g.add_node(()));
+        for (from, to) in [(r, a), (a, s), (r, t), (x, s)] {
+            g.add_edge(from, to, ()).unwrap();
+        }
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let before = m.clone();
+        g.add_edge(s, t, ()).unwrap();
+        let out = m.insert_edge_in(&g, s, t).unwrap();
+        assert_eq!(out.class, DeltaClass::MonotoneSafe);
+        let dirty: Vec<usize> = out.dirty.ones().collect();
+        let mut expected: Vec<usize> = [s, a, x].map(|n| m.component_of(n).unwrap()).to_vec();
+        expected.sort_unstable();
+        assert_eq!(dirty, expected);
+        let cr = m.component_of(r).unwrap();
+        assert_eq!(m.row_words(cr), before.row_words(cr));
+        assert_matches_fresh_build(&m, &g);
+    }
+
+    #[test]
+    fn insert_edge_in_falls_back_on_a_new_cycle_and_a_cyclic_ancestor() {
+        // c1 <-> c2 -> x, and y apart: x -> y meets the cycle on its walk
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let [c1, c2, x, y] = [(); 4].map(|()| g.add_node(()));
+        for (from, to) in [(c1, c2), (c2, c1), (c2, x)] {
+            g.add_edge(from, to, ()).unwrap();
+        }
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let mut scan = m.clone();
+        g.add_edge(x, y, ()).unwrap();
+        let out = m.insert_edge_in(&g, x, y).unwrap();
+        let reference = scan.insert_edge(x, y).unwrap();
+        assert_eq!(out.class, DeltaClass::MonotoneSafe);
+        assert_eq!(
+            out.dirty.ones().collect::<Vec<_>>(),
+            reference.dirty.ones().collect::<Vec<_>>()
+        );
+        assert_matches_fresh_build(&m, &g);
+        // y -> c1 closes the cycle c1 -> c2 -> x -> y -> c1
+        g.add_edge(y, c1, ()).unwrap();
+        let out = m.insert_edge_in(&g, y, c1).unwrap();
+        assert_eq!(out.class, DeltaClass::LocalRebuild);
+        assert_matches_fresh_build(&m, &g);
+        assert!(m.strictly_reachable(y, y));
+    }
+
+    #[test]
+    fn remove_isolated_node_refuses_a_node_with_edges() {
+        let (g, n) = diamond();
+        let mut m = ReachMatrix::build(&g).unwrap();
+        let before = m.clone();
+        // n[0] reaches the others; n[3] is reached but reaches only itself,
+        // which the matrix cannot tell from isolation without a column scan,
+        // so only the first is refused here
+        assert_eq!(
+            m.remove_isolated_node(n[0]).unwrap_err(),
+            GraphError::InvalidNode(n[0])
+        );
+        assert!(m.remove_isolated_node(NodeId::from_index(77)).is_err());
+        for c in 0..m.comp_count() {
+            assert_eq!(m.row_words(c), before.row_words(c));
+        }
+        assert_eq!(m.component_of(n[0]), before.component_of(n[0]));
     }
 
     proptest! {
@@ -1696,6 +1974,9 @@ mod tests {
         /// keep the decrementally maintained matrix behaviourally identical
         /// to a from-scratch rebuild after every step — covering SCC splits,
         /// cycle un-closing, dead component slots and alternate-path no-ops.
+        /// Edges go in through the graph-aware insert and nodes leave the
+        /// way a workflow spec removes them, so the predecessor walk, its
+        /// cycle fallbacks and isolated removals all meet removals here.
         #[test]
         fn prop_interleaved_mutations_match_rebuild(
             start in 3usize..8,
@@ -1725,7 +2006,7 @@ mod tests {
                             continue;
                         }
                         g.add_edge(nodes[from], nodes[to], ()).unwrap();
-                        m.insert_edge(nodes[from], nodes[to]).unwrap();
+                        m.insert_edge_in(&g, nodes[from], nodes[to]).unwrap();
                     }
                     3 => {
                         // remove an existing edge, selected by index
@@ -1745,8 +2026,7 @@ mod tests {
                             continue;
                         }
                         let victim = nodes.remove(raw_a % nodes.len());
-                        g.remove_node(victim).unwrap();
-                        let out = m.remove_node(&g, victim).unwrap();
+                        let out = remove_node_as_a_spec_does(&mut g, &mut m, victim);
                         prop_assert_eq!(out.class, DeltaClass::Decremental);
                     }
                 }
@@ -1833,6 +2113,135 @@ mod tests {
                 }
                 assert_matches_fresh_build(&m, &g);
             }
+        }
+
+        /// The graph-aware insert is the column scan with fewer reads: on
+        /// random DAGs and cyclic digraphs, under scripts that also remove
+        /// edges and append nodes, it leaves the same rows, components and
+        /// cyclicity as [`ReachMatrix::insert_edge`] on a clone and reports
+        /// the same class and dirty set — on an insert that closes no cycle,
+        /// exactly the rows whose words changed.
+        #[test]
+        fn prop_graph_aware_insert_matches_the_scan(
+            n in 3usize..24,
+            raw_edges in proptest::collection::vec((0usize..24, 0usize..24), 0..40),
+            acyclic in 0usize..2,
+            ops in proptest::collection::vec((0usize..4, 0usize..64, 0usize..64), 1..24)
+        ) {
+            let mut g = graph_from(n, raw_edges, acyclic == 1);
+            let mut m = ReachMatrix::build(&g).unwrap();
+            let mut nodes: Vec<NodeId> = g.node_ids().collect();
+            for (op, raw_a, raw_b) in ops {
+                match op {
+                    0 | 1 => {
+                        let (a, b) = (raw_a % nodes.len(), raw_b % nodes.len());
+                        // op 0 keeps DAG orientation, op 1 may close a cycle
+                        let (from, to) = if op == 0 && a > b { (b, a) } else { (a, b) };
+                        let (from, to) = (nodes[from], nodes[to]);
+                        if from == to || g.find_edge(from, to).is_some() {
+                            continue;
+                        }
+                        let before = m.clone();
+                        let mut scan = m.clone();
+                        g.add_edge(from, to, ()).unwrap();
+                        let out = m.insert_edge_in(&g, from, to).unwrap();
+                        let reference = scan.insert_edge(from, to).unwrap();
+                        prop_assert_eq!(out.class, reference.class);
+                        prop_assert_eq!(
+                            out.dirty.ones().collect::<Vec<_>>(),
+                            reference.dirty.ones().collect::<Vec<_>>()
+                        );
+                        assert_same_matrix(&m, &scan, g.node_bound());
+                        if out.class == DeltaClass::MonotoneSafe {
+                            for c in 0..m.comp_count() {
+                                prop_assert_eq!(
+                                    out.dirty.contains(c),
+                                    m.row_words(c) != before.row_words(c),
+                                    "row {} inserting {:?} -> {:?}",
+                                    c,
+                                    from,
+                                    to
+                                );
+                            }
+                        }
+                    }
+                    2 => {
+                        let edges: Vec<_> = g.edge_ids().collect();
+                        if edges.is_empty() {
+                            continue;
+                        }
+                        let edge = edges[raw_a % edges.len()];
+                        let (from, to) = g.edge_endpoints(edge).unwrap();
+                        g.remove_edge(edge).unwrap();
+                        m.remove_edge(&g, from, to).unwrap();
+                    }
+                    _ => {
+                        let fresh = g.add_node(());
+                        m.insert_node(fresh);
+                        nodes.push(fresh);
+                    }
+                }
+                assert_matches_fresh_build(&m, &g);
+            }
+        }
+
+        /// A node without edges leaves through
+        /// [`ReachMatrix::remove_isolated_node`] exactly as through
+        /// [`ReachMatrix::remove_node`] — the same class, dirty set, rows,
+        /// components and sizes — on DAGs and cyclic digraphs that earlier
+        /// removals left with dead slots, and the next node append reuses
+        /// the same slot on both.
+        #[test]
+        fn prop_isolated_removal_is_remove_node(
+            n in 2usize..16,
+            raw_edges in proptest::collection::vec((0usize..16, 0usize..16), 0..30),
+            acyclic in 0usize..2,
+            removals in proptest::collection::vec((0usize..2, 0usize..64), 0..6),
+            extra_and_pick in (1usize..4, 0usize..64)
+        ) {
+            let (extra, pick) = extra_and_pick;
+            let mut g = graph_from(n, raw_edges, acyclic == 1);
+            let mut m = ReachMatrix::build(&g).unwrap();
+            for (kind, raw) in removals {
+                if kind == 0 {
+                    let edges: Vec<_> = g.edge_ids().collect();
+                    if let Some(&edge) = edges.get(raw % edges.len().max(1)) {
+                        let (from, to) = g.edge_endpoints(edge).unwrap();
+                        g.remove_edge(edge).unwrap();
+                        m.remove_edge(&g, from, to).unwrap();
+                    }
+                } else if g.node_count() > 1 {
+                    let nodes: Vec<NodeId> = g.node_ids().collect();
+                    let victim = nodes[raw % nodes.len()];
+                    g.remove_node(victim).unwrap();
+                    m.remove_node(&g, victim).unwrap();
+                }
+            }
+            for _ in 0..extra {
+                let fresh = g.add_node(());
+                m.insert_node(fresh);
+            }
+            let isolated: Vec<NodeId> = g
+                .node_ids()
+                .filter(|&v| g.predecessors(v).next().is_none() && g.successors(v).next().is_none())
+                .collect();
+            let victim = isolated[pick % isolated.len()];
+            let mut reference = m.clone();
+            g.remove_node(victim).unwrap();
+            let out = m.remove_isolated_node(victim).unwrap();
+            let expected = reference.remove_node(&g, victim).unwrap();
+            prop_assert_eq!(out.class, expected.class);
+            prop_assert_eq!(
+                out.dirty.ones().collect::<Vec<_>>(),
+                expected.dirty.ones().collect::<Vec<_>>()
+            );
+            assert_same_matrix(&m, &reference, g.node_bound());
+            let late = g.add_node(());
+            m.insert_node(late);
+            reference.insert_node(late);
+            prop_assert_eq!(m.component_of(late), reference.component_of(late));
+            assert_same_matrix(&m, &reference, g.node_bound());
+            assert_matches_fresh_build(&m, &g);
         }
 
         #[test]
@@ -1953,7 +2362,7 @@ mod tests {
                             continue;
                         }
                         g2.add_edge(live[from], live[to], ()).unwrap();
-                        m2.insert_edge(live[from], live[to]).unwrap();
+                        m2.insert_edge_in(&g2, live[from], live[to]).unwrap();
                     }
                     3 => {
                         let edges: Vec<_> = g2.edge_ids().collect();
@@ -1970,8 +2379,7 @@ mod tests {
                             continue;
                         }
                         let victim = live.remove(raw_a % live.len());
-                        g2.remove_node(victim).unwrap();
-                        m2.remove_node(&g2, victim).unwrap();
+                        remove_node_as_a_spec_does(&mut g2, &mut m2, victim);
                     }
                 }
                 assert_matches_fresh_build(&m2, &g2);

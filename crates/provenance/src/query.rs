@@ -212,7 +212,8 @@ impl ViewProvenanceIndex {
                 }
                 InducedChange::AddLink(from, to) => {
                     graph.add_edge_unique(node(from), node(to), ())?;
-                    self.view_reach.insert_edge(node(from), node(to))?;
+                    self.view_reach
+                        .insert_edge_in(graph, node(from), node(to))?;
                 }
                 InducedChange::RemoveLink(from, to) => {
                     let edge = graph

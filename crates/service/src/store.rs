@@ -1693,9 +1693,11 @@ impl WorkflowStore {
     /// deterministic (task-id) order.
     ///
     /// Served off the epoch-tagged per-view [`ViewProvenanceIndex`]: the
-    /// induced view graph's reachability matrix is built once and survives
-    /// both repeated queries and mutations that cannot change the induced
-    /// graph; every query is row lookups plus a task bitset read back in id
+    /// induced view graph's reachability matrix is built once, serves every
+    /// repeated query, and is carried through every task and dependency
+    /// edit ([`ViewProvenanceIndex::carry`]); only a split, a merge or a
+    /// correction, each of which puts a new view in place, starts a fresh
+    /// one. Every query is row lookups plus a task bitset read back in id
     /// order, no per-request graph construction. The server encodes the
     /// same answer with each name borrowed from the spec, not copied.
     ///
@@ -2174,7 +2176,9 @@ fn edge_affected_composites(
 /// The composites a spec edit invalidates: `touched` (the ones whose
 /// members or boundary edges the edit changed) plus every composite of the
 /// current view with a member in a dirty reachability row — or all of them
-/// when the matrix was rebuilt.
+/// when the matrix was rebuilt. A dirty set of dead slots alone (the freed
+/// row of a task removed without dependencies) holds no live task, so it
+/// adds no composite and the pass over the members is skipped.
 fn dirty_composites(
     entry: &Entry,
     dirty: &DirtyRows,
@@ -2185,17 +2189,20 @@ fn dirty_composites(
     }
     if !dirty.is_clean() {
         let reach = entry.spec.reachability();
-        for (id, composite) in entry.views[entry.current].view.composites() {
-            if touched.contains(&id) {
-                continue;
-            }
-            let moved = composite.members().iter().any(|&task| {
-                reach
-                    .component_of(task)
-                    .map_or(true, |comp| dirty.contains(comp))
-            });
-            if moved {
-                touched.insert(id);
+        let live = |comp: usize| comp >= reach.comp_count() || reach.component_size(comp) > 0;
+        if dirty.ones().any(live) {
+            for (id, composite) in entry.views[entry.current].view.composites() {
+                if touched.contains(&id) {
+                    continue;
+                }
+                let moved = composite.members().iter().any(|&task| {
+                    reach
+                        .component_of(task)
+                        .map_or(true, |comp| dirty.contains(comp))
+                });
+                if moved {
+                    touched.insert(id);
+                }
             }
         }
     }
@@ -2900,6 +2907,39 @@ mod tests {
         let after = store.validate(id, None).unwrap();
         assert!(after.cached, "every surviving verdict was retained");
         assert_eq!(after.unsound, warm.unsound);
+    }
+
+    #[test]
+    fn removing_an_isolated_task_from_the_lattice_drops_only_its_own_verdict() {
+        use wolves_repo::{layered_workflow, topological_block_view, LayeredConfig};
+        let spec = layered_workflow(&LayeredConfig::sized(2000), 14);
+        let view = topological_block_view(&spec, 48, "blocks").unwrap();
+        let composites = view.composite_count();
+        let store = WorkflowStore::new(1);
+        let id = store.register(spec, Some(view));
+        let probe = || "probe".to_owned();
+        store
+            .mutate(id, MutateOp::AddTask { name: probe() })
+            .unwrap();
+        let warm = store.validate(id, None).unwrap();
+        // the task's row is the only dirty one, and a dead slot: no other
+        // composite has a member there, so every other verdict is retained
+        let outcome = store
+            .mutate(id, MutateOp::RemoveTask { name: probe() })
+            .unwrap();
+        assert_eq!(outcome.class, "decremental");
+        assert_eq!((outcome.invalidated, outcome.retained), (1, composites));
+        let after = store.validate(id, None).unwrap();
+        assert!(after.cached, "every surviving verdict was retained");
+        assert_eq!(after.unsound, warm.unsound);
+        // the freed row is the one the next task takes
+        store
+            .mutate(id, MutateOp::AddTask { name: probe() })
+            .unwrap();
+        let outcome = store
+            .mutate(id, MutateOp::RemoveTask { name: probe() })
+            .unwrap();
+        assert_eq!((outcome.invalidated, outcome.retained), (0, composites));
     }
 
     #[test]

@@ -18,12 +18,14 @@ use crate::task::{AtomicTask, DataDependency, TaskId};
 /// against it. Mutations run through the epoch machinery (see
 /// [`crate::mutation`]): each edit bumps the epoch, reports its own
 /// [`SpecDelta`], and maintains the cached matrix *in place* where the
-/// delta class allows — additive edits (task/dependency inserts) propagate
-/// rows forward, removals run the decremental path (SCC split detection
-/// plus bounded ancestor re-derivation over the post-removal graph). No
-/// single edit pays a full rebuild once the matrix exists. The spec keeps
-/// no history of its edits: consumers take each delta from the
-/// [`MutationReport`] of the edit that produced it.
+/// delta class allows — a dependency insert walks up the source's
+/// predecessors and ORs the target's row into the rows that lack it,
+/// removals run the decremental path (SCC split detection plus bounded
+/// ancestor re-derivation over the post-removal graph), and a task without
+/// dependencies comes and goes in one row write. No single edit pays a
+/// full rebuild once the matrix exists. The spec keeps no history of its
+/// edits: consumers take each delta from the [`MutationReport`] of the
+/// edit that produced it.
 ///
 /// Cloning preserves the epoch **and** the cached reachability matrix, so
 /// copy-on-write holders (e.g. the serving layer's `Arc::make_mut`) stay
@@ -149,13 +151,21 @@ impl WorkflowSpec {
         &mut self,
         id: TaskId,
     ) -> Result<(AtomicTask, MutationReport), WorkflowError> {
+        // a task without dependencies frees its own matrix row and reads no
+        // other; checked while the task is still in the graph
+        let isolated = self.graph.predecessors(id).next().is_none()
+            && self.graph.successors(id).next().is_none();
         let task = self
             .graph
             .remove_node(id)
             .map_err(|_| WorkflowError::UnknownTask(id))?;
         self.names.remove(&self.graph, &task.name, id);
         let (class, dirty) = maintain(&mut self.reach, |matrix| {
-            matrix.remove_node(&self.graph, id)
+            if isolated {
+                matrix.remove_isolated_node(id)
+            } else {
+                matrix.remove_node(&self.graph, id)
+            }
         });
         let report = self.record(SpecDeltaKind::TaskRemoved(id), class, dirty, None);
         Ok((task, report))
@@ -211,7 +221,9 @@ impl WorkflowSpec {
     ) -> Result<MutationReport, WorkflowError> {
         check_slot_bound("edge", self.graph.edge_bound() + 1)?;
         self.graph.add_edge_unique(from, to, dependency)?;
-        let (class, dirty) = maintain(&mut self.reach, |matrix| matrix.insert_edge(from, to));
+        let (class, dirty) = maintain(&mut self.reach, |matrix| {
+            matrix.insert_edge_in(&self.graph, from, to)
+        });
         Ok(self.record(SpecDeltaKind::DependencyAdded(from, to), class, dirty, None))
     }
 
