@@ -1,5 +1,6 @@
 //! Micro-benchmark for the reachability engine: matrix build, all-pairs
-//! row queries, the two validator checks, the provenance index build, the
+//! row queries, the two validator checks, the provenance index build and
+//! its carried update across a dependency removal and re-insert, the
 //! correctors (weak and strong on random partitions up to ~500 tasks, weak
 //! on the `edit-revalidate` lattice's 48-task blocks, the exact corrector on
 //! Figure 3) and the **mutation workload**
@@ -39,10 +40,12 @@
 //! copy-on-write clone of the whole spec (`mutation/spec_clone`) that every
 //! served edit pays, a served task add and remove on shared copies of the
 //! spec and view (`mutation/task_add_remove`), and weak correction of the
-//! lattice (`correct/weak_lattice`).
+//! lattice (`correct/weak_lattice`) — and the carried index update
+//! (`provenance/index_update`) against the index build.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -56,14 +59,24 @@ use wolves_provenance::ViewProvenanceIndex;
 use wolves_repo::figure3;
 use wolves_repo::generate::{layered_workflow, LayeredConfig};
 use wolves_repo::views::{random_partition_view, topological_block_view};
-use wolves_workflow::WorkflowView;
-use wolves_workflow::{DataDependency, SpecMutation, TaskId, WorkflowSpec};
+use wolves_workflow::{
+    CompositeTaskId, DataDependency, SpecMutation, TaskId, WorkflowSpec, WorkflowView,
+};
 
 /// Bound of the `provenance/index_build` over `graph/matrix_build` guard.
 /// The dense-table index build measures 0.35–0.65 of a matrix build on the
 /// quick grid's largest point and about 0.2 on the full grid's; the
 /// map-based build it replaced measured 1.8–3.0 and about 0.97.
 const INDEX_OVER_MATRIX_MAX: f64 = 0.85;
+
+/// Bound of the `provenance/index_update` over `provenance/index_build`
+/// guard, at the largest grid point. Carrying a shared copy of the index
+/// across a dependency removal that breaks a view link, and across its
+/// re-insert, touches the one link and the view matrix rows it changes;
+/// a rebuild after every spec edit, as the store did before the index was
+/// carried, is 1 by definition. It reads 0.041–0.050 over 9 quick runs,
+/// and the bound is twice the worst of them.
+const INDEX_UPDATE_OVER_BUILD_MAX: f64 = 0.1;
 
 /// Bound of the `validator/definition_closure` over `graph/matrix_build`
 /// guard. The composite-labelled closures measure 1.0–1.7 at the quick
@@ -210,6 +223,16 @@ fn main() {
                 1
             },
         ));
+        // what a served dependency removal and its re-insert do to that
+        // index instead of rebuilding it: carry a shared copy across both
+        let update = IndexUpdate::new(&spec, &view);
+        rows.push(measure(
+            "provenance/index_update",
+            tasks,
+            edges,
+            iters,
+            || update.run(&spec, &view),
+        ));
         // what the serving layer's copy-on-write commit pays per edit
         // before it applies the edit: clone the published spec (built
         // matrix, past construction epochs) and later drop it
@@ -314,6 +337,71 @@ fn main() {
         eprintln!("wrote {path}");
     }
     println!("{json}");
+}
+
+/// A dependency whose removal breaks the only link between its two
+/// composites, the spec without it, and the index built before: the inputs
+/// of a carried index update that has work to do.
+struct IndexUpdate {
+    index: Arc<ViewProvenanceIndex>,
+    cut: WorkflowSpec,
+    pair: [(CompositeTaskId, CompositeTaskId); 1],
+}
+
+impl IndexUpdate {
+    /// Picks the middle one of the dependencies that are the only link
+    /// between their composites.
+    fn new(spec: &WorkflowSpec, view: &WorkflowView) -> Self {
+        let composite = |task| view.composite_of(task).expect("the view covers the spec");
+        let mut links: HashMap<(CompositeTaskId, CompositeTaskId), Vec<(TaskId, TaskId)>> =
+            HashMap::new();
+        for (from, to) in spec.dependencies() {
+            let pair = (composite(from), composite(to));
+            if pair.0 != pair.1 {
+                links.entry(pair).or_default().push((from, to));
+            }
+        }
+        let mut sole: Vec<(TaskId, TaskId)> = links
+            .into_values()
+            .filter(|dependencies| dependencies.len() == 1)
+            .map(|dependencies| dependencies[0])
+            .collect();
+        sole.sort_unstable();
+        let (from, to) = sole[sole.len() / 2];
+        let mut cut = spec.clone();
+        cut.apply(SpecMutation::RemoveDependency { from, to })
+            .expect("a live dependency");
+        let update = IndexUpdate {
+            index: Arc::new(ViewProvenanceIndex::new(spec, view)),
+            cut,
+            pair: [(composite(from), composite(to))],
+        };
+        assert_eq!(update.run(spec, view), 1, "the removal breaks a link");
+        update
+    }
+
+    /// Carries a shared copy of the index across the removal and the
+    /// re-insert, as the store does on a copy-on-write commit; 1 when the
+    /// removal changed the index.
+    fn run(&self, spec: &WorkflowSpec, view: &WorkflowView) -> usize {
+        let mut index = Arc::clone(&self.index);
+        assert!(ViewProvenanceIndex::carry(
+            &mut index,
+            &self.cut,
+            view,
+            &[],
+            &self.pair
+        ));
+        let changed = !Arc::ptr_eq(&index, &self.index);
+        assert!(ViewProvenanceIndex::carry(
+            &mut index,
+            spec,
+            view,
+            &[],
+            &self.pair
+        ));
+        usize::from(changed)
+    }
 }
 
 /// One served task add and remove on copy-on-write clones of `spec` and
@@ -869,6 +957,7 @@ fn render_json(rows: &[Row], quick: bool) -> String {
         .max();
     let guard = largest.and_then(|tasks| {
         let index = median_of("provenance/index_build", tasks)?;
+        let update = median_of("provenance/index_update", tasks)?;
         let definition = median_of("validator/definition_closure", tasks)?;
         let matrix = median_of("graph/matrix_build", tasks)?;
         let clone = median_of("mutation/spec_clone", tasks)?;
@@ -877,11 +966,14 @@ fn render_json(rows: &[Row], quick: bool) -> String {
             .iter()
             .find(|r| r.workload == "correct/weak_lattice")?
             .median_us;
-        Some((tasks, index, definition, matrix, clone, task_edit, weak))
+        Some((
+            tasks, index, update, definition, matrix, clone, task_edit, weak,
+        ))
     });
     match guard {
-        Some((tasks, index, definition, matrix, clone, task_edit, weak)) => {
+        Some((tasks, index, update, definition, matrix, clone, task_edit, weak)) => {
             let index_ratio = index / matrix.max(f64::MIN_POSITIVE);
+            let update_ratio = update / index.max(f64::MIN_POSITIVE);
             let definition_ratio = definition / matrix.max(f64::MIN_POSITIVE);
             let clone_ratio = clone / matrix.max(f64::MIN_POSITIVE);
             let task_edit_ratio = task_edit / matrix.max(f64::MIN_POSITIVE);
@@ -901,6 +993,17 @@ fn render_json(rows: &[Row], quick: bool) -> String {
                 out,
                 "    \"index_build_within_bound\": {},",
                 index_ratio <= INDEX_OVER_MATRIX_MAX
+            );
+            let _ = writeln!(out, "    \"index_update_median_us\": {update:.2},");
+            let _ = writeln!(out, "    \"index_update_over_build\": {update_ratio:.3},");
+            let _ = writeln!(
+                out,
+                "    \"max_index_update_over_build\": {INDEX_UPDATE_OVER_BUILD_MAX},"
+            );
+            let _ = writeln!(
+                out,
+                "    \"index_update_within_bound\": {},",
+                update_ratio <= INDEX_UPDATE_OVER_BUILD_MAX
             );
             let _ = writeln!(
                 out,

@@ -2,7 +2,9 @@
 //! shard counts × event-loop counts, driven by the concurrent batch client
 //! over a real loopback TCP connection — plus pipelining speedup,
 //! read-under-write, a ≈5k-name provenance answer over loopback against the
-//! same query in process, idle-connection scaling and a durability grid (a
+//! same query in process, the client's decode of that answer's frame
+//! against the server's encode of it, idle-connection scaling and a
+//! durability grid (a
 //! concurrent mutation burst under each fsync policy, then cold and
 //! compacted recovery of its data directory).
 //!
@@ -18,11 +20,12 @@
 //!
 //! The output is machine-readable JSON (handwritten — no serde in the
 //! workspace), one row per grid point, so perf trajectories can be recorded
-//! across PRs. A `guard` object holds the five ratio claims CI checks; each
+//! across PRs. A `guard` object holds the six ratio claims CI checks; each
 //! is the median of [`REPEATS`] repeats that alternate which side runs
 //! first, so neither side always pays the cold start.
 
 use std::fmt::Write as _;
+use std::io::Read;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,10 +33,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wolves_repo::{figure1, layered_workflow, topological_block_view, LayeredConfig};
+use wolves_service::proto::FrameReader;
 use wolves_service::{
     serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, HistogramSnapshot,
-    MutateOp, PersistConfig, RecoveryReport, ServerConfig, ServiceClient, Stage, Verb, WatchMode,
-    WorkflowId, WorkflowStore,
+    MutateOp, PersistConfig, RecoveryReport, Response, ServerConfig, ServiceClient, Stage, Verb,
+    WatchMode, WorkflowId, WorkflowStore,
 };
 
 const USAGE: &str = "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
@@ -59,8 +63,17 @@ const MAX_READ_UNDER_WRITE_RATIO: f64 = 1.3;
 const MAX_WAL_OVER_MEMORY: f64 = 2.0;
 
 /// A loopback provenance round trip may cost at most this factor of the
-/// in-process query it serves.
+/// in-process query it serves. Both sides allocate one `String` per name,
+/// and the round trip reads 1.56–2.18 over 15 quick runs on 2 vCPUs, so
+/// twice the worst of them is above this bound, which stays.
 const MAX_PROVENANCE_ROUND_TRIP: f64 = 3.0;
+
+/// The client's decode of a provenance answer's frame may cost at most
+/// this factor of the server's encode of it: twice the worst of 12 quick
+/// runs on 2 vCPUs (8.1–9.5). Most of the decode is the one `String` per
+/// name a `Vec<String>` answer owns: a clone of the answer reads about 6×
+/// the encode, and the decode 1.35–1.6× the clone.
+const MAX_CLIENT_DECODE: f64 = 19.0;
 
 /// One provenance answer of about 5k names on the `edit-revalidate`
 /// lattice, fetched over loopback and from the store in process. Both hit
@@ -74,6 +87,41 @@ struct ProvenanceRoundTrip {
     in_process_us: f64,
     /// Median of the per-repeat `round_trip_us / in_process_us`.
     ratio: f64,
+    /// The client's decode of the same answer's frame.
+    decode: ClientDecode,
+}
+
+/// The client's decode of the [`ProvenanceRoundTrip`] answer's frame,
+/// from memory, against [`Response::encode`] of the same answer: the two
+/// ends of the wire codec on the same bytes. Beside them, a clone of the
+/// answer: the one `String` per name any decoder into `Vec<String>` must
+/// allocate.
+struct ClientDecode {
+    frame_bytes: usize,
+    /// Median over every repeat's median call, in microseconds.
+    decode_us: f64,
+    encode_us: f64,
+    clone_us: f64,
+    /// Median of the per-repeat `decode_us / encode_us`.
+    ratio: f64,
+    /// Median of the per-repeat `decode_us / clone_us`.
+    over_clone: f64,
+}
+
+/// A stream that replays one frame's bytes forever, as a connection that
+/// receives the same answer again and again would.
+struct Replay<'a> {
+    frame: &'a [u8],
+    at: usize,
+}
+
+impl Read for Replay<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = out.len().min(self.frame.len() - self.at);
+        out[..n].copy_from_slice(&self.frame[self.at..self.at + n]);
+        self.at = (self.at + n) % self.frame.len();
+        Ok(n)
+    }
 }
 
 struct Row {
@@ -114,6 +162,25 @@ struct ReadUnderWrite {
 /// Log2-bucket upper bound for quantile `q`, converted to microseconds.
 fn percentile_us(snapshot: &HistogramSnapshot, q: f64) -> f64 {
     snapshot.quantile(q) as f64 / 1e3
+}
+
+/// Times `S` sides [`REPEATS`] times, `calls` calls a side each time, the
+/// sides taking turns call by call (so a noisy stretch of the host lands on
+/// all of them) and the first turn rotating between repeats. `call`
+/// returns one call's time; each repeat contributes one median per side.
+fn interleave<const S: usize>(calls: usize, mut call: impl FnMut(usize) -> f64) -> [Vec<f64>; S] {
+    let mut samples = std::array::from_fn(|_| Vec::with_capacity(REPEATS));
+    for repeat in 0..REPEATS {
+        let mut times: [Vec<f64>; S] = std::array::from_fn(|_| Vec::with_capacity(calls));
+        for turn in 0..S * calls {
+            let side = (turn + repeat) % S;
+            times[side].push(call(side));
+        }
+        for (side, times) in times.into_iter().enumerate() {
+            samples[side].push(median(times));
+        }
+    }
+    samples
 }
 
 /// Runs `sides` passes [`REPEATS`] times, forwards on even repeats and
@@ -516,7 +583,7 @@ fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
     let answer = store
         .provenance(id, &subject)
         .expect("a registered subject");
-    let mut call = |side: usize| {
+    let samples: [_; 2] = interleave(calls, |side| {
         let start = Instant::now();
         let names = if side == 0 {
             client.provenance(id, &subject).expect("round trip")
@@ -526,20 +593,7 @@ fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
         let elapsed = start.elapsed().as_secs_f64() * 1e6;
         assert_eq!(names.len(), answer.len(), "both sides serve the answer");
         elapsed
-    };
-    // the sides take turns call by call, so a noisy stretch of the host
-    // lands on both; each repeat contributes one median per side
-    let mut samples = [Vec::with_capacity(REPEATS), Vec::with_capacity(REPEATS)];
-    for repeat in 0..REPEATS {
-        let mut times = [Vec::with_capacity(calls), Vec::with_capacity(calls)];
-        for turn in 0..2 * calls {
-            let side = (turn + repeat) % 2;
-            times[side].push(call(side));
-        }
-        for (side, times) in times.into_iter().enumerate() {
-            samples[side].push(median(times));
-        }
-    }
+    });
     drop(client);
     server.shutdown();
     ProvenanceRoundTrip {
@@ -548,6 +602,57 @@ fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
         round_trip_us: median(samples[0].clone()),
         in_process_us: median(samples[1].clone()),
         ratio: median_ratio(&samples[0], &samples[1]),
+        decode: run_client_decode(answer, quick),
+    }
+}
+
+/// Decodes `answer`'s frame through one [`FrameReader`] kept across calls,
+/// as a client connection keeps its reader, against encoding the answer
+/// into one reused buffer, as the server's write buffer is, and against
+/// cloning it. Decoded answers and clones are dropped outside the timed
+/// span.
+fn run_client_decode(answer: Vec<String>, quick: bool) -> ClientDecode {
+    let calls = if quick { 200 } else { 1000 };
+    let answer = Response::Provenance(answer);
+    let mut frame = String::new();
+    answer.encode(&mut frame);
+    let mut reader = FrameReader::new(Replay {
+        frame: frame.as_bytes(),
+        at: 0,
+    });
+    let mut encoded = String::with_capacity(frame.len());
+    let samples: [_; 3] = interleave(calls, |side| {
+        let start = Instant::now();
+        match side {
+            0 => {
+                let lines = reader.read_frame().expect("a replayed frame");
+                let decoded = Response::from_frame(lines.expect("a frame")).expect("a response");
+                let elapsed = start.elapsed().as_secs_f64() * 1e6;
+                assert!(decoded == answer, "the decode returns the answer");
+                elapsed
+            }
+            1 => {
+                encoded.clear();
+                answer.encode(&mut encoded);
+                let elapsed = start.elapsed().as_secs_f64() * 1e6;
+                assert_eq!(encoded.len(), frame.len(), "the encode writes the frame");
+                elapsed
+            }
+            _ => {
+                let clone = std::hint::black_box(answer.clone());
+                let elapsed = start.elapsed().as_secs_f64() * 1e6;
+                drop(clone);
+                elapsed
+            }
+        }
+    });
+    ClientDecode {
+        frame_bytes: frame.len(),
+        decode_us: median(samples[0].clone()),
+        encode_us: median(samples[1].clone()),
+        clone_us: median(samples[2].clone()),
+        ratio: median_ratio(&samples[0], &samples[1]),
+        over_clone: median_ratio(&samples[0], &samples[2]),
     }
 }
 
@@ -1057,6 +1162,19 @@ fn render_json(
         provenance.in_process_us,
         provenance.ratio
     );
+    let _ = writeln!(
+        out,
+        "  \"client_decode\": {{\"answer_names\": {}, \"frame_bytes\": {}, \
+         \"decode_us\": {:.1}, \"encode_us\": {:.1}, \"clone_us\": {:.1}, \
+         \"ratio\": {:.3}, \"over_clone\": {:.3}}},",
+        provenance.answer_names,
+        provenance.decode.frame_bytes,
+        provenance.decode.decode_us,
+        provenance.decode.encode_us,
+        provenance.decode.clone_us,
+        provenance.decode.ratio,
+        provenance.decode.over_clone
+    );
     out.push_str("  \"connection_scaling\": [\n");
     for (index, row) in scaling.iter().enumerate() {
         let _ = write!(
@@ -1145,6 +1263,12 @@ fn render_json(
             provenance.ratio,
             "max",
             MAX_PROVENANCE_ROUND_TRIP,
+        ),
+        (
+            "client_decode",
+            provenance.decode.ratio,
+            "max",
+            MAX_CLIENT_DECODE,
         ),
     ];
     let _ = writeln!(out, "  \"guard\": {{");

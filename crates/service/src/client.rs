@@ -1,7 +1,7 @@
 //! Client library: a typed connection to a running server, plus the batch
 //! driver used by the CLI and the throughput benchmark.
 
-use std::io::BufReader;
+use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -11,8 +11,8 @@ use wolves_workflow::{WorkflowSpec, WorkflowView};
 
 use crate::error::ServiceError;
 use crate::proto::{
-    encode_frame, read_frame, write_frame, Corrected, MutateOp, Mutated, Request, Response,
-    StatsReport, Verdict, WatchEvent, WatchMode, Watching,
+    encode_frame, Corrected, FrameReader, MutateOp, Mutated, Request, Response, StatsReport,
+    Verdict, WatchEvent, WatchMode, Watching,
 };
 use crate::store::WorkflowId;
 
@@ -20,8 +20,37 @@ use crate::store::WorkflowId;
 /// flight at a time; responses arrive in request order.
 #[derive(Debug)]
 pub struct ServiceClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    reader: FrameReader<TcpStream>,
+    writer: Writer,
+}
+
+/// A connection's sending side, with the buffer each request's frame is
+/// encoded into, kept between requests.
+#[derive(Debug)]
+struct Writer {
+    stream: TcpStream,
+    wire: String,
+}
+
+impl Writer {
+    /// Sends `requests` as one write of their frames.
+    fn send(&mut self, requests: &[Request]) -> std::io::Result<()> {
+        self.wire.clear();
+        for request in requests {
+            encode_frame(&mut self.wire, &request.to_lines());
+        }
+        self.stream.write_all(self.wire.as_bytes())
+    }
+}
+
+/// Reads the next frame, a clean close reported as `closed`.
+fn next_frame(
+    reader: &mut FrameReader<TcpStream>,
+    closed: &str,
+) -> Result<Vec<String>, ServiceError> {
+    reader
+        .read_frame()?
+        .ok_or_else(|| ServiceError::Protocol(closed.to_owned()))
 }
 
 impl ServiceClient {
@@ -50,10 +79,13 @@ impl ServiceClient {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = FrameReader::new(stream.try_clone()?);
         Ok(ServiceClient {
             reader,
-            writer: stream,
+            writer: Writer {
+                stream,
+                wire: String::new(),
+            },
         })
     }
 
@@ -65,9 +97,8 @@ impl ServiceClient {
     /// # Errors
     /// Reports I/O failures, protocol violations and server-side errors.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        write_frame(&mut self.writer, &request.to_lines())?;
-        let frame = read_frame(&mut self.reader)?
-            .ok_or_else(|| ServiceError::Protocol("server closed the connection".to_owned()))?;
+        self.writer.send(std::slice::from_ref(request))?;
+        let frame = next_frame(&mut self.reader, "server closed the connection")?;
         let response = Response::from_frame(frame)?;
         if let Response::Error(message) = response {
             return Err(ServiceError::from_wire(&message));
@@ -93,16 +124,13 @@ impl ServiceClient {
         &mut self,
         requests: &[Request],
     ) -> Result<Vec<Result<Response, ServiceError>>, ServiceError> {
-        let mut wire = String::new();
-        for request in requests {
-            encode_frame(&mut wire, &request.to_lines());
-        }
-        std::io::Write::write_all(&mut self.writer, wire.as_bytes())?;
+        self.writer.send(requests)?;
         let mut responses = Vec::with_capacity(requests.len());
         for _ in requests {
-            let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
-                ServiceError::Protocol("server closed the connection mid-pipeline".to_owned())
-            })?;
+            let frame = next_frame(
+                &mut self.reader,
+                "server closed the connection mid-pipeline",
+            )?;
             responses.push(match Response::from_frame(frame)? {
                 Response::Error(message) => Err(ServiceError::from_wire(&message)),
                 other => Ok(other),
@@ -344,8 +372,8 @@ impl ServiceClient {
 /// A connection in subscription mode (see [`ServiceClient::watch`]).
 #[derive(Debug)]
 pub struct WatchStream {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    reader: FrameReader<TcpStream>,
+    writer: Writer,
     ack: Watching,
 }
 
@@ -365,23 +393,22 @@ impl WatchStream {
     /// # Errors
     /// Reports transport failures and a server-closed connection.
     pub fn next_event(&mut self) -> Result<WatchEvent, ServiceError> {
-        let frame = read_frame(&mut self.reader)?
-            .ok_or_else(|| ServiceError::Protocol("server closed the watch stream".to_owned()))?;
+        let frame = next_frame(&mut self.reader, "server closed the watch stream")?;
         WatchEvent::from_lines(&frame)
     }
 
     /// Ends the subscription and hands the connection back as a
     /// [`ServiceClient`]. Events already in flight are drained and
-    /// discarded (the server acknowledges the unwatch after them).
+    /// discarded (the server acknowledges the unwatch after them); the
+    /// reader, with any bytes it buffered past the acknowledgement, goes
+    /// back to the client.
     ///
     /// # Errors
     /// Reports transport failures and protocol violations.
     pub fn stop(mut self) -> Result<ServiceClient, ServiceError> {
-        write_frame(&mut self.writer, &Request::Unwatch.to_lines())?;
+        self.writer.send(&[Request::Unwatch])?;
         loop {
-            let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
-                ServiceError::Protocol("server closed the watch stream".to_owned())
-            })?;
+            let frame = next_frame(&mut self.reader, "server closed the watch stream")?;
             if frame
                 .first()
                 .is_some_and(|line| line.starts_with("event\t"))

@@ -61,7 +61,7 @@
 //! speaks, so a workflow file can be piped to the server verbatim — no new
 //! dependency, no binary encoding.
 
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 
 use wolves_core::correct::Strategy;
 use wolves_workflow::persist::{delta_from_line, delta_to_line};
@@ -747,58 +747,308 @@ fn end_frame(out: &mut String) {
     out.push('\n');
 }
 
-/// Decodes one wire line (its `\n` already split off) — the single line
-/// policy of both frame readers: one trailing `\r` is trimmed, the bytes
-/// must be UTF-8 (never replaced lossily: a mangled byte could silently
-/// rename a task inside a `register` payload), and a dot-stuffed line is
-/// un-escaped. `Ok(None)` is the frame terminator.
+/// Decodes one wire line (its `\n` already split off) by the line policy
+/// the frame decoder applies to a whole frame: one trailing `\r` is trimmed,
+/// the bytes must be UTF-8 (never replaced lossily: a mangled byte could
+/// silently rename a task inside a `register` payload), and a dot-stuffed
+/// line is un-escaped. `Ok(None)` is the frame terminator.
 ///
 /// # Errors
 /// Reports bytes that are not UTF-8.
 pub fn decode_line(raw: &[u8]) -> Result<Option<&str>, std::str::Utf8Error> {
-    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-    let line = std::str::from_utf8(raw)?;
-    if line == FRAME_END {
+    if is_terminator(raw) {
         return Ok(None);
     }
-    Ok(Some(line.strip_prefix('.').unwrap_or(line)))
+    std::str::from_utf8(raw).map(|line| Some(unstuff(line)))
 }
 
-/// Reads one frame, un-escaping dot-stuffed lines. Returns `None` on a clean
-/// end-of-stream before any line was read. At most [`MAX_FRAME_BYTES`] are
-/// read for one frame.
+/// `true` for the line that ends a frame: `.`, with or without one `\r`.
+fn is_terminator(raw: &[u8]) -> bool {
+    matches!(raw, b"." | b".\r")
+}
+
+/// A payload line's text: one trailing `\r` trimmed, one stuffed `.`
+/// removed.
+fn unstuff(line: &str) -> &str {
+    let line = line.strip_suffix('\r').unwrap_or(line);
+    line.strip_prefix('.').unwrap_or(line)
+}
+
+/// Offsets of the `\n` bytes in a byte slice, ascending, found eight bytes
+/// at a time: each word is compared with eight newlines at once, and every
+/// match in it is read off the comparison's mask. This is the one newline
+/// scan of the protocol; a frame is scanned once as it arrives and once
+/// more when it is built.
+struct Newlines<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next word to load.
+    next: usize,
+    /// Offset of the word `mask` was taken from.
+    word: usize,
+    /// One `0x80` per matching byte of that word not yet returned.
+    mask: u64,
+}
+
+impl<'a> Newlines<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Newlines {
+            bytes,
+            next: 0,
+            word: 0,
+            mask: 0,
+        }
+    }
+}
+
+impl Iterator for Newlines<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+        const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
+        while self.mask == 0 {
+            let rest = self
+                .bytes
+                .get(self.next..)
+                .filter(|rest| !rest.is_empty())?;
+            let word: [u8; 8] = match rest.get(..8) {
+                Some(word) => word.try_into().unwrap_or_default(),
+                None => {
+                    // a short tail is padded with zeros, which never match
+                    let mut tail = [0u8; 8];
+                    tail[..rest.len()].copy_from_slice(rest);
+                    tail
+                }
+            };
+            let x = u64::from_le_bytes(word) ^ NEWLINES;
+            // a byte's high bit is set iff the byte of `x` is zero; adding
+            // 0x7f to the low seven bits cannot carry into the next byte,
+            // so there are no false matches
+            self.mask = !(((x & LOW7) + LOW7) | x | LOW7);
+            self.word = self.next;
+            self.next += 8;
+        }
+        let byte = self.mask.trailing_zeros() as usize / 8;
+        self.mask &= self.mask - 1;
+        Some(self.word + byte)
+    }
+}
+
+/// Bytes of room a [`FrameDecoder`] makes for one read, at least. A small
+/// frame arrives in one read; the first large frame a connection sees
+/// arrives in reads of this size, and the later ones fill the room it left
+/// in one read each.
+const READ_ROOM: usize = 8 << 10;
+
+/// The protocol's one frame decoder, shared by the server's per-connection
+/// input and the client's [`FrameReader`].
 ///
-/// # Errors
-/// Propagates I/O errors; a stream ending mid-frame is reported as
-/// `UnexpectedEof`, a frame past the size bound or a line that is not UTF-8
-/// as `InvalidData`.
-pub fn read_frame<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Vec<String>>> {
-    let mut lines = Vec::new();
-    let mut raw = Vec::new();
-    let mut budget = MAX_FRAME_BYTES as u64;
-    loop {
-        raw.clear();
-        let n = reader.by_ref().take(budget).read_until(b'\n', &mut raw)?;
-        budget -= n as u64;
-        let Some(line) = raw.strip_suffix(b"\n") else {
-            if budget == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
+/// Bytes are read straight into one buffer the decoder keeps between
+/// frames. [`FrameDecoder::next_frame`] scans only the bytes that arrived
+/// since its last call, a word at a time, counting lines until the
+/// terminator line arrives. Only then is the frame built: its bytes are
+/// checked as UTF-8 once, and each line becomes one `String` (one trailing
+/// `\r` trimmed, a stuffed `.` removed) in a `Vec` sized exactly from the
+/// count. Bytes after the terminator stay buffered for the next frame.
+///
+/// The buffer starts empty, is allocated on the first read, and holds at
+/// most the largest frame (plus what was pipelined behind it) the decoder
+/// has held and one read's room; the caller bounds it by what it asks
+/// [`FrameDecoder::read_from`] to read.
+#[derive(Default)]
+pub(crate) struct FrameDecoder {
+    /// Received bytes; those in `start..end` are not yet taken, and the
+    /// rest of the buffer is room for reads.
+    buf: Vec<u8>,
+    /// Where the next frame starts.
+    start: usize,
+    /// End of the received bytes.
+    end: usize,
+    /// End of the bytes scanned for newlines.
+    scanned: usize,
+    /// Start of the first line of the next frame not yet ended by a
+    /// newline.
+    line: usize,
+    /// Lines of the next frame before `line`.
+    lines: usize,
+}
+
+impl std::fmt::Debug for FrameDecoder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameDecoder")
+            .field("buffered", &self.buffered())
+            .field("capacity", &self.buf.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl FrameDecoder {
+    /// Bytes received and not yet taken as part of a frame: the frames
+    /// still waiting in the buffer and the start of the one after them.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Reads once from `reader` into the buffer's room, at most `limit`
+    /// bytes (`limit` > 0), and returns what the reader returned: `Ok(0)`
+    /// is the end of the stream.
+    ///
+    /// # Errors
+    /// Propagates the reader's error, `WouldBlock` and `Interrupted`
+    /// included; the decoder is unchanged by it.
+    pub fn read_from<R: std::io::Read>(
+        &mut self,
+        reader: &mut R,
+        limit: usize,
+    ) -> std::io::Result<usize> {
+        debug_assert!(limit > 0, "a read of nothing would look like the end");
+        self.make_room(limit.min(READ_ROOM));
+        let room = (self.buf.len() - self.end).min(limit);
+        let n = reader.read(&mut self.buf[self.end..self.end + room])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Ensures at least `want` bytes of room after the received bytes:
+    /// first by moving them to the front of the buffer, then by growing
+    /// the buffer by the shortfall alone. The allocation grows by doubling,
+    /// but memory past the room a read needs is never written, so the
+    /// buffer touches at most the largest frame (plus what was pipelined
+    /// behind it) and one read's room.
+    fn make_room(&mut self, want: usize) {
+        if self.start == self.end {
+            // everything was taken: start over at the front
+            self.start = 0;
+            self.end = 0;
+            self.scanned = 0;
+            self.line = 0;
+        }
+        if self.buf.len() - self.end >= want {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.scanned -= self.start;
+            self.line -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
+        }
+    }
+
+    /// Takes the next complete frame off the buffer, or `None` while its
+    /// terminator has not arrived. A frame whose bytes are not UTF-8 is
+    /// taken all the same and reported as the error, so the frame after it
+    /// decodes normally.
+    pub fn next_frame(&mut self) -> Option<Result<Vec<String>, std::str::Utf8Error>> {
+        let (mut line, mut lines) = (self.line, self.lines);
+        let mut terminator = None;
+        for newline in Newlines::new(&self.buf[self.scanned..self.end]) {
+            let at = self.scanned + newline;
+            if is_terminator(&self.buf[line..at]) {
+                terminator = Some(at);
+                break;
+            }
+            lines += 1;
+            line = at + 1;
+        }
+        let Some(at) = terminator else {
+            (self.line, self.lines, self.scanned) = (line, lines, self.end);
+            return None;
+        };
+        let frame = build_frame(&self.buf[self.start..line], lines);
+        self.start = at + 1;
+        self.scanned = self.start;
+        self.line = self.start;
+        self.lines = 0;
+        Some(frame)
+    }
+}
+
+/// Builds a frame from its payload bytes (every line `\n`-ended, the
+/// terminator excluded), which hold exactly `lines` lines.
+fn build_frame(bytes: &[u8], lines: usize) -> Result<Vec<String>, std::str::Utf8Error> {
+    // `\n` and `\r` never occur inside a multi-byte character, so the frame
+    // is UTF-8 exactly when each of its lines is
+    let text = std::str::from_utf8(bytes)?;
+    let mut frame = Vec::with_capacity(lines);
+    let mut from = 0;
+    for newline in Newlines::new(bytes) {
+        frame.push(unstuff(&text[from..newline]).to_owned());
+        from = newline + 1;
+    }
+    debug_assert_eq!(frame.len(), lines, "the scan counted every line");
+    Ok(frame)
+}
+
+/// A stream read frame by frame through the protocol's one frame decoder
+/// (the one the server's connections decode their input with): how clients,
+/// watch streams and tests read responses. Bytes read past a frame stay
+/// buffered for the next one, so a reader can change hands mid-stream (a
+/// [`crate::client::WatchStream`] hands its reader back to the client).
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    decoder: FrameDecoder,
+}
+
+impl<R: std::io::Read> FrameReader<R> {
+    /// Wraps a stream; the decoder's buffer is allocated on the first read.
+    pub fn new(inner: R) -> Self {
+        FrameReader {
+            inner,
+            decoder: FrameDecoder::default(),
+        }
+    }
+
+    /// The underlying stream.
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// Reads one frame, un-escaping dot-stuffed lines. Returns `None` on a
+    /// clean end of stream before any byte of a frame. At most
+    /// [`MAX_FRAME_BYTES`] are buffered for one frame.
+    ///
+    /// # Errors
+    /// Propagates I/O errors (`Interrupted` reads are retried); a stream
+    /// ending mid-frame is reported as `UnexpectedEof`, and a frame past
+    /// the size bound or one that is not UTF-8 as `InvalidData`. A frame
+    /// that is not UTF-8 is consumed, so the next read starts at the frame
+    /// after it.
+    pub fn read_frame(&mut self) -> std::io::Result<Option<Vec<String>>> {
+        use std::io::{Error, ErrorKind};
+        loop {
+            if let Some(frame) = self.decoder.next_frame() {
+                return frame
+                    .map(Some)
+                    .map_err(|e| Error::new(ErrorKind::InvalidData, e));
+            }
+            let pending = self.decoder.buffered();
+            if pending >= MAX_FRAME_BYTES {
+                return Err(Error::new(
+                    ErrorKind::InvalidData,
                     format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
                 ));
             }
-            if n == 0 && lines.is_empty() {
-                return Ok(None);
+            match self
+                .decoder
+                .read_from(&mut self.inner, MAX_FRAME_BYTES - pending)
+            {
+                Ok(0) if pending == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(Error::new(
+                        ErrorKind::UnexpectedEof,
+                        "stream ended mid-frame",
+                    ))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "stream ended mid-frame",
-            ));
-        };
-        match decode_line(line) {
-            Ok(None) => return Ok(Some(lines)),
-            Ok(Some(text)) => lines.push(text.to_owned()),
-            Err(e) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
         }
     }
 }
@@ -817,6 +1067,20 @@ fn parse_usize(text: &str, what: &str) -> Result<usize, ServiceError> {
 fn parse_u64(text: &str, what: &str) -> Result<u64, ServiceError> {
     text.parse::<u64>()
         .map_err(|_| ServiceError::Protocol(format!("invalid {what} '{text}'")))
+}
+
+/// Checks a header's line count against the payload lines that follow it.
+fn check_count(field: Option<&str>, payload: usize, what: &str) -> Result<(), ServiceError> {
+    let field = field.unwrap_or_default();
+    match field.parse::<usize>() {
+        Ok(count) if count == payload => Ok(()),
+        Ok(count) => Err(ServiceError::Protocol(format!(
+            "header announces {count} {what} lines, the frame holds {payload}"
+        ))),
+        Err(_) => Err(ServiceError::Protocol(format!(
+            "invalid {what} count '{field}'"
+        ))),
+    }
 }
 
 impl Request {
@@ -1167,8 +1431,17 @@ impl Response {
     /// Parses a response from frame lines.
     ///
     /// # Errors
-    /// Reports empty frames, unknown kinds and malformed fields.
+    /// Reports empty frames, unknown kinds and malformed fields, and a
+    /// verdict or provenance frame whose payload is not as long as its
+    /// header says.
     pub fn from_lines(lines: &[String]) -> Result<Self, ServiceError> {
+        Self::parse(lines, lines.len().saturating_sub(1))
+    }
+
+    /// Parses a response from `lines` (its header, and its payload where
+    /// the variant copies one) for a frame whose payload has `payload`
+    /// lines.
+    fn parse(lines: &[String], payload: usize) -> Result<Self, ServiceError> {
         let header = lines
             .first()
             .ok_or_else(|| ServiceError::Protocol("empty response frame".to_owned()))?;
@@ -1198,6 +1471,7 @@ impl Response {
                 let version = parse_usize(fields.get(3).copied().unwrap_or_default(), "version")?;
                 let cached = fields.get(4).copied() == Some("hit");
                 let epoch = parse_u64(fields.get(6).copied().unwrap_or_default(), "epoch")?;
+                check_count(fields.get(5).copied(), payload, "unsound composite")?;
                 Ok(Response::Verdict(Verdict {
                     sound,
                     version,
@@ -1218,7 +1492,10 @@ impl Response {
                 )?,
                 payload: lines[1..].join("\n"),
             })),
-            ("ok", Some("provenance")) => Ok(Response::Provenance(lines[1..].to_vec())),
+            ("ok", Some("provenance")) => {
+                check_count(fields.get(2).copied(), payload, "provenance task")?;
+                Ok(Response::Provenance(lines[1..].to_vec()))
+            }
             ("ok", Some("mutated")) => Ok(Response::Mutated(Mutated {
                 epoch: parse_u64(fields.get(2).copied().unwrap_or_default(), "epoch")?,
                 class: fields.get(3).copied().unwrap_or_default().to_owned(),
@@ -1322,7 +1599,8 @@ impl Response {
             return Self::from_lines(&frame);
         }
         // the header alone parses every variant, with an empty payload
-        let mut response = Self::from_lines(&frame[..1])?;
+        // and its counts checked against the frame's
+        let mut response = Self::parse(&frame[..1], frame.len() - 1)?;
         match &mut response {
             // dropping the header shifts the line handles once (≈2.5 µs
             // for a 5k-name answer), not the names
@@ -1343,10 +1621,162 @@ impl Response {
     }
 }
 
+/// Generated wire input and the decoding the line policy gives it: the
+/// reference both frame readers are held to (the client's [`FrameReader`]
+/// here, the server's per-connection input in `server`).
+#[cfg(test)]
+pub(crate) mod wire_cases {
+    use super::decode_line;
+    use proptest::prelude::*;
+
+    /// What lines are made of: dots, `\r`, tabs, `\x0b` (the byte a
+    /// newline scan with false matches would flag after a `\n`), one- to
+    /// four-byte characters, and — at the two highest indices — bytes that
+    /// are not UTF-8 (a stray continuation byte and a cut-off character).
+    const PIECES: [&[u8]; 12] = [
+        b"",
+        b".",
+        b"..",
+        b"\r",
+        b"\t",
+        b"\x0b",
+        b"task7",
+        "\u{e9}".as_bytes(),
+        "\u{20ac}".as_bytes(),
+        "\u{1d11e}".as_bytes(),
+        b"\xff",
+        b"\xe2\x82",
+    ];
+
+    /// Wire bytes of a few frames: lines of up to four pieces (a bad piece
+    /// is drawn about once in thirty), each frame ended by `.` or `.\r`.
+    /// A line may come out as `.` or `.\r` itself and end its frame early,
+    /// as raw input can.
+    pub(crate) fn wire() -> impl Strategy<Value = Vec<u8>> {
+        let piece = (0usize..64).prop_map(|draw| match draw {
+            62 | 63 => PIECES[draw - 52],
+            _ => PIECES[draw % 10],
+        });
+        let line = proptest::collection::vec(piece, 0..5).prop_map(|pieces| pieces.concat());
+        let frame = (proptest::collection::vec(line, 0..7), 0u8..2);
+        proptest::collection::vec(frame, 1..5).prop_map(|frames| {
+            let mut wire = Vec::new();
+            for (lines, cr) in frames {
+                for line in lines {
+                    wire.extend_from_slice(&line);
+                    wire.push(b'\n');
+                }
+                wire.extend_from_slice(if cr == 1 { b".\r\n" } else { b".\n" });
+            }
+            wire
+        })
+    }
+
+    /// Sizes of the reads a [`Chunked`] stream returns, cycled: small, so
+    /// reads split lines, characters and `\r\n` pairs everywhere.
+    pub(crate) fn read_sizes() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(1usize..12, 1..8)
+    }
+
+    /// The frames `wire` holds, split line by line through [`decode_line`]:
+    /// `None` for a frame with a line that is not UTF-8. `partial` is true
+    /// when bytes follow the last terminator.
+    pub(crate) struct Reference {
+        pub(crate) frames: Vec<Option<Vec<String>>>,
+        pub(crate) partial: bool,
+    }
+
+    pub(crate) fn reference(wire: &[u8]) -> Reference {
+        let mut frames = Vec::new();
+        let mut lines = Vec::new();
+        let mut bad = false;
+        let mut rest = wire;
+        let mut partial = false;
+        while let Some(newline) = rest.iter().position(|&byte| byte == b'\n') {
+            partial = true;
+            match decode_line(&rest[..newline]) {
+                Ok(None) => {
+                    frames.push((!bad).then(|| std::mem::take(&mut lines)));
+                    lines.clear();
+                    bad = false;
+                    partial = false;
+                }
+                Ok(Some(text)) => lines.push(text.to_owned()),
+                Err(_) => bad = true,
+            }
+            rest = &rest[newline + 1..];
+        }
+        Reference {
+            frames,
+            partial: partial || !rest.is_empty(),
+        }
+    }
+
+    /// A stream that returns `bytes` in reads of the given sizes, cycled.
+    pub(crate) struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: &'a [usize],
+        reads: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        pub(crate) fn new(bytes: &'a [u8], sizes: &'a [usize]) -> Self {
+            Chunked {
+                bytes,
+                sizes,
+                reads: 0,
+            }
+        }
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// An endless frame: the same payload line forever (never a
+    /// terminator), counting the bytes it hands out.
+    pub(crate) struct Endless {
+        line: Vec<u8>,
+        at: usize,
+        pub(crate) sent: usize,
+    }
+
+    impl Endless {
+        pub(crate) fn new(line: &[u8]) -> Self {
+            let mut line = [b"L", line, b"\n"].concat();
+            line.retain(|&byte| byte != b'\n');
+            line.push(b'\n');
+            Endless {
+                line,
+                at: 0,
+                sent: 0,
+            }
+        }
+    }
+
+    impl std::io::Read for Endless {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            for byte in out.iter_mut() {
+                *byte = self.line[self.at];
+                self.at = (self.at + 1) % self.line.len();
+            }
+            self.sent += out.len();
+            Ok(out.len())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::io::Read as _;
 
     fn round_trip_request(request: &Request) {
         let lines = request.to_lines();
@@ -1692,7 +2122,8 @@ mod tests {
             let mut direct = String::new();
             response.encode(&mut direct);
             assert_eq!(direct, oracle, "encoder bytes for {response:?}");
-            let read = read_frame(&mut BufReader::new(direct.as_bytes()))
+            let read = FrameReader::new(direct.as_bytes())
+                .read_frame()
                 .unwrap()
                 .unwrap();
             assert_eq!(read, lines);
@@ -1713,6 +2144,44 @@ mod tests {
             Response::from_lines(&bad).unwrap_err().to_string()
         );
         assert!(Response::from_frame(Vec::new()).is_err());
+    }
+
+    /// A hand-built frame of `header` and `lines`, whose header counts
+    /// another number of lines, is refused by both decoders.
+    fn assert_count_mismatch_is_refused(header: String, lines: &[&str]) {
+        let mut frame = vec![header];
+        frame.extend(lines.iter().map(|&line| line.to_owned()));
+        for refused in [
+            Response::from_lines(&frame).unwrap_err(),
+            Response::from_frame(frame.clone()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&refused, ServiceError::Protocol(message) if message.contains("holds")),
+                "{refused:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_provenance_frame_must_hold_the_names_its_header_counts() {
+        let header = |count: usize| format!("ok\tprovenance\t{count}");
+        assert_count_mismatch_is_refused(header(3), &["a", "b"]);
+        assert_count_mismatch_is_refused(header(1), &["a", "b"]);
+        assert_count_mismatch_is_refused(header(1), &[]);
+        let frame = [header(2), "a".to_owned(), "b".to_owned()];
+        assert!(Response::from_lines(&frame).is_ok());
+        assert!(Response::from_frame(frame.to_vec()).is_ok());
+    }
+
+    #[test]
+    fn a_verdict_frame_must_hold_the_composites_its_header_counts() {
+        let header = |count: usize| format!("ok\tverdict\tunsound\t0\tmiss\t{count}\t4");
+        assert_count_mismatch_is_refused(header(2), &["Curate & align (16)"]);
+        assert_count_mismatch_is_refused(header(0), &["Curate & align (16)"]);
+        assert_count_mismatch_is_refused(header(1), &[]);
+        let frame = [header(1), "Curate & align (16)".to_owned()];
+        assert!(Response::from_lines(&frame).is_ok());
+        assert!(Response::from_frame(frame.to_vec()).is_ok());
     }
 
     #[test]
@@ -1845,16 +2314,16 @@ mod tests {
         ];
         let mut wire = Vec::new();
         write_frame(&mut wire, &lines).unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        let read = read_frame(&mut reader).unwrap().unwrap();
+        let mut reader = FrameReader::new(wire.as_slice());
+        let read = reader.read_frame().unwrap().unwrap();
         assert_eq!(read, lines);
-        assert!(read_frame(&mut reader).unwrap().is_none());
+        assert!(reader.read_frame().unwrap().is_none());
     }
 
     #[test]
     fn mid_frame_eof_is_an_error() {
-        let mut reader = BufReader::new(b"header\n".as_slice());
-        let err = read_frame(&mut reader).unwrap_err();
+        let mut reader = FrameReader::new(b"header\n".as_slice());
+        let err = reader.read_frame().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
@@ -1868,9 +2337,11 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_invalid_data_not_a_lossy_rename() {
-        let mut reader = BufReader::new(b"register\ntask\tA\xffB\n.\n".as_slice());
-        let err = read_frame(&mut reader).unwrap_err();
+        let mut reader = FrameReader::new(b"register\ntask\tA\xffB\n.\nstats\n.\n".as_slice());
+        let err = reader.read_frame().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // the bad frame is consumed whole: the next one reads normally
+        assert_eq!(reader.read_frame().unwrap().unwrap(), ["stats".to_owned()]);
     }
 
     #[test]
@@ -1878,16 +2349,91 @@ mod tests {
         // one unterminated line a byte past the bound: the reader gives up
         // after MAX_FRAME_BYTES instead of buffering the whole stream
         let endless = std::io::repeat(b'x').take(MAX_FRAME_BYTES as u64 + 1);
-        let mut reader = BufReader::new(endless);
-        let err = read_frame(&mut reader).unwrap_err();
+        let mut reader = FrameReader::new(endless);
+        let err = reader.read_frame().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // a frame of many lines is bounded as a whole, not per line
         let wire = [b"y".repeat(1023), b"\n".to_vec()]
             .concat()
             .repeat(MAX_FRAME_BYTES / 1024 + 1);
-        let mut reader = BufReader::new(wire.as_slice());
-        let err = read_frame(&mut reader).unwrap_err();
+        let mut reader = FrameReader::new(wire.as_slice());
+        let err = reader.read_frame().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    mod properties {
+        use super::super::wire_cases::{read_sizes, reference, wire, Chunked, Endless};
+        use super::*;
+        use proptest::prelude::*;
+        use std::io::ErrorKind;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Frames read in any chunking equal the line policy's split of
+            /// the same bytes; a frame that is not UTF-8 is `InvalidData`
+            /// and the frame after it still reads; a stream cut mid-frame
+            /// ends in `UnexpectedEof`, one cut between frames in `None`.
+            #[test]
+            fn prop_the_reader_decodes_like_the_line_policy(
+                wire in wire(),
+                sizes in read_sizes(),
+                (cut, at) in (0u8..3, 0usize..400)
+            ) {
+                let wire = if cut == 0 { &wire[..at.min(wire.len())] } else { &wire[..] };
+                let expected = reference(wire);
+                let mut reader = FrameReader::new(Chunked::new(wire, &sizes));
+                for frame in &expected.frames {
+                    match (reader.read_frame(), frame) {
+                        (Ok(Some(read)), Some(lines)) => prop_assert_eq!(&read, lines),
+                        (Err(e), None) => prop_assert_eq!(e.kind(), ErrorKind::InvalidData),
+                        (read, frame) => panic!("read {read:?}, expected {frame:?}"),
+                    }
+                }
+                match reader.read_frame() {
+                    Err(e) => {
+                        prop_assert!(expected.partial, "{e}");
+                        prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+                    }
+                    Ok(read) => prop_assert!(read.is_none() && !expected.partial),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3))]
+
+            /// A frame that never ends is `InvalidData` once it reaches the
+            /// bound, after the frames before it, and no byte past the
+            /// bound is read for it.
+            #[test]
+            fn prop_an_oversized_frame_stops_at_the_bound(
+                wire in wire(),
+                line in wire()
+            ) {
+                let mut expected = reference(&wire).frames.into_iter();
+                let mut reader = FrameReader::new(wire.as_slice().chain(Endless::new(&line)));
+                loop {
+                    match reader.read_frame() {
+                        Ok(Some(read)) => {
+                            prop_assert_eq!(Some(read), expected.next().flatten());
+                        }
+                        Err(e) if e.kind() == ErrorKind::InvalidData => {
+                            match expected.next() {
+                                // a frame that is not UTF-8
+                                Some(None) => continue,
+                                None => break,
+                                Some(frame) => panic!("expected {frame:?}, got {e}"),
+                            }
+                        }
+                        other => panic!("{other:?}"),
+                    }
+                }
+                // the endless frame is all the reader holds when it gives up
+                let (_, endless) = reader.get_ref().get_ref();
+                prop_assert_eq!(endless.sent, MAX_FRAME_BYTES);
+            }
+        }
     }
 
     #[test]

@@ -315,7 +315,7 @@ mod engine {
 #[cfg(target_os = "linux")]
 mod engine {
     use std::collections::HashMap;
-    use std::io::{self, Read as _, Write as _};
+    use std::io::{self, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -328,7 +328,7 @@ mod engine {
     use crate::obs::{duration_ns, ServerGauges, Stage};
     use crate::poll::{raw_fd_of, Interest, Poller, Waker};
     use crate::proto::{
-        decode_line, encode_frame, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
+        encode_frame, FrameDecoder, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
     };
     use crate::store::{DurabilityBarrier, WatchSubscription, WorkflowStore};
 
@@ -425,61 +425,18 @@ mod engine {
         })
     }
 
-    /// A connection's unanswered input and how far the frame split got:
-    /// the lines before `scanned` are decoded already (the current frame's
-    /// into `lines`), so each byte passes [`decode_line`] once, however many
-    /// reads a large frame takes to arrive.
-    #[derive(Default)]
-    struct FrameBuf {
-        bytes: Vec<u8>,
-        /// End of the frames already taken.
-        taken: usize,
-        /// End of the lines already decoded.
-        scanned: usize,
-        lines: Vec<String>,
-        bad_utf8: Option<std::str::Utf8Error>,
-    }
-
-    impl FrameBuf {
-        /// Splits off the next complete frame. A frame holding a line that
-        /// is not UTF-8 becomes a protocol error in its slot.
-        fn next_frame(&mut self) -> Option<Frame> {
-            while let Some(newline) = self.bytes[self.scanned..]
-                .iter()
-                .position(|&byte| byte == b'\n')
-            {
-                let line = decode_line(&self.bytes[self.scanned..self.scanned + newline]);
-                self.scanned += newline + 1;
-                match line {
-                    Ok(Some(text)) => self.lines.push(text.to_owned()),
-                    Ok(None) => {
-                        self.taken = self.scanned;
-                        let lines = std::mem::take(&mut self.lines);
-                        return Some(match self.bad_utf8.take() {
-                            None => Ok(lines),
-                            Some(e) => Err(ServiceError::Protocol(format!(
-                                "frame is not valid UTF-8: {e}"
-                            ))),
-                        });
-                    }
-                    Err(e) => self.bad_utf8 = Some(e),
-                }
-            }
-            None
-        }
-
-        /// Drops the bytes of the frames taken so far.
-        fn compact(&mut self) {
-            self.bytes.drain(..self.taken);
-            self.scanned -= self.taken;
-            self.taken = 0;
-        }
+    /// Takes a connection's next complete frame off its input; a frame
+    /// that is not UTF-8 becomes a protocol error in its slot.
+    fn next_frame(input: &mut FrameDecoder) -> Option<Frame> {
+        input.next_frame().map(|frame| {
+            frame.map_err(|e| ServiceError::Protocol(format!("frame is not valid UTF-8: {e}")))
+        })
     }
 
     /// Per-connection state, owned by one loop.
     struct Conn {
         stream: TcpStream,
-        input: FrameBuf,
+        input: FrameDecoder,
         write_buf: String,
         write_pos: usize,
         /// Wire bytes of this pass's answers held for the settle.
@@ -503,7 +460,7 @@ mod engine {
             let now = Instant::now();
             Conn {
                 stream,
-                input: FrameBuf::default(),
+                input: FrameDecoder::default(),
                 write_buf: String::new(),
                 write_pos: 0,
                 held: 0,
@@ -525,16 +482,17 @@ mod engine {
             self.write_buf.len() - self.write_pos + self.held
         }
 
-        /// Pulls readable bytes into the input, stopping once it holds more
-        /// than a frame's bound (the rest waits in the socket for the next
-        /// readiness event); `true` means the peer is gone.
+        /// Reads readable bytes straight into the input, stopping once it
+        /// holds a byte more than a frame's bound (the rest waits in the
+        /// socket for the next readiness event); `true` means the peer is
+        /// gone.
         fn fill(&mut self) -> bool {
             self.last_read = Instant::now();
-            let mut chunk = [0u8; 16384];
-            while self.input.bytes.len() <= MAX_FRAME_BYTES {
-                match self.stream.read(&mut chunk) {
+            while self.input.buffered() <= MAX_FRAME_BYTES {
+                let limit = MAX_FRAME_BYTES + 1 - self.input.buffered();
+                match self.input.read_from(&mut self.stream, limit) {
                     Ok(0) => return true,
-                    Ok(n) => self.input.bytes.extend_from_slice(&chunk[..n]),
+                    Ok(_) => {}
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => return true,
@@ -776,7 +734,7 @@ mod engine {
                     conn.backlogged = true;
                     break false;
                 }
-                let Some(frame) = conn.input.next_frame() else {
+                let Some(frame) = next_frame(&mut conn.input) else {
                     break false;
                 };
                 answered += 1;
@@ -839,8 +797,7 @@ mod engine {
             if answered > 1 {
                 self.gauges.pipelined_batch();
             }
-            conn.input.compact();
-            if !conn.backlogged && conn.input.bytes.len() > MAX_FRAME_BYTES {
+            if !conn.backlogged && conn.input.buffered() > MAX_FRAME_BYTES {
                 // an unterminated frame past the bound
                 self.close(token);
             }
@@ -1002,54 +959,153 @@ mod engine {
     mod tests {
         use super::*;
 
-        fn frames_of(input: &mut FrameBuf) -> Vec<Frame> {
-            std::iter::from_fn(|| input.next_frame()).collect()
+        /// Reads all of `bytes` into the input, as socket reads would.
+        fn feed(input: &mut FrameDecoder, mut bytes: &[u8]) {
+            while !bytes.is_empty() {
+                input.read_from(&mut bytes, usize::MAX).unwrap();
+            }
+        }
+
+        fn frames_of(input: &mut FrameDecoder) -> Vec<Frame> {
+            std::iter::from_fn(|| next_frame(input)).collect()
         }
 
         #[test]
         fn frame_splitter_handles_partials_pipelining_and_bad_utf8() {
             // a partial frame stays buffered
-            let mut input = FrameBuf::default();
-            input.bytes.extend_from_slice(b"validate\t1\n");
+            let mut input = FrameDecoder::default();
+            feed(&mut input, b"validate\t1\n");
             assert!(frames_of(&mut input).is_empty());
-            input.compact();
-            assert_eq!(input.bytes, b"validate\t1\n");
+            assert_eq!(input.buffered(), b"validate\t1\n".len());
 
             // it completes across a later read, then two more frames and a
             // partial fourth follow in one read
-            input
-                .bytes
-                .extend_from_slice(b".\nvalidate\t2\n.\nstats\r\n.\r\nepo");
+            feed(&mut input, b".\nvalidate\t2\n.\nstats\r\n.\r\nepo");
             let frames = frames_of(&mut input);
             assert_eq!(frames.len(), 3);
             assert_eq!(frames[0].as_ref().unwrap(), &["validate\t1".to_owned()]);
             assert_eq!(frames[1].as_ref().unwrap(), &["validate\t2".to_owned()]);
             assert_eq!(frames[2].as_ref().unwrap(), &["stats".to_owned()]);
-            input.compact();
-            assert_eq!(input.bytes, b"epo");
+            assert_eq!(input.buffered(), b"epo".len());
 
-            // dot-stuffed payload lines are un-escaped like read_frame, and
+            // dot-stuffed payload lines are un-escaped like a client's, and
             // do not count as terminators
-            let mut input = FrameBuf::default();
-            input.bytes.extend_from_slice(b"register\n..hidden\n");
-            assert!(input.next_frame().is_none());
-            input.bytes.extend_from_slice(b".\n");
+            let mut input = FrameDecoder::default();
+            feed(&mut input, b"register\n..hidden\n");
+            assert!(next_frame(&mut input).is_none());
+            feed(&mut input, b".\n");
             assert_eq!(
-                input.next_frame().unwrap().unwrap(),
+                next_frame(&mut input).unwrap().unwrap(),
                 ["register".to_owned(), ".hidden".to_owned()]
             );
 
             // a frame with a non-UTF-8 line is a typed error in its slot,
             // never a lossy rename; the frame behind it is untouched
-            let mut input = FrameBuf::default();
-            input
-                .bytes
-                .extend_from_slice(b"register\ntask\tA\xffB\n.\nstats\n.\n");
+            let mut input = FrameDecoder::default();
+            feed(&mut input, b"register\ntask\tA\xffB\n.\nstats\n.\n");
             let frames = frames_of(&mut input);
             assert!(matches!(frames[0], Err(ServiceError::Protocol(_))));
             assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
-            input.compact();
-            assert!(input.bytes.is_empty());
+            assert_eq!(input.buffered(), 0);
+        }
+
+        mod properties {
+            use super::*;
+            use crate::proto::wire_cases::{read_sizes, reference, wire, Chunked, Endless};
+            use proptest::prelude::*;
+            use std::io::Read as _;
+
+            /// What a readiness pass does with a connection's input: fill
+            /// it as [`Conn::fill`] does, take every complete frame, and
+            /// report whether an unterminated frame past the bound is left
+            /// (the loop closes the connection then).
+            fn pass(
+                input: &mut FrameDecoder,
+                source: &mut impl std::io::Read,
+                frames: &mut Vec<Frame>,
+            ) -> (bool, bool) {
+                let mut ended = false;
+                while input.buffered() <= MAX_FRAME_BYTES {
+                    let limit = MAX_FRAME_BYTES + 1 - input.buffered();
+                    if input.read_from(source, limit).unwrap() == 0 {
+                        ended = true;
+                        break;
+                    }
+                }
+                assert!(
+                    input.buffered() <= MAX_FRAME_BYTES + 1,
+                    "read past the bound"
+                );
+                frames.extend(std::iter::from_fn(|| next_frame(input)));
+                (ended, input.buffered() > MAX_FRAME_BYTES)
+            }
+
+            fn assert_matches(frames: &[Frame], expected: &[Option<Vec<String>>]) {
+                assert_eq!(frames.len(), expected.len());
+                for (frame, expected) in frames.iter().zip(expected) {
+                    match (frame, expected) {
+                        (Ok(lines), Some(expected)) => assert_eq!(lines, expected),
+                        (Err(ServiceError::Protocol(_)), None) => {}
+                        (frame, expected) => panic!("took {frame:?}, expected {expected:?}"),
+                    }
+                }
+            }
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(256))]
+
+                /// The server's input, fed in any chunking, takes the frames
+                /// the line policy splits off the same bytes; a frame that
+                /// is not UTF-8 is a protocol error in its slot and the
+                /// frames after it decode; bytes after the last terminator
+                /// stay buffered.
+                #[test]
+                fn prop_the_server_input_decodes_like_the_line_policy(
+                    wire in wire(),
+                    sizes in read_sizes(),
+                    (cut, at) in (0u8..3, 0usize..400)
+                ) {
+                    let wire = if cut == 0 { &wire[..at.min(wire.len())] } else { &wire[..] };
+                    let expected = reference(wire);
+                    let mut input = FrameDecoder::default();
+                    let mut source = Chunked::new(wire, &sizes);
+                    let mut frames = Vec::new();
+                    // one read at a time, frames taken after each
+                    while input.read_from(&mut source, usize::MAX).unwrap() > 0 {
+                        frames.extend(std::iter::from_fn(|| next_frame(&mut input)));
+                    }
+                    assert_matches(&frames, &expected.frames);
+                    prop_assert_eq!(input.buffered() > 0, expected.partial);
+                }
+            }
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(3))]
+
+                /// A frame that never ends fills the input to one byte past
+                /// the bound, no further, after the frames before it were
+                /// taken; the pass then reports it for closing.
+                #[test]
+                fn prop_an_oversized_frame_is_closed_at_the_bound(
+                    wire in wire(),
+                    line in wire()
+                ) {
+                    let expected = reference(&wire);
+                    let mut input = FrameDecoder::default();
+                    let mut source = wire.as_slice().chain(Endless::new(&line));
+                    let mut frames = Vec::new();
+                    loop {
+                        let (ended, oversized) = pass(&mut input, &mut source, &mut frames);
+                        prop_assert!(!ended);
+                        if oversized {
+                            break;
+                        }
+                    }
+                    assert_matches(&frames, &expected.frames);
+                    let (_, endless) = source.get_ref();
+                    prop_assert_eq!(endless.sent, MAX_FRAME_BYTES + 1);
+                }
+            }
         }
     }
 }
@@ -1057,8 +1113,8 @@ mod engine {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, write_frame, MAX_FRAME_BYTES};
-    use std::io::{BufReader, Write as _};
+    use crate::proto::{write_frame, FrameReader, MAX_FRAME_BYTES};
+    use std::io::Write as _;
     use std::net::TcpListener;
 
     fn local_server() -> ServerHandle {
@@ -1070,9 +1126,9 @@ mod tests {
         .expect("bind loopback")
     }
 
-    fn connect(server: &ServerHandle) -> (BufReader<TcpStream>, TcpStream) {
+    fn connect(server: &ServerHandle) -> (FrameReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
-        (BufReader::new(stream.try_clone().unwrap()), stream)
+        (FrameReader::new(stream.try_clone().unwrap()), stream)
     }
 
     #[test]
@@ -1080,21 +1136,21 @@ mod tests {
         let server = local_server();
         let (mut reader, mut writer) = connect(&server);
         writer.write_all(b"frobnicate\n.\n").unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("err\t"));
         // a frame that is not UTF-8 is a typed protocol error, and the
         // connection survives it too
         writer.write_all(b"register\ntask\tA\xff\n.\n").unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
         // there is no `batch` verb: pipelining is the one way to send many
         // requests, so a batch frame is an unknown verb like any other
         writer.write_all(b"batch\t1\nreq\t1\nstats\n.\n").unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
         assert!(frame[0].contains("unknown verb 'batch'"), "{frame:?}");
         write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));
         // shutdown must not hang even though this client keeps its
         // connection open (reader still holds a cloned socket)
@@ -1110,11 +1166,11 @@ mod tests {
         writer
             .write_all(b"stats\n.\nfrobnicate\n.\nheal\n.\n")
             .unwrap();
-        let first = read_frame(&mut reader).unwrap().unwrap();
+        let first = reader.read_frame().unwrap().unwrap();
         assert!(first[0].starts_with("ok\tstats"));
-        let second = read_frame(&mut reader).unwrap().unwrap();
+        let second = reader.read_frame().unwrap().unwrap();
         assert!(second[0].starts_with("err\t"));
-        let third = read_frame(&mut reader).unwrap().unwrap();
+        let third = reader.read_frame().unwrap().unwrap();
         assert_eq!(third[0], "ok\thealed\t0\t0");
         server.shutdown();
     }
@@ -1135,17 +1191,17 @@ mod tests {
         let (mut reader, writer) = connect(&server);
         (&writer).write_all(&requests).unwrap();
         writer.shutdown(std::net::Shutdown::Write).unwrap();
-        let first = read_frame(&mut reader).unwrap().unwrap();
+        let first = reader.read_frame().unwrap().unwrap();
         assert!(first[0].starts_with("ok\tstats"));
-        let second = read_frame(&mut reader).unwrap().unwrap();
+        let second = reader.read_frame().unwrap().unwrap();
         assert_eq!(second[0], "ok\thealed\t0\t0");
         let expected = Response::Exported(export).to_lines();
         for copy in 0..copies {
-            let frame = read_frame(&mut reader).unwrap().expect("every answer");
+            let frame = reader.read_frame().unwrap().expect("every answer");
             assert!(frame == expected, "export {copy} of {copies} differs");
         }
         // then the server closes its side too
-        assert!(read_frame(&mut reader).unwrap().is_none());
+        assert!(reader.read_frame().unwrap().is_none());
         server.shutdown();
     }
 
@@ -1156,10 +1212,10 @@ mod tests {
         // the server stops reading at the frame bound and hangs up, so the
         // tail of this write may fail
         let _ = writer.write_all(&vec![b'x'; MAX_FRAME_BYTES + (1 << 20)]);
-        assert!(!matches!(read_frame(&mut reader), Ok(Some(_))));
+        assert!(!matches!(reader.read_frame(), Ok(Some(_))));
         let (mut reader, mut writer) = connect(&server);
         write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));
         server.shutdown();
     }
@@ -1170,7 +1226,7 @@ mod tests {
         let addr = server.local_addr();
         let (mut reader, mut writer) = connect(&server);
         write_frame(&mut writer, &Request::Shutdown.to_lines()).unwrap();
-        let frame = read_frame(&mut reader).unwrap().unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
         assert_eq!(frame[0], "ok\tshutdown");
         server.join();
         // the port is released: a fresh bind to the same address succeeds

@@ -2,7 +2,7 @@
 //! end, through `service::client` against a running `service::server` —
 //! ≥2 shards, ≥4 event loops, real TCP.
 
-use std::io::{BufReader, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use wolves::core::correct::Strategy;
 use wolves::moml::write_text_format;
-use wolves::service::proto::{read_frame, write_frame};
+use wolves::service::proto::{write_frame, FrameReader};
 use wolves::service::storage::{
     AppendOutcome, ShardJournal, SnapshotEntry, StorageBackend, WalRecord,
 };
@@ -393,9 +393,10 @@ fn answers_push_back_on_a_client_that_does_not_read() {
 
     // once the client reads, every answer arrives, in order
     let expected = Response::Exported(export).to_lines();
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(stream);
     for copy in 0..copies {
-        let frame = read_frame(&mut reader)
+        let frame = reader
+            .read_frame()
             .expect("read an answer")
             .expect("every answer");
         assert!(frame == expected, "export {copy} of {copies} differs");
@@ -426,9 +427,9 @@ fn a_client_that_stops_reading_is_closed_after_the_write_timeout() {
     });
     // so the client reads what was buffered, then the end — never every
     // answer
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(stream);
     let mut received = 0;
-    while let Ok(Some(_)) = read_frame(&mut reader) {
+    while let Ok(Some(_)) = reader.read_frame() {
         received += 1;
     }
     assert!(received < copies, "all {copies} answers arrived");
@@ -454,8 +455,9 @@ fn connections_past_the_limit_are_shed_with_a_transient_overload() {
 
     // the third gets a typed overload frame unprompted, then the hang-up
     let third = std::net::TcpStream::connect(addr).expect("the kernel still accepts");
-    let mut reader = std::io::BufReader::new(third);
-    let frame = wolves::service::proto::read_frame(&mut reader)
+    let mut reader = FrameReader::new(third);
+    let frame = reader
+        .read_frame()
         .expect("read the refusal")
         .expect("a frame, not a bare close");
     let err = match Response::from_lines(&frame).expect("a well-formed frame") {
@@ -586,11 +588,9 @@ fn read_skips_the_fsync_of(writer: Writer) {
     // stalls (a round trip proves it)
     let connect = || {
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone the socket"));
+        let mut reader = FrameReader::new(stream.try_clone().expect("clone the socket"));
         write_frame(&mut &stream, &Request::Stats.to_lines()).expect("send stats");
-        read_frame(&mut reader)
-            .expect("read")
-            .expect("a stats frame");
+        reader.read_frame().expect("read").expect("a stats frame");
         (reader, stream)
     };
     let (mut a_reader, a) = connect();
@@ -634,21 +634,22 @@ fn read_skips_the_fsync_of(writer: Writer) {
     write_frame(&mut &c, &write.to_lines()).expect("send C's write");
     std::thread::sleep(Duration::from_millis(100));
     backend.grant(1);
-    let ack = read_frame(&mut a_reader).expect("read").expect("A's ack");
+    let ack = a_reader.read_frame().expect("read").expect("A's ack");
     assert!(ack[0].starts_with("ok\tmutated"), "{ack:?}");
 
     // C's fsync is held open, yet B's answer is already out
     wait_until("C's fsync wait", || backend.waiting() == 1);
     b.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("set a read timeout");
-    let answer = read_frame(&mut b_reader)
+    let answer = b_reader
+        .read_frame()
         .expect("B answered before C's fsync")
         .expect("B's stats");
     assert!(answer[0].starts_with("ok\tstats"), "{answer:?}");
     assert_eq!(backend.waiting(), 1, "C's fsync is still pending");
 
     backend.grant(u64::MAX);
-    let ack = read_frame(&mut c_reader).expect("read").expect("C's ack");
+    let ack = c_reader.read_frame().expect("read").expect("C's ack");
     assert!(ack[0].starts_with(acked), "{writer:?}: {ack:?}");
     server.shutdown();
 }
