@@ -32,12 +32,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use wolves_repo::{figure1, layered_workflow, topological_block_view, LayeredConfig};
+use wolves_moml::{read_text_format, write_text_format};
+use wolves_repo::{
+    figure1, layered_workflow, random_partition_view, topological_block_view, LayeredConfig,
+};
 use wolves_service::proto::FrameReader;
 use wolves_service::{
     serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, HistogramSnapshot,
-    MutateOp, PersistConfig, RecoveryReport, Response, ServerConfig, ServiceClient, Stage, Verb,
-    WatchMode, WorkflowId, WorkflowStore,
+    MutateOp, PersistConfig, RecoveryReport, Request, Response, ServerConfig, ServiceClient, Stage,
+    Verb, WatchMode, WorkflowId, WorkflowStore,
 };
 
 const USAGE: &str = "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
@@ -74,6 +77,42 @@ const MAX_PROVENANCE_ROUND_TRIP: f64 = 3.0;
 /// name a `Vec<String>` answer owns: a clone of the answer reads about 6×
 /// the encode, and the decode 1.35–1.6× the clone.
 const MAX_CLIENT_DECODE: f64 = 19.0;
+
+/// Parse time may grow at most this factor when the payload grows 4×
+/// (2,500 → 10,000 lattice tasks): near-linear, with room for the larger
+/// payload's cache misses.
+const MAX_TEXTFMT_PARSE_GROWTH: f64 = 5.0;
+
+/// The text format on the `edit-revalidate` lattice at two sizes, and the
+/// server's decode of a `correct-audit`-sized `register` frame.
+struct Textfmt {
+    rows: Vec<TextfmtRow>,
+    /// Median of the per-repeat `parse_us(large) / parse_us(small)`.
+    parse_growth: f64,
+    /// Median of the per-repeat `render_us(large) / render_us(small)`.
+    render_growth: f64,
+    register: RegisterDecode,
+}
+
+/// Parse and render of one lattice payload (48-task block view).
+struct TextfmtRow {
+    tasks: usize,
+    payload_bytes: usize,
+    /// Median over every repeat's median call, in microseconds.
+    parse_us: f64,
+    render_us: f64,
+}
+
+/// A `register` frame of a ≈300-task random-partition workflow, as a
+/// `correct-audit` upload: the frame decode into a request, then the parse
+/// of its payload — what the server runs before the store's own work.
+struct RegisterDecode {
+    tasks: usize,
+    frame_bytes: usize,
+    /// Median over every repeat's median call, in microseconds.
+    decode_us: f64,
+    parse_us: f64,
+}
 
 /// One provenance answer of about 5k names on the `edit-revalidate`
 /// lattice, fetched over loopback and from the store in process. Both hit
@@ -303,17 +342,19 @@ fn main() {
     }
     let pipelining = run_pipelining(quick);
     let provenance = run_provenance_round_trip(quick);
+    let textfmt = run_textfmt(quick);
     let scaling = run_connection_scaling(quick);
     let durability = run_durability(quick);
-    let json = render_json(
-        &rows,
-        &read_under_write,
-        &pipelining,
-        &provenance,
-        &scaling,
-        &durability,
+    let json = render_json(&Report {
+        rows,
+        read_under_write,
+        pipelining,
+        provenance,
+        textfmt,
+        scaling,
+        durability,
         quick,
-    );
+    });
     if let Some(path) = &args.out {
         write_or_exit(path, &json);
     }
@@ -625,8 +666,8 @@ fn run_client_decode(answer: Vec<String>, quick: bool) -> ClientDecode {
         let start = Instant::now();
         match side {
             0 => {
-                let lines = reader.read_frame().expect("a replayed frame");
-                let decoded = Response::from_frame(lines.expect("a frame")).expect("a response");
+                let frame = reader.next_frame().expect("a replayed frame");
+                let decoded = Response::from_frame(frame.expect("a frame")).expect("a response");
                 let elapsed = start.elapsed().as_secs_f64() * 1e6;
                 assert!(decoded == answer, "the decode returns the answer");
                 elapsed
@@ -653,6 +694,108 @@ fn run_client_decode(answer: Vec<String>, quick: bool) -> ClientDecode {
         clone_us: median(samples[2].clone()),
         ratio: median_ratio(&samples[0], &samples[1]),
         over_clone: median_ratio(&samples[0], &samples[2]),
+    }
+}
+
+/// Times the text format's parse and render on the `edit-revalidate`
+/// lattice at 2,500 and 10,000 tasks, the two sizes taking turns call by
+/// call, then the decode of a `register` frame.
+fn run_textfmt(quick: bool) -> Textfmt {
+    let calls = if quick { 6 } else { 20 };
+    let payloads: Vec<(usize, String)> = [100, 400]
+        .into_iter()
+        .map(|layers| {
+            let lattice = LayeredConfig {
+                layers,
+                min_width: 25,
+                max_width: 25,
+                edge_probability: 0.08,
+                skip_probability: 0.02,
+            };
+            let spec = layered_workflow(&lattice, 2303);
+            let view =
+                topological_block_view(&spec, 48, "blocks").expect("a layered spec is a DAG");
+            (spec.task_count(), write_text_format(&spec, Some(&view)))
+        })
+        .collect();
+    let parsed: Vec<_> = payloads
+        .iter()
+        .map(|(_, payload)| read_text_format(payload).expect("a rendered lattice parses"))
+        .collect();
+    let parse: [_; 2] = interleave(calls, |side| {
+        let start = Instant::now();
+        let imported = read_text_format(&payloads[side].1);
+        let elapsed = start.elapsed().as_secs_f64() * 1e6;
+        drop(imported.expect("a rendered lattice parses"));
+        elapsed
+    });
+    let render: [_; 2] = interleave(calls, |side| {
+        let start = Instant::now();
+        let text = write_text_format(&parsed[side].spec, parsed[side].view.as_ref());
+        let elapsed = start.elapsed().as_secs_f64() * 1e6;
+        assert_eq!(
+            text.len(),
+            payloads[side].1.len(),
+            "the render writes the payload"
+        );
+        elapsed
+    });
+    let rows = (0..2)
+        .map(|side| TextfmtRow {
+            tasks: payloads[side].0,
+            payload_bytes: payloads[side].1.len(),
+            parse_us: median(parse[side].clone()),
+            render_us: median(render[side].clone()),
+        })
+        .collect();
+    Textfmt {
+        rows,
+        parse_growth: median_ratio(&parse[1], &parse[0]),
+        render_growth: median_ratio(&render[1], &render[0]),
+        register: run_register_decode(quick),
+    }
+}
+
+/// Decodes a replayed `register` frame through one [`FrameReader`] kept
+/// across calls, as a connection keeps its decoder, into a request, and
+/// parses its payload; the two are timed apart, call by call.
+fn run_register_decode(quick: bool) -> RegisterDecode {
+    let calls = if quick { 100 } else { 500 };
+    let spec = layered_workflow(&LayeredConfig::sized(300), 921);
+    let view =
+        random_partition_view(&spec, spec.task_count() / 5, 921, "random").expect("a partition");
+    let mut frame = String::new();
+    Request::Register {
+        payload: write_text_format(&spec, Some(&view)),
+    }
+    .encode(&mut frame);
+    let mut reader = FrameReader::new(Replay {
+        frame: frame.as_bytes(),
+        at: 0,
+    });
+    let mut decode = Vec::with_capacity(calls);
+    let mut parse = Vec::with_capacity(calls);
+    for _ in 0..calls {
+        let start = Instant::now();
+        let decoded = reader
+            .next_frame()
+            .expect("a replayed frame")
+            .expect("a frame");
+        let request = Request::from_frame(decoded).expect("a register request");
+        decode.push(start.elapsed().as_secs_f64() * 1e6);
+        let Request::Register { payload } = request else {
+            panic!("the frame is a register request");
+        };
+        let start = Instant::now();
+        let imported = read_text_format(&payload);
+        parse.push(start.elapsed().as_secs_f64() * 1e6);
+        drop(imported.expect("the payload parses"));
+    }
+    RegisterDecode {
+        tasks: spec.task_count(),
+        frame_bytes: frame.len(),
+        decode_us: median(decode),
+        parse_us: median(parse),
     }
 }
 
@@ -1089,15 +1232,29 @@ fn run_connection_smoke(target: usize) -> i32 {
     0
 }
 
-fn render_json(
-    rows: &[Row],
-    read_under_write: &ReadUnderWrite,
-    pipelining: &Pipelining,
-    provenance: &ProvenanceRoundTrip,
-    scaling: &[ScalingRow],
-    durability: &Durability,
+/// Everything one run measured, as [`render_json`] writes it.
+struct Report {
+    rows: Vec<Row>,
+    read_under_write: ReadUnderWrite,
+    pipelining: Pipelining,
+    provenance: ProvenanceRoundTrip,
+    textfmt: Textfmt,
+    scaling: Vec<ScalingRow>,
+    durability: Durability,
     quick: bool,
-) -> String {
+}
+
+fn render_json(report: &Report) -> String {
+    let Report {
+        rows,
+        read_under_write,
+        pipelining,
+        provenance,
+        textfmt,
+        scaling,
+        durability,
+        quick,
+    } = report;
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"benchmark\": \"wolves-service throughput\",");
@@ -1174,6 +1331,39 @@ fn render_json(
         provenance.decode.clone_us,
         provenance.decode.ratio,
         provenance.decode.over_clone
+    );
+    // one row per workload and size: `textfmt/parse`, then `textfmt/render`
+    out.push_str("  \"textfmt\": {\"rows\": [\n");
+    let timed = |row: &TextfmtRow, parse: bool| if parse { row.parse_us } else { row.render_us };
+    let mut first = true;
+    for (workload, parse) in [("textfmt/parse", true), ("textfmt/render", false)] {
+        for row in &textfmt.rows {
+            let median_us = timed(row, parse);
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            let _ = write!(
+                out,
+                "    {{\"workload\": \"{workload}\", \"tasks\": {}, \"payload_bytes\": {}, \
+                 \"median_us\": {median_us:.1}, \"mb_per_s\": {:.1}}}",
+                row.tasks,
+                row.payload_bytes,
+                row.payload_bytes as f64 / median_us.max(1e-9)
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\n  ], \"parse_growth\": {:.3}, \"render_growth\": {:.3}}},",
+        textfmt.parse_growth, textfmt.render_growth
+    );
+    let register = &textfmt.register;
+    let _ = writeln!(
+        out,
+        "  \"register_decode\": {{\"tasks\": {}, \"frame_bytes\": {}, \
+         \"decode_us\": {:.1}, \"parse_us\": {:.1}}},",
+        register.tasks, register.frame_bytes, register.decode_us, register.parse_us
     );
     out.push_str("  \"connection_scaling\": [\n");
     for (index, row) in scaling.iter().enumerate() {
@@ -1269,6 +1459,12 @@ fn render_json(
             provenance.decode.ratio,
             "max",
             MAX_CLIENT_DECODE,
+        ),
+        (
+            "textfmt_parse_near_linear",
+            textfmt.parse_growth,
+            "max",
+            MAX_TEXTFMT_PARSE_GROWTH,
         ),
     ];
     let _ = writeln!(out, "  \"guard\": {{");

@@ -128,62 +128,70 @@ impl<N, E> DiGraph<N, E> {
         nodes: Vec<Option<N>>,
         edges: Vec<Option<(NodeId, NodeId, E)>>,
     ) -> Result<Self, GraphError> {
+        // each adjacency list is allocated once, at its final length
+        let mut degrees = vec![(0, 0); nodes.len()];
+        for &(source, target, _) in edges.iter().flatten() {
+            if let Some((out, _)) = degrees.get_mut(source.index()) {
+                *out += 1;
+            }
+            if let Some((_, into)) = degrees.get_mut(target.index()) {
+                *into += 1;
+            }
+        }
         let mut node_slots: Vec<NodeSlot<N>> = nodes
             .into_iter()
-            .map(|weight| NodeSlot {
+            .zip(degrees)
+            .map(|(weight, (out, into))| NodeSlot {
                 weight,
-                outgoing: Vec::new(),
-                incoming: Vec::new(),
+                outgoing: Vec::with_capacity(out),
+                incoming: Vec::with_capacity(into),
             })
             .collect();
-        let mut edge_slots: Vec<EdgeSlot<E>> = Vec::with_capacity(edges.len());
         let live_nodes = node_slots
             .iter()
             .filter(|slot| slot.weight.is_some())
             .count();
         let mut live_edges = 0;
-        let live = |slots: &[NodeSlot<N>], node: NodeId| {
-            slots
-                .get(node.index())
-                .is_some_and(|slot| slot.weight.is_some())
-        };
-        for (index, slot) in edges.into_iter().enumerate() {
-            let id = EdgeId::from_index(index);
-            match slot {
-                Some((source, target, weight)) => {
-                    if source == target {
-                        return Err(GraphError::SelfLoop(source));
-                    }
-                    if !live(&node_slots, source) {
-                        return Err(GraphError::InvalidNode(source));
-                    }
-                    if !live(&node_slots, target) {
-                        return Err(GraphError::InvalidNode(target));
-                    }
-                    edge_slots.push(EdgeSlot {
-                        weight: Some(weight),
-                        source,
-                        target,
-                    });
-                    node_slots[source.index()].outgoing.push((id, target));
-                    node_slots[target.index()].incoming.push((id, source));
-                    live_edges += 1;
-                }
-                None => {
+        // edge slots go straight into their blocks
+        let edges = edges
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                let Some((source, target, weight)) = slot else {
                     // the endpoints of a tombstoned edge are never read
                     // (every accessor checks the weight first); any valid
                     // NodeId works as a placeholder
-                    edge_slots.push(EdgeSlot {
+                    return Ok(EdgeSlot {
                         weight: None,
                         source: NodeId::from_index(0),
                         target: NodeId::from_index(0),
                     });
+                };
+                if source == target {
+                    return Err(GraphError::SelfLoop(source));
                 }
-            }
-        }
+                for node in [source, target] {
+                    if !node_slots
+                        .get(node.index())
+                        .is_some_and(|slot| slot.weight.is_some())
+                    {
+                        return Err(GraphError::InvalidNode(node));
+                    }
+                }
+                let id = EdgeId::from_index(index);
+                node_slots[source.index()].outgoing.push((id, target));
+                node_slots[target.index()].incoming.push((id, source));
+                live_edges += 1;
+                Ok(EdgeSlot {
+                    weight: Some(weight),
+                    source,
+                    target,
+                })
+            })
+            .collect::<Result<BlockVec<_>, _>>()?;
         Ok(DiGraph {
             nodes: node_slots.into_iter().collect(),
-            edges: edge_slots.into_iter().collect(),
+            edges,
             live_nodes,
             live_edges,
         })
@@ -335,6 +343,28 @@ impl<N, E> DiGraph<N, E> {
             .unwrap_or(&[])
             .iter()
             .map(|&(edge, _)| edge)
+    }
+
+    /// The lowest-id live edge that runs between the same endpoints as an
+    /// earlier live edge, if any: the edge [`DiGraph::add_edge_unique`]
+    /// would have refused first, had the edges been added in id order.
+    /// One pass over the adjacency lists, which hold each node's edges in
+    /// id order.
+    #[must_use]
+    pub fn first_parallel_edge(&self) -> Option<EdgeId> {
+        // `seen[t]` is 1 + the last source whose list showed target `t`
+        let mut seen = vec![0usize; self.nodes.len()];
+        let mut first: Option<EdgeId> = None;
+        for (source, slot) in self.nodes.iter().enumerate() {
+            for &(edge, target) in &slot.outgoing {
+                if seen[target.index()] == source + 1 {
+                    first = Some(first.map_or(edge, |f| f.min(edge)));
+                    break;
+                }
+                seen[target.index()] = source + 1;
+            }
+        }
+        first
     }
 
     /// Maps the graph into a structurally identical graph with different
@@ -560,6 +590,21 @@ mod tests {
         // the permissive method still allows parallel edges
         assert!(g.add_edge(a, b, ()).is_ok());
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn the_first_parallel_edge_is_the_lowest_repeat() {
+        let (mut g, [a, b, c, d]) = diamond();
+        assert_eq!(g.first_parallel_edge(), None);
+        let late = g.add_edge(a, b, 7).unwrap();
+        let later = g.add_edge(c, d, 8).unwrap();
+        assert_eq!(g.first_parallel_edge(), Some(late));
+        g.remove_edge(late).unwrap();
+        assert_eq!(g.first_parallel_edge(), Some(later));
+        // a removed original leaves its repeat the only edge between them
+        let original = g.find_edge(c, d).unwrap();
+        g.remove_edge(original).unwrap();
+        assert_eq!(g.first_parallel_edge(), None);
     }
 
     #[test]

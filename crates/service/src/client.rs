@@ -11,8 +11,8 @@ use wolves_workflow::{WorkflowSpec, WorkflowView};
 
 use crate::error::ServiceError;
 use crate::proto::{
-    encode_frame, Corrected, FrameReader, MutateOp, Mutated, Request, Response, StatsReport,
-    Verdict, WatchEvent, WatchMode, Watching,
+    encode_register, Corrected, Frame, FrameReader, MutateOp, Mutated, Request, Response,
+    StatsReport, Verdict, WatchEvent, WatchMode, Watching,
 };
 use crate::store::WorkflowId;
 
@@ -35,21 +35,25 @@ struct Writer {
 impl Writer {
     /// Sends `requests` as one write of their frames.
     fn send(&mut self, requests: &[Request]) -> std::io::Result<()> {
+        self.send_with(|wire| {
+            for request in requests {
+                request.encode(wire);
+            }
+        })
+    }
+
+    /// Sends the frames `encode` appends, as one write.
+    fn send_with(&mut self, encode: impl FnOnce(&mut String)) -> std::io::Result<()> {
         self.wire.clear();
-        for request in requests {
-            encode_frame(&mut self.wire, &request.to_lines());
-        }
+        encode(&mut self.wire);
         self.stream.write_all(self.wire.as_bytes())
     }
 }
 
 /// Reads the next frame, a clean close reported as `closed`.
-fn next_frame(
-    reader: &mut FrameReader<TcpStream>,
-    closed: &str,
-) -> Result<Vec<String>, ServiceError> {
+fn take_frame(reader: &mut FrameReader<TcpStream>, closed: &str) -> Result<Frame, ServiceError> {
     reader
-        .read_frame()?
+        .next_frame()?
         .ok_or_else(|| ServiceError::Protocol(closed.to_owned()))
 }
 
@@ -97,8 +101,13 @@ impl ServiceClient {
     /// # Errors
     /// Reports I/O failures, protocol violations and server-side errors.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        self.writer.send(std::slice::from_ref(request))?;
-        let frame = next_frame(&mut self.reader, "server closed the connection")?;
+        self.exchange(|wire| request.encode(wire))
+    }
+
+    /// Sends the request frame `encode` appends and reads its response.
+    fn exchange(&mut self, encode: impl FnOnce(&mut String)) -> Result<Response, ServiceError> {
+        self.writer.send_with(encode)?;
+        let frame = take_frame(&mut self.reader, "server closed the connection")?;
         let response = Response::from_frame(frame)?;
         if let Response::Error(message) = response {
             return Err(ServiceError::from_wire(&message));
@@ -127,7 +136,7 @@ impl ServiceClient {
         self.writer.send(requests)?;
         let mut responses = Vec::with_capacity(requests.len());
         for _ in requests {
-            let frame = next_frame(
+            let frame = take_frame(
                 &mut self.reader,
                 "server closed the connection mid-pipeline",
             )?;
@@ -144,9 +153,8 @@ impl ServiceClient {
     /// # Errors
     /// Propagates transport and server errors.
     pub fn register_text(&mut self, payload: &str) -> Result<WorkflowId, ServiceError> {
-        match self.call(&Request::Register {
-            payload: payload.to_owned(),
-        })? {
+        // encoded from the borrowed payload: no copy of it is made first
+        match self.exchange(|wire| encode_register(wire, payload))? {
             Response::Registered(id) => Ok(id),
             other => Err(unexpected("registered", &other)),
         }
@@ -393,8 +401,8 @@ impl WatchStream {
     /// # Errors
     /// Reports transport failures and a server-closed connection.
     pub fn next_event(&mut self) -> Result<WatchEvent, ServiceError> {
-        let frame = next_frame(&mut self.reader, "server closed the watch stream")?;
-        WatchEvent::from_lines(&frame)
+        let frame = take_frame(&mut self.reader, "server closed the watch stream")?;
+        WatchEvent::from_lines(&frame.into_lines())
     }
 
     /// Ends the subscription and hands the connection back as a
@@ -408,12 +416,14 @@ impl WatchStream {
     pub fn stop(mut self) -> Result<ServiceClient, ServiceError> {
         self.writer.send(&[Request::Unwatch])?;
         loop {
-            let frame = next_frame(&mut self.reader, "server closed the watch stream")?;
-            if frame
-                .first()
-                .is_some_and(|line| line.starts_with("event\t"))
-            {
-                continue; // in-flight event racing the unwatch
+            let frame = take_frame(&mut self.reader, "server closed the watch stream")?;
+            if let Frame::Lines(lines) = &frame {
+                if lines
+                    .first()
+                    .is_some_and(|line| line.starts_with("event\t"))
+                {
+                    continue; // in-flight event racing the unwatch
+                }
             }
             return match Response::from_frame(frame)? {
                 Response::Unwatched => Ok(ServiceClient {

@@ -328,7 +328,7 @@ mod engine {
     use crate::obs::{duration_ns, ServerGauges, Stage};
     use crate::poll::{raw_fd_of, Interest, Poller, Waker};
     use crate::proto::{
-        encode_frame, FrameDecoder, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
+        encode_frame, Frame, FrameDecoder, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
     };
     use crate::store::{DurabilityBarrier, WatchSubscription, WorkflowStore};
 
@@ -347,7 +347,7 @@ mod engine {
 
     /// A frame decoded off a connection, or the protocol error that stands
     /// in its slot.
-    type Frame = Result<Vec<String>, ServiceError>;
+    type Taken = Result<Frame, ServiceError>;
 
     /// An answer held for the pass's settle, already encoded.
     struct Held {
@@ -427,7 +427,7 @@ mod engine {
 
     /// Takes a connection's next complete frame off its input; a frame
     /// that is not UTF-8 becomes a protocol error in its slot.
-    fn next_frame(input: &mut FrameDecoder) -> Option<Frame> {
+    fn next_frame(input: &mut FrameDecoder) -> Option<Taken> {
         input.next_frame().map(|frame| {
             frame.map_err(|e| ServiceError::Protocol(format!("frame is not valid UTF-8: {e}")))
         })
@@ -739,7 +739,7 @@ mod engine {
                 };
                 answered += 1;
                 let parse_start = Instant::now();
-                let parsed = frame.and_then(|lines| Request::from_lines(&lines));
+                let parsed = frame.and_then(Request::from_frame);
                 self.store
                     .telemetry()
                     .stage(Stage::Parse, duration_ns(parse_start.elapsed()));
@@ -966,7 +966,7 @@ mod engine {
             }
         }
 
-        fn frames_of(input: &mut FrameDecoder) -> Vec<Frame> {
+        fn frames_of(input: &mut FrameDecoder) -> Vec<Taken> {
             std::iter::from_fn(|| next_frame(input)).collect()
         }
 
@@ -983,9 +983,10 @@ mod engine {
             feed(&mut input, b".\nvalidate\t2\n.\nstats\r\n.\r\nepo");
             let frames = frames_of(&mut input);
             assert_eq!(frames.len(), 3);
-            assert_eq!(frames[0].as_ref().unwrap(), &["validate\t1".to_owned()]);
-            assert_eq!(frames[1].as_ref().unwrap(), &["validate\t2".to_owned()]);
-            assert_eq!(frames[2].as_ref().unwrap(), &["stats".to_owned()]);
+            let lines = |line: &str| Frame::Lines(vec![line.to_owned()]);
+            assert_eq!(frames[0].as_ref().unwrap(), &lines("validate\t1"));
+            assert_eq!(frames[1].as_ref().unwrap(), &lines("validate\t2"));
+            assert_eq!(frames[2].as_ref().unwrap(), &lines("stats"));
             assert_eq!(input.buffered(), b"epo".len());
 
             // dot-stuffed payload lines are un-escaped like a client's, and
@@ -996,7 +997,10 @@ mod engine {
             feed(&mut input, b".\n");
             assert_eq!(
                 next_frame(&mut input).unwrap().unwrap(),
-                ["register".to_owned(), ".hidden".to_owned()]
+                Frame::Text {
+                    header: "register".to_owned(),
+                    payload: ".hidden".to_owned()
+                }
             );
 
             // a frame with a non-UTF-8 line is a typed error in its slot,
@@ -1005,13 +1009,15 @@ mod engine {
             feed(&mut input, b"register\ntask\tA\xffB\n.\nstats\n.\n");
             let frames = frames_of(&mut input);
             assert!(matches!(frames[0], Err(ServiceError::Protocol(_))));
-            assert_eq!(frames[1].as_ref().unwrap(), &["stats".to_owned()]);
+            assert_eq!(frames[1].as_ref().unwrap(), &lines("stats"));
             assert_eq!(input.buffered(), 0);
         }
 
         mod properties {
             use super::*;
-            use crate::proto::wire_cases::{read_sizes, reference, wire, Chunked, Endless};
+            use crate::proto::wire_cases::{
+                expected_frame, read_sizes, reference, wire, Chunked, Endless,
+            };
             use proptest::prelude::*;
             use std::io::Read as _;
 
@@ -1022,7 +1028,7 @@ mod engine {
             fn pass(
                 input: &mut FrameDecoder,
                 source: &mut impl std::io::Read,
-                frames: &mut Vec<Frame>,
+                frames: &mut Vec<Taken>,
             ) -> (bool, bool) {
                 let mut ended = false;
                 while input.buffered() <= MAX_FRAME_BYTES {
@@ -1040,11 +1046,11 @@ mod engine {
                 (ended, input.buffered() > MAX_FRAME_BYTES)
             }
 
-            fn assert_matches(frames: &[Frame], expected: &[Option<Vec<String>>]) {
+            fn assert_matches(frames: &[Taken], expected: &[Option<Vec<String>>]) {
                 assert_eq!(frames.len(), expected.len());
                 for (frame, expected) in frames.iter().zip(expected) {
                     match (frame, expected) {
-                        (Ok(lines), Some(expected)) => assert_eq!(lines, expected),
+                        (Ok(frame), Some(lines)) => assert_eq!(frame, &expected_frame(lines)),
                         (Err(ServiceError::Protocol(_)), None) => {}
                         (frame, expected) => panic!("took {frame:?}, expected {expected:?}"),
                     }
@@ -1143,6 +1149,15 @@ mod tests {
         writer.write_all(b"register\ntask\tA\xff\n.\n").unwrap();
         let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
+        // so is one in a pipelined write; the register behind it, its
+        // payload CRLF-ended, decodes and registers
+        writer
+            .write_all(b"register\ntask\tA\xff\n.\nregister\r\ntask\tA\r\ntask\tB\n.\r\n")
+            .unwrap();
+        let frame = reader.read_frame().unwrap().unwrap();
+        assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
+        let frame = reader.read_frame().unwrap().unwrap();
+        assert!(frame[0].starts_with("ok\tregistered\t"), "{frame:?}");
         // there is no `batch` verb: pipelining is the one way to send many
         // requests, so a batch frame is an unknown verb like any other
         writer.write_all(b"batch\t1\nreq\t1\nstats\n.\n").unwrap();

@@ -74,6 +74,7 @@ use wolves_graph::DirtyRows;
 
 use wolves_core::correct::{correct_view, Strategy};
 use wolves_core::soundness::is_sound;
+use wolves_moml::textfmt::check_task_name;
 use wolves_moml::{read_text_format, write_text_format};
 use wolves_provenance::ViewProvenanceIndex;
 use wolves_workflow::persist::{
@@ -1287,7 +1288,9 @@ impl WorkflowStore {
     /// # Errors
     /// Reports unknown workflows, tasks and composites, edits the model
     /// layer rejects (duplicate names, missing dependencies, non-partition
-    /// splits), and persistence failures.
+    /// splits), a task name the text format cannot carry back
+    /// ([`wolves_moml::textfmt::check_task_name`], as
+    /// [`ServiceError::Mutation`]), and persistence failures.
     pub fn mutate(&self, id: WorkflowId, op: MutateOp) -> Result<Mutated, ServiceError> {
         self.mutate_cas(id, op, None)
     }
@@ -1376,6 +1379,11 @@ impl WorkflowStore {
             // refuse names the single-line WAL/wire grammar cannot carry
             // before anything is applied
             check_op_serialisable(&op)?;
+        }
+        if let MutateOp::AddTask { name } = &op {
+            // a task the text format cannot carry back would leave an
+            // `export` that does not register again
+            check_task_name(name).map_err(ServiceError::Mutation)?;
         }
         let Applied {
             index,
@@ -2558,18 +2566,22 @@ mod tests {
         // the rejections applied nothing: the epoch advanced only by the
         // probes themselves
         assert_eq!(epoch_probe(&store), before + 1);
-        // the in-memory store still accepts such names (nothing to log)
+        // the in-memory store still accepts a name only the log cannot
+        // carry (nothing to log); one the text format cannot carry back is
+        // refused by every store
         let memory = WorkflowStore::new(1);
         let f = figure1();
         let mem_id = memory.try_register(f.spec, Some(f.view)).unwrap();
-        assert!(memory
-            .mutate(
+        let add = |name: &str| {
+            memory.mutate(
                 mem_id,
                 MutateOp::AddTask {
-                    name: "a\tb".to_owned(),
+                    name: name.to_owned(),
                 },
             )
-            .is_ok());
+        };
+        assert!(add("a\rb").is_ok());
+        assert!(matches!(add("a\tb"), Err(ServiceError::Mutation(_))));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -3430,6 +3442,143 @@ mod tests {
             store.mutate(id, op).unwrap();
             assert!(cached_index(&store, id).is_none());
             assert_served_provenance_is_exact(&store, id, &subjects);
+        }
+    }
+
+    #[test]
+    fn task_names_the_text_format_cannot_carry_back_are_refused_on_both_paths() {
+        let store = WorkflowStore::new(1);
+        // register: the reader refuses the line that declares the name
+        for (payload, line) in [("task\ta|b\n", 1), ("task\tok\ntask\t padded \tx\n", 2)] {
+            let err = store.register_text(payload).unwrap_err();
+            let at = format!("line {line}");
+            assert!(
+                matches!(&err, ServiceError::Parse(m) if m.contains(&at) && m.contains("task name")),
+                "{err}"
+            );
+        }
+        // add-task, parsed as the wire parses `mutate add-task`: refused
+        // with nothing applied
+        let fixture = figure1();
+        let id = store.register(fixture.spec, Some(fixture.view));
+        let before = store.export(id).unwrap();
+        for name in ["a|b", " padded ", "trail ", "\u{a0}lead"] {
+            let op = MutateOp::from_fields(&["add-task", name], 0).unwrap();
+            let err = store.mutate(id, op).unwrap_err();
+            assert!(
+                matches!(&err, ServiceError::Mutation(m) if m.contains("task name")),
+                "{err}"
+            );
+        }
+        assert_eq!(store.cursor(id).unwrap(), (0, 0));
+        assert_eq!(store.export(id).unwrap(), before);
+    }
+
+    mod export_round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Names an edit script draws from: spaced, multi-byte and bar-
+        /// holding ones (composite names may hold a bar), and task names
+        /// the text format cannot carry back.
+        const NAMES: [&str; 8] = [
+            "fresh step",
+            "\u{e9}tape \u{1d11e}",
+            "left|right",
+            " padded ",
+            "trail ",
+            "\u{3000}wide",
+            "x",
+            "Display tree",
+        ];
+
+        /// Registers `id`'s export as a new workflow and checks that it
+        /// exports the same text; returns the export parsed.
+        fn assert_export_registers_back(
+            store: &WorkflowStore,
+            id: WorkflowId,
+        ) -> wolves_moml::ImportedWorkflow {
+            let text = store.export(id).unwrap();
+            let again = store.register_text(&text).expect("an export registers");
+            assert_eq!(store.export(again).unwrap(), text);
+            read_text_format(&text).unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// After every edit the store accepts (task and edge adds and
+            /// removals, splits, merges, corrections), its `export`
+            /// registers again and exports the same text. Edges that would
+            /// close a cycle are left out: the store takes them, and the
+            /// reader refuses a cyclic spec.
+            #[test]
+            fn prop_every_accepted_edit_leaves_an_export_that_registers_back(
+                script in proptest::collection::vec((0usize..7, 0usize..64, 0usize..64), 1..24)
+            ) {
+                let store = WorkflowStore::new(1);
+                let fixture = figure1();
+                let id = store.register(fixture.spec, Some(fixture.view));
+                let mut current = assert_export_registers_back(&store, id);
+                for (kind, a, b) in script {
+                    let spec = &current.spec;
+                    let view = current.view.as_ref().expect("the export carries the view");
+                    let name_of = |t: TaskId| spec.task(t).unwrap().name.clone();
+                    let tasks: Vec<String> = spec.tasks().map(|(_, t)| t.name.clone()).collect();
+                    let edges: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
+                    let composites: Vec<(String, Vec<String>)> = view
+                        .composites()
+                        .map(|(_, c)| (c.name.clone(), c.members().iter().map(|&m| name_of(m)).collect()))
+                        .collect();
+                    let task = |i: usize| tasks.get(i % tasks.len().max(1)).cloned().unwrap_or_default();
+                    let composite = |i: usize| &composites[i % composites.len()];
+                    let op = match kind {
+                        0 => MutateOp::AddTask {
+                            name: if a % 2 == 0 { NAMES[b % NAMES.len()].to_owned() } else { format!("step {b}") },
+                        },
+                        1 => MutateOp::RemoveTask { name: task(a) },
+                        // an edge that closes a cycle is accepted, but
+                        // the reader refuses a cyclic export
+                        2 if !tasks.is_empty() && !spec.reaches(
+                            spec.task_by_name(&task(b)).unwrap(),
+                            spec.task_by_name(&task(a)).unwrap(),
+                        ) => MutateOp::AddEdge { from: task(a), to: task(b) },
+                        3 if !edges.is_empty() => {
+                            let (from, to) = edges[a % edges.len()];
+                            MutateOp::RemoveEdge { from: name_of(from), to: name_of(to) }
+                        }
+                        4 if composites.len() > 1 => MutateOp::Merge {
+                            name: NAMES[b % NAMES.len()].to_owned(),
+                            composites: vec![composite(a).0.clone(), composite(a + 1).0.clone()],
+                        },
+                        5 if !composites.is_empty() && composite(a).1.len() > 1 => {
+                            let (name, members) = composite(a);
+                            let cut = 1 + b % (members.len() - 1);
+                            MutateOp::Split {
+                                composite: name.clone(),
+                                parts: vec![members[..cut].to_vec(), members[cut..].to_vec()],
+                            }
+                        }
+                        6 => {
+                            use wolves_core::correct::Strategy as S;
+                            let strategy = [S::Weak, S::Strong, S::Optimal][b % 3];
+                            if store.correct(id, strategy).is_ok() {
+                                current = assert_export_registers_back(&store, id);
+                            }
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    let refused = matches!(&op, MutateOp::AddTask { name } if check_task_name(name).is_err());
+                    match store.mutate(id, op) {
+                        Ok(_) => {
+                            prop_assert!(!refused, "a name the text format cannot carry was added");
+                            current = assert_export_registers_back(&store, id);
+                        }
+                        Err(e) => prop_assert!(!refused || matches!(e, ServiceError::Mutation(_)), "{e}"),
+                    }
+                }
+            }
         }
     }
 }

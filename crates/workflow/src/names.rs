@@ -69,10 +69,22 @@ impl NameIndex {
             .max(MIN_CAPACITY);
         let mut index = Self::with_capacity(capacity, hasher);
         for (id, task) in graph.nodes() {
-            if index.get(graph, &task.name).is_some() {
-                return Err(task.name.clone());
+            // one probe run per name: it ends at a task of the same name,
+            // or at the free slot the name takes
+            let mask = index.slots.len() - 1;
+            let mut i = index.home(&task.name);
+            loop {
+                let entry = index.slots[i];
+                if entry == EMPTY {
+                    index.slots[i] = slot_of(id);
+                    index.len += 1;
+                    break;
+                }
+                if name_of(graph, TaskId::from_index(entry as usize)) == task.name {
+                    return Err(task.name.clone());
+                }
+                i = (i + 1) & mask;
             }
-            index.place(&task.name, id);
         }
         Ok(index)
     }

@@ -7,7 +7,7 @@ use wolves_graph::{Csr, DeltaClass, DeltaOutcome, DiGraph, DirtyRows, GraphError
 use crate::error::WorkflowError;
 use crate::mutation::{MutationReport, SpecDelta, SpecDeltaKind, SpecMutation};
 use crate::names::NameIndex;
-use crate::persist::check_slot_bound;
+use crate::persist::{check_slot_bound, MAX_SLOT_BOUND};
 use crate::task::{AtomicTask, DataDependency, TaskId};
 
 /// A workflow specification: a DAG of atomic tasks connected by data
@@ -77,6 +77,85 @@ impl WorkflowSpec {
         let names = NameIndex::from_graph(&graph).map_err(WorkflowError::DuplicateTaskName)?;
         Ok(WorkflowSpec {
             name,
+            graph,
+            names,
+            reach: OnceLock::new(),
+            epoch,
+        })
+    }
+
+    /// Builds a specification in one step from its tasks, which get the ids
+    /// `0..tasks.len()` in order, and its dependencies between those ids:
+    /// the spec the same [`WorkflowSpec::add_task`] and
+    /// [`WorkflowSpec::add_dependency`] calls would build, epoch included
+    /// (tasks + dependencies), at the cost of one graph build and one name
+    /// index build.
+    ///
+    /// # Errors
+    /// Exactly the error the first failing call of that sequence would
+    /// return: a duplicate task name or too many task slots, then, per
+    /// dependency in order, too many dependency slots, a duplicate, a
+    /// self-loop or an unknown endpoint.
+    pub fn from_parts(
+        name: impl Into<String>,
+        mut tasks: Vec<AtomicTask>,
+        mut dependencies: Vec<(TaskId, TaskId, DataDependency)>,
+    ) -> Result<Self, WorkflowError> {
+        let task_graph = |tasks: Vec<AtomicTask>, dependencies: Vec<_>| {
+            DiGraph::from_slots(
+                tasks.into_iter().map(Some).collect(),
+                dependencies.into_iter().map(Some).collect(),
+            )
+        };
+        if tasks.len() > MAX_SLOT_BOUND {
+            // the add past the limit checks its name before its slot
+            tasks.truncate(MAX_SLOT_BOUND + 1);
+            NameIndex::from_graph(&task_graph(tasks, Vec::new())?)
+                .map_err(WorkflowError::DuplicateTaskName)?;
+            return Err(WorkflowError::SlotBoundTooLarge {
+                what: "task",
+                bound: MAX_SLOT_BOUND + 1,
+            });
+        }
+        // the first dependency refused on its own (slot limit, self-loop,
+        // unknown endpoint); only the ones before it are built, and a
+        // duplicate among them is refused before it
+        let task_count = tasks.len();
+        let refused = dependencies
+            .iter()
+            .enumerate()
+            .find_map(|(index, &(from, to, _))| {
+                if index >= MAX_SLOT_BOUND {
+                    Some(WorkflowError::SlotBoundTooLarge {
+                        what: "edge",
+                        bound: index + 1,
+                    })
+                } else if from == to {
+                    Some(GraphError::SelfLoop(from).into())
+                } else if from.index() >= task_count {
+                    Some(GraphError::InvalidNode(from).into())
+                } else if to.index() >= task_count {
+                    Some(GraphError::InvalidNode(to).into())
+                } else {
+                    None
+                }
+                .map(|error| (index, error))
+            });
+        if let Some((index, _)) = refused {
+            dependencies.truncate(index);
+        }
+        let epoch = (task_count + dependencies.len()) as u64;
+        let graph = task_graph(tasks, dependencies)?;
+        let names = NameIndex::from_graph(&graph).map_err(WorkflowError::DuplicateTaskName)?;
+        if let Some(edge) = graph.first_parallel_edge() {
+            let (from, to) = graph.edge_endpoints(edge)?;
+            return Err(GraphError::DuplicateEdge(from, to).into());
+        }
+        if let Some((_, error)) = refused {
+            return Err(error);
+        }
+        Ok(WorkflowSpec {
+            name: name.into(),
             graph,
             names,
             reach: OnceLock::new(),
@@ -809,6 +888,109 @@ mod tests {
             for i in 1..=fresh {
                 proptest::prop_assert_eq!(spec.task_by_name(&format!("fresh{i}")), None);
             }
+        }
+    }
+
+    /// The spec `add_task` and `add_dependency` calls build from the same
+    /// parts, or the first error they return.
+    fn built_one_by_one(
+        tasks: &[AtomicTask],
+        dependencies: &[(TaskId, TaskId, DataDependency)],
+    ) -> Result<WorkflowSpec, WorkflowError> {
+        let mut spec = WorkflowSpec::new("parts");
+        for task in tasks {
+            spec.add_task(task.clone())?;
+        }
+        for (from, to, dependency) in dependencies {
+            spec.add_dependency(*from, *to, dependency.clone())?;
+        }
+        Ok(spec)
+    }
+
+    fn assert_same_build(
+        tasks: Vec<AtomicTask>,
+        dependencies: Vec<(TaskId, TaskId, DataDependency)>,
+    ) {
+        let expected = built_one_by_one(&tasks, &dependencies);
+        let built = WorkflowSpec::from_parts("parts", tasks, dependencies);
+        match (built, expected) {
+            (Ok(built), Ok(expected)) => {
+                let lines = crate::persist::spec_to_lines;
+                assert_eq!(lines(&built), lines(&expected));
+                for (id, task) in expected.tasks() {
+                    assert_eq!(built.task_by_name(&task.name), Some(id));
+                }
+            }
+            (built, expected) => assert_eq!(built.err(), expected.err()),
+        }
+    }
+
+    #[test]
+    fn from_parts_meets_the_slot_limits_where_the_adds_do() {
+        let tasks = |n: usize, dup: Option<usize>| -> Vec<AtomicTask> {
+            (0..n)
+                .map(|i| AtomicTask::new(format!("t{}", if Some(i) == dup { 0 } else { i })))
+                .collect()
+        };
+        // one task past the limit; its own name, or an earlier one, is a
+        // duplicate
+        assert_same_build(tasks(MAX_SLOT_BOUND + 1, None), Vec::new());
+        assert_same_build(tasks(MAX_SLOT_BOUND + 1, Some(MAX_SLOT_BOUND)), Vec::new());
+        assert_same_build(
+            tasks(MAX_SLOT_BOUND + 2, Some(MAX_SLOT_BOUND + 1)),
+            Vec::new(),
+        );
+        // one dependency past the limit, behind a duplicate or not
+        let pair = |i: usize| (TaskId::from_index(i % 64), TaskId::from_index(64 + i / 64));
+        let chain = |n: usize| -> Vec<_> {
+            (0..n)
+                .map(|i| (pair(i).0, pair(i).1, DataDependency::unnamed()))
+                .collect()
+        };
+        assert_same_build(tasks(200, None), chain(MAX_SLOT_BOUND));
+        assert_same_build(tasks(200, None), chain(MAX_SLOT_BOUND + 1));
+        let mut repeated = chain(MAX_SLOT_BOUND + 1);
+        repeated[MAX_SLOT_BOUND - 1] = repeated[0].clone();
+        assert_same_build(tasks(200, None), repeated.clone());
+        repeated[MAX_SLOT_BOUND - 1] = chain(MAX_SLOT_BOUND).pop().unwrap();
+        repeated[MAX_SLOT_BOUND] = repeated[1].clone();
+        assert_same_build(tasks(200, None), repeated);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `from_parts` builds what one-by-one adds build, epoch and slot
+        /// layout included, or refuses with the first error they meet:
+        /// duplicate names, duplicate dependencies, self-loops and unknown
+        /// endpoints, in any order.
+        #[test]
+        fn prop_from_parts_matches_one_by_one_adds(
+            names in proptest::collection::vec(0usize..600, 0..24),
+            edges in proptest::collection::vec((0usize..25, 0usize..25, 0u8..60), 0..60)
+        ) {
+            let tasks: Vec<AtomicTask> =
+                names.iter().map(|n| AtomicTask::new(format!("t{n}"))).collect();
+            // endpoints range one past the tasks, so an unknown one is
+            // drawn now and then; about one draw in sixty is a self-loop
+            let span = tasks.len() + 1;
+            let dependencies = edges
+                .iter()
+                .map(|&(from, to, kind)| {
+                    let (from, to) = (from % span, to % span);
+                    let to = match kind {
+                        0 => from,
+                        _ if to == from => (to + 1) % span,
+                        _ => to,
+                    };
+                    let dependency = match kind % 3 {
+                        0 => DataDependency::named("d"),
+                        _ => DataDependency::unnamed(),
+                    };
+                    (TaskId::from_index(from), TaskId::from_index(to), dependency)
+                })
+                .collect();
+            assert_same_build(tasks, dependencies);
         }
     }
 }
