@@ -17,6 +17,8 @@
 //!   through the importer.
 //! * [`textfmt`] — a minimal native text format (one declaration per line)
 //!   used by the CLI and the test suite where XML would just be noise.
+//! * [`scan`] — the word-at-a-time byte scan the text format and the
+//!   service protocol find their delimiters with.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +27,7 @@ pub mod error;
 pub mod export;
 pub mod import;
 pub mod model;
+pub mod scan;
 pub mod textfmt;
 pub mod xml;
 

@@ -22,6 +22,7 @@ use wolves_workflow::{AtomicTask, DataDependency, TaskId, WorkflowSpec, Workflow
 
 use crate::error::MomlError;
 use crate::import::ImportedWorkflow;
+use crate::scan::ByteOffsets;
 
 /// Checks that the text format can carry `name` back as a task name:
 /// [`read_text_format`] refuses a `task` line that breaks this rule, and
@@ -48,6 +49,24 @@ pub fn check_task_name(name: &str) -> Result<(), String> {
         None => return Ok(()),
     };
     Err(format!("task name {name:?} {problem}"))
+}
+
+/// Checks that the text format can carry `name` back as a composite name:
+/// the serving layer refuses a merge that would name a composite so, so
+/// every view it holds exports as text that reads back.
+///
+/// A composite name is the middle field of its line, so it may hold `|`
+/// and surrounding whitespace, but not a TAB or a newline.
+///
+/// # Errors
+/// Describes the rule `name` breaks.
+pub fn check_composite_name(name: &str) -> Result<(), String> {
+    if name.contains(['\t', '\n']) {
+        return Err(format!(
+            "composite name {name:?} contains a TAB or a newline"
+        ));
+    }
+    Ok(())
 }
 
 /// Serialises a workflow (and optional view) in the native text format.
@@ -105,7 +124,7 @@ fn scan_lines<'a>(
     let mut start = 0;
     let mut number = 0;
     // the end of the input ends the last line
-    for at in Delimiters::new(bytes).chain(std::iter::once(bytes.len())) {
+    for at in ByteOffsets::new(bytes, [b'\t', b'\n']).chain(std::iter::once(bytes.len())) {
         if at < bytes.len() && bytes[at] == b'\t' {
             tabs.push(at);
             continue;
@@ -124,84 +143,6 @@ fn scan_lines<'a>(
         start = at + 1;
     }
     Ok(())
-}
-
-/// Offsets of the TAB and newline bytes of a text, ascending, found eight
-/// bytes at a time: each word is compared with eight TABs and eight
-/// newlines at once, and every match is read off the comparisons' mask.
-struct Delimiters<'a> {
-    bytes: &'a [u8],
-    /// Offset of the next word to load.
-    next: usize,
-    /// Offset of the word `mask` was taken from.
-    word: usize,
-    /// One `0x80` per matching byte of that word not yet returned.
-    mask: u64,
-}
-
-impl<'a> Delimiters<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Delimiters {
-            bytes,
-            next: 0,
-            word: 0,
-            mask: 0,
-        }
-    }
-}
-
-impl Iterator for Delimiters<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-        const TABS: u64 = 0x0909_0909_0909_0909;
-        const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
-        // a byte's high bit is set iff the byte of `x` is zero; adding 0x7f
-        // to the low seven bits cannot carry into the next byte, so there
-        // are no false matches
-        let zero_bytes = |x: u64| !(((x & LOW7) + LOW7) | x | LOW7);
-        while self.mask == 0 {
-            let rest = self
-                .bytes
-                .get(self.next..)
-                .filter(|rest| !rest.is_empty())?;
-            let word: [u8; 8] = match rest.get(..8) {
-                Some(word) => word.try_into().unwrap_or_default(),
-                None => {
-                    // a short tail is padded with zeros, which never match
-                    let mut tail = [0u8; 8];
-                    tail[..rest.len()].copy_from_slice(rest);
-                    tail
-                }
-            };
-            let x = u64::from_le_bytes(word);
-            self.mask = zero_bytes(x ^ TABS) | zero_bytes(x ^ NEWLINES);
-            self.word = self.next;
-            self.next += 8;
-        }
-        let byte = self.mask.trailing_zeros() as usize / 8;
-        self.mask &= self.mask - 1;
-        Some(self.word + byte)
-    }
-}
-
-/// Resolves `name` through `id_of`, or through `last`, the name resolved
-/// before it on the same side of an edge: consecutive edges out of one
-/// task, or into one, look it up once.
-fn resolve_repeated<'a>(
-    name: &'a str,
-    last: &mut Option<(&'a str, TaskId)>,
-    id_of: impl Fn(&str) -> Result<TaskId, MomlError>,
-) -> Result<TaskId, MomlError> {
-    match *last {
-        Some((resolved, id)) if resolved == name => Ok(id),
-        _ => {
-            let id = id_of(name)?;
-            *last = Some((name, id));
-            Ok(id)
-        }
-    }
 }
 
 /// Parses the native text format.
@@ -280,11 +221,8 @@ pub fn read_text_format(input: &str) -> Result<ImportedWorkflow, MomlError> {
     // built first, so an error among them (or among the tasks) wins
     let mut dependencies = Vec::with_capacity(edges.len());
     let mut dangling = None;
-    let (mut last_from, mut last_to) = (None, None);
     for &(from, to) in &edges {
-        let resolved = resolve_repeated(from, &mut last_from, id_of)
-            .and_then(|from| Ok((from, resolve_repeated(to, &mut last_to, id_of)?)));
-        match resolved {
+        match id_of(from).and_then(|from| Ok((from, id_of(to)?))) {
             Ok((from, to)) => dependencies.push((from, to, DataDependency::unnamed())),
             Err(e) => {
                 dangling = Some(e);
@@ -439,6 +377,12 @@ mod tests {
             v.composites().map(|(_, c)| c.name.clone()).collect()
         };
         assert_eq!(names(&again.view.unwrap()), [" x|y "]);
+        assert_eq!(check_composite_name(" x|y "), Ok(()));
+        assert_eq!(check_composite_name(""), Ok(()));
+        for name in ["tab\there", "line\nbreak"] {
+            let err = check_composite_name(name).unwrap_err();
+            assert!(err.contains("composite name"), "{err}");
+        }
     }
 
     /// The parser this module shipped before the one-pass reader: one

@@ -64,6 +64,7 @@
 use std::io::Write;
 
 use wolves_core::correct::Strategy;
+use wolves_moml::scan::ByteOffsets;
 use wolves_workflow::persist::{delta_from_line, delta_to_line};
 use wolves_workflow::SpecDelta;
 
@@ -782,66 +783,6 @@ fn unstuff(line: &str) -> &str {
     line.strip_prefix('.').unwrap_or(line)
 }
 
-/// Offsets of the `\n` bytes in a byte slice, ascending, found eight bytes
-/// at a time: each word is compared with eight newlines at once, and every
-/// match in it is read off the comparison's mask. This is the one newline
-/// scan of the protocol; a frame is scanned once as it arrives and once
-/// more when it is built.
-struct Newlines<'a> {
-    bytes: &'a [u8],
-    /// Offset of the next word to load.
-    next: usize,
-    /// Offset of the word `mask` was taken from.
-    word: usize,
-    /// One `0x80` per matching byte of that word not yet returned.
-    mask: u64,
-}
-
-impl<'a> Newlines<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Newlines {
-            bytes,
-            next: 0,
-            word: 0,
-            mask: 0,
-        }
-    }
-}
-
-impl Iterator for Newlines<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-        const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
-        while self.mask == 0 {
-            let rest = self
-                .bytes
-                .get(self.next..)
-                .filter(|rest| !rest.is_empty())?;
-            let word: [u8; 8] = match rest.get(..8) {
-                Some(word) => word.try_into().unwrap_or_default(),
-                None => {
-                    // a short tail is padded with zeros, which never match
-                    let mut tail = [0u8; 8];
-                    tail[..rest.len()].copy_from_slice(rest);
-                    tail
-                }
-            };
-            let x = u64::from_le_bytes(word) ^ NEWLINES;
-            // a byte's high bit is set iff the byte of `x` is zero; adding
-            // 0x7f to the low seven bits cannot carry into the next byte,
-            // so there are no false matches
-            self.mask = !(((x & LOW7) + LOW7) | x | LOW7);
-            self.word = self.next;
-            self.next += 8;
-        }
-        let byte = self.mask.trailing_zeros() as usize / 8;
-        self.mask &= self.mask - 1;
-        Some(self.word + byte)
-    }
-}
-
 /// Bytes of room a [`FrameDecoder`] makes for one read, at least. A small
 /// frame arrives in one read; the first large frame a connection sees
 /// arrives in reads of this size, and the later ones fill the room it left
@@ -853,7 +794,8 @@ const READ_ROOM: usize = 8 << 10;
 ///
 /// Bytes are read straight into one buffer the decoder keeps between
 /// frames. [`FrameDecoder::next_frame`] scans only the bytes that arrived
-/// since its last call, a word at a time, counting lines until the
+/// since its last call, a word at a time ([`ByteOffsets`], the scan the
+/// text-format reader finds its delimiters with), counting lines until the
 /// terminator line arrives. Only then is the frame built, in one more
 /// pass: its bytes are checked as UTF-8 once, and each line is decoded
 /// (one trailing `\r` trimmed, a stuffed `.` removed) into one `String` of
@@ -956,7 +898,7 @@ impl FrameDecoder {
     pub fn next_frame(&mut self) -> Option<Result<Frame, std::str::Utf8Error>> {
         let (mut line, mut lines) = (self.line, self.lines);
         let mut terminator = None;
-        for newline in Newlines::new(&self.buf[self.scanned..self.end]) {
+        for newline in ByteOffsets::new(&self.buf[self.scanned..self.end], [b'\n']) {
             let at = self.scanned + newline;
             if is_terminator(&self.buf[line..at]) {
                 terminator = Some(at);
@@ -985,8 +927,8 @@ fn build_frame(bytes: &[u8], lines: usize) -> Result<Frame, std::str::Utf8Error>
     // `\n` and `\r` never occur inside a multi-byte character, so the frame
     // is UTF-8 exactly when each of its lines is
     let text = std::str::from_utf8(bytes)?;
-    let mut newlines = Newlines::new(bytes);
-    let Some(header_end) = newlines.next() else {
+    let mut line_ends = ByteOffsets::new(bytes, [b'\n']);
+    let Some(header_end) = line_ends.next() else {
         return Ok(Frame::Lines(Vec::new()));
     };
     let header = unstuff(&text[..header_end]);
@@ -995,7 +937,7 @@ fn build_frame(bytes: &[u8], lines: usize) -> Result<Frame, std::str::Utf8Error>
         // the payload's lines joined with `\n`: its bytes, less each
         // line's `\r` and stuffed dot and the last newline
         let mut payload = String::with_capacity(text.len() - from);
-        for newline in newlines {
+        for newline in line_ends {
             if from > header_end + 1 {
                 payload.push('\n');
             }
@@ -1009,7 +951,7 @@ fn build_frame(bytes: &[u8], lines: usize) -> Result<Frame, std::str::Utf8Error>
     }
     let mut frame = Vec::with_capacity(lines);
     frame.push(header.to_owned());
-    for newline in newlines {
+    for newline in line_ends {
         frame.push(unstuff(&text[from..newline]).to_owned());
         from = newline + 1;
     }
@@ -1227,17 +1169,22 @@ impl Request {
         }
     }
 
-    /// Parses a request from a decoded frame: a `register` payload is taken
-    /// as it is, every other frame parses as [`Request::from_lines`].
+    /// Parses a request from a decoded frame: the header parses as
+    /// [`Request::from_lines`] parses it, and a [`Frame::Text`] payload is
+    /// taken as it is for the `register` it carries.
     ///
     /// # Errors
     /// As [`Request::from_lines`].
     pub fn from_frame(frame: Frame) -> Result<Self, ServiceError> {
         match frame {
-            Frame::Text { header, payload } if header.split('\t').next() == Some("register") => {
-                Ok(Request::Register { payload })
+            Frame::Lines(lines) => Self::from_lines(&lines),
+            Frame::Text { header, payload } => {
+                let mut request = Self::from_lines(std::slice::from_ref(&header))?;
+                if let Request::Register { payload: text } = &mut request {
+                    *text = payload;
+                }
+                Ok(request)
             }
-            frame => Self::from_lines(&frame.into_lines()),
         }
     }
 
@@ -1708,15 +1655,13 @@ impl Response {
         let mut frame = match frame {
             Frame::Text { header, payload } => {
                 let mut response = Self::parse(std::slice::from_ref(&header), 1)?;
-                return match &mut response {
-                    Response::Corrected(Corrected { payload: text, .. })
-                    | Response::Exported(text)
-                    | Response::Metrics(text) => {
-                        *text = payload;
-                        Ok(response)
-                    }
-                    _ => Self::from_lines(&Frame::Text { header, payload }.into_lines()),
-                };
+                if let Response::Corrected(Corrected { payload: text, .. })
+                | Response::Exported(text)
+                | Response::Metrics(text) = &mut response
+                {
+                    *text = payload;
+                }
+                return Ok(response);
             }
             Frame::Lines(lines) => lines,
         };

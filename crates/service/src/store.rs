@@ -74,7 +74,7 @@ use wolves_graph::DirtyRows;
 
 use wolves_core::correct::{correct_view, Strategy};
 use wolves_core::soundness::is_sound;
-use wolves_moml::textfmt::check_task_name;
+use wolves_moml::textfmt::{check_composite_name, check_task_name};
 use wolves_moml::{read_text_format, write_text_format};
 use wolves_provenance::ViewProvenanceIndex;
 use wolves_workflow::persist::{
@@ -1288,8 +1288,9 @@ impl WorkflowStore {
     /// # Errors
     /// Reports unknown workflows, tasks and composites, edits the model
     /// layer rejects (duplicate names, missing dependencies, non-partition
-    /// splits), a task name the text format cannot carry back
-    /// ([`wolves_moml::textfmt::check_task_name`], as
+    /// splits), a task or composite name the text format cannot carry back
+    /// ([`wolves_moml::textfmt::check_task_name`],
+    /// [`wolves_moml::textfmt::check_composite_name`], as
     /// [`ServiceError::Mutation`]), and persistence failures.
     pub fn mutate(&self, id: WorkflowId, op: MutateOp) -> Result<Mutated, ServiceError> {
         self.mutate_cas(id, op, None)
@@ -1380,11 +1381,18 @@ impl WorkflowStore {
             // before anything is applied
             check_op_serialisable(&op)?;
         }
-        if let MutateOp::AddTask { name } = &op {
-            // a task the text format cannot carry back would leave an
-            // `export` that does not register again
-            check_task_name(name).map_err(ServiceError::Mutation)?;
+        // a name the text format cannot carry back would leave an `export`
+        // that does not register again
+        match &op {
+            MutateOp::AddTask { name } => check_task_name(name),
+            // a split names its parts after the composite it splits
+            MutateOp::Merge { name, .. }
+            | MutateOp::Split {
+                composite: name, ..
+            } => check_composite_name(name),
+            _ => Ok(()),
         }
+        .map_err(ServiceError::Mutation)?;
         let Applied {
             index,
             guard,
@@ -3479,9 +3487,10 @@ mod tests {
         use proptest::prelude::*;
 
         /// Names an edit script draws from: spaced, multi-byte and bar-
-        /// holding ones (composite names may hold a bar), and task names
-        /// the text format cannot carry back.
-        const NAMES: [&str; 8] = [
+        /// holding ones (composite names may hold a bar), and names the
+        /// text format cannot carry back: task names with a bar or
+        /// surrounding whitespace, and any name with a TAB or a newline.
+        const NAMES: [&str; 10] = [
             "fresh step",
             "\u{e9}tape \u{1d11e}",
             "left|right",
@@ -3490,43 +3499,57 @@ mod tests {
             "\u{3000}wide",
             "x",
             "Display tree",
+            "tab\there",
+            "line\nbreak",
         ];
 
         /// Registers `id`'s export as a new workflow and checks that it
-        /// exports the same text; returns the export parsed.
-        fn assert_export_registers_back(
-            store: &WorkflowStore,
-            id: WorkflowId,
-        ) -> wolves_moml::ImportedWorkflow {
+        /// exports the same text. The one export that does not register
+        /// is a cyclic workflow's: the store takes an edge that closes a
+        /// cycle, and the reader refuses a cyclic spec.
+        fn check_export_registers_back(store: &WorkflowStore, id: WorkflowId) {
             let text = store.export(id).unwrap();
-            let again = store.register_text(&text).expect("an export registers");
-            assert_eq!(store.export(again).unwrap(), text);
-            read_text_format(&text).unwrap()
+            let cyclic = store
+                .snapshot(id, None)
+                .unwrap()
+                .0
+                .ensure_acyclic()
+                .is_err();
+            match store.register_text(&text) {
+                Ok(again) => {
+                    assert!(!cyclic, "a cyclic spec registered");
+                    assert_eq!(store.export(again).unwrap(), text);
+                }
+                Err(e) => assert!(
+                    cyclic && matches!(&e, ServiceError::Parse(m) if m.contains("cycle")),
+                    "{e}"
+                ),
+            }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// After every edit the store accepts (task and edge adds and
-            /// removals, splits, merges, corrections), its `export`
-            /// registers again and exports the same text. Edges that would
-            /// close a cycle are left out: the store takes them, and the
-            /// reader refuses a cyclic spec.
+            /// removals, cycle-closing edges included, splits, merges,
+            /// corrections), its `export` registers again and exports the
+            /// same text, unless the workflow is cyclic; a name the text
+            /// format cannot carry back is refused as a `Mutation`.
             #[test]
-            fn prop_every_accepted_edit_leaves_an_export_that_registers_back(
+            fn prop_an_accepted_edit_leaves_an_export_that_registers_back_unless_cyclic(
                 script in proptest::collection::vec((0usize..7, 0usize..64, 0usize..64), 1..24)
             ) {
                 let store = WorkflowStore::new(1);
                 let fixture = figure1();
                 let id = store.register(fixture.spec, Some(fixture.view));
-                let mut current = assert_export_registers_back(&store, id);
+                check_export_registers_back(&store, id);
                 for (kind, a, b) in script {
-                    let spec = &current.spec;
-                    let view = current.view.as_ref().expect("the export carries the view");
+                    let (spec, stored, ..) = store.snapshot(id, None).unwrap();
                     let name_of = |t: TaskId| spec.task(t).unwrap().name.clone();
                     let tasks: Vec<String> = spec.tasks().map(|(_, t)| t.name.clone()).collect();
                     let edges: Vec<(TaskId, TaskId)> = spec.dependencies().collect();
-                    let composites: Vec<(String, Vec<String>)> = view
+                    let composites: Vec<(String, Vec<String>)> = stored
+                        .view
                         .composites()
                         .map(|(_, c)| (c.name.clone(), c.members().iter().map(|&m| name_of(m)).collect()))
                         .collect();
@@ -3537,12 +3560,7 @@ mod tests {
                             name: if a % 2 == 0 { NAMES[b % NAMES.len()].to_owned() } else { format!("step {b}") },
                         },
                         1 => MutateOp::RemoveTask { name: task(a) },
-                        // an edge that closes a cycle is accepted, but
-                        // the reader refuses a cyclic export
-                        2 if !tasks.is_empty() && !spec.reaches(
-                            spec.task_by_name(&task(b)).unwrap(),
-                            spec.task_by_name(&task(a)).unwrap(),
-                        ) => MutateOp::AddEdge { from: task(a), to: task(b) },
+                        2 if !tasks.is_empty() => MutateOp::AddEdge { from: task(a), to: task(b) },
                         3 if !edges.is_empty() => {
                             let (from, to) = edges[a % edges.len()];
                             MutateOp::RemoveEdge { from: name_of(from), to: name_of(to) }
@@ -3563,17 +3581,21 @@ mod tests {
                             use wolves_core::correct::Strategy as S;
                             let strategy = [S::Weak, S::Strong, S::Optimal][b % 3];
                             if store.correct(id, strategy).is_ok() {
-                                current = assert_export_registers_back(&store, id);
+                                check_export_registers_back(&store, id);
                             }
                             continue;
                         }
                         _ => continue,
                     };
-                    let refused = matches!(&op, MutateOp::AddTask { name } if check_task_name(name).is_err());
+                    let refused = match &op {
+                        MutateOp::AddTask { name } => check_task_name(name).is_err(),
+                        MutateOp::Merge { name, .. } => check_composite_name(name).is_err(),
+                        _ => false,
+                    };
                     match store.mutate(id, op) {
                         Ok(_) => {
-                            prop_assert!(!refused, "a name the text format cannot carry was added");
-                            current = assert_export_registers_back(&store, id);
+                            prop_assert!(!refused, "a name the text format cannot carry was taken");
+                            check_export_registers_back(&store, id);
                         }
                         Err(e) => prop_assert!(!refused || matches!(e, ServiceError::Mutation(_)), "{e}"),
                     }
