@@ -3,8 +3,8 @@
 //! over a real loopback TCP connection — plus pipelining speedup,
 //! read-under-write, a ≈5k-name provenance answer over loopback against the
 //! same query in process, the client's decode of that answer's frame
-//! against the server's encode of it, idle-connection scaling and a
-//! durability grid (a
+//! against the server's encode of it, `corrected` watch events fanned out
+//! to loopback watchers, idle-connection scaling and a durability grid (a
 //! concurrent mutation burst under each fsync policy, then cold and
 //! compacted recovery of its data directory).
 //!
@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use wolves_core::correct::Strategy;
 use wolves_moml::{read_text_format, write_text_format};
 use wolves_repo::{
     figure1, layered_workflow, random_partition_view, topological_block_view, LayeredConfig,
@@ -40,8 +41,9 @@ use wolves_service::proto::FrameReader;
 use wolves_service::{
     serve, validate_throughput, BatchConfig, DurabilityBarrier, FileBackend, HistogramSnapshot,
     MutateOp, PersistConfig, RecoveryReport, Request, Response, ServerConfig, ServiceClient, Stage,
-    Verb, WatchMode, WorkflowId, WorkflowStore,
+    Verb, WatchEvent, WatchMode, WorkflowId, WorkflowStore,
 };
+use wolves_workflow::{WorkflowSpec, WorkflowView};
 
 const USAGE: &str = "usage: service_bench [--quick] [--out <file>] [--metrics-out <file>] \
                      [--conn-smoke <conns>]";
@@ -53,7 +55,7 @@ const REPEATS: usize = 5;
 /// round trip.
 const MIN_PIPELINING_SPEEDUP: f64 = 3.0;
 
-/// Strict group commit (`fsync_every=1`) may cost at most this factor of
+/// Strict group commit (`strict_fsync`) may cost at most this factor of
 /// the OS-flush rate.
 const MAX_GROUP_COMMIT_RATIO: f64 = 1.2;
 
@@ -145,6 +147,23 @@ struct ClientDecode {
     ratio: f64,
     /// Median of the per-repeat `decode_us / clone_us`.
     over_clone: f64,
+}
+
+/// `corrected` events of one `edit-revalidate` lattice workflow, fanned out
+/// to [`FANOUT_WATCHERS`] loopback watchers: each cycle merges the parts
+/// the previous correction split a composite into, which makes the view
+/// unsound again, then corrects it, and every watcher receives the whole
+/// corrected view.
+struct WatchFanout {
+    tasks: usize,
+    watchers: usize,
+    /// Merge-and-correct cycles of each repeat.
+    cycles: usize,
+    /// Median over the repeats of `corrected` events delivered per second,
+    /// all watchers together.
+    events_per_sec: f64,
+    /// Wire bytes of one `corrected` event frame.
+    bytes_per_event: usize,
 }
 
 /// A stream that replays one frame's bytes forever, as a connection that
@@ -343,6 +362,7 @@ fn main() {
     let pipelining = run_pipelining(quick);
     let provenance = run_provenance_round_trip(quick);
     let textfmt = run_textfmt(quick);
+    let fanout = run_watch_fanout(quick);
     let scaling = run_connection_scaling(quick);
     let durability = run_durability(quick);
     let json = render_json(&Report {
@@ -351,6 +371,7 @@ fn main() {
         pipelining,
         provenance,
         textfmt,
+        fanout,
         scaling,
         durability,
         quick,
@@ -593,17 +614,24 @@ fn run_pipelining(quick: bool) -> Pipelining {
     }
 }
 
-fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
-    let calls = if quick { 40 } else { 200 };
-    let lattice = LayeredConfig {
-        layers: 400,
+/// The `edit-revalidate` lattice, 25 tasks wide (`layers: 400` is its
+/// 10,000 tasks), under its view of 48-task topological blocks.
+fn lattice(layers: usize) -> (WorkflowSpec, WorkflowView) {
+    let config = LayeredConfig {
+        layers,
         min_width: 25,
         max_width: 25,
         edge_probability: 0.08,
         skip_probability: 0.02,
     };
-    let spec = layered_workflow(&lattice, 2303);
+    let spec = layered_workflow(&config, 2303);
     let view = topological_block_view(&spec, 48, "blocks").expect("a layered spec is a DAG");
+    (spec, view)
+}
+
+fn run_provenance_round_trip(quick: bool) -> ProvenanceRoundTrip {
+    let calls = if quick { 40 } else { 200 };
+    let (spec, view) = lattice(400);
     let tasks = spec.task_count();
     // the first task of the middle layer: about half the lattice is upstream
     let subject = spec
@@ -705,16 +733,7 @@ fn run_textfmt(quick: bool) -> Textfmt {
     let payloads: Vec<(usize, String)> = [100, 400]
         .into_iter()
         .map(|layers| {
-            let lattice = LayeredConfig {
-                layers,
-                min_width: 25,
-                max_width: 25,
-                edge_probability: 0.08,
-                skip_probability: 0.02,
-            };
-            let spec = layered_workflow(&lattice, 2303);
-            let view =
-                topological_block_view(&spec, 48, "blocks").expect("a layered spec is a DAG");
+            let (spec, view) = lattice(layers);
             (spec.task_count(), write_text_format(&spec, Some(&view)))
         })
         .collect();
@@ -843,19 +862,115 @@ fn run_connection_scaling(quick: bool) -> Vec<ScalingRow> {
     rows
 }
 
+/// Watchers of the `watch_fanout` row.
+const FANOUT_WATCHERS: usize = 8;
+
+/// The composite names a textfmt payload lists, in order.
+fn composite_names(payload: &str) -> Vec<String> {
+    payload
+        .lines()
+        .filter_map(|line| line.strip_prefix("composite\t"))
+        .filter_map(|rest| rest.split('\t').next())
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Runs [`REPEATS`] passes of `cycles` merge-and-correct cycles on the
+/// 10,000-task lattice, each pass timed from its first merge until every
+/// watcher holds the pass's last `corrected` event.
+fn run_watch_fanout(quick: bool) -> WatchFanout {
+    let cycles = if quick { 6 } else { 24 };
+    let (spec, view) = lattice(400);
+    let tasks = spec.task_count();
+    let server = serve(&ServerConfig {
+        shards: 1,
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let store = server.store();
+    let id = store.register(spec, Some(view));
+    // a sound view to start from; the first merge joins its first and last
+    // composites, the last downstream of the first
+    let sound = composite_names(&store.correct(id, Strategy::Weak).expect("correct").payload);
+    let mut parts = vec![sound[0].clone(), sound[sound.len() - 1].clone()];
+    let mut round = 0;
+    let mut rates = Vec::with_capacity(REPEATS);
+    let mut bytes_per_event = 0;
+    for _ in 0..REPEATS {
+        let streams: Vec<_> = (0..FANOUT_WATCHERS)
+            .map(|_| {
+                ServiceClient::connect(server.local_addr())
+                    .and_then(|client| client.watch(id, WatchMode::Tail))
+                    .expect("open a watcher")
+            })
+            .collect();
+        let start = Instant::now();
+        let watchers: Vec<_> = streams
+            .into_iter()
+            .map(|mut stream| {
+                std::thread::spawn(move || {
+                    let mut seen = 0;
+                    loop {
+                        let event = stream.next_event().expect("a watched event");
+                        if matches!(event, WatchEvent::Corrected { .. }) {
+                            seen += 1;
+                            if seen == cycles {
+                                return event;
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..cycles {
+            let name = format!("merged-{round}");
+            round += 1;
+            store
+                .mutate(
+                    id,
+                    MutateOp::Merge {
+                        name: name.clone(),
+                        composites: std::mem::take(&mut parts),
+                    },
+                )
+                .expect("merge the last correction's parts");
+            let corrected = store.correct(id, Strategy::Weak).expect("correct");
+            parts = composite_names(&corrected.payload)
+                .into_iter()
+                .filter(|part| part.strip_prefix(&name).is_some_and(|p| p.starts_with('/')))
+                .collect();
+            assert!(parts.len() > 1, "the merge made the view unsound");
+        }
+        for watcher in watchers {
+            let mut frame = String::new();
+            watcher.join().expect("a watcher").encode(&mut frame);
+            bytes_per_event = frame.len();
+        }
+        rates.push((cycles * FANOUT_WATCHERS) as f64 / start.elapsed().as_secs_f64());
+    }
+    server.shutdown();
+    WatchFanout {
+        tasks,
+        watchers: FANOUT_WATCHERS,
+        cycles,
+        events_per_sec: median(rates),
+        bytes_per_event,
+    }
+}
+
 /// Per-thread pipelined batch depth of the mutation burst: mutations defer
 /// durability into one [`DurabilityBarrier`] per batch, exactly like the
 /// server settles a readiness pass's frames.
 const GC_PIPELINE: usize = 8;
 
-/// The durability grid's policies: the in-memory store, then the WAL's
-/// `fsync_every` settings — 0 is the default OS flush (process-crash
-/// durable), 16 bounds the power-loss window, 1 is strict group commit.
-const POLICIES: [(&str, Option<usize>); 4] = [
+/// The durability grid's policies: the in-memory store, then the WAL's two
+/// fsync policies — the default OS flush (process-crash durable) and
+/// strict group commit (`strict_fsync`, power-loss durable).
+const POLICIES: [(&str, Option<bool>); 3] = [
     ("memory", None),
-    ("wal-os-flush", Some(0)),
-    ("wal-fsync-16", Some(16)),
-    ("wal-fsync-every-record", Some(1)),
+    ("wal-os-flush", Some(false)),
+    ("wal-fsync-every-record", Some(true)),
 ];
 
 /// One repeat of one policy.
@@ -875,10 +990,10 @@ struct Burst {
 /// Opens (and recovers) a one-shard durable store on `root`. One shard:
 /// every mutator funnels into the same segment, which is the worst case for
 /// per-append fsyncs and exactly what group commit is for.
-fn open_durable(root: &Path, fsync_every: usize) -> (WorkflowStore, RecoveryReport) {
+fn open_durable(root: &Path, strict_fsync: bool) -> (WorkflowStore, RecoveryReport) {
     let backend = FileBackend::open(PersistConfig {
         shards: 1,
-        fsync_every,
+        strict_fsync,
         ..PersistConfig::new(root)
     })
     .expect("open file backend");
@@ -886,15 +1001,15 @@ fn open_durable(root: &Path, fsync_every: usize) -> (WorkflowStore, RecoveryRepo
 }
 
 /// One mutation burst against a fresh store (in memory, or durable with
-/// `fsync_every`): `mutators` threads × `per_thread` mutate+validate
+/// `strict_fsync`): `mutators` threads × `per_thread` mutate+validate
 /// rounds, each thread on its own workflow, settled in pipelined batches of
 /// [`GC_PIPELINE`]. A durable store is then reopened twice: once replaying
 /// the log (cold recovery), once from the snapshot that recovery compacted.
-fn mutation_burst(fsync_every: Option<usize>, mutators: usize, per_thread: usize) -> Burst {
+fn mutation_burst(strict_fsync: Option<bool>, mutators: usize, per_thread: usize) -> Burst {
     let root = temp_root();
-    let store = match fsync_every {
+    let store = match strict_fsync {
         None => WorkflowStore::new(1),
-        Some(fsync_every) => open_durable(&root, fsync_every).0,
+        Some(strict_fsync) => open_durable(&root, strict_fsync).0,
     };
     // realistic op weight: each mutator owns a ~500-task layered workflow
     // and toggles a long forward edge (first layer → last layer; the
@@ -972,10 +1087,10 @@ fn mutation_burst(fsync_every: Option<usize>, mutators: usize, per_thread: usize
         ..Burst::default()
     };
     drop(store);
-    if let Some(fsync_every) = fsync_every {
+    if let Some(strict_fsync) = strict_fsync {
         let check = targets[0].0;
         let start = Instant::now();
-        let (store, report) = open_durable(&root, fsync_every);
+        let (store, report) = open_durable(&root, strict_fsync);
         burst.recovery_ms = start.elapsed().as_secs_f64() * 1e3;
         burst.replayed_records = report.replayed_records;
         assert!(
@@ -984,7 +1099,7 @@ fn mutation_burst(fsync_every: Option<usize>, mutators: usize, per_thread: usize
         );
         drop(store);
         let start = Instant::now();
-        let (store, _) = open_durable(&root, fsync_every);
+        let (store, _) = open_durable(&root, strict_fsync);
         burst.compacted_recovery_ms = start.elapsed().as_secs_f64() * 1e3;
         assert!(
             store.validate(check, None).is_ok(),
@@ -1043,7 +1158,7 @@ fn run_durability(quick: bool) -> Durability {
         mutators,
         mutations_per_thread: per_thread,
         rows,
-        group_commit_ratio: median_ratio(&rates[1], &rates[3]),
+        group_commit_ratio: median_ratio(&rates[1], &rates[2]),
     }
 }
 
@@ -1239,6 +1354,7 @@ struct Report {
     pipelining: Pipelining,
     provenance: ProvenanceRoundTrip,
     textfmt: Textfmt,
+    fanout: WatchFanout,
     scaling: Vec<ScalingRow>,
     durability: Durability,
     quick: bool,
@@ -1251,6 +1367,7 @@ fn render_json(report: &Report) -> String {
         pipelining,
         provenance,
         textfmt,
+        fanout,
         scaling,
         durability,
         quick,
@@ -1364,6 +1481,12 @@ fn render_json(report: &Report) -> String {
         "  \"register_decode\": {{\"tasks\": {}, \"frame_bytes\": {}, \
          \"decode_us\": {:.1}, \"parse_us\": {:.1}}},",
         register.tasks, register.frame_bytes, register.decode_us, register.parse_us
+    );
+    let _ = writeln!(
+        out,
+        "  \"watch_fanout\": {{\"tasks\": {}, \"watchers\": {}, \"cycles\": {}, \
+         \"repeats\": {REPEATS}, \"events_per_sec\": {:.1}, \"bytes_per_event\": {}}},",
+        fanout.tasks, fanout.watchers, fanout.cycles, fanout.events_per_sec, fanout.bytes_per_event
     );
     out.push_str("  \"connection_scaling\": [\n");
     for (index, row) in scaling.iter().enumerate() {

@@ -402,7 +402,7 @@ impl WatchStream {
     /// Reports transport failures and a server-closed connection.
     pub fn next_event(&mut self) -> Result<WatchEvent, ServiceError> {
         let frame = take_frame(&mut self.reader, "server closed the watch stream")?;
-        WatchEvent::from_lines(&frame.into_lines())
+        WatchEvent::from_frame(frame)
     }
 
     /// Ends the subscription and hands the connection back as a
@@ -417,13 +417,8 @@ impl WatchStream {
         self.writer.send(&[Request::Unwatch])?;
         loop {
             let frame = take_frame(&mut self.reader, "server closed the watch stream")?;
-            if let Frame::Lines(lines) = &frame {
-                if lines
-                    .first()
-                    .is_some_and(|line| line.starts_with("event\t"))
-                {
-                    continue; // in-flight event racing the unwatch
-                }
+            if frame.header.starts_with("event\t") {
+                continue; // in-flight event racing the unwatch
             }
             return match Response::from_frame(frame)? {
                 Response::Unwatched => Ok(ServiceClient {

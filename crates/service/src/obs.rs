@@ -740,7 +740,7 @@ pub struct StorageObservation {
     pub compaction: HistogramSnapshot,
     /// Group-commit batch sizes: how many appended records each leader
     /// fsync covered (raw counts, not nanoseconds). Empty outside strict
-    /// (`fsync_every=1`) mode.
+    /// (`strict_fsync`) mode.
     pub group_commit_batch: HistogramSnapshot,
     /// fsyncs the group-commit protocol absorbed: appends that rode a
     /// leader's fsync instead of issuing their own (`sum(batch - 1)`).

@@ -61,8 +61,6 @@
 //! speaks, so a workflow file can be piped to the server verbatim — no new
 //! dependency, no binary encoding.
 
-use std::io::Write;
-
 use wolves_core::correct::Strategy;
 use wolves_moml::scan::ByteOffsets;
 use wolves_workflow::persist::{delta_from_line, delta_to_line};
@@ -256,7 +254,7 @@ impl MutateOp {
     /// # Errors
     /// Reports unknown op names and missing arguments.
     pub fn from_fields(fields: &[&str], at: usize) -> Result<Self, ServiceError> {
-        let op_name = fields.get(at).copied().unwrap_or_default();
+        let op_name = field(fields, at);
         let arg = |index: usize, what: &str| -> Result<String, ServiceError> {
             fields
                 .get(at + index)
@@ -298,6 +296,49 @@ impl MutateOp {
             ))),
         }
     }
+
+    /// Refuses an op whose names [`MutateOp::to_tail`] cannot write so that
+    /// [`MutateOp::from_fields`] reads them back: a TAB or line break would
+    /// split a field or the line, and inside a `split` or `merge` list a
+    /// `,` or `;` would split a name. The store runs it on every backend
+    /// before it applies an op, because the same line carries the op to a
+    /// watcher and into the write-ahead log.
+    ///
+    /// # Errors
+    /// [`ServiceError::Mutation`] naming the first name that breaks it.
+    pub fn check_serialisable(&self) -> Result<(), ServiceError> {
+        let check = |what: &str, text: &str, reserved: &[char]| {
+            if text.contains(['\t', '\n', '\r']) || text.contains(reserved) {
+                return Err(ServiceError::Mutation(format!(
+                    "{what} {text:?} contains a TAB, line break or reserved separator; the \
+                     op's line grammar cannot carry it"
+                )));
+            }
+            Ok(())
+        };
+        match self {
+            MutateOp::AddTask { name } | MutateOp::RemoveTask { name } => {
+                check("task name", name, &[])
+            }
+            MutateOp::AddEdge { from, to } | MutateOp::RemoveEdge { from, to } => {
+                check("task name", from, &[])?;
+                check("task name", to, &[])
+            }
+            MutateOp::Split { composite, parts } => {
+                check("composite name", composite, &[])?;
+                parts
+                    .iter()
+                    .flatten()
+                    .try_for_each(|member| check("task name", member, &[';', ',']))
+            }
+            MutateOp::Merge { name, composites } => {
+                check("composite name", name, &[])?;
+                composites
+                    .iter()
+                    .try_for_each(|composite| check("composite name", composite, &[';']))
+            }
+        }
+    }
 }
 
 /// Result of a [`Request::Mutate`] as reported over the wire.
@@ -314,6 +355,32 @@ pub struct Mutated {
     pub retained: usize,
     /// The current view version after the edit.
     pub version: usize,
+}
+
+impl Mutated {
+    /// Writes the outcome's header fields (epoch, class, invalidated,
+    /// retained, version) and ends the line: the tail of a `mutated`
+    /// response's header and of a `mutated` event's.
+    fn write_fields(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = writeln!(
+            out,
+            "{}\t{}\t{}\t{}\t{}",
+            self.epoch, self.class, self.invalidated, self.retained, self.version
+        );
+    }
+
+    /// Reads the fields [`Mutated::write_fields`] writes, from field `at`
+    /// of a TAB-split header.
+    fn from_fields(fields: &[&str], at: usize) -> Result<Self, ServiceError> {
+        Ok(Mutated {
+            epoch: parse_u64(field(fields, at), "epoch")?,
+            class: field(fields, at + 1).to_owned(),
+            invalidated: parse_usize(field(fields, at + 2), "invalidated count")?,
+            retained: parse_usize(field(fields, at + 3), "retained count")?,
+            version: parse_usize(field(fields, at + 4), "version")?,
+        })
+    }
 }
 
 /// Validation verdict as reported over the wire.
@@ -532,9 +599,12 @@ impl WatchEvent {
         }
     }
 
-    /// Serialises the event into frame lines (`event<TAB>…` header).
-    #[must_use]
-    pub fn to_lines(&self) -> Vec<String> {
+    /// Appends the event's frame to `out`: the `event<TAB>…` header, then
+    /// a mutation's op line and spec deltas or a correction's view lines.
+    pub fn encode(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // an `event` header and an `op` line never need stuffing; writing
+        // to a `String` cannot fail
         match self {
             WatchEvent::Mutated {
                 workflow,
@@ -543,19 +613,10 @@ impl WatchEvent {
                 outcome,
                 deltas,
             } => {
-                let mut lines = vec![
-                    format!(
-                        "event\tmutated\t{workflow}\t{seq}\t{}\t{}\t{}\t{}\t{}",
-                        outcome.epoch,
-                        outcome.class,
-                        outcome.invalidated,
-                        outcome.retained,
-                        outcome.version
-                    ),
-                    format!("op\t{}", op.to_tail()),
-                ];
-                lines.extend(deltas.iter().map(delta_to_line));
-                lines
+                let _ = write!(out, "event\tmutated\t{workflow}\t{seq}\t");
+                outcome.write_fields(out);
+                let _ = writeln!(out, "op\t{}", op.to_tail());
+                push_lines(out, deltas.iter().map(delta_to_line));
             }
             WatchEvent::Corrected {
                 workflow,
@@ -563,61 +624,51 @@ impl WatchEvent {
                 version,
                 view_lines,
             } => {
-                let mut lines = vec![format!("event\tcorrected\t{workflow}\t{seq}\t{version}")];
-                lines.extend(view_lines.iter().cloned());
-                lines
+                let _ = writeln!(out, "event\tcorrected\t{workflow}\t{seq}\t{version}");
+                push_lines(out, view_lines);
             }
             WatchEvent::Resync { workflow, seq } => {
-                vec![format!("event\tresync\t{workflow}\t{seq}")]
+                let _ = writeln!(out, "event\tresync\t{workflow}\t{seq}");
             }
         }
+        end_frame(out);
     }
 
-    /// Parses an event from frame lines.
+    /// Parses an event from a decoded frame.
     ///
     /// # Errors
     /// Reports non-event frames and malformed fields.
-    pub fn from_lines(lines: &[String]) -> Result<Self, ServiceError> {
-        let header = lines
-            .first()
-            .ok_or_else(|| ServiceError::Protocol("empty event frame".to_owned()))?;
+    pub fn from_frame(frame: Frame) -> Result<Self, ServiceError> {
+        Self::parse(&frame.header, frame.payload)
+    }
+
+    /// Parses an event from its header and payload.
+    fn parse(header: &str, payload: Payload) -> Result<Self, ServiceError> {
         let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first().copied() != Some("event") {
+        if fields[0] != "event" {
             return Err(ServiceError::Protocol(format!(
                 "not a watch event frame: '{header}'"
             )));
         }
-        let workflow = parse_id(fields.get(2).copied().unwrap_or_default())?;
-        let seq = parse_u64(fields.get(3).copied().unwrap_or_default(), "sequence")?;
+        let workflow = parse_id(field(&fields, 2))?;
+        let seq = parse_u64(field(&fields, 3), "sequence")?;
         match fields.get(1).copied() {
             Some("mutated") => {
-                let outcome = Mutated {
-                    epoch: parse_u64(fields.get(4).copied().unwrap_or_default(), "epoch")?,
-                    class: fields.get(5).copied().unwrap_or_default().to_owned(),
-                    invalidated: parse_usize(
-                        fields.get(6).copied().unwrap_or_default(),
-                        "invalidated count",
-                    )?,
-                    retained: parse_usize(
-                        fields.get(7).copied().unwrap_or_default(),
-                        "retained count",
-                    )?,
-                    version: parse_usize(fields.get(8).copied().unwrap_or_default(), "version")?,
-                };
-                let op_line = lines.get(1).ok_or_else(|| {
+                let outcome = Mutated::from_fields(&fields, 4)?;
+                let mut lines = payload.into_lines().into_iter();
+                let op_line = lines.next().ok_or_else(|| {
                     ServiceError::Protocol("mutated event misses its op line".to_owned())
                 })?;
                 let op_fields: Vec<&str> = op_line.split('\t').collect();
-                if op_fields.first().copied() != Some("op") {
+                if op_fields[0] != "op" {
                     return Err(ServiceError::Protocol(format!(
                         "malformed event op line '{op_line}'"
                     )));
                 }
                 let op = MutateOp::from_fields(&op_fields, 1)?;
-                let deltas = lines[2..]
-                    .iter()
+                let deltas = lines
                     .map(|line| {
-                        delta_from_line(line).map_err(|e| ServiceError::Protocol(e.to_string()))
+                        delta_from_line(&line).map_err(|e| ServiceError::Protocol(e.to_string()))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(WatchEvent::Mutated {
@@ -631,8 +682,8 @@ impl WatchEvent {
             Some("corrected") => Ok(WatchEvent::Corrected {
                 workflow,
                 seq,
-                version: parse_usize(fields.get(4).copied().unwrap_or_default(), "version")?,
-                view_lines: lines[1..].to_vec(),
+                version: parse_usize(field(&fields, 4), "version")?,
+                view_lines: payload.into_lines(),
             }),
             Some("resync") => Ok(WatchEvent::Resync { workflow, seq }),
             other => Err(ServiceError::Protocol(format!(
@@ -710,27 +761,6 @@ pub enum Response<N = Vec<String>> {
     Error(String),
 }
 
-/// Writes one frame: the given lines followed by the terminator. Lines
-/// starting with `.` are dot-escaped. The frame is assembled in memory and
-/// written in a single call so each request/response costs one TCP segment.
-///
-/// # Errors
-/// Propagates I/O errors from the writer.
-pub fn write_frame<W: Write>(writer: &mut W, lines: &[String]) -> std::io::Result<()> {
-    let mut frame = String::with_capacity(lines.iter().map(|l| l.len() + 2).sum::<usize>() + 2);
-    encode_frame(&mut frame, lines);
-    writer.write_all(frame.as_bytes())?;
-    writer.flush()
-}
-
-/// Appends one frame's wire bytes (dot-stuffed lines plus the terminator) to
-/// `out` without touching a socket — how pipelined requests and their
-/// responses coalesce many frames into a single `write`.
-pub fn encode_frame(out: &mut String, lines: &[String]) {
-    push_lines(out, lines.iter().map(String::as_str));
-    end_frame(out);
-}
-
 /// Appends the frame of a `register` request for `payload`, the bytes
 /// [`Request::encode`] writes for it, from a borrowed payload.
 pub fn encode_register(out: &mut String, payload: &str) {
@@ -741,8 +771,9 @@ pub fn encode_register(out: &mut String, payload: &str) {
 
 /// Appends frame lines, dot-stuffing each that starts with `.` so no line
 /// can pass for the terminator.
-fn push_lines<'a>(out: &mut String, lines: impl IntoIterator<Item = &'a str>) {
+fn push_lines(out: &mut String, lines: impl IntoIterator<Item = impl AsRef<str>>) {
     for line in lines {
+        let line = line.as_ref();
         if line.starts_with('.') {
             out.push('.');
         }
@@ -797,10 +828,11 @@ const READ_ROOM: usize = 8 << 10;
 /// since its last call, a word at a time ([`ByteOffsets`], the scan the
 /// text-format reader finds its delimiters with), counting lines until the
 /// terminator line arrives. Only then is the frame built, in one more
-/// pass: its bytes are checked as UTF-8 once, and each line is decoded
-/// (one trailing `\r` trimmed, a stuffed `.` removed) into one `String` of
-/// a `Vec` sized exactly from the count, or, behind a header whose payload
-/// is text (see [`Frame::Text`]), appended to the one payload `String`.
+/// pass: its bytes are checked as UTF-8 once, the header line is split
+/// off, and each payload line is decoded (one trailing `\r` trimmed, a
+/// stuffed `.` removed) into one `String` of a `Vec` sized exactly from the
+/// count, or, behind a header whose payload is text (see
+/// [`Payload::Text`]), appended to the one payload `String`.
 /// Bytes after the terminator stay buffered for the next frame.
 ///
 /// The buffer starts empty, is allocated on the first read, and holds at
@@ -921,19 +953,22 @@ impl FrameDecoder {
 }
 
 /// Builds a frame from its bytes (every line `\n`-ended, the terminator
-/// excluded), which hold exactly `lines` lines: the header line first,
-/// then the payload, as one string when the header says it is text.
+/// excluded), which hold exactly `lines` lines: the header line, split off
+/// once, then the payload, as one string when the header says it is text.
 fn build_frame(bytes: &[u8], lines: usize) -> Result<Frame, std::str::Utf8Error> {
     // `\n` and `\r` never occur inside a multi-byte character, so the frame
     // is UTF-8 exactly when each of its lines is
     let text = std::str::from_utf8(bytes)?;
     let mut line_ends = ByteOffsets::new(bytes, [b'\n']);
     let Some(header_end) = line_ends.next() else {
-        return Ok(Frame::Lines(Vec::new()));
+        return Ok(Frame {
+            header: String::new(),
+            payload: Payload::Lines(Vec::new()),
+        });
     };
-    let header = unstuff(&text[..header_end]);
+    let header = unstuff(&text[..header_end]).to_owned();
     let mut from = header_end + 1;
-    if lines > 1 && has_text_payload(header) {
+    let payload = if lines > 1 && has_text_payload(&header) {
         // the payload's lines joined with `\n`: its bytes, less each
         // line's `\r` and stuffed dot and the last newline
         let mut payload = String::with_capacity(text.len() - from);
@@ -944,19 +979,17 @@ fn build_frame(bytes: &[u8], lines: usize) -> Result<Frame, std::str::Utf8Error>
             payload.push_str(unstuff(&text[from..newline]));
             from = newline + 1;
         }
-        return Ok(Frame::Text {
-            header: header.to_owned(),
-            payload,
-        });
-    }
-    let mut frame = Vec::with_capacity(lines);
-    frame.push(header.to_owned());
-    for newline in line_ends {
-        frame.push(unstuff(&text[from..newline]).to_owned());
-        from = newline + 1;
-    }
-    debug_assert_eq!(frame.len(), lines, "the scan counted every line");
-    Ok(Frame::Lines(frame))
+        Payload::Text(payload)
+    } else {
+        let mut payload = Vec::with_capacity(lines - 1);
+        for newline in line_ends {
+            payload.push(unstuff(&text[from..newline]).to_owned());
+            from = newline + 1;
+        }
+        debug_assert_eq!(payload.len(), lines - 1, "the scan counted every line");
+        Payload::Lines(payload)
+    };
+    Ok(Frame { header, payload })
 }
 
 /// `true` for the header of a frame whose payload is one text: a
@@ -970,37 +1003,82 @@ fn has_text_payload(header: &str) -> bool {
     }
 }
 
-/// One frame as the protocol's frame decoder hands it over.
+/// One frame as the protocol's frame decoder hands it over: the header
+/// line, split off once, and the payload behind it. Each message's
+/// `from_frame` parses the header and moves the payload into the value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// Every line as one `String`, the header first (none for a frame that
-    /// is only its terminator): provenance names, verdicts, watch events
-    /// and every frame without a payload.
+pub struct Frame {
+    /// The header line; empty for a frame that is only its terminator.
+    pub header: String,
+    /// The lines after the header.
+    pub payload: Payload,
+}
+
+/// The payload of a [`Frame`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Payload {
+    /// One `String` per line: provenance names, verdicts, watch events and
+    /// every payload of a frame whose header names no text.
     Lines(Vec<String>),
-    /// A frame with at least one payload line under a `register`,
-    /// `ok<TAB>corrected`, `ok<TAB>exported` or `ok<TAB>metrics` header:
-    /// the header, and the payload's lines joined with `\n` (each line
-    /// decoded as [`decode_line`] decodes it).
-    Text {
-        /// The header line.
-        header: String,
-        /// The payload lines, joined.
-        payload: String,
-    },
+    /// At least one line under a `register`, `ok<TAB>corrected`,
+    /// `ok<TAB>exported` or `ok<TAB>metrics` header, the lines joined with
+    /// `\n` (each decoded as [`decode_line`] decodes it).
+    Text(String),
+}
+
+impl Payload {
+    /// The payload's lines; a text is split back at its newlines.
+    #[must_use]
+    pub(crate) fn into_lines(self) -> Vec<String> {
+        match self {
+            Payload::Lines(lines) => lines,
+            Payload::Text(text) => text.split('\n').map(str::to_owned).collect(),
+        }
+    }
+
+    /// The payload as one text: its lines joined with `\n`.
+    #[must_use]
+    pub(crate) fn into_text(self) -> String {
+        match self {
+            Payload::Lines(lines) => lines.join("\n"),
+            Payload::Text(text) => text,
+        }
+    }
 }
 
 impl Frame {
-    /// The frame's lines, the header first; a text payload is split back
-    /// at its newlines.
+    /// The frame's lines, the header first.
     #[must_use]
     pub fn into_lines(self) -> Vec<String> {
-        match self {
-            Frame::Lines(lines) => lines,
-            Frame::Text { header, payload } => std::iter::once(header)
-                .chain(payload.split('\n').map(str::to_owned))
-                .collect(),
+        std::iter::once(self.header)
+            .chain(self.payload.into_lines())
+            .collect()
+    }
+
+    /// The frame a slice of its lines, the header first, makes: how each
+    /// message's `from_lines` hands lines to its parser.
+    fn of_lines(lines: &[String]) -> Frame {
+        let (header, payload) = match lines.split_first() {
+            Some((header, payload)) => (header.clone(), payload.to_vec()),
+            None => (String::new(), Vec::new()),
+        };
+        Frame {
+            header,
+            payload: Payload::Lines(payload),
         }
     }
+}
+
+/// The lines of the frame `encode` appends, read back by [`decode_line`]'s
+/// policy (the bytes are UTF-8 already): the line-level form of each
+/// message's `encode`, for tools that inspect frames line by line.
+fn lines_of(encode: impl FnOnce(&mut String)) -> Vec<String> {
+    let mut wire = String::new();
+    encode(&mut wire);
+    wire.split_terminator('\n')
+        .take_while(|line| !is_terminator(line.as_bytes()))
+        .map(|line| unstuff(line).to_owned())
+        .collect()
 }
 
 /// A stream read frame by frame through the protocol's one frame decoder
@@ -1097,6 +1175,11 @@ fn parse_u64(text: &str, what: &str) -> Result<u64, ServiceError> {
         .map_err(|_| ServiceError::Protocol(format!("invalid {what} '{text}'")))
 }
 
+/// Field `at` of a TAB-split header; empty past its last field.
+fn field<'a>(fields: &[&'a str], at: usize) -> &'a str {
+    fields.get(at).copied().unwrap_or_default()
+}
+
 /// Checks a header's line count against the payload lines that follow it.
 fn check_count(field: Option<&str>, payload: usize, what: &str) -> Result<(), ServiceError> {
     let field = field.unwrap_or_default();
@@ -1112,97 +1195,93 @@ fn check_count(field: Option<&str>, payload: usize, what: &str) -> Result<(), Se
 }
 
 impl Request {
-    /// Serialises the request into frame lines (header + payload).
-    #[must_use]
-    pub fn to_lines(&self) -> Vec<String> {
-        match self {
-            Request::Register { payload } => {
-                let mut lines = vec!["register".to_owned()];
-                lines.extend(payload.lines().map(str::to_owned));
-                lines
-            }
-            Request::Validate { workflow, version } => match version {
-                Some(v) => vec![format!("validate\t{workflow}\t{v}")],
-                None => vec![format!("validate\t{workflow}")],
-            },
+    /// Appends the request's frame to `out`: the header line, and a
+    /// `register` payload written straight from its text. This is the one
+    /// encoder of requests.
+    pub fn encode(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // a header starts with its verb, so it never needs stuffing;
+        // writing to a `String` cannot fail
+        let _ = match self {
+            Request::Register { payload } => return encode_register(out, payload),
+            Request::Validate {
+                workflow,
+                version: None,
+            } => writeln!(out, "validate\t{workflow}"),
+            Request::Validate {
+                workflow,
+                version: Some(version),
+            } => writeln!(out, "validate\t{workflow}\t{version}"),
             Request::Correct { workflow, strategy } => {
-                vec![format!("correct\t{workflow}\t{}", strategy.name())]
+                writeln!(out, "correct\t{workflow}\t{}", strategy.name())
             }
             Request::Provenance { workflow, subject } => {
-                vec![format!("provenance\t{workflow}\t{subject}")]
+                writeln!(out, "provenance\t{workflow}\t{subject}")
             }
             Request::Mutate {
                 workflow,
                 op,
-                expect,
-            } => match expect {
-                Some(epoch) => vec![format!("mutate\t{workflow}\t@{epoch}\t{}", op.to_tail())],
-                None => vec![format!("mutate\t{workflow}\t{}", op.to_tail())],
-            },
-            Request::Export { workflow } => vec![format!("export\t{workflow}")],
-            Request::Snapshot => vec!["snapshot".to_owned()],
-            Request::Stats => vec!["stats".to_owned()],
-            Request::Epoch { workflow } => vec![format!("epoch\t{workflow}")],
-            Request::Heal => vec!["heal".to_owned()],
-            Request::Metrics { slow } => vec![if *slow {
-                "metrics\tslow".to_owned()
-            } else {
-                "metrics".to_owned()
-            }],
+                expect: None,
+            } => writeln!(out, "mutate\t{workflow}\t{}", op.to_tail()),
+            Request::Mutate {
+                workflow,
+                op,
+                expect: Some(epoch),
+            } => writeln!(out, "mutate\t{workflow}\t@{epoch}\t{}", op.to_tail()),
+            Request::Export { workflow } => writeln!(out, "export\t{workflow}"),
+            Request::Snapshot => writeln!(out, "snapshot"),
+            Request::Stats => writeln!(out, "stats"),
+            Request::Epoch { workflow } => writeln!(out, "epoch\t{workflow}"),
+            Request::Heal => writeln!(out, "heal"),
+            Request::Metrics { slow: false } => writeln!(out, "metrics"),
+            Request::Metrics { slow: true } => writeln!(out, "metrics\tslow"),
             Request::Watch { workflow, mode } => match mode {
-                WatchMode::Tail => vec![format!("watch\t{workflow}")],
-                WatchMode::Resync => vec![format!("watch\t{workflow}\tresync")],
-                WatchMode::From(seq) => vec![format!("watch\t{workflow}\t{seq}")],
+                WatchMode::Tail => writeln!(out, "watch\t{workflow}"),
+                WatchMode::Resync => writeln!(out, "watch\t{workflow}\tresync"),
+                WatchMode::From(seq) => writeln!(out, "watch\t{workflow}\t{seq}"),
             },
-            Request::Unwatch => vec!["unwatch".to_owned()],
-            Request::Shutdown => vec!["shutdown".to_owned()],
-        }
+            Request::Unwatch => writeln!(out, "unwatch"),
+            Request::Shutdown => writeln!(out, "shutdown"),
+        };
+        end_frame(out);
     }
 
-    /// Appends the request's frame to `out`: the bytes
-    /// `encode_frame(out, &to_lines())` would write, with a `register`
-    /// payload written straight from its text.
-    pub fn encode(&self, out: &mut String) {
-        match self {
-            Request::Register { payload } => encode_register(out, payload),
-            request => encode_frame(out, &request.to_lines()),
-        }
+    /// The request's frame lines (header + payload): [`Request::encode`]'s
+    /// frame read back line by line.
+    #[must_use]
+    pub fn to_lines(&self) -> Vec<String> {
+        lines_of(|out| self.encode(out))
     }
 
-    /// Parses a request from a decoded frame: the header parses as
-    /// [`Request::from_lines`] parses it, and a [`Frame::Text`] payload is
-    /// taken as it is for the `register` it carries.
+    /// Parses a request from a decoded frame, moving a `register` payload
+    /// into the request.
     ///
     /// # Errors
-    /// As [`Request::from_lines`].
+    /// Reports empty frames, unknown verbs and malformed arguments.
     pub fn from_frame(frame: Frame) -> Result<Self, ServiceError> {
-        match frame {
-            Frame::Lines(lines) => Self::from_lines(&lines),
-            Frame::Text { header, payload } => {
-                let mut request = Self::from_lines(std::slice::from_ref(&header))?;
-                if let Request::Register { payload: text } = &mut request {
-                    *text = payload;
-                }
-                Ok(request)
-            }
-        }
+        Self::parse(&frame.header, frame.payload)
     }
 
     /// Parses a request from frame lines.
     ///
     /// # Errors
-    /// Reports empty frames, unknown verbs and malformed arguments.
+    /// As [`Request::from_frame`].
     pub fn from_lines(lines: &[String]) -> Result<Self, ServiceError> {
-        let header = lines
-            .first()
-            .ok_or_else(|| ServiceError::Protocol("empty request frame".to_owned()))?;
+        Self::from_frame(Frame::of_lines(lines))
+    }
+
+    /// Parses a request from its header and payload.
+    fn parse(header: &str, payload: Payload) -> Result<Self, ServiceError> {
+        if header.is_empty() {
+            return Err(ServiceError::Protocol("empty request frame".to_owned()));
+        }
         let fields: Vec<&str> = header.split('\t').collect();
         match fields[0] {
             "register" => Ok(Request::Register {
-                payload: lines[1..].join("\n"),
+                payload: payload.into_text(),
             }),
             "validate" => {
-                let workflow = parse_id(fields.get(1).copied().unwrap_or_default())?;
+                let workflow = parse_id(field(&fields, 1))?;
                 let version = match fields.get(2) {
                     Some(v) => Some(parse_usize(v, "view version")?),
                     None => None,
@@ -1210,14 +1289,14 @@ impl Request {
                 Ok(Request::Validate { workflow, version })
             }
             "correct" => {
-                let workflow = parse_id(fields.get(1).copied().unwrap_or_default())?;
+                let workflow = parse_id(field(&fields, 1))?;
                 let name = fields.get(2).copied().unwrap_or("strong");
                 let strategy = Strategy::parse(name)
                     .ok_or_else(|| ServiceError::UnknownStrategy(name.to_owned()))?;
                 Ok(Request::Correct { workflow, strategy })
             }
             "provenance" => {
-                let workflow = parse_id(fields.get(1).copied().unwrap_or_default())?;
+                let workflow = parse_id(field(&fields, 1))?;
                 let subject = fields
                     .get(2)
                     .filter(|s| !s.is_empty())
@@ -1228,7 +1307,7 @@ impl Request {
                 })
             }
             "mutate" => {
-                let workflow = parse_id(fields.get(1).copied().unwrap_or_default())?;
+                let workflow = parse_id(field(&fields, 1))?;
                 // optional CAS marker `@<epoch>` between the id and the op
                 let (expect, at) = match fields.get(2).and_then(|f| f.strip_prefix('@')) {
                     Some(epoch) => (Some(parse_u64(epoch, "expected epoch")?), 3),
@@ -1242,12 +1321,12 @@ impl Request {
                 })
             }
             "export" => Ok(Request::Export {
-                workflow: parse_id(fields.get(1).copied().unwrap_or_default())?,
+                workflow: parse_id(field(&fields, 1))?,
             }),
             "snapshot" => Ok(Request::Snapshot),
             "stats" => Ok(Request::Stats),
             "epoch" => Ok(Request::Epoch {
-                workflow: parse_id(fields.get(1).copied().unwrap_or_default())?,
+                workflow: parse_id(field(&fields, 1))?,
             }),
             "heal" => Ok(Request::Heal),
             "metrics" => match fields.get(1).copied() {
@@ -1258,7 +1337,7 @@ impl Request {
                 ))),
             },
             "watch" => {
-                let workflow = parse_id(fields.get(1).copied().unwrap_or_default())?;
+                let workflow = parse_id(field(&fields, 1))?;
                 let mode = match fields.get(2).copied() {
                     None | Some("") => WatchMode::Tail,
                     Some("resync") => WatchMode::Resync,
@@ -1275,9 +1354,8 @@ impl Request {
 
 impl<N: NameList> Response<N> {
     /// Appends the response's frame — header, dot-stuffed payload lines and
-    /// terminator — to `out`: the bytes `encode_frame(out, &to_lines())`
-    /// would write, with no line copied on the way. This is the one encoder
-    /// the server writes responses with.
+    /// terminator — to `out`, with no line copied on the way. This is the
+    /// one encoder of responses.
     pub fn encode(&self, out: &mut String) {
         use std::fmt::Write as _;
         // a header starts with `ok` or `err`, so it never needs stuffing;
@@ -1312,11 +1390,8 @@ impl<N: NameList> Response<N> {
                 push_lines(out, names);
             }
             Response::Mutated(m) => {
-                let _ = writeln!(
-                    out,
-                    "ok\tmutated\t{}\t{}\t{}\t{}\t{}",
-                    m.epoch, m.class, m.invalidated, m.retained, m.version
-                );
+                out.push_str("ok\tmutated\t");
+                m.write_fields(out);
             }
             Response::Exported(payload) => {
                 out.push_str("ok\texported\n");
@@ -1384,124 +1459,38 @@ impl<N: NameList> Response<N> {
 }
 
 impl Response {
-    /// Serialises the response into frame lines (header + payload): the
-    /// line-level form of [`Response::encode`], kept for tools that inspect
-    /// frames line by line.
+    /// The response's frame lines (header + payload):
+    /// [`Response::encode`]'s frame read back line by line.
     #[must_use]
     pub fn to_lines(&self) -> Vec<String> {
-        match self {
-            Response::Registered(id) => vec![format!("ok\tregistered\t{id}")],
-            Response::Verdict(v) => {
-                let mut lines = vec![format!(
-                    "ok\tverdict\t{}\t{}\t{}\t{}\t{}",
-                    if v.sound { "sound" } else { "unsound" },
-                    v.version,
-                    if v.cached { "hit" } else { "miss" },
-                    v.unsound.len(),
-                    v.epoch
-                )];
-                lines.extend(v.unsound.iter().cloned());
-                lines
-            }
-            Response::Corrected(c) => {
-                let mut lines = vec![format!(
-                    "ok\tcorrected\t{}\t{}\t{}",
-                    c.version, c.composites_before, c.composites_after
-                )];
-                lines.extend(c.payload.lines().map(str::to_owned));
-                lines
-            }
-            Response::Provenance(tasks) => {
-                let mut lines = vec![format!("ok\tprovenance\t{}", tasks.len())];
-                lines.extend(tasks.iter().cloned());
-                lines
-            }
-            Response::Mutated(m) => {
-                vec![format!(
-                    "ok\tmutated\t{}\t{}\t{}\t{}\t{}",
-                    m.epoch, m.class, m.invalidated, m.retained, m.version
-                )]
-            }
-            Response::Exported(payload) => {
-                let mut lines = vec!["ok\texported".to_owned()];
-                lines.extend(payload.lines().map(str::to_owned));
-                lines
-            }
-            Response::Snapshotted(shards) => vec![format!("ok\tsnapshotted\t{shards}")],
-            Response::Epoch { seq, epoch } => vec![format!("ok\tepoch\t{seq}\t{epoch}")],
-            Response::Healed {
-                healed,
-                still_degraded,
-            } => vec![format!("ok\thealed\t{healed}\t{still_degraded}")],
-            Response::Stats(stats) => {
-                let mut lines = vec!["ok\tstats".to_owned()];
-                for s in &stats.shards {
-                    lines.push(format!(
-                        "shard\t{STATS_SCHEMA_VERSION}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        s.shard,
-                        s.workflows,
-                        s.validate_hits,
-                        s.validate_misses,
-                        s.composite_hits,
-                        s.composite_misses,
-                        s.validate_ns,
-                        s.requests,
-                        s.snapshot_publishes,
-                        s.active_watchers,
-                        s.dropped_watchers
-                    ));
-                }
-                lines
-            }
-            Response::Metrics(text) => {
-                let mut lines = vec!["ok\tmetrics".to_owned()];
-                lines.extend(text.lines().map(str::to_owned));
-                lines
-            }
-            Response::Watching(w) => {
-                let mut lines = vec![format!(
-                    "ok\twatching\t{}\t{}\t{}\t{}",
-                    w.workflow,
-                    w.seq,
-                    w.epoch,
-                    if w.payload.is_some() {
-                        "resync"
-                    } else {
-                        "tail"
-                    }
-                )];
-                if let Some(payload) = &w.payload {
-                    lines.extend(payload.lines().map(str::to_owned));
-                }
-                lines
-            }
-            Response::Unwatched => vec!["ok\tunwatched".to_owned()],
-            Response::ShuttingDown => vec!["ok\tshutdown".to_owned()],
-            Response::Error(message) => {
-                // the typed wire tail is TAB-structured — only newlines
-                // (which would break the framing) are flattened
-                vec![format!("err\t{}", message.replace('\n', " "))]
-            }
-        }
+        lines_of(|out| self.encode(out))
     }
 
-    /// Parses a response from frame lines.
+    /// Parses a response from a decoded frame, moving its payload into the
+    /// answer: provenance and verdict names, and export, correction and
+    /// metrics text.
     ///
     /// # Errors
     /// Reports empty frames, unknown kinds and malformed fields, and a
     /// verdict or provenance frame whose payload is not as long as its
     /// header says.
-    pub fn from_lines(lines: &[String]) -> Result<Self, ServiceError> {
-        Self::parse(lines, lines.len().saturating_sub(1))
+    pub fn from_frame(frame: Frame) -> Result<Self, ServiceError> {
+        Self::parse(&frame.header, frame.payload)
     }
 
-    /// Parses a response from `lines` (its header, and its payload where
-    /// the variant copies one) for a frame whose payload has `payload`
-    /// lines.
-    fn parse(lines: &[String], payload: usize) -> Result<Self, ServiceError> {
-        let header = lines
-            .first()
-            .ok_or_else(|| ServiceError::Protocol("empty response frame".to_owned()))?;
+    /// Parses a response from frame lines.
+    ///
+    /// # Errors
+    /// As [`Response::from_frame`].
+    pub fn from_lines(lines: &[String]) -> Result<Self, ServiceError> {
+        Self::from_frame(Frame::of_lines(lines))
+    }
+
+    /// Parses a response from its header and payload.
+    fn parse(header: &str, payload: Payload) -> Result<Self, ServiceError> {
+        if header.is_empty() {
+            return Err(ServiceError::Protocol("empty response frame".to_owned()));
+        }
         let fields: Vec<&str> = header.split('\t').collect();
         match (fields[0], fields.get(1).copied()) {
             ("err", _) => Ok(Response::Error(
@@ -1511,9 +1500,7 @@ impl Response {
                     .unwrap_or_default()
                     .to_owned(),
             )),
-            ("ok", Some("registered")) => Ok(Response::Registered(parse_id(
-                fields.get(2).copied().unwrap_or_default(),
-            )?)),
+            ("ok", Some("registered")) => Ok(Response::Registered(parse_id(field(&fields, 2))?)),
             ("ok", Some("verdict")) => {
                 let sound = match fields.get(2).copied() {
                     Some("sound") => true,
@@ -1525,66 +1512,47 @@ impl Response {
                         )))
                     }
                 };
-                let version = parse_usize(fields.get(3).copied().unwrap_or_default(), "version")?;
+                let version = parse_usize(field(&fields, 3), "version")?;
                 let cached = fields.get(4).copied() == Some("hit");
-                let epoch = parse_u64(fields.get(6).copied().unwrap_or_default(), "epoch")?;
-                check_count(fields.get(5).copied(), payload, "unsound composite")?;
+                let epoch = parse_u64(field(&fields, 6), "epoch")?;
+                let unsound = payload.into_lines();
+                check_count(fields.get(5).copied(), unsound.len(), "unsound composite")?;
                 Ok(Response::Verdict(Verdict {
                     sound,
                     version,
                     cached,
                     epoch,
-                    unsound: lines[1..].to_vec(),
+                    unsound,
                 }))
             }
             ("ok", Some("corrected")) => Ok(Response::Corrected(Corrected {
-                version: parse_usize(fields.get(2).copied().unwrap_or_default(), "version")?,
-                composites_before: parse_usize(
-                    fields.get(3).copied().unwrap_or_default(),
-                    "composite count",
-                )?,
-                composites_after: parse_usize(
-                    fields.get(4).copied().unwrap_or_default(),
-                    "composite count",
-                )?,
-                payload: lines[1..].join("\n"),
+                version: parse_usize(field(&fields, 2), "version")?,
+                composites_before: parse_usize(field(&fields, 3), "composite count")?,
+                composites_after: parse_usize(field(&fields, 4), "composite count")?,
+                payload: payload.into_text(),
             })),
             ("ok", Some("provenance")) => {
-                check_count(fields.get(2).copied(), payload, "provenance task")?;
-                Ok(Response::Provenance(lines[1..].to_vec()))
+                let names = payload.into_lines();
+                check_count(fields.get(2).copied(), names.len(), "provenance task")?;
+                Ok(Response::Provenance(names))
             }
-            ("ok", Some("mutated")) => Ok(Response::Mutated(Mutated {
-                epoch: parse_u64(fields.get(2).copied().unwrap_or_default(), "epoch")?,
-                class: fields.get(3).copied().unwrap_or_default().to_owned(),
-                invalidated: parse_usize(
-                    fields.get(4).copied().unwrap_or_default(),
-                    "invalidated count",
-                )?,
-                retained: parse_usize(
-                    fields.get(5).copied().unwrap_or_default(),
-                    "retained count",
-                )?,
-                version: parse_usize(fields.get(6).copied().unwrap_or_default(), "version")?,
-            })),
-            ("ok", Some("exported")) => Ok(Response::Exported(lines[1..].join("\n"))),
+            ("ok", Some("mutated")) => Ok(Response::Mutated(Mutated::from_fields(&fields, 2)?)),
+            ("ok", Some("exported")) => Ok(Response::Exported(payload.into_text())),
             ("ok", Some("snapshotted")) => Ok(Response::Snapshotted(parse_usize(
-                fields.get(2).copied().unwrap_or_default(),
+                field(&fields, 2),
                 "shard count",
             )?)),
             ("ok", Some("epoch")) => Ok(Response::Epoch {
-                seq: parse_u64(fields.get(2).copied().unwrap_or_default(), "sequence")?,
-                epoch: parse_u64(fields.get(3).copied().unwrap_or_default(), "epoch")?,
+                seq: parse_u64(field(&fields, 2), "sequence")?,
+                epoch: parse_u64(field(&fields, 3), "epoch")?,
             }),
             ("ok", Some("healed")) => Ok(Response::Healed {
-                healed: parse_usize(fields.get(2).copied().unwrap_or_default(), "healed count")?,
-                still_degraded: parse_usize(
-                    fields.get(3).copied().unwrap_or_default(),
-                    "degraded count",
-                )?,
+                healed: parse_usize(field(&fields, 2), "healed count")?,
+                still_degraded: parse_usize(field(&fields, 3), "degraded count")?,
             }),
             ("ok", Some("stats")) => {
                 let mut shards = Vec::new();
-                for line in &lines[1..] {
+                for line in payload.into_lines() {
                     let f: Vec<&str> = line.split('\t').collect();
                     if f.first().copied() != Some("shard") || f.len() < 2 {
                         return Err(ServiceError::Protocol(format!(
@@ -1618,7 +1586,7 @@ impl Response {
                 }
                 Ok(Response::Stats(StatsReport { shards }))
             }
-            ("ok", Some("metrics")) => Ok(Response::Metrics(lines[1..].join("\n"))),
+            ("ok", Some("metrics")) => Ok(Response::Metrics(payload.into_text())),
             ("ok", Some("watching")) => {
                 let resync = match fields.get(5).copied() {
                     Some("resync") => true,
@@ -1630,10 +1598,10 @@ impl Response {
                     }
                 };
                 Ok(Response::Watching(Watching {
-                    workflow: parse_id(fields.get(2).copied().unwrap_or_default())?,
-                    seq: parse_u64(fields.get(3).copied().unwrap_or_default(), "sequence")?,
-                    epoch: parse_u64(fields.get(4).copied().unwrap_or_default(), "epoch")?,
-                    payload: resync.then(|| lines[1..].join("\n")),
+                    workflow: parse_id(field(&fields, 2))?,
+                    seq: parse_u64(field(&fields, 3), "sequence")?,
+                    epoch: parse_u64(field(&fields, 4), "epoch")?,
+                    payload: resync.then(|| payload.into_text()),
                 }))
             }
             ("ok", Some("unwatched")) => Ok(Response::Unwatched),
@@ -1643,49 +1611,6 @@ impl Response {
             ))),
         }
     }
-
-    /// Parses a response from a decoded frame — [`Response::from_lines`]
-    /// without copying the payload: provenance and verdict names move into
-    /// the answer, and export, correction and metrics text is the frame's
-    /// own payload string.
-    ///
-    /// # Errors
-    /// As [`Response::from_lines`].
-    pub fn from_frame(frame: Frame) -> Result<Self, ServiceError> {
-        let mut frame = match frame {
-            Frame::Text { header, payload } => {
-                let mut response = Self::parse(std::slice::from_ref(&header), 1)?;
-                if let Response::Corrected(Corrected { payload: text, .. })
-                | Response::Exported(text)
-                | Response::Metrics(text) = &mut response
-                {
-                    *text = payload;
-                }
-                return Ok(response);
-            }
-            Frame::Lines(lines) => lines,
-        };
-        if frame.len() <= 1 {
-            return Self::from_lines(&frame);
-        }
-        // the header alone parses every variant, with an empty payload
-        // and its counts checked against the frame's
-        let mut response = Self::parse(&frame[..1], frame.len() - 1)?;
-        match &mut response {
-            // dropping the header shifts the line handles once (≈2.5 µs
-            // for a 5k-name answer), not the names
-            Response::Provenance(names) => {
-                frame.remove(0);
-                *names = frame;
-            }
-            Response::Verdict(verdict) => {
-                frame.remove(0);
-                verdict.unsound = frame;
-            }
-            _ => return Self::from_lines(&frame),
-        }
-        Ok(response)
-    }
 }
 
 /// Generated wire input and the decoding the line policy gives it: the
@@ -1693,7 +1618,7 @@ impl Response {
 /// here, the server's per-connection input in `server`).
 #[cfg(test)]
 pub(crate) mod wire_cases {
-    use super::{decode_line, Frame};
+    use super::{decode_line, Frame, Payload};
     use proptest::prelude::*;
 
     /// What lines are made of: dots, `\r`, tabs, `\x0b` (the byte a
@@ -1798,24 +1723,25 @@ pub(crate) mod wire_cases {
     }
 
     /// The frame the decoder must build of a frame's decoded `lines`: the
+    /// first line as the header (empty for a frame of no lines), and the
     /// payload of a `register`, `ok corrected`, `ok exported` or
     /// `ok metrics` frame joined into one text, the lines of any other.
     pub(crate) fn expected_frame(lines: &[String]) -> Frame {
-        let fields: Vec<&str> = lines
-            .first()
-            .map_or(Vec::new(), |h| h.split('\t').collect());
+        let empty = String::new();
+        let (header, payload) = lines.split_first().unwrap_or((&empty, &[]));
+        let fields: Vec<&str> = header.split('\t').collect();
         let text = match fields.as_slice() {
             ["register", ..] => true,
             ["ok", kind, ..] => ["corrected", "exported", "metrics"].contains(kind),
             _ => false,
         };
-        if text && lines.len() > 1 {
-            Frame::Text {
-                header: lines[0].clone(),
-                payload: lines[1..].join("\n"),
-            }
-        } else {
-            Frame::Lines(lines.to_vec())
+        Frame {
+            header: header.clone(),
+            payload: if text && !payload.is_empty() {
+                Payload::Text(payload.join("\n"))
+            } else {
+                Payload::Lines(payload.to_vec())
+            },
         }
     }
 
@@ -1885,30 +1811,275 @@ mod tests {
     use super::*;
     use std::io::Read as _;
 
-    /// Round-trips `request` through the line codec, and through the
-    /// direct encoder and the frame decoder, which must write the line
-    /// codec's bytes and read them back as it does.
+    /// The line codec the messages had before `encode` became each one's
+    /// only formatter: every message as frame lines, and a frame of lines
+    /// as wire bytes. Kept as the independent reference the encoders are
+    /// held to.
+    mod reference {
+        use super::super::*;
+
+        /// The wire bytes of a frame of `lines`: each line dot-stuffed and
+        /// `\n`-ended, then the terminator.
+        pub(super) fn frame(lines: &[String]) -> String {
+            let mut out = String::new();
+            for line in lines {
+                if line.starts_with('.') {
+                    out.push('.');
+                }
+                out.push_str(line);
+                out.push('\n');
+            }
+            out.push_str(".\n");
+            out
+        }
+
+        pub(super) fn request_lines(request: &Request) -> Vec<String> {
+            match request {
+                Request::Register { payload } => {
+                    let mut lines = vec!["register".to_owned()];
+                    lines.extend(payload.lines().map(str::to_owned));
+                    lines
+                }
+                Request::Validate { workflow, version } => match version {
+                    Some(v) => vec![format!("validate\t{workflow}\t{v}")],
+                    None => vec![format!("validate\t{workflow}")],
+                },
+                Request::Correct { workflow, strategy } => {
+                    vec![format!("correct\t{workflow}\t{}", strategy.name())]
+                }
+                Request::Provenance { workflow, subject } => {
+                    vec![format!("provenance\t{workflow}\t{subject}")]
+                }
+                Request::Mutate {
+                    workflow,
+                    op,
+                    expect,
+                } => match expect {
+                    Some(epoch) => vec![format!("mutate\t{workflow}\t@{epoch}\t{}", op.to_tail())],
+                    None => vec![format!("mutate\t{workflow}\t{}", op.to_tail())],
+                },
+                Request::Export { workflow } => vec![format!("export\t{workflow}")],
+                Request::Snapshot => vec!["snapshot".to_owned()],
+                Request::Stats => vec!["stats".to_owned()],
+                Request::Epoch { workflow } => vec![format!("epoch\t{workflow}")],
+                Request::Heal => vec!["heal".to_owned()],
+                Request::Metrics { slow } => vec![if *slow {
+                    "metrics\tslow".to_owned()
+                } else {
+                    "metrics".to_owned()
+                }],
+                Request::Watch { workflow, mode } => match mode {
+                    WatchMode::Tail => vec![format!("watch\t{workflow}")],
+                    WatchMode::Resync => vec![format!("watch\t{workflow}\tresync")],
+                    WatchMode::From(seq) => vec![format!("watch\t{workflow}\t{seq}")],
+                },
+                Request::Unwatch => vec!["unwatch".to_owned()],
+                Request::Shutdown => vec!["shutdown".to_owned()],
+            }
+        }
+
+        pub(super) fn response_lines(response: &Response) -> Vec<String> {
+            match response {
+                Response::Registered(id) => vec![format!("ok\tregistered\t{id}")],
+                Response::Verdict(v) => {
+                    let mut lines = vec![format!(
+                        "ok\tverdict\t{}\t{}\t{}\t{}\t{}",
+                        if v.sound { "sound" } else { "unsound" },
+                        v.version,
+                        if v.cached { "hit" } else { "miss" },
+                        v.unsound.len(),
+                        v.epoch
+                    )];
+                    lines.extend(v.unsound.iter().cloned());
+                    lines
+                }
+                Response::Corrected(c) => {
+                    let mut lines = vec![format!(
+                        "ok\tcorrected\t{}\t{}\t{}",
+                        c.version, c.composites_before, c.composites_after
+                    )];
+                    lines.extend(c.payload.lines().map(str::to_owned));
+                    lines
+                }
+                Response::Provenance(tasks) => {
+                    let mut lines = vec![format!("ok\tprovenance\t{}", tasks.len())];
+                    lines.extend(tasks.iter().cloned());
+                    lines
+                }
+                Response::Mutated(m) => {
+                    vec![format!(
+                        "ok\tmutated\t{}\t{}\t{}\t{}\t{}",
+                        m.epoch, m.class, m.invalidated, m.retained, m.version
+                    )]
+                }
+                Response::Exported(payload) => {
+                    let mut lines = vec!["ok\texported".to_owned()];
+                    lines.extend(payload.lines().map(str::to_owned));
+                    lines
+                }
+                Response::Snapshotted(shards) => vec![format!("ok\tsnapshotted\t{shards}")],
+                Response::Epoch { seq, epoch } => vec![format!("ok\tepoch\t{seq}\t{epoch}")],
+                Response::Healed {
+                    healed,
+                    still_degraded,
+                } => vec![format!("ok\thealed\t{healed}\t{still_degraded}")],
+                Response::Stats(stats) => {
+                    let mut lines = vec!["ok\tstats".to_owned()];
+                    for s in &stats.shards {
+                        lines.push(format!(
+                                "shard\t{STATS_SCHEMA_VERSION}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                                s.shard,
+                                s.workflows,
+                                s.validate_hits,
+                                s.validate_misses,
+                                s.composite_hits,
+                                s.composite_misses,
+                                s.validate_ns,
+                                s.requests,
+                                s.snapshot_publishes,
+                                s.active_watchers,
+                                s.dropped_watchers
+                            ));
+                    }
+                    lines
+                }
+                Response::Metrics(text) => {
+                    let mut lines = vec!["ok\tmetrics".to_owned()];
+                    lines.extend(text.lines().map(str::to_owned));
+                    lines
+                }
+                Response::Watching(w) => {
+                    let mut lines = vec![format!(
+                        "ok\twatching\t{}\t{}\t{}\t{}",
+                        w.workflow,
+                        w.seq,
+                        w.epoch,
+                        if w.payload.is_some() {
+                            "resync"
+                        } else {
+                            "tail"
+                        }
+                    )];
+                    if let Some(payload) = &w.payload {
+                        lines.extend(payload.lines().map(str::to_owned));
+                    }
+                    lines
+                }
+                Response::Unwatched => vec!["ok\tunwatched".to_owned()],
+                Response::ShuttingDown => vec!["ok\tshutdown".to_owned()],
+                Response::Error(message) => {
+                    // the typed wire tail is TAB-structured — only newlines
+                    // (which would break the framing) are flattened
+                    vec![format!("err\t{}", message.replace('\n', " "))]
+                }
+            }
+        }
+
+        pub(super) fn event_lines(event: &WatchEvent) -> Vec<String> {
+            match event {
+                WatchEvent::Mutated {
+                    workflow,
+                    seq,
+                    op,
+                    outcome,
+                    deltas,
+                } => {
+                    let mut lines = vec![
+                        format!(
+                            "event\tmutated\t{workflow}\t{seq}\t{}\t{}\t{}\t{}\t{}",
+                            outcome.epoch,
+                            outcome.class,
+                            outcome.invalidated,
+                            outcome.retained,
+                            outcome.version
+                        ),
+                        format!("op\t{}", op.to_tail()),
+                    ];
+                    lines.extend(deltas.iter().map(delta_to_line));
+                    lines
+                }
+                WatchEvent::Corrected {
+                    workflow,
+                    seq,
+                    version,
+                    view_lines,
+                } => {
+                    let mut lines = vec![format!("event\tcorrected\t{workflow}\t{seq}\t{version}")];
+                    lines.extend(view_lines.iter().cloned());
+                    lines
+                }
+                WatchEvent::Resync { workflow, seq } => {
+                    vec![format!("event\tresync\t{workflow}\t{seq}")]
+                }
+            }
+        }
+    }
+
+    /// The one frame `wire` holds, read through a [`FrameReader`] in reads
+    /// of the given sizes.
+    fn read_one(wire: &str, sizes: &[usize]) -> Frame {
+        let mut reader = FrameReader::new(super::wire_cases::Chunked::new(wire.as_bytes(), sizes));
+        let frame = reader.next_frame().unwrap().expect("a frame");
+        assert!(reader.next_frame().unwrap().is_none(), "one frame only");
+        frame
+    }
+
+    /// Holds `request` to the reference: `encode` writes its bytes,
+    /// `to_lines` its lines, and the request reads back equal through the
+    /// frame decoder (in reads of `sizes`) and through `from_lines`.
+    fn round_trip_request_in(request: &Request, sizes: &[usize]) {
+        let lines = reference::request_lines(request);
+        let mut wire = String::new();
+        request.encode(&mut wire);
+        assert_eq!(
+            wire,
+            reference::frame(&lines),
+            "encoder bytes for {request:?}"
+        );
+        assert_eq!(request.to_lines(), lines);
+        assert_eq!(&Request::from_lines(&lines).unwrap(), request);
+        assert_eq!(
+            &Request::from_frame(read_one(&wire, sizes)).unwrap(),
+            request
+        );
+    }
+
     fn round_trip_request(request: &Request) {
-        let lines = request.to_lines();
-        let parsed = Request::from_lines(&lines).unwrap();
-        assert_eq!(&parsed, request);
-        let mut oracle = String::new();
-        encode_frame(&mut oracle, &lines);
-        let mut direct = String::new();
-        request.encode(&mut direct);
-        assert_eq!(direct, oracle, "encoder bytes for {request:?}");
-        let frame = FrameReader::new(direct.as_bytes())
-            .next_frame()
-            .unwrap()
-            .unwrap();
-        assert_eq!(frame.clone().into_lines(), lines);
-        assert_eq!(Request::from_frame(frame).unwrap(), parsed);
+        round_trip_request_in(request, &[usize::MAX]);
+    }
+
+    /// [`round_trip_request_in`] for a response.
+    fn round_trip_response_in(response: &Response, sizes: &[usize]) {
+        let lines = reference::response_lines(response);
+        let mut wire = String::new();
+        response.encode(&mut wire);
+        assert_eq!(
+            wire,
+            reference::frame(&lines),
+            "encoder bytes for {response:?}"
+        );
+        assert_eq!(response.to_lines(), lines);
+        assert_eq!(&Response::from_lines(&lines).unwrap(), response);
+        assert_eq!(
+            &Response::from_frame(read_one(&wire, sizes)).unwrap(),
+            response
+        );
     }
 
     fn round_trip_response(response: &Response) {
-        let lines = response.to_lines();
-        let parsed = Response::from_lines(&lines).unwrap();
-        assert_eq!(&parsed, response);
+        round_trip_response_in(response, &[usize::MAX]);
+    }
+
+    /// [`round_trip_request_in`] for a watch event, which has no line form
+    /// of its own.
+    fn round_trip_event_in(event: &WatchEvent, sizes: &[usize]) {
+        let mut wire = String::new();
+        event.encode(&mut wire);
+        assert_eq!(wire, reference::frame(&reference::event_lines(event)));
+        assert_eq!(
+            &WatchEvent::from_frame(read_one(&wire, sizes)).unwrap(),
+            event
+        );
     }
 
     /// The variant's wire kind, matched exhaustively: a new variant fails
@@ -1931,6 +2102,59 @@ mod tests {
             Response::ShuttingDown => "shutdown",
             Response::Error(_) => "error",
         }
+    }
+
+    fn request_kind(request: &Request) -> &'static str {
+        match request {
+            Request::Register { .. } => "register",
+            Request::Validate { .. } => "validate",
+            Request::Correct { .. } => "correct",
+            Request::Provenance { .. } => "provenance",
+            Request::Mutate { .. } => "mutate",
+            Request::Export { .. } => "export",
+            Request::Snapshot => "snapshot",
+            Request::Stats => "stats",
+            Request::Epoch { .. } => "epoch",
+            Request::Heal => "heal",
+            Request::Metrics { .. } => "metrics",
+            Request::Watch { .. } => "watch",
+            Request::Unwatch => "unwatch",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
+    fn event_kind(event: &WatchEvent) -> &'static str {
+        match event {
+            WatchEvent::Mutated { .. } => "mutated",
+            WatchEvent::Corrected { .. } => "corrected",
+            WatchEvent::Resync { .. } => "resync",
+        }
+    }
+
+    /// The codec property's generators reach every variant of every
+    /// message (the kinds above are matched exhaustively).
+    #[test]
+    fn the_message_generators_reach_every_variant() {
+        use std::collections::BTreeSet;
+        let (mut requests, mut responses, mut events) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..600 {
+            let draws = (0..48)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 40) as usize
+                })
+                .collect();
+            let mut tape = properties::Tape::new(draws);
+            requests.insert(request_kind(&tape.request()));
+            responses.insert(kind(&tape.response()));
+            events.insert(event_kind(&tape.event()));
+        }
+        let counts = (requests.len(), responses.len(), events.len());
+        assert_eq!(counts, (14, 15, 3), "{requests:?} {responses:?} {events:?}");
     }
 
     #[test]
@@ -2168,7 +2392,7 @@ mod tests {
     }
 
     #[test]
-    fn the_direct_codec_matches_the_line_codec_for_every_variant() {
+    fn every_response_variant_encodes_as_the_reference() {
         let shard = |shard| ShardStat {
             shard,
             workflows: 3,
@@ -2247,46 +2471,43 @@ mod tests {
         let mut kinds = std::collections::BTreeSet::new();
         for response in &responses {
             kinds.insert(kind(response));
-            let lines = response.to_lines();
-            let mut oracle = String::new();
-            encode_frame(&mut oracle, &lines);
+            let lines = reference::response_lines(response);
             let mut direct = String::new();
             response.encode(&mut direct);
-            assert_eq!(direct, oracle, "encoder bytes for {response:?}");
-            let read = FrameReader::new(direct.as_bytes())
-                .next_frame()
-                .unwrap()
-                .unwrap();
+            assert_eq!(
+                direct,
+                reference::frame(&lines),
+                "encoder bytes for {response:?}"
+            );
+            assert_eq!(response.to_lines(), lines);
+            let read = read_one(&direct, &[usize::MAX]);
             assert_eq!(read.clone().into_lines(), lines);
-            // not every value survives the line codec (payload text loses a
-            // trailing newline and its `\r`s), so the two decoders are
-            // compared with each other, not with the input
+            // not every value survives the wire (payload text loses a
+            // trailing newline and its `\r`s), so the frame's decoding is
+            // compared with the lines', not with the input
             assert_eq!(
                 Response::from_frame(read).unwrap(),
                 Response::from_lines(&lines).unwrap()
             );
         }
         assert_eq!(kinds.len(), 15, "every variant is covered: {kinds:?}");
-        // headers that parse with an empty payload but not with theirs
-        // fail the same way through both decoders
-        let bad = vec!["ok\tstats".to_owned(), "shard\tv9".to_owned()];
-        assert_eq!(
-            Response::from_frame(Frame::Lines(bad.clone()))
-                .unwrap_err()
-                .to_string(),
-            Response::from_lines(&bad).unwrap_err().to_string()
-        );
-        assert!(Response::from_frame(Frame::Lines(Vec::new())).is_err());
+        let stale = ["ok\tstats".to_owned(), "shard\tv9".to_owned()];
+        assert!(matches!(
+            Response::from_lines(&stale),
+            Err(ServiceError::SchemaVersion { .. })
+        ));
+        assert!(Response::from_lines(&[]).is_err());
     }
 
     /// A hand-built frame of `header` and `lines`, whose header counts
-    /// another number of lines, is refused by both decoders.
+    /// another number of lines, is refused as lines and off the wire.
     fn assert_count_mismatch_is_refused(header: String, lines: &[&str]) {
         let mut frame = vec![header];
         frame.extend(lines.iter().map(|&line| line.to_owned()));
+        let read = read_one(&reference::frame(&frame), &[usize::MAX]);
         for refused in [
             Response::from_lines(&frame).unwrap_err(),
-            Response::from_frame(Frame::Lines(frame.clone())).unwrap_err(),
+            Response::from_frame(read).unwrap_err(),
         ] {
             assert!(
                 matches!(&refused, ServiceError::Protocol(message) if message.contains("holds")),
@@ -2303,7 +2524,6 @@ mod tests {
         assert_count_mismatch_is_refused(header(1), &[]);
         let frame = [header(2), "a".to_owned(), "b".to_owned()];
         assert!(Response::from_lines(&frame).is_ok());
-        assert!(Response::from_frame(Frame::Lines(frame.to_vec())).is_ok());
     }
 
     #[test]
@@ -2314,7 +2534,6 @@ mod tests {
         assert_count_mismatch_is_refused(header(1), &[]);
         let frame = [header(1), "Curate & align (16)".to_owned()];
         assert!(Response::from_lines(&frame).is_ok());
-        assert!(Response::from_frame(Frame::Lines(frame.to_vec())).is_ok());
     }
 
     #[test]
@@ -2329,9 +2548,10 @@ mod tests {
         let mut borrowed = String::new();
         Response::Provenance(Borrowed(&names)).encode(&mut borrowed);
         let owned = Response::Provenance(names.map(str::to_owned).to_vec());
-        let mut oracle = String::new();
-        encode_frame(&mut oracle, &owned.to_lines());
-        assert_eq!(borrowed, oracle);
+        assert_eq!(
+            borrowed,
+            reference::frame(&reference::response_lines(&owned))
+        );
         assert_eq!(borrowed, "ok\tprovenance\t3\n..\n..x\nplain\n.\n");
     }
 
@@ -2376,66 +2596,82 @@ mod tests {
         ));
     }
 
+    /// One frame per event kind, pinned byte for byte: replicas decode
+    /// them, so they must not drift.
     #[test]
-    fn watch_events_round_trip_through_lines() {
+    fn watch_events_keep_their_pinned_frames() {
         use wolves_workflow::{SpecDeltaKind, TaskId};
 
-        let round_trip = |event: &WatchEvent| {
-            let lines = event.to_lines();
-            assert!(lines[0].starts_with("event\t"));
-            let parsed = WatchEvent::from_lines(&lines).unwrap();
-            assert_eq!(&parsed, event);
+        let outcome = |class: &str, invalidated, retained| Mutated {
+            epoch: 5,
+            class: class.to_owned(),
+            invalidated,
+            retained,
+            version: 0,
         };
-        round_trip(&WatchEvent::Mutated {
-            workflow: WorkflowId(3),
-            seq: 8,
-            op: MutateOp::AddEdge {
-                from: "Split entries".to_owned(),
-                to: "Display tree".to_owned(),
-            },
-            outcome: Mutated {
-                epoch: 5,
-                class: "monotone-safe".to_owned(),
-                invalidated: 1,
-                retained: 6,
-                version: 0,
-            },
-            deltas: vec![SpecDelta {
-                epoch: 5,
-                kind: SpecDeltaKind::DependencyAdded(TaskId::from_index(2), TaskId::from_index(9)),
-            }],
-        });
-        round_trip(&WatchEvent::Mutated {
-            workflow: WorkflowId(3),
-            seq: 9,
-            op: MutateOp::Merge {
-                name: "Front end".to_owned(),
-                composites: vec!["a".to_owned(), "b".to_owned()],
-            },
-            outcome: Mutated {
-                epoch: 5,
-                class: "view-edit".to_owned(),
-                invalidated: 2,
-                retained: 5,
-                version: 0,
-            },
-            deltas: Vec::new(),
-        });
-        round_trip(&WatchEvent::Corrected {
-            workflow: WorkflowId(3),
-            seq: 10,
-            version: 2,
-            view_lines: vec!["view\tdemo".to_owned(), "composite\tx\t0,1".to_owned()],
-        });
-        round_trip(&WatchEvent::Resync {
-            workflow: WorkflowId(3),
-            seq: 10,
-        });
-
+        let pinned = [
+            (
+                WatchEvent::Mutated {
+                    workflow: WorkflowId(3),
+                    seq: 8,
+                    op: MutateOp::AddEdge {
+                        from: "Split entries".to_owned(),
+                        to: "Display tree".to_owned(),
+                    },
+                    outcome: outcome("monotone-safe", 1, 6),
+                    deltas: vec![SpecDelta {
+                        epoch: 5,
+                        kind: SpecDeltaKind::DependencyAdded(
+                            TaskId::from_index(2),
+                            TaskId::from_index(9),
+                        ),
+                    }],
+                },
+                "event\tmutated\t3\t8\t5\tmonotone-safe\t1\t6\t0\n\
+                 op\tadd-edge\tSplit entries\tDisplay tree\n\
+                 delta\t5\tdep-added\t2\t9\n.\n",
+            ),
+            (
+                WatchEvent::Mutated {
+                    workflow: WorkflowId(3),
+                    seq: 9,
+                    op: MutateOp::Split {
+                        composite: "Curate & align (16)".to_owned(),
+                        parts: vec![vec!["a".to_owned(), "b".to_owned()], vec![".c".to_owned()]],
+                    },
+                    outcome: outcome("view-edit", 2, 5),
+                    deltas: Vec::new(),
+                },
+                "event\tmutated\t3\t9\t5\tview-edit\t2\t5\t0\n\
+                 op\tsplit\tCurate & align (16)\ta,b;.c\n.\n",
+            ),
+            (
+                WatchEvent::Corrected {
+                    workflow: WorkflowId(3),
+                    seq: 10,
+                    version: 2,
+                    view_lines: vec!["view\tdemo".to_owned(), "composite\tx\t0,1".to_owned()],
+                },
+                "event\tcorrected\t3\t10\t2\nview\tdemo\ncomposite\tx\t0,1\n.\n",
+            ),
+            (
+                WatchEvent::Resync {
+                    workflow: WorkflowId(3),
+                    seq: 10,
+                },
+                "event\tresync\t3\t10\n.\n",
+            ),
+        ];
+        for (event, frame) in &pinned {
+            let mut wire = String::new();
+            event.encode(&mut wire);
+            assert_eq!(&wire, frame);
+            round_trip_event_in(event, &[usize::MAX]);
+        }
         // non-event frames are refused, so a client draining a watch stream
         // can tell responses from events by the header alone
-        let err = WatchEvent::from_lines(&["ok\tunwatched".to_owned()]).unwrap_err();
-        assert!(matches!(err, ServiceError::Protocol(_)));
+        let err = WatchEvent::from_frame(read_one("ok\tunwatched\n.\n", &[usize::MAX]));
+        assert!(matches!(err, Err(ServiceError::Protocol(_))));
     }
 
     #[test]
@@ -2445,9 +2681,8 @@ mod tests {
             ".starts with a dot".to_owned(),
             String::new(),
         ];
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &lines).unwrap();
-        let mut reader = FrameReader::new(wire.as_slice());
+        let wire = reference::frame(&lines);
+        let mut reader = FrameReader::new(wire.as_bytes());
         let read = reader.read_frame().unwrap().unwrap();
         assert_eq!(read, lines);
         assert!(reader.read_frame().unwrap().is_none());
@@ -2501,6 +2736,300 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
         use std::io::ErrorKind;
+        use wolves_workflow::{SpecDeltaKind, TaskId};
+
+        /// What names and lines are made of: dots, `\r`, `\x0b`, one- to
+        /// four-byte characters and a space ([`wire`]'s UTF-8 pieces), and
+        /// a TAB where a line may hold one.
+        const PIECES: [&str; 10] = [
+            "",
+            ".",
+            "..",
+            "\r",
+            "\x0b",
+            "task7",
+            "\u{e9}",
+            "\u{20ac}",
+            "\u{1d11e}",
+            " ",
+        ];
+
+        /// Message values built from a tape of drawn numbers, read past its
+        /// end as zeros (a shrunk tape makes a smaller value). Only values
+        /// the protocol documents it can carry are made: no name holds a
+        /// newline or ends in `\r`, and header fields hold no TAB.
+        pub(super) struct Tape {
+            draws: Vec<usize>,
+            at: usize,
+        }
+
+        impl Tape {
+            pub(super) fn new(draws: Vec<usize>) -> Self {
+                Tape { draws, at: 0 }
+            }
+
+            fn draw(&mut self, bound: usize) -> usize {
+                let draw = self.draws.get(self.at).copied().unwrap_or(0);
+                self.at += 1;
+                draw % bound
+            }
+
+            fn flag(&mut self) -> bool {
+                self.draw(2) == 1
+            }
+
+            fn number(&mut self) -> u64 {
+                match self.draw(3) {
+                    0 => self.draw(10) as u64,
+                    1 => self.draw(1 << 16) as u64,
+                    _ => u64::MAX - self.draw(4) as u64,
+                }
+            }
+
+            fn id(&mut self) -> WorkflowId {
+                WorkflowId(self.number())
+            }
+
+            /// A line of up to four pieces, a TAB among them when `tabs`;
+            /// possibly empty.
+            fn line(&mut self, tabs: bool) -> String {
+                let mut line = String::new();
+                for _ in 0..self.draw(5) {
+                    match self.draw(PIECES.len() + 1) {
+                        index if index < PIECES.len() => line.push_str(PIECES[index]),
+                        _ => line.push(if tabs { '\t' } else { '_' }),
+                    }
+                }
+                if line.ends_with('\r') {
+                    line.push('x');
+                }
+                line
+            }
+
+            fn lines(&mut self) -> Vec<String> {
+                (0..self.draw(5)).map(|_| self.line(true)).collect()
+            }
+
+            /// A header field an op or a subject names: TAB-free and not
+            /// empty.
+            fn field(&mut self) -> String {
+                let mut field = self.line(false);
+                if field.is_empty() {
+                    field.push('t');
+                }
+                field
+            }
+
+            fn fields(&mut self) -> Vec<String> {
+                (0..1 + self.draw(3)).map(|_| self.field()).collect()
+            }
+
+            /// A text payload: lines joined with `\n`, none of them a last
+            /// empty line (the frame cannot tell it from no line).
+            fn text(&mut self) -> String {
+                let mut lines = self.lines();
+                if lines.len() > 1 && lines.last().is_some_and(String::is_empty) {
+                    lines.last_mut().unwrap().push('x');
+                }
+                lines.join("\n")
+            }
+
+            fn op(&mut self) -> MutateOp {
+                match self.draw(6) {
+                    0 => MutateOp::AddTask { name: self.field() },
+                    1 => MutateOp::RemoveTask { name: self.field() },
+                    2 => MutateOp::AddEdge {
+                        from: self.field(),
+                        to: self.field(),
+                    },
+                    3 => MutateOp::RemoveEdge {
+                        from: self.field(),
+                        to: self.field(),
+                    },
+                    4 => MutateOp::Split {
+                        composite: self.field(),
+                        parts: (0..1 + self.draw(3)).map(|_| self.fields()).collect(),
+                    },
+                    _ => MutateOp::Merge {
+                        name: self.field(),
+                        composites: self.fields(),
+                    },
+                }
+            }
+
+            fn outcome(&mut self) -> Mutated {
+                Mutated {
+                    epoch: self.number(),
+                    class: self.line(false),
+                    invalidated: self.number() as usize,
+                    retained: self.number() as usize,
+                    version: self.number() as usize,
+                }
+            }
+
+            pub(super) fn request(&mut self) -> Request {
+                match self.draw(13) {
+                    0 => Request::Register {
+                        payload: self.text(),
+                    },
+                    1 => Request::Validate {
+                        workflow: self.id(),
+                        version: self.flag().then(|| self.number() as usize),
+                    },
+                    2 => Request::Correct {
+                        workflow: self.id(),
+                        strategy: wolves_core::correct::Strategy::ALL[self.draw(3)],
+                    },
+                    3 => Request::Provenance {
+                        workflow: self.id(),
+                        subject: self.field(),
+                    },
+                    4 => Request::Mutate {
+                        workflow: self.id(),
+                        op: self.op(),
+                        expect: self.flag().then(|| self.number()),
+                    },
+                    5 => Request::Export {
+                        workflow: self.id(),
+                    },
+                    6 => Request::Snapshot,
+                    7 => Request::Stats,
+                    8 => Request::Epoch {
+                        workflow: self.id(),
+                    },
+                    9 => Request::Heal,
+                    10 => Request::Metrics { slow: self.flag() },
+                    11 => Request::Watch {
+                        workflow: self.id(),
+                        mode: match self.draw(3) {
+                            0 => WatchMode::Tail,
+                            1 => WatchMode::Resync,
+                            _ => WatchMode::From(self.number()),
+                        },
+                    },
+                    _ => [Request::Unwatch, Request::Shutdown][self.draw(2)].clone(),
+                }
+            }
+
+            pub(super) fn response(&mut self) -> Response {
+                match self.draw(15) {
+                    0 => Response::Registered(self.id()),
+                    1 => Response::Verdict(Verdict {
+                        sound: self.flag(),
+                        version: self.number() as usize,
+                        cached: self.flag(),
+                        epoch: self.number(),
+                        unsound: self.lines(),
+                    }),
+                    2 => Response::Corrected(Corrected {
+                        version: self.number() as usize,
+                        composites_before: self.number() as usize,
+                        composites_after: self.number() as usize,
+                        payload: self.text(),
+                    }),
+                    3 => Response::Provenance(self.lines()),
+                    4 => Response::Mutated(self.outcome()),
+                    5 => Response::Exported(self.text()),
+                    6 => Response::Snapshotted(self.number() as usize),
+                    7 => Response::Stats(StatsReport {
+                        shards: (0..self.draw(3))
+                            .map(|_| ShardStat {
+                                shard: self.number() as usize,
+                                workflows: self.number() as usize,
+                                validate_hits: self.number(),
+                                validate_misses: self.number(),
+                                composite_hits: self.number(),
+                                composite_misses: self.number(),
+                                validate_ns: self.number(),
+                                requests: self.number(),
+                                snapshot_publishes: self.number(),
+                                active_watchers: self.number(),
+                                dropped_watchers: self.number(),
+                            })
+                            .collect(),
+                    }),
+                    8 => Response::Epoch {
+                        seq: self.number(),
+                        epoch: self.number(),
+                    },
+                    9 => Response::Healed {
+                        healed: self.number() as usize,
+                        still_degraded: self.number() as usize,
+                    },
+                    10 => Response::Metrics(self.text()),
+                    11 => Response::Watching(Watching {
+                        workflow: self.id(),
+                        seq: self.number(),
+                        epoch: self.number(),
+                        payload: self.flag().then(|| self.text()),
+                    }),
+                    12 => Response::Unwatched,
+                    13 => Response::ShuttingDown,
+                    _ => Response::Error(self.line(true)),
+                }
+            }
+
+            pub(super) fn event(&mut self) -> WatchEvent {
+                match self.draw(3) {
+                    0 => WatchEvent::Mutated {
+                        workflow: self.id(),
+                        seq: self.number(),
+                        op: self.op(),
+                        outcome: self.outcome(),
+                        deltas: (0..self.draw(3))
+                            .map(|_| {
+                                let (a, b) = (
+                                    TaskId::from_index(self.draw(1 << 16)),
+                                    TaskId::from_index(self.draw(1 << 16)),
+                                );
+                                let kind = match self.draw(4) {
+                                    0 => SpecDeltaKind::TaskAdded(a),
+                                    1 => SpecDeltaKind::TaskRemoved(a),
+                                    2 => SpecDeltaKind::DependencyAdded(a, b),
+                                    _ => SpecDeltaKind::DependencyRemoved(a, b),
+                                };
+                                SpecDelta {
+                                    epoch: self.number(),
+                                    kind,
+                                }
+                            })
+                            .collect(),
+                    },
+                    1 => WatchEvent::Corrected {
+                        workflow: self.id(),
+                        seq: self.number(),
+                        version: self.number() as usize,
+                        view_lines: self.lines(),
+                    },
+                    _ => WatchEvent::Resync {
+                        workflow: self.id(),
+                        seq: self.number(),
+                    },
+                }
+            }
+        }
+
+        fn tape() -> impl proptest::strategy::Strategy<Value = Vec<usize>> {
+            proptest::collection::vec(0usize..1 << 20, 0..96)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every message encodes to the bytes the reference line codec
+            /// writes, and reads back equal through the frame decoder at
+            /// random read sizes, and through `to_lines` / `from_lines`.
+            #[test]
+            fn prop_every_message_round_trips_as_the_reference_writes_it(
+                draws in tape(),
+                sizes in read_sizes()
+            ) {
+                let mut tape = Tape::new(draws);
+                round_trip_request_in(&tape.request(), &sizes);
+                round_trip_response_in(&tape.response(), &sizes);
+                round_trip_event_in(&tape.event(), &sizes);
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]

@@ -328,7 +328,7 @@ mod engine {
     use crate::obs::{duration_ns, ServerGauges, Stage};
     use crate::poll::{raw_fd_of, Interest, Poller, Waker};
     use crate::proto::{
-        encode_frame, Frame, FrameDecoder, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
+        Frame, FrameDecoder, Request, Response, WatchEvent, Watching, MAX_FRAME_BYTES,
     };
     use crate::store::{DurabilityBarrier, WatchSubscription, WorkflowStore};
 
@@ -537,7 +537,7 @@ mod engine {
             let start = self.write_buf.len();
             let ended = loop {
                 match subscription.try_recv() {
-                    Ok(Some(event)) => encode_frame(&mut self.write_buf, &event.to_lines()),
+                    Ok(Some(event)) => event.encode(&mut self.write_buf),
                     Ok(None) => break false,
                     Err(ServiceError::Lagged) => {
                         // the store dropped this slow consumer; hand the
@@ -547,8 +547,7 @@ mod engine {
                         let seq = store
                             .cursor(workflow)
                             .map_or(subscription.seq(), |(seq, _)| seq);
-                        let resync = WatchEvent::Resync { workflow, seq };
-                        encode_frame(&mut self.write_buf, &resync.to_lines());
+                        WatchEvent::Resync { workflow, seq }.encode(&mut self.write_buf);
                         break true;
                     }
                     // closed without lagging (store dropped)
@@ -958,6 +957,7 @@ mod engine {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use crate::proto::Payload;
 
         /// Reads all of `bytes` into the input, as socket reads would.
         fn feed(input: &mut FrameDecoder, mut bytes: &[u8]) {
@@ -983,7 +983,10 @@ mod engine {
             feed(&mut input, b".\nvalidate\t2\n.\nstats\r\n.\r\nepo");
             let frames = frames_of(&mut input);
             assert_eq!(frames.len(), 3);
-            let lines = |line: &str| Frame::Lines(vec![line.to_owned()]);
+            let lines = |line: &str| Frame {
+                header: line.to_owned(),
+                payload: Payload::Lines(Vec::new()),
+            };
             assert_eq!(frames[0].as_ref().unwrap(), &lines("validate\t1"));
             assert_eq!(frames[1].as_ref().unwrap(), &lines("validate\t2"));
             assert_eq!(frames[2].as_ref().unwrap(), &lines("stats"));
@@ -997,9 +1000,9 @@ mod engine {
             feed(&mut input, b".\n");
             assert_eq!(
                 next_frame(&mut input).unwrap().unwrap(),
-                Frame::Text {
+                Frame {
                     header: "register".to_owned(),
-                    payload: ".hidden".to_owned()
+                    payload: Payload::Text(".hidden".to_owned())
                 }
             );
 
@@ -1119,9 +1122,16 @@ mod engine {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::proto::{write_frame, FrameReader, MAX_FRAME_BYTES};
+    use crate::proto::{FrameReader, MAX_FRAME_BYTES};
     use std::io::Write as _;
     use std::net::TcpListener;
+
+    /// Writes `request`'s frame to `writer`.
+    fn send(writer: &mut impl std::io::Write, request: &Request) {
+        let mut frame = String::new();
+        request.encode(&mut frame);
+        writer.write_all(frame.as_bytes()).unwrap();
+    }
 
     fn local_server() -> ServerHandle {
         serve(&ServerConfig {
@@ -1164,7 +1174,7 @@ mod tests {
         let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("err\tprotocol\t"), "{frame:?}");
         assert!(frame[0].contains("unknown verb 'batch'"), "{frame:?}");
-        write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
+        send(&mut writer, &Request::Stats);
         let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));
         // shutdown must not hang even though this client keeps its
@@ -1201,7 +1211,7 @@ mod tests {
         let copies = (32 << 20) / export.len() + 1;
         let mut requests = b"stats\n.\nheal\n.\n".to_vec();
         for _ in 0..copies {
-            write_frame(&mut requests, &Request::Export { workflow: id }.to_lines()).unwrap();
+            send(&mut requests, &Request::Export { workflow: id });
         }
         let (mut reader, writer) = connect(&server);
         (&writer).write_all(&requests).unwrap();
@@ -1229,7 +1239,7 @@ mod tests {
         let _ = writer.write_all(&vec![b'x'; MAX_FRAME_BYTES + (1 << 20)]);
         assert!(!matches!(reader.read_frame(), Ok(Some(_))));
         let (mut reader, mut writer) = connect(&server);
-        write_frame(&mut writer, &Request::Stats.to_lines()).unwrap();
+        send(&mut writer, &Request::Stats);
         let frame = reader.read_frame().unwrap().unwrap();
         assert!(frame[0].starts_with("ok\tstats"));
         server.shutdown();
@@ -1240,7 +1250,7 @@ mod tests {
         let server = local_server();
         let addr = server.local_addr();
         let (mut reader, mut writer) = connect(&server);
-        write_frame(&mut writer, &Request::Shutdown.to_lines()).unwrap();
+        send(&mut writer, &Request::Shutdown);
         let frame = reader.read_frame().unwrap().unwrap();
         assert_eq!(frame[0], "ok\tshutdown");
         server.join();

@@ -20,8 +20,8 @@
 //!
 //! All on-disk formats are line-based: payload lines come from
 //! `wolves_workflow::persist` (slot-exact spec/view serialisation) and
-//! `crate::proto` (mutation ops), framed with explicit line counts and an
-//! FNV-1a checksum so a torn tail is distinguishable from mid-log
+//! [`MutateOp::to_tail`] (mutation ops), framed with explicit line counts
+//! and an FNV-1a checksum so a torn tail is distinguishable from mid-log
 //! corruption.
 
 use std::fmt;
@@ -33,8 +33,7 @@ use wolves_workflow::persist::{delta_from_line, delta_to_line};
 use wolves_workflow::SpecDelta;
 
 use crate::error::ServiceError;
-use crate::proto::{MutateOp, Request};
-use crate::store::WorkflowId;
+use crate::proto::MutateOp;
 
 /// FNV-1a 64-bit hash of a string — the checksum of WAL records and
 /// snapshot files (no external dependency, stable across platforms).
@@ -172,8 +171,8 @@ pub enum WalRecord {
         id: u64,
         /// The entry's epoch *after* the mutation.
         epoch: u64,
-        /// The applied op (serialised through the wire grammar of
-        /// [`crate::proto`]).
+        /// The applied op, logged as [`MutateOp::to_tail`] writes it and
+        /// read back by [`MutateOp::from_fields`].
         op: MutateOp,
         /// The typed spec deltas the op produced: one for a task or
         /// dependency edit, none for a view edit.
@@ -217,14 +216,10 @@ impl WalRecord {
                 op,
                 deltas,
             } => {
-                let mut payload = Request::Mutate {
-                    workflow: WorkflowId(*id),
-                    op: op.clone(),
-                    // CAS guards are request-time only: the logged record is
-                    // the committed outcome, so the WAL format is unchanged
-                    expect: None,
-                }
-                .to_lines();
+                // the op line: the workflow, then the op as a `mutate`
+                // request's header carries it (a CAS guard is request-time
+                // only and never logged)
+                let mut payload = vec![format!("mutate\t{id}\t{}", op.to_tail())];
                 payload.extend(deltas.iter().map(delta_to_line));
                 (
                     format!("rec\tmutate\t{id}\t{epoch}\t{}", payload.len()),
@@ -307,19 +302,15 @@ impl WalRecord {
                 let op_line = payload
                     .first()
                     .ok_or_else(|| corrupt("mutate record missing its op line"))?;
-                let request = Request::from_lines(std::slice::from_ref(op_line))
-                    .map_err(|e| corrupt(format!("bad mutate op: {e}")))?;
-                let Request::Mutate {
-                    workflow,
-                    op,
-                    expect: _,
-                } = request
-                else {
+                let op_fields: Vec<&str> = op_line.split('\t').collect();
+                if op_fields[0] != "mutate" {
                     return Err(corrupt(format!("not a mutate op: '{op_line}'")));
-                };
-                if workflow.0 != id {
+                }
+                if op_fields.get(1).and_then(|field| field.parse::<u64>().ok()) != Some(id) {
                     return Err(corrupt("mutate record id mismatch"));
                 }
+                let op = MutateOp::from_fields(&op_fields, 2)
+                    .map_err(|e| corrupt(format!("bad mutate op: {e}")))?;
                 let deltas = payload[1..]
                     .iter()
                     .map(|line| {
@@ -357,15 +348,11 @@ pub struct AppendOutcome {
     /// a snapshot of the shard (which rotates the segment and truncates the
     /// log).
     pub wants_snapshot: bool,
-    /// Nanoseconds this append spent in fsync (0 when the fsync policy did
-    /// not trigger one) — lets the store split the commit-stage span into
-    /// its WAL-append and fsync parts.
-    pub fsync_ns: u64,
     /// Group-commit ticket: a per-shard monotone sequence number of this
     /// append when the backend defers durability to
-    /// [`StorageBackend::wait_durable`] (strict `fsync_every=1` mode on the
-    /// file backend). 0 means the append needs no durability wait — it was
-    /// already synced inline, or the policy leaves syncing to the OS.
+    /// [`StorageBackend::wait_durable`] (strict-fsync mode on the file
+    /// backend). 0 means the append needs no durability wait: the policy
+    /// leaves syncing to the OS, or there is no log.
     pub ticket: u64,
 }
 
@@ -988,6 +975,97 @@ mod tests {
         assert_eq!(pos, stream.len());
     }
 
+    /// One `mutate` record of every op kind, with the deltas a task or
+    /// dependency edit logs.
+    fn mutate_records() -> Vec<WalRecord> {
+        let task = |index| TaskId::from_index(index);
+        let delta = |epoch, kind| vec![SpecDelta { epoch, kind }];
+        let names = |names: &[&str]| names.iter().map(|&n| n.to_owned()).collect::<Vec<_>>();
+        vec![
+            WalRecord::Mutate {
+                id: 3,
+                epoch: 1,
+                op: MutateOp::AddTask {
+                    name: "Fetch \u{e9}t\u{e9} data".to_owned(),
+                },
+                deltas: delta(9, SpecDeltaKind::TaskAdded(task(4))),
+            },
+            WalRecord::Mutate {
+                id: 3,
+                epoch: 2,
+                op: MutateOp::RemoveTask {
+                    name: ".hidden".to_owned(),
+                },
+                deltas: delta(10, SpecDeltaKind::TaskRemoved(task(2))),
+            },
+            WalRecord::Mutate {
+                id: 3,
+                epoch: 3,
+                op: MutateOp::AddEdge {
+                    from: "A".to_owned(),
+                    to: "B|C".to_owned(),
+                },
+                deltas: delta(11, SpecDeltaKind::DependencyAdded(task(0), task(1))),
+            },
+            WalRecord::Mutate {
+                id: 3,
+                epoch: 4,
+                op: MutateOp::RemoveEdge {
+                    from: "A".to_owned(),
+                    to: "B|C".to_owned(),
+                },
+                deltas: delta(12, SpecDeltaKind::DependencyRemoved(task(0), task(1))),
+            },
+            WalRecord::Mutate {
+                id: 3,
+                epoch: 5,
+                op: MutateOp::Split {
+                    composite: "Curate & align (16)".to_owned(),
+                    parts: vec![names(&["a", "b"]), names(&["c"]), names(&["d", "e", "f"])],
+                },
+                deltas: Vec::new(),
+            },
+            WalRecord::Mutate {
+                id: 12,
+                epoch: 6,
+                op: MutateOp::Merge {
+                    name: "Front end".to_owned(),
+                    composites: names(&["Start", "Middle/1", "Middle/2"]),
+                },
+                deltas: Vec::new(),
+            },
+        ]
+    }
+
+    /// The log format is pinned byte for byte, checksums included: a log
+    /// written before any change to the op line's codec must recover.
+    #[test]
+    fn mutate_records_keep_their_pinned_bytes() {
+        let pinned = [
+            "rec\tmutate\t3\t1\t2\nmutate\t3\tadd-task\tFetch \u{e9}t\u{e9} data\n\
+             delta\t9\ttask-added\t4\nend\tfe7925598951f8d4",
+            "rec\tmutate\t3\t2\t2\nmutate\t3\tremove-task\t.hidden\n\
+             delta\t10\ttask-removed\t2\nend\t28cdb73918073ef4",
+            "rec\tmutate\t3\t3\t2\nmutate\t3\tadd-edge\tA\tB|C\n\
+             delta\t11\tdep-added\t0\t1\nend\t9ada18fcf76b2b2e",
+            "rec\tmutate\t3\t4\t2\nmutate\t3\tremove-edge\tA\tB|C\n\
+             delta\t12\tdep-removed\t0\t1\nend\te940f92861d71987",
+            "rec\tmutate\t3\t5\t1\nmutate\t3\tsplit\tCurate & align (16)\ta,b;c;d,e,f\n\
+             end\t642b1736bc5e470f",
+            "rec\tmutate\t12\t6\t1\nmutate\t12\tmerge\tFront end\tStart;Middle/1;Middle/2\n\
+             end\ta1f820a2e2ba5cb1",
+        ];
+        let records = mutate_records();
+        assert_eq!(records.len(), pinned.len());
+        for (record, pinned) in records.iter().zip(pinned) {
+            let lines = record.to_lines();
+            assert_eq!(lines.join("\n"), pinned);
+            let mut pos = 0;
+            assert_eq!(&WalRecord::from_lines(&lines, &mut pos).unwrap(), record);
+            assert_eq!(pos, lines.len());
+        }
+    }
+
     #[test]
     fn corrupted_records_fail_the_checksum() {
         let record = WalRecord::Mutate {
@@ -1026,7 +1104,7 @@ mod tests {
             )
             .unwrap();
         assert!(!outcome.wants_snapshot);
-        assert_eq!(outcome.fsync_ns, 0);
+        assert_eq!(outcome.ticket, 0);
         let observed = backend.observe();
         assert_eq!(observed.append_bytes, 0);
         assert_eq!(observed.rotations, 0);

@@ -961,7 +961,6 @@ impl WorkflowStore {
             trace.enter(Stage::WalAppend);
             match self.backend.append(index, &record) {
                 Ok(outcome) => {
-                    trace.carve(Stage::Fsync, outcome.fsync_ns);
                     wants_snapshot = outcome.wants_snapshot;
                     ticket.ticket = outcome.ticket;
                 }
@@ -1288,10 +1287,11 @@ impl WorkflowStore {
     /// # Errors
     /// Reports unknown workflows, tasks and composites, edits the model
     /// layer rejects (duplicate names, missing dependencies, non-partition
-    /// splits), a task or composite name the text format cannot carry back
-    /// ([`wolves_moml::textfmt::check_task_name`],
-    /// [`wolves_moml::textfmt::check_composite_name`], as
-    /// [`ServiceError::Mutation`]), and persistence failures.
+    /// splits), a name the op's line cannot carry
+    /// ([`MutateOp::check_serialisable`]) or the text format cannot carry
+    /// back ([`wolves_moml::textfmt::check_task_name`],
+    /// [`wolves_moml::textfmt::check_composite_name`]), both as
+    /// [`ServiceError::Mutation`], and persistence failures.
     pub fn mutate(&self, id: WorkflowId, op: MutateOp) -> Result<Mutated, ServiceError> {
         self.mutate_cas(id, op, None)
     }
@@ -1376,13 +1376,11 @@ impl WorkflowStore {
     ) -> Result<(Written<Mutated>, Vec<SpecDelta>), ServiceError> {
         let mut trace = Trace::start(Verb::Mutate);
         let durable = self.backend.durable();
-        if durable {
-            // refuse names the single-line WAL/wire grammar cannot carry
-            // before anything is applied
-            check_op_serialisable(&op)?;
-        }
-        // a name the text format cannot carry back would leave an `export`
-        // that does not register again
+        // refuse names the op's line cannot carry to a watcher or into the
+        // log, before anything is applied; and a name the text format
+        // cannot carry back would leave an `export` that does not register
+        // again
+        op.check_serialisable()?;
         match &op {
             MutateOp::AddTask { name } => check_task_name(name),
             // a split names its parts after the composite it splits
@@ -2125,48 +2123,6 @@ fn finish_mutation(
     }
 }
 
-/// Refuses mutation ops whose names cannot survive the single-line,
-/// TAB-separated wire/WAL grammar: a TAB or line break would corrupt the
-/// frame — or worse, silently truncate the name on replay, recovering a
-/// store that diverges from the one that crashed. Only durable backends
-/// enforce this (the wire protocol cannot produce such names; this guards
-/// in-process callers of [`WorkflowStore::mutate`]).
-fn check_op_serialisable(op: &MutateOp) -> Result<(), ServiceError> {
-    let check = |what: &str, text: &str, reserved: &[char]| -> Result<(), ServiceError> {
-        if text.contains(['\t', '\n', '\r']) || text.contains(reserved) {
-            return Err(ServiceError::Persistence(format!(
-                "{what} {text:?} contains a TAB, line break or reserved separator; the \
-                 write-ahead log's line grammar cannot carry it"
-            )));
-        }
-        Ok(())
-    };
-    match op {
-        MutateOp::AddTask { name } | MutateOp::RemoveTask { name } => check("task name", name, &[]),
-        MutateOp::AddEdge { from, to } | MutateOp::RemoveEdge { from, to } => {
-            check("task name", from, &[])?;
-            check("task name", to, &[])
-        }
-        MutateOp::Split { composite, parts } => {
-            check("composite name", composite, &[])?;
-            for part in parts {
-                for member in part {
-                    // ';' and ',' are the wire grammar's list separators
-                    check("task name", member, &[';', ','])?;
-                }
-            }
-            Ok(())
-        }
-        MutateOp::Merge { name, composites } => {
-            check("composite name", name, &[])?;
-            for composite in composites {
-                check("composite name", composite, &[';'])?;
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Computes which composites of the current view an edge mutation affects:
 /// the composites holding the endpoints (their boundary sets can move even
 /// when the reachability closure is unchanged) plus every composite with a
@@ -2236,6 +2192,7 @@ fn composite_by_name(view: &WorkflowView, name: &str) -> Result<CompositeTaskId,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::FrameReader;
     use crate::wal::{FileBackend, PersistConfig};
     use wolves_repo::figure1;
     use wolves_workflow::CompositeTask;
@@ -2409,7 +2366,7 @@ mod tests {
     fn slow_ring_spans_sum_to_each_requests_total() {
         let root = temp_root("spans");
         let strict = PersistConfig {
-            fsync_every: 1,
+            strict_fsync: true,
             ..durable_config(&root)
         };
         let (store, _) = WorkflowStore::open(Arc::new(FileBackend::open(strict).unwrap())).unwrap();
@@ -2569,14 +2526,13 @@ mod tests {
             },
         ] {
             let err = store.mutate(id, op).unwrap_err();
-            assert!(matches!(err, ServiceError::Persistence(_)), "{err}");
+            assert!(matches!(err, ServiceError::Mutation(_)), "{err}");
         }
         // the rejections applied nothing: the epoch advanced only by the
         // probes themselves
         assert_eq!(epoch_probe(&store), before + 1);
-        // the in-memory store still accepts a name only the log cannot
-        // carry (nothing to log); one the text format cannot carry back is
-        // refused by every store
+        // the in-memory store refuses the same names: a watcher would read
+        // them from the same line
         let memory = WorkflowStore::new(1);
         let f = figure1();
         let mem_id = memory.try_register(f.spec, Some(f.view)).unwrap();
@@ -2588,9 +2544,61 @@ mod tests {
                 },
             )
         };
-        assert!(add("a\rb").is_ok());
+        assert!(matches!(add("a\rb"), Err(ServiceError::Mutation(_))));
         assert!(matches!(add("a\tb"), Err(ServiceError::Mutation(_))));
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A split whose member name holds the list separator `,` would fan
+    /// out as two members, so a replica would fail on an unknown task. The
+    /// in-memory store refuses it before anything is applied or fanned
+    /// out, as a durable one does.
+    #[test]
+    fn a_watched_in_memory_store_refuses_an_op_its_events_cannot_carry() {
+        let store = WorkflowStore::new(1);
+        let fixture = figure1();
+        let id = store.register(fixture.spec, Some(fixture.view));
+        let replica = WorkflowStore::new(1);
+        assert_eq!(
+            replica.register_text(&store.export(id).unwrap()).unwrap(),
+            id
+        );
+        let watch = store.watch(id, WatchMode::Tail).unwrap();
+        // each committed op reaches the replica through its event's frame,
+        // as a watcher over the wire receives it
+        let mutate = |op: MutateOp| {
+            let outcome = store.mutate(id, op);
+            while let Some(event) = watch.try_recv().unwrap() {
+                let mut wire = String::new();
+                event.encode(&mut wire);
+                let frame = FrameReader::new(wire.as_bytes()).next_frame().unwrap();
+                let received = WatchEvent::from_frame(frame.unwrap()).unwrap();
+                replica.apply_watch_event(&received).unwrap();
+            }
+            outcome
+        };
+        let add = |name: &str| MutateOp::AddTask {
+            name: name.to_owned(),
+        };
+        // a task name may hold a `,`: it is a field of its own on the line
+        mutate(add("a,b")).unwrap();
+        mutate(add("c")).unwrap();
+        mutate(MutateOp::Merge {
+            name: "m".to_owned(),
+            composites: vec!["a,b".to_owned(), "c".to_owned()],
+        })
+        .unwrap();
+        let cursor = store.cursor(id).unwrap();
+        let err = mutate(MutateOp::Split {
+            composite: "m".to_owned(),
+            parts: vec![vec!["a,b".to_owned()], vec!["c".to_owned()]],
+        })
+        .unwrap_err();
+        assert!(matches!(err, ServiceError::Mutation(_)), "{err}");
+        assert_eq!(store.cursor(id).unwrap(), cursor, "nothing was applied");
+        mutate(add("d")).unwrap();
+        assert_eq!(replica.cursor(id).unwrap(), store.cursor(id).unwrap());
+        assert_eq!(replica.export(id).unwrap(), store.export(id).unwrap());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!
 //! * **Appends** are one `write(2)` per record (strict mode batches them —
 //!   see group commit below); either way a `kill -9` loses nothing
-//!   that was acknowledged. [`PersistConfig::fsync_every`] bounds the
-//!   power-loss window on top: `0` (default) leaves flushing to the OS and
-//!   syncs at rotation/shutdown, `n` fsyncs every `n` records, `1` is
-//!   strict fsync-per-record.
-//! * **Group commit** (strict mode): with `fsync_every=1` neither the file
+//!   that was acknowledged. [`PersistConfig::strict_fsync`] picks the
+//!   power-loss window on top: off (default), flushing is left to the OS
+//!   and the log syncs at rotation/shutdown; on, every record is fsynced
+//!   before it is acknowledged.
+//! * **Group commit** (strict mode): with `strict_fsync` neither the file
 //!   write nor the fsync happens inside [`StorageBackend::append`] — the
 //!   rendered record is *staged* in memory and the append returns a
 //!   per-shard ticket. [`StorageBackend::wait_durable`] — called by the
@@ -66,19 +66,19 @@ pub struct PersistConfig {
     pub shards: usize,
     /// The fsync policy. Every append is `write(2)`-complete before the
     /// request is acknowledged, so a **process** crash (`kill -9`) loses
-    /// nothing at any setting; this knob bounds the **power-loss** window:
+    /// nothing under either policy; this knob bounds the **power-loss**
+    /// window:
     ///
-    /// * `0` (default) — no per-record fsync; the OS flushes in the
+    /// * `false` (default) — no per-record fsync; the OS flushes in the
     ///   background and the backend syncs at snapshot rotation, graceful
     ///   shutdown and [`StorageBackend::sync`].
-    /// * `n > 1` — additionally fsync inline after every `n` appended
-    ///   records.
-    /// * `1` — strict: every record is fsynced before it is acknowledged,
-    ///   via the group-commit protocol ([`StorageBackend::wait_durable`]):
-    ///   appends are staged in memory and the group leader flushes the
-    ///   whole batch with one write + one fsync, so concurrent appends
-    ///   share a single sync instead of paying one each.
-    pub fsync_every: usize,
+    /// * `true` — strict: every record is fsynced before it is
+    ///   acknowledged, via the group-commit protocol
+    ///   ([`StorageBackend::wait_durable`]): appends are staged in memory
+    ///   and the group leader flushes the whole batch with one write + one
+    ///   fsync, so concurrent appends share a single sync instead of paying
+    ///   one each.
+    pub strict_fsync: bool,
     /// Active-segment size that triggers snapshot + rotation.
     pub segment_bytes: u64,
 }
@@ -90,7 +90,7 @@ impl PersistConfig {
         PersistConfig {
             root: root.into(),
             shards: 4,
-            fsync_every: 0,
+            strict_fsync: false,
             segment_bytes: 4 * 1024 * 1024,
         }
     }
@@ -111,13 +111,12 @@ struct ShardWal {
     generation: u64,
     file: File,
     bytes: u64,
-    pending_sync: usize,
     /// Monotone per-shard append counter — the group-commit ticket space.
     /// Never reset (rotation advances the durability watermark past it
     /// instead), so a ticket uniquely orders an append within its shard.
     appended: u64,
-    /// Strict-mode (fsync_every=1) records staged in memory, not yet
-    /// written to the segment file. The group-commit leader flushes the
+    /// Strict-mode records staged in memory, not yet written to the
+    /// segment file. The group-commit leader flushes the
     /// whole batch with one `write(2)` and then fsyncs — keeping per-append
     /// `write(2)` calls off the inode, which would otherwise serialise
     /// against the in-flight fsync (ext4 holds the inode lock for both).
@@ -472,7 +471,6 @@ fn open_shard(dir: &Path) -> Result<(ShardWal, ShardJournal), ServiceError> {
             generation,
             file,
             bytes: clean_bytes,
-            pending_sync: 0,
             appended: 0,
             staged: Vec::new(),
         },
@@ -586,9 +584,8 @@ impl StorageBackend for FileBackend {
         let mut wal = self.shards[shard].lock();
         let mut block = record.to_lines().join("\n");
         block.push('\n');
-        let mut fsync_ns = 0u64;
         let mut ticket = 0u64;
-        if self.config.fsync_every == 1 {
+        if self.config.strict_fsync {
             // strict mode defers both the file write and the fsync to the
             // group-commit protocol: the record is staged in memory, the
             // caller waits on this ticket in `wait_durable` after dropping
@@ -612,34 +609,19 @@ impl StorageBackend for FileBackend {
             }
             wal.bytes += block.len() as u64;
             wal.appended += 1;
-            if self.config.fsync_every > 1 {
-                wal.pending_sync += 1;
-                if wal.pending_sync >= self.config.fsync_every {
-                    let sync_start = Instant::now();
-                    wal.file
-                        .sync_data()
-                        .map_err(|e| io_err("cannot sync the WAL", &e))?;
-                    fsync_ns = duration_ns(sync_start.elapsed());
-                    self.telemetry.fsync.record_ns(fsync_ns);
-                    wal.pending_sync = 0;
-                }
-            }
         }
         self.telemetry
             .append_bytes
             .fetch_add(block.len() as u64, Ordering::Relaxed);
-        self.telemetry
-            .append
-            .record_ns(duration_ns(start.elapsed()).saturating_sub(fsync_ns));
+        self.telemetry.append.record(start.elapsed());
         Ok(AppendOutcome {
             wants_snapshot: wal.bytes + wal.staged.len() as u64 >= self.config.segment_bytes,
-            fsync_ns,
             ticket,
         })
     }
 
     fn wait_durable(&self, shard: usize, ticket: u64) -> Result<u64, ServiceError> {
-        if ticket == 0 || self.config.fsync_every != 1 {
+        if ticket == 0 || !self.config.strict_fsync {
             return Ok(0);
         }
         let start = Instant::now();
@@ -780,7 +762,6 @@ impl StorageBackend for FileBackend {
         wal.generation = generation;
         wal.file = file;
         wal.bytes = 0;
-        wal.pending_sync = 0;
         // staged strict-mode records' effects are already captured by the
         // snapshot entries (staging happens under the same store mutator
         // mutex, in order), and the snapshot is fsynced — drop them
@@ -821,7 +802,6 @@ impl StorageBackend for FileBackend {
                 .sync_data()
                 .map_err(|e| io_err("cannot sync the WAL", &e))?;
             self.telemetry.fsync.record(start.elapsed());
-            wal.pending_sync = 0;
             // a full sync is a (degenerate) group commit: release any
             // parked group-commit waiters on this shard
             {

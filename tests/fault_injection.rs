@@ -29,12 +29,11 @@ fn temp_root(tag: &str) -> PathBuf {
 }
 
 /// One shard (so the 1-based per-shard append counters of a fault plan are
-/// exact), small segments and batched fsyncs — rotation and the unsynced
-/// tail stay in play.
+/// exact), small segments and the default OS-flush policy — rotation and
+/// the unsynced tail stay in play.
 fn config(root: &Path) -> PersistConfig {
     PersistConfig {
         shards: 1,
-        fsync_every: 4,
         segment_bytes: 8 * 1024,
         ..PersistConfig::new(root)
     }
@@ -278,7 +277,7 @@ fn pipelined_frames_map_faults_to_the_right_in_flight_request() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Under strict fsync (`fsync_every=1`) every served write defers its
+/// Under strict fsync (`strict_fsync`) every served write defers its
 /// durability into the readiness pass's shared settle. A failed group-commit
 /// fsync must turn each write slot of the pipeline — a correction and a
 /// registration — into the typed error, while the read between them answers
@@ -288,7 +287,7 @@ fn a_failed_group_fsync_refuses_every_pipelined_write_but_not_the_read() {
     let root = temp_root("strict-sync-err");
     let inner: Arc<dyn StorageBackend> = Arc::new(
         FileBackend::open(PersistConfig {
-            fsync_every: 1,
+            strict_fsync: true,
             ..config(&root)
         })
         .expect("open the data dir"),

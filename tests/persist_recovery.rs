@@ -21,12 +21,12 @@ fn temp_root(tag: &str) -> PathBuf {
     ))
 }
 
-/// A small-segment, batched-fsync config so the tests exercise rotation and
-/// the unsynced-tail path, not just the happy append loop.
+/// A small-segment config on the default OS-flush policy, so the tests
+/// exercise rotation and the unsynced-tail path, not just the happy append
+/// loop.
 fn config(root: &Path) -> PersistConfig {
     PersistConfig {
         shards: 2,
-        fsync_every: 8,
         segment_bytes: 16 * 1024,
         ..PersistConfig::new(root)
     }
@@ -63,6 +63,105 @@ fn observe(store: &WorkflowStore, id: WorkflowId) -> Vec<String> {
     out.push(format!("stats workflows={}", store.stats().workflows()));
     out.push(export);
     out
+}
+
+/// A one-shard log written by the server before the log's op line was read
+/// and written by `MutateOp` directly (it went through the `mutate` request
+/// codec then): a registration, a weak correction, and one `mutate` record
+/// of every op kind, split and merge lists included. Checksums and all, it
+/// must recover to the state that server exported before it was killed.
+const EARLIER_WAL: &str = concat!(
+    "rec\tregister\t1\t19\n",
+    "entry\t1\t0\t0\t0\t12\t1\n",
+    "spec\ttoy\n",
+    "epoch\t8\n",
+    "tasks\t4\n",
+    "task\t0\tA\n",
+    "task\t1\tB\n",
+    "task\t2\tC\n",
+    "task\t3\tD\n",
+    "edges\t4\n",
+    "edge\t0\t0\t1\n",
+    "edge\t1\t1\t3\n",
+    "edge\t2\t0\t2\n",
+    "edge\t3\t2\t3\n",
+    "view-block\t5\n",
+    "view\tg\n",
+    "slots\t3\n",
+    "composite\t0\t1,2\tMiddle\n",
+    "composite\t1\t0\tStart\n",
+    "composite\t2\t3\tEnd\n",
+    "end\t59978f714e58060b\n",
+    "rec\tcorrect\t1\t1\t6\n",
+    "view\tg\n",
+    "slots\t5\n",
+    "composite\t1\t0\tStart\n",
+    "composite\t2\t3\tEnd\n",
+    "composite\t3\t1\tMiddle/1\n",
+    "composite\t4\t2\tMiddle/2\n",
+    "end\t5b03a4fa1b1e21a7\n",
+    "rec\tmutate\t1\t1\t2\n",
+    "mutate\t1\tadd-task\tE\n",
+    "delta\t9\ttask-added\t4\n",
+    "end\tc5b8e95451378401\n",
+    "rec\tmutate\t1\t2\t2\n",
+    "mutate\t1\tadd-edge\tD\tE\n",
+    "delta\t10\tdep-added\t3\t4\n",
+    "end\tc1bd541ffc96521f\n",
+    "rec\tmutate\t1\t3\t2\n",
+    "mutate\t1\tremove-edge\tA\tC\n",
+    "delta\t11\tdep-removed\t0\t2\n",
+    "end\t9cb4f388d9d05a78\n",
+    "rec\tmutate\t1\t4\t2\n",
+    "mutate\t1\tadd-edge\tA\tC\n",
+    "delta\t12\tdep-added\t0\t2\n",
+    "end\t28c4b42e7f9b99af\n",
+    "rec\tmutate\t1\t5\t1\n",
+    "mutate\t1\tmerge\tFront\tStart;Middle/1;Middle/2\n",
+    "end\t6bb7fcf22d1619a1\n",
+    "rec\tmutate\t1\t6\t1\n",
+    "mutate\t1\tsplit\tFront\tA,B;C\n",
+    "end\taf2a03f3ea7a8d38\n",
+    "rec\tmutate\t1\t7\t2\n",
+    "mutate\t1\tremove-task\tE\n",
+    "delta\t13\ttask-removed\t4\n",
+    "end\tb5c25030216d4f7d\n",
+);
+
+/// What that server exported for the workflow just before the kill.
+const EARLIER_EXPORT: &str = concat!(
+    "workflow\ttoy\n",
+    "task\tA\n",
+    "task\tB\n",
+    "task\tC\n",
+    "task\tD\n",
+    "edge\tA\tB\n",
+    "edge\tB\tD\n",
+    "edge\tC\tD\n",
+    "edge\tA\tC\n",
+    "view\tg\n",
+    "composite\tEnd\tD\n",
+    "composite\tFront/1\tA|B\n",
+    "composite\tFront/2\tC\n",
+);
+
+#[test]
+fn a_log_written_before_the_op_line_codec_change_recovers() {
+    let root = temp_root("earlier-wal");
+    std::fs::create_dir_all(root.join("shard-0")).expect("create the shard dir");
+    std::fs::write(root.join("meta.txt"), "wolves-store\t1\n").expect("write meta");
+    std::fs::write(root.join("shard-0").join("wal-0.log"), EARLIER_WAL).expect("write the log");
+    let (store, report) = wolves::service::open_data_dir(&root, None).expect("recover");
+    assert_eq!(report.workflows, 1);
+    assert_eq!(report.replayed_records, 9);
+    assert_eq!(report.torn_tails, 0);
+    let id = WorkflowId(1);
+    assert_eq!(store.export(id).expect("export"), EARLIER_EXPORT);
+    // one correction and seven mutations; the epoch counts the mutations
+    assert_eq!(store.cursor(id).expect("cursor"), (8, 7));
+    assert!(store.validate(id, None).expect("validate").sound);
+    drop(store);
+    std::fs::remove_dir_all(&root).expect("clean up");
 }
 
 #[test]
@@ -172,7 +271,7 @@ fn killed_server_restarts_with_identical_answers_after_100_mutations() {
 }
 
 /// Kill -9 in the middle of a group-committed burst: eight threads drive
-/// strict (`fsync_every = 1`) mutations whose acknowledgements share leader
+/// strict-fsync mutations whose acknowledgements share leader
 /// fsyncs, the process dies without any shutdown handshake, and recovery
 /// shows exactly the acked history — an ack absorbed into another waiter's
 /// fsync must be just as durable as one that paid for its own.
@@ -181,7 +280,7 @@ fn group_committed_acks_survive_a_kill_mid_burst() {
     let root = temp_root("group-commit-kill");
     let strict_config = |root: &Path| PersistConfig {
         shards: 2,
-        fsync_every: 1,
+        strict_fsync: true,
         ..PersistConfig::new(root)
     };
     let backend = Arc::new(FileBackend::open(strict_config(&root)).expect("open strict"));
@@ -276,7 +375,7 @@ fn deferred_barrier_settles_a_whole_batch_durably() {
     let root = temp_root("deferred-barrier");
     let strict_config = |root: &Path| PersistConfig {
         shards: 2,
-        fsync_every: 1,
+        strict_fsync: true,
         ..PersistConfig::new(root)
     };
     let backend = Arc::new(FileBackend::open(strict_config(&root)).expect("open strict"));

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use wolves::core::correct::Strategy;
 use wolves::moml::write_text_format;
-use wolves::service::proto::{write_frame, FrameReader};
+use wolves::service::proto::FrameReader;
 use wolves::service::storage::{
     AppendOutcome, ShardJournal, SnapshotEntry, StorageBackend, WalRecord,
 };
@@ -18,6 +18,13 @@ use wolves::service::{
     serve, serve_with_store, validate_throughput, BatchConfig, MutateOp, Request, Response,
     ServerConfig, ServerHandle, ServiceClient, ServiceError, WatchEvent, WatchMode, WorkflowStore,
 };
+
+/// Writes `request`'s frame to `writer` in one write.
+fn send(mut writer: impl std::io::Write, request: &Request) -> std::io::Result<()> {
+    let mut frame = String::new();
+    request.encode(&mut frame);
+    writer.write_all(frame.as_bytes())
+}
 
 #[test]
 fn full_protocol_round_trip_over_loopback() {
@@ -345,7 +352,7 @@ fn pipeline_exports_unread(
     let copies = answer_bytes / export.len() + 1;
     let mut requests = Vec::new();
     for _ in 0..copies {
-        write_frame(&mut requests, &Request::Export { workflow: id }.to_lines()).expect("encode");
+        send(&mut requests, &Request::Export { workflow: id }).expect("encode");
     }
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.write_all(&requests).expect("send the pipeline");
@@ -589,7 +596,7 @@ fn read_skips_the_fsync_of(writer: Writer) {
     let connect = || {
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         let mut reader = FrameReader::new(stream.try_clone().expect("clone the socket"));
-        write_frame(&mut &stream, &Request::Stats.to_lines()).expect("send stats");
+        send(&stream, &Request::Stats).expect("send stats");
         reader.read_frame().expect("read").expect("a stats frame");
         (reader, stream)
     };
@@ -609,10 +616,10 @@ fn read_skips_the_fsync_of(writer: Writer) {
         from: from.to_owned(),
         to: to.to_owned(),
     };
-    write_frame(&mut &a, &mutate(add).to_lines()).expect("send A's mutation");
+    send(&a, &mutate(add)).expect("send A's mutation");
     wait_until("A's fsync wait", || backend.waiting() == 1);
     // B's read and C's write queue up behind it, to be read in one pass
-    write_frame(&mut &b, &Request::Stats.to_lines()).expect("send B's read");
+    send(&b, &Request::Stats).expect("send B's read");
     let (write, acked) = match writer {
         Writer::Mutate => (
             mutate(MutateOp::RemoveEdge {
@@ -631,7 +638,7 @@ fn read_skips_the_fsync_of(writer: Writer) {
         ),
         Writer::Register => (Request::Register { payload }, "ok\tregistered"),
     };
-    write_frame(&mut &c, &write.to_lines()).expect("send C's write");
+    send(&c, &write).expect("send C's write");
     std::thread::sleep(Duration::from_millis(100));
     backend.grant(1);
     let ack = a_reader.read_frame().expect("read").expect("A's ack");

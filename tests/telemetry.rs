@@ -203,7 +203,7 @@ fn wal_stage_histograms_fill_during_a_durable_mutation_burst() {
     let _ = std::fs::remove_dir_all(&root);
     let backend = FileBackend::open(PersistConfig {
         shards: 2,
-        fsync_every: 1,
+        strict_fsync: true,
         ..PersistConfig::new(&root)
     })
     .expect("open the data dir");
@@ -244,7 +244,7 @@ fn wal_stage_histograms_fill_during_a_durable_mutation_burst() {
     drop(store);
     let backend = FileBackend::open(PersistConfig {
         shards: 2,
-        fsync_every: 1,
+        strict_fsync: true,
         ..PersistConfig::new(&root)
     })
     .expect("reopen");
@@ -300,7 +300,7 @@ impl StorageBackend for StallingBackend {
     }
 }
 
-/// A concurrent mutation burst through a strict-fsync (`fsync_every=1`)
+/// A concurrent mutation burst through a strict-fsync (`strict_fsync`)
 /// durable server: the group-commit series must account for every append
 /// (batch sum = leader batches + absorbed fsyncs) and the serving layer's
 /// connection/wakeup gauges must reach the same exposition.
@@ -310,7 +310,7 @@ fn group_commit_and_server_gauges_reach_the_exposition_after_a_concurrent_burst(
     let _ = std::fs::remove_dir_all(&root);
     let backend = FileBackend::open(PersistConfig {
         shards: 2,
-        fsync_every: 1,
+        strict_fsync: true,
         ..PersistConfig::new(&root)
     })
     .expect("open the data dir");
